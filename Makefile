@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet fmt fmt-check fuzz-smoke ci experiments experiments-full fanout fanout-scale adapt fec layers clean
+.PHONY: all build test race bench bench-module vet fmt fmt-check fuzz-smoke ci experiments experiments-full fanout fanout-scale adapt fec layers clean
 
 all: build test
 
@@ -35,10 +35,16 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseParity -fuzztime=20s ./pcc/stream
 	$(GO) test -run='^$$' -fuzz=FuzzParsePacket -fuzztime=20s ./pcc/stream
 
+# bench/ is a Go module of its own (the BENCHMARK.json benchmark), so the
+# targets above never compile it: vet it and run its smoke tests, which is
+# what notices a refactor breaking the API the benchmark imports.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Everything the CI gate runs (see .github/workflows/ci.yml), including the
 # fan-out serving smoke (8 viewers against the aggregate frames/s floor)
 # and the CI-sized relay-tree viewer-scaling gate.
-ci: build vet fmt-check test race fuzz-smoke fec adapt fanout-scale layers
+ci: build vet fmt-check test bench-module race fuzz-smoke fec adapt fanout-scale layers
 	$(GO) run ./cmd/pccbench -scale 0.05 all
 	$(GO) run ./cmd/pccbench -viewers 8 -frames 20 -floor 80 fanout
 

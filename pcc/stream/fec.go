@@ -1,8 +1,8 @@
 package stream
 
-// Sender-side forward error correction: XOR parity groups appended after
-// each frame's data packets, shared by the single-receiver Session path
-// (stream.go) and the relay tree's viewer fan-out (viewer.go).
+// Sender-side forward error correction: the layout of the XOR parity
+// groups the sender core (sender.go) interleaves with each frame's data
+// packets, for a Session and for every Viewer of a Server alike.
 //
 // Group layout. A frame of n fragments with parity group size K gets:
 //
@@ -17,10 +17,10 @@ package stream
 //
 // Parity packets ride the same PacketOut path as data but consume no
 // sequence numbers: the receiver's gap detector never sees them, they are
-// never NACKed, and they are not buffered for retransmission. The relay
-// tree builds each group's XOR body once per published frame (reading the
-// immutable ring payload in place — frame bytes are never copied) and
-// every viewer at the server MTU reuses it under its own header.
+// never NACKed, and they are never retransmitted. Each group's XOR body is
+// built once per published frame over the frame's identity plan (reading
+// the immutable payload in place — frame bytes are never copied) and every
+// whole-frame send at that MTU reuses it under its own header.
 
 import (
 	"repro/internal/codec"
@@ -97,11 +97,12 @@ func parityGroups(n, k int, ftype codec.FrameType) []groupSpec {
 	return out
 }
 
-// parityShare is one published frame's parity build, computed once at the
-// server MTU and attached to the sharedFrame: every viewer whose MTU
-// matches reuses the XOR bodies under its own headers; viewers at other
-// MTUs rebuild from the immutable ring payload. Bodies are read-only after
-// build (parityPacket copies them into the framed payload).
+// parityShare is one published frame's parity build, cut from the frame's
+// identity plan at the publisher's MTU and attached to the sharedFrame:
+// every whole-frame send at that MTU reuses the XOR bodies under its own
+// headers; culled sends and sends at other MTUs rebuild theirs from their
+// own plan. Bodies are read-only after build (parityPacket copies them
+// into the framed payload).
 type parityShare struct {
 	k      int // effective parity group size at build time
 	mtu    int // payload MTU the bodies were split at
@@ -109,71 +110,18 @@ type parityShare struct {
 	bodies [][]byte
 }
 
-// buildParityShare XORs every parity group body for wire at the given MTU.
+// buildParityShare XORs every parity group body of plan at the given MTU.
 // Returns nil when k means no parity.
-func buildParityShare(wire []byte, mtu, k int, ftype codec.FrameType) *parityShare {
-	if k < 1 {
-		return nil
-	}
-	mtu = payloadMTU(mtu)
-	groups := parityGroups(fragsAtMTU(len(wire), mtu), k, ftype)
+func buildParityShare(plan *viewPlan, mtu, k int, ftype codec.FrameType) *parityShare {
+	groups := parityGroups(fragsAtMTU(plan.total, mtu), k, ftype)
 	if len(groups) == 0 {
 		return nil
 	}
 	ps := &parityShare{k: k, mtu: mtu, groups: groups, bodies: make([][]byte, len(groups))}
 	for i, g := range groups {
-		ps.bodies[i] = buildParityBody(wire, mtu, g)
+		ps.bodies[i] = plan.parityBody(g, mtu)
 	}
 	return ps
-}
-
-// fragsAtMTU is PacketizeFrame's fragment count for a wire length: ceil
-// division, with an empty frame still shipping one (empty) packet.
-func fragsAtMTU(wireLen, mtu int) int {
-	n := (wireLen + mtu - 1) / mtu
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
-
-// payloadMTU mirrors PacketizeFrame's MTU clamping so parity group
-// geometry matches the data packets it covers.
-func payloadMTU(mtu int) int {
-	if mtu < 1 {
-		return 1400
-	}
-	if mtu > MaxPayload {
-		return MaxPayload
-	}
-	return mtu
-}
-
-// buildParityBody XORs the group's covered fragments of wire (split at
-// mtu, exactly as PacketizeFrame splits it) into a fresh body. wire is
-// only read — ring payloads are immutable after publish.
-func buildParityBody(wire []byte, mtu int, g groupSpec) []byte {
-	width := 0
-	for i := 0; i < g.count; i++ {
-		lo := (g.base + i*g.stride) * mtu
-		hi := min(lo+mtu, len(wire))
-		if hi < lo {
-			hi = lo
-		}
-		if hi-lo > width {
-			width = hi - lo
-		}
-	}
-	body := make([]byte, 2+width)
-	for i := 0; i < g.count; i++ {
-		lo := (g.base + i*g.stride) * mtu
-		hi := min(lo+mtu, len(wire))
-		if hi < lo {
-			hi = lo
-		}
-		xorRecord(body, wire[lo:hi])
-	}
-	return body
 }
 
 // parityPacket frames one group's parity packet in the receiver's
@@ -182,21 +130,20 @@ func buildParityBody(wire []byte, mtu int, g groupSpec) []byte {
 // stream.
 func parityPacket(streamID, frameIndex uint32, ftype codec.FrameType, firstSeq uint32, fragCount int, g groupSpec, body []byte) []byte {
 	base := firstSeq + uint32(g.base)
-	payload := AppendParity(make([]byte, 0, ParityHeaderSize+len(body)), ParityGroup{
+	pkt := appendHeader(make([]byte, 0, PacketHeaderSize+ParityHeaderSize+len(body)), PacketHeader{
+		Flags:      FlagParity,
+		StreamID:   streamID,
+		FrameIndex: frameIndex,
+		FrameType:  ftype,
+		FragCount:  1,
+		Seq:        base,
+	})
+	return sealPacket(AppendParity(pkt, ParityGroup{
 		BaseSeq:       base,
 		Count:         uint8(g.count),
 		Stride:        uint8(g.stride),
 		FrameFirstSeq: firstSeq,
 		FragCount:     uint16(fragCount),
 		Body:          body,
-	})
-	return MarshalPacket(PacketHeader{
-		Flags:      FlagParity,
-		StreamID:   streamID,
-		FrameIndex: frameIndex,
-		FrameType:  ftype,
-		Frag:       0,
-		FragCount:  1,
-		Seq:        base,
-	}, payload)
+	}), 0, PacketHeaderSize)
 }

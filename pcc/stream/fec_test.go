@@ -99,50 +99,65 @@ func TestParityGroupsLayout(t *testing.T) {
 	}
 }
 
-// xorOthers folds every group member except miss into a copy of the
-// parity body — the receiver's reconstruction step.
-func xorOthers(body []byte, wire []byte, mtu int, g groupSpec, miss int) []byte {
-	acc := append([]byte(nil), body...)
-	for i := 0; i < g.count; i++ {
-		if i == miss {
-			continue
-		}
-		lo := (g.base + i*g.stride) * mtu
-		hi := min(lo+mtu, len(wire))
-		xorRecord(acc, wire[lo:hi])
-	}
-	return acc
-}
-
+// TestParityBodyRecoversAnyMember is the parity builder's defining
+// property, checked against the packets the same plan actually ships: for
+// every group, XORing the body with the records of all members but one
+// yields exactly the missing member's length and payload — the receiver's
+// reconstruction step — whether the plan is one contiguous span or a
+// culled frame's scattered ones.
 func TestParityBodyRecoversAnyMember(t *testing.T) {
 	wire := make([]byte, 1000)
 	for i := range wire {
 		wire[i] = byte(i*7 + 3)
 	}
-	const mtu = 96 // 1000/96 = 11 fragments, ragged 40-byte tail
-	n := fragsAtMTU(len(wire), mtu)
-	for _, ftype := range []codec.FrameType{codec.PFrame, codec.IFrame} {
-		for _, g := range parityGroups(n, 4, ftype) {
-			body := buildParityBody(wire, mtu, g)
-			for miss := 0; miss < g.count; miss++ {
-				acc := xorOthers(body, wire, mtu, g, miss)
-				lo := (g.base + miss*g.stride) * mtu
-				hi := min(lo+mtu, len(wire))
-				plen := int(binary.LittleEndian.Uint16(acc[:2]))
-				if plen != hi-lo {
-					t.Fatalf("%v group %+v miss %d: recovered length %d, want %d",
-						ftype, g, miss, plen, hi-lo)
-				}
-				if !bytes.Equal(acc[2:2+plen], wire[lo:hi]) {
-					t.Fatalf("%v group %+v miss %d: recovered bytes differ", ftype, g, miss)
-				}
+	plans := []struct {
+		name string
+		plan *viewPlan
+		mtu  int
+	}{
+		{"identity", identityPlan(wire), 96}, // 11 fragments, ragged 40-byte tail
+		{"culled", culledTestPlan(t), 7},     // fragments straddle span boundaries
+		{"culled", culledTestPlan(t), 256},
+	}
+	for _, tc := range plans {
+		for _, ftype := range []codec.FrameType{codec.PFrame, codec.IFrame} {
+			pkts, err := tc.plan.packets(PacketHeader{FrameType: ftype}, tc.mtu)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// With no member missing, folding every record back in must
-			// cancel the body to zero (the "nothing to repair" detector).
-			acc := xorOthers(body, wire, mtu, g, -1)
-			for _, b := range acc {
-				if b != 0 {
-					t.Fatalf("%v group %+v: full fold-in is nonzero", ftype, g)
+			payloads := make([][]byte, len(pkts))
+			for i, raw := range pkts {
+				p, err := ParsePacket(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				payloads[i] = p.Payload
+			}
+			for _, g := range parityGroups(len(pkts), 4, ftype) {
+				body := tc.plan.parityBody(g, tc.mtu)
+				// miss == g.count folds every member back in: the body must
+				// cancel to zero (the "nothing to repair" detector).
+				for miss := 0; miss <= g.count; miss++ {
+					acc := append([]byte(nil), body...)
+					for i := 0; i < g.count; i++ {
+						if i != miss {
+							xorRecord(acc, payloads[g.base+i*g.stride])
+						}
+					}
+					want := []byte(nil)
+					if miss < g.count {
+						want = payloads[g.base+miss*g.stride]
+					}
+					plen := int(binary.LittleEndian.Uint16(acc[:2]))
+					if plen != len(want) || !bytes.Equal(acc[2:2+plen], want) {
+						t.Fatalf("%s mtu %d %v group %+v miss %d: recovered %d bytes, want the %d-byte member",
+							tc.name, tc.mtu, ftype, g, miss, plen, len(want))
+					}
+					for _, b := range acc[2+plen:] {
+						if b != 0 {
+							t.Fatalf("%s mtu %d %v group %+v miss %d: padding not zero", tc.name, tc.mtu, ftype, g, miss)
+						}
+					}
 				}
 			}
 		}
@@ -153,7 +168,7 @@ func TestParityPacketRoundTrip(t *testing.T) {
 	wire := bytes.Repeat([]byte{0xA5, 0x5A, 7}, 200)
 	const mtu, firstSeq = 128, 1000
 	g := parityGroups(fragsAtMTU(len(wire), mtu), 3, codec.PFrame)[1]
-	body := buildParityBody(wire, mtu, g)
+	body := identityPlan(wire).parityBody(g, mtu)
 	raw := parityPacket(9, 4, codec.PFrame, firstSeq, 5, g, body)
 
 	pkt, err := ParsePacket(raw)
@@ -222,7 +237,7 @@ func FuzzParseParity(f *testing.F) {
 		FrameFirstSeq: 38, FragCount: 9, Body: []byte{4, 0, 1, 2, 3, 4}}))
 	wire := bytes.Repeat([]byte{1, 2, 3}, 500)
 	for _, g := range parityGroups(fragsAtMTU(len(wire), 256), 4, codec.IFrame) {
-		pkt, err := ParsePacket(parityPacket(1, 0, codec.IFrame, 10, 6, g, buildParityBody(wire, 256, g)))
+		pkt, err := ParsePacket(parityPacket(1, 0, codec.IFrame, 10, 6, g, identityPlan(wire).parityBody(g, 256)))
 		if err != nil {
 			f.Fatal(err)
 		}

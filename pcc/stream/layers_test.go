@@ -352,21 +352,22 @@ func TestServerLayerChurn(t *testing.T) {
 	// NACK rebuild determinism: re-slice the newest layer-truncated send of
 	// the base-only viewer from its recorded subscription and compare with
 	// the captured original, modulo the retransmit flag.
+	waitOutcomes(t, watches[1].sink, len(frames))
 	v := views[1]
-	v.mu.Lock()
-	if len(v.records) == 0 {
-		v.mu.Unlock()
+	v.tx.mu.Lock()
+	if len(v.tx.records) == 0 {
+		v.tx.mu.Unlock()
 		t.Fatal("viewer 1 has no sent records")
 	}
-	rec := v.records[len(v.records)-1]
-	v.mu.Unlock()
-	if rec.layers != 1 {
-		t.Fatalf("viewer 1's last record has layers=%d, want 1", rec.layers)
+	rec := v.tx.records[len(v.tx.records)-1]
+	v.tx.mu.Unlock()
+	if rec.view.layers != 1 {
+		t.Fatalf("viewer 1's last record has layers=%d, want 1", rec.view.layers)
 	}
 	for frag := uint32(0); frag < uint32(rec.n); frag++ {
-		pkt := v.rebuildPacket(rec.firstSeq + frag)
+		pkt := v.tx.rebuild(rec.firstSeq + frag)
 		if pkt == nil {
-			t.Fatalf("rebuildPacket returned nil for cached fragment %d", frag)
+			t.Fatalf("rebuild returned nil for cached fragment %d", frag)
 		}
 		if pkt[3]&FlagRetransmit == 0 {
 			t.Fatalf("rebuilt fragment %d lacks FlagRetransmit", frag)

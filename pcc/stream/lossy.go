@@ -1,12 +1,13 @@
 package stream
 
-// LossyPipe wires a Session's packet output to a Receiver through a
-// linksim.FaultyLink, entirely in process — the harness for loss-sweep
-// experiments and deterministic recovery tests:
+// LossyPipe wires one sender's packet output — a Session's, or one Viewer's
+// of a Server; the same sender core either way (sender.go) — to a Receiver
+// through a linksim.FaultyLink, entirely in process: the harness for
+// loss-sweep experiments and deterministic recovery tests:
 //
-//	Session ──PacketOut──▶ FaultyLink ──▶ Receiver
+//	sender ──PacketOut──▶ FaultyLink ──▶ Receiver
 //	   ▲                                    │
-//	   └────────── HandleControl ◀──────────┘  (NACK / refresh)
+//	   └────────── HandleControl ◀──────────┘  (NACK / refresh / feedback)
 //
 // Time is virtual: the pipe starts a clock at zero and advances it by the
 // modelled link latency of every send (data and control), and the
@@ -78,8 +79,8 @@ func (p *LossyPipe) advance(d time.Duration) {
 	p.mu.Unlock()
 }
 
-// PacketOut is the Session.Config.PacketOut implementation: the packet
-// crosses the faulty link and whatever survives (copies, reordered
+// PacketOut is the sender's PacketOut (Config's or ViewerConfig's): the
+// packet crosses the faulty link and whatever survives (copies, reordered
 // releases) is ingested by the receiver. Re-entrant — NACKs triggered by
 // a delivery retransmit through this same path.
 func (p *LossyPipe) PacketOut(_ context.Context, pkt []byte) error {

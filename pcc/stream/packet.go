@@ -130,8 +130,9 @@ type Packet struct {
 	Payload []byte
 }
 
-// AppendPacket appends the framed packet (header + payload) to dst.
-func AppendPacket(dst []byte, h PacketHeader, payload []byte) []byte {
+// appendHeader appends h's wire header with the payload length and CRC
+// left zero for sealPacket.
+func appendHeader(dst []byte, h PacketHeader) []byte {
 	dst = append(dst, packetMagic0, packetMagic1, PacketVersion, h.Flags)
 	dst = binary.LittleEndian.AppendUint32(dst, h.StreamID)
 	dst = binary.LittleEndian.AppendUint32(dst, h.FrameIndex)
@@ -139,15 +140,31 @@ func AppendPacket(dst []byte, h PacketHeader, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, h.Frag)
 	dst = binary.LittleEndian.AppendUint16(dst, h.FragCount)
 	dst = binary.LittleEndian.AppendUint32(dst, h.Seq)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	dst = append(dst, 0, 0, 0, 0, 0, 0) // payload length + CRC
 	if h.Flags&FlagTiled != 0 {
 		dst = binary.LittleEndian.AppendUint16(dst, h.Tile)
 	}
 	if h.Flags&FlagLayered != 0 {
 		dst = append(dst, h.Layer)
 	}
-	return append(dst, payload...)
+	return dst
+}
+
+// sealPacket patches the payload length and CRC of the packet whose header
+// starts at pkt[start] and whose payload is pkt[body:]. Splitting the seal
+// from the header lets a sender write a payload straight behind its
+// header, with no staging copy.
+func sealPacket(pkt []byte, start, body int) []byte {
+	binary.LittleEndian.PutUint16(pkt[start+21:], uint16(len(pkt)-body))
+	binary.LittleEndian.PutUint32(pkt[start+23:], crc32.ChecksumIEEE(pkt[body:]))
+	return pkt
+}
+
+// AppendPacket appends the framed packet (header + payload) to dst.
+func AppendPacket(dst []byte, h PacketHeader, payload []byte) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, h)
+	return sealPacket(append(dst, payload...), start, len(dst))
 }
 
 // MarshalPacket frames one packet.
@@ -213,32 +230,17 @@ func ParsePacket(b []byte) (Packet, error) {
 
 // PacketizeFrame splits one frame's wire bytes into MTU-sized framed
 // packets with consecutive sequence numbers starting at firstSeq. mtu is
-// the payload size per packet (the header adds PacketHeaderSize on top).
+// the payload size per packet (the header adds PacketHeaderSize on top;
+// values below 1 mean 1400, values above MaxPayload are capped). A frame
+// too large for the 16-bit fragment count (ErrFrameTooLarge) returns nil.
 func PacketizeFrame(streamID, frameIndex uint32, ftype codec.FrameType, firstSeq uint32, wire []byte, mtu int) [][]byte {
-	if mtu < 1 {
-		mtu = 1400
-	}
-	if mtu > MaxPayload {
-		mtu = MaxPayload
-	}
-	n := (len(wire) + mtu - 1) / mtu
-	if n == 0 {
-		n = 1 // an empty frame still ships one (empty) packet
-	}
-	out := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		lo := i * mtu
-		hi := min(lo+mtu, len(wire))
-		out = append(out, MarshalPacket(PacketHeader{
-			StreamID:   streamID,
-			FrameIndex: frameIndex,
-			FrameType:  ftype,
-			Frag:       uint16(i),
-			FragCount:  uint16(n),
-			Seq:        firstSeq + uint32(i),
-		}, wire[lo:hi]))
-	}
-	return out
+	pkts, _ := identityPlan(wire).packets(PacketHeader{
+		StreamID:   streamID,
+		FrameIndex: frameIndex,
+		FrameType:  ftype,
+		Seq:        firstSeq,
+	}, clampMTU(mtu, 1, 1400))
+	return pkts
 }
 
 // Parity (forward error correction) payload framing.
@@ -332,10 +334,21 @@ func ParseParity(b []byte) (ParityGroup, error) {
 // xorRecord folds one covered packet's [len16 || payload] record into a
 // parity body in place. The body must be at least 2+len(payload) bytes.
 func xorRecord(body, payload []byte) {
-	body[0] ^= byte(len(payload))
-	body[1] ^= byte(len(payload) >> 8)
-	for i, b := range payload {
-		body[2+i] ^= b
+	xorLen(body, len(payload))
+	xorBytes(body[2:], payload)
+}
+
+// xorLen folds a record's len16 prefix into a parity body; xorBytes folds
+// (a piece of) its payload in at dst. A sender whose payload is scattered
+// over several spans folds the record piecewise instead of staging it.
+func xorLen(body []byte, n int) {
+	body[0] ^= byte(n)
+	body[1] ^= byte(n >> 8)
+}
+
+func xorBytes(dst, src []byte) {
+	for i, b := range src {
+		dst[i] ^= b
 	}
 }
 

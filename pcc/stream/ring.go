@@ -1,6 +1,8 @@
 package stream
 
-// The relay tree's trunk: an immutable, reference-counted frame ring.
+// Published frames: immutable, reference-counted payloads; the relay
+// tree's trunk, a ring of them; and the packet-budgeted retransmit cache
+// every sender's NACKs are answered from.
 //
 // The encode pipeline publishes each frame's wire bytes exactly once into
 // a ring slot; S shard workers each keep a cursor into the ring and fan
@@ -17,7 +19,8 @@ package stream
 //     at ring teardown);
 //   - the server's keyframe cache holds one for the latest I-frame;
 //   - every viewer queue entry holds one (dropped after send or shed);
-//   - every shard retransmit-cache entry holds one (dropped on eviction).
+//   - every retransmit-cache entry (a shard's, or a Session's) holds one
+//     (dropped on eviction).
 //
 // The payload bytes are returned to the pool only when the last holder
 // releases, so a slow viewer mid-send can never observe a recycled buffer.
@@ -28,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/codec"
+	"repro/internal/metrics"
 )
 
 // framePayload is one frame's published wire bytes plus its lifetime.
@@ -80,12 +84,27 @@ type sharedFrame struct {
 	// frames): the map shard viewers use to slice per-tile payload spans
 	// out of p.wire without copying. Parsed once at publish.
 	layout *codec.FrameLayout
-	// fec is the publish-time parity build (nil when FEC is off, and on
-	// cached-join replays — a late joiner's keyframe is NACK-repairable).
+	// ident is the frame's identity plan — p.wire as one span — built once
+	// at publish and shared read-only by every send that ships the frame
+	// whole.
+	ident *viewPlan
+	// fec is the publish-time parity build over ident (nil when FEC is
+	// off, and on cached-join replays — a late joiner's keyframe is
+	// NACK-repairable).
 	fec *parityShare
 	// pending counts shards that have not yet finished relaying this
 	// frame; the last decrement marks the frame fully fanned out.
 	pending atomic.Int32
+}
+
+// newSharedFrame publishes one frame's wire bytes: the single copy into a
+// refcounted payload (one reference, the caller's), its identity plan, and
+// — when the parity group size k says so — the parity share at mtu.
+func newSharedFrame(index int, ftype codec.FrameType, wire []byte, mtu, k int) *sharedFrame {
+	f := &sharedFrame{index: index, ftype: ftype, p: newFramePayload(wire)}
+	f.ident = identityPlan(f.p.wire)
+	f.fec = buildParityShare(f.ident, mtu, k, ftype)
+	return f
 }
 
 // frameRing is the bounded publish ring. All methods are safe for
@@ -210,4 +229,84 @@ func (r *frameRing) drain() {
 		}
 	}
 	r.mu.Unlock()
+}
+
+// retxCache is a sender-side retransmit cache: the most recent published
+// frames, by publish sequence, FIFO-evicted once they cover more than a
+// packet budget. It holds each frame once, by reference, however many
+// senders sent it; a NACK rebuilds the requested fragment from the cached
+// payload on demand. A relay shard owns one for its viewer partition, a
+// Session one for its single receiver. All methods are safe for concurrent
+// use.
+type retxCache struct {
+	budget int // packets; the newest frame is kept even when wider
+	mtu    int // the MTU the budget is accounted at
+	stats  *metrics.ShardCounters
+
+	mu     sync.Mutex
+	frames map[uint64]*sharedFrame
+	fifo   []uint64
+	pkts   int
+}
+
+func newRetxCache(budget, mtu int, stats *metrics.ShardCounters) *retxCache {
+	return &retxCache{budget: budget, mtu: mtu, stats: stats, frames: make(map[uint64]*sharedFrame)}
+}
+
+// add retains f, evicting oldest frames once the packet budget overflows.
+// A frame already cached under its sequence (the late-join keyframe path)
+// is left alone.
+func (c *retxCache) add(f *sharedFrame) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.frames[f.seq]; ok {
+		return
+	}
+	f.p.retain()
+	c.frames[f.seq] = f
+	c.fifo = append(c.fifo, f.seq)
+	c.pkts += fragsAtMTU(len(f.p.wire), c.mtu)
+	for c.pkts > c.budget && len(c.fifo) > 1 {
+		old := c.frames[c.fifo[0]]
+		delete(c.frames, c.fifo[0])
+		c.fifo = c.fifo[1:]
+		c.pkts -= fragsAtMTU(len(old.p.wire), c.mtu)
+		old.p.release()
+	}
+	c.stats.CacheResize(int64(len(c.fifo)), int64(c.pkts))
+}
+
+// get retrieves a cached frame by publish sequence, retained for the
+// caller (who must release it after rebuilding the packet), counting the
+// hit or miss.
+func (c *retxCache) get(seq uint64) *sharedFrame {
+	c.mu.Lock()
+	f := c.frames[seq]
+	if f != nil {
+		f.p.retain()
+	}
+	c.mu.Unlock()
+	if f == nil {
+		c.miss()
+		return nil
+	}
+	c.stats.RetxHit()
+	return f
+}
+
+// miss counts a NACK that never reached the cache: the sender's record of
+// the sequence number was already gone.
+func (c *retxCache) miss() { c.stats.RetxMiss() }
+
+// drain releases every reference at teardown.
+func (c *retxCache) drain() {
+	c.mu.Lock()
+	for _, f := range c.frames {
+		f.p.release()
+	}
+	c.frames = map[uint64]*sharedFrame{}
+	c.fifo = nil
+	c.pkts = 0
+	c.mu.Unlock()
+	c.stats.CacheResize(0, 0)
 }

@@ -1,0 +1,468 @@
+package stream
+
+// The one send path: plan → gather → frame → parity → record → emit, and
+// rebuild on NACK. A Server drives one sender per Viewer; a Session wraps
+// exactly one. A frame is an immutable refcounted payload (ring.go); what a
+// send ships of it is a viewPlan — the identity plan for a whole frame, a
+// culled and/or layer-truncated plan for a viewer that drops tiles or
+// layers — and packets and parity bodies are cut from the plan's spans,
+// whatever the plan. Nothing per-packet outlives a send: a sent-record
+// maps the frame's sequence range to the payload (held once, by the
+// owner's retransmit cache) and to the view it was sent with, and a NACK
+// re-frames the original packet from those.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"sort"
+	"sync"
+
+	"repro/internal/codec"
+)
+
+// ErrFrameTooLarge reports a frame of more fragments, at the sender's MTU,
+// than a packet header's 16-bit fragment count can number. The frame is
+// refused whole: a Session fails with it, a Viewer is marked failed like
+// any transport error.
+var ErrFrameTooLarge = errors.New("stream: frame exceeds 65535 fragments")
+
+// clampMTU is the one MTU rule: a payload size below floor means def, and
+// none exceeds MaxPayload. Configurations clamp once (Config, ServerConfig,
+// Attach); fragment counts, packet splits and cache budgets downstream all
+// read the clamped value.
+func clampMTU(mtu, floor, def int) int {
+	if mtu < floor {
+		mtu = def
+	}
+	return min(mtu, MaxPayload)
+}
+
+// fragsAtMTU is the fragment count of a total-byte frame split at mtu:
+// ceil division, with an empty frame still shipping one (empty) packet.
+func fragsAtMTU(total, mtu int) int {
+	return max((total+mtu-1)/mtu, 1)
+}
+
+// viewPlan is a frame as one send ships it: byte spans over the immutable
+// published payload, in container order. A culled or layer-truncated view
+// is the rewritten header (its only copy) plus the kept tiles' and layers'
+// chunks; a whole frame is the identity plan, one span and no rewrite.
+type viewPlan struct {
+	spans   [][]byte
+	tileOf  []uint16 // tile id per span; TileNone for the header
+	layerOf []uint8  // layer id per span; LayerNone for the header / unlayered
+	cum     []int    // len(spans)+1 prefix byte offsets
+	total   int      // planned frame length (== cum[len(spans)])
+}
+
+// newViewPlan returns an empty plan with room for n spans.
+func newViewPlan(n int) *viewPlan {
+	return &viewPlan{
+		spans:   make([][]byte, 0, n),
+		tileOf:  make([]uint16, 0, n),
+		layerOf: make([]uint8, 0, n),
+		cum:     make([]int, 1, n+1),
+	}
+}
+
+// add appends one span (unless empty) with its bytes' tile and layer ids.
+func (p *viewPlan) add(b []byte, tile uint16, layer uint8) {
+	if len(b) == 0 {
+		return
+	}
+	p.spans = append(p.spans, b)
+	p.tileOf = append(p.tileOf, tile)
+	p.layerOf = append(p.layerOf, layer)
+	p.total += len(b)
+	p.cum = append(p.cum, p.total)
+}
+
+// identityPlan is the plan of a frame shipped whole: wire as one span,
+// built once per published frame and shared read-only by every send of it.
+func identityPlan(wire []byte) *viewPlan {
+	p := newViewPlan(1)
+	p.add(wire, TileNone, LayerNone)
+	return p
+}
+
+// bounds returns the byte range of fragment frag when the planned frame is
+// split at mtu.
+func (p *viewPlan) bounds(frag, mtu int) (lo, hi int) {
+	lo = min(frag*mtu, p.total)
+	return lo, min(lo+mtu, p.total)
+}
+
+// spanAt returns the span containing byte off: cum[i] <= off < cum[i+1].
+func (p *viewPlan) spanAt(off int) int { return sort.SearchInts(p.cum, off+1) - 1 }
+
+// walk calls fn with each contiguous run of the planned frame's bytes
+// [lo,hi), in order.
+func (p *viewPlan) walk(lo, hi int, fn func([]byte)) {
+	for i, at := p.spanAt(lo), lo; at < hi; i++ {
+		s := p.spans[i]
+		off := at - p.cum[i]
+		take := min(len(s)-off, hi-at)
+		fn(s[off : off+take])
+		at += take
+	}
+}
+
+// packet frames fragment h.Frag of the planned frame split at mtu, the
+// payload gathered from the spans straight into the packet buffer behind
+// the header. It fills in h's tile and layer ids — those of the span the
+// fragment STARTS in (none for the header and for an empty frame's one
+// empty fragment), on the wire only under FlagTiled/FlagLayered. Every
+// data packet — fresh, cached replay or NACK rebuild — is framed here.
+func (p *viewPlan) packet(h PacketHeader, mtu int) []byte {
+	lo, hi := p.bounds(int(h.Frag), mtu)
+	h.Tile, h.Layer = TileNone, LayerNone
+	if lo < hi {
+		i := p.spanAt(lo)
+		h.Tile, h.Layer = p.tileOf[i], p.layerOf[i]
+	}
+	pkt := appendHeader(make([]byte, 0, PacketHeaderSize+TileIDSize+LayerIDSize+hi-lo), h)
+	body := len(pkt)
+	p.walk(lo, hi, func(b []byte) { pkt = append(pkt, b...) })
+	return sealPacket(pkt, 0, body)
+}
+
+// packets frames every fragment of the planned frame split at mtu, with
+// consecutive sequence numbers from h.Seq.
+func (p *viewPlan) packets(h PacketHeader, mtu int) ([][]byte, error) {
+	n := fragsAtMTU(p.total, mtu)
+	if n > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: %d bytes at MTU %d", ErrFrameTooLarge, p.total, mtu)
+	}
+	first := h.Seq
+	h.FragCount = uint16(n)
+	out := make([][]byte, n)
+	for i := range out {
+		h.Frag, h.Seq = uint16(i), first+uint32(i)
+		out[i] = p.packet(h, mtu)
+	}
+	return out, nil
+}
+
+// parityBody XORs one parity group's [len16 || payload] records, cut from
+// the planned frame at mtu, into a fresh body as wide as the widest member.
+func (p *viewPlan) parityBody(g groupSpec, mtu int) []byte {
+	width := 0
+	for i := 0; i < g.count; i++ {
+		lo, hi := p.bounds(g.base+i*g.stride, mtu)
+		width = max(width, hi-lo)
+	}
+	body := make([]byte, 2+width)
+	for i := 0; i < g.count; i++ {
+		lo, hi := p.bounds(g.base+i*g.stride, mtu)
+		xorLen(body, hi-lo)
+		at := 2
+		p.walk(lo, hi, func(b []byte) {
+			xorBytes(body[at:], b)
+			at += len(b)
+		})
+	}
+	return body
+}
+
+// view is one send's drop decision: the tiles omitted or sent geometry-
+// only and the layers kept (0 = all). The zero view ships the frame whole.
+type view struct {
+	omit, coarse uint64
+	layers       uint8
+}
+
+// plan resolves a view of f to the spans it ships and the flags its data
+// packets carry. Pure in (f, v), which is what makes a NACK rebuild from a
+// recorded view byte-identical to the original send.
+func (f *sharedFrame) plan(v view) (*viewPlan, byte) {
+	if v == (view{}) {
+		return f.ident, 0
+	}
+	var flags byte
+	if len(f.layout.Tiles) > 0 {
+		flags |= FlagTiled
+	}
+	if v.layers != 0 {
+		flags |= FlagLayered
+	}
+	return buildViewPlan(f.layout, f.p.wire, v.omit, v.coarse, v.layers), flags
+}
+
+// sentRec records one sent frame's place in the sender's sequence space:
+// enough to rebuild any of its fragments from the retransmit cache.
+type sentRec struct {
+	firstSeq uint32 // sequence number of fragment 0
+	n        uint16 // fragment count
+	frameSeq uint64 // publish sequence (retransmit-cache key)
+	frameIdx uint32 // frame index on the wire
+	ftype    codec.FrameType
+	cached   bool // replayed join keyframe (FlagCached on rebuild)
+	view     view // as sent, whatever the camera or subscription did since
+}
+
+// senderStats is a sender's counters, folded into the owner's metrics.
+type senderStats struct {
+	packets     int64 // data packets sent
+	parity      int64 // parity packets sent
+	wireBytes   int64 // bytes of both, headers included
+	nacks       int64 // NACK messages handled
+	retransmits int64
+	retxMisses  int64
+	fbReports   int64 // feedback reports accepted
+	fbStale     int64 // feedback reports rejected as duplicate or reordered
+	buffered    int   // packet span the sent-records cover
+}
+
+// sender is one receiver's packet stream. send runs on one goroutine (the
+// Session's transmit stage, a Viewer's send loop); handleNACK and
+// acceptFeedback are safe from any, including re-entrantly from inside
+// out — no lock is ever held across it.
+type sender struct {
+	ctx    context.Context
+	id     uint32         // stream id on every packet
+	mtu    int            // payload bytes per packet, clamped by the owner
+	budget int            // packet span the sent-records may cover (newest frame aside)
+	out    PacketSendFunc // nil: build and account without sending
+	cache  *retxCache     // where NACKed frames' payloads are found
+
+	pktSeq uint32 // next sequence number; touched only by send
+
+	mu sync.Mutex
+	// records is the sent-record FIFO, ordered by firstSeq in the modular
+	// uint32 sequence space (pktSeq wraps), bounded so the covered packet
+	// span stays <= budget — which keeps modular lookups unambiguous.
+	records    []sentRec
+	lastReport uint32 // highest feedback report number accepted
+	stats      senderStats
+}
+
+// send packetizes one frame under view vw as frame index idx and emits it:
+// data packets in sequence order, each parity group's packet right after
+// the group's last covered fragment — so a repair trails the loss it fixes
+// by at most a group's worth of packet-times, well inside the receiver's
+// NACK timer. Parity bodies come verbatim from the frame's publish-time
+// share when that was cut from the same plan at the same MTU, and from the
+// plan otherwise, so parity protects exactly the bytes sent; it takes no
+// sequence numbers and no sent-record, and never carries FlagTiled or
+// FlagLayered (it covers framed payloads, not tile bytes). Returns the
+// packet bytes put on the wire (headers and parity included) and the frame
+// bytes they carry, for the owner's accounting.
+func (s *sender) send(f *sharedFrame, idx uint32, vw view) (wire int64, shipped int, err error) {
+	plan, flags := f.plan(vw)
+	if f.cached {
+		flags |= FlagCached
+	}
+	first := s.pktSeq
+	pkts, err := plan.packets(PacketHeader{
+		Flags:      flags,
+		StreamID:   s.id,
+		FrameIndex: idx,
+		FrameType:  f.ftype,
+		Seq:        first,
+	}, s.mtu)
+	if err != nil {
+		return 0, 0, err
+	}
+	var groups []groupSpec
+	var parity [][]byte
+	if fec := f.fec; fec != nil {
+		bodies := fec.bodies
+		groups = fec.groups
+		if plan != f.ident || s.mtu != fec.mtu {
+			groups, bodies = parityGroups(len(pkts), fec.k, f.ftype), nil
+		}
+		parity = make([][]byte, len(groups))
+		for gi, g := range groups {
+			var body []byte
+			if bodies != nil {
+				body = bodies[gi]
+			} else {
+				body = plan.parityBody(g, s.mtu)
+			}
+			parity[gi] = parityPacket(s.id, idx, f.ftype, first, len(pkts), g, body)
+		}
+	}
+	for _, p := range pkts {
+		wire += int64(len(p))
+	}
+	for _, p := range parity {
+		wire += int64(len(p))
+	}
+	// Record before the first emission: a receiver NACKing from inside the
+	// delivery chain (re-entrant handleNACK) must find the frame.
+	s.record(sentRec{
+		firstSeq: first,
+		n:        uint16(len(pkts)),
+		frameSeq: f.seq,
+		frameIdx: idx,
+		ftype:    f.ftype,
+		cached:   f.cached,
+		view:     vw,
+	})
+	s.pktSeq = first + uint32(len(pkts))
+	if s.out != nil {
+		gi := 0
+		for i, p := range pkts {
+			if err := s.out(s.ctx, p); err != nil {
+				return 0, 0, err
+			}
+			for ; gi < len(parity) && groups[gi].end() <= i; gi++ {
+				if err := s.out(s.ctx, parity[gi]); err != nil {
+					return 0, 0, err
+				}
+			}
+		}
+	}
+	s.mu.Lock()
+	s.stats.packets += int64(len(pkts))
+	s.stats.parity += int64(len(parity))
+	s.stats.wireBytes += wire
+	s.mu.Unlock()
+	return wire, plan.total, nil
+}
+
+// record appends one frame's sent-record, evicting the oldest records once
+// the covered packet span would exceed the budget. Like the retransmit
+// cache, it keeps the newest frame even when that alone is wider.
+func (s *sender) record(rec sentRec) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := int(rec.n)
+	for s.stats.buffered+n > s.budget && len(s.records) > 0 {
+		s.stats.buffered -= int(s.records[0].n)
+		s.records = s.records[1:]
+	}
+	s.records = append(s.records, rec)
+	s.stats.buffered += n
+}
+
+// findRecLocked locates the sent-record covering seq. Records are ordered
+// by firstSeq in the modular sequence space, and the span they cover is
+// bounded by the budget (far below 2^31), so binary searching on the offset
+// from the oldest record stays correct across uint32 wraparound; sequences
+// outside the window wrap to huge offsets and miss cleanly. Caller holds
+// s.mu.
+func (s *sender) findRecLocked(seq uint32) (sentRec, bool) {
+	if len(s.records) == 0 {
+		return sentRec{}, false
+	}
+	base := s.records[0].firstSeq
+	want := seq - base
+	lo, hi := 0, len(s.records)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if s.records[mid].firstSeq-base <= want {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	rec := s.records[lo-1]
+	if seq-rec.firstSeq >= uint32(rec.n) {
+		return sentRec{}, false
+	}
+	return rec, true
+}
+
+// rebuild re-frames one NACKed packet — the original plus FlagRetransmit —
+// from the frame, view and fragment its sent-record names. Returns nil (a
+// counted miss) when the record or the cached frame has been evicted.
+func (s *sender) rebuild(seq uint32) []byte {
+	s.mu.Lock()
+	rec, ok := s.findRecLocked(seq)
+	s.mu.Unlock()
+	var f *sharedFrame
+	if ok {
+		f = s.cache.get(rec.frameSeq)
+	} else {
+		s.cache.miss()
+	}
+	s.mu.Lock()
+	if f != nil {
+		s.stats.retransmits++
+	} else {
+		s.stats.retxMisses++
+	}
+	s.mu.Unlock()
+	if f == nil {
+		return nil
+	}
+	defer f.p.release()
+	plan, flags := f.plan(rec.view)
+	if rec.cached {
+		flags |= FlagCached
+	}
+	return plan.packet(PacketHeader{
+		Flags:      flags | FlagRetransmit,
+		StreamID:   s.id,
+		FrameIndex: rec.frameIdx,
+		FrameType:  rec.ftype,
+		Frag:       uint16(seq - rec.firstSeq),
+		FragCount:  rec.n,
+		Seq:        seq,
+	}, s.mtu)
+}
+
+// handleNACK answers one NACK message: every listed sequence number still
+// answerable is rebuilt and re-sent through out. Duplicates within one
+// message (a receiver retry race, or a hostile message) coalesce to one
+// retransmit; unanswerable ones are counted and ignored — the receiver's
+// retry budget will conceal or skip.
+func (s *sender) handleNACK(seqs []uint32) error {
+	s.mu.Lock()
+	s.stats.nacks++
+	s.mu.Unlock()
+	var seen map[uint32]struct{}
+	if len(seqs) > 1 {
+		seen = make(map[uint32]struct{}, len(seqs))
+	}
+	for _, seq := range seqs {
+		if seen != nil {
+			if _, dup := seen[seq]; dup {
+				continue
+			}
+			seen[seq] = struct{}{}
+		}
+		pkt := s.rebuild(seq)
+		if pkt == nil || s.out == nil {
+			continue
+		}
+		if err := s.out(s.ctx, pkt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// acceptFeedback is the stale-report check: a report counts only when its
+// number is non-zero and above every one accepted before, so a duplicated
+// or reordered report can never double-steer what the owner steers with it.
+func (s *sender) acceptFeedback(report uint32) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if report == 0 || report <= s.lastReport {
+		s.stats.fbStale++
+		return false
+	}
+	s.lastReport = report
+	s.stats.fbReports++
+	return true
+}
+
+// snapshot copies the counters.
+func (s *sender) snapshot() senderStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
+
+// stop frees the sent-records once the sending goroutine has exited: no
+// further NACK is answerable.
+func (s *sender) stop() {
+	s.mu.Lock()
+	s.records = nil
+	s.stats.buffered = 0
+	s.mu.Unlock()
+}

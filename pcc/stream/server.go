@@ -105,9 +105,7 @@ func (c ServerConfig) normalized() ServerConfig {
 	if c.Link.BandwidthMbps <= 0 {
 		c.Link = linksim.WiFi
 	}
-	if c.MTU < 64 {
-		c.MTU = 1400
-	}
+	c.MTU = clampMTU(c.MTU, 64, 1400)
 	if c.Shards < 1 {
 		c.Shards = runtime.NumCPU()
 	}
@@ -230,15 +228,12 @@ func (sv *Server) Submit(ctx context.Context, vc *geom.VoxelCloud) error {
 // Runs on the transmit stage; its cost is O(1) in the viewer count — the
 // shard workers do the O(N) fan-out.
 func (sv *Server) publish(_ context.Context, seq int, ftype codec.FrameType, wire []byte) error {
-	f := &sharedFrame{index: seq, ftype: ftype, p: newFramePayload(wire)}
+	// The parity bodies are built once, here on the O(1) encode path, so
+	// the O(N) viewer fan-out only copies them under per-viewer headers.
+	f := newSharedFrame(seq, ftype, wire, sv.cfg.MTU, sv.cfg.FEC.groupLen(sv.sess.Controller()))
 	// Parse the tile layout against the ring's own copy so every span a
 	// viewer slices aliases the immutable published payload.
 	f.layout = codec.ParseFrameLayout(f.p.wire)
-	if k := sv.cfg.FEC.groupLen(sv.sess.Controller()); k > 0 {
-		// Build the parity bodies once, here on the O(1) encode path, so
-		// the O(N) viewer fan-out only copies them under per-viewer headers.
-		f.fec = buildParityShare(f.p.wire, sv.cfg.MTU, k, ftype)
-	}
 	f.pending.Store(int32(len(sv.shards)))
 	if !sv.ring.publish(f) {
 		f.p.release() // canceled mid-publish; the session is aborting
@@ -273,6 +268,7 @@ func (sv *Server) shardOf(id uint32) *shard {
 }
 
 // Attach adds a viewer to its shard's partition and starts its sender.
+// Zero ViewerConfig fields take the server's defaults here, once.
 // When the keyframe cache holds an I-frame the viewer's stream opens with
 // it (frame 0, packets marked FlagCached), so a mid-GOP join decodes
 // immediately without a re-encode; a cacheless mid-stream join instead
@@ -283,6 +279,13 @@ func (sv *Server) Attach(cfg ViewerConfig) (*Viewer, error) {
 	if cfg.Link.BandwidthMbps <= 0 {
 		cfg.Link = sv.cfg.Link
 	}
+	cfg.MTU = clampMTU(cfg.MTU, 64, sv.cfg.MTU)
+	if cfg.Queue < 1 {
+		cfg.Queue = sv.cfg.ViewerQueue
+	}
+	if cfg.RetransmitBuffer < 1 {
+		cfg.RetransmitBuffer = sv.cfg.RetransmitBuffer
+	}
 	sv.mu.Lock()
 	if sv.closed {
 		sv.mu.Unlock()
@@ -291,7 +294,7 @@ func (sv *Server) Attach(cfg ViewerConfig) (*Viewer, error) {
 	var joinCache *sharedFrame
 	if c := sv.cache; c != nil {
 		c.p.retain() // creation reference, released by shard.attach
-		joinCache = &sharedFrame{seq: c.seq, index: c.index, ftype: c.ftype, cached: true, p: c.p, layout: c.layout}
+		joinCache = &sharedFrame{seq: c.seq, index: c.index, ftype: c.ftype, cached: true, p: c.p, layout: c.layout, ident: c.ident}
 	}
 	sv.mu.Unlock()
 
@@ -305,8 +308,11 @@ func (sv *Server) Attach(cfg ViewerConfig) (*Viewer, error) {
 				continue
 			}
 		}
-		v.id = id
 		sh = sv.shardOf(id)
+		// Set before the viewer becomes reachable through the shard (whose
+		// lock publishes them): control messages route by id from then on.
+		v.id, v.shard = id, sh
+		v.tx.id, v.tx.cache = id, sh.retx
 		if sh.attach(v) {
 			break
 		}
@@ -318,7 +324,6 @@ func (sv *Server) Attach(cfg ViewerConfig) (*Viewer, error) {
 		}
 		// Server-assigned id collided with an explicitly chosen one: skip.
 	}
-	v.shard = sh
 
 	// Re-check closed: Close snapshots the partitions after setting the
 	// flag, so a viewer inserted later must tear itself down. The sender
@@ -335,7 +340,7 @@ func (sv *Server) Attach(cfg ViewerConfig) (*Viewer, error) {
 		// The flag is set only after the shard workers exit, so the retx
 		// reference attach just took (the join keyframe) may have landed
 		// after the closing side's drain; drain again to drop it.
-		sh.drainCache()
+		sh.retx.drain()
 		return nil, ErrServerClosed
 	}
 
@@ -483,28 +488,30 @@ func (sv *Server) Close() error {
 	for _, sh := range sv.shards {
 		<-sh.done
 	}
+	sv.teardown(err != nil) // drain on a clean close, discard on abort
+	return err
+}
+
+// teardown marks the server closed and, with the shard workers gone, stops
+// every viewer and releases every cached payload reference — keyframe
+// cache, shard retransmit caches, ring slots — so the buffers return to
+// the pool. Idempotent: a Cancel racing a draining Close cuts it short.
+func (sv *Server) teardown(discard bool) {
 	sv.mu.Lock()
-	if sv.closed {
-		sv.mu.Unlock()
-		return err
-	}
 	sv.closed = true
 	cache := sv.cache
 	sv.cache = nil
 	sv.mu.Unlock()
 	for _, sh := range sv.shards {
 		for _, v := range sh.snapshotViewers() {
-			v.shutdown(err != nil) // drain on a clean close, discard on abort
+			v.shutdown(discard)
 		}
-	}
-	for _, sh := range sv.shards {
-		sh.drainCache()
+		sh.retx.drain()
 	}
 	if cache != nil {
 		cache.p.release()
 	}
 	sv.ring.drain()
-	return err
 }
 
 // Cancel aborts the shared pipeline, the shard workers, and every viewer
@@ -517,21 +524,5 @@ func (sv *Server) Cancel() {
 	for _, sh := range sv.shards {
 		<-sh.done
 	}
-	sv.mu.Lock()
-	sv.closed = true
-	cache := sv.cache
-	sv.cache = nil
-	sv.mu.Unlock()
-	for _, sh := range sv.shards {
-		for _, v := range sh.snapshotViewers() {
-			v.abort()
-		}
-	}
-	for _, sh := range sv.shards {
-		sh.drainCache()
-	}
-	if cache != nil {
-		cache.p.release()
-	}
-	sv.ring.drain()
+	sv.teardown(true)
 }

@@ -32,14 +32,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// retxEntry is one cached frame in a shard's retransmit cache.
-type retxEntry struct {
-	f *sharedFrame
-	// packets is the frame's fragment count at the server MTU — the unit
-	// the cache budget is accounted in.
-	packets int
-}
-
 // shard is one relay worker plus the viewer partition it owns.
 type shard struct {
 	sv    *Server
@@ -57,22 +49,22 @@ type shard struct {
 	// forwards to the server, later ones ride along until the next
 	// I-frame clears the arm.
 	refreshArmed bool
-	// retx is the shard retransmit cache: recent ring frames by publish
-	// sequence, FIFO-evicted once retxPkts exceeds the packet budget.
-	retx     map[uint64]*retxEntry
-	retxFIFO []uint64
-	retxPkts int
+	// retx is the shard retransmit cache: recent ring frames, shared by
+	// every viewer in the partition, budgeted in packets at the server MTU.
+	// Its own lock nests inside mu.
+	retx *retxCache
 }
 
 func newShard(sv *Server, idx int) *shard {
+	stats := metrics.NewShardCounters(idx)
 	return &shard{
 		sv:     sv,
 		idx:    idx,
-		stats:  metrics.NewShardCounters(idx),
+		stats:  stats,
 		done:   make(chan struct{}),
 		byID:   make(map[uint32]*Viewer),
 		losses: make(map[uint32]float64),
-		retx:   make(map[uint64]*retxEntry),
+		retx:   newRetxCache(sv.cfg.RetransmitBuffer, sv.cfg.MTU, stats),
 	}
 }
 
@@ -104,7 +96,7 @@ func (sh *shard) relay(f *sharedFrame) {
 	if f.ftype == codec.IFrame {
 		sh.refreshArmed = false // the pending restart (if any) just landed
 	}
-	sh.cacheLocked(f)
+	sh.retx.add(f)
 	accepted := int64(0)
 	for _, v := range sh.viewers {
 		if v.enqueue(f) {
@@ -113,44 +105,6 @@ func (sh *shard) relay(f *sharedFrame) {
 	}
 	sh.mu.Unlock()
 	sh.stats.FrameRelayed(accepted)
-}
-
-// cacheLocked retains f in the shard retransmit cache, evicting oldest
-// frames once the packet budget overflows. Caller holds sh.mu.
-func (sh *shard) cacheLocked(f *sharedFrame) {
-	if _, ok := sh.retx[f.seq]; ok {
-		return // already cached (late-join keyframe path)
-	}
-	pkts := (len(f.p.wire) + sh.sv.cfg.MTU - 1) / sh.sv.cfg.MTU
-	if pkts == 0 {
-		pkts = 1
-	}
-	f.p.retain()
-	sh.retx[f.seq] = &retxEntry{f: f, packets: pkts}
-	sh.retxFIFO = append(sh.retxFIFO, f.seq)
-	sh.retxPkts += pkts
-	for sh.retxPkts > sh.sv.cfg.RetransmitBuffer && len(sh.retxFIFO) > 1 {
-		seq := sh.retxFIFO[0]
-		sh.retxFIFO = sh.retxFIFO[1:]
-		e := sh.retx[seq]
-		delete(sh.retx, seq)
-		sh.retxPkts -= e.packets
-		e.f.p.release()
-	}
-	sh.stats.CacheResize(int64(len(sh.retxFIFO)), int64(sh.retxPkts))
-}
-
-// cacheGet retrieves a cached frame by ring sequence, retained for the
-// caller (who must release it after rebuilding the packet).
-func (sh *shard) cacheGet(seq uint64) *sharedFrame {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.retx[seq]
-	if !ok {
-		return nil
-	}
-	e.f.p.retain()
-	return e.f
 }
 
 // attach inserts a viewer into the partition. Returns false when the id
@@ -167,7 +121,7 @@ func (sh *shard) attach(v *Viewer) bool {
 	// live frame the worker relays to this viewer, and pin the keyframe
 	// in the shard retransmit cache so its packets are NACKable.
 	if c := v.joinCache; c != nil {
-		sh.cacheLocked(c)
+		sh.retx.add(c)
 		v.enqueue(c)
 		v.joinCache = nil
 		// Attach's creation reference is done: the retx cache and the
@@ -250,17 +204,4 @@ func (sh *shard) appendLosses(dst []float64) []float64 {
 		dst = append(dst, l)
 	}
 	return dst
-}
-
-// drainCache releases every retransmit-cache reference at teardown.
-func (sh *shard) drainCache() {
-	sh.mu.Lock()
-	for _, e := range sh.retx {
-		e.f.p.release()
-	}
-	sh.retx = map[uint64]*retxEntry{}
-	sh.retxFIFO = nil
-	sh.retxPkts = 0
-	sh.mu.Unlock()
-	sh.stats.CacheResize(0, 0)
 }

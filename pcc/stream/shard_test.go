@@ -428,11 +428,11 @@ func capturePayloads(t *testing.T, sv *Server) []*framePayload {
 	}
 	sv.mu.Unlock()
 	for _, sh := range sv.shards {
-		sh.mu.Lock()
-		for _, e := range sh.retx {
-			add(e.f.p)
+		sh.retx.mu.Lock()
+		for _, f := range sh.retx.frames {
+			add(f.p)
 		}
-		sh.mu.Unlock()
+		sh.retx.mu.Unlock()
 	}
 	sv.ring.mu.Lock()
 	for _, f := range sv.ring.slots {
@@ -589,15 +589,10 @@ func TestServerAttachCloseRaceNoDeadlock(t *testing.T) {
 // the right frame, and sequences outside the window miss cleanly on both
 // sides of the wrap.
 func TestViewerRetxRecordSeqWrap(t *testing.T) {
-	v := &Viewer{}
+	v := &sender{budget: 1024}
 	base := uint32(0xFFFFFFF8) // 8 sequence numbers before the wrap
 	for i := 0; i < 4; i++ {   // 5-packet frames: two records cross the wrap
-		v.records = append(v.records, sentRec{
-			firstSeq: base + uint32(i*5),
-			n:        5,
-			frameSeq: uint64(i),
-		})
-		v.recPkts += 5
+		v.record(sentRec{firstSeq: base + uint32(i*5), n: 5, frameSeq: uint64(i)})
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()

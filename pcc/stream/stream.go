@@ -122,13 +122,14 @@ type Config struct {
 	StreamID uint32
 	// PacketOut, when set, emits each undropped frame as framed packets
 	// (packet.go) with consecutive per-stream sequence numbers, retaining
-	// them in a bounded retransmit buffer so HandleControl can answer
+	// the frame in a bounded retransmit cache so HandleControl can answer
 	// receiver NACKs. Sequence numbers are assigned at transmit time, so
 	// frames shed by the backpressure policy leave a frame-index gap but
 	// no sequence gap — a receiver tells sender drops from network loss.
 	PacketOut PacketSendFunc
-	// RetransmitBuffer caps how many sent packets are retained for NACK
-	// retransmission (default 1024; oldest evicted first).
+	// RetransmitBuffer caps how many sent packets stay answerable for NACK
+	// retransmission (default 1024; whole frames are evicted, oldest first,
+	// and the newest frame stays answerable even when it alone is wider).
 	RetransmitBuffer int
 	// FEC configures forward-error-correction parity emission over
 	// PacketOut (see fec.go). The zero value emits no parity unless the
@@ -145,9 +146,7 @@ func (c Config) normalized() Config {
 	if c.Lookahead < 1 {
 		c.Lookahead = 1
 	}
-	if c.MTU < 64 {
-		c.MTU = 1400
-	}
+	c.MTU = clampMTU(c.MTU, 64, 1400)
 	if c.Link.BandwidthMbps <= 0 {
 		c.Link = linksim.WiFi
 	}
@@ -262,36 +261,22 @@ type Session struct {
 	errOnce  sync.Once
 	firstErr error
 
-	mu          sync.Mutex
-	submitted   int64
-	delivered   int64
-	droppedN    int64
-	linkTime    time.Duration
-	txJ, rxJ    float64
-	wireBytes   int64
-	packets     int64
-	retransmits int64
-	retxMisses  int64
-	refreshes   int64
-	// Feedback bookkeeping: the highest report number consumed (reports are
-	// numbered monotonically by the receiver; lower-or-equal ones are
-	// duplicates or reorders and must not double-steer the controller).
-	feedbackReports int64
-	staleFeedback   int64
-	lastFbReport    uint32
-	wroteHdr        bool
+	mu        sync.Mutex
+	submitted int64
+	delivered int64
+	droppedN  int64
+	linkTime  time.Duration
+	txJ, rxJ  float64
+	wireBytes int64
+	packets   int64
+	refreshes int64
+	wroteHdr  bool
 
-	// Retransmit buffer: sent packets by sequence number, FIFO-evicted.
-	// pktSeq is only touched by the transmit stage; the buffer is shared
-	// with HandleControl callers.
-	pktSeq   uint32
-	retxMu   sync.Mutex
-	retx     map[uint32][]byte
-	retxFIFO []uint32
-
-	// fec counts parity packets emitted (transmit stage only writes;
-	// Metrics reads atomically).
-	fec metrics.FECCounters
+	// tx is the session's one sender (sender.go): the PacketOut stream's
+	// sequence space, sent-records, NACK answers and stale-feedback check.
+	// Its frames' payloads live in tx.cache, budgeted at RetransmitBuffer
+	// packets.
+	tx *sender
 }
 
 // New starts a session's stage goroutines. Cancelling ctx aborts the
@@ -312,7 +297,16 @@ func New(ctx context.Context, cfg Config) *Session {
 		gaugeGeom: metrics.NewQueueGauge("geometry"),
 		gaugePkt:  metrics.NewQueueGauge("packetize"),
 		gaugeTx:   metrics.NewQueueGauge("transmit"),
-		retx:      make(map[uint32][]byte),
+		tx: &sender{
+			ctx:    sctx,
+			id:     cfg.StreamID,
+			mtu:    cfg.MTU,
+			budget: cfg.RetransmitBuffer,
+			out:    cfg.PacketOut,
+			// A session is its own one-shard relay; nothing reads the
+			// cache gauges, the sender's own counters feed Metrics.
+			cache: newRetxCache(cfg.RetransmitBuffer, cfg.MTU, metrics.NewShardCounters(0)),
+		},
 	}
 	s.geomDevs = make([]*edgesim.Device, cfg.Lookahead)
 	for i := range s.geomDevs {
@@ -350,6 +344,17 @@ func (s *Session) Submit(ctx context.Context, vc *geom.VoxelCloud) error {
 	if vc == nil || vc.Len() == 0 {
 		return codec.ErrEmptyFrame
 	}
+	aborted := func() error {
+		if err := s.Err(); err != nil {
+			return err
+		}
+		return s.ctx.Err()
+	}
+	if s.ctx.Err() != nil {
+		// Checked first: select picks at random among ready cases, and an
+		// aborted session with room in its ingest queue has two.
+		return aborted()
+	}
 	j := &job{seq: s.nextSeq, cloud: vc}
 	select {
 	case s.in <- j:
@@ -362,10 +367,7 @@ func (s *Session) Submit(ctx context.Context, vc *geom.VoxelCloud) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-s.ctx.Done():
-		if err := s.Err(); err != nil {
-			return err
-		}
-		return s.ctx.Err()
+		return aborted()
 	}
 }
 
@@ -408,6 +410,7 @@ func (s *Session) Options() codec.Options { return s.enc.Options() }
 
 // Metrics snapshots the session's pipeline counters and device ledgers.
 func (s *Session) Metrics() Metrics {
+	tx := s.tx.snapshot()
 	s.mu.Lock()
 	m := Metrics{
 		Submitted:       s.submitted,
@@ -418,14 +421,14 @@ func (s *Session) Metrics() Metrics {
 		RxEnergyJ:       s.rxJ,
 		WireBytes:       s.wireBytes,
 		Packets:         s.packets,
-		Retransmits:     s.retransmits,
-		RetxMisses:      s.retxMisses,
+		Retransmits:     tx.retransmits,
+		RetxMisses:      tx.retxMisses,
 		Refreshes:       s.refreshes,
-		FeedbackReports: s.feedbackReports,
-		FeedbackStale:   s.staleFeedback,
+		FeedbackReports: tx.fbReports,
+		FeedbackStale:   tx.fbStale,
+		FEC:             metrics.FECSnapshot{ParitySent: tx.parity},
 	}
 	s.mu.Unlock()
-	m.FEC = s.fec.Snapshot()
 	if ctrl := s.enc.Controller(); ctrl != nil {
 		m.Adapt = ctrl.Snapshot()
 	}
@@ -558,7 +561,7 @@ func (s *Session) packetizeStage() {
 		j.frame = nil
 		j.wire = buf.Bytes()
 		j.wbuf = buf
-		j.packets = (len(j.wire) + s.cfg.MTU - 1) / s.cfg.MTU
+		j.packets = fragsAtMTU(len(j.wire), s.cfg.MTU)
 		if err := s.txq.push(j); err != nil {
 			continue // canceled
 		}
@@ -622,7 +625,7 @@ func (s *Session) transmitStage() {
 				return
 			}
 			if s.cfg.PacketOut != nil {
-				if err := s.emitPackets(j); err != nil {
+				if err := s.sendPackets(j); err != nil {
 					s.fail(err)
 					return
 				}
@@ -670,56 +673,18 @@ func (c *Collector) Wait() []Result {
 	return c.results
 }
 
-// emitPackets frames one transmitted frame into real packets, assigns its
-// sequence-number range, buffers each packet for retransmission, and sends
-// it through PacketOut. Runs only on the transmit stage.
-func (s *Session) emitPackets(j *job) error {
-	first := s.pktSeq
-	pkts := PacketizeFrame(s.cfg.StreamID, uint32(j.seq), j.ftype, first, j.wire, s.cfg.MTU)
-	s.pktSeq += uint32(len(pkts))
-	var groups []groupSpec
-	if k := s.cfg.FEC.groupLen(s.enc.Controller()); k > 0 {
-		groups = parityGroups(len(pkts), k, j.ftype)
-	}
-	gi := 0
-	mtu := payloadMTU(s.cfg.MTU)
-	for i, p := range pkts {
-		s.bufferPacket(first+uint32(i), p)
-		if err := s.cfg.PacketOut(s.ctx, p); err != nil {
-			return err
-		}
-		// Parity interleaves with data: each group's XOR packet goes out
-		// right after the group's last covered fragment, so a repair trails
-		// the loss it fixes by at most a group's worth of packet-times and
-		// lands well inside the receiver's NACK timer even on long frames.
-		// Parity consumes no sequence numbers and is not buffered for
-		// retransmission — a lost parity packet costs only its own repair
-		// power, never a NACK round trip.
-		for gi < len(groups) && groups[gi].end() <= i {
-			g := groups[gi]
-			gi++
-			body := buildParityBody(j.wire, mtu, g)
-			pkt := parityPacket(s.cfg.StreamID, uint32(j.seq), j.ftype, first, len(pkts), g, body)
-			s.fec.ParitySent()
-			if err := s.cfg.PacketOut(s.ctx, pkt); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// bufferPacket retains one sent packet for NACK retransmission, evicting
-// the oldest once the buffer is full.
-func (s *Session) bufferPacket(seq uint32, pkt []byte) {
-	s.retxMu.Lock()
-	if len(s.retxFIFO) >= s.cfg.RetransmitBuffer {
-		delete(s.retx, s.retxFIFO[0])
-		s.retxFIFO = s.retxFIFO[1:]
-	}
-	s.retx[seq] = pkt
-	s.retxFIFO = append(s.retxFIFO, seq)
-	s.retxMu.Unlock()
+// sendPackets publishes one transmitted frame to the session's sender:
+// the wire bytes are copied once into a refcounted payload (the pooled
+// wire buffer is recycled after this returns), retained by the retransmit
+// cache so NACKs can be rebuilt from it, and sent whole — the identity
+// view — as frame index j.seq. Runs only on the transmit stage.
+func (s *Session) sendPackets(j *job) error {
+	f := newSharedFrame(j.seq, j.ftype, j.wire, s.cfg.MTU, s.cfg.FEC.groupLen(s.enc.Controller()))
+	f.seq = uint64(j.seq)
+	defer f.p.release()
+	s.tx.cache.add(f)
+	_, _, err := s.tx.send(f, uint32(j.seq), view{})
+	return err
 }
 
 // Controller returns the session's congestion controller, nil unless
@@ -743,21 +708,21 @@ func (s *Session) observeLocal(cost linksim.Cost, shed bool) {
 }
 
 // HandleControl processes a receiver→sender control message. NACKs are
-// answered by re-sending the buffered packets (with FlagRetransmit set)
-// through PacketOut; sequence numbers already evicted are counted as
-// misses and ignored — the receiver's retry budget will conceal or skip.
-// ControlRefresh forces the encoder's next frame to be an I-frame,
-// restarting the GOP for a receiver that lost its reference.
-// ControlFeedback reports steer the congestion controller (when
-// Options.Adapt is enabled); duplicated or reordered reports — the report
-// number is not strictly increasing — are dropped as stale so a replayed
-// report can never double-steer the knobs. Feedback is counted even with
-// the controller disabled, so a misconfigured pairing is visible in
-// Metrics.
+// answered by the session's sender: each requested packet still covered
+// by the retransmit cache is rebuilt from its frame (byte-identical to the
+// original, plus FlagRetransmit) and re-sent through PacketOut; sequence
+// numbers whose frame has been evicted are counted as misses and ignored
+// — the receiver's retry budget will conceal or skip. ControlRefresh
+// forces the encoder's next frame to be an I-frame, restarting the GOP
+// for a receiver that lost its reference. ControlFeedback reports steer
+// the congestion controller (when Options.Adapt is enabled); duplicated
+// or reordered reports are dropped as stale so a replayed report can
+// never double-steer the knobs. Feedback is counted even with the
+// controller disabled, so a misconfigured pairing is visible in Metrics.
 //
 // Safe to call concurrently with a running pipeline, including
 // re-entrantly from within a PacketOut delivery chain (in-process
-// transports): the retransmit buffer lock is never held across PacketOut.
+// transports): no lock is ever held across PacketOut.
 func (s *Session) HandleControl(c Control) error {
 	switch c.Kind {
 	case ControlRefresh:
@@ -767,15 +732,9 @@ func (s *Session) HandleControl(c Control) error {
 		s.mu.Unlock()
 	case ControlFeedback:
 		fb := c.Feedback
-		s.mu.Lock()
-		if fb.Report == 0 || fb.Report <= s.lastFbReport {
-			s.staleFeedback++
-			s.mu.Unlock()
+		if !s.tx.acceptFeedback(fb.Report) {
 			return nil
 		}
-		s.lastFbReport = fb.Report
-		s.feedbackReports++
-		s.mu.Unlock()
 		if ctrl := s.enc.Controller(); ctrl != nil {
 			ctrl.ObserveFeedback(codec.Signal{
 				LossRate:  fb.CongestionRate(),
@@ -785,42 +744,7 @@ func (s *Session) HandleControl(c Control) error {
 			})
 		}
 	case ControlNACK:
-		var seen map[uint32]struct{}
-		if len(c.Seqs) > 1 {
-			seen = make(map[uint32]struct{}, len(c.Seqs))
-		}
-		for _, seq := range c.Seqs {
-			// Coalesce duplicate sequence numbers within one NACK (a
-			// receiver retry race, or a hostile message): each is answered
-			// at most once per control message.
-			if seen != nil {
-				if _, dup := seen[seq]; dup {
-					continue
-				}
-				seen[seq] = struct{}{}
-			}
-			s.retxMu.Lock()
-			buf, ok := s.retx[seq]
-			var cp []byte
-			if ok {
-				cp = append([]byte(nil), buf...)
-				cp[3] |= FlagRetransmit // flags are outside the payload CRC
-			}
-			s.retxMu.Unlock()
-			s.mu.Lock()
-			if ok {
-				s.retransmits++
-			} else {
-				s.retxMisses++
-			}
-			s.mu.Unlock()
-			if !ok || s.cfg.PacketOut == nil {
-				continue
-			}
-			if err := s.cfg.PacketOut(s.ctx, cp); err != nil {
-				return err
-			}
-		}
+		return s.tx.handleNACK(c.Seqs)
 	}
 	return nil
 }

@@ -22,7 +22,6 @@ package stream
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/viewport"
@@ -90,141 +89,42 @@ func tileMasks(l *codec.FrameLayout, cam viewport.Camera) (omit, coarse uint64) 
 	return omit, coarse
 }
 
-// viewPlan is one viewer's culled view of a published tiled frame: the
-// rewritten header plus the kept tiles' payload spans, in container order
-// (header, geometry chunks, attribute chunks). Fragments are gathered
-// from the spans at packetize time; only the ≤MTU gather buffer is ever
-// materialized per packet.
-type viewPlan struct {
-	spans   [][]byte // spans[0] is the rewritten header (the only copy)
-	tileOf  []uint16 // tile id per span; TileNone for the header
-	layerOf []uint8  // layer id per span; LayerNone for the header / unlayered
-	cum     []int    // len(spans)+1 prefix byte offsets
-	total   int      // culled frame length (== cum[len(spans)])
-}
-
 // buildViewPlan assembles a viewer's plan for one published frame. wire
 // is the immutable ring payload; only the rewritten header is copied.
 // sub truncates layered frames to their first sub layers (0 = keep all);
 // it is ignored for unlayered frames.
 func buildViewPlan(l *codec.FrameLayout, wire []byte, omit, coarse uint64, sub uint8) *viewPlan {
 	units := l.LayerUnits()
-	p := &viewPlan{
-		spans:   make([][]byte, 0, 1+2*units),
-		tileOf:  make([]uint16, 0, 1+2*units),
-		layerOf: make([]uint8, 0, 1+2*units),
+	keep := l.Layers
+	if sub != 0 && int(sub) < keep {
+		keep = int(sub)
 	}
-	add := func(b []byte, tile uint16, layer uint8) {
-		if len(b) == 0 {
-			return
-		}
-		p.spans = append(p.spans, b)
-		p.tileOf = append(p.tileOf, tile)
-		p.layerOf = append(p.layerOf, layer)
-	}
-	tileID := func(u int) uint16 {
-		if len(l.Tiles) == 0 {
-			return TileNone
-		}
-		return uint16(u)
-	}
-	add(l.RewriteHeaderSub(wire, omit, coarse, sub), TileNone, LayerNone)
-	if !l.Layered() {
-		for t := range l.Tiles {
-			if l.Tiles[t].Omitted() || omit&(1<<uint(t)) != 0 {
-				continue
-			}
-			add(wire[l.GeomOff[t]:l.GeomOff[t+1]], uint16(t), LayerNone)
-		}
-		for t := range l.Tiles {
-			if l.Tiles[t].Omitted() || (omit|coarse)&(1<<uint(t)) != 0 {
-				continue
-			}
-			add(wire[l.AttrOff[t]:l.AttrOff[t+1]], uint16(t), LayerNone)
-		}
-	} else {
-		subEff := int(sub)
-		if subEff == 0 || subEff > l.Layers {
-			subEff = l.Layers
-		}
+	p := newViewPlan(1 + 2*units*max(keep, 1))
+	p.add(l.RewriteHeaderSub(wire, omit, coarse, sub), TileNone, LayerNone)
+	// chunks adds every kept unit's chunk of one kind, in unit order: whole
+	// for an unlayered frame, its first keep layers otherwise.
+	chunks := func(off []int, lens []uint32, drop uint64) {
 		for u := 0; u < units; u++ {
-			if len(l.Tiles) > 0 && (l.Tiles[u].Omitted() || omit&(1<<uint(u)) != 0) {
+			tile := TileNone
+			if len(l.Tiles) > 0 {
+				if l.Tiles[u].Omitted() || drop&(1<<uint(u)) != 0 {
+					continue
+				}
+				tile = uint16(u)
+			}
+			if !l.Layered() {
+				p.add(wire[off[u]:off[u+1]], tile, LayerNone)
 				continue
 			}
-			pos := l.GeomOff[u]
-			for lay := 0; lay < subEff; lay++ {
-				n := int(l.LayerGeom[u*l.Layers+lay])
-				add(wire[pos:pos+n], tileID(u), uint8(lay))
-				pos += n
-			}
-		}
-		for u := 0; u < units; u++ {
-			if len(l.Tiles) > 0 && (l.Tiles[u].Omitted() || (omit|coarse)&(1<<uint(u)) != 0) {
-				continue
-			}
-			pos := l.AttrOff[u]
-			for lay := 0; lay < subEff; lay++ {
-				n := int(l.LayerAttr[u*l.Layers+lay])
-				add(wire[pos:pos+n], tileID(u), uint8(lay))
+			pos := off[u]
+			for lay := 0; lay < keep; lay++ {
+				n := int(lens[u*l.Layers+lay])
+				p.add(wire[pos:pos+n], tile, uint8(lay))
 				pos += n
 			}
 		}
 	}
-	p.cum = make([]int, len(p.spans)+1)
-	for i, s := range p.spans {
-		p.cum[i+1] = p.cum[i] + len(s)
-	}
-	p.total = p.cum[len(p.spans)]
+	chunks(l.GeomOff, l.LayerGeom, omit)
+	chunks(l.AttrOff, l.LayerAttr, omit|coarse)
 	return p
-}
-
-// gather appends fragment frag's payload bytes (at the given MTU split of
-// the culled frame) to dst and returns it with the tile and layer ids the
-// fragment STARTS in (TileNone/LayerNone for the header). Mirrors
-// PacketizeFrame's split of a contiguous wire buffer, byte for byte.
-func (p *viewPlan) gather(dst []byte, frag, mtu int) ([]byte, uint16, uint8) {
-	lo := frag * mtu
-	hi := min(lo+mtu, p.total)
-	if lo >= hi {
-		return dst, TileNone, LayerNone // empty frame's single empty fragment
-	}
-	// First span containing byte lo: cum[i] <= lo < cum[i+1].
-	i := sort.SearchInts(p.cum, lo+1) - 1
-	tile, layer := p.tileOf[i], p.layerOf[i]
-	for at := lo; at < hi; i++ {
-		s := p.spans[i]
-		off := at - p.cum[i]
-		take := min(len(s)-off, hi-at)
-		dst = append(dst, s[off:off+take]...)
-		at += take
-	}
-	return dst, tile, layer
-}
-
-// parityBody XORs one parity group's fragments of the culled frame,
-// exactly as buildParityBody does for a contiguous wire buffer. scratch
-// is reused between calls for the gathered fragment bytes.
-func (p *viewPlan) parityBody(g groupSpec, mtu int, scratch []byte) ([]byte, []byte) {
-	width := 0
-	for i := 0; i < g.count; i++ {
-		lo := (g.base + i*g.stride) * mtu
-		hi := min(lo+mtu, p.total)
-		if hi-lo > width {
-			width = hi - lo
-		}
-	}
-	if width < 0 {
-		width = 0
-	}
-	body := make([]byte, 2+width)
-	for i := 0; i < g.count; i++ {
-		lo := (g.base + i*g.stride) * mtu
-		if lo >= p.total {
-			xorRecord(body, nil)
-			continue
-		}
-		scratch, _, _ = p.gather(scratch[:0], g.base+i*g.stride, mtu)
-		xorRecord(body, scratch)
-	}
-	return body, scratch
 }

@@ -8,7 +8,7 @@ package stream
 //   - plan equivalence: gathering a culled frame fragment-by-fragment
 //     from the shared payload's spans reproduces, byte for byte, the
 //     frame a full rewrite would produce — at any MTU — and its parity
-//     bodies match buildParityBody over that rewritten frame;
+//     bodies are checked over it by TestParityBodyRecoversAnyMember;
 //   - per-viewer drop: a viewer with a camera receives fewer bytes and
 //     fewer points than a viewer without one, both decode every frame,
 //     and the no-viewport viewer's stream carries no FlagTiled packet;
@@ -127,13 +127,11 @@ func TestControlViewportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTileMasksAndViewPlan checks the mask policy and the span-gather path
-// against a straight rewrite of a real tiled frame.
-func TestTileMasksAndViewPlan(t *testing.T) {
-	frames := testFrames(t, 1)
-	opts := tiledTestOptions()
-	enc := codec.NewEncoder(edgesim.NewXavier(edgesim.Mode15W), opts)
-	ef, _, err := enc.EncodeFrame(frames[0])
+// tiledTestFrame encodes one real tiled frame and parses its layout.
+func tiledTestFrame(t *testing.T) ([]byte, *codec.FrameLayout) {
+	t.Helper()
+	enc := codec.NewEncoder(edgesim.NewXavier(edgesim.Mode15W), tiledTestOptions())
+	ef, _, err := enc.EncodeFrame(testFrames(t, 1)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +147,23 @@ func TestTileMasksAndViewPlan(t *testing.T) {
 	if len(l.Tiles) < 2 {
 		t.Fatalf("need >=2 tiles, got %d", len(l.Tiles))
 	}
+	return wire, l
+}
+
+// culledTestPlan is the away camera's plan of a real tiled frame: every
+// tile but the fallback one dropped.
+func culledTestPlan(t *testing.T) *viewPlan {
+	t.Helper()
+	wire, l := tiledTestFrame(t)
+	omit, coarse := tileMasks(l, awayCamera())
+	return buildViewPlan(l, wire, omit, coarse, 0)
+}
+
+// TestTileMasksAndViewPlan checks the mask policy and the packets cut from
+// a culled plan against a straight rewrite of a real tiled frame.
+func TestTileMasksAndViewPlan(t *testing.T) {
+	opts := tiledTestOptions()
+	wire, l := tiledTestFrame(t)
 
 	// A camera that sees everything culls nothing.
 	if o, c := tileMasks(l, viewport.Camera{FOVDegrees: 400}); o|c != 0 {
@@ -161,9 +176,18 @@ func TestTileMasksAndViewPlan(t *testing.T) {
 	}
 
 	plan := buildViewPlan(l, wire, omit, coarse, 0)
-	want := []byte(nil)
-	for _, s := range plan.spans {
-		want = append(want, s...)
+	// The culled frame, written out the long way: the rewritten header,
+	// then the kept tiles' geometry chunks, then their attribute chunks.
+	want := l.RewriteHeaderSub(wire, omit, coarse, 0)
+	for ti := range l.Tiles {
+		if omit&(1<<uint(ti)) == 0 {
+			want = append(want, wire[l.GeomOff[ti]:l.GeomOff[ti+1]]...)
+		}
+	}
+	for ti := range l.Tiles {
+		if (omit|coarse)&(1<<uint(ti)) == 0 {
+			want = append(want, wire[l.AttrOff[ti]:l.AttrOff[ti+1]]...)
+		}
 	}
 	if plan.total != len(want) || plan.total >= len(wire) {
 		t.Fatalf("plan total %d (spans %d, full frame %d)", plan.total, len(want), len(wire))
@@ -188,30 +212,30 @@ func TestTileMasksAndViewPlan(t *testing.T) {
 		t.Fatalf("culled decode has %d points, want %d", vc.Len(), keptPts)
 	}
 
-	// Fragment gathering reproduces the rewrite byte-for-byte at any MTU,
-	// with the first fragment starting in the header (TileNone).
-	for _, mtu := range []int{7, 256, 1400, 1 << 20} {
-		n := fragsAtMTU(plan.total, mtu)
+	// The packets cut from the plan carry the rewrite byte-for-byte at any
+	// MTU, in order, the first fragment starting in the header (TileNone).
+	for _, mtu := range []int{7, 256, 1400, MaxPayload} {
+		pkts, err := plan.packets(PacketHeader{Flags: FlagTiled, FrameType: l.Type, Seq: 40}, mtu)
+		if err != nil {
+			t.Fatalf("mtu %d: %v", mtu, err)
+		}
 		var got []byte
-		var scratch []byte
-		for i := 0; i < n; i++ {
-			var tile uint16
-			scratch, tile, _ = plan.gather(scratch[:0], i, mtu)
-			if i == 0 && tile != TileNone {
-				t.Fatalf("mtu %d: first fragment tile %d, want TileNone", mtu, tile)
+		for i, raw := range pkts {
+			p, err := ParsePacket(raw)
+			if err != nil {
+				t.Fatalf("mtu %d packet %d: %v", mtu, i, err)
 			}
-			got = append(got, scratch...)
+			h := p.Header
+			if int(h.Frag) != i || int(h.FragCount) != len(pkts) || h.Seq != 40+uint32(i) {
+				t.Fatalf("mtu %d packet %d: frag/seq %+v", mtu, i, h)
+			}
+			if i == 0 && h.Tile != TileNone {
+				t.Fatalf("mtu %d: first fragment tile %d, want TileNone", mtu, h.Tile)
+			}
+			got = append(got, p.Payload...)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("mtu %d: gathered frame differs from rewrite", mtu)
-		}
-		// Parity bodies over the plan match buildParityBody over the
-		// materialized culled frame.
-		for _, g := range parityGroups(n, 4, l.Type) {
-			body, _ := plan.parityBody(g, mtu, nil)
-			if !bytes.Equal(body, buildParityBody(want, mtu, g)) {
-				t.Fatalf("mtu %d group %+v: parity body mismatch", mtu, g)
-			}
+			t.Fatalf("mtu %d: packetized frame differs from rewrite", mtu)
 		}
 	}
 }
@@ -309,19 +333,19 @@ func TestServerViewportCulling(t *testing.T) {
 	// sent record is still cached, so its first fragment must reconstruct
 	// with FlagTiled intact.
 	v := views[1]
-	v.mu.Lock()
-	if len(v.records) == 0 {
-		v.mu.Unlock()
+	v.tx.mu.Lock()
+	if len(v.tx.records) == 0 {
+		v.tx.mu.Unlock()
 		t.Fatal("viewer 1 has no sent records")
 	}
-	rec := v.records[len(v.records)-1]
-	v.mu.Unlock()
-	if !rec.tiled {
-		t.Fatalf("viewer 1's last record is not tiled: %+v", rec)
+	rec := v.tx.records[len(v.tx.records)-1]
+	v.tx.mu.Unlock()
+	if rec.view.omit == 0 {
+		t.Fatalf("viewer 1's last record is not culled: %+v", rec)
 	}
-	pkt := v.rebuildPacket(rec.firstSeq)
+	pkt := v.tx.rebuild(rec.firstSeq)
 	if pkt == nil {
-		t.Fatal("rebuildPacket returned nil for a cached culled frame")
+		t.Fatal("rebuild returned nil for a cached culled frame")
 	}
 	rp, err := ParsePacket(pkt)
 	if err != nil {

@@ -15,11 +15,12 @@ package stream
 // stream restarts from that fresh keyframe — a drowning viewer jumps to
 // the newest I instead of serving frames it can no longer afford to send.
 //
-// NACKs are answered without per-viewer packet copies: the viewer keeps
-// only compact sent-records (which sequence range mapped to which ring
-// frame) and rebuilds the requested fragment from its shard's retransmit
-// cache on demand, so the retransmit memory for a partition is one
-// refcounted frame set shared by every viewer in it.
+// Packets are the sender core's business (sender.go): the viewer decides
+// WHAT to ship of each frame — the tiles its camera keeps, the layers its
+// subscription keeps — and its sender packetizes that and answers NACKs by
+// rebuilding from the owning shard's retransmit cache, so the retransmit
+// memory for a partition is one refcounted frame set shared by every
+// viewer in it.
 
 import (
 	"math/bits"
@@ -157,29 +158,6 @@ type queuedFrame struct {
 	f   *sharedFrame
 }
 
-// sentRec records one sent frame's place in the viewer's sequence space:
-// enough to rebuild any of its fragments from the shard retransmit cache
-// on a NACK, without retaining per-viewer packet copies.
-type sentRec struct {
-	firstSeq uint32 // sequence number of fragment 0
-	n        uint16 // fragment count
-	frameSeq uint64 // ring publish sequence (shard cache key)
-	frameIdx uint32 // viewer-local frame index
-	ftype    codec.FrameType
-	cached   bool // replayed join keyframe (FlagCached on rebuild)
-	// tiled records a viewport-culled tiled send (FlagTiled on rebuild);
-	// omit/coarse are the masks used at send time, so a NACK rebuild
-	// reconstructs the identical culled frame even after the viewer's
-	// camera has moved on.
-	tiled        bool
-	omit, coarse uint64
-	// layers is the layer subscription the send was truncated to (0 = all
-	// layers kept), recorded for the same deterministic-rebuild reason:
-	// a retransmit must re-slice the exact bytes even after the viewer's
-	// subscription has churned.
-	layers uint8
-}
-
 // Viewer is one fan-out consumer. Create with Server.Attach; release with
 // Server.Detach (or Close). All methods are safe for concurrent use.
 type Viewer struct {
@@ -191,6 +169,9 @@ type Viewer struct {
 	gauge    *metrics.QueueGauge
 	joinedAt time.Time
 	done     chan struct{}
+	// tx is the viewer's packet stream: sequence space, sent-records, NACK
+	// and stale-feedback handling (its own lock; never nested with mu).
+	tx *sender
 
 	// joinCache is the cached keyframe handed to a late joiner, holding
 	// one payload reference; shard.attach enqueues and clears it.
@@ -209,7 +190,6 @@ type Viewer struct {
 	// (cacheless join): P-frames are skipped until the next keyframe.
 	lostRef bool
 	nextIdx uint32
-	pktSeq  uint32
 	// cam is the viewer's viewport (nil = no culling: every tile ships).
 	// The pointer is replaced wholesale on update, never mutated.
 	cam *viewport.Camera
@@ -226,35 +206,17 @@ type Viewer struct {
 	resyncs       int64
 	cachedJoin    bool
 	joinLatency   time.Duration
-	packets       int64
-	wireBytes     int64
-	paritySent    int64
-	nacksRecv     int64
-	retransmits   int64
-	retxMisses    int64
 	refreshes     int64
-	// Feedback state: per-viewer report numbering is independent, so the
-	// stale check lives here, not on the shard.
-	lastFbReport uint32
-	fbReports    int64
-	fbStale      int64
-	lastLoss     float64
-	vpUpdates    int64
-	tilesCulled  int64
-	tilesCoarse  int64
-	culledBytes  int64
-	layerDown    int64
-	layerUp      int64
-	linkTime     time.Duration
-	txJ, rxJ     float64
-	err          error
-
-	// records is the sent-record FIFO, ordered by firstSeq in the modular
-	// uint32 sequence space (pktSeq wraps), bounded so the covered packet
-	// span stays <= retxCap — which keeps modular lookups unambiguous.
-	records []sentRec
-	recPkts int
-	recDead bool // detached: answer no further NACKs
+	lastLoss      float64
+	vpUpdates     int64
+	tilesCulled   int64
+	tilesCoarse   int64
+	culledBytes   int64
+	layerDown     int64
+	layerUp       int64
+	linkTime      time.Duration
+	txJ, rxJ      float64
+	err           error
 }
 
 func newViewer(sv *Server, cfg ViewerConfig, joinCache *sharedFrame) *Viewer {
@@ -266,6 +228,12 @@ func newViewer(sv *Server, cfg ViewerConfig, joinCache *sharedFrame) *Viewer {
 		done:      make(chan struct{}),
 		joinCache: joinCache,
 		lostRef:   joinCache == nil,
+		tx: &sender{
+			ctx:    sv.sess.ctx,
+			mtu:    cfg.MTU,
+			budget: cfg.RetransmitBuffer,
+			out:    cfg.PacketOut,
+		},
 	}
 	if joinCache != nil {
 		v.minLiveSeq = joinCache.seq + 1
@@ -333,6 +301,7 @@ func (v *Viewer) Err() error {
 
 // Metrics snapshots the viewer's counters.
 func (v *Viewer) Metrics() ViewerMetrics {
+	tx := v.tx.snapshot()
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return ViewerMetrics{
@@ -345,15 +314,15 @@ func (v *Viewer) Metrics() ViewerMetrics {
 		Resyncs:           v.resyncs,
 		CachedJoin:        v.cachedJoin,
 		JoinLatency:       v.joinLatency,
-		Packets:           v.packets,
-		WireBytes:         v.wireBytes,
-		ParitySent:        v.paritySent,
-		NACKsReceived:     v.nacksRecv,
-		Retransmits:       v.retransmits,
-		RetxMisses:        v.retxMisses,
+		Packets:           tx.packets,
+		WireBytes:         tx.wireBytes,
+		ParitySent:        tx.parity,
+		NACKsReceived:     tx.nacks,
+		Retransmits:       tx.retransmits,
+		RetxMisses:        tx.retxMisses,
 		Refreshes:         v.refreshes,
-		FeedbackReports:   v.fbReports,
-		FeedbackStale:     v.fbStale,
+		FeedbackReports:   tx.fbReports,
+		FeedbackStale:     tx.fbStale,
 		LastLossRate:      v.lastLoss,
 		HasViewport:       v.cam != nil,
 		ViewportUpdates:   v.vpUpdates,
@@ -363,7 +332,7 @@ func (v *Viewer) Metrics() ViewerMetrics {
 		SubLayers:         v.curSub,
 		LayerDownswitches: v.layerDown,
 		LayerUpswitches:   v.layerUp,
-		RetxBuffered:      v.recPkts,
+		RetxBuffered:      tx.buffered,
 		LinkTime:          v.linkTime,
 		TxEnergyJ:         v.txJ,
 		RxEnergyJ:         v.rxJ,
@@ -398,7 +367,7 @@ func (v *Viewer) enqueue(f *sharedFrame) bool {
 		}
 		v.lostRef = false
 	}
-	if len(v.queue) >= v.queueCap() {
+	if len(v.queue) >= v.cfg.Queue {
 		switch {
 		case f.ftype == codec.IFrame:
 			// Forced I-frame resync: the backlog is stale and a fresh
@@ -452,36 +421,8 @@ func (v *Viewer) dropOldestPLocked() bool {
 	return false
 }
 
-func (v *Viewer) queueCap() int {
-	if v.cfg.Queue > 0 {
-		return v.cfg.Queue
-	}
-	return v.sv.cfg.ViewerQueue
-}
-
-// mtu returns the payload size per packet, with PacketizeFrame's clamps
-// applied so NACK rebuilds fragment exactly like the original send.
-func (v *Viewer) mtu() int {
-	m := v.cfg.MTU
-	if m < 64 {
-		m = v.sv.cfg.MTU
-	}
-	if m > MaxPayload {
-		m = MaxPayload
-	}
-	return m
-}
-
-func (v *Viewer) retxCap() int {
-	if v.cfg.RetransmitBuffer > 0 {
-		return v.cfg.RetransmitBuffer
-	}
-	return v.sv.cfg.RetransmitBuffer
-}
-
-// sendLoop is the viewer's sender goroutine: it drains the queue in order,
-// packetizes each frame in the viewer's own sequence space, records the
-// sent range for NACK rebuilds, and emits the packets through PacketOut.
+// sendLoop is the viewer's sender goroutine: it drains the queue in order
+// and hands each frame, with this viewer's view of it, to the sender core.
 func (v *Viewer) sendLoop() {
 	defer close(v.done)
 	for {
@@ -498,10 +439,9 @@ func (v *Viewer) sendLoop() {
 		v.queue[len(v.queue)-1] = queuedFrame{}
 		v.queue = v.queue[:len(v.queue)-1]
 		v.gauge.Dequeue()
-		firstSeq := v.pktSeq
 		v.mu.Unlock()
 
-		err := v.sendFrame(qf, firstSeq)
+		err := v.sendFrame(qf)
 		qf.f.p.release() // queue entry's reference
 		if err != nil {
 			v.mu.Lock()
@@ -514,148 +454,36 @@ func (v *Viewer) sendLoop() {
 	}
 }
 
-// sendFrame packetizes and emits one frame. Runs only on the sender loop.
-//
-// With a viewport installed and a tiled frame queued, the send is culled:
-// tileMasks classifies the frame's tiles against the camera, buildViewPlan
-// rewrites the container header and maps the kept tiles' spans over the
-// immutable ring payload, and each packet gathers its ≤MTU bytes straight
-// from those spans — per-viewer culling without re-encoding or copying
-// the frame. Culled packets carry FlagTiled plus the tile id their first
-// byte belongs to; an unmasked send (no camera, untiled frame, or a
-// camera that sees everything) is byte-identical to the plain path.
-func (v *Viewer) sendFrame(qf queuedFrame, firstSeq uint32) error {
+// sendFrame sends one frame as this viewer sees it. Runs only on the
+// sender loop. The viewer's part is the drop decision — tileMasks
+// classifies a tiled frame's tiles against the camera, the subscription
+// latch picks the layers; the sender core turns it into a plan over the
+// immutable ring payload and cuts every packet from that, so culling
+// neither re-encodes nor copies the frame. An empty decision (no camera,
+// untiled frame, a camera that sees everything, full subscription) ships
+// the published bytes whole.
+func (v *Viewer) sendFrame(qf queuedFrame) error {
 	v.mu.Lock()
 	cam := v.cam
-	sub := v.subscriptionLocked(qf.f)
+	vw := view{layers: v.subscriptionLocked(qf.f)}
 	v.mu.Unlock()
-	mtu := v.mtu()
-	var plan *viewPlan
-	var omit, coarse uint64
-	tiledSend := false
-	if l := qf.f.layout; l != nil {
-		if cam != nil && len(l.Tiles) > 0 {
-			omit, coarse = tileMasks(l, *cam)
-		}
-		if omit|coarse != 0 || sub != 0 {
-			plan = buildViewPlan(l, qf.f.p.wire, omit, coarse, sub)
-			tiledSend = len(l.Tiles) > 0
-		}
+	if l := qf.f.layout; l != nil && cam != nil && len(l.Tiles) > 0 {
+		vw.omit, vw.coarse = tileMasks(l, *cam)
 	}
-	var pkts [][]byte
-	var scratch []byte
-	bytes := int64(0)
-	if plan != nil {
-		var flags byte
-		if tiledSend {
-			flags |= FlagTiled
-		}
-		if sub != 0 {
-			flags |= FlagLayered
-		}
-		if qf.f.cached {
-			flags |= FlagCached
-		}
-		n := fragsAtMTU(plan.total, mtu)
-		pkts = make([][]byte, 0, n)
-		for i := 0; i < n; i++ {
-			var tile uint16
-			var layer uint8
-			scratch, tile, layer = plan.gather(scratch[:0], i, mtu)
-			pkts = append(pkts, MarshalPacket(PacketHeader{
-				Flags:      flags,
-				StreamID:   v.id,
-				FrameIndex: qf.idx,
-				FrameType:  qf.f.ftype,
-				Frag:       uint16(i),
-				FragCount:  uint16(n),
-				Seq:        firstSeq + uint32(i),
-				Tile:       tile,
-				Layer:      layer,
-			}, scratch))
-		}
-	} else {
-		pkts = PacketizeFrame(v.id, qf.idx, qf.f.ftype, firstSeq, qf.f.p.wire, mtu)
-		for _, p := range pkts {
-			if qf.f.cached {
-				p[3] |= FlagCached // outside the payload CRC, like FlagRetransmit
-			}
-		}
-	}
-	for _, p := range pkts {
-		bytes += int64(len(p))
-	}
-	// Frame the parity packets (if the published frame carries a share):
-	// bodies are reused verbatim at the share's MTU and rebuilt from the
-	// immutable ring payload otherwise; a culled send always rebuilds from
-	// its view plan, so the parity protects exactly the bytes sent. Parity
-	// takes no viewer sequence numbers and no sent-record — it is never
-	// NACKed or retransmitted — but its bytes ride the same link budget as
-	// the data, and it never carries FlagTiled (it covers framed payloads,
-	// not tile bytes).
-	var parity [][]byte
-	var parityEnds []int // last covered fragment index per parity packet
-	if fec := qf.f.fec; fec != nil {
-		groups, bodies := fec.groups, fec.bodies
-		if plan != nil || mtu != fec.mtu {
-			groups, bodies = parityGroups(len(pkts), fec.k, qf.f.ftype), nil
-		}
-		parity = make([][]byte, 0, len(groups))
-		parityEnds = make([]int, 0, len(groups))
-		for gi, g := range groups {
-			body := []byte(nil)
-			switch {
-			case bodies != nil:
-				body = bodies[gi]
-			case plan != nil:
-				body, scratch = plan.parityBody(g, mtu, scratch)
-			default:
-				body = buildParityBody(qf.f.p.wire, mtu, g)
-			}
-			p := parityPacket(v.id, qf.idx, qf.f.ftype, firstSeq, len(pkts), g, body)
-			parity = append(parity, p)
-			parityEnds = append(parityEnds, g.end())
-			bytes += int64(len(p))
-		}
-	}
-	cost, err := v.cfg.Link.Transmit(bytes)
+	wire, shipped, err := v.tx.send(qf.f, qf.idx, vw)
 	if err != nil {
 		return err
 	}
-	// Record before the first PacketOut: a receiver NACKing from inside
-	// the delivery chain (re-entrant HandleControl) must find the frame.
-	v.recordSent(qf, firstSeq, len(pkts), tiledSend, omit, coarse, sub)
-	// Each group's parity packet interleaves right after the group's last
-	// covered data packet, so a repair trails the loss it fixes by at most
-	// a group's worth of packet-times — well inside the NACK timer.
-	gi := 0
-	for i, p := range pkts {
-		if v.cfg.PacketOut != nil {
-			if err := v.cfg.PacketOut(v.sv.sess.ctx, p); err != nil {
-				return err
-			}
-		}
-		for gi < len(parity) && parityEnds[gi] <= i {
-			pp := parity[gi]
-			gi++
-			if v.cfg.PacketOut != nil {
-				if err := v.cfg.PacketOut(v.sv.sess.ctx, pp); err != nil {
-					return err
-				}
-			}
-		}
+	// Parity bytes ride the same link budget as the data.
+	cost, err := v.cfg.Link.Transmit(wire)
+	if err != nil {
+		return err
 	}
 	v.mu.Lock()
-	v.pktSeq = firstSeq + uint32(len(pkts))
 	v.framesSent++
-	v.packets += int64(len(pkts))
-	v.paritySent += int64(len(parity))
-	v.wireBytes += bytes
-	if plan != nil {
-		v.tilesCulled += int64(bits.OnesCount64(omit))
-		v.tilesCoarse += int64(bits.OnesCount64(coarse))
-		v.culledBytes += int64(len(qf.f.p.wire) - plan.total)
-	}
+	v.tilesCulled += int64(bits.OnesCount64(vw.omit))
+	v.tilesCoarse += int64(bits.OnesCount64(vw.coarse))
+	v.culledBytes += int64(len(qf.f.p.wire) - shipped)
 	v.linkTime += cost.Latency
 	v.txJ += cost.TxEnergy
 	v.rxJ += cost.RxEnergy
@@ -721,151 +549,13 @@ func (v *Viewer) subscriptionLocked(f *sharedFrame) uint8 {
 	return uint8(want)
 }
 
-// recordSent appends one frame's sent-record, evicting the oldest records
-// once the covered packet span exceeds the viewer's retransmit budget.
-func (v *Viewer) recordSent(qf queuedFrame, firstSeq uint32, n int, tiled bool, omit, coarse uint64, sub uint8) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.recDead {
-		return
-	}
-	budget := v.retxCap()
-	for v.recPkts+n > budget && len(v.records) > 0 {
-		v.recPkts -= int(v.records[0].n)
-		v.records = v.records[1:]
-	}
-	if n > budget {
-		return // one frame wider than the whole budget: not answerable
-	}
-	v.records = append(v.records, sentRec{
-		firstSeq: firstSeq,
-		n:        uint16(n),
-		frameSeq: qf.f.seq,
-		frameIdx: qf.idx,
-		ftype:    qf.f.ftype,
-		cached:   qf.f.cached,
-		tiled:    tiled,
-		omit:     omit,
-		coarse:   coarse,
-		layers:   sub,
-	})
-	v.recPkts += n
-}
-
-// findRecLocked locates the sent-record covering seq. Records are ordered
-// by firstSeq in the viewer's modular sequence space, and the span they
-// cover is bounded by the retransmit budget (far below 2^31), so binary
-// searching on the offset from the oldest record stays correct across
-// uint32 wraparound; sequences outside the window wrap to huge offsets
-// and miss cleanly. Caller holds v.mu.
-func (v *Viewer) findRecLocked(seq uint32) (sentRec, bool) {
-	if len(v.records) == 0 {
-		return sentRec{}, false
-	}
-	base := v.records[0].firstSeq
-	want := seq - base
-	lo, hi := 0, len(v.records)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v.records[mid].firstSeq-base <= want {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	rec := v.records[lo-1]
-	if seq-rec.firstSeq >= uint32(rec.n) {
-		return sentRec{}, false
-	}
-	return rec, true
-}
-
-// rebuildPacket reconstructs one NACKed packet from the shard retransmit
-// cache: the sent-record maps the viewer sequence number back to a ring
-// frame and fragment, and the shared payload rebuilds the exact original
-// packet (plus FlagRetransmit). Returns nil when the record or the cached
-// frame has been evicted.
-func (v *Viewer) rebuildPacket(seq uint32) []byte {
-	v.mu.Lock()
-	rec, ok := v.findRecLocked(seq)
-	v.mu.Unlock()
-	sh := v.shard
-	if !ok || sh == nil {
-		v.noteRetxMiss(sh)
-		return nil
-	}
-	f := sh.cacheGet(rec.frameSeq)
-	if f == nil {
-		v.noteRetxMiss(sh)
-		return nil
-	}
-	mtu := v.mtu()
-	frag := seq - rec.firstSeq
-	flags := FlagRetransmit
-	if rec.cached {
-		flags |= FlagCached
-	}
-	var payload []byte
-	tile, layer := TileNone, LayerNone
-	if rec.tiled || rec.layers != 0 {
-		// A culled and/or layer-truncated send: rebuild the exact view plan
-		// from the recorded masks and subscription — deterministic whatever
-		// the camera or the layer latch has done since — and gather the
-		// fragment from the cached frame's immutable payload.
-		if f.layout == nil {
-			f.p.release()
-			v.noteRetxMiss(sh)
-			return nil
-		}
-		plan := buildViewPlan(f.layout, f.p.wire, rec.omit, rec.coarse, rec.layers)
-		if rec.tiled {
-			flags |= FlagTiled
-		}
-		if rec.layers != 0 {
-			flags |= FlagLayered
-		}
-		payload, tile, layer = plan.gather(nil, int(frag), mtu)
-	} else {
-		lo := int(frag) * mtu
-		hi := min(lo+mtu, len(f.p.wire))
-		payload = f.p.wire[lo:hi]
-	}
-	pkt := MarshalPacket(PacketHeader{
-		Flags:      flags,
-		StreamID:   v.id,
-		FrameIndex: rec.frameIdx,
-		FrameType:  rec.ftype,
-		Frag:       uint16(frag),
-		FragCount:  rec.n,
-		Seq:        seq,
-		Tile:       tile,
-		Layer:      layer,
-	}, payload)
-	f.p.release()
-	v.mu.Lock()
-	v.retransmits++
-	v.mu.Unlock()
-	sh.stats.RetxHit()
-	return pkt
-}
-
-func (v *Viewer) noteRetxMiss(sh *shard) {
-	v.mu.Lock()
-	v.retxMisses++
-	v.mu.Unlock()
-	if sh != nil {
-		sh.stats.RetxMiss()
-	}
-}
-
 // HandleControl processes one receiver→sender control message addressed to
-// this viewer. NACKs are rebuilt from the owning shard's retransmit cache
-// (duplicate sequence numbers within one message coalesce to a single
-// retransmit); a refresh request is coalesced by the shard, then the
-// server, into at most one GOP restart; a feedback report updates this
-// viewer's observed loss (duplicates and reorders are dropped against the
-// viewer's own report numbering), folds it into the shard's loss table,
-// and triggers the server's worst-percentile reduction. Safe to call
+// this viewer. NACKs are answered by the sender core from the owning
+// shard's retransmit cache; a refresh request is coalesced by the shard,
+// then the server, into at most one GOP restart; a feedback report the
+// sender accepts as fresh (numbering is per viewer) updates this viewer's
+// observed loss, folds it into the shard's loss table, and triggers the
+// server's worst-percentile reduction. Safe to call
 // concurrently with a live stream, including re-entrantly from within a
 // PacketOut delivery chain.
 func (v *Viewer) HandleControl(c Control) error {
@@ -887,14 +577,10 @@ func (v *Viewer) HandleControl(c Control) error {
 		}
 	case ControlFeedback:
 		fb := c.Feedback
-		v.mu.Lock()
-		if fb.Report == 0 || fb.Report <= v.lastFbReport {
-			v.fbStale++
-			v.mu.Unlock()
+		if !v.tx.acceptFeedback(fb.Report) {
 			return nil
 		}
-		v.lastFbReport = fb.Report
-		v.fbReports++
+		v.mu.Lock()
 		v.lastLoss = fb.LossRate()
 		loss := fb.CongestionRate() // steering signal; lastLoss stays wire loss
 		if v.lctrl != nil {
@@ -911,28 +597,7 @@ func (v *Viewer) HandleControl(c Control) error {
 		}
 		v.sv.reduceFeedback(fb)
 	case ControlNACK:
-		v.mu.Lock()
-		v.nacksRecv++
-		v.mu.Unlock()
-		var seen map[uint32]struct{}
-		if len(c.Seqs) > 1 {
-			seen = make(map[uint32]struct{}, len(c.Seqs))
-		}
-		for _, seq := range c.Seqs {
-			if seen != nil {
-				if _, dup := seen[seq]; dup {
-					continue
-				}
-				seen[seq] = struct{}{}
-			}
-			pkt := v.rebuildPacket(seq)
-			if pkt == nil || v.cfg.PacketOut == nil {
-				continue
-			}
-			if err := v.cfg.PacketOut(v.sv.sess.ctx, pkt); err != nil {
-				return err
-			}
-		}
+		return v.tx.handleNACK(c.Seqs)
 	}
 	return nil
 }
@@ -957,11 +622,6 @@ func (v *Viewer) shutdown(discard bool) {
 		qf.f.p.release()
 	}
 	v.queue = nil
-	v.records = nil
-	v.recPkts = 0
-	v.recDead = true
 	v.mu.Unlock()
+	v.tx.stop()
 }
-
-// abort is Cancel's teardown: abandon the queue immediately.
-func (v *Viewer) abort() { v.shutdown(true) }
