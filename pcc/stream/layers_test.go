@@ -352,7 +352,6 @@ func TestServerLayerChurn(t *testing.T) {
 	// NACK rebuild determinism: re-slice the newest layer-truncated send of
 	// the base-only viewer from its recorded subscription and compare with
 	// the captured original, modulo the retransmit flag.
-	waitOutcomes(t, watches[1].sink, len(frames))
 	v := views[1]
 	v.tx.mu.Lock()
 	if len(v.tx.records) == 0 {

@@ -20,7 +20,8 @@ package stream
 //   - the server's keyframe cache holds one for the latest I-frame;
 //   - every viewer queue entry holds one (dropped after send or shed);
 //   - every retransmit-cache entry (a shard's, or a Session's) holds one
-//     (dropped on eviction).
+//     (dropped on eviction, and for a shard's at teardown; a Session's
+//     outlive Close, when its stream's tail is still being NACKed).
 //
 // The payload bytes are returned to the pool only when the last holder
 // releases, so a slow viewer mid-send can never observe a recycled buffer.
@@ -31,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/codec"
-	"repro/internal/metrics"
 )
 
 // framePayload is one frame's published wire bytes plus its lifetime.
@@ -239,9 +239,9 @@ func (r *frameRing) drain() {
 // Session one for its single receiver. All methods are safe for concurrent
 // use.
 type retxCache struct {
-	budget int // packets; the newest frame is kept even when wider
-	mtu    int // the MTU the budget is accounted at
-	stats  *metrics.ShardCounters
+	budget  int                         // packets; the newest frame is kept even when wider
+	mtu     int                         // the MTU the budget is accounted at
+	resized func(frames, packets int64) // optional occupancy gauge
 
 	mu     sync.Mutex
 	frames map[uint64]*sharedFrame
@@ -249,8 +249,11 @@ type retxCache struct {
 	pkts   int
 }
 
-func newRetxCache(budget, mtu int, stats *metrics.ShardCounters) *retxCache {
-	return &retxCache{budget: budget, mtu: mtu, stats: stats, frames: make(map[uint64]*sharedFrame)}
+func newRetxCache(budget, mtu int, resized func(frames, packets int64)) *retxCache {
+	if resized == nil {
+		resized = func(int64, int64) {}
+	}
+	return &retxCache{budget: budget, mtu: mtu, resized: resized, frames: make(map[uint64]*sharedFrame)}
 }
 
 // add retains f, evicting oldest frames once the packet budget overflows.
@@ -273,30 +276,21 @@ func (c *retxCache) add(f *sharedFrame) {
 		c.pkts -= fragsAtMTU(len(old.p.wire), c.mtu)
 		old.p.release()
 	}
-	c.stats.CacheResize(int64(len(c.fifo)), int64(c.pkts))
+	c.resized(int64(len(c.fifo)), int64(c.pkts))
 }
 
 // get retrieves a cached frame by publish sequence, retained for the
-// caller (who must release it after rebuilding the packet), counting the
-// hit or miss.
+// caller (who must release it after rebuilding the packet); nil once the
+// frame has been evicted.
 func (c *retxCache) get(seq uint64) *sharedFrame {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	f := c.frames[seq]
 	if f != nil {
 		f.p.retain()
 	}
-	c.mu.Unlock()
-	if f == nil {
-		c.miss()
-		return nil
-	}
-	c.stats.RetxHit()
 	return f
 }
-
-// miss counts a NACK that never reached the cache: the sender's record of
-// the sequence number was already gone.
-func (c *retxCache) miss() { c.stats.RetxMiss() }
 
 // drain releases every reference at teardown.
 func (c *retxCache) drain() {
@@ -308,5 +302,5 @@ func (c *retxCache) drain() {
 	c.fifo = nil
 	c.pkts = 0
 	c.mu.Unlock()
-	c.stats.CacheResize(0, 0)
+	c.resized(0, 0)
 }

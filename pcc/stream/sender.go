@@ -128,12 +128,22 @@ func (p *viewPlan) packet(h PacketHeader, mtu int) []byte {
 	return sealPacket(pkt, 0, body)
 }
 
+// frags is the planned frame's fragment count at mtu, refusing a frame a
+// packet header's 16-bit count cannot number.
+func (p *viewPlan) frags(mtu int) (int, error) {
+	n := fragsAtMTU(p.total, mtu)
+	if n > math.MaxUint16 {
+		return 0, fmt.Errorf("%w: %d bytes at MTU %d", ErrFrameTooLarge, p.total, mtu)
+	}
+	return n, nil
+}
+
 // packets frames every fragment of the planned frame split at mtu, with
 // consecutive sequence numbers from h.Seq.
 func (p *viewPlan) packets(h PacketHeader, mtu int) ([][]byte, error) {
-	n := fragsAtMTU(p.total, mtu)
-	if n > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: %d bytes at MTU %d", ErrFrameTooLarge, p.total, mtu)
+	n, err := p.frags(mtu)
+	if err != nil {
+		return nil, err
 	}
 	first := h.Seq
 	h.FragCount = uint16(n)
@@ -226,6 +236,9 @@ type sender struct {
 	budget int            // packet span the sent-records may cover (newest frame aside)
 	out    PacketSendFunc // nil: build and account without sending
 	cache  *retxCache     // where NACKed frames' payloads are found
+	// answered, when set, tells the owner each NACKed packet's outcome —
+	// rebuilt or missed — for counters wider than one sender (a shard's).
+	answered func(hit bool)
 
 	pktSeq uint32 // next sequence number; touched only by send
 
@@ -238,11 +251,11 @@ type sender struct {
 	stats      senderStats
 }
 
-// send packetizes one frame under view vw as frame index idx and emits it:
-// data packets in sequence order, each parity group's packet right after
-// the group's last covered fragment — so a repair trails the loss it fixes
-// by at most a group's worth of packet-times, well inside the receiver's
-// NACK timer. Parity bodies come verbatim from the frame's publish-time
+// send packetizes one frame under view vw as frame index idx and emits it,
+// each packet framed as its turn comes: data packets in sequence order,
+// each parity group's packet right after the group's last covered fragment
+// — so a repair trails the loss it fixes by at most a group's worth of
+// packet-times, well inside the receiver's NACK timer. Parity bodies come verbatim from the frame's publish-time
 // share when that was cut from the same plan at the same MTU, and from the
 // plan otherwise, so parity protects exactly the bytes sent; it takes no
 // sequence numbers and no sent-record, and never carries FlagTiled or
@@ -254,70 +267,66 @@ func (s *sender) send(f *sharedFrame, idx uint32, vw view) (wire int64, shipped 
 	if f.cached {
 		flags |= FlagCached
 	}
-	first := s.pktSeq
-	pkts, err := plan.packets(PacketHeader{
-		Flags:      flags,
-		StreamID:   s.id,
-		FrameIndex: idx,
-		FrameType:  f.ftype,
-		Seq:        first,
-	}, s.mtu)
+	n, err := plan.frags(s.mtu)
 	if err != nil {
 		return 0, 0, err
 	}
 	var groups []groupSpec
-	var parity [][]byte
+	var bodies [][]byte
 	if fec := f.fec; fec != nil {
-		bodies := fec.bodies
-		groups = fec.groups
+		groups, bodies = fec.groups, fec.bodies
 		if plan != f.ident || s.mtu != fec.mtu {
-			groups, bodies = parityGroups(len(pkts), fec.k, f.ftype), nil
-		}
-		parity = make([][]byte, len(groups))
-		for gi, g := range groups {
-			var body []byte
-			if bodies != nil {
-				body = bodies[gi]
-			} else {
-				body = plan.parityBody(g, s.mtu)
-			}
-			parity[gi] = parityPacket(s.id, idx, f.ftype, first, len(pkts), g, body)
+			groups, bodies = parityGroups(n, fec.k, f.ftype), nil
 		}
 	}
-	for _, p := range pkts {
-		wire += int64(len(p))
-	}
-	for _, p := range parity {
-		wire += int64(len(p))
-	}
+	first := s.pktSeq
 	// Record before the first emission: a receiver NACKing from inside the
 	// delivery chain (re-entrant handleNACK) must find the frame.
 	s.record(sentRec{
 		firstSeq: first,
-		n:        uint16(len(pkts)),
+		n:        uint16(n),
 		frameSeq: f.seq,
 		frameIdx: idx,
 		ftype:    f.ftype,
 		cached:   f.cached,
 		view:     vw,
 	})
-	s.pktSeq = first + uint32(len(pkts))
-	if s.out != nil {
-		gi := 0
-		for i, p := range pkts {
-			if err := s.out(s.ctx, p); err != nil {
-				return 0, 0, err
+	s.pktSeq = first + uint32(n)
+	emit := func(pkt []byte) error {
+		wire += int64(len(pkt))
+		if s.out == nil {
+			return nil
+		}
+		return s.out(s.ctx, pkt)
+	}
+	h := PacketHeader{
+		Flags:      flags,
+		StreamID:   s.id,
+		FrameIndex: idx,
+		FrameType:  f.ftype,
+		FragCount:  uint16(n),
+	}
+	gi := 0
+	for i := 0; i < n; i++ {
+		h.Frag, h.Seq = uint16(i), first+uint32(i)
+		if err := emit(plan.packet(h, s.mtu)); err != nil {
+			return 0, 0, err
+		}
+		for ; gi < len(groups) && groups[gi].end() <= i; gi++ {
+			var body []byte
+			if bodies != nil {
+				body = bodies[gi]
+			} else {
+				body = plan.parityBody(groups[gi], s.mtu)
 			}
-			for ; gi < len(parity) && groups[gi].end() <= i; gi++ {
-				if err := s.out(s.ctx, parity[gi]); err != nil {
-					return 0, 0, err
-				}
+			if err := emit(parityPacket(s.id, idx, f.ftype, first, n, groups[gi], body)); err != nil {
+				return 0, 0, err
 			}
 		}
 	}
 	s.mu.Lock()
-	s.stats.packets += int64(len(pkts))
-	s.stats.parity += int64(len(parity))
+	s.stats.packets += int64(n)
+	s.stats.parity += int64(gi)
 	s.stats.wireBytes += wire
 	s.mu.Unlock()
 	return wire, plan.total, nil
@@ -376,8 +385,9 @@ func (s *sender) rebuild(seq uint32) []byte {
 	var f *sharedFrame
 	if ok {
 		f = s.cache.get(rec.frameSeq)
-	} else {
-		s.cache.miss()
+	}
+	if s.answered != nil {
+		s.answered(f != nil)
 	}
 	s.mu.Lock()
 	if f != nil {

@@ -312,7 +312,7 @@ func (sv *Server) Attach(cfg ViewerConfig) (*Viewer, error) {
 		// Set before the viewer becomes reachable through the shard (whose
 		// lock publishes them): control messages route by id from then on.
 		v.id, v.shard = id, sh
-		v.tx.id, v.tx.cache = id, sh.retx
+		v.tx.id, v.tx.cache, v.tx.answered = id, sh.retx, sh.noteRetx
 		if sh.attach(v) {
 			break
 		}

@@ -64,7 +64,7 @@ func newShard(sv *Server, idx int) *shard {
 		done:   make(chan struct{}),
 		byID:   make(map[uint32]*Viewer),
 		losses: make(map[uint32]float64),
-		retx:   newRetxCache(sv.cfg.RetransmitBuffer, sv.cfg.MTU, stats),
+		retx:   newRetxCache(sv.cfg.RetransmitBuffer, sv.cfg.MTU, stats.CacheResize),
 	}
 }
 
@@ -105,6 +105,16 @@ func (sh *shard) relay(f *sharedFrame) {
 	}
 	sh.mu.Unlock()
 	sh.stats.FrameRelayed(accepted)
+}
+
+// noteRetx counts one NACKed packet a viewer's sender rebuilt from the
+// shard's retransmit cache (hit) or could no longer answer.
+func (sh *shard) noteRetx(hit bool) {
+	if hit {
+		sh.stats.RetxHit()
+	} else {
+		sh.stats.RetxMiss()
+	}
 }
 
 // attach inserts a viewer into the partition. Returns false when the id

@@ -521,6 +521,65 @@ func TestServerCancelReleasesPayloadRefs(t *testing.T) {
 	}
 }
 
+// TestSessionPayloadRefsBalance is the same ledger for the sender's other
+// owner. A Session is not torn down at Close — NACKs for the stream's tail
+// arrive after it and are still answered — so the balance is: every frame
+// the retransmit cache evicted has reached zero references, every frame it
+// still holds has exactly the cache's one, and a NACK answer leaves it so.
+func TestSessionPayloadRefsBalance(t *testing.T) {
+	frames := testFrames(t, 4)
+	tap := newWireTap()
+	s := New(context.Background(), Config{
+		Options:          testOptions(codec.IntraInterV1),
+		FEC:              FECConfig{GroupLen: 4},
+		RetransmitBuffer: 1, // the newest frame only
+		PacketOut:        tap.packetOut,
+	})
+	// Runs on the transmit stage, inside PacketOut: every published
+	// payload is in the cache while its own packets go out.
+	seen := map[*framePayload]bool{}
+	tap.onFresh = func(PacketHeader) {
+		s.tx.cache.mu.Lock()
+		for _, f := range s.tx.cache.frames {
+			seen[f.p] = true
+		}
+		s.tx.cache.mu.Unlock()
+	}
+	col := NewCollector(s)
+	for _, f := range frames {
+		if err := s.Submit(context.Background(), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	col.Wait()
+	if len(seen) != len(frames) {
+		t.Fatalf("saw %d payloads, want %d", len(seen), len(frames))
+	}
+	last := tap.frames[uint32(len(frames)-1)]
+	if err := s.HandleControl(Control{Kind: ControlNACK, Seqs: last[:1]}); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.Retransmits != 1 {
+		t.Fatalf("tail NACK after Close: %d retransmits, want 1", m.Retransmits)
+	}
+	held := 0
+	for p := range seen {
+		switch n := p.refs.Load(); n {
+		case 0:
+		case 1:
+			held++
+		default:
+			t.Fatalf("payload holds %d references after Close, want 0 (evicted) or 1 (cached)", n)
+		}
+	}
+	if held != 1 || len(s.tx.cache.frames) != 1 {
+		t.Fatalf("%d payloads referenced, %d frames cached, want 1 and 1", held, len(s.tx.cache.frames))
+	}
+}
+
 // TestServerAttachCloseRaceNoDeadlock drives the narrow Attach-vs-Close
 // window deterministically: the test holds the shard lock so an attacher
 // that already passed the first closed check parks on the partition

@@ -275,7 +275,10 @@ type Session struct {
 	// tx is the session's one sender (sender.go): the PacketOut stream's
 	// sequence space, sent-records, NACK answers and stale-feedback check.
 	// Its frames' payloads live in tx.cache, budgeted at RetransmitBuffer
-	// packets.
+	// packets. Neither is torn down at Close: a receiver's NACKs for the
+	// stream's tail arrive after the sender has closed and are still
+	// answered, so the last RetransmitBuffer packets' worth of frames stay
+	// referenced until the Session itself is garbage.
 	tx *sender
 }
 
@@ -303,9 +306,7 @@ func New(ctx context.Context, cfg Config) *Session {
 			mtu:    cfg.MTU,
 			budget: cfg.RetransmitBuffer,
 			out:    cfg.PacketOut,
-			// A session is its own one-shard relay; nothing reads the
-			// cache gauges, the sender's own counters feed Metrics.
-			cache: newRetxCache(cfg.RetransmitBuffer, cfg.MTU, metrics.NewShardCounters(0)),
+			cache:  newRetxCache(cfg.RetransmitBuffer, cfg.MTU, nil),
 		},
 	}
 	s.geomDevs = make([]*edgesim.Device, cfg.Lookahead)
@@ -344,17 +345,6 @@ func (s *Session) Submit(ctx context.Context, vc *geom.VoxelCloud) error {
 	if vc == nil || vc.Len() == 0 {
 		return codec.ErrEmptyFrame
 	}
-	aborted := func() error {
-		if err := s.Err(); err != nil {
-			return err
-		}
-		return s.ctx.Err()
-	}
-	if s.ctx.Err() != nil {
-		// Checked first: select picks at random among ready cases, and an
-		// aborted session with room in its ingest queue has two.
-		return aborted()
-	}
 	j := &job{seq: s.nextSeq, cloud: vc}
 	select {
 	case s.in <- j:
@@ -367,7 +357,10 @@ func (s *Session) Submit(ctx context.Context, vc *geom.VoxelCloud) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-s.ctx.Done():
-		return aborted()
+		if err := s.Err(); err != nil {
+			return err
+		}
+		return s.ctx.Err()
 	}
 }
 
