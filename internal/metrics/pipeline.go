@@ -26,10 +26,26 @@ func NewQueueGauge(name string) *QueueGauge { return &QueueGauge{name: name} }
 // Name returns the stage-queue name.
 func (g *QueueGauge) Name() string { return g.name }
 
-// Enqueue records one item entering the queue, updating the watermark.
+// Enqueue records one item entering the queue, updating the watermark
+// from the running count.
 func (g *QueueGauge) Enqueue() {
-	d := g.depth.Add(1)
 	g.enqueued.Add(1)
+	g.raise(g.depth.Add(1))
+}
+
+// EnqueueAt records one item entering a queue whose depth the caller has
+// just read (a channel's len after its send), updating the watermark from
+// that reading. A channel's consumer can only call Dequeue after its
+// receive has freed the slot, so between the two the running count reads
+// one above what the channel holds; the reading never does.
+func (g *QueueGauge) EnqueueAt(depth int) {
+	g.enqueued.Add(1)
+	g.depth.Add(1)
+	g.raise(int64(depth))
+}
+
+// raise lifts the watermark to d.
+func (g *QueueGauge) raise(d int64) {
 	for {
 		m := g.maxDepth.Load()
 		if d <= m || g.maxDepth.CompareAndSwap(m, d) {

@@ -20,6 +20,27 @@ func TestQueueGaugeSequential(t *testing.T) {
 	}
 }
 
+// A channel-backed queue's consumer uncounts an item only after its receive
+// has freed the slot, so a producer can count the next item in while the
+// running count still holds the one just taken: the watermark follows the
+// depth the producer read, never the lagging count.
+func TestQueueGaugeEnqueueAtLaggingDequeue(t *testing.T) {
+	g := NewQueueGauge("geometry")
+	ch := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		ch <- i
+		g.EnqueueAt(len(ch))
+	}
+	<-ch // received, not yet uncounted
+	ch <- 2
+	g.EnqueueAt(len(ch))
+	g.Dequeue()
+	s := g.Snapshot()
+	if s.MaxDepth != 2 || s.Depth != 2 || s.Enqueued != 3 || s.Dequeued != 1 {
+		t.Fatalf("snapshot = %+v, want watermark 2 (the channel's capacity)", s)
+	}
+}
+
 // The gauge is updated from every pipeline stage concurrently; totals must
 // balance and the watermark must never exceed the true peak. Run with -race.
 func TestQueueGaugeConcurrent(t *testing.T) {

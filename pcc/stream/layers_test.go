@@ -351,7 +351,9 @@ func TestServerLayerChurn(t *testing.T) {
 
 	// NACK rebuild determinism: re-slice the newest layer-truncated send of
 	// the base-only viewer from its recorded subscription and compare with
-	// the captured original, modulo the retransmit flag.
+	// the captured original, modulo the retransmit flag. Submit returns when
+	// the pipeline has taken a frame, not when a viewer has sent it.
+	waitOutcomes(t, watches[1].sink, len(frames))
 	v := views[1]
 	v.tx.mu.Lock()
 	if len(v.tx.records) == 0 {

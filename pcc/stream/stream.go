@@ -345,11 +345,16 @@ func (s *Session) Submit(ctx context.Context, vc *geom.VoxelCloud) error {
 	if vc == nil || vc.Len() == 0 {
 		return codec.ErrEmptyFrame
 	}
+	if s.ctx.Err() != nil {
+		// Checked before the select, which picks at random among ready
+		// cases: an aborted session with room in its ingest queue has two.
+		return s.abortErr()
+	}
 	j := &job{seq: s.nextSeq, cloud: vc}
 	select {
 	case s.in <- j:
 		s.nextSeq++
-		s.gaugeIn.Enqueue()
+		s.gaugeIn.EnqueueAt(len(s.in))
 		s.mu.Lock()
 		s.submitted++
 		s.mu.Unlock()
@@ -357,11 +362,17 @@ func (s *Session) Submit(ctx context.Context, vc *geom.VoxelCloud) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-s.ctx.Done():
-		if err := s.Err(); err != nil {
-			return err
-		}
-		return s.ctx.Err()
+		return s.abortErr()
 	}
+}
+
+// abortErr is why an aborted session refuses a frame: its first pipeline
+// error, or else the cancellation.
+func (s *Session) abortErr() error {
+	if err := s.Err(); err != nil {
+		return err
+	}
+	return s.ctx.Err()
 }
 
 // Results delivers one Result per submitted frame, in submission order,
@@ -489,7 +500,7 @@ func (s *Session) geometryStage() {
 			p.j.cloud = nil
 			select {
 			case s.gq <- p.j:
-				s.gaugeGeom.Enqueue()
+				s.gaugeGeom.EnqueueAt(len(s.gq))
 			case <-s.ctx.Done():
 			}
 		}
@@ -527,7 +538,7 @@ func (s *Session) attrStage() {
 		j.g, j.frame, j.ftype, j.stats = nil, frame, frame.Type, st
 		select {
 		case s.pq <- j:
-			s.gaugePkt.Enqueue()
+			s.gaugePkt.EnqueueAt(len(s.pq))
 		case <-s.ctx.Done():
 		}
 	}
