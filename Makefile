@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-module vet fmt fmt-check fuzz-smoke ci experiments experiments-full fanout fanout-scale adapt fec layers clean
+.PHONY: all build test race bench bench-module bench-interframe vet fmt fmt-check fuzz-smoke ci experiments experiments-full fanout fanout-scale adapt fec layers clean
 
 all: build test
 
@@ -41,10 +41,15 @@ fuzz-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# One iteration of BenchmarkBlockMatch (single-point, 16-point and kp != ki
+# blocks): keeps the in-module benchmark compiling and running.
+bench-interframe:
+	$(GO) test -run '^$$' -bench BlockMatch -benchtime 1x ./internal/interframe
+
 # Everything the CI gate runs (see .github/workflows/ci.yml), including the
 # fan-out serving smoke (8 viewers against the aggregate frames/s floor)
 # and the CI-sized relay-tree viewer-scaling gate.
-ci: build vet fmt-check test bench-module race fuzz-smoke fec adapt fanout-scale layers
+ci: build vet fmt-check test bench-module bench-interframe race fuzz-smoke fec adapt fanout-scale layers
 	$(GO) run ./cmd/pccbench -scale 0.05 all
 	$(GO) run ./cmd/pccbench -viewers 8 -frames 20 -floor 80 fanout
 

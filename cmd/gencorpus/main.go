@@ -14,6 +14,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
@@ -231,7 +232,13 @@ func interframeCorpus() [][]byte {
 		entries = append(entries, data)
 	}
 	entries = append(entries, corrupt(entries[0], 0, 0x01), entries[1][:2])
-	return entries
+	// A bare header claiming 2^28 points in 2^28 blocks: the decoder must
+	// refuse it before the counts size an allocation.
+	var hostile []byte
+	for _, v := range []uint64{1 << 28, 1 << 28, 1} {
+		hostile = binary.AppendUvarint(hostile, v)
+	}
+	return append(entries, hostile)
 }
 
 // packetCorpus: framed data and control packets from the stream transport.

@@ -201,8 +201,11 @@ type Encoder struct {
 	colors       []geom.Color
 	pvox         []geom.Voxel
 	recon        []geom.Color
-	// iBounds is the tiled P-path's reference-frame segment grid.
-	iBounds []int
+	// iBounds is the tiled P-path's reference-frame segment grid; iPack and
+	// pPack are its per-frame packed colour planes (the layout
+	// interframe.EncodePTile documents), shared read-only by the tiles.
+	iBounds      []int
+	iPack, pPack []uint32
 	// layerCols/layerRuns are the layerizer's per-unit scratch: the unit's
 	// leaf colours and the base-cell run boundaries over them.
 	layerCols []geom.Color

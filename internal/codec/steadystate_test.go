@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -76,19 +77,37 @@ func BenchmarkEncodeSteadyState(b *testing.B) {
 // 1500/2500 segments after the pooled byte-codec and Append* entropy
 // call-site conversions — mostly the escaping frame payloads) so GC and
 // pool noise does not flake the gate, while the pre-arena figures
-// (~45k/~36k allocs/frame) fail it by two orders of magnitude.
+// (~45k/~36k allocs/frame) fail it by two orders of magnitude. The tiled
+// row (8 tiles, P-tiles through interframe.EncodePTile) measured ~97
+// allocs/frame once the per-tile match column and delta payload moved into
+// PTileScratch, ~4256 before.
 func TestSteadyStateAllocsPerFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full frames")
 	}
-	caps := map[Design]float64{
-		IntraOnly:    300,
-		IntraInterV1: 300,
+	if raceEnabled {
+		// sync.Pool drops a quarter of its Puts under the race detector, so
+		// pooled arenas are rebuilt at random and the count means nothing.
+		t.Skip("allocation gate is meaningless under the race detector")
 	}
 	frames := steadyFrames(t, 60)
-	for d, cap := range caps {
-		t.Run(d.String(), func(t *testing.T) {
-			enc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), steadyOpts(d))
+	for _, row := range []struct {
+		design Design
+		tiles  int
+		cap    float64
+	}{
+		{IntraOnly, 0, 300},
+		{IntraInterV1, 0, 300},
+		{IntraInterV1, 8, 175},
+	} {
+		name := row.design.String()
+		if row.tiles > 0 {
+			name = fmt.Sprintf("%s/tiles=%d", name, row.tiles)
+		}
+		t.Run(name, func(t *testing.T) {
+			opts := steadyOpts(row.design)
+			opts.Tiles = row.tiles
+			enc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), opts)
 			for _, f := range frames { // warmup session
 				if _, _, err := enc.EncodeFrame(f); err != nil {
 					t.Fatal(err)
@@ -102,9 +121,9 @@ func TestSteadyStateAllocsPerFrame(t *testing.T) {
 				}
 			})
 			perFrame := allocs / 60
-			t.Logf("%s: %.1f allocs/frame (cap %.0f)", d, perFrame, cap)
-			if perFrame > cap {
-				t.Errorf("%s steady-state allocations regressed: %.1f allocs/frame > cap %.0f", d, perFrame, cap)
+			t.Logf("%s: %.1f allocs/frame (cap %.0f)", name, perFrame, row.cap)
+			if perFrame > row.cap {
+				t.Errorf("%s steady-state allocations regressed: %.1f allocs/frame > cap %.0f", name, perFrame, row.cap)
 			}
 		})
 	}

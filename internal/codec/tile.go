@@ -227,6 +227,11 @@ func (e *Encoder) tiledGeometry(dev *edgesim.Device, work *geom.VoxelCloud, fram
 	return sorted, plan, nil
 }
 
+// packColor is the colour-plane word interframe.EncodePTile takes.
+func packColor(c geom.Color) uint32 {
+	return uint32(c.R) | uint32(c.G)<<8 | uint32(c.B)<<16
+}
+
 // tiledAttr is the attribute half of the tiled encode: one self-contained
 // intra (I) or inter (P) attribute stream per tile, fanned across the pool,
 // then concatenated behind the directory. The per-tile streams carry the
@@ -242,16 +247,23 @@ func (e *Encoder) tiledAttr(g *GeometryIntermediate, isP, needRef bool) (*Encode
 	s1 := dev.Snapshot()
 	dev.Stage("Attribute", func() {
 		if isP {
-			e.pvox = grow(e.pvox, n)
-			for i, k := range sorted {
-				e.pvox[i] = k.Voxel
-			}
-			pvox := e.pvox
 			ref := e.ref()
 			if len(ref) == 0 {
 				err = errors.New("interframe: empty reference frame")
 				return
 			}
+			// Both colour planes are packed here, once per frame, and never
+			// kept across frames: the reference buffers ping-pong, so the
+			// same slice holds another I-frame two GOPs on.
+			e.pPack = grow(e.pPack, n)
+			for i, k := range sorted {
+				e.pPack[i] = packColor(k.Voxel.C)
+			}
+			e.iPack = grow(e.iPack, len(ref))
+			for i := range ref {
+				e.iPack[i] = packColor(ref[i].C)
+			}
+			iPack, pPack := e.iPack, e.pPack
 			inter := e.opts.Inter
 			e.iBounds = attr.SegmentBoundsIn(e.iBounds, len(ref), inter.Segments)
 			iBounds := e.iBounds
@@ -267,7 +279,7 @@ func (e *Encoder) tiledAttr(g *GeometryIntermediate, isP, needRef bool) (*Encode
 				dev.ParallelFor(nT, func(t0, t1 int) {
 					ws := tileWorkerPool.Get().(*tileWorker)
 					for t := t0; t < t1; t++ {
-						stream, st, terr := interframe.EncodePTile(ref, pvox, inter,
+						stream, st, terr := interframe.EncodePTile(iPack, pPack, inter,
 							plan.interBounds, iBounds,
 							plan.interSeg[t], plan.interSeg[t+1]-plan.interSeg[t], &ws.inter)
 						if terr != nil {

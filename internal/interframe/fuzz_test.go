@@ -18,6 +18,7 @@ func FuzzDecodeP(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4})
+	f.Add(hostileHeader)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := DecodeP(d, data, iF)

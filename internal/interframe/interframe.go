@@ -12,6 +12,15 @@
 // "search space minimization" (Sec. VI-C) that replaces CWIPC's full
 // I-MB-tree traversal, and no ICP runs for matched blocks (a pointer
 // suffices).
+//
+// The scan is one exact integer kernel (match.go) under both encoders,
+// EncodePWith and the tiled EncodePTile: colours are packed into uint32
+// planes once per frame, block distances are compared as integer sums —
+// which picks the same block and yields the same Equ. 2 value as the float
+// definition — and the inner loop is chosen from the block shapes at hand
+// (single-point blocks, equal-size blocks, unequal blocks walked by a
+// division-free pairing stepper that the delta coder and both decoders
+// share). DESIGN.md §9 "Block-match kernel" has the argument.
 package interframe
 
 import (
@@ -19,7 +28,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/attr"
@@ -102,15 +110,9 @@ var (
 // ErrBadStream reports a malformed inter-frame stream.
 var ErrBadStream = errors.New("interframe: malformed stream")
 
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // pairIndex maps the i-th point of a Kp-point P-block onto a point of a
-// Ki-point I-block (deterministic on both sides of the channel).
+// Ki-point I-block (deterministic on both sides of the channel). It is the
+// definition; the coders walk it with a pairStep.
 func pairIndex(i, kp, ki int) int {
 	if ki == 0 {
 		return -1
@@ -118,28 +120,15 @@ func pairIndex(i, kp, ki int) int {
 	return i * ki / kp
 }
 
-// blockDiff computes the Equ. 2 distance between a P-block and an I-block:
-// the squared RGB distance over paired points, normalized by the block size
-// (unpaired density mismatch shows up through the pairing itself).
-func blockDiff(iv, pv []geom.Voxel) float64 {
-	kp, ki := len(pv), len(iv)
-	if kp == 0 || ki == 0 {
-		return math.Inf(1)
-	}
-	var sum float64
-	for i := 0; i < kp; i++ {
-		sum += float64(pv[i].C.Dist2(iv[pairIndex(i, kp, ki)].C))
-	}
-	return sum / float64(kp)
-}
-
-// EncodeScratch is the inter-frame encoder's reusable arena: segment
-// bounds, block-match state, the reuse bitmap and the per-block delta
-// payload buffers. Buffers grow to the largest frame encoded and are then
-// reused, so steady-state P-frame encoding allocates only the escaping
-// payload. A scratch must not be shared by concurrent encodes.
+// EncodeScratch is the inter-frame encoder's reusable arena: the packed
+// colour planes, segment bounds, block-match state, the reuse bitmap and the
+// per-block delta payload buffers. Buffers grow to the largest frame encoded
+// and are then reused, so steady-state P-frame encoding allocates only the
+// escaping payload. A scratch must not be shared by concurrent encodes.
 type EncodeScratch struct {
 	buf      bytes.Buffer
+	iPack    []uint32
+	pPack    []uint32
 	pBounds  []int
 	iBounds  []int
 	bestIdx  []int32
@@ -187,49 +176,28 @@ func EncodePWith(dev *edgesim.Device, iFrame, pFrame []geom.Voxel, p Params, sc 
 	nBlocks := len(pBounds) - 1
 	nIBlocks := len(iBounds) - 1
 
-	// Block match: for each P-block, scan the candidate window.
+	// Block match: for each P-block, scan the candidate window. The planes
+	// are packed afresh every frame — the caller's reference buffers
+	// ping-pong, so a slice's identity says nothing about its contents.
+	sc.iPack = packColors(sc.iPack, iFrame)
+	sc.pPack = packColors(sc.pPack, pFrame)
+	m := matcher{ip: sc.iPack, pp: sc.pPack, iBounds: iBounds, pBounds: pBounds, candidates: p.Candidates}
 	sc.bestIdx = grow(sc.bestIdx, nBlocks)
 	sc.bestDiff = grow(sc.bestDiff, nBlocks)
 	bestIdx, bestDiff := sc.bestIdx, sc.bestDiff
 	pairItems := nP * p.Candidates
 	// Diff_Squared and Squared_Sum run on the fixed-function unit when one
 	// is configured (the paper's Sec. VI-D future-work projection); on the
-	// plain Xavier model AccelKernel falls back to GPU accounting.
+	// plain Xavier model AccelKernel falls back to GPU accounting. The model
+	// charges the full candidate scan whatever the matcher skips.
 	dev.AccelKernel("Diff_Squared", nBlocks, edgesim.Cost{
 		OpsPerItem:   costDiffSquared.OpsPerItem * float64(pairItems) / float64(nBlocks),
 		BytesPerItem: costDiffSquared.BytesPerItem * float64(pairItems) / float64(nBlocks),
 	}, func(b0, b1 int) {
 		for j := b0; j < b1; j++ {
-			pv := pFrame[pBounds[j]:pBounds[j+1]]
-			// Candidate window centred on the corresponding I index
-			// (Morton order aligns similar body regions across frames).
-			center := j * nIBlocks / nBlocks
-			lo := center - p.Candidates/2
-			if lo < 0 {
-				lo = 0
-			}
-			hi := lo + p.Candidates
-			if hi > nIBlocks {
-				hi = nIBlocks
-				if lo = hi - p.Candidates; lo < 0 {
-					lo = 0
-				}
-			}
-			best := math.Inf(1)
-			bi := int32(center)
-			for c := lo; c < hi; c++ {
-				iv := iFrame[iBounds[c]:iBounds[c+1]]
-				d := blockDiff(iv, pv)
-				// Ties break towards the window centre: the co-located
-				// block is the most likely true correspondence and its
-				// pointer is the cheapest to predict.
-				if d < best || (d == best && absInt(c-center) < absInt(int(bi)-center)) {
-					best = d
-					bi = int32(c)
-				}
-			}
-			bestIdx[j] = bi
-			bestDiff[j] = best
+			ref, sum := m.match(j)
+			bestIdx[j] = int32(ref)
+			bestDiff[j] = float64(sum) / float64(pBounds[j+1]-pBounds[j])
 		}
 	})
 	// The per-pair reduction is a separate kernel on the GPU (Fig. 9
@@ -290,8 +258,8 @@ func EncodePWith(dev *edgesim.Device, iFrame, pFrame []geom.Voxel, p Params, sc 
 				continue
 			}
 			deltaStreams[j] = encodeDeltaBlock(deltaStreams[j][:0],
-				iFrame[iBounds[bestIdx[j]]:iBounds[bestIdx[j]+1]],
-				pFrame[pBounds[j]:pBounds[j+1]],
+				m.ip[iBounds[bestIdx[j]]:iBounds[bestIdx[j]+1]],
+				m.pp[pBounds[j]:pBounds[j+1]],
 				int32(p.QStep), ds)
 		}
 		deltaPool.Put(ds)
@@ -312,34 +280,62 @@ var deltaPool = sync.Pool{New: func() any { return new(deltaScratch) }}
 // encodeDeltaBlock appends one block's per-point, per-channel deltas versus
 // its reference, as Base (median delta) + quantized residuals — the intra
 // Base+Deltas technique applied to the delta values (Sec. V-A2 "Reuse").
-func encodeDeltaBlock(out []byte, iv, pv []geom.Voxel, q int32, ds *deltaScratch) []byte {
-	kp, ki := len(pv), len(iv)
-	if cap(ds.deltas) < kp {
-		ds.deltas = make([]int32, kp)
-		ds.resid = make([]int32, kp)
-	}
-	deltas, resid := ds.deltas[:kp], ds.resid[:kp]
-	for ch := 0; ch < 3; ch++ {
-		for i := 0; i < kp; i++ {
-			ic := iv[pairIndex(i, kp, ki)].C
-			pc := pv[i].C
-			switch ch {
-			case 0:
-				deltas[i] = int32(pc.R) - int32(ic.R)
-			case 1:
-				deltas[i] = int32(pc.G) - int32(ic.G)
-			default:
-				deltas[i] = int32(pc.B) - int32(ic.B)
-			}
+// ib and pb are the two blocks' packed colours.
+func encodeDeltaBlock(out []byte, ib, pb []uint32, q int32, ds *deltaScratch) []byte {
+	kp := len(pb)
+	ds.deltas, ds.resid = grow(ds.deltas, 3*kp), grow(ds.resid, kp)
+	deltas, resid := ds.deltas, ds.resid
+	st := newPairStep(kp, len(ib))
+	for i, pc := range pb {
+		ic := ib[st.next()]
+		for ch := 0; ch < 3; ch++ {
+			deltas[ch*kp+i] = int32(pc>>(8*ch)&0xff) - int32(ic>>(8*ch)&0xff)
 		}
-		base := medianI32(deltas, &ds.med)
+	}
+	for ch := 0; ch < 3; ch++ {
+		chDeltas := deltas[ch*kp : (ch+1)*kp]
+		base := medianI32(chDeltas, &ds.med)
 		out = appendVarint(out, int64(base))
-		for i, d := range deltas {
+		for i, d := range chDeltas {
 			resid[i] = quantizeI32(d-base, q)
 		}
 		out = appendResiduals(out, resid)
 	}
 	return out
+}
+
+// deltaBlock is one parsed delta payload: per channel, the base and the
+// quantized residuals.
+type deltaBlock struct {
+	bases [3]int32
+	resid [3][]int32
+}
+
+// reconstructBlock fills one P-block's colours from its reference block iv:
+// the paired reference colours verbatim for direct reuse (db == nil), plus
+// the dequantized deltas otherwise.
+func reconstructBlock(out []geom.Color, iv []geom.Voxel, db *deltaBlock, q int32) {
+	st := newPairStep(len(out), len(iv))
+	if db == nil {
+		for i := range out {
+			out[i] = iv[st.next()].C
+		}
+		return
+	}
+	for i := range out {
+		out[i] = iv[st.next()].C.Add(
+			int(db.bases[0]+db.resid[0][i]*q),
+			int(db.bases[1]+db.resid[1][i]*q),
+			int(db.bases[2]+db.resid[2][i]*q),
+		)
+	}
+}
+
+// blocksFit reports whether a stream with avail bytes left can hold blocks
+// P-blocks: each costs at least one bitmap bit and one pointer byte. The
+// decoders ask before sizing anything from the header's counts.
+func blocksFit(blocks, avail int) bool {
+	return (blocks+7)/8+blocks <= avail
 }
 
 // DecodeP reconstructs the P-frame's attribute column. iFrame is the
@@ -367,6 +363,9 @@ func DecodeP(dev *edgesim.Device, data []byte, iFrame []geom.Voxel) ([]geom.Colo
 		return nil, ErrBadStream
 	}
 	nP, segs, q := int(nP64), int(segs64), int32(q64)
+	if !blocksFit(min(nP, max(segs, 1)), r.Len()) {
+		return nil, ErrBadStream
+	}
 	nI := len(iFrame)
 	if nI == 0 {
 		return nil, errors.New("interframe: empty reference frame")
@@ -398,10 +397,6 @@ func DecodeP(dev *edgesim.Device, data []byte, iFrame []geom.Voxel) ([]geom.Colo
 	dev.CPUSerial("InterParse", nP, edgesim.Cost{OpsPerItem: 40, BytesPerItem: 3}, func() {})
 	// Delta payloads are sequential in the stream; parse serially, then
 	// reconstruct blocks in parallel.
-	type deltaBlock struct {
-		bases [3]int32
-		resid [3][]int32
-	}
 	deltas := make([]*deltaBlock, nBlocks)
 	for j := 0; j < nBlocks; j++ {
 		if bitmap[j/8]>>uint(j%8)&1 == 1 {
@@ -429,23 +424,8 @@ func DecodeP(dev *edgesim.Device, data []byte, iFrame []geom.Voxel) ([]geom.Colo
 		BytesPerItem: costDeltaQuant.BytesPerItem * float64(nP) / float64(nBlocks),
 	}, func(b0, b1 int) {
 		for j := b0; j < b1; j++ {
-			lo, hi := pBounds[j], pBounds[j+1]
-			kp := hi - lo
-			ilo, ihi := iBounds[refs[j]], iBounds[refs[j]+1]
-			ki := ihi - ilo
-			db := deltas[j]
-			for i := 0; i < kp; i++ {
-				ic := iFrame[ilo+pairIndex(i, kp, ki)].C
-				if db == nil {
-					out[lo+i] = ic // direct reuse
-					continue
-				}
-				out[lo+i] = ic.Add(
-					int(db.bases[0]+db.resid[0][i]*q),
-					int(db.bases[1]+db.resid[1][i]*q),
-					int(db.bases[2]+db.resid[2][i]*q),
-				)
-			}
+			reconstructBlock(out[pBounds[j]:pBounds[j+1]],
+				iFrame[iBounds[refs[j]]:iBounds[refs[j]+1]], deltas[j], q)
 		}
 	})
 	return out, nil

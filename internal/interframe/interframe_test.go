@@ -1,8 +1,11 @@
 package interframe
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/edgesim"
@@ -242,6 +245,64 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// uvarints is a stream header: the concatenated uvarint codes of vs.
+func uvarints(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// hostileHeader is the 11-byte stream whose header claims 2^28 points in
+// 2^28 blocks (QStep 1) and carries nothing else.
+var hostileHeader = uvarints(1<<28, 1<<28, 1)
+
+// TestDecodePHostileHeaderBoundedAlloc: header counts that the input cannot
+// back must be refused before they size any allocation. At 2^28 blocks the
+// segment grid alone was 2 GB.
+func TestDecodePHostileHeaderBoundedAlloc(t *testing.T) {
+	d := dev()
+	iF := sortedFrame(51, 200)
+	// The tile stream appends its block window to the header. All 2^28
+	// blocks cannot fit; a window of one block can, and must cost one
+	// block's memory.
+	whole := append(append([]byte(nil), hostileHeader...), uvarints(0, 1<<28)...)
+	one := append(append([]byte(nil), hostileHeader...), uvarints(1<<27, 1)...)
+	one = append(one, 1, 0) // bitmap: reuse; pointer: the centre block
+	for _, tc := range []struct {
+		name   string
+		decode func(t *testing.T)
+	}{
+		{"DecodeP", func(t *testing.T) {
+			if _, err := DecodeP(d, hostileHeader, iF); !errors.Is(err, ErrBadStream) {
+				t.Errorf("%v, want ErrBadStream", err)
+			}
+		}},
+		{"DecodePTile, every block", func(t *testing.T) {
+			if _, _, _, err := DecodePTile(whole, iF); !errors.Is(err, ErrBadStream) {
+				t.Errorf("%v, want ErrBadStream", err)
+			}
+		}},
+		{"DecodePTile, one block", func(t *testing.T) {
+			colors, lo, hi, err := DecodePTile(one, iF)
+			if err != nil || len(colors) != 1 || lo != 1<<27 || hi != 1<<27+1 {
+				t.Errorf("%d colours [%d,%d), %v", len(colors), lo, hi, err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tc.decode(t)
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+				t.Errorf("allocated %d bytes", n)
+			}
+		})
+	}
+}
+
 func TestKernelLedgerHasFig9Kernels(t *testing.T) {
 	d := dev()
 	iF := sortedFrame(18, 4000)
@@ -270,13 +331,18 @@ func TestPairIndex(t *testing.T) {
 	if pairIndex(0, 1, 0) != -1 {
 		t.Error("pairIndex with empty reference")
 	}
-	// Pair index must stay in range for all shapes.
-	for kp := 1; kp < 30; kp++ {
-		for ki := 1; ki < 30; ki++ {
+	// The coders walk the pairing with a pairStep: it must reproduce
+	// pairIndex, in range, for all shapes.
+	for kp := 1; kp <= 40; kp++ {
+		for ki := 1; ki <= 40; ki++ {
+			st := newPairStep(kp, ki)
 			for i := 0; i < kp; i++ {
 				p := pairIndex(i, kp, ki)
 				if p < 0 || p >= ki {
 					t.Fatalf("pairIndex(%d,%d,%d) = %d out of range", i, kp, ki, p)
+				}
+				if got := st.next(); got != p {
+					t.Fatalf("pairStep(%d,%d) step %d = %d, pairIndex = %d", kp, ki, i, got, p)
 				}
 			}
 		}
@@ -290,19 +356,5 @@ func TestStatsReuseFraction(t *testing.T) {
 	}
 	if (Stats{}).ReuseFraction() != 0 {
 		t.Error("empty stats fraction must be 0")
-	}
-}
-
-func BenchmarkInterEncode50K(b *testing.B) {
-	d := dev()
-	iF := sortedFrame(20, 50000)
-	pF := jitterColors(iF, 21, 8)
-	p := DefaultParamsV1()
-	p.Segments = 3000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := EncodeP(d, iF, pF, p); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

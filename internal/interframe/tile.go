@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/attr"
 	"repro/internal/geom"
@@ -31,19 +30,23 @@ import (
 // be shared by concurrent tiles — the tiled encoder holds one per worker
 // slot.
 type PTileScratch struct {
-	buf    bytes.Buffer
-	bitmap []byte
-	delta  deltaScratch
+	buf     bytes.Buffer
+	bitmap  []byte
+	refs    []int32
+	payload []byte
+	delta   deltaScratch
 }
 
 // EncodePTile encodes the global P-block window [bLo, bLo+bCount) as a
-// self-contained tile stream. iFrame and pFrame are the FULL Morton-sorted
-// frames (the tile reads only its own P range but may match any I-block in
-// its candidate windows); pBounds and iBounds are the frames' global
-// SegmentBounds grids for p.Segments. The emitted per-block decisions and
-// delta payloads are byte-identical to the untiled encoder's for the same
-// window.
-func EncodePTile(iFrame, pFrame []geom.Voxel, p Params, pBounds, iBounds []int, bLo, bCount int, sc *PTileScratch) ([]byte, Stats, error) {
+// self-contained tile stream. iPack and pPack are the colour columns of the
+// FULL Morton-sorted reference and P-frame, one word per point packed
+// R | G<<8 | B<<16 — packed once per frame by the caller and shared
+// read-only by its tiles (a tile reads only its own P range but may match
+// any I-block in its candidate windows); pBounds and iBounds are the
+// frames' global SegmentBounds grids for p.Segments. The emitted per-block
+// decisions and delta payloads are byte-identical to the untiled encoder's
+// for the same window.
+func EncodePTile(iPack, pPack []uint32, p Params, pBounds, iBounds []int, bLo, bCount int, sc *PTileScratch) ([]byte, Stats, error) {
 	p = p.normalized()
 	nBlocks := len(pBounds) - 1
 	nIBlocks := len(iBounds) - 1
@@ -51,12 +54,12 @@ func EncodePTile(iFrame, pFrame []geom.Voxel, p Params, pBounds, iBounds []int, 
 	if bLo < 0 || bCount < 1 || bHi > nBlocks {
 		return nil, Stats{}, fmt.Errorf("interframe: tile block window [%d,%d) outside %d blocks", bLo, bHi, nBlocks)
 	}
-	if len(iFrame) == 0 {
+	if len(iPack) == 0 {
 		return nil, Stats{}, errors.New("interframe: empty reference frame")
 	}
 	buf := &sc.buf
 	buf.Reset()
-	writeUvarint(buf, uint64(len(pFrame)))
+	writeUvarint(buf, uint64(len(pPack)))
 	writeUvarint(buf, uint64(p.Segments))
 	writeUvarint(buf, uint64(p.QStep))
 	writeUvarint(buf, uint64(bLo))
@@ -69,62 +72,37 @@ func EncodePTile(iFrame, pFrame []geom.Voxel, p Params, pBounds, iBounds []int, 
 
 	// Pass 1: match + reuse decision, filling the bitmap (it precedes the
 	// pointer column in the stream, mirroring the untiled layout).
-	type match struct {
-		idx   int32
-		reuse bool
-	}
-	matches := make([]match, bCount)
-	for j := bLo; j < bHi; j++ {
-		pv := pFrame[pBounds[j]:pBounds[j+1]]
-		center := j * nIBlocks / nBlocks
-		lo := center - p.Candidates/2
-		if lo < 0 {
-			lo = 0
-		}
-		hi := lo + p.Candidates
-		if hi > nIBlocks {
-			hi = nIBlocks
-			if lo = hi - p.Candidates; lo < 0 {
-				lo = 0
-			}
-		}
-		best := math.Inf(1)
-		bi := int32(center)
-		for c := lo; c < hi; c++ {
-			iv := iFrame[iBounds[c]:iBounds[c+1]]
-			d := blockDiff(iv, pv)
-			if d < best || (d == best && absInt(c-center) < absInt(int(bi)-center)) {
-				best = d
-				bi = int32(c)
-			}
-		}
-		r := best <= p.Threshold
-		matches[j-bLo] = match{idx: bi, reuse: r}
-		if r {
-			bitmap[(j-bLo)/8] |= 1 << uint((j-bLo)%8)
+	m := matcher{ip: iPack, pp: pPack, iBounds: iBounds, pBounds: pBounds, candidates: p.Candidates}
+	sc.refs = grow(sc.refs, bCount)
+	refs := sc.refs
+	for k := range refs {
+		j := bLo + k
+		ref, sum := m.match(j)
+		refs[k] = int32(ref)
+		if float64(sum)/float64(pBounds[j+1]-pBounds[j]) <= p.Threshold {
+			bitmap[k/8] |= 1 << uint(k%8)
 			st.DirectReuse++
 		} else {
 			st.DeltaBlocks++
 		}
 	}
 	buf.Write(bitmap)
-	for j := bLo; j < bHi; j++ {
-		center := j * nIBlocks / nBlocks
-		writeVarint(buf, int64(matches[j-bLo].idx)-int64(center))
+	for k, ref := range refs {
+		center := (bLo + k) * nIBlocks / nBlocks
+		writeVarint(buf, int64(ref)-int64(center))
 	}
 
 	// Pass 2: delta payloads for non-reuse blocks, in block order.
-	ds := &sc.delta
-	for j := bLo; j < bHi; j++ {
-		m := matches[j-bLo]
-		if m.reuse {
+	for k, ref := range refs {
+		if bitmap[k/8]>>uint(k%8)&1 == 1 {
 			continue
 		}
-		payload := encodeDeltaBlock(nil,
-			iFrame[iBounds[m.idx]:iBounds[m.idx+1]],
-			pFrame[pBounds[j]:pBounds[j+1]],
-			int32(p.QStep), ds)
-		buf.Write(payload)
+		j := bLo + k
+		sc.payload = encodeDeltaBlock(sc.payload[:0],
+			iPack[iBounds[ref]:iBounds[ref+1]],
+			pPack[pBounds[j]:pBounds[j+1]],
+			int32(p.QStep), &sc.delta)
+		buf.Write(sc.payload)
 	}
 	return append([]byte(nil), buf.Bytes()...), st, nil
 }
@@ -162,19 +140,23 @@ func DecodePTile(data []byte, iFrame []geom.Voxel) (colors []geom.Color, pointLo
 		return bad()
 	}
 	nP, segs, q := int(nP64), int(segs64), int32(q64)
+	// The P grid is attr.SegmentBounds(nP, segs), evaluated only at the
+	// tile's own blocks: a header's counts must not size an allocation.
+	nBlocks := min(nP, max(segs, 1))
+	pBound := func(j int) int { return j * nP / nBlocks }
+	if bCount64 == 0 || bCount64 > uint64(nBlocks) || bLo64 > uint64(nBlocks)-bCount64 {
+		return bad()
+	}
+	bLo, bCount := int(bLo64), int(bCount64)
+	if !blocksFit(bCount, r.Len()) {
+		return bad()
+	}
 	nI := len(iFrame)
 	if nI == 0 {
 		return nil, 0, 0, errors.New("interframe: empty reference frame")
 	}
-	pBounds := attr.SegmentBounds(nP, segs)
 	iBounds := attr.SegmentBounds(nI, segs)
-	nBlocks := uint64(len(pBounds) - 1)
 	nIBlocks := len(iBounds) - 1
-	if bCount64 == 0 || bCount64 > nBlocks || bLo64 > nBlocks-bCount64 {
-		return bad()
-	}
-	bLo, bHi := int(bLo64), int(bLo64+bCount64)
-	bCount := bHi - bLo
 
 	bitmap := make([]byte, (bCount+7)/8)
 	if _, err := io_ReadFull(r, bitmap); err != nil {
@@ -186,7 +168,7 @@ func DecodePTile(data []byte, iFrame []geom.Voxel) (colors []geom.Color, pointLo
 		if err != nil {
 			return bad()
 		}
-		center := (bLo + j) * nIBlocks / int(nBlocks)
+		center := (bLo + j) * nIBlocks / nBlocks
 		ref := int64(center) + off
 		if ref < 0 || ref >= int64(nIBlocks) {
 			return nil, 0, 0, fmt.Errorf("interframe: reference block %d out of range", ref)
@@ -194,41 +176,29 @@ func DecodePTile(data []byte, iFrame []geom.Voxel) (colors []geom.Color, pointLo
 		refs[j] = int32(ref)
 	}
 
-	pointLo, pointHi = pBounds[bLo], pBounds[bHi]
+	pointLo, pointHi = pBound(bLo), pBound(bLo+bCount)
 	colors = make([]geom.Color, pointHi-pointLo)
 	for j := 0; j < bCount; j++ {
-		lo, hi := pBounds[bLo+j], pBounds[bLo+j+1]
-		kp := hi - lo
-		ilo, ihi := iBounds[refs[j]], iBounds[refs[j]+1]
-		ki := ihi - ilo
+		block := colors[pBound(bLo+j)-pointLo : pBound(bLo+j+1)-pointLo]
+		iv := iFrame[iBounds[refs[j]]:iBounds[refs[j]+1]]
 		if bitmap[j/8]>>uint(j%8)&1 == 1 {
-			for i := 0; i < kp; i++ {
-				colors[lo-pointLo+i] = iFrame[ilo+pairIndex(i, kp, ki)].C
-			}
+			reconstructBlock(block, iv, nil, q)
 			continue
 		}
-		var bases [3]int32
-		var resid [3][]int32
+		var db deltaBlock
 		for ch := 0; ch < 3; ch++ {
 			base, err := readVarint(r)
 			if err != nil {
 				return bad()
 			}
-			bases[ch] = int32(base)
-			rs, err := unpackResiduals(r, kp)
+			db.bases[ch] = int32(base)
+			rs, err := unpackResiduals(r, len(block))
 			if err != nil {
 				return nil, 0, 0, err
 			}
-			resid[ch] = rs
+			db.resid[ch] = rs
 		}
-		for i := 0; i < kp; i++ {
-			ic := iFrame[ilo+pairIndex(i, kp, ki)].C
-			colors[lo-pointLo+i] = ic.Add(
-				int(bases[0]+resid[0][i]*q),
-				int(bases[1]+resid[1][i]*q),
-				int(bases[2]+resid[2][i]*q),
-			)
-		}
+		reconstructBlock(block, iv, &db, q)
 	}
 	return colors, pointLo, pointHi, nil
 }

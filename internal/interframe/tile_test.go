@@ -36,6 +36,7 @@ func TestTilePDecodeExact(t *testing.T) {
 		iBounds := attr.SegmentBounds(len(iF), p.Segments)
 		nBlocks := len(pBounds) - 1
 		cuts := attr.SegmentBounds(nBlocks, tc.tiles)
+		iPack, pPack := packColors(nil, iF), packColors(nil, pF)
 		var sc PTileScratch
 		var sum Stats
 		next := 0
@@ -44,7 +45,7 @@ func TestTilePDecodeExact(t *testing.T) {
 			if bLo == bHi {
 				continue
 			}
-			stream, st, err := EncodePTile(iF, pF, tc.p, pBounds, iBounds, bLo, bHi-bLo, &sc)
+			stream, st, err := EncodePTile(iPack, pPack, tc.p, pBounds, iBounds, bLo, bHi-bLo, &sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,17 +81,18 @@ func TestTilePErrors(t *testing.T) {
 	p := Params{Segments: 50, Candidates: 10, Threshold: 45, QStep: 4}.normalized()
 	pBounds := attr.SegmentBounds(len(pF), p.Segments)
 	iBounds := attr.SegmentBounds(len(iF), p.Segments)
+	iPack, pPack := packColors(nil, iF), packColors(nil, pF)
 	var sc PTileScratch
-	if _, _, err := EncodePTile(iF, pF, p, pBounds, iBounds, 48, 5, &sc); err == nil {
+	if _, _, err := EncodePTile(iPack, pPack, p, pBounds, iBounds, 48, 5, &sc); err == nil {
 		t.Fatal("window past end must error")
 	}
-	if _, _, err := EncodePTile(nil, pF, p, pBounds, attr.SegmentBounds(0, p.Segments), 0, 1, &sc); err == nil {
+	if _, _, err := EncodePTile(nil, pPack, p, pBounds, attr.SegmentBounds(0, p.Segments), 0, 1, &sc); err == nil {
 		t.Fatal("empty reference must error")
 	}
 	if _, _, _, err := DecodePTile(nil, iF); err == nil {
 		t.Fatal("empty stream must error")
 	}
-	stream, _, err := EncodePTile(iF, pF, p, pBounds, iBounds, 0, 5, &sc)
+	stream, _, err := EncodePTile(iPack, pPack, p, pBounds, iBounds, 0, 5, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
