@@ -85,11 +85,6 @@ func TestSteadyStateAllocsPerFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full frames")
 	}
-	if raceEnabled {
-		// sync.Pool drops a quarter of its Puts under the race detector, so
-		// pooled arenas are rebuilt at random and the count means nothing.
-		t.Skip("allocation gate is meaningless under the race detector")
-	}
 	frames := steadyFrames(t, 60)
 	for _, row := range []struct {
 		design Design
