@@ -26,11 +26,13 @@ fmt-check:
 	@drift=$$(gofmt -l .); if [ -n "$$drift" ]; then \
 		echo "gofmt drift in:" >&2; echo "$$drift" >&2; exit 1; fi
 
-# 20 s of fuzzing per hardened decoder entry point.
+# 20 s of fuzzing per hardened decoder entry point. This is the one list:
+# the CI fuzz-smoke job runs this target.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/attr
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrameFrom -fuzztime=20s ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzParseLayerDirectory -fuzztime=20s ./internal/codec
+	$(GO) test -run='^$$' -fuzz=FuzzSliceDecoder -fuzztime=20s ./internal/entropy
 	$(GO) test -run='^$$' -fuzz=FuzzParseFeedback -fuzztime=20s ./pcc/stream
 	$(GO) test -run='^$$' -fuzz=FuzzParseParity -fuzztime=20s ./pcc/stream
 	$(GO) test -run='^$$' -fuzz=FuzzParsePacket -fuzztime=20s ./pcc/stream

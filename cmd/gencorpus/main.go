@@ -107,6 +107,10 @@ func codecCorpus() [][]byte {
 		full[:len(full)/2],     // truncated mid-payload
 		corrupt(full, 2, 0xFF), // frame-type byte damage
 		corrupt(full, len(full)-4, 0x10),
+		// A plain 19-byte header claiming 1 GiB of geometry and of
+		// attributes it does not carry: the reader must not size a buffer
+		// from either field.
+		[]byte("PCVF\x00\x0a\x00\xe8\x03\x00\x00\x00\x00\x00\x40\x00\x00\x00\x40"),
 	)
 	return entries
 }

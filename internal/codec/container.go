@@ -82,10 +82,24 @@ func (f *EncodedFrame) Size() int64 {
 
 const frameMagic = "PCVF"
 
+// Container header sizes: the fixed prefix (magic, type, depth, flags,
+// numPoints) and the optional rescale block (3 x u32 min, 3 x u64 scale).
+const (
+	fixedHeaderSize = 4 + 1 + 1 + 1 + 4
+	rescaleSize     = 3*4 + 3*8
+)
+
+// Header flag bits; the rest are reserved and must be zero.
+const (
+	flagRescale = 1 << 0
+	flagTiled   = 1 << 1
+	flagLayered = 1 << 2
+)
+
 func frameHeaderSize(hasRescale bool) int {
-	n := 4 + 1 + 1 + 1 + 4 + 4 + 4 // magic, type, depth, flags, numPoints, geomLen, attrLen
+	n := fixedHeaderSize + 4 + 4 // + geomLen, attrLen
 	if hasRescale {
-		n += 3*4 + 3*8
+		n += rescaleSize
 	}
 	return n
 }
@@ -143,300 +157,218 @@ func tileDirSize(tiles int) int {
 // ErrBadContainer reports a malformed frame container.
 var ErrBadContainer = errors.New("codec: bad frame container")
 
-// FrameLayout maps a tiled and/or layered frame's serialized form (as
-// written by WriteTo) without copying it: where the container header ends,
-// where each unit's geometry and attribute chunks sit, and the directories
-// needed to rewrite the frame per viewer. The streaming layer uses it to
-// slice per-tile and per-layer payload spans straight out of an immutable
-// published buffer.
+// FrameLayout is a frame's span table: unit x layer -> geometry span and
+// attribute span, next to each unit's tile record (flags, points, AABB). A
+// unit is one tile, or the whole frame when untiled; an unlayered frame has
+// one layer. Within either stream the spans sit back to back, unit-major, so
+// units*layers+1 offsets per stream describe them all. The table is built
+// and checked in one place (EncodedFrame.layout) for serialized and
+// in-memory frames alike; decoders, the per-viewer header rewrite and the
+// streaming layer's view plans only index it.
 type FrameLayout struct {
 	Type FrameType
-	// HeaderLen is the byte length of the container header including the
-	// directories and the trailing geomLen/attrLen fields — the offset
-	// of the first geometry byte.
-	HeaderLen int
-	// DirOff is the offset of the first tile directory record (after the
-	// u16 tile count); meaningless when Tiles is empty.
-	DirOff int
-	Tiles  []TileInfo
-	// GeomOff / AttrOff hold units+1 absolute byte offsets (units =
-	// max(len(Tiles), 1)): unit u's geometry chunk is
-	// wire[GeomOff[u]:GeomOff[u+1]], attributes likewise.
+	// Tiles holds the units' tile records; empty for an untiled frame.
+	Tiles []TileInfo
+	// Layers, Sub and BaseLevel are the layer directory's prologue (see
+	// LayerDir); all zero when unlayered.
+	Layers    int
+	Sub       int
+	BaseLevel int
+	// GeomOff / AttrOff index the buffer the frame lives in — the
+	// serialized frame for ParseFrameLayout, the frame's own Geometry / Attr
+	// for EncodedFrame.Layout. Span (u, lay) of a stream is
+	// buf[off[i]:off[i+1]] with i = u*max(Layers,1)+lay, which Geom and Attr
+	// slice.
 	GeomOff []int
 	AttrOff []int
-	// Layered-frame fields (Layers == 0 when unlayered): the directory
-	// prologue values, the prologue's offset, and the unit-major per-layer
-	// byte lengths (len = units*Layers each).
-	Layers      int
-	Sub         int
-	BaseLevel   int
+	// PointOff holds units+1 point offsets: unit u covers points
+	// [PointOff[u], PointOff[u+1]) of the full frame.
+	PointOff []int
+	// HeaderLen is the byte length of the serialized container header
+	// including the directories and the trailing geomLen/attrLen fields;
+	// DirOff and LayerDirOff are the offsets of the first tile record and of
+	// the layer directory's prologue. Zero for in-memory layouts.
+	HeaderLen   int
+	DirOff      int
 	LayerDirOff int
-	LayerGeom   []uint32
-	LayerAttr   []uint32
 }
 
 // Layered reports whether the frame carries a layer directory.
 func (l *FrameLayout) Layered() bool { return l.Layers != 0 }
 
-// LayerUnits returns the layer directory's unit count.
+// LayerUnits returns the table's unit count.
 func (l *FrameLayout) LayerUnits() int { return layerUnits(len(l.Tiles)) }
 
-// ParseFrameLayout parses a serialized frame's tile/layer layout in place.
-// Returns nil for plain (untiled, unlayered) frames and for anything
-// inconsistent — callers treat nil as "not sliceable" and fall back to
-// whole-frame handling.
-func ParseFrameLayout(wire []byte) *FrameLayout {
-	const fixed = 4 + 1 + 1 + 1 + 4
-	if len(wire) < fixed || string(wire[:4]) != frameMagic {
-		return nil
+// cols returns the table's layer count: 1 for an unlayered frame.
+func (l *FrameLayout) cols() int { return max(l.Layers, 1) }
+
+// Geom returns unit u's layer-lay geometry span of buf, the buffer GeomOff
+// indexes.
+func (l *FrameLayout) Geom(buf []byte, u, lay int) []byte {
+	i := u*l.cols() + lay
+	return buf[l.GeomOff[i]:l.GeomOff[i+1]]
+}
+
+// Attr returns unit u's layer-lay attribute span of buf, the buffer AttrOff
+// indexes.
+func (l *FrameLayout) Attr(buf []byte, u, lay int) []byte {
+	i := u*l.cols() + lay
+	return buf[l.AttrOff[i]:l.AttrOff[i+1]]
+}
+
+// wireLen is the serialized frame's total length: where the last attribute
+// span ends.
+func (l *FrameLayout) wireLen() int { return l.AttrOff[len(l.AttrOff)-1] }
+
+// Layout checks an in-memory frame's directories and returns its span
+// table, indexing f.Geometry and f.Attr.
+func (f *EncodedFrame) Layout() (*FrameLayout, error) {
+	return f.layout(0, len(f.Geometry), 0, len(f.Attr))
+}
+
+// layout is the one validator and the one place a directory length becomes
+// a byte offset: it checks the tile records, the layer directory and the
+// stream lengths against each other and builds the span table, the streams
+// starting at geomBase and attrBase of whatever buffer holds them.
+func (f *EncodedFrame) layout(geomBase, geomLen, attrBase, attrLen int) (*FrameLayout, error) {
+	units, cols, sub := layerUnits(len(f.Tiles)), 1, 1
+	if units > MaxTiles {
+		return nil, ErrBadContainer
 	}
-	// Mirror ReadFrameFrom's structural checks exactly: a layout must never
-	// accept a container the reader rejects (the sender would slice and ship
-	// frames no receiver can parse). FuzzParseLayerDirectory pins this.
-	typ, depth, flags := FrameType(wire[4]), wire[5], wire[6]
-	if typ != IFrame && typ != PFrame {
-		return nil
-	}
-	if depth == 0 || depth > 21 {
-		return nil
-	}
-	if flags&(2|4) == 0 {
-		return nil
-	}
-	const maxReasonable = 1 << 30
-	numPoints := binary.LittleEndian.Uint32(wire[7:11])
-	if numPoints > maxReasonable {
-		return nil
-	}
-	off := fixed
-	if flags&1 == 1 {
-		off += 3*4 + 3*8
-		if len(wire) < off {
-			return nil
+	l := &FrameLayout{Type: f.Type, Tiles: f.Tiles}
+	if ld := f.Layer; ld != nil {
+		cols, sub = int(ld.Layers), int(ld.Sub)
+		if cols < 2 || cols > MaxLayers || sub < 1 || sub > cols || len(ld.Units) != units {
+			return nil, ErrBadContainer
 		}
-		if binary.LittleEndian.Uint64(wire[fixed+12:fixed+20]) == 0 ||
-			binary.LittleEndian.Uint64(wire[fixed+20:fixed+28]) == 0 ||
-			binary.LittleEndian.Uint64(wire[fixed+28:fixed+36]) == 0 {
-			return nil
+		if ld.BaseLevel < 1 || int(ld.BaseLevel) != int(f.Depth)-cols+1 {
+			return nil, ErrBadContainer
 		}
+		l.Layers, l.Sub, l.BaseLevel = cols, sub, int(ld.BaseLevel)
 	}
-	l := &FrameLayout{Type: typ}
-	if flags&2 == 2 {
-		if len(wire) < off+2 {
-			return nil
-		}
-		tiles := int(binary.LittleEndian.Uint16(wire[off:]))
-		if tiles < 1 || tiles > MaxTiles {
-			return nil
-		}
-		l.DirOff = off + 2
-		if len(wire) < l.DirOff+tiles*tileRecordSize {
-			return nil
-		}
-		l.Tiles = make([]TileInfo, tiles)
-		var psum uint64
-		for t := range l.Tiles {
-			rec := wire[l.DirOff+t*tileRecordSize:]
-			ti := TileInfo{
-				Flags:   rec[0],
-				Points:  binary.LittleEndian.Uint32(rec[1:5]),
-				GeomLen: binary.LittleEndian.Uint32(rec[5:9]),
-				AttrLen: binary.LittleEndian.Uint32(rec[9:13]),
-			}
-			for a := 0; a < 3; a++ {
-				ti.Min[a] = binary.LittleEndian.Uint32(rec[13+4*a : 17+4*a])
-				ti.Max[a] = binary.LittleEndian.Uint32(rec[25+4*a : 29+4*a])
-			}
+	n := units * cols
+	offs := make([]int, 2*(n+1)+units+1)
+	l.GeomOff, l.AttrOff, l.PointOff = offs[:n+1], offs[n+1:2*n+2], offs[2*n+2:]
+	l.GeomOff[0], l.AttrOff[0] = geomBase, attrBase
+	for u := 0; u < units; u++ {
+		// An untiled frame is one unit holding both streams whole.
+		ug, ua, pts, omitted := geomLen, attrLen, int(f.NumPoints), false
+		if f.Tiled() {
+			ti := f.Tiles[u]
 			if ti.Flags&^uint8(TileOmitted|TileCoarse) != 0 || ti.Points == 0 {
-				return nil
+				return nil, ErrBadContainer
 			}
 			if ti.Omitted() && (ti.GeomLen != 0 || ti.AttrLen != 0) {
-				return nil
+				return nil, ErrBadContainer
 			}
 			if !ti.Omitted() && ti.Coarse() && ti.AttrLen != 0 {
-				return nil
+				return nil, ErrBadContainer
 			}
 			for a := 0; a < 3; a++ {
 				if ti.Min[a] > ti.Max[a] {
-					return nil
+					return nil, ErrBadContainer
 				}
 			}
-			psum += uint64(ti.Points)
-			l.Tiles[t] = ti
+			ug, ua, pts, omitted = int(ti.GeomLen), int(ti.AttrLen), int(ti.Points), ti.Omitted()
 		}
-		if psum != uint64(numPoints) {
-			return nil
+		l.PointOff[u+1] = l.PointOff[u] + pts
+		i := u * cols
+		if f.Layer == nil {
+			l.GeomOff[i+1], l.AttrOff[i+1] = l.GeomOff[i]+ug, l.AttrOff[i]+ua
+			continue
 		}
-		off = l.DirOff + tiles*tileRecordSize
-	}
-	units := layerUnits(len(l.Tiles))
-	if flags&4 == 4 {
-		if len(wire) < off+3 {
-			return nil
+		// The stripped layers (lay >= Sub) must be all-zero, every kept layer
+		// of a non-omitted unit carries at least its geometry mode byte, and
+		// the unit's spans must sum to its chunk lengths.
+		spans := f.Layer.Units[u]
+		if len(spans) != cols {
+			return nil, ErrBadContainer
 		}
-		l.LayerDirOff = off
-		l.Layers = int(wire[off])
-		l.Sub = int(wire[off+1])
-		l.BaseLevel = int(wire[off+2])
-		if l.Layers < 2 || l.Layers > MaxLayers || l.Sub < 1 || l.Sub > l.Layers {
-			return nil
-		}
-		if l.BaseLevel < 1 || l.BaseLevel != int(depth)-l.Layers+1 {
-			return nil
-		}
-		recs := off + 3
-		off = recs + units*l.Layers*8
-		if len(wire) < off {
-			return nil
-		}
-		l.LayerGeom = make([]uint32, units*l.Layers)
-		l.LayerAttr = make([]uint32, units*l.Layers)
-		for i := range l.LayerGeom {
-			l.LayerGeom[i] = binary.LittleEndian.Uint32(wire[recs+i*8:])
-			l.LayerAttr[i] = binary.LittleEndian.Uint32(wire[recs+i*8+4:])
-		}
-	}
-	headerLen := off + 8
-	if len(wire) < headerLen {
-		return nil
-	}
-	l.HeaderLen = headerLen
-	geomLen := binary.LittleEndian.Uint32(wire[headerLen-8 : headerLen-4])
-	attrLen := binary.LittleEndian.Uint32(wire[headerLen-4 : headerLen])
-	if geomLen > maxReasonable || attrLen > maxReasonable {
-		return nil
-	}
-	if len(wire) != headerLen+int(geomLen)+int(attrLen) {
-		return nil
-	}
-	if len(l.Tiles) > 0 {
-		var gsum, asum uint64
-		for _, ti := range l.Tiles {
-			gsum += uint64(ti.GeomLen)
-			asum += uint64(ti.AttrLen)
-		}
-		if gsum != uint64(geomLen) || asum != uint64(attrLen) {
-			return nil
-		}
-	}
-	if l.Layered() {
-		for u := 0; u < units; u++ {
-			ug, ua := uint64(geomLen), uint64(attrLen)
-			omitted := false
-			if len(l.Tiles) > 0 {
-				ug, ua = uint64(l.Tiles[u].GeomLen), uint64(l.Tiles[u].AttrLen)
-				omitted = l.Tiles[u].Omitted()
+		for lay, s := range spans {
+			if lay >= sub && (s.GeomLen != 0 || s.AttrLen != 0) {
+				return nil, ErrBadContainer
 			}
-			var gs, as uint64
-			for lay := 0; lay < l.Layers; lay++ {
-				g, a := l.LayerGeom[u*l.Layers+lay], l.LayerAttr[u*l.Layers+lay]
-				if lay >= l.Sub && (g != 0 || a != 0) {
-					return nil
-				}
-				if lay < l.Sub && !omitted && g == 0 {
-					return nil
-				}
-				gs += uint64(g)
-				as += uint64(a)
+			if lay < sub && !omitted && s.GeomLen == 0 {
+				return nil, ErrBadContainer
 			}
-			if gs != ug || as != ua {
-				return nil
-			}
+			l.GeomOff[i+lay+1] = l.GeomOff[i+lay] + int(s.GeomLen)
+			l.AttrOff[i+lay+1] = l.AttrOff[i+lay] + int(s.AttrLen)
+		}
+		if l.GeomOff[i+cols]-l.GeomOff[i] != ug || l.AttrOff[i+cols]-l.AttrOff[i] != ua {
+			return nil, ErrBadContainer
 		}
 	}
-	l.GeomOff = make([]int, units+1)
-	l.AttrOff = make([]int, units+1)
-	l.GeomOff[0] = headerLen
-	l.AttrOff[0] = headerLen + int(geomLen)
-	for u := 0; u < units; u++ {
-		glen, alen := int(geomLen), int(attrLen)
-		if len(l.Tiles) > 0 {
-			glen, alen = int(l.Tiles[u].GeomLen), int(l.Tiles[u].AttrLen)
-		}
-		l.GeomOff[u+1] = l.GeomOff[u] + glen
-		l.AttrOff[u+1] = l.AttrOff[u] + alen
+	if l.GeomOff[n]-geomBase != geomLen || l.AttrOff[n]-attrBase != attrLen || l.PointOff[units] != int(f.NumPoints) {
+		return nil, ErrBadContainer
+	}
+	return l, nil
+}
+
+// ParseFrameLayout parses a serialized frame's span table in place. Returns
+// nil for plain (untiled, unlayered) frames and for anything ParseFrame or
+// ReadFrameFrom would reject — callers treat nil as "not sliceable" and
+// fall back to whole-frame handling.
+func ParseFrameLayout(wire []byte) *FrameLayout {
+	_, l, err := parseHeader(wire)
+	if err != nil || len(wire) != l.wireLen() || (len(l.Tiles) == 0 && !l.Layered()) {
+		return nil
 	}
 	return l
 }
 
-// RewriteHeader returns a fresh copy of the frame's container header with
-// the given tiles marked omitted or coarse: their directory lengths zeroed
-// and the header's geometry/attribute totals patched to the kept sums.
-// Combined with the kept tiles' payload spans (GeomOff/AttrOff slices of
-// the original wire) this is the complete per-viewer culled frame — no
-// re-encode, no payload copy. Point counts stay at the FULL values, so the
-// receiver's decoder keeps global indexing for reference concealment.
-func (l *FrameLayout) RewriteHeader(wire []byte, omit, coarse uint64) []byte {
-	return l.RewriteHeaderSub(wire, omit, coarse, 0)
-}
-
-// RewriteHeaderSub is RewriteHeader for layered frames: besides the tile
-// masks it truncates the frame to its first sub layers (0 = keep all),
-// patching the directory's Sub byte, the per-layer records, the tile
-// lengths, and the totals so the result validates as a self-contained
-// partial frame. Omitted units drop every layer; coarse units keep
-// geometry layers but drop all attribute bytes.
+// RewriteHeaderSub returns a fresh copy of the frame's container header
+// with the given tiles marked omitted or coarse and the frame truncated to
+// its first sub layers (0 = keep all; ignored when unlayered): the dropped
+// spans' directory lengths zeroed, the layer directory's Sub byte, the tile
+// lengths and the header's geometry/attribute totals patched to the kept
+// sums. Combined with the kept spans of the original wire this is the
+// complete per-viewer frame, a self-contained container — no re-encode, no
+// payload copy. Omitted units drop every layer; coarse units keep geometry
+// but drop all attribute bytes. Point counts stay at the FULL values, so
+// the receiver's decoder keeps global indexing for reference concealment.
 func (l *FrameLayout) RewriteHeaderSub(wire []byte, omit, coarse uint64, sub uint8) []byte {
 	head := append([]byte(nil), wire[:l.HeaderLen]...)
+	cols := l.cols()
+	keep := cols
+	if l.Layered() {
+		if sub != 0 && int(sub) < keep {
+			keep = int(sub)
+		}
+		head[l.LayerDirOff+1] = byte(keep)
+	}
 	var gsum, asum uint32
-	if !l.Layered() {
-		for t, ti := range l.Tiles {
-			rec := head[l.DirOff+t*tileRecordSize:]
-			bit := uint64(1) << uint(t)
-			g, a := ti.GeomLen, ti.AttrLen
+	for u := 0; u < l.LayerUnits(); u++ {
+		var mark uint8
+		if len(l.Tiles) > 0 {
+			ti, bit := l.Tiles[u], uint64(1)<<uint(u)
 			switch {
 			case ti.Omitted() || omit&bit != 0:
-				rec[0] = ti.Flags | TileOmitted
-				g, a = 0, 0
+				mark = TileOmitted
 			case ti.Coarse() || coarse&bit != 0:
-				rec[0] = ti.Flags | TileCoarse
-				a = 0
+				mark = TileCoarse
 			}
-			binary.LittleEndian.PutUint32(rec[5:9], g)
-			binary.LittleEndian.PutUint32(rec[9:13], a)
-			gsum += g
-			asum += a
-		}
-		binary.LittleEndian.PutUint32(head[l.HeaderLen-8:l.HeaderLen-4], gsum)
-		binary.LittleEndian.PutUint32(head[l.HeaderLen-4:l.HeaderLen], asum)
-		return head
-	}
-	subEff := int(sub)
-	if subEff == 0 || subEff > l.Layers {
-		subEff = l.Layers
-	}
-	head[l.LayerDirOff+1] = byte(subEff)
-	for u := 0; u < l.LayerUnits(); u++ {
-		unitOmit, unitCoarse := false, false
-		if len(l.Tiles) > 0 {
-			ti := l.Tiles[u]
-			bit := uint64(1) << uint(u)
-			unitOmit = ti.Omitted() || omit&bit != 0
-			unitCoarse = !unitOmit && (ti.Coarse() || coarse&bit != 0)
 		}
 		var ug, ua uint32
-		for lay := 0; lay < l.Layers; lay++ {
-			g, a := l.LayerGeom[u*l.Layers+lay], l.LayerAttr[u*l.Layers+lay]
-			if lay >= subEff || unitOmit {
+		for lay := 0; lay < cols; lay++ {
+			i := u*cols + lay
+			g, a := uint32(l.GeomOff[i+1]-l.GeomOff[i]), uint32(l.AttrOff[i+1]-l.AttrOff[i])
+			if lay >= keep || mark == TileOmitted {
 				g, a = 0, 0
 			}
-			if unitCoarse {
+			if mark == TileCoarse {
 				a = 0
 			}
-			rec := head[l.LayerDirOff+3+(u*l.Layers+lay)*8:]
-			binary.LittleEndian.PutUint32(rec[0:4], g)
-			binary.LittleEndian.PutUint32(rec[4:8], a)
+			if l.Layered() {
+				rec := head[l.LayerDirOff+3+i*8:]
+				binary.LittleEndian.PutUint32(rec[0:4], g)
+				binary.LittleEndian.PutUint32(rec[4:8], a)
+			}
 			ug += g
 			ua += a
 		}
 		if len(l.Tiles) > 0 {
 			rec := head[l.DirOff+u*tileRecordSize:]
-			switch {
-			case unitOmit:
-				rec[0] = l.Tiles[u].Flags | TileOmitted
-			case unitCoarse:
-				rec[0] = l.Tiles[u].Flags | TileCoarse
-			}
+			rec[0] = l.Tiles[u].Flags | mark
 			binary.LittleEndian.PutUint32(rec[5:9], ug)
 			binary.LittleEndian.PutUint32(rec[9:13], ua)
 		}
@@ -459,13 +391,13 @@ func (f *EncodedFrame) WriteTo(w io.Writer) (int64, error) {
 	hdr = append(hdr, byte(f.Type), f.Depth)
 	var flags byte
 	if f.HasRescale {
-		flags |= 1
+		flags |= flagRescale
 	}
 	if f.Tiled() {
-		flags |= 2
+		flags |= flagTiled
 	}
 	if f.Layered() {
-		flags |= 4
+		flags |= flagLayered
 	}
 	hdr = append(hdr, flags)
 	hdr = binary.LittleEndian.AppendUint32(hdr, f.NumPoints)
@@ -515,35 +447,91 @@ func (f *EncodedFrame) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// ReadFrameFrom deserializes one frame written by WriteTo.
-func ReadFrameFrom(r io.Reader) (*EncodedFrame, error) {
-	fixed := make([]byte, 4+1+1+1+4)
-	if _, err := io.ReadFull(r, fixed); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, ErrBadContainer
+// headerShape is what the size fields of a container header say about it:
+// the directory counts, where the directories start, and the header's full
+// length.
+type headerShape struct {
+	tiles, layers       int // 0 = no such directory
+	dirOff, layerDirOff int
+	size                int
+}
+
+// walkHeader reads the size fields of the container header at the start of
+// b. While b is too short to hold the next size field, the returned size is
+// the length that would hold it (greater than len(b)), so a stream reader
+// can call it again after reading that far; otherwise size is the header's
+// full length. It refuses counts out of range before anyone sizes a buffer
+// by them.
+func walkHeader(b []byte) (headerShape, error) {
+	h := headerShape{size: fixedHeaderSize}
+	if len(b) < h.size {
+		return h, nil
 	}
-	if string(fixed[:4]) != frameMagic {
-		return nil, ErrBadContainer
+	if string(b[:4]) != frameMagic {
+		return h, ErrBadContainer
+	}
+	flags := b[6]
+	if flags&^(flagRescale|flagTiled|flagLayered) != 0 {
+		return h, fmt.Errorf("%w: reserved flag bits %#x", ErrBadContainer, flags)
+	}
+	if flags&flagRescale != 0 {
+		h.size += rescaleSize
+	}
+	if flags&flagTiled != 0 {
+		h.dirOff = h.size + 2
+		h.size = h.dirOff
+		if len(b) < h.size {
+			return h, nil
+		}
+		h.tiles = int(binary.LittleEndian.Uint16(b[h.dirOff-2:]))
+		if h.tiles < 1 || h.tiles > MaxTiles {
+			return h, fmt.Errorf("%w: bad tile count %d", ErrBadContainer, h.tiles)
+		}
+		h.size += h.tiles * tileRecordSize
+	}
+	if flags&flagLayered != 0 {
+		h.layerDirOff = h.size
+		h.size += 3
+		if len(b) < h.size {
+			return h, nil
+		}
+		h.layers = int(b[h.layerDirOff])
+		if h.layers < 2 || h.layers > MaxLayers {
+			return h, ErrBadContainer
+		}
+		h.size += layerUnits(h.tiles) * h.layers * 8
+	}
+	h.size += 8 // geomLen, attrLen
+	return h, nil
+}
+
+// parseHeader is the one container parser: it decodes the header at the
+// start of b into a frame (directories filled, streams not attached) and
+// runs the one validator over it, returning the frame and its span table
+// with offsets into the serialized frame. It never looks past the header,
+// so b may stop there.
+func parseHeader(b []byte) (*EncodedFrame, *FrameLayout, error) {
+	h, err := walkHeader(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(b) < h.size {
+		return nil, nil, ErrBadContainer
 	}
 	f := &EncodedFrame{
-		Type:      FrameType(fixed[4]),
-		Depth:     fixed[5],
-		NumPoints: binary.LittleEndian.Uint32(fixed[7:11]),
+		Type:      FrameType(b[4]),
+		Depth:     b[5],
+		NumPoints: binary.LittleEndian.Uint32(b[7:11]),
 	}
 	if f.Type != IFrame && f.Type != PFrame {
-		return nil, fmt.Errorf("codec: bad frame type %d", f.Type)
+		return nil, nil, fmt.Errorf("%w: bad frame type %d", ErrBadContainer, f.Type)
 	}
 	if f.Depth == 0 || f.Depth > 21 {
-		return nil, fmt.Errorf("codec: bad depth %d", f.Depth)
+		return nil, nil, fmt.Errorf("%w: bad depth %d", ErrBadContainer, f.Depth)
 	}
-	if fixed[6]&1 == 1 {
+	if b[6]&flagRescale != 0 {
+		rb := b[fixedHeaderSize:]
 		f.HasRescale = true
-		rb := make([]byte, 3*4+3*8)
-		if _, err := io.ReadFull(r, rb); err != nil {
-			return nil, ErrBadContainer
-		}
 		f.Rescale = paroctree.Rescale{
 			MinX:   binary.LittleEndian.Uint32(rb[0:4]),
 			MinY:   binary.LittleEndian.Uint32(rb[4:8]),
@@ -553,25 +541,13 @@ func ReadFrameFrom(r io.Reader) (*EncodedFrame, error) {
 			ScaleZ: binary.LittleEndian.Uint64(rb[28:36]),
 		}
 		if f.Rescale.ScaleX == 0 || f.Rescale.ScaleY == 0 || f.Rescale.ScaleZ == 0 {
-			return nil, ErrBadContainer
+			return nil, nil, ErrBadContainer
 		}
 	}
-	if fixed[6]&2 == 2 {
-		cnt := make([]byte, 2)
-		if _, err := io.ReadFull(r, cnt); err != nil {
-			return nil, ErrBadContainer
-		}
-		tiles := int(binary.LittleEndian.Uint16(cnt))
-		if tiles < 1 || tiles > MaxTiles {
-			return nil, fmt.Errorf("codec: bad tile count %d", tiles)
-		}
-		dir := make([]byte, tiles*tileRecordSize)
-		if _, err := io.ReadFull(r, dir); err != nil {
-			return nil, ErrBadContainer
-		}
-		f.Tiles = make([]TileInfo, tiles)
+	if h.tiles > 0 {
+		f.Tiles = make([]TileInfo, h.tiles)
 		for t := range f.Tiles {
-			rec := dir[t*tileRecordSize:]
+			rec := b[h.dirOff+t*tileRecordSize:]
 			ti := TileInfo{
 				Flags:   rec[0],
 				Points:  binary.LittleEndian.Uint32(rec[1:5]),
@@ -582,110 +558,97 @@ func ReadFrameFrom(r io.Reader) (*EncodedFrame, error) {
 				ti.Min[a] = binary.LittleEndian.Uint32(rec[13+4*a : 17+4*a])
 				ti.Max[a] = binary.LittleEndian.Uint32(rec[25+4*a : 29+4*a])
 			}
-			if ti.Flags&^uint8(TileOmitted|TileCoarse) != 0 || ti.Points == 0 {
-				return nil, ErrBadContainer
-			}
-			if ti.Omitted() && (ti.GeomLen != 0 || ti.AttrLen != 0) {
-				return nil, ErrBadContainer
-			}
-			if !ti.Omitted() && ti.Coarse() && ti.AttrLen != 0 {
-				return nil, ErrBadContainer
-			}
-			for a := 0; a < 3; a++ {
-				if ti.Min[a] > ti.Max[a] {
-					return nil, ErrBadContainer
-				}
-			}
 			f.Tiles[t] = ti
 		}
 	}
-	if fixed[6]&4 == 4 {
-		pro := make([]byte, 3)
-		if _, err := io.ReadFull(r, pro); err != nil {
-			return nil, ErrBadContainer
-		}
-		layers, sub, base := int(pro[0]), int(pro[1]), int(pro[2])
-		if layers < 2 || layers > MaxLayers || sub < 1 || sub > layers {
-			return nil, ErrBadContainer
-		}
-		if base < 1 || base != int(f.Depth)-layers+1 {
-			return nil, ErrBadContainer
-		}
-		units := layerUnits(len(f.Tiles))
-		dir := make([]byte, units*layers*8)
-		if _, err := io.ReadFull(r, dir); err != nil {
-			return nil, ErrBadContainer
-		}
-		ld := &LayerDir{Layers: pro[0], Sub: pro[1], BaseLevel: pro[2], Units: make([][]LayerSpan, units)}
-		for u := 0; u < units; u++ {
-			spans := make([]LayerSpan, layers)
-			for l := range spans {
-				rec := dir[(u*layers+l)*8:]
-				spans[l] = LayerSpan{
-					GeomLen: binary.LittleEndian.Uint32(rec[0:4]),
-					AttrLen: binary.LittleEndian.Uint32(rec[4:8]),
-				}
+	if h.layers > 0 {
+		pro := b[h.layerDirOff:]
+		units := layerUnits(h.tiles)
+		spans := make([]LayerSpan, units*h.layers)
+		for i := range spans {
+			rec := pro[3+i*8:]
+			spans[i] = LayerSpan{
+				GeomLen: binary.LittleEndian.Uint32(rec[0:4]),
+				AttrLen: binary.LittleEndian.Uint32(rec[4:8]),
 			}
-			ld.Units[u] = spans
 		}
-		f.Layer = ld
+		f.Layer = &LayerDir{Layers: pro[0], Sub: pro[1], BaseLevel: pro[2], Units: make([][]LayerSpan, units)}
+		for u := range f.Layer.Units {
+			f.Layer.Units[u] = spans[u*h.layers : (u+1)*h.layers : (u+1)*h.layers]
+		}
 	}
-	lens := make([]byte, 8)
-	if _, err := io.ReadFull(r, lens); err != nil {
-		return nil, ErrBadContainer
-	}
-	geomLen := binary.LittleEndian.Uint32(lens[0:4])
-	attrLen := binary.LittleEndian.Uint32(lens[4:8])
+	geomLen := binary.LittleEndian.Uint32(b[h.size-8 : h.size-4])
+	attrLen := binary.LittleEndian.Uint32(b[h.size-4 : h.size])
 	const maxReasonable = 1 << 30
 	if geomLen > maxReasonable || attrLen > maxReasonable || f.NumPoints > maxReasonable {
+		return nil, nil, ErrBadContainer
+	}
+	l, err := f.layout(h.size, int(geomLen), h.size+int(geomLen), int(attrLen))
+	if err != nil {
+		return nil, nil, err
+	}
+	l.HeaderLen, l.DirOff, l.LayerDirOff = h.size, h.dirOff, h.layerDirOff
+	return f, l, nil
+}
+
+// ParseFrame deserializes the frame at the start of wire without copying
+// it: Geometry and Attr alias wire.
+func ParseFrame(wire []byte) (*EncodedFrame, error) {
+	f, l, err := parseHeader(wire)
+	if err != nil {
+		return nil, err
+	}
+	if len(wire) < l.wireLen() {
 		return nil, ErrBadContainer
 	}
-	if f.Tiled() {
-		var pts, gsum, asum uint64
-		for _, ti := range f.Tiles {
-			pts += uint64(ti.Points)
-			gsum += uint64(ti.GeomLen)
-			asum += uint64(ti.AttrLen)
+	f.attach(wire[l.HeaderLen:l.wireLen()], l)
+	return f, nil
+}
+
+// attach points the frame's streams at payload, the bytes behind the header
+// l was parsed from.
+func (f *EncodedFrame) attach(payload []byte, l *FrameLayout) {
+	g := l.AttrOff[0] - l.HeaderLen
+	f.Geometry, f.Attr = payload[:g:g], payload[g:]
+}
+
+// payloadChunk bounds what ReadFrameFrom allocates ahead of the bytes that
+// actually arrive: a header can claim a gigabyte it does not carry.
+const payloadChunk = 256 << 10
+
+// ReadFrameFrom deserializes one frame written by WriteTo, reading exactly
+// the frame's bytes from r (frames may follow each other on one reader).
+// io.EOF means r ended before the frame began.
+func ReadFrameFrom(r io.Reader) (*EncodedFrame, error) {
+	head := make([]byte, 0, 64)
+	for need := fixedHeaderSize; len(head) < need; {
+		n := len(head)
+		head = append(head, make([]byte, need-n)...)
+		if _, err := io.ReadFull(r, head[n:]); err != nil {
+			if err == io.EOF && n == 0 {
+				return nil, io.EOF
+			}
+			return nil, ErrBadContainer
 		}
-		if pts != uint64(f.NumPoints) || gsum != uint64(geomLen) || asum != uint64(attrLen) {
+		h, err := walkHeader(head)
+		if err != nil {
+			return nil, err
+		}
+		need = h.size
+	}
+	f, l, err := parseHeader(head)
+	if err != nil {
+		return nil, err
+	}
+	size := l.wireLen() - l.HeaderLen
+	payload := make([]byte, 0, min(size, payloadChunk))
+	for len(payload) < size {
+		n := len(payload)
+		payload = append(payload, make([]byte, min(size-n, max(n, payloadChunk)))...)
+		if _, err := io.ReadFull(r, payload[n:]); err != nil {
 			return nil, ErrBadContainer
 		}
 	}
-	if f.Layered() {
-		// Every unit's kept-layer spans must sum to its chunk lengths, the
-		// stripped layers (l >= Sub) must be all-zero, and every kept layer
-		// of a non-omitted unit carries at least its geometry mode byte.
-		sub := int(f.Layer.Sub)
-		for u, spans := range f.Layer.Units {
-			ug, ua := uint64(geomLen), uint64(attrLen)
-			omitted := false
-			if f.Tiled() {
-				ug, ua = uint64(f.Tiles[u].GeomLen), uint64(f.Tiles[u].AttrLen)
-				omitted = f.Tiles[u].Omitted()
-			}
-			var gs, as uint64
-			for l, s := range spans {
-				if l >= sub && (s.GeomLen != 0 || s.AttrLen != 0) {
-					return nil, ErrBadContainer
-				}
-				if l < sub && !omitted && s.GeomLen == 0 {
-					return nil, ErrBadContainer
-				}
-				gs += uint64(s.GeomLen)
-				as += uint64(s.AttrLen)
-			}
-			if gs != ug || as != ua {
-				return nil, ErrBadContainer
-			}
-		}
-	}
-	f.Geometry = make([]byte, geomLen)
-	if _, err := io.ReadFull(r, f.Geometry); err != nil {
-		return nil, ErrBadContainer
-	}
-	f.Attr = make([]byte, attrLen)
-	if _, err := io.ReadFull(r, f.Attr); err != nil {
-		return nil, ErrBadContainer
-	}
+	f.attach(payload, l)
 	return f, nil
 }

@@ -24,6 +24,7 @@ func FuzzReadFrameFrom(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("PCVF"))
 	f.Add([]byte{})
+	f.Add(hostileLengths)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadFrameFrom(bytes.NewReader(data))
@@ -41,12 +42,11 @@ func FuzzReadFrameFrom(f *testing.F) {
 	})
 }
 
-// FuzzParseLayerDirectory drives the zero-copy layout parser with arbitrary
-// bytes and holds it to a DIFFERENTIAL invariant against the container
-// reader: whenever ParseFrameLayout accepts a buffer, ReadFrameFrom must
-// accept the same bytes, re-serialize them identically, and the layout's
-// directory view must match the parsed frame's. On layered layouts the
-// per-viewer truncation must also produce a frame the reader accepts.
+// FuzzParseLayerDirectory drives the container parser with arbitrary bytes
+// through its layout entry point: whenever ParseFrameLayout accepts a
+// buffer, the frame parsed from the same bytes must re-serialize to them
+// identically, and on layered layouts the per-viewer base-only truncation
+// must itself be a container the parser accepts.
 func FuzzParseLayerDirectory(f *testing.F) {
 	// Seed with real layered containers, tiled and untiled, plus mutations
 	// the parser must reject structurally.
@@ -90,50 +90,12 @@ func FuzzParseLayerDirectory(f *testing.F) {
 		if !bytes.Equal(out.Bytes(), data) {
 			t.Fatal("layout-accepted container does not round-trip byte-identically")
 		}
-		if len(l.Tiles) != len(ef.Tiles) {
-			t.Fatalf("layout has %d tiles, frame has %d", len(l.Tiles), len(ef.Tiles))
-		}
-		for i := range l.Tiles {
-			if l.Tiles[i] != ef.Tiles[i] {
-				t.Fatalf("tile %d mismatch", i)
-			}
-		}
-		if l.Layered() != ef.Layered() {
-			t.Fatal("layered-ness disagreement")
-		}
 		if !l.Layered() {
 			return
 		}
-		if l.Layers != int(ef.Layer.Layers) || l.Sub != int(ef.Layer.Sub) ||
-			l.BaseLevel != int(ef.Layer.BaseLevel) {
-			t.Fatal("layer prologue mismatch")
-		}
-		for u := 0; u < l.LayerUnits(); u++ {
-			for lay := 0; lay < l.Layers; lay++ {
-				s := ef.Layer.Units[u][lay]
-				if l.LayerGeom[u*l.Layers+lay] != s.GeomLen || l.LayerAttr[u*l.Layers+lay] != s.AttrLen {
-					t.Fatalf("unit %d layer %d span mismatch", u, lay)
-				}
-			}
-		}
-		// The base-only truncation must itself be a valid container.
-		part := l.RewriteHeaderSub(data, 0, 0, 1)
-		for u := 0; u < l.LayerUnits(); u++ {
-			if len(l.Tiles) > 0 && l.Tiles[u].Omitted() {
-				continue
-			}
-			n := int(l.LayerGeom[u*l.Layers])
-			part = append(part, data[l.GeomOff[u]:l.GeomOff[u]+n]...)
-		}
-		for u := 0; u < l.LayerUnits(); u++ {
-			if len(l.Tiles) > 0 && (l.Tiles[u].Omitted() || l.Tiles[u].Coarse()) {
-				continue
-			}
-			n := int(l.LayerAttr[u*l.Layers])
-			part = append(part, data[l.AttrOff[u]:l.AttrOff[u]+n]...)
-		}
-		if _, err := ReadFrameFrom(bytes.NewReader(part)); err != nil {
-			t.Fatalf("base-only truncation rejected: %v", err)
+		part, _, _ := viewerFrame(l, data, 0, 0, 1)
+		if ParseFrameLayout(part) == nil {
+			t.Fatal("base-only truncation rejected")
 		}
 	})
 }

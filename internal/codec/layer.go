@@ -247,114 +247,35 @@ func layerCut(offs []int, baseLevel, lay int) (lo, hi int) {
 	return offs[baseLevel+lay-1], offs[baseLevel+lay]
 }
 
-// decodeLayered decodes a layered frame. A full subscription (Sub ==
-// Layers) reassembles every unit's original chunks and delegates to the
-// unlayered decoders — bit-exact output and reference handling. A partial
-// subscription decodes the geometry prefix to level BaseLevel+Sub-1,
-// paints each cell with its base-cell median, and upscales to the full
-// lattice exactly like DecodeProgressive; it never touches or installs the
-// GOP reference (partial P-frames are standalone, and a partial I-frame
-// cannot serve as a reference, so it clears any stale one).
-func (d *Decoder) decodeLayered(f *EncodedFrame) (*geom.VoxelCloud, error) {
-	ld := f.Layer
-	l, sub := int(ld.Layers), int(ld.Sub)
-	depth := uint(f.Depth)
-	if l < 2 || l > MaxLayers || sub < 1 || sub > l || int(ld.BaseLevel) != int(depth)-l+1 || ld.BaseLevel < 1 {
-		return nil, ErrBadContainer
-	}
-	units := layerUnits(len(f.Tiles))
-	if len(ld.Units) != units {
-		return nil, ErrBadContainer
-	}
-	// Unit chunk bounds + structural directory validation (frames arriving
-	// via ReadFrameFrom are already checked; in-memory frames get the same
-	// treatment).
-	gUnit := make([]int, units+1)
-	aUnit := make([]int, units+1)
-	for u := 0; u < units; u++ {
-		glen, alen := len(f.Geometry), len(f.Attr)
-		if f.Tiled() {
-			glen, alen = int(f.Tiles[u].GeomLen), int(f.Tiles[u].AttrLen)
-		}
-		gUnit[u+1] = gUnit[u] + glen
-		aUnit[u+1] = aUnit[u] + alen
-		spans := ld.Units[u]
-		if len(spans) != l {
-			return nil, ErrBadContainer
-		}
-		omitted := f.Tiled() && f.Tiles[u].Omitted()
-		var gs, as uint64
-		for lay, s := range spans {
-			if lay >= sub && (s.GeomLen != 0 || s.AttrLen != 0) {
-				return nil, ErrBadContainer
-			}
-			if lay < sub && !omitted && s.GeomLen == 0 {
-				return nil, ErrBadContainer
-			}
-			gs += uint64(s.GeomLen)
-			as += uint64(s.AttrLen)
-		}
-		if gs != uint64(glen) || as != uint64(alen) {
-			return nil, ErrBadContainer
-		}
-	}
-	if gUnit[units] != len(f.Geometry) || aUnit[units] != len(f.Attr) {
-		return nil, ErrBadContainer
-	}
-	if sub == l {
-		return d.decodeLayeredFull(f, gUnit, aUnit)
-	}
-	return d.decodeLayeredPartial(f, gUnit, aUnit)
-}
-
-// decodeLayeredFull strips the layering: per unit, concatenate the
-// decompressed geometry layers back into one raw chunk and take the top
-// attribute layer verbatim, then hand the reassembled unlayered frame to
-// the regular decoders.
-func (d *Decoder) decodeLayeredFull(f *EncodedFrame, gUnit, aUnit []int) (*geom.VoxelCloud, error) {
-	ld := f.Layer
-	l := int(ld.Layers)
+// decodeLayeredFull decodes a full subscription (Sub == Layers) by
+// stripping the layering: per unit, concatenate the decompressed geometry
+// layers back into one raw chunk and take the top attribute layer verbatim,
+// then hand the reassembled unlayered frame to the regular decoders —
+// bit-exact output and reference handling.
+func (d *Decoder) decodeLayeredFull(f *EncodedFrame, l *FrameLayout) (*geom.VoxelCloud, error) {
 	clone := *f
 	clone.Layer = nil
 	if f.Tiled() {
 		clone.Tiles = append([]TileInfo(nil), f.Tiles...)
 	}
 	var geomOut, attrOut []byte
-	for u := range ld.Units {
-		spans := ld.Units[u]
-		pos := gUnit[u]
-		gBase := len(geomOut)
-		started := false
-		for _, s := range spans {
-			if s.GeomLen == 0 {
+	for u := 0; u < l.LayerUnits(); u++ {
+		gBase, aBase := len(geomOut), len(attrOut)
+		for lay := 0; lay < l.Layers; lay++ {
+			chunk := l.Geom(f.Geometry, u, lay)
+			if len(chunk) == 0 {
 				continue
 			}
-			chunk := f.Geometry[pos : pos+int(s.GeomLen)]
-			pos += int(s.GeomLen)
-			payload := chunk[1:]
-			switch chunk[0] {
-			case 0:
-			case 1:
-				var err error
-				if payload, err = entropy.DecompressBytes(payload); err != nil {
-					return nil, err
-				}
-			default:
-				return nil, ErrBadContainer
+			payload, err := geomChunk(chunk)
+			if err != nil {
+				return nil, err
 			}
-			if !started {
+			if len(geomOut) == gBase {
 				geomOut = append(geomOut, 0)
-				started = true
 			}
 			geomOut = append(geomOut, payload...)
 		}
-		// Top attribute layer sits after all lower layers' attr bytes.
-		aPos := aUnit[u]
-		for _, s := range spans[:l-1] {
-			aPos += int(s.AttrLen)
-		}
-		aBase := len(attrOut)
-		attrOut = append(attrOut, f.Attr[aPos:aPos+int(spans[l-1].AttrLen)]...)
+		attrOut = append(attrOut, l.Attr(f.Attr, u, l.Layers-1)...)
 		if f.Tiled() {
 			clone.Tiles[u].GeomLen = uint32(len(geomOut) - gBase)
 			clone.Tiles[u].AttrLen = uint32(len(attrOut) - aBase)
@@ -362,46 +283,33 @@ func (d *Decoder) decodeLayeredFull(f *EncodedFrame, gUnit, aUnit []int) (*geom.
 	}
 	clone.Geometry = geomOut
 	clone.Attr = attrOut
-	if clone.Tiled() {
-		return d.decodeTiledProposed(&clone)
-	}
 	return d.decodeProposed(&clone)
 }
 
-// decodeLayeredPartial decodes the first Sub layers: geometry to level
-// BaseLevel+Sub-1, colours from the base-layer medians (zero for coarse
-// tiles), cells upscaled to the full lattice at their centres.
-func (d *Decoder) decodeLayeredPartial(f *EncodedFrame, gUnit, aUnit []int) (*geom.VoxelCloud, error) {
-	ld := f.Layer
-	sub := int(ld.Sub)
+// decodeLayeredPartial decodes the first Sub < Layers layers: geometry to
+// level BaseLevel+Sub-1, colours from the base-layer medians (zero for
+// coarse tiles), cells upscaled to the full lattice at their centres
+// exactly like DecodeProgressive. It never reads or installs the GOP
+// reference: partial P-frames are standalone, and a partial I-frame cannot
+// serve as a reference, so it clears any stale one.
+func (d *Decoder) decodeLayeredPartial(f *EncodedFrame, l *FrameLayout) (*geom.VoxelCloud, error) {
 	depth := uint(f.Depth)
-	level := uint(int(ld.BaseLevel) + sub - 1)
-	shift := 3 * (level - uint(ld.BaseLevel))
+	level := uint(l.BaseLevel + l.Sub - 1)
+	shift := 3 * (level - uint(l.BaseLevel))
 	var allCodes []morton.Code
 	var allColors []geom.Color
 	var last morton.Code
 	have := false
-	for u := range ld.Units {
+	for u := 0; u < l.LayerUnits(); u++ {
 		if f.Tiled() && f.Tiles[u].Omitted() {
 			continue
 		}
-		spans := ld.Units[u]
 		// Reassemble the kept geometry prefix.
 		var raw []byte
-		pos := gUnit[u]
-		for _, s := range spans[:sub] {
-			chunk := f.Geometry[pos : pos+int(s.GeomLen)]
-			pos += int(s.GeomLen)
-			payload := chunk[1:]
-			switch chunk[0] {
-			case 0:
-			case 1:
-				var err error
-				if payload, err = entropy.DecompressBytes(payload); err != nil {
-					return nil, err
-				}
-			default:
-				return nil, ErrBadContainer
+		for lay := 0; lay < l.Sub; lay++ {
+			payload, err := geomChunk(l.Geom(f.Geometry, u, lay))
+			if err != nil {
+				return nil, err
 			}
 			raw = append(raw, payload...)
 		}
@@ -415,7 +323,7 @@ func (d *Decoder) decodeLayeredPartial(f *EncodedFrame, gUnit, aUnit []int) (*ge
 		codes := lod.Codes
 		cols := make([]geom.Color, len(codes))
 		if coarse := f.Tiled() && f.Tiles[u].Coarse(); !coarse {
-			achunk := f.Attr[aUnit[u] : aUnit[u]+int(spans[0].AttrLen)]
+			achunk := l.Attr(f.Attr, u, 0)
 			if len(achunk) == 0 || achunk[0] != 2 {
 				return nil, ErrBadContainer
 			}

@@ -149,52 +149,12 @@ func subFrame(t *testing.T, ef *EncodedFrame, sub uint8) *EncodedFrame {
 // per-viewer partial frame as the sender assembles it.
 func rewriteSub(t *testing.T, ef *EncodedFrame, omit, coarse uint64, sub uint8) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := ef.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	wire := buf.Bytes()
+	wire := serialize(t, ef)
 	l := ParseFrameLayout(wire)
 	if l == nil {
 		t.Fatal("ParseFrameLayout returned nil for a layered frame")
 	}
-	subEff := int(sub)
-	if subEff == 0 || subEff > l.Layers {
-		subEff = l.Layers
-	}
-	keep := func(u int) (omitted, coarsed bool) {
-		if len(l.Tiles) == 0 {
-			return false, false
-		}
-		ti := l.Tiles[u]
-		bit := uint64(1) << uint(u)
-		omitted = ti.Omitted() || omit&bit != 0
-		coarsed = !omitted && (ti.Coarse() || coarse&bit != 0)
-		return
-	}
-	got := l.RewriteHeaderSub(wire, omit, coarse, sub)
-	for u := 0; u < l.LayerUnits(); u++ {
-		if om, _ := keep(u); om {
-			continue
-		}
-		pos := l.GeomOff[u]
-		for lay := 0; lay < subEff; lay++ {
-			n := int(l.LayerGeom[u*l.Layers+lay])
-			got = append(got, wire[pos:pos+n]...)
-			pos += n
-		}
-	}
-	for u := 0; u < l.LayerUnits(); u++ {
-		if om, co := keep(u); om || co {
-			continue
-		}
-		pos := l.AttrOff[u]
-		for lay := 0; lay < subEff; lay++ {
-			n := int(l.LayerAttr[u*l.Layers+lay])
-			got = append(got, wire[pos:pos+n]...)
-			pos += n
-		}
-	}
+	got, _, _ := viewerFrame(l, wire, omit, coarse, sub)
 	return got
 }
 

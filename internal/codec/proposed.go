@@ -218,31 +218,50 @@ func (e *Encoder) proposedAttr(g *GeometryIntermediate, isP bool) (*EncodedFrame
 	return frame, attrDelta, nil
 }
 
+// geomChunk unwraps one [mode][payload] geometry chunk — a frame's, a
+// tile's or a layer's — into its raw occupancy bytes: mode 0 is raw, mode 1
+// entropy-coded.
+func geomChunk(chunk []byte) ([]byte, error) {
+	if len(chunk) == 0 {
+		return nil, ErrBadContainer
+	}
+	switch chunk[0] {
+	case 0:
+		return chunk[1:], nil
+	case 1:
+		return entropy.DecompressBytes(chunk[1:])
+	}
+	return nil, ErrBadContainer
+}
+
 // decodeProposed inverts encodeProposed. The inter designs require frames
 // to be decoded in stream order (P-frames need the preceding I).
 func (d *Decoder) decodeProposed(f *EncodedFrame) (*geom.VoxelCloud, error) {
-	if f.Layered() {
-		return d.decodeLayered(f)
-	}
-	if f.Tiled() {
-		return d.decodeTiledProposed(f)
+	if f.Tiled() || f.Layered() {
+		l, err := f.Layout()
+		switch {
+		case err != nil:
+			return nil, err
+		case l.Layered() && l.Sub < l.Layers:
+			return d.decodeLayeredPartial(f, l)
+		case l.Layered():
+			return d.decodeLayeredFull(f, l)
+		}
+		return d.decodeTiledProposed(f, l)
 	}
 	if len(f.Geometry) == 0 || len(f.Attr) == 0 {
 		return nil, ErrBadContainer
 	}
-	geomRaw := f.Geometry[1:]
-	switch f.Geometry[0] {
-	case 0:
-	case 1:
-		var err error
-		d.dev.CPUSerial("GeomEntropyDecode", len(geomRaw), costEntropyByte, func() {
-			geomRaw, err = entropy.DecompressBytes(geomRaw)
-		})
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, ErrBadContainer
+	var geomRaw []byte
+	var err error
+	unwrap := func() { geomRaw, err = geomChunk(f.Geometry) }
+	if f.Geometry[0] == 1 {
+		d.dev.CPUSerial("GeomEntropyDecode", len(f.Geometry)-1, costEntropyByte, unwrap)
+	} else {
+		unwrap()
+	}
+	if err != nil {
+		return nil, err
 	}
 	codes, err := paroctree.Deserialize(d.dev, geomRaw, uint(f.Depth))
 	if err != nil {

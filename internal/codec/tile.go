@@ -227,11 +227,6 @@ func (e *Encoder) tiledGeometry(dev *edgesim.Device, work *geom.VoxelCloud, fram
 	return sorted, plan, nil
 }
 
-// packColor is the colour-plane word interframe.EncodePTile takes.
-func packColor(c geom.Color) uint32 {
-	return uint32(c.R) | uint32(c.G)<<8 | uint32(c.B)<<16
-}
-
 // tiledAttr is the attribute half of the tiled encode: one self-contained
 // intra (I) or inter (P) attribute stream per tile, fanned across the pool,
 // then concatenated behind the directory. The per-tile streams carry the
@@ -257,11 +252,11 @@ func (e *Encoder) tiledAttr(g *GeometryIntermediate, isP, needRef bool) (*Encode
 			// same slice holds another I-frame two GOPs on.
 			e.pPack = grow(e.pPack, n)
 			for i, k := range sorted {
-				e.pPack[i] = packColor(k.Voxel.C)
+				e.pPack[i] = interframe.PackColor(k.Voxel.C)
 			}
 			e.iPack = grow(e.iPack, len(ref))
 			for i := range ref {
-				e.iPack[i] = packColor(ref[i].C)
+				e.iPack[i] = interframe.PackColor(ref[i].C)
 			}
 			iPack, pPack := e.iPack, e.pPack
 			inter := e.opts.Inter
@@ -378,19 +373,9 @@ func (e *Encoder) tiledAttr(g *GeometryIntermediate, isP, needRef bool) (*Encode
 // geometry with zeroed colours. I-frames install a FULL-length reference:
 // omitted ranges are concealed by clamping to the nearest included voxel,
 // so P-tiles keep decoding with global indices even under a moving camera.
-func (d *Decoder) decodeTiledProposed(f *EncodedFrame) (*geom.VoxelCloud, error) {
+func (d *Decoder) decodeTiledProposed(f *EncodedFrame, l *FrameLayout) (*geom.VoxelCloud, error) {
 	nT := len(f.Tiles)
-	geomOff := make([]int, nT+1)
-	attrOff := make([]int, nT+1)
-	pointOff := make([]int, nT+1)
-	for t, ti := range f.Tiles {
-		geomOff[t+1] = geomOff[t] + int(ti.GeomLen)
-		attrOff[t+1] = attrOff[t] + int(ti.AttrLen)
-		pointOff[t+1] = pointOff[t] + int(ti.Points)
-	}
-	if geomOff[nT] != len(f.Geometry) || attrOff[nT] != len(f.Attr) || pointOff[nT] != int(f.NumPoints) {
-		return nil, ErrBadContainer
-	}
+	pointOff := l.PointOff
 
 	ref := d.refSorted
 	codes := make([][]morton.Code, nT)
@@ -404,22 +389,9 @@ func (d *Decoder) decodeTiledProposed(f *EncodedFrame) (*geom.VoxelCloud, error)
 				if ti.Omitted() {
 					continue
 				}
-				gchunk := f.Geometry[geomOff[t]:geomOff[t+1]]
-				if len(gchunk) == 0 {
-					errs[t] = ErrBadContainer
-					continue
-				}
-				raw := gchunk[1:]
-				switch gchunk[0] {
-				case 0:
-				case 1:
-					var terr error
-					if raw, terr = entropy.DecompressBytes(raw); terr != nil {
-						errs[t] = terr
-						continue
-					}
-				default:
-					errs[t] = ErrBadContainer
+				raw, terr := geomChunk(l.Geom(f.Geometry, t, 0))
+				if terr != nil {
+					errs[t] = terr
 					continue
 				}
 				tcodes, terr := paroctree.DeserializeSerial(raw, uint(f.Depth))
@@ -435,7 +407,7 @@ func (d *Decoder) decodeTiledProposed(f *EncodedFrame) (*geom.VoxelCloud, error)
 				if ti.Coarse() {
 					continue // geometry only; colours stay zero
 				}
-				achunk := f.Attr[attrOff[t]:attrOff[t+1]]
+				achunk := l.Attr(f.Attr, t, 0)
 				if len(achunk) == 0 {
 					errs[t] = ErrBadContainer
 					continue

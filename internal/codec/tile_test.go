@@ -203,8 +203,8 @@ func TestTiledConcealedReference(t *testing.T) {
 }
 
 // TestFrameLayoutRewrite pins the zero-copy path the streaming layer uses:
-// ParseFrameLayout over the serialized frame, then RewriteHeader plus the
-// kept tiles' payload spans must concatenate to exactly the bytes that
+// ParseFrameLayout over the serialized frame, then RewriteHeaderSub plus the
+// kept tiles' payload spans (viewerFrame) must concatenate to exactly the bytes that
 // stripTiles+WriteTo produce for the same omit/coarse marks.
 func TestFrameLayoutRewrite(t *testing.T) {
 	frames := goldenFrames(t)
@@ -241,19 +241,7 @@ func TestFrameLayoutRewrite(t *testing.T) {
 		}
 
 		const omit, coarse = uint64(1 << 1), uint64(1 << 2)
-		got := l.RewriteHeader(wire, omit, coarse)
-		for ti := range l.Tiles {
-			if omit&(1<<uint(ti)) != 0 {
-				continue
-			}
-			got = append(got, wire[l.GeomOff[ti]:l.GeomOff[ti+1]]...)
-		}
-		for ti := range l.Tiles {
-			if (omit|coarse)&(1<<uint(ti)) != 0 {
-				continue
-			}
-			got = append(got, wire[l.AttrOff[ti]:l.AttrOff[ti+1]]...)
-		}
+		got, _, _ := viewerFrame(l, wire, omit, coarse, 0)
 		stripped := stripTiles(ef, map[int]uint8{1: TileOmitted, 2: TileCoarse})
 		buf.Reset()
 		if _, err := stripped.WriteTo(&buf); err != nil {

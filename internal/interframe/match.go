@@ -13,8 +13,9 @@ import (
 	"repro/internal/geom"
 )
 
-// packColor is the plane layout: R | G<<8 | B<<16, top byte zero.
-func packColor(c geom.Color) uint32 {
+// PackColor is the colour-plane word the matcher and EncodePTile's planes
+// hold: R | G<<8 | B<<16, top byte zero.
+func PackColor(c geom.Color) uint32 {
 	return uint32(c.R) | uint32(c.G)<<8 | uint32(c.B)<<16
 }
 
@@ -22,7 +23,7 @@ func packColor(c geom.Color) uint32 {
 func packColors(dst []uint32, vs []geom.Voxel) []uint32 {
 	dst = grow(dst, len(vs))
 	for i := range vs {
-		dst[i] = packColor(vs[i].C)
+		dst[i] = PackColor(vs[i].C)
 	}
 	return dst
 }

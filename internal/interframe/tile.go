@@ -39,8 +39,8 @@ type PTileScratch struct {
 
 // EncodePTile encodes the global P-block window [bLo, bLo+bCount) as a
 // self-contained tile stream. iPack and pPack are the colour columns of the
-// FULL Morton-sorted reference and P-frame, one word per point packed
-// R | G<<8 | B<<16 — packed once per frame by the caller and shared
+// FULL Morton-sorted reference and P-frame, one PackColor word per point
+// — packed once per frame by the caller and shared
 // read-only by its tiles (a tile reads only its own P range but may match
 // any I-block in its candidate windows); pBounds and iBounds are the
 // frames' global SegmentBounds grids for p.Segments. The emitted per-block

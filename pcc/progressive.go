@@ -37,26 +37,14 @@ func DecodeProgressive(f *EncodedFrame, level uint) (*PointCloud, int, error) {
 	if f.Layered() {
 		return decodeProgressiveLayered(f, level)
 	}
-	if len(f.Geometry) == 0 {
-		return nil, 0, ErrNotProgressive
-	}
-	stream := f.Geometry[1:]
-	switch f.Geometry[0] {
-	case 0:
-		// fast path: raw BFS stream
-	case 1:
-		// Entropy-coded geometry must be fully decompressed first (the
-		// arithmetic stream is not prefix-decodable) — one more reason the
-		// paper's fast path discards the entropy stage. Layered frames fix
-		// this: entropy restarts at every layer cut, so the layered branch
-		// above never decompresses past the requested level's layer.
-		var err error
-		stream, err = entropy.DecompressBytes(stream)
-		if err != nil {
-			return nil, 0, err
-		}
-	default:
-		return nil, 0, ErrNotProgressive
+	// Entropy-coded geometry must be fully decompressed first (the
+	// arithmetic stream is not prefix-decodable) — one more reason the
+	// paper's fast path discards the entropy stage. Layered frames fix
+	// this: entropy restarts at every layer cut, so the layered branch
+	// above never decompresses past the requested level's layer.
+	stream, err := geomPayload(f.Geometry)
+	if err != nil {
+		return nil, 0, err
 	}
 	lod, err := paroctree.DeserializeLoD(dev, stream, uint(f.Depth), level)
 	if err != nil {
@@ -71,6 +59,21 @@ func DecodeProgressive(f *EncodedFrame, level uint) (*PointCloud, int, error) {
 	return &PointCloud{Depth: uint(f.Depth), Voxels: voxels}, lod.PrefixBytes, nil
 }
 
+// geomPayload unwraps a [mode][payload] geometry chunk to its raw BFS
+// stream: mode 0 is raw (the fast path), mode 1 entropy-coded.
+func geomPayload(chunk []byte) ([]byte, error) {
+	if len(chunk) == 0 {
+		return nil, ErrNotProgressive
+	}
+	switch chunk[0] {
+	case 0:
+		return chunk[1:], nil
+	case 1:
+		return entropy.DecompressBytes(chunk[1:])
+	}
+	return nil, ErrNotProgressive
+}
+
 // decodeProgressiveLayered is the layered-frame fast path: consume whole
 // layers (each a self-contained entropy unit) until the requested level is
 // covered, so the reported prefix is the SUM OF THE WIRE LENGTHS of the
@@ -79,49 +82,31 @@ func DecodeProgressive(f *EncodedFrame, level uint) (*PointCloud, int, error) {
 // whole layers: level cuts inside a layer round up to the layer boundary.
 func decodeProgressiveLayered(f *EncodedFrame, level uint) (*PointCloud, int, error) {
 	dev := NewDevice(Mode15W)
-	ld := f.Layer
-	depth := uint(f.Depth)
-	if len(ld.Units) != 1 || int(ld.Sub) < 1 || int(ld.Sub) > int(ld.Layers) {
+	l, err := f.Layout()
+	if err != nil {
 		return nil, 0, ErrNotProgressive
 	}
+	depth := uint(f.Depth)
 	if level > depth {
 		level = depth
 	}
 	// Layers needed: layer 0 covers levels up to BaseLevel; each
 	// enhancement layer adds one level.
-	need := 1 + int(level) - int(ld.BaseLevel)
-	if need < 1 {
-		need = 1
-	}
-	if need > int(ld.Sub) {
-		need = int(ld.Sub)
-	}
-	spans := ld.Units[0]
+	need := min(max(1+int(level)-l.BaseLevel, 1), l.Sub)
 	var raw []byte
-	pos, prefix := 0, 0
-	for _, s := range spans[:need] {
-		chunk := f.Geometry[pos : pos+int(s.GeomLen)]
-		pos += int(s.GeomLen)
-		prefix += int(s.GeomLen)
-		if len(chunk) == 0 {
-			return nil, 0, ErrNotProgressive
-		}
-		payload := chunk[1:]
-		switch chunk[0] {
-		case 0:
-		case 1:
-			var err error
-			if payload, err = entropy.DecompressBytes(payload); err != nil {
-				return nil, 0, err
-			}
-		default:
-			return nil, 0, ErrNotProgressive
+	prefix := 0
+	for lay := 0; lay < need; lay++ {
+		chunk := l.Geom(f.Geometry, 0, lay)
+		prefix += len(chunk)
+		payload, err := geomPayload(chunk)
+		if err != nil {
+			return nil, 0, err
 		}
 		raw = append(raw, payload...)
 	}
 	// The consumed layers carry mask levels up to BaseLevel+need-1; clamp
 	// the decode there when the subscription cuts below the request.
-	if covered := uint(int(ld.BaseLevel) + need - 1); level > covered {
+	if covered := uint(l.BaseLevel + need - 1); level > covered {
 		level = covered
 	}
 	lod, err := paroctree.DeserializeLoD(dev, raw, depth, level)

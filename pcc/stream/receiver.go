@@ -27,7 +27,6 @@ package stream
 // safe from any goroutine.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -722,7 +721,7 @@ func (r *Receiver) decodeAndEmit(pf *partialFrame, now time.Time) {
 	for _, f := range pf.frags {
 		payload = append(payload, f...)
 	}
-	ef, err := codec.ReadFrameFrom(bytes.NewReader(payload))
+	ef, err := codec.ParseFrame(payload)
 	var cloud *geom.VoxelCloud
 	if err == nil {
 		cloud, err = r.dec.DecodeFrame(ef)

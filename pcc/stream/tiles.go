@@ -14,7 +14,7 @@ package stream
 // only, the receiver renders them colourless until the camera settles);
 // everything else is omitted. Point counts in the directory stay at the
 // encoder's full values so the receiver's decoder keeps global indexing
-// and conceals the missing reference ranges (see codec.RewriteHeader).
+// and conceals the missing reference ranges (see codec.RewriteHeaderSub).
 //
 // Determinism for NACKs: a sent-record stores the omit/coarse masks used
 // at send time, so a retransmit rebuilds the identical plan from the
@@ -38,7 +38,7 @@ const (
 // tileMasks classifies every tile of a laid-out frame against a camera:
 // bit t of omit / coarse set means tile t is dropped / shipped without
 // attributes. Tiles the encoder already omitted keep their flag but take
-// no mask bit (RewriteHeader preserves them). When the camera sees no
+// no mask bit (RewriteHeaderSub preserves them). When the camera sees no
 // tile at all, the nearest tile to the eye is kept in full — a viewer
 // looking away still receives a decodable (and re-orientable) frame.
 func tileMasks(l *codec.FrameLayout, cam viewport.Camera) (omit, coarse uint64) {
@@ -92,18 +92,20 @@ func tileMasks(l *codec.FrameLayout, cam viewport.Camera) (omit, coarse uint64) 
 // buildViewPlan assembles a viewer's plan for one published frame. wire
 // is the immutable ring payload; only the rewritten header is copied.
 // sub truncates layered frames to their first sub layers (0 = keep all);
-// it is ignored for unlayered frames.
+// it is ignored for unlayered frames, whose units are one layer each.
 func buildViewPlan(l *codec.FrameLayout, wire []byte, omit, coarse uint64, sub uint8) *viewPlan {
-	units := l.LayerUnits()
-	keep := l.Layers
-	if sub != 0 && int(sub) < keep {
-		keep = int(sub)
+	units, keep := l.LayerUnits(), 1
+	if l.Layered() {
+		keep = l.Layers
+		if sub != 0 && int(sub) < keep {
+			keep = int(sub)
+		}
 	}
-	p := newViewPlan(1 + 2*units*max(keep, 1))
+	p := newViewPlan(1 + 2*units*keep)
 	p.add(l.RewriteHeaderSub(wire, omit, coarse, sub), TileNone, LayerNone)
-	// chunks adds every kept unit's chunk of one kind, in unit order: whole
-	// for an unlayered frame, its first keep layers otherwise.
-	chunks := func(off []int, lens []uint32, drop uint64) {
+	// chunks adds every kept unit's first keep layers of one stream, in
+	// unit order.
+	chunks := func(span func([]byte, int, int) []byte, drop uint64) {
 		for u := 0; u < units; u++ {
 			tile := TileNone
 			if len(l.Tiles) > 0 {
@@ -112,19 +114,16 @@ func buildViewPlan(l *codec.FrameLayout, wire []byte, omit, coarse uint64, sub u
 				}
 				tile = uint16(u)
 			}
-			if !l.Layered() {
-				p.add(wire[off[u]:off[u+1]], tile, LayerNone)
-				continue
-			}
-			pos := off[u]
 			for lay := 0; lay < keep; lay++ {
-				n := int(lens[u*l.Layers+lay])
-				p.add(wire[pos:pos+n], tile, uint8(lay))
-				pos += n
+				layer := LayerNone
+				if l.Layered() {
+					layer = uint8(lay)
+				}
+				p.add(span(wire, u, lay), tile, layer)
 			}
 		}
 	}
-	chunks(l.GeomOff, l.LayerGeom, omit)
-	chunks(l.AttrOff, l.LayerAttr, omit|coarse)
+	chunks(l.Geom, omit)
+	chunks(l.Attr, omit|coarse)
 	return p
 }
