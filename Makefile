@@ -33,6 +33,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrameFrom -fuzztime=20s ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzParseLayerDirectory -fuzztime=20s ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzSliceDecoder -fuzztime=20s ./internal/entropy
+	$(GO) test -run='^$$' -fuzz=FuzzDeserialize -fuzztime=20s ./internal/paroctree
 	$(GO) test -run='^$$' -fuzz=FuzzParseFeedback -fuzztime=20s ./pcc/stream
 	$(GO) test -run='^$$' -fuzz=FuzzParseParity -fuzztime=20s ./pcc/stream
 	$(GO) test -run='^$$' -fuzz=FuzzParsePacket -fuzztime=20s ./pcc/stream

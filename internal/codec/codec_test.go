@@ -438,6 +438,22 @@ func TestEmptyFrameRejected(t *testing.T) {
 	}
 }
 
+// A depth the container cannot carry must be refused at encode, by the
+// untiled and the tiled encoder alike: the untiled one used to succeed at
+// depth 0 and 22 and emit a frame ReadFrameFrom rejects ("bad depth").
+func TestEncodeDepthRangeRejected(t *testing.T) {
+	for _, depth := range []uint{0, 22} {
+		for _, tiles := range []int{0, 4} {
+			opts := OptionsFor(IntraOnly)
+			opts.Tiles = tiles
+			vc := &geom.VoxelCloud{Depth: depth, Voxels: []geom.Voxel{{X: 0}, {X: 1}}}
+			if _, _, err := NewEncoder(dev(), opts).EncodeFrame(vc); err == nil {
+				t.Errorf("depth %d tiles %d: EncodeFrame accepted an out-of-range depth", depth, tiles)
+			}
+		}
+	}
+}
+
 func TestDesignStrings(t *testing.T) {
 	want := map[Design]string{
 		TMC13: "TMC13", CWIPC: "CWIPC", IntraOnly: "Intra-Only",

@@ -29,8 +29,6 @@ package codec
 // included, no reference needed; middle layers carry no attribute bytes.
 
 import (
-	"math/bits"
-
 	"repro/internal/attr"
 	"repro/internal/entropy"
 	"repro/internal/geom"
@@ -103,32 +101,6 @@ func (o Options) layersFor(depth uint) int {
 	return l
 }
 
-// levelOffsets walks a BFS occupancy stream and returns each level's first
-// byte offset: off[d] is where level d's masks start (off has depth+1
-// entries, off[depth] == len(stream)). This is how the layerizer finds the
-// per-level cut points without retaining any octree state.
-func levelOffsets(stream []byte, depth uint) ([]int, error) {
-	off := make([]int, depth+1)
-	nodes, pos := 1, 0
-	for d := uint(0); d < depth; d++ {
-		off[d] = pos
-		if pos+nodes > len(stream) {
-			return nil, ErrBadContainer
-		}
-		next := 0
-		for _, m := range stream[pos : pos+nodes] {
-			next += bits.OnesCount8(m)
-		}
-		pos += nodes
-		nodes = next
-	}
-	off[depth] = pos
-	if pos != len(stream) {
-		return nil, ErrBadContainer
-	}
-	return off, nil
-}
-
 // layerize rewrites a freshly encoded proposed-design frame in place into
 // its layered form: per-unit geometry sliced at the level cuts (with
 // per-layer entropy when enabled), base-median + verbatim-top attribute
@@ -171,8 +143,10 @@ func (e *Encoder) layerize(frame *EncodedFrame, sorted []morton.Keyed) error {
 				return
 			}
 			raw := gchunk[1:]
-			var offs []int
-			if offs, err = levelOffsets(raw, depth); err != nil {
+			// The per-level cut points, without retaining any octree state.
+			offs, _, lerr := paroctree.LevelOffsets(raw, depth)
+			if lerr != nil {
+				err = ErrBadContainer
 				return
 			}
 			spans := make([]LayerSpan, l)
@@ -266,7 +240,7 @@ func (d *Decoder) decodeLayeredFull(f *EncodedFrame, l *FrameLayout) (*geom.Voxe
 			if len(chunk) == 0 {
 				continue
 			}
-			payload, err := geomChunk(chunk)
+			payload, err := GeomChunk(chunk)
 			if err != nil {
 				return nil, err
 			}
@@ -307,7 +281,7 @@ func (d *Decoder) decodeLayeredPartial(f *EncodedFrame, l *FrameLayout) (*geom.V
 		// Reassemble the kept geometry prefix.
 		var raw []byte
 		for lay := 0; lay < l.Sub; lay++ {
-			payload, err := geomChunk(l.Geom(f.Geometry, u, lay))
+			payload, err := GeomChunk(l.Geom(f.Geometry, u, lay))
 			if err != nil {
 				return nil, err
 			}

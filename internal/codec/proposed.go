@@ -218,10 +218,11 @@ func (e *Encoder) proposedAttr(g *GeometryIntermediate, isP bool) (*EncodedFrame
 	return frame, attrDelta, nil
 }
 
-// geomChunk unwraps one [mode][payload] geometry chunk — a frame's, a
+// GeomChunk unwraps one [mode][payload] geometry chunk — a frame's, a
 // tile's or a layer's — into its raw occupancy bytes: mode 0 is raw, mode 1
-// entropy-coded.
-func geomChunk(chunk []byte) ([]byte, error) {
+// entropy-coded. It is the one place the chunk modes are decided; an empty
+// chunk or an unknown mode is ErrBadContainer.
+func GeomChunk(chunk []byte) ([]byte, error) {
 	if len(chunk) == 0 {
 		return nil, ErrBadContainer
 	}
@@ -254,7 +255,7 @@ func (d *Decoder) decodeProposed(f *EncodedFrame) (*geom.VoxelCloud, error) {
 	}
 	var geomRaw []byte
 	var err error
-	unwrap := func() { geomRaw, err = geomChunk(f.Geometry) }
+	unwrap := func() { geomRaw, err = GeomChunk(f.Geometry) }
 	if f.Geometry[0] == 1 {
 		d.dev.CPUSerial("GeomEntropyDecode", len(f.Geometry)-1, costEntropyByte, unwrap)
 	} else {

@@ -72,15 +72,18 @@ func BenchmarkEncodeSteadyState(b *testing.B) {
 
 // TestSteadyStateAllocsPerFrame is the allocation-regression gate: after a
 // one-session warmup, steady-state encoding must stay under a hard
-// allocs/frame cap. The caps are set ~1.8x above the post-arena
-// measurements (IntraOnly ~171, IntraInterV1 ~158 allocs/frame at
-// 1500/2500 segments after the pooled byte-codec and Append* entropy
-// call-site conversions — mostly the escaping frame payloads) so GC and
-// pool noise does not flake the gate, while the pre-arena figures
-// (~45k/~36k allocs/frame) fail it by two orders of magnitude. The tiled
-// row (8 tiles, P-tiles through interframe.EncodePTile) measured ~97
-// allocs/frame once the per-tile match column and delta payload moved into
-// PTileScratch, ~4256 before.
+// allocs/frame cap. The untiled caps sit ~10% above the worst measurement
+// at 1500/2500 segments on two cores: IntraOnly 120.0 and IntraInterV1
+// 102.7 allocs/frame in a plain build (94.0 / 81.3 at GOMAXPROCS=1), and
+// 140-146 / 120-123 under -race, where sync.Pool drops a quarter of its
+// Puts. What is left is mostly the escaping frame payloads and the sort's
+// per-pass dispatch; the geometry build itself (one sweep, no kernel
+// closures) allocates nothing. The pre-arena figures (~45k/~36k
+// allocs/frame) fail the caps by two orders of magnitude. The tiled row (8
+// tiles, P-tiles through interframe.EncodePTile) measures ~77 allocs/frame
+// (~97 before the one sweep, ~4256 before the per-tile match column and
+// delta payload moved into PTileScratch); under -race its five pools push
+// it past the cap, which is the encoder-arenas item's to fix.
 func TestSteadyStateAllocsPerFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full frames")
@@ -91,8 +94,8 @@ func TestSteadyStateAllocsPerFrame(t *testing.T) {
 		tiles  int
 		cap    float64
 	}{
-		{IntraOnly, 0, 300},
-		{IntraInterV1, 0, 300},
+		{IntraOnly, 0, 160},
+		{IntraInterV1, 0, 135},
 		{IntraInterV1, 8, 175},
 	} {
 		name := row.design.String()

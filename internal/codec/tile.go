@@ -389,7 +389,7 @@ func (d *Decoder) decodeTiledProposed(f *EncodedFrame, l *FrameLayout) (*geom.Vo
 				if ti.Omitted() {
 					continue
 				}
-				raw, terr := geomChunk(l.Geom(f.Geometry, t, 0))
+				raw, terr := GeomChunk(l.Geom(f.Geometry, t, 0))
 				if terr != nil {
 					errs[t] = terr
 					continue

@@ -406,10 +406,9 @@ func (d *Device) GPUKernel(name string, items int, c Cost, body func(start, end 
 
 // GPUCompute accounts one kernel launch while running f once on the calling
 // goroutine. f is a compound kernel body: it parallelizes internally through
-// the device primitives (ParallelFor, ScanFlags, GatherFlags, Pool), so
-// multi-phase GPU stages (sort passes, scan+compact) genuinely use every
-// core while still appearing as a single ledger entry, exactly like a fused
-// CUDA kernel.
+// the device primitives (ParallelFor, Pool), so multi-phase GPU stages (the
+// sort's passes, the tile fan-out) genuinely use every core while still
+// appearing as a single ledger entry, exactly like a fused CUDA kernel.
 func (d *Device) GPUCompute(name string, items int, c Cost, f func()) {
 	start := time.Now()
 	f()

@@ -15,8 +15,8 @@ import (
 // a kernel launch is then a channel wake, not a goroutine spawn.
 //
 // Pool tasks are leaves: a body handed to the pool must not itself submit
-// to the pool (the compound-kernel APIs — GPUCompute, ScanFlags, GatherFlags
-// — keep that invariant by running orchestration on the calling goroutine).
+// to the pool (the compound-kernel API, GPUCompute, keeps that invariant by
+// running orchestration on the calling goroutine).
 // As a defensive backstop, submission never blocks: when every worker is
 // busy and the queue is full, the chunk runs inline on the caller, so the
 // pool cannot deadlock even under pathological nesting.
@@ -125,34 +125,6 @@ func (p *Pool) ranges(workers, items int, body func(start, end int)) {
 	wg.Wait()
 }
 
-// run executes a set of independent closures on the pool (the same
-// wake-don't-spawn discipline for irregular task sets, e.g. the per-pass
-// phases of the radix sort). fns must be leaf tasks.
-func (p *Pool) run(fns []func()) {
-	if len(fns) == 0 {
-		return
-	}
-	if len(fns) == 1 || p.workers <= 1 {
-		for _, f := range fns {
-			f()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < len(fns); i++ {
-		f := fns[i]
-		wg.Add(1)
-		select {
-		case p.tasks <- poolTask{body: func(int, int) { f() }, done: &wg}:
-		default:
-			f()
-			wg.Done()
-		}
-	}
-	fns[0]()
-	wg.Wait()
-}
-
 // Pool exposes the device's kernel worker pool (shared process-wide).
 func (d *Device) Pool() *Pool { return d.pool }
 
@@ -164,66 +136,4 @@ func (d *Device) Workers() int { return d.pool.Workers() }
 // kernels (GPUCompute) whose cost is accounted once at the kernel level.
 func (d *Device) ParallelFor(items int, body func(start, end int)) {
 	d.pool.ranges(d.pool.workers, items, body)
-}
-
-// ScanFlags computes, in parallel, the compaction ranks of a flag vector:
-// ranks[i] = (number of set flags in flags[0..i]) - 1, returning the total
-// number of set flags. This is the GPU scan primitive behind every
-// flag→scan→compact stage (level build, dedup); output is identical to the
-// serial loop it replaces.
-func (d *Device) ScanFlags(flags, ranks []int32) int {
-	n := len(flags)
-	if n == 0 {
-		return 0
-	}
-	w := d.pool.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		var r int32 = -1
-		for i, f := range flags {
-			r += f & 1
-			ranks[i] = r
-		}
-		return int(r + 1)
-	}
-	chunk := (n + w - 1) / w
-	counts := make([]int32, w)
-	// Phase 1: per-chunk set counts.
-	d.pool.ranges(w, n, func(lo, hi int) {
-		var c int32
-		for _, f := range flags[lo:hi] {
-			c += f & 1
-		}
-		counts[lo/chunk] = c
-	})
-	// Phase 2: serial exclusive prefix over w chunk counts.
-	var total int32
-	for i, c := range counts {
-		counts[i] = total
-		total += c
-	}
-	// Phase 3: per-chunk rank fill.
-	d.pool.ranges(w, n, func(lo, hi int) {
-		r := counts[lo/chunk] - 1
-		for i := lo; i < hi; i++ {
-			r += flags[i] & 1
-			ranks[i] = r
-		}
-	})
-	return int(total)
-}
-
-// GatherFlags compacts flagged elements in parallel: for every i with
-// flags[i] set, dst[ranks[i]] = get(i). ranks must come from ScanFlags over
-// the same flags; dst must hold at least the returned total.
-func GatherFlags[T any](d *Device, flags, ranks []int32, dst []T, get func(i int) T) {
-	d.ParallelFor(len(flags), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if flags[i]&1 == 1 {
-				dst[ranks[i]] = get(i)
-			}
-		}
-	})
 }

@@ -47,67 +47,6 @@ func TestPoolRangesCoverExactlyOnce(t *testing.T) {
 	}
 }
 
-// ScanFlags must produce exactly the serial exclusive-rank loop it replaced,
-// for sizes spanning the serial and multi-chunk paths.
-func TestScanFlagsMatchesSerial(t *testing.T) {
-	d := NewXavier(Mode15W)
-	for _, n := range []int{0, 1, 2, 3, 17, 256, 4099} {
-		flags := make([]int32, n)
-		// Deterministic irregular pattern exercising runs of 0s and 1s.
-		x := uint32(12345)
-		for i := range flags {
-			x = x*1664525 + 1013904223
-			if x&3 != 0 {
-				flags[i] = 1
-			}
-		}
-		want := make([]int32, n)
-		var r int32 = -1
-		for i, f := range flags {
-			r += f & 1
-			want[i] = r
-		}
-		wantTotal := int(r + 1)
-
-		got := make([]int32, n)
-		total := d.ScanFlags(flags, got)
-		if total != wantTotal {
-			t.Fatalf("n=%d: total %d, want %d", n, total, wantTotal)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: ranks[%d] = %d, want %d", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// GatherFlags must place exactly the flagged elements at their scan ranks.
-func TestGatherFlagsCompacts(t *testing.T) {
-	d := NewXavier(Mode15W)
-	n := 1001
-	flags := make([]int32, n)
-	for i := range flags {
-		if i%3 == 0 {
-			flags[i] = 1
-		}
-	}
-	ranks := make([]int32, n)
-	total := d.ScanFlags(flags, ranks)
-	dst := make([]int, total)
-	GatherFlags(d, flags, ranks, dst, func(i int) int { return i * 10 })
-	k := 0
-	for i := 0; i < n; i += 3 {
-		if dst[k] != i*10 {
-			t.Fatalf("dst[%d] = %d, want %d", k, dst[k], i*10)
-		}
-		k++
-	}
-	if k != total {
-		t.Fatalf("compacted %d elements, scan said %d", k, total)
-	}
-}
-
 // CPUParallel launches asking for more threads than the host has must be
 // surfaced in the kernel ledger: ModelThreads keeps the modelled count,
 // RealWorkers the clamped one, and Clamped() reports the mismatch.

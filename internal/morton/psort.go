@@ -2,17 +2,16 @@ package morton
 
 import "repro/internal/edgesim"
 
-// Data-parallel LSD radix sort over Morton codes: the same histogram →
-// exclusive-scan → scatter structure a GPU sort uses. Each pass splits the
-// input into one chunk per worker; workers build local digit histograms in
-// parallel, a serial scan turns them into disjoint scatter offsets (stable
-// across chunks), and workers scatter in parallel into disjoint regions.
-// The result is identical to RadixSort.
+// Data-parallel LSD radix sort over Morton codes, 8-bit digits: the same
+// histogram → exclusive-scan → scatter structure a GPU sort uses. Each pass
+// splits the input into one chunk per worker; workers build local digit
+// histograms in parallel, a serial scan turns them into disjoint scatter
+// offsets (stable across chunks), and workers scatter in parallel into
+// disjoint regions. The result is identical to the stable reference Sort.
 //
 // The phases run on the persistent edgesim worker pool (channel wake, not
-// goroutine spawn — this sort used to spawn 16×workers goroutines per
-// frame), and every buffer lives in a reusable SortScratch so steady-state
-// sorting allocates nothing.
+// goroutine spawn), and every buffer lives in a reusable SortScratch so
+// steady-state sorting allocates nothing.
 
 // SortScratch holds the reusable buffers of the parallel radix sort. The
 // zero value is ready to use; buffers grow to the largest frame sorted and
@@ -67,6 +66,18 @@ func (s *SortScratch) Sort(pool *edgesim.Pool, ks []Keyed, workers int) {
 			}
 		})
 
+		// A digit every key shares orders nothing, and the histogram
+		// already says so (the first key's bucket holds every key): skip
+		// the pass. A depth-D frame's codes are 3D bits wide, so at depth 10
+		// four of the eight passes stop here.
+		same, d0 := 0, uint8(src[0].Code>>shift)
+		for w := 0; w < nw; w++ {
+			same += hist[w][d0]
+		}
+		if same == len(src) {
+			continue
+		}
+
 		// Phase 2: exclusive scan over (digit, chunk) — serial, 256*nw steps.
 		// offset[w][d] = items with smaller digit anywhere, plus items with
 		// digit d in earlier chunks (stability).
@@ -91,16 +102,8 @@ func (s *SortScratch) Sort(pool *edgesim.Pool, ks []Keyed, workers int) {
 		})
 		src, dst = dst, src
 	}
-	// 8 passes (even): src is ks again.
+	// After an odd number of executed passes the result sits in the buffer.
 	if &src[0] != &ks[0] {
 		copy(ks, src)
 	}
-}
-
-// ParallelRadixSort sorts keyed voxels by Morton code with fresh scratch on
-// the shared worker pool. Hot paths should hold a SortScratch and call its
-// Sort method instead.
-func ParallelRadixSort(ks []Keyed, workers int) {
-	var s SortScratch
-	s.Sort(edgesim.DefaultPool(), ks, workers)
 }

@@ -32,39 +32,6 @@ func IsSorted(ks []Keyed) bool {
 	return sort.SliceIsSorted(ks, func(i, j int) bool { return ks[i].Code < ks[j].Code })
 }
 
-// RadixSort sorts keyed voxels by Morton code with an LSD radix sort over
-// 8-bit digits. This is the data-parallel-friendly sort the GPU pipeline
-// models (a CUDA implementation would use the same digit histogram +
-// prefix-sum + scatter structure); it is also the fastest scalar path for
-// million-point frames.
-func RadixSort(ks []Keyed) {
-	if len(ks) < 2 {
-		return
-	}
-	buf := make([]Keyed, len(ks))
-	src, dst := ks, buf
-	// 63-bit codes: 8 passes of 8 bits cover them.
-	for shift := uint(0); shift < 64; shift += 8 {
-		var count [257]int
-		for _, k := range src {
-			count[int(uint8(k.Code>>shift))+1]++
-		}
-		for i := 1; i < 257; i++ {
-			count[i] += count[i-1]
-		}
-		for _, k := range src {
-			d := uint8(k.Code >> shift)
-			dst[count[d]] = k
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	// 8 passes: src ends up back at ks. (Even number of swaps.)
-	if &src[0] != &ks[0] {
-		copy(ks, src)
-	}
-}
-
 // Dedup removes consecutive entries with equal codes from a sorted slice,
 // keeping the first occurrence. Returns the deduplicated prefix.
 func Dedup(ks []Keyed) []Keyed {

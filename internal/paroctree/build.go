@@ -1,28 +1,32 @@
 // Package paroctree implements the paper's CONTRIBUTION geometry pipeline
 // (Sec. IV-B): Morton-code generation → data-parallel sort → level-wise
-// parallel octree construction (Karras [31] / PCL-GPU [64] family) →
-// parallel occupy-bit post-processing (paper Algorithm 1).
+// octree construction from the sorted codes (Karras [31] / PCL-GPU [64]
+// family) → occupy-bit post-processing (paper Algorithm 1) → breadth-first
+// occupancy stream.
 //
 // The key idea: once points are sorted by Morton code, the topology of the
 // whole octree is implied by the code sequence — a node exists at depth d
-// wherever a new length-3d prefix begins — so every level can be built with
-// independent per-element work (flag, scan, compact) instead of the
-// baseline's point-by-point tree updates. The construction emits the
-// relationship arrays the paper shows in Fig. 5 (code array + parent array),
-// and Algorithm 1 folds them into per-node occupy bits.
+// wherever a new length-3d prefix begins — so a level is one pass over its
+// child level: every run of children with the same parent becomes one node,
+// and the run's octants are that node's occupy bits. That pass (Tree.sweep)
+// is the only octree construction in the package: the untiled frame is the
+// sweep over all leaves, a tile is the sweep over the tile's leaf range, and
+// the layered and progressive paths cut the stream it emits. Its inverse
+// (scanLevels + expand) is the only stream expander.
 //
-// Every stage runs as a kernel on an edgesim.Device, so the latency/energy
-// ledger reflects the paper's GPU pipeline. The flag→scan→compact stages
-// execute through the device's parallel scan/compact primitives
-// (edgesim.ScanFlags / GatherFlags) over the persistent worker pool, and
-// all intermediate buffers live in a reusable BuildScratch so steady-state
-// frame encoding allocates nothing here.
+// The sweep and the expander are pure functions of their input. The
+// edgesim ledger is booked beside them, from the level node counts, as the
+// kernels the paper's GPU pipeline launches (bookBuild, bookExpand), so
+// simulated latency and energy follow the paper's decomposition while the
+// host executes the fused form. Morton generation and the radix sort still
+// run over the device's worker pool, and every buffer lives in a reusable
+// BuildScratch so steady-state frame encoding allocates nothing here.
 package paroctree
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/edgesim"
 	"repro/internal/geom"
@@ -36,42 +40,136 @@ var (
 	costMortonGen  = edgesim.Cost{OpsPerItem: 12, BytesPerItem: 16}
 	costSortPass   = edgesim.Cost{OpsPerItem: 69, BytesPerItem: 32} // per item per pass
 	costDedup      = edgesim.Cost{OpsPerItem: 9, BytesPerItem: 16}
+	costLevelFlag  = edgesim.Cost{OpsPerItem: 6, BytesPerItem: 8}
 	costLevelBuild = edgesim.Cost{OpsPerItem: 289, BytesPerItem: 24} // per child node
-	costOccupy     = edgesim.Cost{OpsPerItem: 46, BytesPerItem: 9}   // per non-root node
-	costPack       = edgesim.Cost{OpsPerItem: 35, BytesPerItem: 2}   // per node
+	costParentLink = edgesim.Cost{OpsPerItem: 4, BytesPerItem: 8}
+	costOccupy     = edgesim.Cost{OpsPerItem: 46, BytesPerItem: 9} // per non-root node
+	costPack       = edgesim.Cost{OpsPerItem: 35, BytesPerItem: 2} // per node
 )
 
-// Tree is the array-form octree the parallel construction produces.
-// Nodes are stored level by level: depth 0 (the root, code 0) first, leaves
-// (depth Depth) last; within a level nodes are in ascending Morton order.
+// maxDepth is the deepest lattice a 63-bit Morton code addresses.
+const maxDepth = 21
+
+func checkDepth(depth uint) error {
+	if depth == 0 || depth > maxDepth {
+		return fmt.Errorf("paroctree: depth %d out of range [1,%d]", depth, maxDepth)
+	}
+	return nil
+}
+
+// Tree is the level form of the octree (the paper's Fig. 5 arrays, one code
+// array per level): depth 0 is the root (code 0), depth Depth the leaves;
+// within a level nodes are in ascending Morton order, and a depth-d node's
+// parent is the depth-(d-1) node whose code is its own >> 3.
+//
+// A Tree is also the sweep's arena: the per-level buffers grow to the
+// largest tree built in them and are then reused.
 type Tree struct {
 	Depth uint
-	// Codes holds each node's Morton code *at its own depth* (i.e. the
-	// leaf code right-shifted by 3*(Depth-depth)).
-	Codes []morton.Code
-	// Parent[i] is the index of node i's parent in Codes; -1 for the root.
-	Parent []int32
-	// LevelOffsets[d] is the index of the first node of depth d;
-	// LevelOffsets[Depth+1] == len(Codes).
-	LevelOffsets []int
-	// Occupy[i] is the 8-bit child mask of node i (0 for leaves).
-	Occupy []byte
 	// NumLeaves is the number of distinct occupied voxels.
 	NumLeaves int
+
+	leaves   []morton.Code   // the sweep's input; not owned
+	codes    [][]morton.Code // codes[d], d < Depth: node codes at their own depth
+	masks    [][]byte        // masks[d][i]: child mask (occupy bits) of node codes[d][i]
+	internal int             // nodes above the leaf level = bytes of the stream
+}
+
+// Level returns depth d's node codes and, above the leaf level, their
+// child masks (nil for the leaves).
+func (t *Tree) Level(d uint) ([]morton.Code, []byte) {
+	if d == t.Depth {
+		return t.leaves, nil
+	}
+	return t.codes[d], t.masks[d]
+}
+
+// nodes returns the node count at depth d.
+func (t *Tree) nodes(d uint) int {
+	codes, _ := t.Level(d)
+	return len(codes)
 }
 
 // LevelNodes returns the node count at each depth.
 func (t *Tree) LevelNodes() []int {
 	out := make([]int, t.Depth+1)
-	for d := uint(0); d <= t.Depth; d++ {
-		out[d] = t.LevelOffsets[d+1] - t.LevelOffsets[d]
+	for d := range out {
+		out[d] = t.nodes(uint(d))
 	}
 	return out
 }
 
 // Leaves returns the slice of leaf codes (ascending Morton order).
-func (t *Tree) Leaves() []morton.Code {
-	return t.Codes[t.LevelOffsets[t.Depth]:]
+func (t *Tree) Leaves() []morton.Code { return t.leaves }
+
+// sweep builds the octree over sorted, strictly ascending leaf codes of a
+// depth-deep lattice: bottom-up, one pass per level, each run of children
+// with one parent becoming a node whose mask collects the run's octants
+// (the level build and Algorithm 1 in one step). leaves is referenced, not
+// copied. Unsorted or duplicate leaves, and codes outside the lattice (the
+// top level then is not the single root), are errors.
+func (t *Tree) sweep(leaves []morton.Code, depth uint) error {
+	if len(leaves) == 0 {
+		return ErrNoPoints
+	}
+	if err := checkDepth(depth); err != nil {
+		return err
+	}
+	for len(t.codes) < int(depth) {
+		t.codes = append(t.codes, nil)
+		t.masks = append(t.masks, nil)
+	}
+	t.internal = 0
+	child := leaves
+	for d := depth; d >= 1; d-- {
+		pc, pm := grow(t.codes[d-1], len(child)), grow(t.masks[d-1], len(child))
+		w := -1
+		for i, c := range child {
+			if i > 0 && c <= child[i-1] {
+				return fmt.Errorf("paroctree: leaf codes not strictly ascending at %d", i)
+			}
+			if p := c.Parent(); w < 0 || pc[w] != p {
+				w++
+				pc[w], pm[w] = p, 0
+			}
+			pm[w] |= 1 << (c & 7)
+		}
+		t.codes[d-1], t.masks[d-1] = pc[:w+1], pm[:w+1]
+		t.internal += w + 1
+		child = pc[:w+1]
+	}
+	if len(child) != 1 || child[0] != 0 {
+		return fmt.Errorf("paroctree: construction did not converge to a single root (got %v)", child)
+	}
+	t.Depth, t.NumLeaves, t.leaves = depth, len(leaves), leaves
+	return nil
+}
+
+// appendStream appends the BFS occupancy stream to dst: every level's
+// masks, root first, leaf level (no masks) excluded.
+func (t *Tree) appendStream(dst []byte) []byte {
+	dst = slices.Grow(dst, t.internal)
+	for _, m := range t.masks[:t.Depth] {
+		dst = append(dst, m...)
+	}
+	return dst
+}
+
+// bookBuild books the kernels the paper's pipeline launches to build t —
+// per level a flag and a scan+compact over the child nodes, then the parent
+// links, then Algorithm 1's occupy bits and their packing — with the item
+// counts the sweep produced. The work itself already happened in the sweep.
+func bookBuild(dev *edgesim.Device, t *Tree) {
+	for d := t.Depth; d >= 1; d-- {
+		dev.GPUNoop("LevelFlag", t.nodes(d), costLevelFlag)
+		dev.GPUNoop("LevelCompact", t.nodes(d), costLevelBuild)
+	}
+	for d := uint(1); d <= t.Depth; d++ {
+		dev.GPUNoop("ParentLink", t.nodes(d), costParentLink)
+	}
+	total := t.internal + t.NumLeaves
+	dev.GPUNoop("OccupyBits", total-1, costOccupy)
+	dev.GPUNoop("OccupyPack", total, costPack)
 }
 
 // ErrNoPoints is returned when building from an empty cloud.
@@ -87,10 +185,9 @@ type BuildResult struct {
 	Sorted []morton.Keyed
 }
 
-// BuildScratch is the geometry pipeline's reusable arena: every
-// intermediate buffer of the construction (keyed codes, sort passes,
-// flag/rank vectors, per-level code and rank arrays, occupancy words) plus
-// the output Tree. Buffers grow to the largest frame built and are then
+// BuildScratch is the geometry pipeline's reusable arena: the keyed codes,
+// the sort's passes, the leaf-code column and the output Tree with its
+// per-level buffers. Buffers grow to the largest frame built and are then
 // reused, so steady-state encoding is allocation-free.
 //
 // A scratch must not be shared by concurrent builds, and the BuildResult of
@@ -99,11 +196,7 @@ type BuildResult struct {
 type BuildScratch struct {
 	keyed  []morton.Keyed
 	sort   morton.SortScratch
-	dedup  []morton.Keyed
-	flags  []int32
-	levels [][]morton.Code // levels[d]: node codes at depth d
-	pranks [][]int32       // pranks[d]: rank (index within depth d-1) of each depth-d node's parent
-	occ32  []uint32
+	leaves []morton.Code
 	tree   Tree
 }
 
@@ -114,50 +207,39 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// ensureDepth sizes the per-level slices for a depth-deep build.
-func (s *BuildScratch) ensureDepth(depth uint) {
-	for len(s.levels) <= int(depth) {
-		s.levels = append(s.levels, nil)
-	}
-	for len(s.pranks) <= int(depth) {
-		s.pranks = append(s.pranks, nil)
-	}
-}
-
-// Build runs the full parallel construction on dev with a fresh scratch;
-// the result is independently owned. Hot paths (the codec's per-frame
-// encode) should hold a BuildScratch and call BuildWith.
+// Build runs the full construction on dev with a fresh scratch; the result
+// is independently owned. Hot paths (the codec's per-frame encode) should
+// hold a BuildScratch and call BuildWith.
 func Build(dev *edgesim.Device, vc *geom.VoxelCloud) (*BuildResult, error) {
 	return BuildWith(dev, vc, new(BuildScratch))
 }
 
-// BuildWith runs the full parallel construction on dev, reusing the given
-// scratch arena. The input cloud does not need to be sorted or
-// deduplicated. The returned BuildResult aliases the scratch.
+// BuildWith runs the full construction on dev, reusing the given scratch
+// arena: SortWith, then the sweep over all leaves. The input cloud does not
+// need to be sorted or deduplicated. The returned BuildResult aliases the
+// scratch.
 func BuildWith(dev *edgesim.Device, vc *geom.VoxelCloud, s *BuildScratch) (*BuildResult, error) {
 	sorted, leaves, err := SortWith(dev, vc, s)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := buildFromSortedWith(dev, leaves, vc.Depth, s)
-	if err != nil {
+	if err := s.tree.sweep(leaves, vc.Depth); err != nil {
 		return nil, err
 	}
-	return &BuildResult{Tree: tree, Sorted: sorted}, nil
+	bookBuild(dev, &s.tree)
+	return &BuildResult{Tree: &s.tree, Sorted: sorted}, nil
 }
 
 // SortWith runs only the front half of the construction — Morton code
 // generation, data-parallel sort, and deduplication (kernels 1-3 of
 // BuildWith, identical accounting) — returning the sorted keyed voxels and
-// the leaf-code column without building the level-wise tree. The tiled
-// encode path uses this: each tile then rebuilds its own subtree serially
-// (TileScratch.SerializeSubtree), so the global LevelBuild/Occupy/Pack
-// stages would be wasted work. Both results alias the scratch.
+// the leaf-code column without building the tree. The tiled encode path
+// uses this: each tile then sweeps its own leaf range
+// (TileScratch.SerializeSubtree). Both results alias the scratch.
 func SortWith(dev *edgesim.Device, vc *geom.VoxelCloud, s *BuildScratch) ([]morton.Keyed, []morton.Code, error) {
 	if vc.Len() == 0 {
 		return nil, nil, ErrNoPoints
 	}
-	depth := vc.Depth
 	n := vc.Len()
 
 	// Kernel 1: Morton code generation — one independent work-item per
@@ -179,153 +261,19 @@ func SortWith(dev *edgesim.Device, vc *geom.VoxelCloud, s *BuildScratch) ([]mort
 		s.sort.Sort(dev.Pool(), keyed, 8)
 	})
 
-	// Kernel 3: deduplicate equal codes (captured voxel duplicates) as a
-	// genuine parallel flag → scan → compact.
-	s.ensureDepth(depth)
-	var sorted []morton.Keyed
+	// Kernel 3: deduplicate equal codes (captured voxel duplicates), in
+	// place, keeping the first of each run; the same pass writes the
+	// leaf-code column every level of the sweep reads.
+	s.leaves = grow(s.leaves, n)
+	leaves := s.leaves
+	w := 0
 	dev.GPUCompute("Dedup", n, costDedup, func() {
-		s.flags = grow(s.flags, n)
-		s.pranks[0] = grow(s.pranks[0], n)
-		flags, ranks := s.flags, s.pranks[0]
-		dev.ParallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if i == 0 || keyed[i].Code != keyed[i-1].Code {
-					flags[i] = 1
-				} else {
-					flags[i] = 0
-				}
+		for i, k := range keyed {
+			if i == 0 || k.Code != leaves[w-1] {
+				keyed[w], leaves[w] = k, k.Code
+				w++
 			}
-		})
-		total := dev.ScanFlags(flags, ranks)
-		s.dedup = grow(s.dedup, total)
-		sorted = s.dedup
-		edgesim.GatherFlags(dev, flags, ranks, sorted, func(i int) morton.Keyed { return keyed[i] })
-	})
-
-	// Extract the leaf-code column into the scratch's leaf-level buffer
-	// (read by every level of the construction).
-	s.levels[depth] = grow(s.levels[depth], len(sorted))
-	leaves := s.levels[depth]
-	dev.ParallelFor(len(sorted), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			leaves[i] = sorted[i].Code
 		}
 	})
-	return sorted, leaves, nil
-}
-
-// buildFromSorted performs the level-wise construction over sorted unique
-// leaf codes (fresh scratch; tests and standalone callers).
-func buildFromSorted(dev *edgesim.Device, leaves []morton.Code, depth uint) (*Tree, error) {
-	return buildFromSortedWith(dev, leaves, depth, new(BuildScratch))
-}
-
-// buildFromSortedWith performs the level-wise construction over sorted
-// unique leaf codes, reusing the scratch. leaves may alias
-// s.levels[depth].
-func buildFromSortedWith(dev *edgesim.Device, leaves []morton.Code, depth uint, s *BuildScratch) (*Tree, error) {
-	if len(leaves) == 0 {
-		return nil, ErrNoPoints
-	}
-	s.ensureDepth(depth)
-	s.levels[depth] = leaves
-
-	// Build levels bottom-up, each as flag → scan → compact on the worker
-	// pool. Input validation (leaf codes strictly ascending) is folded into
-	// the leaf-level flag kernel — it already reads child[i-1] — so it is
-	// parallel and costed instead of a serial unaccounted prefix pass.
-	var badLeaf atomic.Int64
-	badLeaf.Store(-1)
-	for d := depth; d >= 1; d-- {
-		child := s.levels[d]
-		s.flags = grow(s.flags, len(child))
-		flags := s.flags
-		validate := d == depth
-		// Kernel: flag new parent prefixes (independent per element).
-		dev.GPUKernelIdx("LevelFlag", len(child), edgesim.Cost{OpsPerItem: 6, BytesPerItem: 8}, func(i int) {
-			if i == 0 || child[i].Parent() != child[i-1].Parent() {
-				flags[i] = 1
-			} else {
-				flags[i] = 0
-			}
-			if validate && i > 0 && child[i] <= child[i-1] {
-				// Record the smallest offending index (CAS-min keeps the
-				// error deterministic under parallel execution).
-				for {
-					cur := badLeaf.Load()
-					if cur >= 0 && cur <= int64(i) {
-						break
-					}
-					if badLeaf.CompareAndSwap(cur, int64(i)) {
-						break
-					}
-				}
-			}
-		})
-		if i := badLeaf.Load(); i >= 0 {
-			return nil, fmt.Errorf("paroctree: leaf codes not strictly ascending at %d", i)
-		}
-		// Scan + compact. A GPU implements this as a prefix sum; the cost
-		// model charges the per-node level-build cost here.
-		s.pranks[d] = grow(s.pranks[d], len(child))
-		ranks := s.pranks[d]
-		dev.GPUCompute("LevelCompact", len(child), costLevelBuild, func() {
-			total := dev.ScanFlags(flags, ranks)
-			s.levels[d-1] = grow(s.levels[d-1], total)
-			edgesim.GatherFlags(dev, flags, ranks, s.levels[d-1], func(i int) morton.Code { return child[i].Parent() })
-		})
-		if d == 1 {
-			break
-		}
-	}
-	if len(s.levels[0]) != 1 || s.levels[0][0] != 0 {
-		return nil, fmt.Errorf("paroctree: construction did not converge to a single root (got %v)", s.levels[0])
-	}
-
-	// Flatten into the Fig. 5 array form (root first).
-	t := &s.tree
-	t.Depth = depth
-	t.NumLeaves = len(leaves)
-	t.LevelOffsets = grow(t.LevelOffsets, int(depth)+2)
-	total := 0
-	for d := uint(0); d <= depth; d++ {
-		t.LevelOffsets[d] = total
-		total += len(s.levels[d])
-	}
-	t.LevelOffsets[depth+1] = total
-	t.Codes = grow(t.Codes, total)[:0]
-	for d := uint(0); d <= depth; d++ {
-		t.Codes = append(t.Codes, s.levels[d]...)
-	}
-	t.Parent = grow(t.Parent, total)
-	t.Parent[0] = -1
-	for d := uint(1); d <= depth; d++ {
-		off := t.LevelOffsets[d]
-		parentOff := int32(t.LevelOffsets[d-1])
-		ranks := s.pranks[d]
-		dev.GPUKernelIdx("ParentLink", len(ranks), edgesim.Cost{OpsPerItem: 4, BytesPerItem: 8}, func(i int) {
-			t.Parent[off+i] = parentOff + ranks[i]
-		})
-	}
-
-	// Algorithm 1: occupy-bit generation. Every non-root node ORs its
-	// octant bit into its parent's mask; children of one parent may be
-	// split across work-items, so the OR is atomic (a CUDA kernel would
-	// use atomicOr identically).
-	s.occ32 = grow(s.occ32, total)
-	occ32 := s.occ32
-	dev.ParallelFor(total, func(lo, hi int) {
-		clear(occ32[lo:hi])
-	})
-	nonRoot := total - 1
-	dev.GPUKernelIdx("OccupyBits", nonRoot, costOccupy, func(i int) {
-		j := i + 1
-		p := t.Parent[j]
-		atomic.OrUint32(&occ32[p], 1<<uint(t.Codes[j]&7))
-	})
-	t.Occupy = grow(t.Occupy, total)
-	dev.GPUKernelIdx("OccupyPack", total, costPack, func(i int) {
-		t.Occupy[i] = byte(occ32[i])
-	})
-	return t, nil
+	return keyed[:w], leaves[:w], nil
 }

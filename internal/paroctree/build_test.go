@@ -1,7 +1,9 @@
 package paroctree
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -44,25 +46,34 @@ func TestBuildSinglePoint(t *testing.T) {
 	if tr.NumLeaves != 1 {
 		t.Fatalf("NumLeaves = %d", tr.NumLeaves)
 	}
-	// Depth 3, single point: 4 nodes (root + 3).
-	if len(tr.Codes) != 4 {
-		t.Fatalf("nodes = %d, want 4", len(tr.Codes))
+	// Depth 3, single point: one node per level, each the leaf's ancestor,
+	// each internal node with exactly the one child's octant set.
+	leaf := morton.Encode(3, 3, 3)
+	for d := uint(0); d <= 3; d++ {
+		codes, masks := tr.Level(d)
+		if want := leaf >> (3 * (3 - d)); len(codes) != 1 || codes[0] != want {
+			t.Fatalf("level %d codes = %v, want [%d]", d, codes, want)
+		}
+		if d == 3 {
+			if masks != nil {
+				t.Fatalf("leaf level carries masks %v", masks)
+			}
+			continue
+		}
+		if want := byte(1) << (leaf >> (3 * (2 - d)) & 7); len(masks) != 1 || masks[0] != want {
+			t.Fatalf("level %d masks = %08b, want %08b", d, masks, want)
+		}
 	}
-	if tr.Parent[0] != -1 {
-		t.Fatal("root parent must be -1")
-	}
-	if tr.Leaves()[0] != morton.Encode(3, 3, 3) {
+	if tr.Leaves()[0] != leaf {
 		t.Fatalf("leaf code = %d", tr.Leaves()[0])
 	}
 }
 
-// The Fig. 5 worked example: P0=(0,0,0), P1 at low corner, P2=(3,3,3) in a
-// side-8 cube (depth 3). The paper's parallel build places P0..P2 and emits
-// code/parent arrays; the occupy post-processing (Algo. 1) merges children.
+// The Fig. 5 worked example: P0, P1 at the low corner and P2=(3,3,3) in a
+// side-8 cube (depth 3), with x offset by +1 into the unsigned lattice:
+// P0=(1,0,0), P1=(0,0,0), P2=(4,3,3). The build emits Fig. 5's code array
+// per level; Algorithm 1's occupy bits merge the children of each node.
 func TestFig5Example(t *testing.T) {
-	// Shift the paper's [-1..3] coordinates into the unsigned lattice by +1:
-	// P1=(0,0,0), P0=(1,1,1)? No — keep it faithful: P0=(1,0,0), P1=(0,0,0),
-	// P2=(4,3,3) in a depth-3 (side-8) lattice after offsetting x by +1.
 	vc := &geom.VoxelCloud{Depth: 3, Voxels: []geom.Voxel{
 		{X: 1, Y: 0, Z: 0}, // P0
 		{X: 0, Y: 0, Z: 0}, // P1
@@ -76,27 +87,55 @@ func TestFig5Example(t *testing.T) {
 	if tr.NumLeaves != 3 {
 		t.Fatalf("NumLeaves = %d", tr.NumLeaves)
 	}
-	// Sorted order: P1 (code 0), P0 (code 1), P2.
-	leaves := tr.Leaves()
-	if leaves[0] != 0 || leaves[1] != 1 {
-		t.Fatalf("leaves = %v", leaves)
+	// Sorted order: P1 (code 0), P0 (code 1), P2. P0/P1 share every
+	// ancestor; P2 sits in root octant 1 (x >= 4).
+	p2 := morton.Encode(4, 3, 3)
+	wantCodes := [][]morton.Code{{0}, {0, p2 >> 6}, {0, p2 >> 3}, {0, 1, p2}}
+	wantMasks := [][]byte{
+		{1<<0 | 1<<(p2>>6&7)},
+		{1 << 0, 1 << (p2 >> 3 & 7)},
+		{1<<0 | 1<<1, 1 << (p2 & 7)},
 	}
-	// Root occupy: P0/P1 share octant 0; P2's octant differs.
-	rootOcc := tr.Occupy[0]
-	if popcount8(rootOcc) != 2 {
-		t.Fatalf("root occupancy %08b, want 2 children", rootOcc)
+	if got := tr.LevelNodes(); len(got) != 4 {
+		t.Fatalf("LevelNodes = %v", got)
 	}
-	// Every parent pointer must point to a node one level up whose code is
-	// the child's code >> 3.
-	for d := uint(1); d <= tr.Depth; d++ {
-		for i := tr.LevelOffsets[d]; i < tr.LevelOffsets[d+1]; i++ {
-			p := tr.Parent[i]
-			if p < int32(tr.LevelOffsets[d-1]) || p >= int32(tr.LevelOffsets[d]) {
-				t.Fatalf("node %d parent %d outside level %d", i, p, d-1)
+	for d := uint(0); d <= 3; d++ {
+		codes, masks := tr.Level(d)
+		if !slices.Equal(codes, wantCodes[d]) {
+			t.Fatalf("level %d codes = %v, want %v", d, codes, wantCodes[d])
+		}
+		if d < 3 && !bytes.Equal(masks, wantMasks[d]) {
+			t.Fatalf("level %d occupy bits = %08b, want %08b", d, masks, wantMasks[d])
+		}
+		if d == 0 {
+			continue
+		}
+		// Parent of a depth-d node = the depth-(d-1) node whose code is its
+		// own >> 3, and that node's mask has the child's octant bit.
+		up, upMasks := tr.Level(d - 1)
+		for _, c := range codes {
+			i, ok := slices.BinarySearch(up, c.Parent())
+			if !ok {
+				t.Fatalf("level %d node %d has no parent at level %d", d, c, d-1)
 			}
-			if tr.Codes[p] != tr.Codes[i].Parent() {
-				t.Fatalf("node %d: parent code mismatch", i)
+			if upMasks[i]>>(c&7)&1 == 0 {
+				t.Fatalf("level %d node %d missing from its parent's occupy bits", d, c)
 			}
+		}
+	}
+}
+
+// One sweep, one depth check: the untiled builder refuses what the tile
+// sweep refuses (it used to accept depth 0 and 22 and ship a stream the
+// container reader rejects).
+func TestBuildDepthRange(t *testing.T) {
+	for _, depth := range []uint{0, 22} {
+		vc := &geom.VoxelCloud{Depth: depth, Voxels: []geom.Voxel{{X: 0}}}
+		if _, err := Build(dev(), vc); err == nil {
+			t.Errorf("Build at depth %d must fail", depth)
+		}
+		if _, err := BuildWith(dev(), vc, new(BuildScratch)); err == nil {
+			t.Errorf("BuildWith at depth %d must fail", depth)
 		}
 	}
 }
@@ -191,11 +230,15 @@ func TestDeserializeErrors(t *testing.T) {
 }
 
 func TestBuildRejectsUnsortedInternal(t *testing.T) {
-	if _, err := buildFromSorted(dev(), []morton.Code{5, 3}, 4); err == nil {
+	var tr Tree
+	if err := tr.sweep([]morton.Code{5, 3}, 4); err == nil {
 		t.Error("unsorted leaves must fail")
 	}
-	if _, err := buildFromSorted(dev(), []morton.Code{3, 3}, 4); err == nil {
+	if err := tr.sweep([]morton.Code{3, 3}, 4); err == nil {
 		t.Error("duplicate leaves must fail")
+	}
+	if err := tr.sweep([]morton.Code{1 << 12}, 4); err == nil {
+		t.Error("a code outside the depth-4 lattice must fail")
 	}
 }
 
@@ -325,6 +368,73 @@ func TestGeometrySimLatencyShape(t *testing.T) {
 	if ratio := float64(seqTime) / float64(parTime); ratio < 5 {
 		t.Fatalf("parallel speedup = %.1fx, want >= 5x (seq %v, par %v)", ratio, seqTime, parTime)
 	}
+}
+
+// TestGeometryLedgerPinned pins the accounting layer: for one fixed cloud
+// (5000 random depth-8 voxels plus 100 duplicates) the ledger of Build +
+// Serialize, Deserialize and DeserializeLoD is the table captured at the
+// commit before the sweep and the expander were fused — same kernels, same
+// launch counts and order, same items, ops, bytes and simulated time.
+func TestGeometryLedgerPinned(t *testing.T) {
+	type row struct {
+		name, stage string
+		launches    int
+		items       int64
+		ops, bytes  float64
+		simNs       int64
+	}
+	check := func(what string, d *edgesim.Device, want []row) {
+		t.Helper()
+		var got []row
+		for _, k := range d.Kernels() {
+			got = append(got, row{k.Name, k.Stage, k.Launches, k.Items, k.Ops, k.Bytes, int64(k.SimTime)})
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s ledger:\n got %v\nwant %v", what, got, want)
+		}
+	}
+	vc := randomCloud(7, 5000, 8)
+	vc.Voxels = append(vc.Voxels, vc.Voxels[:100]...)
+
+	d := dev()
+	d.BeginStage("geometry")
+	br, err := Build(d, vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := br.Tree.Serialize(d)
+	d.EndStage()
+	check("Build+Serialize", d, []row{
+		{"MortonGen", "geometry", 1, 5100, 61200, 81600, 23064},
+		{"RadixSort", "geometry", 1, 5100, 2.8152e+06, 1.3056e+06, 160985},
+		{"Dedup", "geometry", 1, 5100, 45900, 81600, 22298},
+		{"LevelFlag", "geometry", 8, 23052, 138312, 184416, 166923},
+		{"LevelCompact", "geometry", 8, 23052, 6.662028e+06, 553248, 493632},
+		{"ParentLink", "geometry", 8, 23052, 92208, 184416, 164613},
+		{"OccupyBits", "geometry", 1, 23052, 1.060392e+06, 207468, 73104},
+		{"OccupyPack", "geometry", 1, 23053, 806855, 46106, 60407},
+		{"SerializePack", "geometry", 1, 18054, 631890, 36108, 51645},
+	})
+	if d.SimTime() != 1216671 || len(stream) != 18054 {
+		t.Errorf("sim time %d ns over %d stream bytes, want 1216671 ns over 18054", d.SimTime(), len(stream))
+	}
+
+	d = dev()
+	if _, err := Deserialize(d, stream, vc.Depth); err != nil {
+		t.Fatal(err)
+	}
+	check("Deserialize", d, []row{
+		{"DecodeScan", "", 1, 18054, 451350, 36108, 451350},
+		{"DecodeExpand", "", 8, 18054, 541620, 180540, 187122},
+	})
+
+	d = dev()
+	if _, err := DeserializeLoD(d, stream, vc.Depth, 5); err != nil {
+		t.Fatal(err)
+	}
+	check("DeserializeLoD(5)", d, []row{
+		{"DecodeExpand", "", 5, 3464, 103920, 34640, 105203},
+	})
 }
 
 func BenchmarkParallelBuild100K(b *testing.B) {

@@ -1,8 +1,6 @@
 package paroctree
 
 import (
-	"fmt"
-
 	"repro/internal/edgesim"
 	"repro/internal/geom"
 	"repro/internal/morton"
@@ -28,47 +26,19 @@ type LoDResult struct {
 }
 
 // DeserializeLoD decodes only the first `level` levels of a BFS occupancy
-// stream (level == depth reproduces Deserialize).
+// stream (level == depth reproduces Deserialize, minus its trailing-bytes
+// rule: bytes past the prefix are simply not read).
 func DeserializeLoD(dev *edgesim.Device, stream []byte, depth, level uint) (*LoDResult, error) {
-	if depth == 0 || depth > 21 {
-		return nil, fmt.Errorf("paroctree: depth %d out of range [1,21]", depth)
+	level = min(level, depth)
+	off, nodes, err := scanLevels(stream, depth, level)
+	if err != nil {
+		return nil, err
 	}
-	if level > depth {
-		level = depth
-	}
-	if len(stream) == 0 {
+	if nodes == 0 {
 		return &LoDResult{Level: level}, nil
 	}
-	codes := []morton.Code{0}
-	pos := 0
-	for d := uint(0); d < level; d++ {
-		if pos+len(codes) > len(stream) {
-			return nil, ErrBadStream
-		}
-		masks := stream[pos : pos+len(codes)]
-		pos += len(codes)
-		offsets := make([]int, len(codes)+1)
-		for i, m := range masks {
-			if m == 0 {
-				return nil, fmt.Errorf("paroctree: zero occupancy mask at depth %d node %d", d, i)
-			}
-			offsets[i+1] = offsets[i] + popcount8(m)
-		}
-		next := make([]morton.Code, offsets[len(codes)])
-		parent := codes
-		dev.GPUKernelIdx("DecodeExpand", len(parent), edgesim.Cost{OpsPerItem: 30, BytesPerItem: 10}, func(i int) {
-			w := offsets[i]
-			base := parent[i] << 3
-			for b := uint(0); b < 8; b++ {
-				if masks[i]>>b&1 == 1 {
-					next[w] = base | morton.Code(b)
-					w++
-				}
-			}
-		})
-		codes = next
-	}
-	return &LoDResult{Level: level, Codes: codes, PrefixBytes: pos}, nil
+	bookExpand(dev, off)
+	return &LoDResult{Level: level, Codes: expand(stream, off, nodes), PrefixBytes: off[level]}, nil
 }
 
 // UpscaleToLattice maps level-L node codes back into full-lattice voxel

@@ -3,10 +3,16 @@ package paroctree
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/edgesim"
 	"repro/internal/geom"
 	"repro/internal/morton"
+)
+
+var (
+	costDecodeScan   = edgesim.Cost{OpsPerItem: 25, BytesPerItem: 2}
+	costDecodeExpand = edgesim.Cost{OpsPerItem: 30, BytesPerItem: 10} // per expanded node
 )
 
 // Serialize emits the occupancy stream in breadth-first (level) order:
@@ -23,78 +29,115 @@ func (t *Tree) Serialize(dev *edgesim.Device) []byte {
 	return t.SerializeInto(dev, nil)
 }
 
-// SerializeInto is Serialize into a reusable buffer (grown as needed).
+// SerializeInto is Serialize into a reusable buffer (grown as needed),
+// booked as the paper's pack kernel over the nodes that have children.
 func (t *Tree) SerializeInto(dev *edgesim.Device, dst []byte) []byte {
-	internal := t.LevelOffsets[t.Depth] // nodes below this index have children
-	out := grow(dst, internal)
-	dev.GPUKernelIdx("SerializePack", internal, costPack, func(i int) {
-		out[i] = t.Occupy[i]
-	})
-	return out
+	dev.GPUNoop("SerializePack", t.internal, costPack)
+	return t.appendStream(dst[:0])
 }
 
 // ErrBadStream reports a malformed occupancy stream.
 var ErrBadStream = errors.New("paroctree: malformed occupancy stream")
 
-// Deserialize reconstructs the leaf Morton codes from a BFS occupancy
-// stream. The expansion proceeds level by level; within a level every node
-// expands independently (flag/scan/compact again), which the device ledger
-// records as the parallel decode path.
-func Deserialize(dev *edgesim.Device, stream []byte, depth uint) ([]morton.Code, error) {
-	if depth == 0 || depth > 21 {
-		return nil, fmt.Errorf("paroctree: depth %d out of range [1,21]", depth)
+// scanLevels is the expander's sizing pass over the first `level` mask
+// levels of a BFS occupancy stream: off[d] is the byte offset of level d's
+// masks (so off[d+1]-off[d] is the node count at depth d, and off[level]
+// the prefix consumed) and nodes the node count at depth level. It
+// validates what it walks — depth range, truncation, zero masks — so
+// nothing is allocated for a stream that will not expand. An empty stream
+// is the empty cloud: nodes == 0.
+func scanLevels(stream []byte, depth, level uint) (off []int, nodes int, err error) {
+	if err := checkDepth(depth); err != nil {
+		return nil, 0, err
 	}
+	off = make([]int, level+1)
 	if len(stream) == 0 {
-		return nil, nil
+		return off, 0, nil
 	}
-	// The per-level offset scan is serial in this implementation; the
-	// paper's decode is similarly "sub-optimal" (Sec. IV-B3, ~70 ms/frame
-	// end-to-end for Redandblack).
-	dev.CPUSerial("DecodeScan", len(stream), edgesim.Cost{OpsPerItem: 25, BytesPerItem: 2}, func() {})
-	codes := []morton.Code{0} // root
-	pos := 0
-	for d := uint(0); d < depth; d++ {
-		if pos+len(codes) > len(stream) {
-			return nil, ErrBadStream
+	nodes = 1
+	for d := uint(0); d < level; d++ {
+		pos := off[d]
+		if nodes > len(stream)-pos {
+			return nil, 0, fmt.Errorf("%w: truncated at depth %d", ErrBadStream, d)
 		}
-		masks := stream[pos : pos+len(codes)]
-		pos += len(codes)
-
-		// Exclusive scan of child counts gives each node its write offset.
-		offsets := make([]int, len(codes)+1)
-		for i, m := range masks {
+		next := 0
+		for i, m := range stream[pos : pos+nodes] {
 			if m == 0 {
-				return nil, fmt.Errorf("paroctree: zero occupancy mask at depth %d node %d", d, i)
+				return nil, 0, fmt.Errorf("%w: zero mask at depth %d node %d", ErrBadStream, d, i)
 			}
-			offsets[i+1] = offsets[i] + popcount8(m)
+			next += bits.OnesCount8(m)
 		}
-		next := make([]morton.Code, offsets[len(codes)])
-		parent := codes
-		dev.GPUKernelIdx("DecodeExpand", len(parent), edgesim.Cost{OpsPerItem: 30, BytesPerItem: 10}, func(i int) {
-			w := offsets[i]
-			base := parent[i] << 3
-			for b := uint(0); b < 8; b++ {
-				if masks[i]>>b&1 == 1 {
-					next[w] = base | morton.Code(b)
-					w++
-				}
-			}
-		})
-		codes = next
+		off[d+1] = pos + nodes
+		nodes = next
 	}
-	if pos != len(stream) {
-		return nil, fmt.Errorf("paroctree: %d trailing bytes", len(stream)-pos)
-	}
-	return codes, nil
+	return off, nodes, nil
 }
 
-func popcount8(b byte) int {
-	n := 0
-	for b != 0 {
-		n += int(b & 1)
-		b >>= 1
+// LevelOffsets returns each level's first byte offset in a whole BFS
+// occupancy stream: off[d] is where depth d's masks start (depth+1 entries,
+// off[depth] == len(stream)), plus the leaf count. This is how a consumer
+// finds the per-level cut points without retaining any octree state.
+// Truncation, zero masks and trailing bytes are ErrBadStream.
+func LevelOffsets(stream []byte, depth uint) (off []int, leaves int, err error) {
+	off, leaves, err = scanLevels(stream, depth, depth)
+	if err == nil && off[depth] != len(stream) {
+		err = fmt.Errorf("%w: %d trailing bytes", ErrBadStream, len(stream)-off[depth])
 	}
-	return n
+	return off, leaves, err
+}
+
+// expand is the one stream expander: given scanLevels' offsets and final
+// node count it regenerates the depth-(len(off)-1) node codes, ascending.
+// The levels are expanded in place in the one output buffer, each level
+// right-aligned: every node has at least one child, so the write cursor
+// (start of the child level plus children so far) never passes the read
+// cursor (the next unread parent).
+func expand(stream []byte, off []int, nodes int) []morton.Code {
+	if nodes == 0 {
+		return nil
+	}
+	buf := make([]morton.Code, nodes) // buf[nodes-1] is level 0: the root, code 0
+	for d := 0; d+1 < len(off); d++ {
+		masks := stream[off[d]:off[d+1]]
+		next := nodes
+		if d+2 < len(off) {
+			next = off[d+2] - off[d+1]
+		}
+		r, w := nodes-len(masks), nodes-next
+		for _, m := range masks {
+			base := buf[r] << 3
+			r++
+			for ; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros8(m)
+				buf[w] = base | morton.Code(b)
+				w++
+			}
+		}
+	}
+	return buf
+}
+
+// bookExpand books the decode direction's kernels for the levels off
+// describes: one DecodeExpand launch per mask level over its node count.
+func bookExpand(dev *edgesim.Device, off []int) {
+	for d := 0; d+1 < len(off); d++ {
+		dev.GPUNoop("DecodeExpand", off[d+1]-off[d], costDecodeExpand)
+	}
+}
+
+// Deserialize reconstructs the leaf Morton codes from a whole BFS
+// occupancy stream. The device ledger records the paper's parallel decode
+// path: a serial per-level offset scan ("sub-optimal", Sec. IV-B3, ~70
+// ms/frame end-to-end for Redandblack), then one expansion kernel per
+// level in which every node expands independently.
+func Deserialize(dev *edgesim.Device, stream []byte, depth uint) ([]morton.Code, error) {
+	off, leaves, err := LevelOffsets(stream, depth)
+	if err != nil || leaves == 0 {
+		return nil, err
+	}
+	dev.CPUSerial("DecodeScan", len(stream), costDecodeScan, func() {})
+	bookExpand(dev, off)
+	return expand(stream, off, leaves), nil
 }
 
 // CodesToVoxels decodes Morton leaf codes into voxel positions (attributes

@@ -1,129 +1,42 @@
 package paroctree
 
-// Serial per-tile octree serialization for the tiled encode path.
+// Per-tile entry points for the tiled encode and decode paths.
 //
 // A tile is a contiguous range of the frame's sorted, deduplicated leaf
 // codes. The octree restricted to that subset still roots at code 0 (every
-// leaf's depth-D ancestor is the whole-space root), so its BFS occupancy
-// stream is decodable by the ordinary Deserialize with the frame's depth —
-// each tile's geometry slab is self-contained. The construction here is
-// deliberately serial: tiles are the unit of parallelism (the codec fans T
-// of these out across the edgesim worker pool inside one frame), so the
-// per-tile body must be a pool LEAF — plain straight-line code with no
-// nested kernel dispatch.
-//
-// For the full leaf set the emitted stream is byte-identical to
-// Build + SerializeInto (differential-tested), because both produce the
-// same BFS mask sequence: per-level child masks, root first, levels in
-// order, nodes within a level in ascending Morton order.
+// leaf's depth-D ancestor is the whole-space root), so the sweep over the
+// range emits a BFS occupancy stream decodable by the ordinary Deserialize
+// with the frame's depth — each tile's geometry slab is self-contained, and
+// one tile over the full leaf set is the untiled stream by construction.
+// Tiles are the unit of parallelism (the codec fans T of these out across
+// the edgesim worker pool inside one frame), so the per-tile bodies must be
+// pool LEAVES: they take no device and book nothing — the codec books the
+// fan-out once as its own kernel.
 
-import (
-	"fmt"
+import "repro/internal/morton"
 
-	"repro/internal/morton"
-)
-
-// TileScratch is the reusable arena for serial subtree serialization: one
-// code and one mask buffer per level, grown to the largest tile built and
-// then reused. A scratch must not be shared by concurrent tiles — the
-// tiled encoder holds one per worker slot.
-type TileScratch struct {
-	codes [][]morton.Code
-	masks [][]byte
-}
-
-func (s *TileScratch) ensure(depth uint) {
-	for len(s.codes) <= int(depth) {
-		s.codes = append(s.codes, nil)
-	}
-	for len(s.masks) <= int(depth) {
-		s.masks = append(s.masks, nil)
-	}
-}
+// TileScratch is the reusable level arena for one tile's sweep. A scratch
+// must not be shared by concurrent tiles — the tiled encoder holds one per
+// worker slot.
+type TileScratch struct{ tree Tree }
 
 // SerializeSubtree appends the BFS occupancy stream of the octree over the
 // given sorted, strictly-ascending leaf codes to dst and returns it. The
 // leaves must be a subset of a depth-deep lattice (codes < 8^depth);
 // Deserialize(stream, depth) recovers exactly these leaves.
 func (s *TileScratch) SerializeSubtree(leaves []morton.Code, depth uint, dst []byte) ([]byte, error) {
-	if len(leaves) == 0 {
-		return nil, ErrNoPoints
+	if err := s.tree.sweep(leaves, depth); err != nil {
+		return nil, err
 	}
-	if depth == 0 || depth > 21 {
-		return nil, fmt.Errorf("paroctree: depth %d out of range [1,21]", depth)
-	}
-	s.ensure(depth)
-	child := leaves
-	total := 0
-	for d := depth; d >= 1; d-- {
-		pc := s.codes[d-1][:0]
-		pm := s.masks[d-1][:0]
-		for i, c := range child {
-			if d == depth && i > 0 && c <= child[i-1] {
-				return nil, fmt.Errorf("paroctree: leaf codes not strictly ascending at %d", i)
-			}
-			p := c.Parent()
-			if len(pc) == 0 || pc[len(pc)-1] != p {
-				pc = append(pc, p)
-				pm = append(pm, 0)
-			}
-			pm[len(pm)-1] |= 1 << uint(c&7)
-		}
-		s.codes[d-1], s.masks[d-1] = pc, pm
-		total += len(pm)
-		child = pc
-	}
-	if len(s.codes[0]) != 1 || s.codes[0][0] != 0 {
-		return nil, fmt.Errorf("paroctree: subtree did not converge to the root (got %v)", s.codes[0])
-	}
-	if dst == nil {
-		dst = make([]byte, 0, total)
-	}
-	for d := uint(0); d < depth; d++ {
-		dst = append(dst, s.masks[d]...)
-	}
-	return dst, nil
+	return s.tree.appendStream(dst), nil
 }
 
-// DeserializeSerial reconstructs leaf codes from a BFS occupancy stream on
-// the calling goroutine, with no device kernels — the per-tile decode
-// counterpart of SerializeSubtree (tile decode bodies must also be pool
-// leaves). Semantically identical to Deserialize.
+// DeserializeSerial is Deserialize without a device: the per-tile decode
+// counterpart of SerializeSubtree.
 func DeserializeSerial(stream []byte, depth uint) ([]morton.Code, error) {
-	if depth == 0 || depth > 21 {
-		return nil, fmt.Errorf("paroctree: depth %d out of range [1,21]", depth)
+	off, leaves, err := LevelOffsets(stream, depth)
+	if err != nil {
+		return nil, err
 	}
-	if len(stream) == 0 {
-		return nil, nil
-	}
-	codes := []morton.Code{0}
-	pos := 0
-	for d := uint(0); d < depth; d++ {
-		if pos+len(codes) > len(stream) {
-			return nil, ErrBadStream
-		}
-		masks := stream[pos : pos+len(codes)]
-		pos += len(codes)
-		n := 0
-		for i, m := range masks {
-			if m == 0 {
-				return nil, fmt.Errorf("paroctree: zero occupancy mask at depth %d node %d", d, i)
-			}
-			n += popcount8(m)
-		}
-		next := make([]morton.Code, 0, n)
-		for i, m := range masks {
-			base := codes[i] << 3
-			for b := uint(0); b < 8; b++ {
-				if m>>b&1 == 1 {
-					next = append(next, base|morton.Code(b))
-				}
-			}
-		}
-		codes = next
-	}
-	if pos != len(stream) {
-		return nil, fmt.Errorf("paroctree: %d trailing bytes", len(stream)-pos)
-	}
-	return codes, nil
+	return expand(stream, off, leaves), nil
 }

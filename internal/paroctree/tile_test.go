@@ -1,33 +1,44 @@
 package paroctree
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/attr"
 	"repro/internal/morton"
 )
 
-// TestSerializeSubtreeMatchesParallel pins the tiled geometry invariant:
-// over the FULL leaf set, the serial subtree serializer emits exactly the
-// bytes Build + SerializeInto emits — so a T=1 "tiled" stream is the
-// untiled stream, and per-tile streams use the same BFS grammar.
-func TestSerializeSubtreeMatchesParallel(t *testing.T) {
+// TestSerializeGolden pins the stream bytes of the full-leaf-set sweep for
+// fixed seeded clouds, through both front ends (Build + Serialize, and one
+// tile over every leaf — a T=1 "tiled" stream is the untiled stream). The
+// hashes are SHA-256 of Build + Serialize at the commit before the two
+// builders became one.
+func TestSerializeGolden(t *testing.T) {
 	d := dev()
-	for _, n := range []int{1, 7, 500, 20000} {
-		vc := randomCloud(int64(n), n, 10)
+	for _, g := range []struct {
+		n, bytes int
+		sha      string
+	}{
+		{1, 10, "097bc79a9a50106d54c718f38bfe490b43561eebcf9e6ef5b2d53240d31c9496"},
+		{7, 61, "31609fa37f1ee16906f0ae69680bacf782a52ee540aa74f526dc3e8b17ecb8d4"},
+		{500, 3357, "d52128cede49f67f9aab3687779cdf02045ca411cc89c100655e3769bb16d901"},
+		{20000, 98784, "e772f3521992f439c451a51e8ba9ce59153169f90fd7fa6a3aff821b31b4e2b4"},
+	} {
+		vc := randomCloud(int64(g.n), g.n, 10)
 		br, err := Build(d, vc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := br.Tree.Serialize(d)
 		var s TileScratch
-		got, err := s.SerializeSubtree(br.Tree.Leaves(), vc.Depth, nil)
+		tile, err := s.SerializeSubtree(br.Tree.Leaves(), vc.Depth, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: serial subtree stream differs from parallel (len %d vs %d)", n, len(got), len(want))
+		for name, stream := range map[string][]byte{"Serialize": br.Tree.Serialize(d), "SerializeSubtree": tile} {
+			if got := fmt.Sprintf("%x", sha256.Sum256(stream)); len(stream) != g.bytes || got != g.sha {
+				t.Errorf("n=%d %s: %d bytes sha %s, want %d bytes sha %s", g.n, name, len(stream), got, g.bytes, g.sha)
+			}
 		}
 	}
 }

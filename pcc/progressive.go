@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/codec"
-	"repro/internal/entropy"
 	"repro/internal/paroctree"
 )
 
@@ -59,19 +58,14 @@ func DecodeProgressive(f *EncodedFrame, level uint) (*PointCloud, int, error) {
 	return &PointCloud{Depth: uint(f.Depth), Voxels: voxels}, lod.PrefixBytes, nil
 }
 
-// geomPayload unwraps a [mode][payload] geometry chunk to its raw BFS
-// stream: mode 0 is raw (the fast path), mode 1 entropy-coded.
+// geomPayload unwraps a geometry chunk through the codec's one chunk-mode
+// switch; a chunk it does not recognise is not progressively decodable.
 func geomPayload(chunk []byte) ([]byte, error) {
-	if len(chunk) == 0 {
-		return nil, ErrNotProgressive
+	payload, err := codec.GeomChunk(chunk)
+	if errors.Is(err, codec.ErrBadContainer) {
+		err = ErrNotProgressive
 	}
-	switch chunk[0] {
-	case 0:
-		return chunk[1:], nil
-	case 1:
-		return entropy.DecompressBytes(chunk[1:])
-	}
-	return nil, ErrNotProgressive
+	return payload, err
 }
 
 // decodeProgressiveLayered is the layered-frame fast path: consume whole
@@ -121,6 +115,3 @@ func decodeProgressiveLayered(f *EncodedFrame, level uint) (*PointCloud, int, er
 	}
 	return &PointCloud{Depth: depth, Voxels: voxels}, prefix, nil
 }
-
-// interface check: EncodedFrame is the codec container type.
-var _ = codec.EncodedFrame{}

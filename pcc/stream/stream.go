@@ -271,6 +271,10 @@ type Session struct {
 	packets   int64
 	refreshes int64
 	wroteHdr  bool
+	// hdrOpts is the encoder's normalized configuration as of New: what the
+	// stream header carries. The transmit stage must not read the live
+	// encoder options, which the attribute stage's rate knobs rewrite.
+	hdrOpts codec.Options
 
 	// tx is the session's one sender (sender.go): the PacketOut stream's
 	// sequence space, sent-records, NACK answers and stale-feedback check.
@@ -314,6 +318,7 @@ func New(ctx context.Context, cfg Config) *Session {
 		s.geomDevs[i] = edgesim.NewXavier(cfg.Mode)
 	}
 	s.enc = codec.NewEncoder(s.attrDev, cfg.Options)
+	s.hdrOpts = s.enc.Options()
 	s.txq = newFrameQueue(cfg.Queue, cfg.Policy, s.gaugeTx)
 
 	// Propagate context cancellation into the cond-based transmit queue.
@@ -762,7 +767,7 @@ func (s *Session) emitWire(j *job) error {
 	}
 	if s.cfg.Output != nil {
 		if !s.wroteHdr {
-			if err := core.WriteStreamHeader(s.cfg.Output, s.enc.Options()); err != nil {
+			if err := core.WriteStreamHeader(s.cfg.Output, s.hdrOpts); err != nil {
 				return err
 			}
 			s.wroteHdr = true
