@@ -30,6 +30,8 @@ fmt-check:
 # the CI fuzz-smoke job runs this target.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/attr
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeP -fuzztime=20s ./internal/interframe
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrameFrom -fuzztime=20s ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzParseLayerDirectory -fuzztime=20s ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzSliceDecoder -fuzztime=20s ./internal/entropy

@@ -1,7 +1,11 @@
 package attr
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -105,10 +109,11 @@ func TestLayerRoundTripLossless(t *testing.T) {
 		}
 		bounds := SegmentBounds(len(values), int(segs)+1)
 		l := encodeLayer(values, bounds, 1)
-		got := decodeLayer(l, bounds, 1)
-		for i := range values {
-			if got[i] != values[i] {
-				return false
+		for g := 0; g+1 < len(bounds); g++ {
+			for i := bounds[g]; i < bounds[g+1]; i++ {
+				if l.bases[g]+l.qd[i] != values[i] {
+					return false
+				}
 			}
 		}
 		return true
@@ -127,14 +132,15 @@ func TestLayerQuantizedErrorBound(t *testing.T) {
 		}
 		bounds := SegmentBounds(len(values), 4)
 		l := encodeLayer(values, bounds, q)
-		got := decodeLayer(l, bounds, q)
-		for i := range values {
-			d := got[i] - values[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > q/2 {
-				return false
+		for g := 0; g+1 < len(bounds); g++ {
+			for i := bounds[g]; i < bounds[g+1]; i++ {
+				d := l.bases[g] + l.qd[i]*q - values[i]
+				if d < 0 {
+					d = -d
+				}
+				if d > q/2 {
+					return false
+				}
 			}
 		}
 		return true
@@ -147,18 +153,16 @@ func TestLayerQuantizedErrorBound(t *testing.T) {
 func TestBitPackRoundTrip(t *testing.T) {
 	f := func(vals []int32, w8 uint8) bool {
 		w := widthFor(vals)
-		bw := &bitWriter{}
-		for _, v := range vals {
-			bw.write(uint64(zig(v)), w)
+		packed := append([]byte{byte(w)}, make([]byte, (len(vals)*int(w)+7)/8)...)
+		packInto(packed[1:], vals, w)
+		c := NewCursor(packed)
+		raw, width, ok := c.Packed(len(vals))
+		if !ok || width != w || c.Len() != 0 {
+			return false
 		}
-		br := &bitReader{buf: bw.flush()}
-		for _, want := range vals {
-			v, ok := br.read(w)
-			if !ok || unzig(uint32(v)) != want {
-				return false
-			}
-		}
-		return true
+		got := make([]int32, len(vals))
+		Unpack(got, raw, width, 0, 1)
+		return slices.Equal(got, vals)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -330,6 +334,48 @@ func TestDecodeErrors(t *testing.T) {
 	data, _ := Encode(d, colors, Params{Segments: 10, QStep: 1, Layers: 2})
 	if _, err := Decode(d, data[:len(data)/2]); err == nil {
 		t.Error("truncated body must fail")
+	}
+}
+
+// hostileCount is the 15-byte stream that codes 2^27 points in one segment
+// of width-0 residuals behind width-0 bases: no input per point, so only the
+// geometry can say it is lying. Decoding it used to allocate 3.6 GB.
+var hostileCount = append(append([]byte{0}, binary.AppendUvarint(nil, 1<<27)...),
+	1, 1, // segments, qstep
+	1, 0, // layers, RGB
+	0, 0, 0, 0, 0, 0) // per channel: base width, residual width
+
+// TestDecodeCountFromGeometry: the decoder sizes nothing from a stream's own
+// point count. The destination the caller cut from its geometry is the
+// count, and a stream that claims another is refused before a byte of it is
+// unpacked.
+func TestDecodeCountFromGeometry(t *testing.T) {
+	d := dev()
+	var s DecodeScratch
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := s.Decode(d, make([]geom.Color, 4), hostileCount)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadStream) {
+		t.Errorf("%d-byte stream coding 2^27 points over a 4-point geometry: %v, want ErrBadStream", len(hostileCount), err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("refusal allocated %d bytes", n)
+	}
+	// The same bytes are a sound stream for a geometry of 2^27 points, and
+	// an honest one must still decode: four points, the same way.
+	honest := append([]byte{0, 4}, hostileCount[5:]...)
+	got := []geom.Color{{R: 1}, {G: 2}, {B: 3}, {R: 4}}
+	if err := s.Decode(d, got, honest); err != nil || !slices.Equal(got, make([]geom.Color, 4)) {
+		t.Errorf("4-point stream of zero residuals: %v, %v", got, err)
+	}
+	// An empty frame has an empty destination, and no other.
+	empty, _ := Encode(d, nil, DefaultParams())
+	if err := s.Decode(d, nil, empty); err != nil {
+		t.Errorf("empty stream into an empty destination: %v", err)
+	}
+	if err := s.Decode(d, got, empty); !errors.Is(err, ErrBadStream) {
+		t.Errorf("empty stream into 4 colours: %v, want ErrBadStream", err)
 	}
 }
 

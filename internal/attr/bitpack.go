@@ -8,62 +8,15 @@
 // deliberately NOT entropy coded, matching the paper's fast path
 // (Sec. IV-B3); the entropy stage exists as an explicit option for the
 // ablation.
+//
+// There is one decoder (decode.go): a pure body over a window of the
+// frame's segments that reads the payload through a bounds-checked Cursor
+// and writes colours into the caller's window, under the untiled stream's
+// framing (EncodeWith: every segment) and the tile stream's
+// (EncodeIntraTile: the frame's global counts plus the tile's window). The
+// point count is the caller's, taken from the decoded geometry; a stream
+// that claims another is refused.
 package attr
-
-// bitWriter packs values LSB-first into a byte stream.
-type bitWriter struct {
-	buf  []byte
-	bits uint64
-	n    uint
-}
-
-func (w *bitWriter) write(v uint64, width uint) {
-	if width == 0 {
-		return
-	}
-	w.bits |= (v & (1<<width - 1)) << w.n
-	w.n += width
-	for w.n >= 8 {
-		w.buf = append(w.buf, byte(w.bits))
-		w.bits >>= 8
-		w.n -= 8
-	}
-}
-
-func (w *bitWriter) flush() []byte {
-	if w.n > 0 {
-		w.buf = append(w.buf, byte(w.bits))
-		w.bits = 0
-		w.n = 0
-	}
-	return w.buf
-}
-
-// bitReader reads values LSB-first.
-type bitReader struct {
-	buf  []byte
-	pos  int
-	bits uint64
-	n    uint
-}
-
-func (r *bitReader) read(width uint) (uint64, bool) {
-	if width == 0 {
-		return 0, true
-	}
-	for r.n < width {
-		if r.pos >= len(r.buf) {
-			return 0, false
-		}
-		r.bits |= uint64(r.buf[r.pos]) << r.n
-		r.pos++
-		r.n += 8
-	}
-	v := r.bits & (1<<width - 1)
-	r.bits >>= width
-	r.n -= width
-	return v, true
-}
 
 // zig/unzig are 32-bit zig-zag maps (small magnitudes -> small codes).
 func zig(v int32) uint32   { return uint32(v<<1) ^ uint32(v>>31) }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"repro/internal/edgesim"
 	"repro/internal/entropy"
@@ -232,128 +231,6 @@ func framePayload(dev *edgesim.Device, payload []byte, p Params) ([]byte, error)
 	return out, nil
 }
 
-// Decode reconstructs the attribute column for n voxels in sorted order.
-func Decode(dev *edgesim.Device, data []byte) ([]geom.Color, error) {
-	if len(data) == 0 {
-		return nil, ErrBadStream
-	}
-	payload := data[1:]
-	if data[0] == 1 {
-		var err error
-		dev.CPUSerial("AttrEntropyDecode", len(payload), costEntropyByte, func() {
-			payload, err = entropy.DecompressBytes(payload)
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else if data[0] != 0 {
-		return nil, ErrBadStream
-	}
-
-	r := bytes.NewReader(payload)
-	n, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	segs, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	qstep, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	layersB, err := r.ReadByte()
-	if err != nil {
-		return nil, ErrBadStream
-	}
-	layers := int(layersB)
-	if layers != 1 && layers != 2 {
-		return nil, fmt.Errorf("attr: bad layer count %d", layers)
-	}
-	ycocgB, err := r.ReadByte()
-	if err != nil || ycocgB > 1 {
-		return nil, ErrBadStream
-	}
-	ycocg := ycocgB == 1
-	if n == 0 {
-		return nil, nil
-	}
-	const maxReasonable = 1 << 30
-	if n > maxReasonable || segs > maxReasonable || qstep > 1<<20 {
-		return nil, ErrBadStream
-	}
-	bounds := SegmentBounds(int(n), int(segs))
-	nSeg := len(bounds) - 1
-
-	// Stream parsing walks segment headers serially (the "sub-optimal"
-	// decode path the paper measures at ~70 ms/frame end-to-end).
-	dev.CPUSerial("AttrParse", int(n), edgesim.Cost{OpsPerItem: 55, BytesPerItem: 3}, func() {})
-
-	out := make([]geom.Color, n)
-	decoded := make([][]int32, 3)
-	for ch := 0; ch < 3; ch++ {
-		bases1, err := unpackBases(r, nSeg)
-		if err != nil {
-			return nil, err
-		}
-		var bases2 []int32
-		if layers == 2 {
-			if bases2, err = unpackBases(r, nSeg); err != nil {
-				return nil, err
-			}
-		}
-		// Per-segment unpack (reading is sequential over the stream, so
-		// splitting happens first, then reconstruction is parallel).
-		qd := make([]int32, n)
-		for s := 0; s < nSeg; s++ {
-			lo, hi := bounds[s], bounds[s+1]
-			wb, err := r.ReadByte()
-			if err != nil {
-				return nil, ErrBadStream
-			}
-			w := uint(wb)
-			if w > 33 {
-				return nil, ErrBadStream
-			}
-			nbytes := (uint(hi-lo)*w + 7) / 8
-			segBytes := make([]byte, nbytes)
-			if _, err := readFull(r, segBytes); err != nil {
-				return nil, ErrBadStream
-			}
-			br := &bitReader{buf: segBytes}
-			for i := lo; i < hi; i++ {
-				v, ok := br.read(w)
-				if !ok {
-					return nil, ErrBadStream
-				}
-				qd[i] = unzig(uint32(v))
-			}
-		}
-		dev.GPUNoop("UnpackBits", int(n), costUnpackBits)
-
-		values := make([]int32, n)
-		dev.GPUKernel("Reconstruct", nSeg, edgesim.Cost{
-			OpsPerItem:   costReconstr.OpsPerItem * float64(n) / float64(nSeg),
-			BytesPerItem: costReconstr.BytesPerItem * float64(n) / float64(nSeg),
-		}, func(s0, s1 int) {
-			for s := s0; s < s1; s++ {
-				lo, hi := bounds[s], bounds[s+1]
-				for i := lo; i < hi; i++ {
-					d := qd[i]
-					if layers == 2 {
-						d = bases2[s] + d // invert layer 2 (q=1)
-					}
-					values[i] = bases1[s] + d*int32(qstep)
-				}
-			}
-		})
-		decoded[ch] = values
-	}
-	assembleColors(out, decoded, ycocg)
-	return out, nil
-}
-
 // extractChannelsInto splits colours into three int32 channel columns, in
 // RGB or YCoCg-R space, reusing the destination buffers.
 func extractChannelsInto(chans *[3][]int32, colors []geom.Color, ycocg bool) {
@@ -404,8 +281,7 @@ func (s *Scratch) packBases(buf *bytes.Buffer, bases []int32) {
 }
 
 // packInto packs the zig-zag codes of vs LSB-first at fixed width w into
-// dst, which must hold exactly ceil(len(vs)*w/8) bytes. Identical output to
-// bitWriter.write per value followed by flush.
+// dst, which must hold exactly ceil(len(vs)*w/8) bytes.
 func packInto(dst []byte, vs []int32, w uint) {
 	if w == 0 {
 		return
@@ -428,32 +304,6 @@ func packInto(dst []byte, vs []int32, w uint) {
 	}
 }
 
-func unpackBases(r *bytes.Reader, nSeg int) ([]int32, error) {
-	wb, err := r.ReadByte()
-	if err != nil {
-		return nil, ErrBadStream
-	}
-	w := uint(wb)
-	if w > 33 {
-		return nil, ErrBadStream
-	}
-	nbytes := (uint(nSeg)*w + 7) / 8
-	raw := make([]byte, nbytes)
-	if _, err := readFull(r, raw); err != nil {
-		return nil, ErrBadStream
-	}
-	br := &bitReader{buf: raw}
-	out := make([]int32, nSeg)
-	for i := range out {
-		v, ok := br.read(w)
-		if !ok {
-			return nil, ErrBadStream
-		}
-		out[i] = unzig(uint32(v))
-	}
-	return out, nil
-}
-
 func writeUvarint(buf *bytes.Buffer, v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], v)
@@ -466,16 +316,4 @@ func readUvarint(r *bytes.Reader) (uint64, error) {
 		return 0, ErrBadStream
 	}
 	return v, nil
-}
-
-func readFull(r *bytes.Reader, p []byte) (int, error) {
-	total := 0
-	for total < len(p) {
-		n, err := r.Read(p[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

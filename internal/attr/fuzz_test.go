@@ -1,15 +1,21 @@
 package attr
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
 )
 
-// FuzzDecode drives the attribute decoder with arbitrary bytes: it must
-// return an error or a valid colour slice — never panic or over-allocate.
-// (Run with `go test -fuzz FuzzDecode ./internal/attr` to explore; the seed
-// corpus runs in normal `go test`.)
+// FuzzDecode drives the count-checked decoder entry with arbitrary bytes
+// against a geometry of a stated size — the 200 points of the seeds, and
+// whatever count the stream itself claims (up to 2^16, so that the fuzzer
+// can reach past the header at any size it invents). It must return an
+// error or fill exactly the stated colours, never panic, and never allocate
+// more than 64 B per stated point plus 64 B per input byte: nothing may be
+// sized from the stream's own counts. (Run with `go test -fuzz FuzzDecode
+// ./internal/attr` to explore; the seed corpus runs in normal `go test`.)
 func FuzzDecode(f *testing.F) {
 	d := dev()
 	// Seed with valid streams of each variant.
@@ -28,19 +34,35 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0})
-	f.Add([]byte{1, 2, 3})
+	f.Add(hostileCount)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := Decode(d, data)
-		if err != nil {
-			return
+		counts := []int{len(colors)}
+		if len(data) > 1 && data[0] == 0 {
+			if n, _ := binary.Uvarint(data[1:]); n <= 1<<16 {
+				counts = append(counts, int(n))
+			}
 		}
-		if len(out) > 1<<22 {
-			t.Fatalf("decoder produced %d colours from %d bytes", len(out), len(data))
+		for _, n := range counts {
+			dst := make([]geom.Color, n)
+			// TotalAlloc is process-wide and the fuzz worker's other
+			// goroutines allocate too, so a reading over the limit is taken
+			// again: the decoder is deterministic, the noise is not.
+			limit := uint64(64*n + 64*len(data) + 4096)
+			for try := 0; ; try++ {
+				var s DecodeScratch
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_ = s.Decode(d, dst, data)
+				runtime.ReadMemStats(&after)
+				got := after.TotalAlloc - before.TotalAlloc
+				if got <= limit {
+					break
+				}
+				if try == 4 {
+					t.Fatalf("%d bytes allocated for %d stated points and %d input bytes (limit %d)", got, n, len(data), limit)
+				}
+			}
 		}
-		for _, c := range out {
-			_ = c // colours are always valid geom.Color values
-		}
-		_ = geom.Color{}
 	})
 }

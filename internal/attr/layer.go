@@ -89,23 +89,6 @@ func encodeLayerRange(values []int32, bounds []int, q int32, out *layerData, seg
 	medianScratch.Put(scratch)
 }
 
-// decodeLayer reconstructs values from a layer: v = base + qd*q.
-func decodeLayer(l layerData, bounds []int, q int32) []int32 {
-	out := make([]int32, len(l.qd))
-	decodeLayerRange(l, bounds, q, out, 0, len(bounds)-1)
-	return out
-}
-
-// decodeLayerRange is the per-segment decode body for parallel kernels.
-func decodeLayerRange(l layerData, bounds []int, q int32, out []int32, segLo, segHi int) {
-	for s := segLo; s < segHi; s++ {
-		lo, hi := bounds[s], bounds[s+1]
-		for i := lo; i < hi; i++ {
-			out[i] = l.bases[s] + l.qd[i]*q
-		}
-	}
-}
-
 // quantize rounds v/q half away from zero.
 func quantize(v, q int32) int32 {
 	if q <= 1 {

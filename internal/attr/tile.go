@@ -1,6 +1,6 @@
 package attr
 
-// Serial per-tile intra attribute codec for the tiled encode path.
+// Serial per-tile intra attribute encoder for the tiled encode path.
 //
 // A tile covers a whole number of the frame's macro blocks (the tile planner
 // snaps cuts to segment boundaries), and Base+Deltas coding is independent
@@ -12,9 +12,9 @@ package attr
 // against the untiled codec, not byte-identical.
 //
 // The tile stream is self-contained: it records the GLOBAL frame size and
-// segment count plus the tile's segment window, so the decoder recomputes
-// the same SegmentBounds grid and restricts it — no side channel needed and
-// only four varints of overhead per tile.
+// segment count plus the tile's segment window, so the decoder steps the
+// same segment grid over that window (decode.go) — no side channel needed
+// and only four varints of overhead per tile.
 //
 // Everything here is deliberately serial: tiles are the unit of parallelism
 // (the codec fans T tile bodies across the worker pool inside one frame), so
@@ -148,120 +148,4 @@ func (sc *TileScratch) packBases(buf *bytes.Buffer, bases []int32) {
 	sc.packed = grow(sc.packed, nb)
 	packInto(sc.packed[:nb], bases, w)
 	buf.Write(sc.packed[:nb])
-}
-
-// DecodeIntraTile reconstructs one tile's attribute column from a stream
-// produced by EncodeIntraTile, on the calling goroutine with no device
-// kernels. The returned colours are exactly the untiled decoder's output
-// restricted to the tile's point range.
-func DecodeIntraTile(data []byte) ([]geom.Color, error) {
-	if len(data) == 0 {
-		return nil, ErrBadStream
-	}
-	payload := data[1:]
-	if data[0] == 1 {
-		var err error
-		payload, err = entropy.DecompressBytes(payload)
-		if err != nil {
-			return nil, err
-		}
-	} else if data[0] != 0 {
-		return nil, ErrBadStream
-	}
-
-	r := bytes.NewReader(payload)
-	nGlobal, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	segs, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	qstep, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	layersB, err := r.ReadByte()
-	if err != nil {
-		return nil, ErrBadStream
-	}
-	layers := int(layersB)
-	if layers != 1 && layers != 2 {
-		return nil, fmt.Errorf("attr: bad layer count %d", layers)
-	}
-	ycocgB, err := r.ReadByte()
-	if err != nil || ycocgB > 1 {
-		return nil, ErrBadStream
-	}
-	segLo, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	segCount, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	const maxReasonable = 1 << 30
-	if nGlobal == 0 || nGlobal > maxReasonable || segs > maxReasonable || qstep > 1<<20 {
-		return nil, ErrBadStream
-	}
-	gbounds := SegmentBounds(int(nGlobal), int(segs))
-	nSeg := uint64(len(gbounds) - 1)
-	// The stream must record the effective segment count, or its window
-	// would index a different grid than the encoder's.
-	if segs != nSeg || segCount == 0 || segCount > nSeg || segLo > nSeg-segCount {
-		return nil, ErrBadStream
-	}
-	lo, hi := int(segLo), int(segLo+segCount)
-	base := gbounds[lo]
-	n := gbounds[hi] - base
-	nSegT := hi - lo
-
-	out := make([]geom.Color, n)
-	decoded := make([][]int32, 3)
-	for ch := 0; ch < 3; ch++ {
-		bases1, err := unpackBases(r, nSegT)
-		if err != nil {
-			return nil, err
-		}
-		var bases2 []int32
-		if layers == 2 {
-			if bases2, err = unpackBases(r, nSegT); err != nil {
-				return nil, err
-			}
-		}
-		values := make([]int32, n)
-		for s := 0; s < nSegT; s++ {
-			slo, shi := gbounds[lo+s]-base, gbounds[lo+s+1]-base
-			wb, err := r.ReadByte()
-			if err != nil {
-				return nil, ErrBadStream
-			}
-			w := uint(wb)
-			if w > 33 {
-				return nil, ErrBadStream
-			}
-			nbytes := (uint(shi-slo)*w + 7) / 8
-			segBytes := make([]byte, nbytes)
-			if _, err := readFull(r, segBytes); err != nil {
-				return nil, ErrBadStream
-			}
-			br := &bitReader{buf: segBytes}
-			for i := slo; i < shi; i++ {
-				v, ok := br.read(w)
-				if !ok {
-					return nil, ErrBadStream
-				}
-				d := unzig(uint32(v))
-				if layers == 2 {
-					d = bases2[s] + d
-				}
-				values[i] = bases1[s] + d*int32(qstep)
-			}
-		}
-		decoded[ch] = values
-	}
-	assembleColors(out, decoded, ycocgB == 1)
-	return out, nil
 }

@@ -1,7 +1,9 @@
 package attr
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -122,6 +124,53 @@ func TestTileIntraErrors(t *testing.T) {
 	for cut := 1; cut < len(stream); cut++ {
 		if _, err := DecodeIntraTile(stream[:cut]); err == nil {
 			t.Fatalf("truncated stream (len %d) must error", cut)
+		}
+	}
+}
+
+// TestTileBodyIsUntiledBody: there is one decode body. A tile stream whose
+// window is every segment of the frame decodes to the untiled stream's
+// colours — and both to the encoder's own reconstruction — across layers,
+// colour space, quantization and segment size.
+func TestTileBodyIsUntiledBody(t *testing.T) {
+	d := dev()
+	const n = 2000
+	colors := randColors(9, n)
+	var sc TileScratch
+	var ds DecodeScratch
+	for _, layers := range []int{1, 2} {
+		for _, ycocg := range []bool{false, true} {
+			for _, qstep := range []int{1, 4} {
+				for _, perSeg := range []int{1, 16, 25} {
+					p := Params{Segments: n / perSeg, QStep: qstep, Layers: layers, YCoCg: ycocg}
+					name := fmt.Sprintf("%+v", p)
+					recon := make([]geom.Color, n)
+					whole, err := EncodeWith(d, colors, p, new(Scratch), recon)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := make([]geom.Color, n)
+					if err := ds.Decode(d, want, whole); err != nil {
+						t.Fatalf("%s: untiled: %v", name, err)
+					}
+					gbounds := SegmentBounds(n, p.Segments)
+					tile, err := EncodeIntraTile(colors, p, n, gbounds, 0, len(gbounds)-1, &sc, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := make([]geom.Color, n)
+					if err := ds.DecodeTile(got, tile); err != nil {
+						t.Fatalf("%s: tile over every segment: %v", name, err)
+					}
+					if !slices.Equal(got, want) || !slices.Equal(want, recon) {
+						t.Errorf("%s: tile framing, untiled framing and encoder reconstruction disagree", name)
+					}
+					// Either framing refuses a destination of another size.
+					if ds.Decode(d, want[1:], whole) == nil || ds.DecodeTile(got[1:], tile) == nil {
+						t.Errorf("%s: a %d-colour destination took a %d-point stream", name, n-1, n)
+					}
+				}
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/edgesim"
 	"repro/internal/geom"
 	"repro/internal/interframe"
+	"repro/internal/morton"
 )
 
 // Design selects one of the five evaluated PCC designs.
@@ -358,11 +359,30 @@ func (e *Encoder) EncodeFrame(vc *geom.VoxelCloud) (*EncodedFrame, FrameStats, e
 }
 
 // Decoder decodes a stream produced by an Encoder with the same Options.
+//
+// A Decoder is not safe for concurrent use. For the proposed designs it owns
+// its working memory — the frame-wide code and colour columns, the per-unit
+// stage scratches and the reference (decode.go) — and reuses it from frame to
+// frame; what DecodeFrame returns is freshly allocated, the caller's to keep,
+// and never touched by a later decode, and nothing the Decoder keeps aliases
+// the frame it was given.
 type Decoder struct {
 	dev  *edgesim.Device
 	opts Options
-	// refSorted is the last decoded I-frame in sorted order.
+	// refSorted is the CWIPC baseline's reference: the last decoded I-frame
+	// in sorted order.
 	refSorted []geom.Voxel
+
+	// The proposed designs' arena. codes and colors are the columns every
+	// unit fills its window of; units holds one scratch per unit, grown to
+	// the most units a frame has had. ref is the reference of the P-frames
+	// that follow — the last I-frame's colour column, valid while hasRef —
+	// and trades buffers with colors at every I-frame.
+	codes  []morton.Code
+	colors []geom.Color
+	units  []unitDecoder
+	ref    []geom.Color
+	hasRef bool
 }
 
 // NewDecoder creates a decoder running on dev.
@@ -374,7 +394,7 @@ func NewDecoder(dev *edgesim.Device, opts Options) *Decoder {
 func (d *Decoder) Device() *edgesim.Device { return d.dev }
 
 // Reset clears reference state.
-func (d *Decoder) Reset() { d.refSorted = nil }
+func (d *Decoder) Reset() { d.refSorted, d.hasRef = nil, false }
 
 // DecodeFrame reconstructs a frame. The returned cloud's voxels are in the
 // codec's canonical (Morton-sorted) order.

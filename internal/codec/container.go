@@ -15,6 +15,12 @@
 //
 // Frames are coded in an IPP group-of-pictures (one I followed by two P,
 // Sec. V-B) for the inter designs; intra designs treat every frame as I.
+//
+// The proposed designs have one decoder (decode.go): every frame shape —
+// untiled, tiled, a full layer subscription of either — is units filling
+// their windows of two columns the Decoder owns, then one fused pass to the
+// returned voxels; a partial layer subscription (layer.go) is the one other
+// path.
 package codec
 
 import (

@@ -1,0 +1,362 @@
+package codec
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/geom"
+)
+
+// ledgerRow is what TestDecodeLedgerPinned compares of a kernel record.
+type ledgerRow struct {
+	name, stage string
+	launches    int
+	items       int64
+	ops, bytes  float64
+	sim         time.Duration
+}
+
+// decodeLedger encodes the first n golden frames under opts, decodes them on
+// a fresh device and returns that device's ledger.
+func decodeLedger(t *testing.T, opts Options, n int) []ledgerRow {
+	t.Helper()
+	enc := NewEncoder(dev(), opts)
+	d := dev()
+	dec := NewDecoder(d, opts)
+	for _, vc := range goldenFrames(t)[:n] {
+		ef, _, err := enc.EncodeFrame(vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dec.DecodeFrame(ef); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rows []ledgerRow
+	for _, k := range d.Kernels() {
+		rows = append(rows, ledgerRow{k.Name, k.Stage, k.Launches, k.Items, k.Ops, k.Bytes, k.SimTime})
+	}
+	return rows
+}
+
+// TestDecodeLedgerPinned pins the decode direction's accounting layer: the
+// ledger of one I + one P decode — untiled, with both entropy stages, tiled,
+// and layered-full over tiles — is the table captured at the commit before
+// the decoder got its arena and its fused bodies: same kernels, same launch
+// counts and order, same items, ops, bytes and simulated time.
+func TestDecodeLedgerPinned(t *testing.T) {
+	entropyOpts := layerOpts(IntraOnly, 0, 0)
+	entropyOpts.EntropyGeometry = true
+	entropyOpts.IntraAttr.Entropy = true
+	layered := layerOpts(IntraInterV1, 4, 3)
+	layered.EntropyGeometry = true
+	layeredUntiled := layerOpts(IntraInterV1, 0, 3)
+	layeredUntiled.EntropyGeometry = true
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		frames int
+		want   []ledgerRow
+	}{
+		{"untiled I+P", layerOpts(IntraInterV1, 0, 0), 2, []ledgerRow{
+			{"DecodeScan", "", 2, 159963, 3.999075e+06, 319926, 3999074},
+			{"DecodeExpand", "", 20, 159963, 4.79889e+06, 1.59963e+06, 640321},
+			{"MortonDecode", "", 2, 74060, 888720, 1.18496e+06, 84507},
+			{"AttrParse", "", 1, 37029, 2.036595e+06, 111087, 2036595},
+			{"UnpackBits", "", 3, 111087, 4.44348e+06, 333261, 282528},
+			{"Reconstruct", "", 3, 4500, 3.33261e+06, 888696, 226896},
+			{"InverseRescale", "", 2, 74060, 888720, 1.18496e+06, 84507},
+			{"InterParse", "", 1, 37031, 1.48124e+06, 111093, 1481240},
+			{"ReconstructP", "", 1, 2500, 3.147635e+06, 296248, 177633},
+		}},
+		{"untiled I, entropy geometry and attributes", entropyOpts, 1, []ledgerRow{
+			{"GeomEntropyDecode", "", 1, 37103, 5.56545e+06, 74206, 5565450},
+			{"DecodeScan", "", 1, 79952, 1.9988e+06, 159904, 1998799},
+			{"DecodeExpand", "", 10, 79952, 2.39856e+06, 799520, 320116},
+			{"MortonDecode", "", 1, 37029, 444348, 592464, 42253},
+			{"AttrEntropyDecode", "", 1, 48981, 7.34715e+06, 97962, 7347150},
+			{"AttrParse", "", 1, 37029, 2.036595e+06, 111087, 2036595},
+			{"UnpackBits", "", 3, 111087, 4.44348e+06, 333261, 282528},
+			{"Reconstruct", "", 3, 4500, 3.33261e+06, 888696, 226896},
+			{"InverseRescale", "", 1, 37029, 444348, 592464, 42253},
+		}},
+		{"tiled I+P", layerOpts(IntraInterV1, 4, 0), 2, []ledgerRow{
+			{"TileDecode", "", 2, 74060, 8.8872e+06, 888720, 485072},
+			{"MortonDecode", "", 2, 74060, 888720, 1.18496e+06, 84507},
+			{"InverseRescale", "", 2, 74060, 888720, 1.18496e+06, 84507},
+		}},
+		{"layered full, untiled I+P, entropy geometry", layeredUntiled, 2, []ledgerRow{
+			{"DecodeScan", "", 2, 159963, 3.999075e+06, 319926, 3999074},
+			{"DecodeExpand", "", 20, 159963, 4.79889e+06, 1.59963e+06, 640321},
+			{"MortonDecode", "", 2, 74060, 888720, 1.18496e+06, 84507},
+			{"AttrParse", "", 1, 37029, 2.036595e+06, 111087, 2036595},
+			{"UnpackBits", "", 3, 111087, 4.44348e+06, 333261, 282528},
+			{"Reconstruct", "", 3, 4500, 3.33261e+06, 888696, 226896},
+			{"InverseRescale", "", 2, 74060, 888720, 1.18496e+06, 84507},
+			{"InterParse", "", 1, 37031, 1.48124e+06, 111093, 1481240},
+			{"ReconstructP", "", 1, 2500, 3.147635e+06, 296248, 177633},
+		}},
+		{"layered full, tiled I+P, entropy geometry", layered, 2, []ledgerRow{
+			{"TileDecode", "", 2, 74060, 8.8872e+06, 888720, 485072},
+			{"MortonDecode", "", 2, 74060, 888720, 1.18496e+06, 84507},
+			{"InverseRescale", "", 2, 74060, 888720, 1.18496e+06, 84507},
+		}},
+	} {
+		if got := decodeLedger(t, tc.opts, tc.frames); !slices.Equal(got, tc.want) {
+			t.Errorf("%s ledger:\n got %v\nwant %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// decodeShape is one frame shape the decoder's arena serves: an options
+// variant plus the per-viewer stripping applied to every frame of it.
+type decodeShape struct {
+	name          string
+	tiles, layers int
+	marks         map[int]uint8 // tile -> TileOmitted / TileCoarse
+}
+
+var decodeShapes = []decodeShape{
+	{name: "untiled"},
+	{name: "tiled", tiles: 4},
+	{name: "tiled, one tile omitted and one coarse", tiles: 4, marks: map[int]uint8{1: TileOmitted, 2: TileCoarse}},
+	{name: "layered", layers: 3},
+	{name: "layered tiles, one omitted and one coarse", tiles: 4, layers: 3, marks: map[int]uint8{0: TileCoarse, 3: TileOmitted}},
+}
+
+// encodeGOP encodes clouds as one I-frame and its P-frames in the given
+// shape, as a viewer would receive them.
+func encodeGOP(t *testing.T, sh decodeShape, clouds []*geom.VoxelCloud) []*EncodedFrame {
+	t.Helper()
+	opts := layerOpts(IntraInterV1, sh.tiles, sh.layers)
+	opts.GOP = len(clouds)
+	enc := NewEncoder(dev(), opts)
+	out := make([]*EncodedFrame, len(clouds))
+	for i, vc := range clouds {
+		ef, _, err := enc.EncodeFrame(vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case sh.marks == nil:
+		case ef.Layered():
+			ef = stripLayers(ef, sh.marks, 0)
+		default:
+			ef = stripTiles(ef, sh.marks)
+		}
+		out[i] = ef
+	}
+	if out[0].Type != IFrame || out[len(out)-1].Type != PFrame {
+		t.Fatalf("%s: GOP is not I…P", sh.name)
+	}
+	return out
+}
+
+// decodeAll decodes frames in order on dec.
+func decodeAll(t *testing.T, dec *Decoder, frames []*EncodedFrame) []*geom.VoxelCloud {
+	t.Helper()
+	out := make([]*geom.VoxelCloud, len(frames))
+	for i, ef := range frames {
+		var err error
+		if out[i], err = dec.DecodeFrame(ef); err != nil {
+			t.Fatalf("frame %d (%v): %v", i, ef.Type, err)
+		}
+	}
+	return out
+}
+
+// TestDecoderArenaReuse: the arena is sized by the largest frame seen and
+// shared by every shape, and none of that may show. One decoder walks big,
+// small and big again GOPs of every shape; each GOP must decode as it does
+// on a decoder that has seen nothing else.
+func TestDecoderArenaReuse(t *testing.T) {
+	big, small := goldenFrames(t)[:2], frames(t, 2)
+	if big[0].Len() < 2*small[0].Len() {
+		t.Fatalf("big frames of %d points, small of %d", big[0].Len(), small[0].Len())
+	}
+	opts := layerOpts(IntraInterV1, 0, 0)
+	shared := NewDecoder(dev(), opts)
+	for round := 0; round < 2; round++ {
+		for _, sh := range decodeShapes {
+			for _, clouds := range [][]*geom.VoxelCloud{big, small, big} {
+				gop := encodeGOP(t, sh, clouds)
+				want := decodeAll(t, NewDecoder(dev(), opts), gop)
+				got := decodeAll(t, shared, gop)
+				for i := range gop {
+					if !sameCloud(got[i], want[i]) {
+						t.Fatalf("round %d, %s, %d-point GOP, frame %d (%v): a used decoder decodes it differently",
+							round, sh.name, clouds[0].Len(), i, gop[i].Type)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDecodedCloudNotAliased: what DecodeFrame returns is the caller's, and
+// what it was given is the caller's again once it returns. A kept cloud
+// survives later decodes of every shape, and an I-frame's wire buffer may be
+// overwritten while its P-frames are still to come.
+func TestDecodedCloudNotAliased(t *testing.T) {
+	clouds := goldenFrames(t)[:3]
+	for _, sh := range decodeShapes {
+		gop := encodeGOP(t, sh, clouds)
+		want := decodeAll(t, NewDecoder(dev(), layerOpts(IntraInterV1, 0, 0)), gop)
+
+		dec := NewDecoder(dev(), layerOpts(IntraInterV1, 0, 0))
+		var kept, copies []*geom.VoxelCloud
+		for i, ef := range gop {
+			wire := serialize(t, ef)
+			parsed, err := ParseFrame(wire) // aliases wire
+			if err != nil {
+				t.Fatal(err)
+			}
+			vc, err := dec.DecodeFrame(parsed)
+			if err != nil {
+				t.Fatalf("%s frame %d: %v", sh.name, i, err)
+			}
+			for j := range wire {
+				wire[j] = 0xA5
+			}
+			if !sameCloud(vc, want[i]) {
+				t.Fatalf("%s frame %d: decode depends on an earlier frame's wire buffer", sh.name, i)
+			}
+			kept = append(kept, vc)
+			copies = append(copies, &geom.VoxelCloud{Depth: vc.Depth, Voxels: append([]geom.Voxel(nil), vc.Voxels...)})
+		}
+		for i := range kept {
+			if !sameCloud(kept[i], copies[i]) {
+				t.Fatalf("%s: frame %d's cloud changed under later decodes", sh.name, i)
+			}
+		}
+	}
+}
+
+// TestFailedDecodeKeepsReference: a decode that fails — however late, however
+// many tiles had already written their windows — leaves the reference as it
+// was: the P-frame of the I-frame before it decodes as if the failed frame
+// had never arrived.
+func TestFailedDecodeKeepsReference(t *testing.T) {
+	all := goldenFrames(t)
+	for _, sh := range decodeShapes {
+		gop := encodeGOP(t, sh, all[:2])
+		want := decodeAll(t, NewDecoder(dev(), layerOpts(IntraInterV1, 0, 0)), gop)
+
+		// Another I-frame, broken two ways: its attribute stream cut short
+		// (the last unit's chunk loses its tail), and the tail of its last
+		// tile's geometry overwritten with the head of the first tile's.
+		other := encodeGOP(t, sh, all[3:5])[0]
+		short := *other
+		cut := uint32(len(other.Attr) / 8)
+		short.Attr = other.Attr[:len(other.Attr)-int(cut)]
+		unit := 0 // the unit that loses the bytes: the last one that has them
+		if other.Tiled() {
+			short.Tiles = append([]TileInfo(nil), other.Tiles...)
+			for unit = len(short.Tiles) - 1; short.Tiles[unit].AttrLen < cut; unit-- {
+			}
+			short.Tiles[unit].AttrLen -= cut
+		}
+		if other.Layered() {
+			ld := *other.Layer
+			ld.Units = append([][]LayerSpan(nil), ld.Units...)
+			ld.Units[unit] = append([]LayerSpan(nil), ld.Units[unit]...)
+			ld.Units[unit][ld.Layers-1].AttrLen -= cut
+			short.Layer = &ld
+		}
+		broken := []*EncodedFrame{&short}
+		if other.Tiled() && !other.Layered() {
+			swapped := *other
+			swapped.Geometry = append([]byte(nil), other.Geometry...)
+			g0 := int(other.Tiles[0].GeomLen)
+			copy(swapped.Geometry[len(swapped.Geometry)-g0/2:], other.Geometry[:g0/2])
+			broken = append(broken, &swapped)
+		}
+
+		dec := NewDecoder(dev(), layerOpts(IntraInterV1, 0, 0))
+		if got, err := dec.DecodeFrame(gop[0]); err != nil || !sameCloud(got, want[0]) {
+			t.Fatalf("%s: I-frame: %v", sh.name, err)
+		}
+		for i, bad := range broken {
+			// The containers are sound: the decode fails inside a payload.
+			if _, err := dec.DecodeFrame(bad); !errors.Is(err, ErrCorruptFrame) || errors.Is(err, ErrBadContainer) {
+				t.Fatalf("%s: broken I-frame %d: %v, want ErrCorruptFrame from a stage decoder", sh.name, i, err)
+			}
+		}
+		if got, err := dec.DecodeFrame(gop[1]); err != nil || !sameCloud(got, want[1]) {
+			t.Fatalf("%s: P-frame after a failed I-frame: %v (reference changed)", sh.name, err)
+		}
+	}
+}
+
+// TestDecodedCloudsPinned pins what the decoder returns, frame by frame,
+// over three GOPs of two frame sizes in every shape, per-viewer culling
+// applied to three frames of four so that P-frames meet concealed and whole
+// references: SHA-256 over every returned cloud, captured at the commit
+// before the decoder got its arena. The three unculled shapes decode to the
+// same clouds, as they must.
+func TestDecodedCloudsPinned(t *testing.T) {
+	const whole = "a1099ad583139a441e6450f66d8f3a7b28761b9fa9de5df4ccf7e39f9be57440"
+	clouds := append(goldenFrames(t), frames(t, 3)...)
+	for _, sh := range []struct {
+		name           string
+		tiles, layers  int
+		marks          map[int]uint8
+		ycocg, entropy bool
+		want           string
+	}{
+		{name: "untiled", want: whole},
+		{name: "untiled, YCoCg, both entropy stages", ycocg: true, entropy: true,
+			want: "3ddf049ba23bf6e362e9942a60054b8a10e19ce615fa1536fbe459b0822da83a"},
+		{name: "tiled", tiles: 4, want: whole},
+		{name: "tiled, culled", tiles: 4, marks: map[int]uint8{1: TileOmitted, 2: TileCoarse},
+			want: "dde05aef407c7875f870aec39f2e1e4f3d063356175b22b6751dcb752235f8b3"},
+		{name: "8 tiles, first two, a middle one and the last omitted, both entropy stages", tiles: 8, entropy: true,
+			marks: map[int]uint8{0: TileOmitted, 1: TileOmitted, 4: TileOmitted, 7: TileOmitted},
+			want:  "4c86c4ab17827392bbd16653e211dfb72d7854a4a093b6ed1d098ac5463ebf76"},
+		{name: "layered, both entropy stages", layers: 3, entropy: true, want: whole},
+		{name: "layered tiles, culled, YCoCg", tiles: 4, layers: 3, ycocg: true, marks: map[int]uint8{0: TileCoarse, 3: TileOmitted},
+			want: "7eef44a8ca89ef926475ac64908c589e11f328529f86f0d253d79cfcf0d725eb"},
+	} {
+		opts := layerOpts(IntraInterV1, sh.tiles, sh.layers)
+		opts.IntraAttr.YCoCg = sh.ycocg
+		opts.IntraAttr.Entropy = sh.entropy
+		opts.EntropyGeometry = sh.entropy
+		enc, dec := NewEncoder(dev(), opts), NewDecoder(dev(), opts)
+		h := sha256.New()
+		for i, vc := range clouds {
+			ef, _, err := enc.EncodeFrame(vc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case sh.marks == nil || i%4 == 3:
+			case ef.Layered():
+				ef = stripLayers(ef, sh.marks, 0)
+			default:
+				ef = stripTiles(ef, sh.marks)
+			}
+			out, err := dec.DecodeFrame(ef)
+			if err != nil {
+				t.Fatalf("%s frame %d: %v", sh.name, i, err)
+			}
+			var b [16]byte
+			binary.LittleEndian.PutUint64(b[:8], uint64(len(out.Voxels)))
+			h.Write(b[:8])
+			for _, v := range out.Voxels {
+				binary.LittleEndian.PutUint32(b[0:], v.X)
+				binary.LittleEndian.PutUint32(b[4:], v.Y)
+				binary.LittleEndian.PutUint32(b[8:], v.Z)
+				b[12], b[13], b[14], b[15] = v.C.R, v.C.G, v.C.B, 0
+				h.Write(b[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != sh.want {
+			t.Errorf("%s: decoded clouds hash to %s, want %s", sh.name, got, sh.want)
+		}
+	}
+}

@@ -3,7 +3,10 @@ package codec
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 // FuzzReadFrameFrom drives the frame-container parser with arbitrary bytes.
@@ -96,6 +99,113 @@ func FuzzParseLayerDirectory(f *testing.F) {
 		part, _, _ := viewerFrame(l, data, 0, 0, 1)
 		if ParseFrameLayout(part) == nil {
 			t.Fatal("base-only truncation rejected")
+		}
+	})
+}
+
+// FuzzDecodeFrame drives the whole proposed-design decoder — container,
+// geometry, both attribute stages, tiles, layers — with arbitrary bytes, on
+// one long-lived Decoder that holds a valid reference, the way a receiver
+// meets them. Seeds are real frames of every shape. Whatever the bytes: no
+// panic; a full-subscription cloud has the header's points less the omitted
+// tiles'; the decode allocates at most 64 B per header point plus 64 B per
+// input byte; a frame that fails leaves the reference exactly as it was; and
+// the decoder goes on decoding the seed GOP to the same clouds afterwards.
+func FuzzDecodeFrame(f *testing.F) {
+	// A small GOP (every 16th voxel of the test frames) keeps executions in
+	// the tens of microseconds.
+	var clouds []*geom.VoxelCloud
+	for _, vc := range frames(f, 2) {
+		thin := &geom.VoxelCloud{Depth: vc.Depth}
+		for i := 0; i < vc.Len(); i += 16 {
+			thin.Voxels = append(thin.Voxels, vc.Voxels[i])
+		}
+		clouds = append(clouds, thin)
+	}
+	encode := func(tiles, layers int, entropy bool) (wires [][]byte) {
+		opts := scaledOpts(IntraInterV1, clouds[0].Len())
+		opts.Tiles, opts.Layers, opts.EntropyGeometry, opts.IntraAttr.Entropy = tiles, layers, entropy, entropy
+		enc := NewEncoder(dev(), opts)
+		for _, vc := range clouds {
+			ef, _, err := enc.EncodeFrame(vc)
+			if err != nil {
+				f.Fatal(err)
+			}
+			wires = append(wires, serialize(f, ef))
+		}
+		return wires
+	}
+	seedGOP := encode(0, 0, false)
+	for _, wires := range [][][]byte{seedGOP, encode(0, 0, true), encode(4, 0, false), encode(0, 3, true), encode(4, 3, false)} {
+		for _, w := range wires {
+			f.Add(w)
+			if l := ParseFrameLayout(w); l != nil {
+				culled, _, _ := viewerFrame(l, w, 1<<1, 1<<2, 1) // tile 1 omitted, tile 2 coarse, base layer only
+				f.Add(culled)
+			}
+		}
+	}
+
+	decodeSeed := func(t testing.TB, dec *Decoder, w []byte) *geom.VoxelCloud {
+		ef, err := ParseFrame(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vc, err := dec.DecodeFrame(ef)
+		if err != nil {
+			t.Fatalf("seed frame no longer decodes: %v", err)
+		}
+		return vc
+	}
+	dec := NewDecoder(dev(), OptionsFor(IntraInterV1))
+	wantI, wantP := decodeSeed(f, dec, seedGOP[0]), decodeSeed(f, dec, seedGOP[1])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ef, err := ParseFrame(data)
+		// The bound below is real memory, and omitted tiles' points are
+		// backed by no input: frames that claim over 2^20 points stay out.
+		if err != nil || ef.NumPoints > 1<<20 {
+			return
+		}
+		// The allocation bound is held against a decoder that has seen the
+		// seed I-frame and nothing else, so that its arena's growth counts.
+		// TotalAlloc is process-wide and the fuzz worker's other goroutines
+		// allocate too, so a reading over the limit is taken again, on
+		// another such decoder: the decoder is deterministic, the noise is not.
+		limit := 64*uint64(ef.NumPoints) + 64*uint64(len(data)) + 16<<10
+		for try := 0; ; try++ {
+			cold := NewDecoder(dev(), OptionsFor(IntraInterV1))
+			decodeSeed(t, cold, seedGOP[0])
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _ = cold.DecodeFrame(ef)
+			runtime.ReadMemStats(&after)
+			got := after.TotalAlloc - before.TotalAlloc
+			if got <= limit {
+				break
+			}
+			if try == 4 {
+				t.Fatalf("%d bytes allocated for %d header points and %d input bytes (limit %d)", got, ef.NumPoints, len(data), limit)
+			}
+		}
+		vc, err := dec.DecodeFrame(ef)
+		if err == nil {
+			want := int(ef.NumPoints)
+			for _, ti := range ef.Tiles {
+				if ti.Omitted() {
+					want -= int(ti.Points)
+				}
+			}
+			if partial := ef.Layered() && ef.Layer.Sub < ef.Layer.Layers; !partial && vc.Len() != want {
+				t.Fatalf("decoded %d points, header says %d", vc.Len(), want)
+			}
+			// The frame may have become the reference; put the seed's back.
+			if !sameCloud(decodeSeed(t, dec, seedGOP[0]), wantI) {
+				t.Fatal("seed I-frame decodes differently after this frame")
+			}
+		}
+		if !sameCloud(decodeSeed(t, dec, seedGOP[1]), wantP) {
+			t.Fatal("seed P-frame decodes differently after this frame")
 		}
 	})
 }

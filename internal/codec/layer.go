@@ -221,45 +221,6 @@ func layerCut(offs []int, baseLevel, lay int) (lo, hi int) {
 	return offs[baseLevel+lay-1], offs[baseLevel+lay]
 }
 
-// decodeLayeredFull decodes a full subscription (Sub == Layers) by
-// stripping the layering: per unit, concatenate the decompressed geometry
-// layers back into one raw chunk and take the top attribute layer verbatim,
-// then hand the reassembled unlayered frame to the regular decoders —
-// bit-exact output and reference handling.
-func (d *Decoder) decodeLayeredFull(f *EncodedFrame, l *FrameLayout) (*geom.VoxelCloud, error) {
-	clone := *f
-	clone.Layer = nil
-	if f.Tiled() {
-		clone.Tiles = append([]TileInfo(nil), f.Tiles...)
-	}
-	var geomOut, attrOut []byte
-	for u := 0; u < l.LayerUnits(); u++ {
-		gBase, aBase := len(geomOut), len(attrOut)
-		for lay := 0; lay < l.Layers; lay++ {
-			chunk := l.Geom(f.Geometry, u, lay)
-			if len(chunk) == 0 {
-				continue
-			}
-			payload, err := GeomChunk(chunk)
-			if err != nil {
-				return nil, err
-			}
-			if len(geomOut) == gBase {
-				geomOut = append(geomOut, 0)
-			}
-			geomOut = append(geomOut, payload...)
-		}
-		attrOut = append(attrOut, l.Attr(f.Attr, u, l.Layers-1)...)
-		if f.Tiled() {
-			clone.Tiles[u].GeomLen = uint32(len(geomOut) - gBase)
-			clone.Tiles[u].AttrLen = uint32(len(attrOut) - aBase)
-		}
-	}
-	clone.Geometry = geomOut
-	clone.Attr = attrOut
-	return d.decodeProposed(&clone)
-}
-
 // decodeLayeredPartial decodes the first Sub < Layers layers: geometry to
 // level BaseLevel+Sub-1, colours from the base-layer medians (zero for
 // coarse tiles), cells upscaled to the full lattice at their centres
@@ -281,11 +242,10 @@ func (d *Decoder) decodeLayeredPartial(f *EncodedFrame, l *FrameLayout) (*geom.V
 		// Reassemble the kept geometry prefix.
 		var raw []byte
 		for lay := 0; lay < l.Sub; lay++ {
-			payload, err := GeomChunk(l.Geom(f.Geometry, u, lay))
-			if err != nil {
+			var err error
+			if raw, err = AppendGeomChunk(raw, l.Geom(f.Geometry, u, lay)); err != nil {
 				return nil, err
 			}
-			raw = append(raw, payload...)
 		}
 		lod, err := paroctree.DeserializeLoD(d.dev, raw, depth, level)
 		if err != nil {
@@ -344,7 +304,7 @@ func (d *Decoder) decodeLayeredPartial(f *EncodedFrame, l *FrameLayout) (*geom.V
 	if f.Type == IFrame {
 		// A partial I-frame cannot serve as a GOP reference; drop any
 		// stale one so a malformed stream cannot pair it with a full P.
-		d.refSorted = nil
+		d.hasRef = false
 	}
 	if len(allCodes) == 0 {
 		return &geom.VoxelCloud{Depth: depth}, nil

@@ -1,8 +1,6 @@
 package codec
 
 import (
-	"fmt"
-
 	"repro/internal/attr"
 	"repro/internal/edgesim"
 	"repro/internal/entropy"
@@ -12,7 +10,13 @@ import (
 	"repro/internal/paroctree"
 )
 
-var costRescale = edgesim.Cost{OpsPerItem: 12, BytesPerItem: 16}
+// Per-point costs of the lattice transforms: the rescale either way, and the
+// decoder's code-to-coordinates step (the bit de-interleave MortonGen does
+// the other way round, at MortonGen's cost).
+var (
+	costRescale      = edgesim.Cost{OpsPerItem: 12, BytesPerItem: 16}
+	costMortonDecode = edgesim.Cost{OpsPerItem: 12, BytesPerItem: 16}
+)
 
 // geomScratch is the per-frame geometry arena: the rescaled cloud, the
 // octree build scratch and the serialized occupancy buffer. It is pooled by
@@ -216,96 +220,4 @@ func (e *Encoder) proposedAttr(g *GeometryIntermediate, isP bool) (*EncodedFrame
 		return nil, edgesim.Snapshot{}, err
 	}
 	return frame, attrDelta, nil
-}
-
-// GeomChunk unwraps one [mode][payload] geometry chunk — a frame's, a
-// tile's or a layer's — into its raw occupancy bytes: mode 0 is raw, mode 1
-// entropy-coded. It is the one place the chunk modes are decided; an empty
-// chunk or an unknown mode is ErrBadContainer.
-func GeomChunk(chunk []byte) ([]byte, error) {
-	if len(chunk) == 0 {
-		return nil, ErrBadContainer
-	}
-	switch chunk[0] {
-	case 0:
-		return chunk[1:], nil
-	case 1:
-		return entropy.DecompressBytes(chunk[1:])
-	}
-	return nil, ErrBadContainer
-}
-
-// decodeProposed inverts encodeProposed. The inter designs require frames
-// to be decoded in stream order (P-frames need the preceding I).
-func (d *Decoder) decodeProposed(f *EncodedFrame) (*geom.VoxelCloud, error) {
-	if f.Tiled() || f.Layered() {
-		l, err := f.Layout()
-		switch {
-		case err != nil:
-			return nil, err
-		case l.Layered() && l.Sub < l.Layers:
-			return d.decodeLayeredPartial(f, l)
-		case l.Layered():
-			return d.decodeLayeredFull(f, l)
-		}
-		return d.decodeTiledProposed(f, l)
-	}
-	if len(f.Geometry) == 0 || len(f.Attr) == 0 {
-		return nil, ErrBadContainer
-	}
-	var geomRaw []byte
-	var err error
-	unwrap := func() { geomRaw, err = GeomChunk(f.Geometry) }
-	if f.Geometry[0] == 1 {
-		d.dev.CPUSerial("GeomEntropyDecode", len(f.Geometry)-1, costEntropyByte, unwrap)
-	} else {
-		unwrap()
-	}
-	if err != nil {
-		return nil, err
-	}
-	codes, err := paroctree.Deserialize(d.dev, geomRaw, uint(f.Depth))
-	if err != nil {
-		return nil, err
-	}
-	if len(codes) != int(f.NumPoints) {
-		return nil, fmt.Errorf("codec: geometry decoded %d points, header says %d", len(codes), f.NumPoints)
-	}
-	voxels := paroctree.CodesToVoxels(d.dev, codes, uint(f.Depth))
-
-	var colors []geom.Color
-	switch f.Attr[0] {
-	case 0: // intra
-		colors, err = attr.Decode(d.dev, f.Attr[1:])
-	case 1: // inter
-		if d.refSorted == nil {
-			return nil, ErrMissingReference
-		}
-		colors, err = interframe.DecodeP(d.dev, f.Attr[1:], d.refSorted)
-	default:
-		return nil, ErrBadContainer
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(colors) != len(voxels) {
-		return nil, fmt.Errorf("codec: %d colours for %d points", len(colors), len(voxels))
-	}
-	for i := range voxels {
-		voxels[i].C = colors[i]
-	}
-	if f.Type == IFrame {
-		ref := make([]geom.Voxel, len(voxels))
-		copy(ref, voxels)
-		d.refSorted = ref
-	}
-	if f.HasRescale {
-		out := make([]geom.Voxel, len(voxels))
-		r := f.Rescale
-		d.dev.GPUKernelIdx("InverseRescale", len(voxels), costRescale, func(i int) {
-			out[i] = r.Invert(voxels[i])
-		})
-		voxels = out
-	}
-	return &geom.VoxelCloud{Depth: uint(f.Depth), Voxels: voxels}, nil
 }

@@ -127,3 +127,109 @@ func TestSteadyStateAllocsPerFrame(t *testing.T) {
 	}
 	runtime.KeepAlive(frames)
 }
+
+// BenchmarkDecodeSteadyState is the decode side of
+// BenchmarkEncodeSteadyState: a warm Decoder over the same 60-frame session.
+func BenchmarkDecodeSteadyState(b *testing.B) {
+	frames := steadyFrames(b, 60)
+	for _, row := range []struct {
+		design        Design
+		tiles, layers int
+	}{{IntraOnly, 0, 0}, {IntraInterV1, 0, 0}, {IntraInterV1, 8, 3}} {
+		b.Run(fmt.Sprintf("%v/tiles=%d/layers=%d", row.design, row.tiles, row.layers), func(b *testing.B) {
+			opts := steadyOpts(row.design)
+			opts.Tiles, opts.Layers = row.tiles, row.layers
+			enc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), opts)
+			dec := NewDecoder(edgesim.NewXavier(edgesim.Mode15W), opts)
+			encoded := make([]*EncodedFrame, len(frames))
+			var pts int64
+			for i, f := range frames { // encode, and warm the decoder
+				var err error
+				if encoded[i], _, err = enc.EncodeFrame(f); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := dec.DecodeFrame(encoded[i]); err != nil {
+					b.Fatal(err)
+				}
+				pts += int64(encoded[i].NumPoints)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, ef := range encoded {
+					if _, err := dec.DecodeFrame(ef); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			sec := b.Elapsed().Seconds()
+			b.ReportMetric(float64(60*b.N)/sec, "frames/s")
+			b.ReportMetric(float64(pts)*float64(b.N)/sec/1e6, "Mpts/s")
+		})
+	}
+}
+
+// TestDecodeSteadyStateAllocs is the decode side's allocation gate: a warm
+// Decoder over a 60-frame session allocates little more than the clouds it
+// returns. The caps sit 10% above the measurement, which is the same in
+// plain and -race builds and at one core or two, because nothing on the
+// path is pooled: 25.0 / 21.7 / 12.0 allocations per frame (the returned
+// cloud and its voxel slice, the frame's span table, and a key string per
+// ledger row — the untiled path books a row per octree level) and 1.01 times
+// the 16 B per point of the returned voxels. Before the Decoder owned its
+// memory the same rows read 4556 / 10648 / 9429 allocations per frame and
+// 5.5 / 4.4 / 5.5 times the output.
+func TestDecodeSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs full frames")
+	}
+	frames := steadyFrames(t, 60)
+	for _, row := range []struct {
+		design        Design
+		tiles, layers int
+		capAllocs     float64 // per frame
+		capBytes      float64 // per point, in units of the 16 B output voxel
+	}{
+		{IntraOnly, 0, 0, 28, 1.1},
+		{IntraInterV1, 0, 0, 24, 1.1},
+		{IntraInterV1, 8, 3, 14, 1.1},
+	} {
+		name := row.design.String()
+		if row.tiles > 0 {
+			name = fmt.Sprintf("%s/tiles=%d/layers=%d", name, row.tiles, row.layers)
+		}
+		t.Run(name, func(t *testing.T) {
+			opts := steadyOpts(row.design)
+			opts.Tiles, opts.Layers = row.tiles, row.layers
+			enc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), opts)
+			dec := NewDecoder(edgesim.NewXavier(edgesim.Mode15W), opts)
+			encoded := make([]*EncodedFrame, len(frames))
+			points := 0
+			for i, f := range frames { // encode, and warm the decoder
+				var err error
+				if encoded[i], _, err = enc.EncodeFrame(f); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dec.DecodeFrame(encoded[i]); err != nil {
+					t.Fatal(err)
+				}
+				points += int(encoded[i].NumPoints)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, ef := range encoded {
+				if _, err := dec.DecodeFrame(ef); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			allocs := float64(after.Mallocs-before.Mallocs) / 60
+			perPoint := float64(after.TotalAlloc-before.TotalAlloc) / float64(16*points)
+			t.Logf("%s: %.1f allocs/frame (cap %.0f), %.2f x 16 B per point (cap %.1f)", name, allocs, row.capAllocs, perPoint, row.capBytes)
+			if allocs > row.capAllocs || perPoint > row.capBytes {
+				t.Errorf("%s steady-state decode allocations regressed", name)
+			}
+		})
+	}
+}

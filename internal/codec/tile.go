@@ -367,178 +367,3 @@ func (e *Encoder) tiledAttr(g *GeometryIntermediate, isP, needRef bool) (*Encode
 	}
 	return frame, attrDelta, nil
 }
-
-// decodeTiledProposed inverts the tiled encode. Omitted tiles (per-viewer
-// viewport culling) are simply absent from the output; coarse tiles decode
-// geometry with zeroed colours. I-frames install a FULL-length reference:
-// omitted ranges are concealed by clamping to the nearest included voxel,
-// so P-tiles keep decoding with global indices even under a moving camera.
-func (d *Decoder) decodeTiledProposed(f *EncodedFrame, l *FrameLayout) (*geom.VoxelCloud, error) {
-	nT := len(f.Tiles)
-	pointOff := l.PointOff
-
-	ref := d.refSorted
-	codes := make([][]morton.Code, nT)
-	colors := make([][]geom.Color, nT)
-	errs := make([]error, nT)
-	dev := d.dev
-	dev.GPUCompute("TileDecode", int(f.NumPoints), costTileGeomDec, func() {
-		dev.ParallelFor(nT, func(t0, t1 int) {
-			for t := t0; t < t1; t++ {
-				ti := f.Tiles[t]
-				if ti.Omitted() {
-					continue
-				}
-				raw, terr := GeomChunk(l.Geom(f.Geometry, t, 0))
-				if terr != nil {
-					errs[t] = terr
-					continue
-				}
-				tcodes, terr := paroctree.DeserializeSerial(raw, uint(f.Depth))
-				if terr != nil {
-					errs[t] = terr
-					continue
-				}
-				if len(tcodes) != int(ti.Points) {
-					errs[t] = ErrBadContainer
-					continue
-				}
-				codes[t] = tcodes
-				if ti.Coarse() {
-					continue // geometry only; colours stay zero
-				}
-				achunk := l.Attr(f.Attr, t, 0)
-				if len(achunk) == 0 {
-					errs[t] = ErrBadContainer
-					continue
-				}
-				switch achunk[0] {
-				case 0: // intra
-					tcolors, terr := attr.DecodeIntraTile(achunk[1:])
-					if terr != nil {
-						errs[t] = terr
-						continue
-					}
-					if len(tcolors) != int(ti.Points) {
-						errs[t] = ErrBadContainer
-						continue
-					}
-					colors[t] = tcolors
-				case 1: // inter
-					if ref == nil {
-						errs[t] = ErrMissingReference
-						continue
-					}
-					tcolors, plo, phi, terr := interframe.DecodePTile(achunk[1:], ref)
-					if terr != nil {
-						errs[t] = terr
-						continue
-					}
-					if plo != pointOff[t] || phi != pointOff[t+1] {
-						errs[t] = ErrBadContainer
-						continue
-					}
-					colors[t] = tcolors
-				default:
-					errs[t] = ErrBadContainer
-				}
-			}
-		})
-	})
-	for _, terr := range errs {
-		if errors.Is(terr, ErrMissingReference) {
-			return nil, terr
-		}
-	}
-	for _, terr := range errs {
-		if terr != nil {
-			return nil, terr
-		}
-	}
-
-	// Included tiles must stay in ascending Morton order across boundaries
-	// (contiguous key ranges of one sorted sequence).
-	var last morton.Code
-	have := false
-	included := 0
-	for t := range codes {
-		tc := codes[t]
-		if tc == nil {
-			continue
-		}
-		if have && tc[0] <= last {
-			return nil, ErrBadContainer
-		}
-		last = tc[len(tc)-1]
-		have = true
-		included += len(tc)
-	}
-	if included == 0 {
-		return &geom.VoxelCloud{Depth: uint(f.Depth)}, nil
-	}
-
-	all := make([]morton.Code, 0, included)
-	for _, tc := range codes {
-		all = append(all, tc...)
-	}
-	voxels := paroctree.CodesToVoxels(d.dev, all, uint(f.Depth))
-	idx := 0
-	for t, tc := range codes {
-		if tc == nil {
-			continue
-		}
-		if tcolors := colors[t]; tcolors != nil {
-			for i := range tcolors {
-				voxels[idx+i].C = tcolors[i]
-			}
-		}
-		idx += len(tc)
-	}
-
-	if f.Type == IFrame {
-		// Full-length reference in coded (pre-invert) space, with omitted
-		// ranges clamped to the nearest included voxel.
-		newRef := make([]geom.Voxel, f.NumPoints)
-		idx = 0
-		for t, tc := range codes {
-			if tc == nil {
-				continue
-			}
-			copy(newRef[pointOff[t]:pointOff[t+1]], voxels[idx:idx+len(tc)])
-			idx += len(tc)
-		}
-		fillLo := -1
-		for t := range f.Tiles {
-			if codes[t] != nil {
-				if fillLo >= 0 {
-					fill := newRef[pointOff[t]]
-					for i := fillLo; i < pointOff[t]; i++ {
-						newRef[i] = fill
-					}
-					fillLo = -1
-				}
-				continue
-			}
-			if fillLo < 0 {
-				fillLo = pointOff[t]
-			}
-		}
-		if fillLo >= 0 {
-			fill := newRef[fillLo-1]
-			for i := fillLo; i < int(f.NumPoints); i++ {
-				newRef[i] = fill
-			}
-		}
-		d.refSorted = newRef
-	}
-
-	if f.HasRescale {
-		out := make([]geom.Voxel, len(voxels))
-		r := f.Rescale
-		d.dev.GPUKernelIdx("InverseRescale", len(voxels), costRescale, func(i int) {
-			out[i] = r.Invert(voxels[i])
-		})
-		voxels = out
-	}
-	return &geom.VoxelCloud{Depth: uint(f.Depth), Voxels: voxels}, nil
-}

@@ -3,6 +3,7 @@ package entropy
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -218,6 +219,38 @@ func TestDecompressRejectsHugeLength(t *testing.T) {
 	m.Encode(e, 1<<40) // absurd claimed length
 	if _, err := DecompressBytes(e.Bytes()); err == nil {
 		t.Error("absurd length must be rejected")
+	}
+}
+
+// TestDecompressLengthBackedByInput: the declared payload length sizes the
+// output buffer, so it must be refused — before the buffer exists — when
+// the stream is too short to code that many bytes. The stream that declares
+// 2^27 bytes and codes none used to cost 128 MB and two seconds.
+func TestDecompressLengthBackedByInput(t *testing.T) {
+	e := NewEncoder()
+	NewUintModel().Encode(e, 1<<27)
+	hostile := e.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecompressBytes(hostile)
+	runtime.ReadMemStats(&after)
+	if err != ErrCorrupt {
+		t.Errorf("%d-byte stream declaring 2^27 bytes: %v, want ErrCorrupt", len(hostile), err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("refusal allocated %d bytes", n)
+	}
+	// The most compressible payloads there are stay inside the bound.
+	for _, b := range []byte{0x00, 0xff, 0x55} {
+		data := bytes.Repeat([]byte{b}, 1<<20)
+		packed := CompressBytes(data)
+		if len(data) > MaxExpansion*len(packed)*3/4 {
+			t.Errorf("1 MiB of %#02x codes to %d bytes: too close to the %dx bound", b, len(packed), MaxExpansion)
+		}
+		got, err := DecompressBytes(packed)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("1 MiB of %#02x (%d bytes coded) does not round-trip: %v", b, len(packed), err)
+		}
 	}
 }
 

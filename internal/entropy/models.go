@@ -331,6 +331,14 @@ func DecompressBytes(data []byte) ([]byte, error) {
 	return AppendDecompressBytes(nil, data)
 }
 
+// MaxExpansion bounds the payload length a stream may declare, per stream
+// byte, and is checked before the payload buffer is sized. The bound is the
+// coder's own: the adaptation shift stops moving a bit probability at 31 and
+// at 2017 of 2048, so a coded bit costs at least log2(2048/2017) = 0.022
+// bits, a coded byte 0.022 bytes of stream, and no stream expands more than
+// 46 times (1 MiB of one repeated byte codes to 23.1 KB, 45.4 times).
+const MaxExpansion = 64
+
 // AppendDecompressBytes appends the decoded payload to dst and returns the
 // extended slice (pooled decoder/models, same corruption checks as
 // DecompressBytes).
@@ -343,8 +351,7 @@ func AppendDecompressBytes(dst, data []byte) ([]byte, error) {
 	c.lm.Init()
 	c.bm.Init()
 	n := c.lm.Decode(&c.dec)
-	const maxReasonable = 1 << 31
-	if n > maxReasonable {
+	if n > MaxExpansion*uint64(len(data)) {
 		return nil, ErrCorrupt
 	}
 	base := len(dst)

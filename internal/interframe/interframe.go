@@ -19,15 +19,21 @@
 // which picks the same block and yields the same Equ. 2 value as the float
 // definition — and the inner loop is chosen from the block shapes at hand
 // (single-point blocks, equal-size blocks, unequal blocks walked by a
-// division-free pairing stepper that the delta coder and both decoders
+// division-free pairing stepper that the delta coder and the decoder
 // share). DESIGN.md §9 "Block-match kernel" has the argument.
+//
+// There is one decoder (decode.go): a pure body over a window of the
+// frame's P-blocks that reads the stream through attr.Cursor and writes
+// colours into the caller's window, under the untiled stream's framing
+// (EncodePWith: every block) and the tile stream's (EncodePTile: the frame's
+// global counts plus the tile's window). The point count — and a tile's
+// position — is the caller's, taken from the decoded geometry; a stream
+// that claims another is refused.
 package interframe
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/attr"
@@ -302,131 +308,4 @@ func encodeDeltaBlock(out []byte, ib, pb []uint32, q int32, ds *deltaScratch) []
 		out = appendResiduals(out, resid)
 	}
 	return out
-}
-
-// deltaBlock is one parsed delta payload: per channel, the base and the
-// quantized residuals.
-type deltaBlock struct {
-	bases [3]int32
-	resid [3][]int32
-}
-
-// reconstructBlock fills one P-block's colours from its reference block iv:
-// the paired reference colours verbatim for direct reuse (db == nil), plus
-// the dequantized deltas otherwise.
-func reconstructBlock(out []geom.Color, iv []geom.Voxel, db *deltaBlock, q int32) {
-	st := newPairStep(len(out), len(iv))
-	if db == nil {
-		for i := range out {
-			out[i] = iv[st.next()].C
-		}
-		return
-	}
-	for i := range out {
-		out[i] = iv[st.next()].C.Add(
-			int(db.bases[0]+db.resid[0][i]*q),
-			int(db.bases[1]+db.resid[1][i]*q),
-			int(db.bases[2]+db.resid[2][i]*q),
-		)
-	}
-}
-
-// blocksFit reports whether a stream with avail bytes left can hold blocks
-// P-blocks: each costs at least one bitmap bit and one pointer byte. The
-// decoders ask before sizing anything from the header's counts.
-func blocksFit(blocks, avail int) bool {
-	return (blocks+7)/8+blocks <= avail
-}
-
-// DecodeP reconstructs the P-frame's attribute column. iFrame is the
-// decoded (sorted) reference frame; nP must match the decoded P geometry's
-// point count.
-func DecodeP(dev *edgesim.Device, data []byte, iFrame []geom.Voxel) ([]geom.Color, error) {
-	r := bytes.NewReader(data)
-	nP64, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, ErrBadStream
-	}
-	segs64, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, ErrBadStream
-	}
-	q64, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, ErrBadStream
-	}
-	if nP64 == 0 {
-		return nil, nil
-	}
-	const maxReasonable = 1 << 30
-	if nP64 > maxReasonable || segs64 > maxReasonable || q64 > 1<<20 {
-		return nil, ErrBadStream
-	}
-	nP, segs, q := int(nP64), int(segs64), int32(q64)
-	if !blocksFit(min(nP, max(segs, 1)), r.Len()) {
-		return nil, ErrBadStream
-	}
-	nI := len(iFrame)
-	if nI == 0 {
-		return nil, errors.New("interframe: empty reference frame")
-	}
-	pBounds := attr.SegmentBounds(nP, segs)
-	iBounds := attr.SegmentBounds(nI, segs)
-	nBlocks := len(pBounds) - 1
-	nIBlocks := len(iBounds) - 1
-
-	bitmap := make([]byte, (nBlocks+7)/8)
-	if _, err := io_ReadFull(r, bitmap); err != nil {
-		return nil, ErrBadStream
-	}
-	refs := make([]int32, nBlocks)
-	for j := 0; j < nBlocks; j++ {
-		off, err := readVarint(r)
-		if err != nil {
-			return nil, ErrBadStream
-		}
-		center := j * nIBlocks / nBlocks
-		ref := int64(center) + off
-		if ref < 0 || ref >= int64(nIBlocks) {
-			return nil, fmt.Errorf("interframe: reference block %d out of range", ref)
-		}
-		refs[j] = int32(ref)
-	}
-
-	out := make([]geom.Color, nP)
-	dev.CPUSerial("InterParse", nP, edgesim.Cost{OpsPerItem: 40, BytesPerItem: 3}, func() {})
-	// Delta payloads are sequential in the stream; parse serially, then
-	// reconstruct blocks in parallel.
-	deltas := make([]*deltaBlock, nBlocks)
-	for j := 0; j < nBlocks; j++ {
-		if bitmap[j/8]>>uint(j%8)&1 == 1 {
-			continue
-		}
-		kp := pBounds[j+1] - pBounds[j]
-		db := &deltaBlock{}
-		for ch := 0; ch < 3; ch++ {
-			base, err := readVarint(r)
-			if err != nil {
-				return nil, ErrBadStream
-			}
-			db.bases[ch] = int32(base)
-			resid, err := unpackResiduals(r, kp)
-			if err != nil {
-				return nil, err
-			}
-			db.resid[ch] = resid
-		}
-		deltas[j] = db
-	}
-
-	dev.GPUKernel("ReconstructP", nBlocks, edgesim.Cost{
-		OpsPerItem:   costDeltaQuant.OpsPerItem * float64(nP) / float64(nBlocks),
-		BytesPerItem: costDeltaQuant.BytesPerItem * float64(nP) / float64(nBlocks),
-	}, func(b0, b1 int) {
-		for j := b0; j < b1; j++ {
-			reconstructBlock(out[pBounds[j]:pBounds[j+1]],
-				iFrame[iBounds[refs[j]]:iBounds[refs[j]+1]], deltas[j], q)
-		}
-	})
-	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/attr"
 	"repro/internal/edgesim"
 	"repro/internal/geom"
 	"repro/internal/morton"
@@ -300,6 +301,54 @@ func TestDecodePHostileHeaderBoundedAlloc(t *testing.T) {
 				t.Errorf("allocated %d bytes", n)
 			}
 		})
+	}
+}
+
+// hostileCount is the 8-byte stream that codes 102 685 612 points as one
+// direct-reuse block: a bitmap bit and a pointer byte for all of them, so
+// only the geometry can say it is lying. DecodeP used to return it 308 MB of
+// colours and no error.
+var hostileCount = []byte{0xac, 0xb7, 0xfb, 0x30, 0x00, 0x30, 0x31, 0x00}
+
+// TestDecodeCountFromGeometry: the decoder sizes nothing from a stream's own
+// point count. The destination the caller cut from its geometry is the
+// count — and for a tile the position — and a stream that claims another is
+// refused before a block of it is read.
+func TestDecodeCountFromGeometry(t *testing.T) {
+	d := dev()
+	iF := sortedFrame(61, 4)
+	ref := frameColors(iF)
+	var s DecodeScratch
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := s.DecodeP(d, make([]geom.Color, 4), hostileCount, ref)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadStream) {
+		t.Errorf("8-byte stream coding 102 685 612 points over a 4-point geometry: %v, want ErrBadStream", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("refusal allocated %d bytes", n)
+	}
+
+	// A tile stream is held to its count and to its place in the frame.
+	big := sortedFrame(62, 300)
+	pF := jitterColors(big, 63, 6)
+	p := Params{Segments: 20, Candidates: 10, Threshold: 50, QStep: 2}
+	pBounds, iBounds := attr.SegmentBounds(len(pF), p.Segments), attr.SegmentBounds(len(big), p.Segments)
+	tile, _, err := EncodePTile(packColors(nil, big), packColors(nil, pF), p, pBounds, iBounds, 5, 10, new(PTileScratch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := pBounds[5], pBounds[15]
+	dst := make([]geom.Color, hi-lo+1)
+	if err := s.DecodePTile(dst[:hi-lo], lo, tile, frameColors(big)); err != nil {
+		t.Errorf("tile at its own window: %v", err)
+	}
+	if err := s.DecodePTile(dst[:hi-lo], lo+1, tile, frameColors(big)); !errors.Is(err, ErrBadStream) {
+		t.Errorf("tile one point off its window: %v, want ErrBadStream", err)
+	}
+	if err := s.DecodePTile(dst, lo, tile, frameColors(big)); !errors.Is(err, ErrBadStream) {
+		t.Errorf("tile into a window one point too long: %v, want ErrBadStream", err)
 	}
 }
 

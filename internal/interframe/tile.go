@@ -10,7 +10,8 @@ package interframe
 // global grids therefore reproduces exactly the per-block bytes of the
 // untiled EncodePWith; only the framing differs (each tile carries its own
 // header, bitmap and pointer column), so tiled P streams are decode-exact
-// against the untiled codec.
+// against the untiled codec — the decoder runs one body under both framings
+// (decode.go).
 //
 // Everything here is deliberately serial: tiles are the unit of parallelism,
 // so the per-tile body must be a pool LEAF with no nested kernel dispatch.
@@ -18,12 +19,8 @@ package interframe
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"repro/internal/attr"
-	"repro/internal/geom"
 )
 
 // PTileScratch is the reusable arena for serial P-tile encodes. It must not
@@ -105,109 +102,4 @@ func EncodePTile(iPack, pPack []uint32, p Params, pBounds, iBounds []int, bLo, b
 		buf.Write(sc.payload)
 	}
 	return append([]byte(nil), buf.Bytes()...), st, nil
-}
-
-// DecodePTile reconstructs one tile's slice of the P-frame attribute column
-// from a stream produced by EncodePTile, on the calling goroutine with no
-// device kernels. iFrame is the FULL decoded reference frame. The returned
-// colours are exactly the untiled decoder's output restricted to the tile's
-// point range [pointLo, pointHi).
-func DecodePTile(data []byte, iFrame []geom.Voxel) (colors []geom.Color, pointLo, pointHi int, err error) {
-	r := bytes.NewReader(data)
-	bad := func() ([]geom.Color, int, int, error) { return nil, 0, 0, ErrBadStream }
-	nP64, err := readUvarintR(r)
-	if err != nil {
-		return bad()
-	}
-	segs64, err := readUvarintR(r)
-	if err != nil {
-		return bad()
-	}
-	q64, err := readUvarintR(r)
-	if err != nil {
-		return bad()
-	}
-	bLo64, err := readUvarintR(r)
-	if err != nil {
-		return bad()
-	}
-	bCount64, err := readUvarintR(r)
-	if err != nil {
-		return bad()
-	}
-	const maxReasonable = 1 << 30
-	if nP64 == 0 || nP64 > maxReasonable || segs64 > maxReasonable || q64 > 1<<20 {
-		return bad()
-	}
-	nP, segs, q := int(nP64), int(segs64), int32(q64)
-	// The P grid is attr.SegmentBounds(nP, segs), evaluated only at the
-	// tile's own blocks: a header's counts must not size an allocation.
-	nBlocks := min(nP, max(segs, 1))
-	pBound := func(j int) int { return j * nP / nBlocks }
-	if bCount64 == 0 || bCount64 > uint64(nBlocks) || bLo64 > uint64(nBlocks)-bCount64 {
-		return bad()
-	}
-	bLo, bCount := int(bLo64), int(bCount64)
-	if !blocksFit(bCount, r.Len()) {
-		return bad()
-	}
-	nI := len(iFrame)
-	if nI == 0 {
-		return nil, 0, 0, errors.New("interframe: empty reference frame")
-	}
-	iBounds := attr.SegmentBounds(nI, segs)
-	nIBlocks := len(iBounds) - 1
-
-	bitmap := make([]byte, (bCount+7)/8)
-	if _, err := io_ReadFull(r, bitmap); err != nil {
-		return bad()
-	}
-	refs := make([]int32, bCount)
-	for j := 0; j < bCount; j++ {
-		off, err := readVarint(r)
-		if err != nil {
-			return bad()
-		}
-		center := (bLo + j) * nIBlocks / nBlocks
-		ref := int64(center) + off
-		if ref < 0 || ref >= int64(nIBlocks) {
-			return nil, 0, 0, fmt.Errorf("interframe: reference block %d out of range", ref)
-		}
-		refs[j] = int32(ref)
-	}
-
-	pointLo, pointHi = pBound(bLo), pBound(bLo+bCount)
-	colors = make([]geom.Color, pointHi-pointLo)
-	for j := 0; j < bCount; j++ {
-		block := colors[pBound(bLo+j)-pointLo : pBound(bLo+j+1)-pointLo]
-		iv := iFrame[iBounds[refs[j]]:iBounds[refs[j]+1]]
-		if bitmap[j/8]>>uint(j%8)&1 == 1 {
-			reconstructBlock(block, iv, nil, q)
-			continue
-		}
-		var db deltaBlock
-		for ch := 0; ch < 3; ch++ {
-			base, err := readVarint(r)
-			if err != nil {
-				return bad()
-			}
-			db.bases[ch] = int32(base)
-			rs, err := unpackResiduals(r, len(block))
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			db.resid[ch] = rs
-		}
-		reconstructBlock(block, iv, &db, q)
-	}
-	return colors, pointLo, pointHi, nil
-}
-
-// readUvarintR is binary.ReadUvarint with the package's error convention.
-func readUvarintR(r *bytes.Reader) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, ErrBadStream
-	}
-	return v, nil
 }

@@ -3,14 +3,13 @@ package interframe
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"slices"
 )
 
-// Small wire helpers shared by the inter-frame stream: varints, medians,
+// Small wire helpers of the inter-frame encoders: varints, medians,
 // quantization, and per-block fixed-width residual packing (the same
-// GPU-friendly format internal/attr uses, duplicated in miniature here to
-// keep the block payloads self-contained).
+// GPU-friendly format internal/attr uses; the decoder reads it back through
+// attr.Cursor and attr.Unpack).
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
@@ -24,18 +23,10 @@ func writeVarint(buf *bytes.Buffer, v int64) {
 	buf.Write(tmp[:n])
 }
 
-func readVarint(r *bytes.Reader) (int64, error) {
-	return binary.ReadVarint(r)
-}
-
 func appendVarint(dst []byte, v int64) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutVarint(tmp[:], v)
 	return append(dst, tmp[:n]...)
-}
-
-func io_ReadFull(r *bytes.Reader, p []byte) (int, error) {
-	return io.ReadFull(r, p)
 }
 
 // medianI32 returns the lower median of vs via the caller's reusable copy
@@ -63,8 +54,7 @@ func quantizeI32(v, q int32) int32 {
 	return -((-v + q/2) / q)
 }
 
-func zig32(v int32) uint32   { return uint32(v<<1) ^ uint32(v>>31) }
-func unzig32(u uint32) int32 { return int32(u>>1) ^ -int32(u&1) }
+func zig32(v int32) uint32 { return uint32(v<<1) ^ uint32(v>>31) }
 
 // appendResiduals appends a width byte followed by fixed-width zig-zag
 // codes.
@@ -96,39 +86,4 @@ func appendResiduals(dst []byte, vs []int32) []byte {
 		dst = append(dst, byte(bits))
 	}
 	return dst
-}
-
-// unpackResiduals reads count fixed-width residuals.
-func unpackResiduals(r *bytes.Reader, count int) ([]int32, error) {
-	wb, err := r.ReadByte()
-	if err != nil {
-		return nil, ErrBadStream
-	}
-	w := uint(wb)
-	if w > 33 {
-		return nil, ErrBadStream
-	}
-	nbytes := (uint(count)*w + 7) / 8
-	raw := make([]byte, nbytes)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, ErrBadStream
-	}
-	out := make([]int32, count)
-	if w == 0 {
-		return out, nil
-	}
-	var bits uint64
-	var n uint
-	pos := 0
-	for i := range out {
-		for n < w {
-			bits |= uint64(raw[pos]) << n
-			pos++
-			n += 8
-		}
-		out[i] = unzig32(uint32(bits & (1<<w - 1)))
-		bits >>= w
-		n -= w
-	}
-	return out, nil
 }

@@ -197,12 +197,6 @@ func TestSerializeDeserializeRoundTrip(t *testing.T) {
 			t.Fatalf("leaf %d: %d != %d", i, codes[i], leaves[i])
 		}
 	}
-	vox := CodesToVoxels(d, codes, vc.Depth)
-	for i, v := range vox {
-		if morton.Encode(v.X, v.Y, v.Z) != codes[i] {
-			t.Fatalf("voxel %d decode mismatch", i)
-		}
-	}
 }
 
 func TestDeserializeErrors(t *testing.T) {
@@ -342,6 +336,36 @@ func TestRescaleKeepsLatticeBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInvertReciprocalExact: the multiply-by-reciprocal inverse is the
+// division it replaces, mn + (c<<16 + scale/2) / scale, for every coordinate
+// a 21-bit lattice holds and for the largest a voxel can carry, over the
+// scales where the quotient, the reciprocal or the rounding term sit at an
+// edge, and over random ones.
+func TestInvertReciprocalExact(t *testing.T) {
+	scales := []uint64{1, 2, 3, 65535, 65536, 65537, 1 << 26, 1 << 40, 1<<63 - 1, 1<<64 - 1}
+	rng := rand.New(rand.NewSource(21))
+	for len(scales) < 312 {
+		scales = append(scales, rng.Uint64()>>uint(rng.Intn(64))|1)
+	}
+	const mn = 7
+	for ; len(scales) > 0; scales = scales[3:] { // one scale per axis
+		s := scales[:3]
+		inv := Rescale{MinX: mn, MinY: mn, MinZ: mn, ScaleX: s[0], ScaleY: s[1], ScaleZ: s[2]}.Inverter()
+		check := func(c uint32) {
+			x, y, z := inv.Invert(c, c, c)
+			for a, got := range []uint32{x, y, z} {
+				if want := mn + uint32((uint64(c)<<16+s[a]/2)/s[a]); got != want {
+					t.Fatalf("scale %d, coordinate %d: inverse %d, division gives %d", s[a], c, got, want)
+				}
+			}
+		}
+		for c := uint32(0); c < 1<<21; c++ {
+			check(c)
+		}
+		check(1<<32 - 1)
 	}
 }
 

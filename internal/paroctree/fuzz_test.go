@@ -29,17 +29,18 @@ func FuzzDeserialize(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, stream []byte, d8 uint8) {
 		depth := uint(d8 % 24) // 0, 22, 23: out of range
-		// 8 codes of 8 bytes per input byte, plus the offset table and an
+		// 8 codes of 8 bytes per input byte, plus the ledger's rows and an
 		// error value. TotalAlloc is process-wide and the fuzz worker's
 		// other goroutines allocate too, so a reading over the limit is
 		// taken again: the expander is deterministic, the noise is not.
-		var serial []morton.Code
-		var serr error
-		limit := uint64(64*len(stream) + 1024)
+		var codes []morton.Code
+		var err error
+		d := dev()
+		limit := uint64(64*len(stream) + 4096)
 		for try := 0; ; try++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			serial, serr = DeserializeSerial(stream, depth)
+			codes, err = Deserialize(d, stream, depth)
 			runtime.ReadMemStats(&after)
 			got := after.TotalAlloc - before.TotalAlloc
 			if got <= limit {
@@ -49,10 +50,15 @@ func FuzzDeserialize(f *testing.F) {
 				t.Fatalf("%d bytes allocated for %d input bytes (limit %d)", got, len(stream), limit)
 			}
 		}
-		d := dev()
-		codes, err := Deserialize(d, stream, depth)
-		if (err == nil) != (serr == nil) || !slices.Equal(codes, serial) {
-			t.Fatalf("Deserialize (%d codes, %v) != DeserializeSerial (%d codes, %v)", len(codes), err, len(serial), serr)
+		// The per-tile entry fills a column of exactly the stream's leaf
+		// count with the same codes, and refuses any other length.
+		serial := make([]morton.Code, len(codes)+1)
+		if DeserializeSerial(serial, stream, depth) == nil {
+			t.Fatalf("DeserializeSerial filled %d codes from a stream of %d (%v)", len(serial), len(codes), err)
+		}
+		serial = serial[:len(codes)]
+		if serr := DeserializeSerial(serial, stream, depth); (err == nil) != (serr == nil) || !slices.Equal(codes, serial) {
+			t.Fatalf("Deserialize (%d codes, %v) != DeserializeSerial (%v)", len(codes), err, serr)
 		}
 		lod, lerr := DeserializeLoD(d, stream, depth, depth)
 		if err != nil {

@@ -30,15 +30,18 @@ type LoDResult struct {
 // rule: bytes past the prefix are simply not read).
 func DeserializeLoD(dev *edgesim.Device, stream []byte, depth, level uint) (*LoDResult, error) {
 	level = min(level, depth)
-	off, nodes, err := scanLevels(stream, depth, level)
+	var off [maxLevels]int
+	nodes, err := scanLevels(&off, stream, depth, level)
 	if err != nil {
 		return nil, err
 	}
 	if nodes == 0 {
 		return &LoDResult{Level: level}, nil
 	}
-	bookExpand(dev, off)
-	return &LoDResult{Level: level, Codes: expand(stream, off, nodes), PrefixBytes: off[level]}, nil
+	bookExpand(dev, off[:level+1])
+	codes := make([]morton.Code, nodes)
+	expand(codes, stream, off[:level+1])
+	return &LoDResult{Level: level, Codes: codes, PrefixBytes: off[level]}, nil
 }
 
 // UpscaleToLattice maps level-L node codes back into full-lattice voxel

@@ -39,38 +39,56 @@ func (t *Tree) SerializeInto(dev *edgesim.Device, dst []byte) []byte {
 // ErrBadStream reports a malformed occupancy stream.
 var ErrBadStream = errors.New("paroctree: malformed occupancy stream")
 
+// maxLevels is the longest offset table scanLevels fills: one entry per mask
+// level of the deepest lattice, plus the end.
+const maxLevels = maxDepth + 1
+
 // scanLevels is the expander's sizing pass over the first `level` mask
-// levels of a BFS occupancy stream: off[d] is the byte offset of level d's
-// masks (so off[d+1]-off[d] is the node count at depth d, and off[level]
-// the prefix consumed) and nodes the node count at depth level. It
-// validates what it walks — depth range, truncation, zero masks — so
-// nothing is allocated for a stream that will not expand. An empty stream
-// is the empty cloud: nodes == 0.
-func scanLevels(stream []byte, depth, level uint) (off []int, nodes int, err error) {
+// levels of a BFS occupancy stream. It fills off[:level+1] — off[d] is the
+// byte offset of level d's masks, so off[d+1]-off[d] is the node count at
+// depth d and off[level] the prefix consumed — and returns the node count at
+// depth level. It validates what it walks — depth range, truncation, zero
+// masks — so nothing is sized for a stream that will not expand. An empty
+// stream is the empty cloud: nodes == 0.
+func scanLevels(off *[maxLevels]int, stream []byte, depth, level uint) (nodes int, err error) {
 	if err := checkDepth(depth); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	off = make([]int, level+1)
+	clear(off[:level+1])
 	if len(stream) == 0 {
-		return off, 0, nil
+		return 0, nil
 	}
 	nodes = 1
 	for d := uint(0); d < level; d++ {
 		pos := off[d]
 		if nodes > len(stream)-pos {
-			return nil, 0, fmt.Errorf("%w: truncated at depth %d", ErrBadStream, d)
+			return 0, fmt.Errorf("%w: truncated at depth %d", ErrBadStream, d)
 		}
 		next := 0
 		for i, m := range stream[pos : pos+nodes] {
 			if m == 0 {
-				return nil, 0, fmt.Errorf("%w: zero mask at depth %d node %d", ErrBadStream, d, i)
+				return 0, fmt.Errorf("%w: zero mask at depth %d node %d", ErrBadStream, d, i)
 			}
 			next += bits.OnesCount8(m)
 		}
 		off[d+1] = pos + nodes
 		nodes = next
 	}
-	return off, nodes, nil
+	return nodes, nil
+}
+
+// scanWhole is scanLevels over a whole stream: every level, nothing behind
+// the last one, and — unless want is negative — exactly want leaves.
+func scanWhole(off *[maxLevels]int, stream []byte, depth uint, want int) (leaves int, err error) {
+	leaves, err = scanLevels(off, stream, depth, depth)
+	switch {
+	case err != nil:
+	case off[depth] != len(stream):
+		err = fmt.Errorf("%w: %d trailing bytes", ErrBadStream, len(stream)-off[depth])
+	case want >= 0 && leaves != want:
+		err = fmt.Errorf("%w: %d leaves, want %d", ErrBadStream, leaves, want)
+	}
+	return leaves, err
 }
 
 // LevelOffsets returns each level's first byte offset in a whole BFS
@@ -79,24 +97,25 @@ func scanLevels(stream []byte, depth, level uint) (off []int, nodes int, err err
 // finds the per-level cut points without retaining any octree state.
 // Truncation, zero masks and trailing bytes are ErrBadStream.
 func LevelOffsets(stream []byte, depth uint) (off []int, leaves int, err error) {
-	off, leaves, err = scanLevels(stream, depth, depth)
-	if err == nil && off[depth] != len(stream) {
-		err = fmt.Errorf("%w: %d trailing bytes", ErrBadStream, len(stream)-off[depth])
+	var tab [maxLevels]int
+	if leaves, err = scanWhole(&tab, stream, depth, -1); err != nil {
+		return nil, 0, err
 	}
-	return off, leaves, err
+	return tab[: depth+1 : depth+1], leaves, nil
 }
 
-// expand is the one stream expander: given scanLevels' offsets and final
-// node count it regenerates the depth-(len(off)-1) node codes, ascending.
-// The levels are expanded in place in the one output buffer, each level
-// right-aligned: every node has at least one child, so the write cursor
-// (start of the child level plus children so far) never passes the read
-// cursor (the next unread parent).
-func expand(stream []byte, off []int, nodes int) []morton.Code {
+// expand is the one stream expander: given scanLevels' offsets it regenerates
+// the depth-(len(off)-1) node codes, ascending, into buf, which must hold
+// exactly that level's node count. The levels are expanded in place in buf,
+// each level right-aligned: every node has at least one child, so the write
+// cursor (start of the child level plus children so far) never passes the
+// read cursor (the next unread parent).
+func expand(buf []morton.Code, stream []byte, off []int) {
+	nodes := len(buf)
 	if nodes == 0 {
-		return nil
+		return
 	}
-	buf := make([]morton.Code, nodes) // buf[nodes-1] is level 0: the root, code 0
+	buf[nodes-1] = 0 // level 0: the root
 	for d := 0; d+1 < len(off); d++ {
 		masks := stream[off[d]:off[d+1]]
 		next := nodes
@@ -114,7 +133,6 @@ func expand(stream []byte, off []int, nodes int) []morton.Code {
 			}
 		}
 	}
-	return buf
 }
 
 // bookExpand books the decode direction's kernels for the levels off
@@ -126,28 +144,33 @@ func bookExpand(dev *edgesim.Device, off []int) {
 }
 
 // Deserialize reconstructs the leaf Morton codes from a whole BFS
-// occupancy stream. The device ledger records the paper's parallel decode
-// path: a serial per-level offset scan ("sub-optimal", Sec. IV-B3, ~70
-// ms/frame end-to-end for Redandblack), then one expansion kernel per
-// level in which every node expands independently.
+// occupancy stream into a fresh column (see DeserializeInto).
 func Deserialize(dev *edgesim.Device, stream []byte, depth uint) ([]morton.Code, error) {
-	off, leaves, err := LevelOffsets(stream, depth)
-	if err != nil || leaves == 0 {
-		return nil, err
-	}
-	dev.CPUSerial("DecodeScan", len(stream), costDecodeScan, func() {})
-	bookExpand(dev, off)
-	return expand(stream, off, leaves), nil
+	return DeserializeInto(dev, nil, stream, depth, -1)
 }
 
-// CodesToVoxels decodes Morton leaf codes into voxel positions (attributes
-// zeroed; the attribute decoder fills them in).
-func CodesToVoxels(dev *edgesim.Device, codes []morton.Code, depth uint) []geom.Voxel {
-	out := make([]geom.Voxel, len(codes))
-	dev.GPUKernel("MortonDecode", len(codes), costMortonGen, func(lo, hi int) {
-		morton.DecodeVoxels(out[lo:hi], codes[lo:hi])
-	})
-	return out
+// DeserializeInto is Deserialize into a caller-owned column: the leaf codes
+// land in dst[:leaves], regrown only when its capacity is short. want is the
+// leaf count the caller expects (negative: any); a stream that holds another
+// count is ErrBadStream, found by the sizing pass before dst is sized or a
+// code is written. The device ledger records the paper's parallel decode
+// path: a serial per-level offset scan ("sub-optimal", Sec. IV-B3, ~70
+// ms/frame end-to-end for Redandblack), then one expansion kernel per level
+// in which every node expands independently.
+func DeserializeInto(dev *edgesim.Device, dst []morton.Code, stream []byte, depth uint, want int) ([]morton.Code, error) {
+	var off [maxLevels]int
+	leaves, err := scanWhole(&off, stream, depth, want)
+	if err != nil || leaves == 0 {
+		return dst[:0], err
+	}
+	dev.CPUSerial("DecodeScan", len(stream), costDecodeScan, func() {})
+	bookExpand(dev, off[:depth+1])
+	if cap(dst) < leaves {
+		dst = make([]morton.Code, leaves)
+	}
+	dst = dst[:leaves]
+	expand(dst, stream, off[:depth+1])
+	return dst, nil
 }
 
 // Rescale models the quality cost of the paper's parallel pipeline
@@ -207,10 +230,6 @@ func applyAxis(c, mn uint32, scale uint64) uint32 {
 	return uint32((uint64(c-mn)*scale + 1<<15) >> 16)
 }
 
-func invertAxis(c, mn uint32, scale uint64) uint32 {
-	return mn + uint32((uint64(c)<<16+scale/2)/scale)
-}
-
 // Apply maps a voxel into the tight cuboid lattice (round-to-nearest).
 func (r Rescale) Apply(v geom.Voxel) geom.Voxel {
 	return geom.Voxel{
@@ -222,12 +241,55 @@ func (r Rescale) Apply(v geom.Voxel) geom.Voxel {
 }
 
 // Invert maps a tight-lattice voxel back to original coordinates
-// (round-to-nearest; the source of the sub-voxel error).
+// (round-to-nearest; the source of the sub-voxel error). Whole columns go
+// through one Inverter.
 func (r Rescale) Invert(v geom.Voxel) geom.Voxel {
-	return geom.Voxel{
-		X: invertAxis(v.X, r.MinX, r.ScaleX),
-		Y: invertAxis(v.Y, r.MinY, r.ScaleY),
-		Z: invertAxis(v.Z, r.MinZ, r.ScaleZ),
-		C: v.C,
+	inv := r.Inverter()
+	v.X, v.Y, v.Z = inv.Invert(v.X, v.Y, v.Z)
+	return v
+}
+
+// Inverter is a Rescale's inverse with the per-axis work hoisted out of the
+// per-point loop: each axis inverts as mn + (c<<16 + scale/2) / scale, a
+// division by a divisor that is constant for the frame, which an exact
+// multiply by its reciprocal replaces.
+type Inverter struct{ x, y, z axisInverter }
+
+// axisInverter divides x = c<<16 + scale/2 by scale as q = hi64(x × m) with
+// m = floor((2^64−1) / scale), corrected upwards. m ≤ 2^64/scale, so q never
+// overshoots; and it falls short of the quotient by less than
+// x × (scale+1) / (scale × 2^64), which is below 1 for every x the 16.16
+// format can produce (c < 2^32 puts x under 2^48 + scale/2, so the shortfall
+// is under 2^-15 + (scale+1)/2^65 ≤ 1/2 + 2^-15): one correction step is
+// always enough.
+type axisInverter struct {
+	min      uint32
+	scale, m uint64 // divisor and reciprocal
+}
+
+func newAxisInverter(mn uint32, scale uint64) axisInverter {
+	return axisInverter{min: mn, scale: scale, m: ^uint64(0) / scale}
+}
+
+func (a *axisInverter) invert(c uint32) uint32 {
+	x := uint64(c)<<16 + a.scale/2
+	q, _ := bits.Mul64(x, a.m)
+	for x-q*a.scale >= a.scale {
+		q++
 	}
+	return a.min + uint32(q)
+}
+
+// Inverter prepares the transform's inverse for a column of voxels.
+func (r Rescale) Inverter() Inverter {
+	return Inverter{
+		x: newAxisInverter(r.MinX, r.ScaleX),
+		y: newAxisInverter(r.MinY, r.ScaleY),
+		z: newAxisInverter(r.MinZ, r.ScaleZ),
+	}
+}
+
+// Invert maps tight-lattice coordinates back to original coordinates.
+func (inv *Inverter) Invert(x, y, z uint32) (uint32, uint32, uint32) {
+	return inv.x.invert(x), inv.y.invert(y), inv.z.invert(z)
 }

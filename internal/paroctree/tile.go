@@ -31,12 +31,15 @@ func (s *TileScratch) SerializeSubtree(leaves []morton.Code, depth uint, dst []b
 	return s.tree.appendStream(dst), nil
 }
 
-// DeserializeSerial is Deserialize without a device: the per-tile decode
-// counterpart of SerializeSubtree.
-func DeserializeSerial(stream []byte, depth uint) ([]morton.Code, error) {
-	off, leaves, err := LevelOffsets(stream, depth)
-	if err != nil {
-		return nil, err
+// DeserializeSerial is DeserializeInto without a device, the per-tile decode
+// counterpart of SerializeSubtree: dst is the tile's window of the frame's
+// code column, and a stream that does not hold exactly len(dst) leaves is
+// ErrBadStream before a code is written.
+func DeserializeSerial(dst []morton.Code, stream []byte, depth uint) error {
+	var off [maxLevels]int
+	if _, err := scanWhole(&off, stream, depth, len(dst)); err != nil {
+		return err
 	}
-	return expand(stream, off, leaves), nil
+	expand(dst, stream, off[:depth+1])
+	return nil
 }

@@ -2,6 +2,7 @@ package paroctree
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -72,9 +73,12 @@ func TestSubtreeTilesRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("tiles=%d tile %d: %v", tiles, ti, err)
 			}
-			ser, err := DeserializeSerial(stream, vc.Depth)
-			if err != nil {
+			ser := make([]morton.Code, hi-lo)
+			if err := DeserializeSerial(ser, stream, vc.Depth); err != nil {
 				t.Fatalf("tiles=%d tile %d serial: %v", tiles, ti, err)
+			}
+			if err := DeserializeSerial(ser[1:], stream, vc.Depth); !errors.Is(err, ErrBadStream) {
+				t.Fatalf("tiles=%d tile %d: a column one code short: %v, want ErrBadStream", tiles, ti, err)
 			}
 			if len(dec) != len(ser) {
 				t.Fatalf("decoder mismatch: %d vs %d codes", len(dec), len(ser))
@@ -113,10 +117,10 @@ func TestSerializeSubtreeErrors(t *testing.T) {
 	if _, err := s.SerializeSubtree([]morton.Code{1}, 0, nil); err == nil {
 		t.Fatal("depth 0 must error")
 	}
-	if _, err := DeserializeSerial([]byte{0}, 1); err == nil {
+	if err := DeserializeSerial(nil, []byte{0}, 1); err == nil {
 		t.Fatal("zero mask must error")
 	}
-	if _, err := DeserializeSerial([]byte{1, 1}, 1); err == nil {
+	if err := DeserializeSerial(make([]morton.Code, 1), []byte{1, 1}, 1); err == nil {
 		t.Fatal("trailing bytes must error")
 	}
 }

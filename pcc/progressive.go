@@ -41,7 +41,7 @@ func DecodeProgressive(f *EncodedFrame, level uint) (*PointCloud, int, error) {
 	// paper's fast path discards the entropy stage. Layered frames fix
 	// this: entropy restarts at every layer cut, so the layered branch
 	// above never decompresses past the requested level's layer.
-	stream, err := geomPayload(f.Geometry)
+	stream, err := appendGeomPayload(nil, f.Geometry)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -58,14 +58,15 @@ func DecodeProgressive(f *EncodedFrame, level uint) (*PointCloud, int, error) {
 	return &PointCloud{Depth: uint(f.Depth), Voxels: voxels}, lod.PrefixBytes, nil
 }
 
-// geomPayload unwraps a geometry chunk through the codec's one chunk-mode
-// switch; a chunk it does not recognise is not progressively decodable.
-func geomPayload(chunk []byte) ([]byte, error) {
-	payload, err := codec.GeomChunk(chunk)
+// appendGeomPayload unwraps a geometry chunk onto dst through the codec's
+// one chunk-mode switch; a chunk it does not recognise is not progressively
+// decodable.
+func appendGeomPayload(dst, chunk []byte) ([]byte, error) {
+	dst, err := codec.AppendGeomChunk(dst, chunk)
 	if errors.Is(err, codec.ErrBadContainer) {
 		err = ErrNotProgressive
 	}
-	return payload, err
+	return dst, err
 }
 
 // decodeProgressiveLayered is the layered-frame fast path: consume whole
@@ -92,11 +93,9 @@ func decodeProgressiveLayered(f *EncodedFrame, level uint) (*PointCloud, int, er
 	for lay := 0; lay < need; lay++ {
 		chunk := l.Geom(f.Geometry, 0, lay)
 		prefix += len(chunk)
-		payload, err := geomPayload(chunk)
-		if err != nil {
+		if raw, err = appendGeomPayload(raw, chunk); err != nil {
 			return nil, 0, err
 		}
-		raw = append(raw, payload...)
 	}
 	// The consumed layers carry mask levels up to BaseLevel+need-1; clamp
 	// the decode there when the subscription cuts below the request.
