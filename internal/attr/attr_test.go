@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/edgesim"
 	"repro/internal/geom"
@@ -547,6 +548,65 @@ func TestEncodeWithReconMatchesDecode(t *testing.T) {
 			if decoded[i] != recon[i] {
 				t.Fatalf("%+v: colour %d: recon %v, decoder %v", p, i, recon[i], decoded[i])
 			}
+		}
+	}
+}
+
+// ledgerRow is what the ledger pins compare of a kernel record.
+type ledgerRow struct {
+	name, stage string
+	launches    int
+	items       int64
+	ops, bytes  float64
+	sim         time.Duration
+}
+
+func ledgerOf(d *edgesim.Device) []ledgerRow {
+	var rows []ledgerRow
+	for _, k := range d.Kernels() {
+		rows = append(rows, ledgerRow{k.Name, k.Stage, k.Launches, k.Items, k.Ops, k.Bytes, k.SimTime})
+	}
+	return rows
+}
+
+// TestEncodeLedgerPinned pins what the one-shot front end books on a fresh
+// device — kernels, order, launches, items, ops, bytes and simulated time —
+// as captured at the commit before the encoder became one body under two
+// framings (the ledger TestDeviceKernelsAreGPU samples).
+func TestEncodeLedgerPinned(t *testing.T) {
+	colors := smoothColors(7, 2000)
+	withEntropy := DefaultParams()
+	withEntropy.Entropy = true
+	for _, tc := range []struct {
+		name string
+		p    Params
+		want []ledgerRow
+	}{
+		{"paper defaults", DefaultParams(), []ledgerRow{
+			{"MidResidual", "", 3, 6000, 1.068e+06, 48000, 113484},
+			{"Quantize", "", 3, 6000, 354000, 48000, 77727},
+			{"MidResidual_L2", "", 3, 6000, 1.068e+06, 48000, 113484},
+			{"PackBits", "", 3, 6000, 534000, 18000, 86742},
+		}},
+		{"entropy stage on", withEntropy, []ledgerRow{
+			{"MidResidual", "", 3, 6000, 1.068e+06, 48000, 113484},
+			{"Quantize", "", 3, 6000, 354000, 48000, 77727},
+			{"MidResidual_L2", "", 3, 6000, 1.068e+06, 48000, 113484},
+			{"PackBits", "", 3, 6000, 534000, 18000, 86742},
+			{"AttrEntropy", "", 1, 12514, 1.8771e+06, 25028, 1877100},
+		}},
+		{"one layer, 64 segments", Params{Segments: 64, QStep: 2, Layers: 1}, []ledgerRow{
+			{"MidResidual", "", 3, 192, 1.068e+06, 48000, 113484},
+			{"Quantize", "", 3, 6000, 354000, 48000, 77727},
+			{"PackBits", "", 3, 192, 534000, 18000, 86742},
+		}},
+	} {
+		d := dev()
+		if _, err := Encode(d, colors, tc.p); err != nil {
+			t.Fatal(err)
+		}
+		if got := ledgerOf(d); !slices.Equal(got, tc.want) {
+			t.Errorf("%s ledger:\n got %v\nwant %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -1,0 +1,183 @@
+package codec
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"slices"
+	"testing"
+
+	"repro/internal/edgesim"
+)
+
+// tiledStreamHashes pins the exact bytes of the tiled (and tiled + layered)
+// streams over the six golden frames. Tiled streams are decode-exact against
+// the untiled codec by construction but had no byte pin of their own; these
+// were captured at the commit before the encoders became one body each.
+var tiledStreamHashes = []struct {
+	name string
+	opts func() Options
+	want string
+}{
+	{"Intra-Only/tiles=4/layers=0", func() Options { return layerOpts(IntraOnly, 4, 0) }, "6380f84cec76bda5d44405097826d79073f21e27e44dd2d6e2daabb8737a12a3"},
+	{"Intra-Only/tiles=4/layers=3", func() Options { return layerOpts(IntraOnly, 4, 3) }, "95449a8e8b921abfaf183c6c6feb6c7612dc27e5560215536773ed1db0b9f666"},
+	{"Intra-Only/tiles=8/layers=0", func() Options { return layerOpts(IntraOnly, 8, 0) }, "51613a424562cbf53fcea220c40480aae0ae05d3405a3a4abd858310b4ac121c"},
+	{"Intra-Only/tiles=8/layers=3", func() Options { return layerOpts(IntraOnly, 8, 3) }, "ad4cb17d833d6addbfe73b4675dcde49d3901c34a964c766218edbe2cfb103c3"},
+	{"Intra-Inter-V1/tiles=4/layers=0", func() Options { return layerOpts(IntraInterV1, 4, 0) }, "850454914287e440929ac7b82b3641b65558677437ff09ed4dd6c8ed18d7bc58"},
+	{"Intra-Inter-V1/tiles=4/layers=3", func() Options { return layerOpts(IntraInterV1, 4, 3) }, "238c313480c7036c3cabaab69803eeffc55473cb16838947b4185d7ad086dfca"},
+	{"Intra-Inter-V1/tiles=8/layers=0", func() Options { return layerOpts(IntraInterV1, 8, 0) }, "77f69b5ca983b02b9efb9bdb6d891d283b17bc42a3401abcb4eafeddd96523c2"},
+	{"Intra-Inter-V1/tiles=8/layers=3", func() Options { return layerOpts(IntraInterV1, 8, 3) }, "3f8a413c7ccecb6b6af27285980b71b9ca0601083990133e0dc624cd0665051c"},
+	{"Intra-Inter-V1/tiles=4/attribute entropy", func() Options {
+		o := layerOpts(IntraInterV1, 4, 0)
+		o.IntraAttr.Entropy = true
+		return o
+	}, "1b7eb85ebceb8dc0c72698a45ee7b199592611854ae25c4e1e51f2660a11ea4e"},
+	{"Intra-Inter-V1/tiles=4/YCoCg", func() Options {
+		o := layerOpts(IntraInterV1, 4, 0)
+		o.IntraAttr.YCoCg = true
+		return o
+	}, "125b86079d635629cb37d89483e93cfb04d0091de8bea0f2469753ef1709ab60"},
+	{"Intra-Inter-V1/tiles=4/geometry entropy", func() Options {
+		o := layerOpts(IntraInterV1, 4, 0)
+		o.EntropyGeometry = true
+		return o
+	}, "724baf8e00f1b50ad2d6ad9e5fcb9c6645875138a7dc9425e8c05e98270fe385"},
+}
+
+// TestTiledStreamsPinned asserts byte-identical tiled streams across
+// refactors of the encode path, as TestGoldenStreams does for untiled ones.
+func TestTiledStreamsPinned(t *testing.T) {
+	frames := goldenFrames(t)
+	for _, tc := range tiledStreamHashes {
+		t.Run(tc.name, func(t *testing.T) {
+			enc := NewEncoder(dev(), tc.opts())
+			h := sha256.New()
+			for _, f := range frames {
+				ef, _, err := enc.EncodeFrame(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ef.Tiled() {
+					t.Fatal("frame is not tiled")
+				}
+				if _, err := ef.WriteTo(h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("tiled stream hash changed:\n got  %s\n want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// encodeLedger encodes the first n golden frames under opts on d and returns
+// d's ledger.
+func encodeLedger(t *testing.T, d *edgesim.Device, opts Options, n int) []ledgerRow {
+	t.Helper()
+	enc := NewEncoder(d, opts)
+	for _, vc := range goldenFrames(t)[:n] {
+		if _, _, err := enc.EncodeFrame(vc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rows []ledgerRow
+	for _, k := range d.Kernels() {
+		rows = append(rows, ledgerRow{k.Name, k.Stage, k.Launches, k.Items, k.Ops, k.Bytes, k.SimTime})
+	}
+	return rows
+}
+
+// TestEncodeLedgerPinned pins the encode direction's accounting layer: the
+// ledger of one I + one P encode — untiled, with both entropy stages, tiled,
+// tiled and layered, and untiled on a device with the fixed-function unit —
+// is the table captured at the commit before the attribute encoders became
+// one body each: same kernels, same launch counts and order, same items,
+// ops, bytes and simulated time.
+func TestEncodeLedgerPinned(t *testing.T) {
+	entropyOpts := layerOpts(IntraOnly, 0, 0)
+	entropyOpts.EntropyGeometry = true
+	entropyOpts.IntraAttr.Entropy = true
+	layered := layerOpts(IntraInterV1, 4, 3)
+	layered.EntropyGeometry = true
+	accel := func() *edgesim.Device {
+		return edgesim.New(edgesim.WithAccelerator(edgesim.XavierConfig(edgesim.Mode15W), edgesim.DefaultAccel()))
+	}
+	// The geometry stage's rows of two untiled and of two tiled frames.
+	untiledGeom := []ledgerRow{
+		{"Rescale", "Geometry", 2, 74060, 888720, 1.18496e+06, 84507},
+		{"MortonGen", "Geometry", 2, 74060, 888720, 1.18496e+06, 84507},
+		{"RadixSort", "Geometry", 2, 74060, 4.088112e+07, 1.895936e+07, 2087331},
+		{"Dedup", "Geometry", 2, 74060, 666540, 1.18496e+06, 73379},
+		{"LevelFlag", "Geometry", 20, 234021, 1.404126e+06, 1.872168e+06, 470309},
+		{"LevelCompact", "Geometry", 20, 234021, 6.7632069e+07, 5.616504e+06, 3787012},
+		{"ParentLink", "Geometry", 20, 234021, 936084, 1.872168e+06, 446868},
+		{"OccupyBits", "Geometry", 2, 234021, 1.0764966e+07, 2.106189e+06, 579110},
+		{"OccupyPack", "Geometry", 2, 234023, 8.190805e+06, 468046, 450195},
+		{"SerializePack", "Geometry", 2, 159963, 5.598705e+06, 319926, 320383},
+	}
+	tiledGeom := []ledgerRow{
+		{"Rescale", "Geometry", 2, 74060, 888720, 1.18496e+06, 84507},
+		{"MortonGen", "Geometry", 2, 74060, 888720, 1.18496e+06, 84507},
+		{"RadixSort", "Geometry", 2, 74060, 4.088112e+07, 1.895936e+07, 2087331},
+		{"Dedup", "Geometry", 2, 74060, 666540, 1.18496e+06, 73379},
+		{"TileGeometry", "Geometry", 2, 74060, 1.33308e+07, 1.33308e+06, 707608},
+	}
+	intra := []ledgerRow{
+		{"MidResidual", "Attribute", 3, 4500, 1.9773486e+07, 888696, 1050258},
+		{"Quantize", "Attribute", 3, 111087, 6.554133e+06, 888696, 388230},
+		{"MidResidual_L2", "Attribute", 3, 4500, 1.9773486e+07, 888696, 1050258},
+		{"PackBits", "Attribute", 3, 4500, 9.886743e+06, 333260.99999999994, 555129},
+	}
+	for _, tc := range []struct {
+		name   string
+		dev    func() *edgesim.Device
+		opts   Options
+		frames int
+		want   []ledgerRow
+	}{
+		{"untiled I+P", dev, layerOpts(IntraInterV1, 0, 0), 2, slices.Concat(untiledGeom, intra, []ledgerRow{
+			{"Diff_Squared", "Attribute", 1, 2500, 4.07341e+07, 2.22186e+07, 2059968},
+			{"Squared_Sum", "Attribute", 1, 3703100, 1.85155e+07, 3.7031e+06, 947258},
+			{"ReuseDecide", "Attribute", 1, 2500, 212500, 20000, 30642},
+			{"Reuse_Pointer", "Attribute", 1, 2500, 50000, 5000, 22504},
+			{"AddressGen", "Attribute", 1, 37031, 3.7031e+07, 444372, 1874517},
+			{"Delta_Quantize", "Attribute", 1, 2500, 7.221045e+06, 407341, 381630},
+		})},
+		{"untiled I, entropy geometry and attributes", dev, entropyOpts, 1, slices.Concat([]ledgerRow{
+			{"Rescale", "Geometry", 1, 37029, 444348, 592464, 42253},
+			{"MortonGen", "Geometry", 1, 37029, 444348, 592464, 42253},
+			{"RadixSort", "Geometry", 1, 37029, 2.0440008e+07, 9.479424e+06, 1043638},
+			{"Dedup", "Geometry", 1, 37029, 333261, 592464, 36689},
+			{"LevelFlag", "Geometry", 10, 116980, 701880, 935840, 235145},
+			{"LevelCompact", "Geometry", 10, 116980, 3.380722e+07, 2.80752e+06, 1893065},
+			{"ParentLink", "Geometry", 10, 116980, 467920, 935840, 223428},
+			{"OccupyBits", "Geometry", 1, 116980, 5.38108e+06, 1.05282e+06, 289485},
+			{"OccupyPack", "Geometry", 1, 116981, 4.094335e+06, 233962, 225044},
+			{"SerializePack", "Geometry", 1, 79952, 2.79832e+06, 159904, 160140},
+			{"GeomEntropy", "", 1, 79952, 1.19928e+07, 159904, 11992800},
+		}, intra, []ledgerRow{
+			{"AttrEntropy", "Attribute", 1, 59396, 8.9094e+06, 118792, 8909400},
+		})},
+		{"tiled I+P", dev, layerOpts(IntraInterV1, 4, 0), 2, slices.Concat(tiledGeom, []ledgerRow{
+			{"TileAttrIntra", "Attribute", 1, 37029, 5.55435e+07, 2.96232e+06, 2801625},
+			{"TileAttrInter", "Attribute", 1, 37031, 1.036868e+08, 2.703263e+07, 5212648},
+		})},
+		{"tiled and layered I+P, entropy geometry", dev, layered, 2, slices.Concat(tiledGeom, []ledgerRow{
+			{"TileAttrIntra", "Attribute", 1, 37029, 5.55435e+07, 2.96232e+06, 2801625},
+			{"GeomEntropy", "Layer", 8, 160012, 2.40018e+07, 320024, 24001800},
+			{"TileAttrInter", "Attribute", 1, 37031, 1.036868e+08, 2.703263e+07, 5212648},
+		})},
+		{"untiled I+P with the accelerator", accel, layerOpts(IntraInterV1, 0, 0), 2, slices.Concat(untiledGeom, intra, []ledgerRow{
+			{"Diff_Squared", "Attribute", 1, 2500, 4.07341e+07, 2.22186e+07, 262588},
+			{"Squared_Sum", "Attribute", 1, 3703100, 1.85155e+07, 3.7031e+06, 123721},
+			{"ReuseDecide", "Attribute", 1, 2500, 212500, 20000, 30642},
+			{"Reuse_Pointer", "Attribute", 1, 2500, 50000, 5000, 22504},
+			{"AddressGen", "Attribute", 1, 37031, 3.7031e+07, 444372, 1874517},
+			{"Delta_Quantize", "Attribute", 1, 2500, 7.221045e+06, 407341, 381630},
+		})},
+	} {
+		if got := encodeLedger(t, tc.dev(), tc.opts, tc.frames); !slices.Equal(got, tc.want) {
+			t.Errorf("%s ledger:\n got %v\nwant %v", tc.name, got, tc.want)
+		}
+	}
+}

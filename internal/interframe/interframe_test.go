@@ -6,7 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/attr"
 	"repro/internal/edgesim"
@@ -405,5 +407,70 @@ func TestStatsReuseFraction(t *testing.T) {
 	}
 	if (Stats{}).ReuseFraction() != 0 {
 		t.Error("empty stats fraction must be 0")
+	}
+}
+
+// ledgerRow is what the ledger pin compares of a kernel record.
+type ledgerRow struct {
+	name, stage string
+	launches    int
+	items       int64
+	ops, bytes  float64
+	sim         time.Duration
+}
+
+// TestEncodePLedgerPinned pins what the one-shot front end books on a fresh
+// device — kernels, order, launches, items, ops, bytes and simulated time,
+// with and without the fixed-function unit — as captured at the commit before
+// the encoder became one body under two framings (the ledger
+// TestKernelLedgerHasFig9Kernels samples).
+func TestEncodePLedgerPinned(t *testing.T) {
+	iF := sortedFrame(18, 4000)
+	pF := jitterColors(iF, 19, 8)
+	accel := func() *edgesim.Device {
+		return edgesim.New(edgesim.WithAccelerator(edgesim.XavierConfig(edgesim.Mode15W), edgesim.DefaultAccel()))
+	}
+	for _, tc := range []struct {
+		name string
+		dev  func() *edgesim.Device
+		p    Params
+		want []ledgerRow
+	}{
+		{"paper defaults", dev, DefaultParamsV1(), []ledgerRow{
+			{"Diff_Squared", "", 1, 4000, 4.4e+06, 2.4e+06, 240352},
+			{"Squared_Sum", "", 1, 400000, 2e+06, 400000, 120160},
+			{"ReuseDecide", "", 1, 4000, 340000, 32000, 37027},
+			{"Reuse_Pointer", "", 1, 4000, 80000, 8000, 24006},
+			{"AddressGen", "", 1, 4000, 4e+06, 48000, 220320},
+			{"Delta_Quantize", "", 1, 4000, 780000, 44000, 59062},
+		}},
+		{"200 blocks", dev, Params{Segments: 200, Candidates: 40, Threshold: 45, QStep: 4}, []ledgerRow{
+			{"Diff_Squared", "", 1, 200, 1.76e+06, 960000, 108141},
+			{"Squared_Sum", "", 1, 160000, 800000, 160000, 60064},
+			{"ReuseDecide", "", 1, 200, 17000, 1600, 20851},
+			{"Reuse_Pointer", "", 1, 200, 4000, 400, 20200},
+			{"AddressGen", "", 1, 4000, 4e+06, 48000, 220320},
+			{"Delta_Quantize", "", 1, 200, 780000, 44000, 59062},
+		}},
+		{"paper defaults with the accelerator", accel, DefaultParamsV1(), []ledgerRow{
+			{"Diff_Squared", "", 1, 4000, 4.4e+06, 2.4e+06, 35500},
+			{"Squared_Sum", "", 1, 400000, 2e+06, 400000, 20500},
+			{"ReuseDecide", "", 1, 4000, 340000, 32000, 37027},
+			{"Reuse_Pointer", "", 1, 4000, 80000, 8000, 24006},
+			{"AddressGen", "", 1, 4000, 4e+06, 48000, 220320},
+			{"Delta_Quantize", "", 1, 4000, 780000, 44000, 59062},
+		}},
+	} {
+		d := tc.dev()
+		if _, _, err := EncodeP(d, iF, pF, tc.p); err != nil {
+			t.Fatal(err)
+		}
+		var got []ledgerRow
+		for _, k := range d.Kernels() {
+			got = append(got, ledgerRow{k.Name, k.Stage, k.Launches, k.Items, k.Ops, k.Bytes, k.SimTime})
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s ledger:\n got %v\nwant %v", tc.name, got, tc.want)
+		}
 	}
 }
