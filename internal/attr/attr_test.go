@@ -85,8 +85,8 @@ func TestMedianOf(t *testing.T) {
 		{[]int32{-5, 100, 0, 3}, 0},
 	}
 	for _, tc := range cases {
-		if got := medianOf(tc.in, nil); got != tc.want {
-			t.Errorf("medianOf(%v) = %d, want %d", tc.in, got, tc.want)
+		if got := Median(tc.in, nil); got != tc.want {
+			t.Errorf("Median(%v) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
@@ -96,28 +96,40 @@ func TestQuantize(t *testing.T) {
 		{7, 1, 7}, {7, 4, 2}, {6, 4, 2}, {5, 4, 1}, {-7, 4, -2}, {-5, 4, -1}, {0, 4, 0},
 	}
 	for _, tc := range cases {
-		if got := quantize(tc.v, tc.q); got != tc.want {
-			t.Errorf("quantize(%d,%d) = %d, want %d", tc.v, tc.q, got, tc.want)
+		if got := Quantize(tc.v, tc.q); got != tc.want {
+			t.Errorf("Quantize(%d,%d) = %d, want %d", tc.v, tc.q, got, tc.want)
 		}
 	}
 }
 
+// bodyRecon runs the encode body over every segment of a frame as one window
+// and returns its reconstruction.
+func bodyRecon(colors []geom.Color, p Params) ([]geom.Color, error) {
+	var s Scratch
+	var c Columns
+	grid := SegmentBounds(len(colors), p.Segments)
+	c.Reset(grid, p, 1)
+	recon := make([]geom.Color, len(colors))
+	return recon, s.EncodeWindow(&c, 0, colors, 0, len(grid)-1, recon)
+}
+
+func grayColors(raw []uint8) []geom.Color {
+	colors := make([]geom.Color, len(raw))
+	for i, v := range raw {
+		colors[i] = geom.Color{R: v, G: v / 2, B: 255 - v}
+	}
+	return colors
+}
+
 func TestLayerRoundTripLossless(t *testing.T) {
-	f := func(raw []int16, segs uint8) bool {
-		values := make([]int32, len(raw))
-		for i, v := range raw {
-			values[i] = int32(v)
+	f := func(raw []uint8, segs uint8, twoLayers bool) bool {
+		colors := grayColors(raw)
+		p := Params{Segments: int(segs) + 1, QStep: 1, Layers: 1}
+		if twoLayers {
+			p.Layers = 2
 		}
-		bounds := SegmentBounds(len(values), int(segs)+1)
-		l := encodeLayer(values, bounds, 1)
-		for g := 0; g+1 < len(bounds); g++ {
-			for i := bounds[g]; i < bounds[g+1]; i++ {
-				if l.bases[g]+l.qd[i] != values[i] {
-					return false
-				}
-			}
-		}
-		return true
+		recon, err := bodyRecon(colors, p)
+		return err == nil && slices.Equal(recon, colors)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -125,17 +137,16 @@ func TestLayerRoundTripLossless(t *testing.T) {
 }
 
 func TestLayerQuantizedErrorBound(t *testing.T) {
-	f := func(raw []int16, q8 uint8) bool {
-		q := int32(q8%15) + 1
-		values := make([]int32, len(raw))
-		for i, v := range raw {
-			values[i] = int32(v)
+	f := func(raw []uint8, q8 uint8) bool {
+		q := int(q8%15) + 1
+		colors := grayColors(raw)
+		recon, err := bodyRecon(colors, Params{Segments: 4, QStep: q, Layers: 2})
+		if err != nil {
+			return false
 		}
-		bounds := SegmentBounds(len(values), 4)
-		l := encodeLayer(values, bounds, q)
-		for g := 0; g+1 < len(bounds); g++ {
-			for i := bounds[g]; i < bounds[g+1]; i++ {
-				d := l.bases[g] + l.qd[i]*q - values[i]
+		for i, c := range colors {
+			r := recon[i]
+			for _, d := range [3]int{int(r.R) - int(c.R), int(r.G) - int(c.G), int(r.B) - int(c.B)} {
 				if d < 0 {
 					d = -d
 				}

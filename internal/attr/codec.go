@@ -1,9 +1,9 @@
 package attr
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 
 	"repro/internal/edgesim"
 	"repro/internal/entropy"
@@ -60,20 +60,57 @@ var (
 // ErrBadStream reports a malformed attribute stream.
 var ErrBadStream = errors.New("attr: malformed stream")
 
-// Scratch is the intra attribute encoder's reusable arena: channel columns,
-// layer buffers, segment widths/offsets and the contiguous packed stream.
-// Buffers grow to the largest frame encoded and are then reused, so
-// steady-state encoding allocates only the escaping frame payload. A
-// Scratch must not be shared by concurrent encodes.
+// Columns is a frame's attributes between the encode body and a framing: the
+// frame-wide base columns — one base per segment, per channel and layer —
+// and, per window the body ran over, that window's packed residual bytes.
+// Windows write disjoint ranges of the base columns and their own entry, so
+// the bodies of one frame may run concurrently; Reset and the framings must
+// not.
+type Columns struct {
+	p       Params
+	bounds  []int // the frame's SegmentBounds grid, the caller's
+	bases   [3][2][]int32
+	wins    []window
+	payload []byte // the unwrapped stream, when the entropy stage follows
+}
+
+// window is one body call's output: the segment window it covered and, per
+// channel, every segment's width byte and packed residuals, in order.
+type window struct {
+	segLo, segHi int
+	resid        [3][]byte
+}
+
+// Reset starts a frame of len(bounds)-1 segments over the grid bounds — the
+// frame's SegmentBounds(n, p.Segments), which must stay untouched until the
+// frame is framed — coded by the given number of windows.
+func (c *Columns) Reset(bounds []int, p Params, windows int) {
+	c.p, c.bounds = p.normalized(), bounds
+	for ch := range c.bases {
+		for l := range c.bases[ch] {
+			c.bases[ch][l] = grow(c.bases[ch][l], len(bounds)-1)
+		}
+	}
+	if c.wins = c.wins[:cap(c.wins)]; len(c.wins) < windows {
+		c.wins = append(c.wins, make([]window, windows-len(c.wins))...)
+	}
+	c.wins = c.wins[:windows]
+}
+
+// points returns the frame's point count.
+func (c *Columns) points() int { return c.bounds[len(c.bounds)-1] }
+
+// Scratch is one unit's working memory for the encode body: the window's
+// channel columns, one segment's residuals per layer and the median's copy
+// buffer — plus the Columns the one-window front end EncodeWith frames from.
+// Buffers grow to the largest window encoded and are then reused. A Scratch
+// must not be shared by concurrent encodes.
 type Scratch struct {
-	buf    bytes.Buffer
-	bounds []int
-	chans  [3][]int32
-	l1, l2 layerData
-	segW   []byte
-	segOff []int
-	packed []byte
-	recon  [3][]int32
+	chans [3][]int32
+	qd    [2][]int32
+	med   []int32
+	grid  []int
+	cols  Columns
 }
 
 func grow[T any](s []T, n int) []T {
@@ -83,6 +120,140 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// EncodeWindow is the one encode body: Base+Deltas over the segment window
+// [segLo, segLo+segCount) of c's grid, as window w of the frame. colors is
+// the window's slice of the frame's Morton-sorted colours. It fills the
+// window's range of the base columns and window w's residual bytes; if recon
+// is non-nil it must have len(colors) and is filled with the decoder-exact
+// reconstruction, so encoders can maintain reference state without a decode
+// round-trip. Base+Deltas coding is independent per segment — the base is the
+// median of that segment's values and the residuals reference only that base
+// — so the values do not depend on how a frame is cut into windows. An empty
+// window is valid and codes nothing.
+func (s *Scratch) EncodeWindow(c *Columns, w int, colors []geom.Color, segLo, segCount int, recon []geom.Color) error {
+	segHi := segLo + segCount
+	if segLo < 0 || segCount < 0 || segHi > len(c.bounds)-1 {
+		return fmt.Errorf("attr: segment window [%d,%d) outside %d segments", segLo, segHi, len(c.bounds)-1)
+	}
+	first := c.bounds[segLo]
+	if n := c.bounds[segHi] - first; len(colors) != n {
+		return fmt.Errorf("attr: window has %d colours, its segments hold %d", len(colors), n)
+	} else if recon != nil && len(recon) != n {
+		return fmt.Errorf("attr: recon len %d != window size %d", len(recon), n)
+	}
+	win := &c.wins[w]
+	win.segLo, win.segHi = segLo, segHi
+	extractChannelsInto(&s.chans, colors, c.p.YCoCg)
+	q := int32(c.p.QStep)
+	for ch, values := range s.chans {
+		out := win.resid[ch][:0]
+		for g := segLo; g < segHi; g++ {
+			seg := values[c.bounds[g]-first : c.bounds[g+1]-first]
+			// Layer 1: Mid + Residual + Quantize (Sec. IV-A2).
+			base := Median(seg, &s.med)
+			c.bases[ch][0][g] = base
+			s.qd[0] = grow(s.qd[0], len(seg))
+			final := s.qd[0]
+			for i, v := range seg {
+				final[i] = Quantize(v-base, q)
+				// The decoder's value: layer 2 is lossless, so it hands
+				// back exactly this residual.
+				seg[i] = base + final[i]*q
+			}
+			if c.p.Layers == 2 {
+				// Layer 2: the residuals as new attributes (Sec. VI-B),
+				// losslessly.
+				base2 := Median(final, &s.med)
+				c.bases[ch][1][g] = base2
+				s.qd[1] = grow(s.qd[1], len(seg))
+				for i, v := range final {
+					s.qd[1][i] = v - base2
+				}
+				final = s.qd[1]
+			}
+			out = AppendPacked(out, final)
+		}
+		win.resid[ch] = out
+	}
+	if recon != nil {
+		assembleColors(recon, s.chans[:], c.p.YCoCg)
+	}
+	return nil
+}
+
+// appendHeader appends the fields both framings open with: the frame's point
+// count, a segment count, the quantization step, the layer count and the
+// colour-space flag.
+func (c *Columns) appendHeader(dst []byte, segments int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(c.points()))
+	dst = binary.AppendUvarint(dst, uint64(segments))
+	dst = binary.AppendUvarint(dst, uint64(c.p.QStep))
+	ycocg := byte(0)
+	if c.p.YCoCg {
+		ycocg = 1
+	}
+	return append(dst, byte(c.p.Layers), ycocg)
+}
+
+// appendChannels appends, per channel, the base column of segments
+// [segLo, segHi) at one width per layer, then the residual bytes of windows
+// [w0, w1), which must cover exactly those segments in order.
+func (c *Columns) appendChannels(dst []byte, segLo, segHi, w0, w1 int) []byte {
+	for ch := range c.bases {
+		for l := 0; l < c.p.Layers; l++ {
+			dst = AppendPacked(dst, c.bases[ch][l][segLo:segHi])
+		}
+		for _, win := range c.wins[w0:w1] {
+			dst = append(dst, win.resid[ch]...)
+		}
+	}
+	return dst
+}
+
+// appendFrame appends the untiled stream behind its flag byte: the header,
+// then per channel the whole base columns and every window's residual bytes
+// in window order, which is segment order.
+func (c *Columns) appendFrame(dst []byte) []byte {
+	dst = c.appendHeader(dst, c.p.Segments)
+	if c.points() == 0 {
+		return dst
+	}
+	return c.appendChannels(dst, 0, len(c.bounds)-1, 0, len(c.wins))
+}
+
+// AppendFrame is the untiled framing: it appends the whole frame as one
+// stream. A segment's width byte and residuals do not depend on the window
+// that coded it, so the stream is the same for any cut. The paper's encode
+// kernels are booked on dev beside it, from the frame's counts: per channel a
+// median and a quantization kernel per layer and the bit packing (the work
+// itself happened in the bodies), then the optional entropy stage, which
+// runs here.
+func (c *Columns) AppendFrame(dev *edgesim.Device, dst []byte) []byte {
+	if n, nSeg := c.points(), len(c.bounds)-1; n > 0 {
+		scale := float64(n) / float64(nSeg)
+		perSeg := func(k edgesim.Cost) edgesim.Cost {
+			return edgesim.Cost{OpsPerItem: k.OpsPerItem * scale, BytesPerItem: k.BytesPerItem * scale}
+		}
+		for range c.bases {
+			dev.GPUNoop("MidResidual", nSeg, perSeg(costMedianBase))
+			dev.GPUNoop("Quantize", n, costResidualQ)
+			if c.p.Layers == 2 {
+				dev.GPUNoop("MidResidual_L2", nSeg, perSeg(costMedianBase))
+			}
+			dev.GPUNoop("PackBits", nSeg, perSeg(costPackBits))
+		}
+	}
+	if !c.p.Entropy {
+		return c.appendFrame(append(dst, 0))
+	}
+	c.payload = c.appendFrame(c.payload[:0])
+	dst = append(dst, 1)
+	dev.CPUSerial("AttrEntropy", len(c.payload), costEntropyByte, func() {
+		dst = entropy.AppendCompressBytes(dst, c.payload)
+	})
+	return dst
+}
+
 // Encode compresses the attribute column of a Morton-sorted frame with a
 // fresh scratch. colors[i] must correspond to the i-th sorted voxel. Hot
 // paths should hold a Scratch and call EncodeWith.
@@ -90,145 +261,18 @@ func Encode(dev *edgesim.Device, colors []geom.Color, p Params) ([]byte, error) 
 	return EncodeWith(dev, colors, p, new(Scratch), nil)
 }
 
-// EncodeWith compresses the attribute column of a Morton-sorted frame,
-// reusing the scratch arena. If recon is non-nil it must have len(colors)
-// and is filled with the decoder-exact reconstruction of the encoded
-// attributes — bit-for-bit what Decode(result) would return — so encoders
-// can maintain reference state without a decode round-trip.
+// EncodeWith compresses the attribute column of a Morton-sorted frame as one
+// window on the calling goroutine, reusing the scratch arena, and returns a
+// freshly allocated stream. If recon is non-nil it must have len(colors) and
+// is filled with the decoder-exact reconstruction of the encoded attributes
+// — bit-for-bit what Decode(result) would return.
 func EncodeWith(dev *edgesim.Device, colors []geom.Color, p Params, s *Scratch, recon []geom.Color) ([]byte, error) {
-	p = p.normalized()
-	n := len(colors)
-	buf := &s.buf
-	buf.Reset()
-	writeUvarint(buf, uint64(n))
-	writeUvarint(buf, uint64(p.Segments))
-	writeUvarint(buf, uint64(p.QStep))
-	buf.WriteByte(byte(p.Layers))
-	if p.YCoCg {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
+	s.grid = SegmentBoundsIn(s.grid, len(colors), p.Segments)
+	s.cols.Reset(s.grid, p, 1)
+	if err := s.EncodeWindow(&s.cols, 0, colors, 0, len(s.grid)-1, recon); err != nil {
+		return nil, err
 	}
-	if n == 0 {
-		return framePayload(dev, buf.Bytes(), p)
-	}
-	s.bounds = segmentBoundsIn(s.bounds, n, p.Segments)
-	bounds := s.bounds
-	nSeg := len(bounds) - 1
-	perSegCost := func(c edgesim.Cost) edgesim.Cost {
-		scale := float64(n) / float64(nSeg)
-		return edgesim.Cost{OpsPerItem: c.OpsPerItem * scale, BytesPerItem: c.BytesPerItem * scale}
-	}
-
-	extractChannelsInto(&s.chans, colors, p.YCoCg)
-	for ch := 0; ch < 3; ch++ {
-		values := s.chans[ch]
-
-		// Layer 1: Mid + Residual + Quantize, parallel over segments
-		// (Sec. IV-A2: "these computations are light-weight, and can be
-		// performed in parallel").
-		s.l1.bases = grow(s.l1.bases, nSeg)
-		s.l1.qd = grow(s.l1.qd, n)
-		l1 := s.l1
-		dev.GPUKernel("MidResidual", nSeg, perSegCost(costMedianBase), func(s0, s1 int) {
-			encodeLayerRange(values, bounds, int32(p.QStep), &l1, s0, s1)
-		})
-		dev.GPUNoop("Quantize", n, costResidualQ)
-
-		final := l1
-		if p.Layers == 2 {
-			// Layer 2: re-encode the residual stream (deltas as new
-			// attributes, Sec. VI-B), losslessly (q=1).
-			s.l2.bases = grow(s.l2.bases, nSeg)
-			s.l2.qd = grow(s.l2.qd, n)
-			l2 := s.l2
-			dev.GPUKernel("MidResidual_L2", nSeg, perSegCost(costMedianBase), func(s0, s1 int) {
-				encodeLayerRange(l1.qd, bounds, 1, &l2, s0, s1)
-			})
-			final = l2
-		}
-
-		// Pack: bases (layer 1 [+ layer 2]) then per-segment fixed-width
-		// residuals. The residual pack is a compound kernel: a parallel
-		// width pass, a serial byte-offset scan, and a parallel scatter of
-		// every segment into one contiguous buffer (segments start on byte
-		// boundaries, so the output is identical to per-segment streams —
-		// without the per-segment allocations).
-		s.packBases(buf, l1.bases)
-		if p.Layers == 2 {
-			s.packBases(buf, final.bases)
-		}
-		dev.GPUCompute("PackBits", nSeg, perSegCost(costPackBits), func() {
-			s.segW = grow(s.segW, nSeg)
-			s.segOff = grow(s.segOff, nSeg+1)
-			segW, segOff := s.segW, s.segOff
-			dev.ParallelFor(nSeg, func(g0, g1 int) {
-				for g := g0; g < g1; g++ {
-					segW[g] = byte(widthFor(final.qd[bounds[g]:bounds[g+1]]))
-				}
-			})
-			off := 0
-			for g := 0; g < nSeg; g++ {
-				segOff[g] = off
-				off += 1 + (int(segW[g])*(bounds[g+1]-bounds[g])+7)/8
-			}
-			segOff[nSeg] = off
-			s.packed = grow(s.packed, off)
-			packed := s.packed
-			dev.ParallelFor(nSeg, func(g0, g1 int) {
-				for g := g0; g < g1; g++ {
-					o := segOff[g]
-					packed[o] = segW[g]
-					packInto(packed[o+1:segOff[g+1]], final.qd[bounds[g]:bounds[g+1]], uint(segW[g]))
-				}
-			})
-			buf.Write(packed[:off])
-		})
-
-		if recon != nil {
-			// Decoder-exact channel reconstruction from the layer-1 data:
-			// layer 2 is lossless (q=1), so bases2[s]+qd2[i] == qd1[i] and
-			// the decoder's value is bases1[s] + qd1[i]*QStep exactly.
-			s.recon[ch] = grow(s.recon[ch], n)
-			rc := s.recon[ch]
-			q := int32(p.QStep)
-			dev.ParallelFor(nSeg, func(g0, g1 int) {
-				for g := g0; g < g1; g++ {
-					for i := bounds[g]; i < bounds[g+1]; i++ {
-						rc[i] = l1.bases[g] + l1.qd[i]*q
-					}
-				}
-			})
-		}
-	}
-	if recon != nil {
-		r0, r1, r2 := s.recon[0], s.recon[1], s.recon[2]
-		ycocg := p.YCoCg
-		dev.ParallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				a, b, c := r0[i], r1[i], r2[i]
-				if ycocg {
-					a, b, c = yCoCgToRGB(a, b, c)
-				}
-				recon[i] = geom.Color{R: clampU8i(a), G: clampU8i(b), B: clampU8i(c)}
-			}
-		})
-	}
-	return framePayload(dev, buf.Bytes(), p)
-}
-
-// framePayload optionally entropy-codes the packed payload, and prefixes a
-// 1-byte flag so the decoder knows.
-func framePayload(dev *edgesim.Device, payload []byte, p Params) ([]byte, error) {
-	if !p.Entropy {
-		return append([]byte{0}, payload...), nil
-	}
-	out := make([]byte, 1, 64+len(payload)/2)
-	out[0] = 1
-	dev.CPUSerial("AttrEntropy", len(payload), costEntropyByte, func() {
-		out = entropy.AppendCompressBytes(out, payload)
-	})
-	return out, nil
+	return s.cols.AppendFrame(dev, nil), nil
 }
 
 // extractChannelsInto splits colours into three int32 channel columns, in
@@ -267,53 +311,4 @@ func clampU8i(v int32) uint8 {
 		return 255
 	}
 	return uint8(v)
-}
-
-// packBases writes a width byte plus fixed-width zig-zag codes for the
-// per-segment base values, staging through the scratch's packed buffer.
-func (s *Scratch) packBases(buf *bytes.Buffer, bases []int32) {
-	w := widthFor(bases)
-	buf.WriteByte(byte(w))
-	nb := (len(bases)*int(w) + 7) / 8
-	s.packed = grow(s.packed, nb)
-	packInto(s.packed[:nb], bases, w)
-	buf.Write(s.packed[:nb])
-}
-
-// packInto packs the zig-zag codes of vs LSB-first at fixed width w into
-// dst, which must hold exactly ceil(len(vs)*w/8) bytes.
-func packInto(dst []byte, vs []int32, w uint) {
-	if w == 0 {
-		return
-	}
-	var bits uint64
-	var n uint
-	pos := 0
-	for _, v := range vs {
-		bits |= (uint64(zig(v)) & (1<<w - 1)) << n
-		n += w
-		for n >= 8 {
-			dst[pos] = byte(bits)
-			pos++
-			bits >>= 8
-			n -= 8
-		}
-	}
-	if n > 0 {
-		dst[pos] = byte(bits)
-	}
-}
-
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
-func readUvarint(r *bytes.Reader) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, ErrBadStream
-	}
-	return v, nil
 }

@@ -1,7 +1,7 @@
 package attr
 
 import (
-	"bytes"
+	"encoding/binary"
 
 	"repro/internal/geom"
 )
@@ -22,14 +22,9 @@ import (
 // (len(runs) == cells+1, first element 0, last element len(colors),
 // strictly increasing — every cell non-empty).
 func EncodeBaseMedians(colors []geom.Color, runs []int) []byte {
-	var buf bytes.Buffer
-	cells := len(runs) - 1
-	if cells < 0 {
-		cells = 0
-	}
-	writeUvarint(&buf, uint64(cells))
-	scratch := medianScratch.Get().(*[]int32)
-	var r, g, b []int32
+	cells := max(len(runs)-1, 0)
+	buf := binary.AppendUvarint(make([]byte, 0, 10+3*cells), uint64(cells))
+	var r, g, b, scratch []int32
 	for c := 0; c < cells; c++ {
 		lo, hi := runs[c], runs[c+1]
 		n := hi - lo
@@ -37,31 +32,23 @@ func EncodeBaseMedians(colors []geom.Color, runs []int) []byte {
 		for i, col := range colors[lo:hi] {
 			r[i], g[i], b[i] = int32(col.R), int32(col.G), int32(col.B)
 		}
-		buf.WriteByte(byte(medianOf(r, scratch)))
-		buf.WriteByte(byte(medianOf(g, scratch)))
-		buf.WriteByte(byte(medianOf(b, scratch)))
+		buf = append(buf, byte(Median(r, &scratch)), byte(Median(g, &scratch)), byte(Median(b, &scratch)))
 	}
-	medianScratch.Put(scratch)
-	return buf.Bytes()
+	return buf
 }
 
 // DecodeBaseMedians inverts EncodeBaseMedians, returning one colour per
 // cell. The stream must be exactly consumed.
 func DecodeBaseMedians(data []byte) ([]geom.Color, error) {
-	r := bytes.NewReader(data)
-	n, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(data)) || uint64(r.Len()) != 3*n {
+	c := NewCursor(data)
+	n, ok := c.Uvarint()
+	if !ok || n > uint64(len(data)) || uint64(c.Len()) != 3*n {
 		return nil, ErrBadStream
 	}
 	out := make([]geom.Color, n)
 	for i := range out {
-		cr, _ := r.ReadByte()
-		cg, _ := r.ReadByte()
-		cb, _ := r.ReadByte()
-		out[i] = geom.Color{R: cr, G: cg, B: cb}
+		rgb, _ := c.Take(3)
+		out[i] = geom.Color{R: rgb[0], G: rgb[1], B: rgb[2]}
 	}
 	return out, nil
 }

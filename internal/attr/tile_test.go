@@ -1,6 +1,8 @@
 package attr
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -22,6 +24,18 @@ func randColors(seed int64, n int) []geom.Color {
 		}
 	}
 	return out
+}
+
+// encodeIntraTile codes the segment window [segLo, segLo+segCount) of the
+// grid gbounds as a tile stream: the body over the window, then the tile
+// framing of it.
+func encodeIntraTile(colors []geom.Color, p Params, gbounds []int, segLo, segCount int, sc *Scratch, recon []geom.Color) ([]byte, error) {
+	var c Columns
+	c.Reset(gbounds, p, 1)
+	if err := sc.EncodeWindow(&c, 0, colors, segLo, segCount, recon); err != nil {
+		return nil, err
+	}
+	return c.EncodeIntraTile(nil, 0)
 }
 
 func ri(rng *rand.Rand, i int) float64 { return float64(i%97)/97 - 0.5 + rng.Float64()*0.02 }
@@ -58,7 +72,7 @@ func TestTileIntraDecodeExact(t *testing.T) {
 		gbounds := SegmentBounds(tc.n, p.Segments)
 		nSeg := len(gbounds) - 1
 		cuts := SegmentBounds(nSeg, tc.tiles)
-		var sc TileScratch
+		var sc Scratch
 		got := make([]geom.Color, 0, tc.n)
 		for ti := 0; ti+1 < len(cuts); ti++ {
 			segLo, segHi := cuts[ti], cuts[ti+1]
@@ -67,7 +81,7 @@ func TestTileIntraDecodeExact(t *testing.T) {
 			}
 			lo, hi := gbounds[segLo], gbounds[segHi]
 			recon := make([]geom.Color, hi-lo)
-			stream, err := EncodeIntraTile(colors[lo:hi], tc.p, tc.n, gbounds, segLo, segHi-segLo, &sc, recon)
+			stream, err := encodeIntraTile(colors[lo:hi], tc.p, gbounds, segLo, segHi-segLo, &sc, recon)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,17 +111,17 @@ func TestTileIntraDecodeExact(t *testing.T) {
 }
 
 func TestTileIntraErrors(t *testing.T) {
-	var sc TileScratch
+	var sc Scratch
 	colors := randColors(1, 100)
 	gb := SegmentBounds(100, 10)
 	p := Params{Segments: 10, QStep: 4, Layers: 2}
-	if _, err := EncodeIntraTile(colors[:5], p, 100, gb, 0, 2, &sc, nil); err == nil {
+	if _, err := encodeIntraTile(colors[:5], p, gb, 0, 2, &sc, nil); err == nil {
 		t.Fatal("size mismatch must error")
 	}
-	if _, err := EncodeIntraTile(colors, p, 100, gb, 8, 3, &sc, nil); err == nil {
+	if _, err := encodeIntraTile(colors, p, gb, 8, 3, &sc, nil); err == nil {
 		t.Fatal("window past end must error")
 	}
-	if _, err := EncodeIntraTile(colors[:20], p, 100, gb, 0, 2, &sc, colors[:3]); err == nil {
+	if _, err := encodeIntraTile(colors[:20], p, gb, 0, 2, &sc, colors[:3]); err == nil {
 		t.Fatal("bad recon length must error")
 	}
 	if _, err := DecodeIntraTile(nil); err == nil {
@@ -117,7 +131,7 @@ func TestTileIntraErrors(t *testing.T) {
 		t.Fatal("bad flag byte must error")
 	}
 	// Valid tile stream, then truncate: every prefix must fail cleanly.
-	stream, err := EncodeIntraTile(colors[:20], p, 100, gb, 0, 2, &sc, nil)
+	stream, err := encodeIntraTile(colors[:20], p, gb, 0, 2, &sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +150,7 @@ func TestTileBodyIsUntiledBody(t *testing.T) {
 	d := dev()
 	const n = 2000
 	colors := randColors(9, n)
-	var sc TileScratch
+	var sc Scratch
 	var ds DecodeScratch
 	for _, layers := range []int{1, 2} {
 		for _, ycocg := range []bool{false, true} {
@@ -154,7 +168,7 @@ func TestTileBodyIsUntiledBody(t *testing.T) {
 						t.Fatalf("%s: untiled: %v", name, err)
 					}
 					gbounds := SegmentBounds(n, p.Segments)
-					tile, err := EncodeIntraTile(colors, p, n, gbounds, 0, len(gbounds)-1, &sc, nil)
+					tile, err := encodeIntraTile(colors, p, gbounds, 0, len(gbounds)-1, &sc, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -165,11 +179,76 @@ func TestTileBodyIsUntiledBody(t *testing.T) {
 					if !slices.Equal(got, want) || !slices.Equal(want, recon) {
 						t.Errorf("%s: tile framing, untiled framing and encoder reconstruction disagree", name)
 					}
+					// The encode side's twin: one body call, two framings. The
+					// streams are the ones above and differ in their headers
+					// only — the base columns and residual bytes behind them,
+					// and the reconstruction, are the same.
+					var c Columns
+					c.Reset(gbounds, p, 1)
+					recon2 := make([]geom.Color, n)
+					if err := sc.EncodeWindow(&c, 0, colors, 0, len(gbounds)-1, recon2); err != nil {
+						t.Fatal(err)
+					}
+					frame := c.AppendFrame(d, nil)
+					tile2, err := c.EncodeIntraTile(nil, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					uv := func(vs ...int) (n int) {
+						for _, v := range vs {
+							n += len(binary.AppendUvarint(nil, uint64(v)))
+						}
+						return n
+					}
+					nSeg := len(gbounds) - 1
+					frameHdr, tileHdr := 3+uv(n, p.Segments, qstep), 3+uv(n, nSeg, qstep, 0, nSeg)
+					if !bytes.Equal(frame, whole) || !bytes.Equal(tile2, tile) || !bytes.Equal(frame[frameHdr:], tile2[tileHdr:]) || !slices.Equal(recon2, recon) {
+						t.Errorf("%s: one body call framed twice disagrees with the two encoders", name)
+					}
 					// Either framing refuses a destination of another size.
 					if ds.Decode(d, want[1:], whole) == nil || ds.DecodeTile(got[1:], tile) == nil {
 						t.Errorf("%s: a %d-colour destination took a %d-point stream", name, n-1, n)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestWindowCutInvariant: the untiled stream does not show how the frame was
+// cut into windows, nor the order their bodies ran in.
+func TestWindowCutInvariant(t *testing.T) {
+	d := dev()
+	const n = 1000
+	colors := randColors(3, n)
+	for _, p := range []Params{
+		{Segments: 40, QStep: 4, Layers: 2},
+		{Segments: 1000, QStep: 1, Layers: 1, YCoCg: true},
+		{Segments: 7, QStep: 3, Layers: 2, Entropy: true},
+	} {
+		want, err := Encode(d, colors, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gbounds := SegmentBounds(n, p.Segments)
+		nSeg := len(gbounds) - 1
+		for _, windows := range []int{1, 2, 3, 8, 64} {
+			var c Columns
+			var sc Scratch
+			c.Reset(gbounds, p, windows)
+			recon := make([]geom.Color, n)
+			for _, w := range rand.New(rand.NewSource(int64(windows))).Perm(windows) {
+				segLo, segHi := w*nSeg/windows, (w+1)*nSeg/windows
+				lo, hi := gbounds[segLo], gbounds[segHi]
+				if err := sc.EncodeWindow(&c, w, colors[lo:hi], segLo, segHi-segLo, recon[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := c.AppendFrame(d, nil); !bytes.Equal(got, want) {
+				t.Errorf("%+v in %d windows is not the one-window stream", p, windows)
+			}
+			if dec, err := Decode(d, want); err != nil || !slices.Equal(dec, recon) {
+				t.Errorf("%+v in %d windows: reconstruction is not the decoder's output (%v)", p, windows, err)
 			}
 		}
 	}

@@ -159,9 +159,19 @@ type FrameStats struct {
 //
 // EncodeFrame is not safe for concurrent use; but the split-phase API
 // (EncodeGeometryOn + FinishFrame, see pipeline.go) may run the geometry
-// phase of frame N+1 concurrently with the attribute phase of frame N:
-// the inter-frame reference handoff is guarded by refMu, and the geometry
-// phase touches no mutable encoder state.
+// phase of frame N+1 concurrently with the attribute phase of frame N: the
+// geometry phase touches no mutable encoder state but the free list of its
+// arenas, which refMu guards along with the reference handoff.
+//
+// For the proposed designs an Encoder owns its working memory and reuses it
+// from frame to frame: the geometry arenas (a free list, because look-ahead
+// geometry phases overlap; one travels with each frame between its two
+// phases) and the attribute phase's arena — the frame-wide colour columns
+// and planes, the two stages' Columns, and one scratch per unit, indexed by
+// unit, never pooled. What escapes is the EncodedFrame and its byte slices
+// (Geometry, Attr, the tile and layer directories), freshly allocated, the
+// caller's to keep; nothing else does, and nothing the Encoder keeps aliases
+// a frame it has returned.
 type Encoder struct {
 	dev  *edgesim.Device
 	opts Options
@@ -175,47 +185,50 @@ type Encoder struct {
 	baseInterQ int
 
 	frameIdx int
-	// refMu guards refSorted and forceI: the reference is written by the
-	// attribute phase of I-frames and read by the attribute phase of
-	// P-frames, which may race with Reset/Threshold/ForceIFrame calls from
-	// a supervising goroutine.
+	// refMu guards the reference, forceI and geomFree: the reference is
+	// written by the attribute phase of I-frames and read by the attribute
+	// phase of P-frames, which may race with Reset/Threshold/ForceIFrame
+	// calls from a supervising goroutine; geometry phases take and return
+	// arenas beside them.
 	refMu sync.Mutex
 	// forceI requests that the next frame open a fresh GOP (set by
 	// ForceIFrame when a receiver reports reference loss).
 	forceI bool
-	// refSorted is the reconstructed reference I-frame (sorted voxels with
-	// decoded colours) for P-frame prediction — the encoder tracks exactly
-	// what the decoder will have, avoiding drift.
+	// The reference P-frames predict from — exactly what the decoder will
+	// have, avoiding drift. refSorted is the CWIPC baseline's: the I-frame's
+	// sorted voxels. refPlane is the proposed designs': the I-frame's
+	// reconstructed colours in sorted order, one interframe.PackColor word
+	// per point, the plane the block matcher reads.
 	refSorted []geom.Voxel
+	refPlane  []uint32
+	// geomFree holds the geometry arenas no frame is travelling with.
+	geomFree []*geomScratch
 	// lastInterStats captures the block-reuse statistics of the most
 	// recently encoded inter frame.
 	lastInterStats interframe.Stats
 
-	// Steady-state arenas. The attribute phase is serialized (FinishFrame
-	// order), so one scratch of each kind suffices; geometry phases may run
-	// concurrently under the pipeline's lookahead, so their arenas come from
-	// a pool and travel with the GeometryIntermediate until FinishFrame
-	// returns them.
-	geomPool     sync.Pool
-	attrScratch  attr.Scratch
-	interScratch interframe.EncodeScratch
-	colors       []geom.Color
-	pvox         []geom.Voxel
-	recon        []geom.Color
-	// iBounds is the tiled P-path's reference-frame segment grid; iPack and
-	// pPack are its per-frame packed colour planes (the layout
-	// interframe.EncodePTile documents), shared read-only by the tiles.
-	iBounds      []int
-	iPack, pPack []uint32
+	// The attribute phase's arena; the phase is serialized (FinishFrame
+	// order), so one of each suffices. units holds one scratch per unit,
+	// grown to the most units a frame has had. colors / recon are an
+	// I-frame's colour column and its reconstruction, pPack a P-frame's
+	// packed colour plane, spare the plane the next I-frame's reference is
+	// written into. grid and iGrid are the untiled frame's and the
+	// reference's segment grids, attrSize the last I and P attribute sizes
+	// (the next buffer's capacity).
+	units     []unitEncoder
+	intraCols attr.Columns
+	interCols interframe.Columns
+	colors    []geom.Color
+	recon     []geom.Color
+	pPack     []uint32
+	spare     []uint32
+	grid      []int
+	iGrid     []int
+	attrSize  [2]int
 	// layerCols/layerRuns are the layerizer's per-unit scratch: the unit's
 	// leaf colours and the base-cell run boundaries over them.
 	layerCols []geom.Color
 	layerRuns []int
-	// refBufs ping-pong the reference voxel storage: the buffer installed at
-	// one I-frame is reused two I-frames later, when no P-frame can still
-	// read it.
-	refBufs  [2][]geom.Voxel
-	refWhich int
 }
 
 func grow[T any](s []T, n int) []T {
@@ -231,7 +244,6 @@ func NewEncoder(dev *edgesim.Device, opts Options) *Encoder {
 		dev:  dev,
 		opts: opts.normalized(),
 	}
-	e.geomPool.New = func() any { return new(geomScratch) }
 	if e.opts.Adapt.Enabled {
 		e.baseIntraQ = e.opts.IntraAttr.QStep
 		e.baseInterQ = e.opts.Inter.QStep
@@ -249,25 +261,38 @@ func (e *Encoder) Options() Options { return e.opts }
 // Reset clears GOP state (e.g. when seeking).
 func (e *Encoder) Reset() {
 	e.frameIdx = 0
-	e.setRef(nil)
+	e.refMu.Lock()
+	e.refSorted, e.refPlane = nil, nil
+	e.refMu.Unlock()
 }
 
-// setRef installs the reconstructed reference frame under the handoff lock.
+// setRef installs the CWIPC baseline's reference under the handoff lock.
 func (e *Encoder) setRef(ref []geom.Voxel) {
 	e.refMu.Lock()
 	e.refSorted = ref
 	e.refMu.Unlock()
 }
 
-// ref returns the current reference frame under the handoff lock.
+// ref returns the CWIPC baseline's reference under the handoff lock.
 func (e *Encoder) ref() []geom.Voxel {
 	e.refMu.Lock()
 	defer e.refMu.Unlock()
 	return e.refSorted
 }
 
+// plane returns the proposed designs' reference under the handoff lock.
+func (e *Encoder) plane() []uint32 {
+	e.refMu.Lock()
+	defer e.refMu.Unlock()
+	return e.refPlane
+}
+
 // hasRef reports whether an I-frame reference is available.
-func (e *Encoder) hasRef() bool { return e.ref() != nil }
+func (e *Encoder) hasRef() bool {
+	e.refMu.Lock()
+	defer e.refMu.Unlock()
+	return e.refSorted != nil || e.refPlane != nil
+}
 
 // ForceIFrame makes the next encoded frame open a fresh GOP (an I-frame)
 // regardless of the current GOP position — the sender side of a receiver's

@@ -16,6 +16,12 @@
 // Frames are coded in an IPP group-of-pictures (one I followed by two P,
 // Sec. V-B) for the inter designs; intra designs treat every frame as I.
 //
+// The proposed designs have one encoder (proposed.go): a geometry phase, and
+// one attribute phase that cuts the frame into windows of the stage's segment
+// grid — the tiles, or one per worker — runs the stage's one encode body over
+// them on units the Encoder owns, and frames the result as one stream or one
+// per tile (tile.go plans the tiles and holds their geometry fan-out).
+//
 // The proposed designs have one decoder (decode.go): every frame shape —
 // untiled, tiled, a full layer subscription of either — is units filling
 // their windows of two columns the Decoder owns, then one fused pass to the

@@ -1,12 +1,18 @@
 package codec
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"slices"
 	"testing"
 
+	"repro/internal/attr"
 	"repro/internal/edgesim"
+	"repro/internal/geom"
+	"repro/internal/interframe"
+	"repro/internal/morton"
 )
 
 // tiledStreamHashes pins the exact bytes of the tiled (and tiled + layered)
@@ -178,6 +184,134 @@ func TestEncodeLedgerPinned(t *testing.T) {
 	} {
 		if got := encodeLedger(t, tc.dev(), tc.opts, tc.frames); !slices.Equal(got, tc.want) {
 			t.Errorf("%s ledger:\n got %v\nwant %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestEncodeWorkerCountInvariant: the window cut is not in the stream. An
+// untiled I-frame and P-frame coded as 1, 2, 3, 8 or 64 windows — and a
+// 40-point frame as more windows than it has segments — are byte for byte the
+// one-window front ends' output, across layers, colour space, quantization
+// and segment size, and the front end's reconstruction is what the decoder
+// returns. Tiled streams come out the same however many windows are asked
+// for and however the pool orders their units.
+func TestEncodeWorkerCountInvariant(t *testing.T) {
+	fs := frames(t, 2)
+	tiny := &geom.VoxelCloud{Depth: fs[0].Depth, Voxels: fs[0].Voxels[:40]}
+	tiny2 := &geom.VoxelCloud{Depth: fs[1].Depth, Voxels: fs[1].Voxels[:40]}
+	for _, clouds := range [][]*geom.VoxelCloud{fs, {tiny, tiny2}} {
+		for _, layers := range []int{1, 2} {
+			for _, ycocg := range []bool{false, true} {
+				for _, qstep := range []int{1, 4} {
+					for _, perSeg := range []int{1, 16, 25} {
+						opts := OptionsFor(IntraInterV1)
+						opts.GOP = 2
+						opts.IntraAttr = attr.Params{Segments: max(clouds[0].Len()/perSeg, 1), QStep: qstep, Layers: layers, YCoCg: ycocg}
+						opts.Inter.Segments = max(clouds[0].Len()/perSeg, 1)
+						opts.Inter.Candidates = 32
+						opts.Inter.QStep = qstep
+						checkWindowCounts(t, fmt.Sprintf("%d points, %+v", clouds[0].Len(), opts.IntraAttr), opts, clouds)
+					}
+				}
+			}
+		}
+	}
+	for _, tiles := range []int{4, 8} {
+		opts := layerOpts(IntraInterV1, tiles, 0)
+		var want [][]byte
+		for _, windows := range []int{1, 3, 64} {
+			for rep := 0; rep < 3; rep++ {
+				got := encodeWindows(t, opts, goldenFrames(t)[:2], windows)
+				if want == nil {
+					want = got
+				}
+				for i := range got {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Errorf("tiles=%d frame %d: stream differs between runs (windows=%d, run %d)", tiles, i, windows, rep)
+					}
+				}
+			}
+		}
+	}
+}
+
+// encodeWindows encodes clouds as one GOP through the two phases, asking the
+// attribute phase for the given window count, and returns the frames'
+// attribute streams.
+func encodeWindows(t *testing.T, opts Options, clouds []*geom.VoxelCloud, windows int) [][]byte {
+	t.Helper()
+	e := NewEncoder(dev(), opts)
+	var out [][]byte
+	for i, vc := range clouds {
+		g, err := e.proposedGeometry(e.dev, vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, _, err := e.proposedAttr(g, i > 0, windows)
+		e.releaseGeom(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, frame.Attr)
+	}
+	return out
+}
+
+// checkWindowCounts holds an I + P pair coded at every window count to the
+// one-window front ends' streams, and the I-frame's front-end reconstruction
+// to the decoder's output.
+func checkWindowCounts(t *testing.T, name string, opts Options, clouds []*geom.VoxelCloud) {
+	t.Helper()
+	// The front ends' input: the sorted, rescaled voxels the geometry phase
+	// hands the attribute phase.
+	e := NewEncoder(dev(), opts)
+	var sorted [2][]geom.Voxel
+	for i, vc := range clouds {
+		g, err := e.proposedGeometry(e.dev, vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted[i] = morton.Voxels(g.sorted)
+		e.releaseGeom(g)
+	}
+	colors := make([]geom.Color, len(sorted[0]))
+	for i, v := range sorted[0] {
+		colors[i] = v.C
+	}
+	recon := make([]geom.Color, len(colors))
+	wantI, err := attr.EncodeWith(dev(), colors, opts.IntraAttr, new(attr.Scratch), recon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := slices.Clone(sorted[0])
+	for i := range ref {
+		ref[i].C = recon[i]
+	}
+	wantP, _, err := interframe.EncodePWith(dev(), ref, sorted[1], opts.Inter, new(interframe.EncodeScratch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, windows := range []int{1, 2, 3, 8, 64} {
+		got := encodeWindows(t, opts, clouds, windows)
+		if !bytes.Equal(got[0], append([]byte{0}, wantI...)) {
+			t.Errorf("%s: I-frame in %d windows is not the one-window stream", name, windows)
+		}
+		if !bytes.Equal(got[1], append([]byte{1}, wantP...)) {
+			t.Errorf("%s: P-frame in %d windows is not the one-window stream", name, windows)
+		}
+	}
+	enc, dec := NewEncoder(dev(), opts), NewDecoder(dev(), opts)
+	ef, _, err := enc.EncodeFrame(clouds[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc, err := dec.DecodeFrame(ef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vc.Voxels {
+		if v.C != recon[i] {
+			t.Fatalf("%s: the encoder's reconstruction of point %d is %v, the decoder returns %v", name, i, recon[i], v.C)
 		}
 	}
 }

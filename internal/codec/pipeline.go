@@ -33,7 +33,7 @@ type GeometryIntermediate struct {
 	phaseDelta edgesim.Snapshot
 	split      bool
 	// gs is the geometry arena backing sorted; FinishFrame returns it to
-	// the encoder's pool once the frame is complete.
+	// the encoder's free list once the frame is complete.
 	gs *geomScratch
 	// plan is the frame's tile partition (empty cuts = untiled). Its slices
 	// alias gs and are valid until FinishFrame releases the arena.
@@ -93,7 +93,7 @@ func (e *Encoder) FinishFrame(g *GeometryIntermediate) (*EncodedFrame, FrameStat
 		err       error
 	)
 	if g.split {
-		frame, attrDelta, err = e.proposedAttr(g, isP)
+		frame, attrDelta, err = e.proposedAttr(g, isP, e.dev.Workers())
 		e.releaseGeom(g)
 		geomDelta = g.stageDelta
 		// phaseDelta already contains the geometry stage (plus the optional

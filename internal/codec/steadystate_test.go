@@ -72,18 +72,18 @@ func BenchmarkEncodeSteadyState(b *testing.B) {
 
 // TestSteadyStateAllocsPerFrame is the allocation-regression gate: after a
 // one-session warmup, steady-state encoding must stay under a hard
-// allocs/frame cap. The untiled caps sit ~10% above the worst measurement
-// at 1500/2500 segments on two cores: IntraOnly 120.0 and IntraInterV1
-// 102.7 allocs/frame in a plain build (94.0 / 81.3 at GOMAXPROCS=1), and
-// 140-146 / 120-123 under -race, where sync.Pool drops a quarter of its
-// Puts. What is left is mostly the escaping frame payloads and the sort's
-// per-pass dispatch; the geometry build itself (one sweep, no kernel
-// closures) allocates nothing. The pre-arena figures (~45k/~36k
-// allocs/frame) fail the caps by two orders of magnitude. The tiled row (8
-// tiles, P-tiles through interframe.EncodePTile) measures ~77 allocs/frame
-// (~97 before the one sweep, ~4256 before the per-tile match column and
-// delta payload moved into PTileScratch); under -race its five pools push
-// it past the cap, which is the encoder-arenas item's to fix.
+// allocs/frame cap. The caps sit 10% above the measurement at 1500/2500
+// segments on two cores, which is the same in plain and -race builds because
+// nothing on the path is pooled — the encoder indexes its units and keeps its
+// geometry arenas on a free list: IntraOnly 89.0, IntraInterV1 85.0 and
+// IntraInterV1 over 8 tiles 47.0 allocations per frame (74.0 / 70.0 / 31.0
+// at GOMAXPROCS=1). What is left is the escaping frame and its payloads, the
+// sort's per-pass dispatch, the fan-out's closure and a key string per ledger
+// row; the geometry sweep and the attribute bodies allocate nothing. With the
+// four pools the attribute path used to draw from, the same rows read 120.0 /
+// 102.7 / 76.3 in a plain build and 140.7 / 122.5 / 183.0 under -race, where
+// sync.Pool drops a quarter of its Puts; the pre-arena figures (~45k/~36k
+// allocs/frame) fail the caps by two orders of magnitude.
 func TestSteadyStateAllocsPerFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full frames")
@@ -94,9 +94,9 @@ func TestSteadyStateAllocsPerFrame(t *testing.T) {
 		tiles  int
 		cap    float64
 	}{
-		{IntraOnly, 0, 160},
-		{IntraInterV1, 0, 135},
-		{IntraInterV1, 8, 175},
+		{IntraOnly, 0, 98},
+		{IntraInterV1, 0, 94},
+		{IntraInterV1, 8, 52},
 	} {
 		name := row.design.String()
 		if row.tiles > 0 {

@@ -7,10 +7,10 @@ package codec
 // Each tile is a fully self-contained unit — its own octree subtree stream,
 // its own attribute stream, its own (optional) entropy slab — so:
 //
-//   - the encoder fans the per-tile bodies across the persistent worker
-//     pool WITHIN one frame, parallelizing exactly the stages that stay
-//     serial in the untiled path (occupancy serialization's offset scan,
-//     per-frame entropy coding, stream assembly);
+//   - the geometry phase fans one subtree serialization per tile across the
+//     persistent worker pool WITHIN one frame; the attribute phase
+//     (proposed.go) takes the tiles as its windows and frames each on its
+//     own;
 //   - the streaming layer can drop or coarsen individual tiles per viewer
 //     (viewport culling) without touching the encoder, because every
 //     remaining tile still decodes on its own.
@@ -23,22 +23,19 @@ package codec
 // the canonical invariant pinned by the differential tests.
 
 import (
-	"errors"
 	"sort"
-	"sync"
 
 	"repro/internal/attr"
 	"repro/internal/edgesim"
 	"repro/internal/entropy"
 	"repro/internal/geom"
-	"repro/internal/interframe"
 	"repro/internal/morton"
 	"repro/internal/paroctree"
 )
 
-// Calibrated tiled-path kernel costs (per point). The fan-out replaces the
-// untiled LevelBuild/Occupy/Pack (geometry) and MidResidual/PackBits
-// (attributes) kernels with per-tile serial bodies of the same aggregate
+// Calibrated tiled-path kernel costs (per point). A tiled frame books one
+// row per stage in place of the untiled LevelBuild/Occupy/Pack (geometry)
+// and MidResidual/PackBits (attributes) kernels, for the same aggregate
 // work, so the per-point costs mirror the untiled totals.
 var (
 	costTileGeom      = edgesim.Cost{OpsPerItem: 180, BytesPerItem: 18}
@@ -69,16 +66,15 @@ func (p tilePlan) tiles() int {
 	return len(p.cuts) - 1
 }
 
-// tileWorker bundles the per-worker-slot serial scratch arenas for the
-// tile fan-out (one of each kind; pooled so concurrent tiles never share).
-type tileWorker struct {
+// tileGeom is one tile's geometry scratch, indexed by tile in the frame's
+// geomScratch: the subtree serializer's arena, the raw stream when the
+// entropy stage follows, the finished chunk and what the tile failed with.
+type tileGeom struct {
 	geo   paroctree.TileScratch
 	raw   []byte
-	att   attr.TileScratch
-	inter interframe.PTileScratch
+	chunk []byte
+	err   error
 }
-
-var tileWorkerPool = sync.Pool{New: func() any { return new(tileWorker) }}
 
 // planTilesIn partitions n sorted points into at most tiles contiguous
 // ranges balanced by point count, with every cut snapped to the nearest
@@ -162,14 +158,12 @@ func (e *Encoder) tiledGeometry(dev *edgesim.Device, work *geom.VoxelCloud, fram
 	n := len(leaves)
 	plan := planTilesIn(gs, n, e.opts.Tiles, e.opts.IntraAttr.Segments, e.opts.Inter.Segments, e.opts.Design.UsesInter())
 	nT := plan.tiles()
-	if cap(gs.tileGeom) < nT {
-		gs.tileGeom = make([][]byte, nT)
+	for len(gs.tiles) < nT {
+		gs.tiles = append(gs.tiles, tileGeom{})
 	}
-	gs.tileGeom = gs.tileGeom[:nT]
-	chunks := gs.tileGeom
+	tiles := gs.tiles[:nT]
 	frame.Tiles = make([]TileInfo, nT)
 	infos := frame.Tiles
-	errs := make([]error, nT)
 	depth := work.Depth
 	// Layered frames keep per-tile chunks raw: entropy moves into the
 	// per-layer slices (layer.go).
@@ -177,26 +171,18 @@ func (e *Encoder) tiledGeometry(dev *edgesim.Device, work *geom.VoxelCloud, fram
 	hasR, resc := frame.HasRescale, frame.Rescale
 	dev.GPUCompute("TileGeometry", n, costTileGeom, func() {
 		dev.ParallelFor(nT, func(t0, t1 int) {
-			ws := tileWorkerPool.Get().(*tileWorker)
 			for t := t0; t < t1; t++ {
+				tg := &tiles[t]
 				lo, hi := plan.cuts[t], plan.cuts[t+1]
 				seg := leaves[lo:hi]
-				chunk := chunks[t][:0]
 				if entropyOn {
-					ws.raw, errs[t] = ws.geo.SerializeSubtree(seg, depth, ws.raw[:0])
-					if errs[t] != nil {
+					if tg.raw, tg.err = tg.geo.SerializeSubtree(seg, depth, tg.raw[:0]); tg.err != nil {
 						continue
 					}
-					chunk = append(chunk, 1)
-					chunk = entropy.AppendCompressBytes(chunk, ws.raw)
-				} else {
-					chunk = append(chunk, 0)
-					chunk, errs[t] = ws.geo.SerializeSubtree(seg, depth, chunk)
-					if errs[t] != nil {
-						continue
-					}
+					tg.chunk = entropy.AppendCompressBytes(append(tg.chunk[:0], 1), tg.raw)
+				} else if tg.chunk, tg.err = tg.geo.SerializeSubtree(seg, depth, append(tg.chunk[:0], 0)); tg.err != nil {
+					continue
 				}
-				chunks[t] = chunk
 				mn, mx, _ := morton.Bounds(seg)
 				if hasR {
 					vmin := resc.Invert(geom.Voxel{X: mn[0], Y: mn[1], Z: mn[2]})
@@ -204,166 +190,22 @@ func (e *Encoder) tiledGeometry(dev *edgesim.Device, work *geom.VoxelCloud, fram
 					mn = [3]uint32{vmin.X, vmin.Y, vmin.Z}
 					mx = [3]uint32{vmax.X, vmax.Y, vmax.Z}
 				}
-				infos[t] = TileInfo{Points: uint32(hi - lo), GeomLen: uint32(len(chunk)), Min: mn, Max: mx}
+				infos[t] = TileInfo{Points: uint32(hi - lo), GeomLen: uint32(len(tg.chunk)), Min: mn, Max: mx}
 			}
-			tileWorkerPool.Put(ws)
 		})
 	})
-	for _, terr := range errs {
-		if terr != nil {
-			return nil, tilePlan{}, terr
-		}
-	}
 	total := 0
-	for _, c := range chunks {
-		total += len(c)
+	for t := range tiles {
+		if tiles[t].err != nil {
+			return nil, tilePlan{}, tiles[t].err
+		}
+		total += len(tiles[t].chunk)
 	}
 	out := make([]byte, 0, total)
-	for _, c := range chunks {
-		out = append(out, c...)
+	for t := range tiles {
+		out = append(out, tiles[t].chunk...)
 	}
 	frame.Geometry = out
 	frame.NumPoints = uint32(n)
 	return sorted, plan, nil
-}
-
-// tiledAttr is the attribute half of the tiled encode: one self-contained
-// intra (I) or inter (P) attribute stream per tile, fanned across the pool,
-// then concatenated behind the directory. The per-tile streams carry the
-// GLOBAL grids, so their decoded values are exactly the untiled codec's.
-func (e *Encoder) tiledAttr(g *GeometryIntermediate, isP, needRef bool) (*EncodedFrame, edgesim.Snapshot, error) {
-	frame, sorted, plan := g.frame, g.sorted, g.plan
-	n := len(sorted)
-	nT := plan.tiles()
-	chunks := make([][]byte, nT)
-	errs := make([]error, nT)
-	dev := e.dev
-	var err error
-	s1 := dev.Snapshot()
-	dev.Stage("Attribute", func() {
-		if isP {
-			ref := e.ref()
-			if len(ref) == 0 {
-				err = errors.New("interframe: empty reference frame")
-				return
-			}
-			// Both colour planes are packed here, once per frame, and never
-			// kept across frames: the reference buffers ping-pong, so the
-			// same slice holds another I-frame two GOPs on.
-			e.pPack = grow(e.pPack, n)
-			for i, k := range sorted {
-				e.pPack[i] = interframe.PackColor(k.Voxel.C)
-			}
-			e.iPack = grow(e.iPack, len(ref))
-			for i := range ref {
-				e.iPack[i] = interframe.PackColor(ref[i].C)
-			}
-			iPack, pPack := e.iPack, e.pPack
-			inter := e.opts.Inter
-			e.iBounds = attr.SegmentBoundsIn(e.iBounds, len(ref), inter.Segments)
-			iBounds := e.iBounds
-			stats := make([]interframe.Stats, nT)
-			cost := costTileInterBase
-			cand := inter.Candidates
-			if cand < 1 {
-				cand = 1
-			}
-			cost.OpsPerItem += 16 * float64(cand)
-			cost.BytesPerItem += 7 * float64(cand)
-			dev.GPUCompute("TileAttrInter", n, cost, func() {
-				dev.ParallelFor(nT, func(t0, t1 int) {
-					ws := tileWorkerPool.Get().(*tileWorker)
-					for t := t0; t < t1; t++ {
-						stream, st, terr := interframe.EncodePTile(iPack, pPack, inter,
-							plan.interBounds, iBounds,
-							plan.interSeg[t], plan.interSeg[t+1]-plan.interSeg[t], &ws.inter)
-						if terr != nil {
-							errs[t] = terr
-							continue
-						}
-						stats[t] = st
-						chunks[t] = append([]byte{1}, stream...)
-					}
-					tileWorkerPool.Put(ws)
-				})
-			})
-			var sum interframe.Stats
-			for _, st := range stats {
-				sum.Blocks += st.Blocks
-				sum.DirectReuse += st.DirectReuse
-				sum.DeltaBlocks += st.DeltaBlocks
-			}
-			e.lastInterStats = sum
-		} else {
-			e.colors = grow(e.colors, n)
-			for i, k := range sorted {
-				e.colors[i] = k.Voxel.C
-			}
-			colors := e.colors
-			var recon []geom.Color
-			if needRef {
-				e.recon = grow(e.recon, n)
-				recon = e.recon
-			}
-			intra := e.opts.IntraAttr
-			dev.GPUCompute("TileAttrIntra", n, costTileIntra, func() {
-				dev.ParallelFor(nT, func(t0, t1 int) {
-					ws := tileWorkerPool.Get().(*tileWorker)
-					for t := t0; t < t1; t++ {
-						lo, hi := plan.cuts[t], plan.cuts[t+1]
-						var rsl []geom.Color
-						if recon != nil {
-							rsl = recon[lo:hi]
-						}
-						stream, terr := attr.EncodeIntraTile(colors[lo:hi], intra, n,
-							plan.intraBounds,
-							plan.intraSeg[t], plan.intraSeg[t+1]-plan.intraSeg[t], &ws.att, rsl)
-						if terr != nil {
-							errs[t] = terr
-							continue
-						}
-						chunks[t] = append([]byte{0}, stream...)
-					}
-					tileWorkerPool.Put(ws)
-				})
-			})
-		}
-	})
-	attrDelta := dev.Since(s1)
-	if err == nil {
-		for _, terr := range errs {
-			if terr != nil {
-				err = terr
-				break
-			}
-		}
-	}
-	if err != nil {
-		return nil, edgesim.Snapshot{}, err
-	}
-	total := 0
-	for t, c := range chunks {
-		frame.Tiles[t].AttrLen = uint32(len(c))
-		total += len(c)
-	}
-	payload := make([]byte, 0, total)
-	for _, c := range chunks {
-		payload = append(payload, c...)
-	}
-	frame.Attr = payload
-	frame.Type = IFrame
-	if isP {
-		frame.Type = PFrame
-	} else if needRef {
-		which := e.refWhich
-		e.refWhich ^= 1
-		ref := grow(e.refBufs[which], n)
-		e.refBufs[which] = ref
-		for i, k := range sorted {
-			ref[i] = k.Voxel
-			ref[i].C = e.recon[i]
-		}
-		e.setRef(ref)
-	}
-	return frame, attrDelta, nil
 }

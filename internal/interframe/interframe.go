@@ -13,28 +13,38 @@
 // I-MB-tree traversal, and no ICP runs for matched blocks (a pointer
 // suffices).
 //
-// The scan is one exact integer kernel (match.go) under both encoders,
-// EncodePWith and the tiled EncodePTile: colours are packed into uint32
-// planes once per frame, block distances are compared as integer sums —
-// which picks the same block and yields the same Equ. 2 value as the float
+// The scan is one exact integer kernel (match.go): colours are packed into
+// uint32 planes once per frame, block distances are compared as integer sums
+// — which picks the same block and yields the same Equ. 2 value as the float
 // definition — and the inner loop is chosen from the block shapes at hand
 // (single-point blocks, equal-size blocks, unequal blocks walked by a
 // division-free pairing stepper that the delta coder and the decoder
 // share). DESIGN.md §9 "Block-match kernel" has the argument.
 //
+// There is one encoder: a pure, device-free body over a window of the
+// frame's P-blocks (EncodeWindow) that fills the window's range of the
+// frame-wide reference-index and reuse columns and the window's delta
+// payload bytes, into a Columns; and two framings of a Columns, the untiled
+// stream over every window (AppendFrame, which books the paper's kernels
+// beside it) and the tile stream of one window (EncodePTile, tile.go).
+// EncodeP and EncodePWith are the one-window front ends. Every per-block
+// value depends only on the block's global index, so a frame coded in any
+// number of windows is the same untiled stream.
+//
 // There is one decoder (decode.go): a pure body over a window of the
 // frame's P-blocks that reads the stream through attr.Cursor and writes
 // colours into the caller's window, under the untiled stream's framing
-// (EncodePWith: every block) and the tile stream's (EncodePTile: the frame's
-// global counts plus the tile's window). The point count — and a tile's
-// position — is the caller's, taken from the decoded geometry; a stream
-// that claims another is refused.
+// (every block) and the tile stream's (the frame's global counts plus the
+// tile's window). The point count — and a tile's position — is the
+// caller's, taken from the decoded geometry; a stream that claims another is
+// refused.
 package interframe
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
-	"sync"
+	"fmt"
+	"slices"
 
 	"repro/internal/attr"
 	"repro/internal/edgesim"
@@ -126,22 +136,54 @@ func pairIndex(i, kp, ki int) int {
 	return i * ki / kp
 }
 
-// EncodeScratch is the inter-frame encoder's reusable arena: the packed
-// colour planes, segment bounds, block-match state, the reuse bitmap and the
-// per-block delta payload buffers. Buffers grow to the largest frame encoded
-// and are then reused, so steady-state P-frame encoding allocates only the
-// escaping payload. A scratch must not be shared by concurrent encodes.
+// Columns is a P-frame's attributes between the encode body and a framing:
+// the frame-wide reference-index and reuse columns — one entry per P-block —
+// and, per window the body ran over, the delta payloads of that window's
+// blocks. Windows write disjoint ranges of the two columns and their own
+// entry, so the bodies of one frame may run concurrently; Reset and the
+// framings must not.
+type Columns struct {
+	p                Params
+	pBounds, iBounds []int // the two frames' SegmentBounds grids, the caller's
+	refs             []int32
+	reuse            []bool
+	wins             []window
+}
+
+// window is one body call's output: the block window it covered and the
+// delta payloads of its non-reuse blocks, in block order.
+type window struct {
+	bLo, bHi int
+	payload  []byte
+}
+
+// Reset starts a P-frame of len(pBounds)-1 blocks against a reference of
+// len(iBounds)-1 — the two frames' SegmentBounds grids for p.Segments, which
+// must stay untouched until the frame is framed — coded by the given number
+// of windows.
+func (c *Columns) Reset(pBounds, iBounds []int, p Params, windows int) {
+	c.p, c.pBounds, c.iBounds = p.normalized(), pBounds, iBounds
+	c.refs = grow(c.refs, len(pBounds)-1)
+	c.reuse = grow(c.reuse, len(pBounds)-1)
+	if c.wins = c.wins[:cap(c.wins)]; len(c.wins) < windows {
+		c.wins = append(c.wins, make([]window, windows-len(c.wins))...)
+	}
+	c.wins = c.wins[:windows]
+}
+
+// points returns the P-frame's point count.
+func (c *Columns) points() int { return c.pBounds[len(c.pBounds)-1] }
+
+// EncodeScratch is one unit's working memory for the encode body — one delta
+// block's columns — plus what the one-window front end EncodePWith holds: both
+// packed colour planes, the two grids and the Columns it frames from. Buffers
+// grow to the largest frame encoded and are then reused. A scratch must not
+// be shared by concurrent encodes.
 type EncodeScratch struct {
-	buf      bytes.Buffer
-	iPack    []uint32
-	pPack    []uint32
-	pBounds  []int
-	iBounds  []int
-	bestIdx  []int32
-	bestDiff []float64
-	reuse    []bool
-	bitmap   []byte
-	streams  [][]byte
+	deltas, resid, med []int32
+	iPack, pPack       []uint32
+	pGrid, iGrid       []int
+	cols               Columns
 }
 
 func grow[T any](s []T, n int) []T {
@@ -149,6 +191,138 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// EncodeWindow is the one encode body: block match, reuse decision and delta
+// payloads over the P-block window [bLo, bLo+bCount) of c's grids, as window
+// w of the frame. iPack and pPack are the colour columns of the FULL
+// Morton-sorted reference and P-frame, one PackColor word per point, shared
+// read-only by the frame's windows (a window reads only its own P range but
+// may match any I-block in its candidate windows). It fills the window's
+// range of the reference-index and reuse columns and window w's payload
+// bytes, and returns the window's reuse statistics. Every per-block decision
+// — candidate window placement, best match with its tie-break, reuse
+// threshold, delta payload — depends only on the block's GLOBAL index, the
+// grids and the colours, so the values do not depend on how a frame is cut
+// into windows. An empty window is valid and codes nothing.
+func (sc *EncodeScratch) EncodeWindow(c *Columns, w int, iPack, pPack []uint32, bLo, bCount int) (Stats, error) {
+	bHi := bLo + bCount
+	if bLo < 0 || bCount < 0 || bHi > len(c.pBounds)-1 {
+		return Stats{}, fmt.Errorf("interframe: block window [%d,%d) outside %d blocks", bLo, bHi, len(c.pBounds)-1)
+	}
+	if len(iPack) == 0 && bCount > 0 {
+		return Stats{}, errors.New("interframe: empty reference frame")
+	}
+	m := matcher{ip: iPack, pp: pPack, iBounds: c.iBounds, pBounds: c.pBounds, candidates: c.p.Candidates}
+	st := Stats{Blocks: bCount}
+	out := c.wins[w].payload[:0]
+	for j := bLo; j < bHi; j++ {
+		pb := pPack[c.pBounds[j]:c.pBounds[j+1]]
+		ref, sum := m.match(j)
+		c.refs[j] = int32(ref)
+		if c.reuse[j] = float64(sum)/float64(len(pb)) <= c.p.Threshold; c.reuse[j] {
+			st.DirectReuse++
+			continue
+		}
+		st.DeltaBlocks++
+		out = sc.appendDeltaBlock(out, iPack[c.iBounds[ref]:c.iBounds[ref+1]], pb, int32(c.p.QStep))
+	}
+	c.wins[w] = window{bLo, bHi, out}
+	return st, nil
+}
+
+// appendDeltaBlock appends one block's per-point, per-channel deltas versus
+// its reference, as Base (median delta) + quantized residuals — the intra
+// Base+Deltas technique applied to the delta values (Sec. V-A2 "Reuse").
+// ib and pb are the two blocks' packed colours.
+func (sc *EncodeScratch) appendDeltaBlock(out []byte, ib, pb []uint32, q int32) []byte {
+	kp := len(pb)
+	sc.deltas, sc.resid = grow(sc.deltas, 3*kp), grow(sc.resid, kp)
+	deltas, resid := sc.deltas, sc.resid
+	st := newPairStep(kp, len(ib))
+	for i, pc := range pb {
+		ic := ib[st.next()]
+		for ch := 0; ch < 3; ch++ {
+			deltas[ch*kp+i] = int32(pc>>(8*ch)&0xff) - int32(ic>>(8*ch)&0xff)
+		}
+	}
+	for ch := 0; ch < 3; ch++ {
+		chDeltas := deltas[ch*kp : (ch+1)*kp]
+		base := attr.Median(chDeltas, &sc.med)
+		out = binary.AppendVarint(out, int64(base))
+		for i, d := range chDeltas {
+			resid[i] = attr.Quantize(d-base, q)
+		}
+		out = attr.AppendPacked(out, resid)
+	}
+	return out
+}
+
+// appendHeader appends the fields both framings open with: the P-frame's
+// point count, the segment parameter and the quantization step.
+func (c *Columns) appendHeader(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(c.points()))
+	dst = binary.AppendUvarint(dst, uint64(c.p.Segments))
+	return binary.AppendUvarint(dst, uint64(c.p.QStep))
+}
+
+// appendBlocks appends blocks [bLo, bHi): their reuse bitmap, then per block
+// the reference pointer as an offset from its candidate window's centre (the
+// paper notes few bits suffice for 100 candidates), then the delta payloads
+// of windows [w0, w1), which must cover exactly those blocks in order.
+func (c *Columns) appendBlocks(dst []byte, bLo, bHi, w0, w1 int) []byte {
+	at, nb := len(dst), (bHi-bLo+7)/8
+	dst = slices.Grow(dst, nb)[:at+nb]
+	clear(dst[at:])
+	for k, r := range c.reuse[bLo:bHi] {
+		if r {
+			dst[at+k/8] |= 1 << uint(k%8)
+		}
+	}
+	nBlocks, nIBlocks := len(c.pBounds)-1, len(c.iBounds)-1
+	for j := bLo; j < bHi; j++ {
+		dst = binary.AppendVarint(dst, int64(c.refs[j])-int64(j*nIBlocks/nBlocks))
+	}
+	for _, win := range c.wins[w0:w1] {
+		dst = append(dst, win.payload...)
+	}
+	return dst
+}
+
+// AppendFrame is the untiled framing: it appends the whole P-frame as one
+// stream — the header, one bitmap and one pointer column over every block,
+// then every window's payloads in window order, which is block order. A
+// block's pointer and payload do not depend on the window that coded it, so
+// the stream is the same for any cut. The paper's encode kernels are booked
+// on dev beside it, from the frame's counts (the work itself happened in the
+// bodies): Diff_Squared and Squared_Sum on the fixed-function unit when one
+// is configured (the paper's Sec. VI-D future-work projection) and on the GPU
+// otherwise, charged the full candidate scan whatever the matcher skipped;
+// then the reuse decision, the pointers, address generation and the delta
+// quantize-and-pack.
+func (c *Columns) AppendFrame(dev *edgesim.Device, dst []byte) []byte {
+	dst = c.appendHeader(dst)
+	nP, nBlocks := c.points(), len(c.pBounds)-1
+	if nP == 0 {
+		return dst
+	}
+	perBlock := func(k edgesim.Cost, items int) edgesim.Cost {
+		return edgesim.Cost{
+			OpsPerItem:   k.OpsPerItem * float64(items) / float64(nBlocks),
+			BytesPerItem: k.BytesPerItem * float64(items) / float64(nBlocks),
+		}
+	}
+	pairItems := nP * c.p.Candidates
+	dev.AccelNoop("Diff_Squared", nBlocks, perBlock(costDiffSquared, pairItems))
+	dev.AccelNoop("Squared_Sum", pairItems, costSquaredSum)
+	dev.GPUNoop("ReuseDecide", nBlocks, costReuseDecide)
+	dev.GPUNoop("Reuse_Pointer", nBlocks, edgesim.Cost{OpsPerItem: 20, BytesPerItem: 2})
+	dev.GPUNoop("AddressGen", nP, costAddressGen)
+	dev.GPUNoop("Delta_Quantize", nBlocks, perBlock(edgesim.Cost{
+		OpsPerItem:   costDeltaQuant.OpsPerItem + costPack.OpsPerItem,
+		BytesPerItem: costDeltaQuant.BytesPerItem + costPack.BytesPerItem,
+	}, nP))
+	return c.appendBlocks(dst, 0, nBlocks, 0, len(c.wins))
 }
 
 // EncodeP compresses the attributes of a P-frame against a reference
@@ -159,153 +333,19 @@ func EncodeP(dev *edgesim.Device, iFrame, pFrame []geom.Voxel, p Params) ([]byte
 }
 
 // EncodePWith compresses the attributes of a P-frame against a reference
-// I-frame, reusing the scratch arena. Both frames must be Morton-sorted,
+// I-frame as one window on the calling goroutine, reusing the scratch arena,
+// and returns a freshly allocated stream. Both frames must be Morton-sorted,
 // deduplicated voxel slices (the geometry pipeline's output order). The
 // P-frame's geometry is coded separately by the intra geometry pipeline.
 func EncodePWith(dev *edgesim.Device, iFrame, pFrame []geom.Voxel, p Params, sc *EncodeScratch) ([]byte, Stats, error) {
-	p = p.normalized()
-	nP, nI := len(pFrame), len(iFrame)
-	buf := &sc.buf
-	buf.Reset()
-	writeUvarint(buf, uint64(nP))
-	writeUvarint(buf, uint64(p.Segments))
-	writeUvarint(buf, uint64(p.QStep))
-	if nP == 0 {
-		return append([]byte(nil), buf.Bytes()...), Stats{}, nil
-	}
-	if nI == 0 {
-		return nil, Stats{}, errors.New("interframe: empty reference frame")
-	}
-	sc.pBounds = attr.SegmentBoundsIn(sc.pBounds, nP, p.Segments)
-	sc.iBounds = attr.SegmentBoundsIn(sc.iBounds, nI, p.Segments)
-	pBounds, iBounds := sc.pBounds, sc.iBounds
-	nBlocks := len(pBounds) - 1
-	nIBlocks := len(iBounds) - 1
-
-	// Block match: for each P-block, scan the candidate window. The planes
-	// are packed afresh every frame — the caller's reference buffers
-	// ping-pong, so a slice's identity says nothing about its contents.
+	sc.pGrid = attr.SegmentBoundsIn(sc.pGrid, len(pFrame), p.Segments)
+	sc.iGrid = attr.SegmentBoundsIn(sc.iGrid, len(iFrame), p.Segments)
+	sc.cols.Reset(sc.pGrid, sc.iGrid, p, 1)
 	sc.iPack = packColors(sc.iPack, iFrame)
 	sc.pPack = packColors(sc.pPack, pFrame)
-	m := matcher{ip: sc.iPack, pp: sc.pPack, iBounds: iBounds, pBounds: pBounds, candidates: p.Candidates}
-	sc.bestIdx = grow(sc.bestIdx, nBlocks)
-	sc.bestDiff = grow(sc.bestDiff, nBlocks)
-	bestIdx, bestDiff := sc.bestIdx, sc.bestDiff
-	pairItems := nP * p.Candidates
-	// Diff_Squared and Squared_Sum run on the fixed-function unit when one
-	// is configured (the paper's Sec. VI-D future-work projection); on the
-	// plain Xavier model AccelKernel falls back to GPU accounting. The model
-	// charges the full candidate scan whatever the matcher skips.
-	dev.AccelKernel("Diff_Squared", nBlocks, edgesim.Cost{
-		OpsPerItem:   costDiffSquared.OpsPerItem * float64(pairItems) / float64(nBlocks),
-		BytesPerItem: costDiffSquared.BytesPerItem * float64(pairItems) / float64(nBlocks),
-	}, func(b0, b1 int) {
-		for j := b0; j < b1; j++ {
-			ref, sum := m.match(j)
-			bestIdx[j] = int32(ref)
-			bestDiff[j] = float64(sum) / float64(pBounds[j+1]-pBounds[j])
-		}
-	})
-	// The per-pair reduction is a separate kernel on the GPU (Fig. 9
-	// names it Squared_Sum); the work happened inside the scan above, so
-	// it is accounted without a second execution.
-	dev.AccelNoop("Squared_Sum", pairItems, costSquaredSum)
-
-	// Reuse decision per block.
-	sc.reuse = grow(sc.reuse, nBlocks)
-	reuse := sc.reuse
-	st := Stats{Blocks: nBlocks}
-	dev.GPUKernelIdx("ReuseDecide", nBlocks, costReuseDecide, func(j int) {
-		reuse[j] = bestDiff[j] <= p.Threshold
-	})
-	for _, r := range reuse {
-		if r {
-			st.DirectReuse++
-		} else {
-			st.DeltaBlocks++
-		}
+	st, err := sc.EncodeWindow(&sc.cols, 0, sc.iPack, sc.pPack, 0, len(sc.pGrid)-1)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-
-	// Emit: reuse bitmap, then per block the reference pointer (offset from
-	// the window centre; the paper notes few bits suffice for 100
-	// candidates), then delta payloads for non-reuse blocks.
-	sc.bitmap = grow(sc.bitmap, (nBlocks+7)/8)
-	bitmap := sc.bitmap
-	clear(bitmap)
-	for j, r := range reuse {
-		if r {
-			bitmap[j/8] |= 1 << uint(j%8)
-		}
-	}
-	buf.Write(bitmap)
-	for j := 0; j < nBlocks; j++ {
-		center := j * nIBlocks / nBlocks
-		writeVarint(buf, int64(bestIdx[j])-int64(center))
-	}
-	dev.GPUNoop("Reuse_Pointer", nBlocks, edgesim.Cost{OpsPerItem: 20, BytesPerItem: 2})
-
-	// Address generation + delta quantization + packing for delta blocks.
-	// Delta payloads append into per-block scratch buffers (reused across
-	// frames) so parallel workers write independently with no per-block
-	// allocation in the steady state.
-	dev.GPUNoop("AddressGen", nP, costAddressGen)
-	if cap(sc.streams) < nBlocks {
-		sc.streams = make([][]byte, nBlocks)
-	}
-	deltaStreams := sc.streams[:nBlocks]
-	dev.GPUKernel("Delta_Quantize", nBlocks, edgesim.Cost{
-		OpsPerItem:   (costDeltaQuant.OpsPerItem + costPack.OpsPerItem) * float64(nP) / float64(nBlocks),
-		BytesPerItem: (costDeltaQuant.BytesPerItem + costPack.BytesPerItem) * float64(nP) / float64(nBlocks),
-	}, func(b0, b1 int) {
-		ds := deltaPool.Get().(*deltaScratch)
-		for j := b0; j < b1; j++ {
-			if reuse[j] {
-				deltaStreams[j] = deltaStreams[j][:0]
-				continue
-			}
-			deltaStreams[j] = encodeDeltaBlock(deltaStreams[j][:0],
-				m.ip[iBounds[bestIdx[j]]:iBounds[bestIdx[j]+1]],
-				m.pp[pBounds[j]:pBounds[j+1]],
-				int32(p.QStep), ds)
-		}
-		deltaPool.Put(ds)
-	})
-	for _, s := range deltaStreams {
-		buf.Write(s)
-	}
-	return append([]byte(nil), buf.Bytes()...), st, nil
-}
-
-// deltaScratch holds one worker's per-block delta/residual buffers.
-type deltaScratch struct {
-	deltas, resid, med []int32
-}
-
-var deltaPool = sync.Pool{New: func() any { return new(deltaScratch) }}
-
-// encodeDeltaBlock appends one block's per-point, per-channel deltas versus
-// its reference, as Base (median delta) + quantized residuals — the intra
-// Base+Deltas technique applied to the delta values (Sec. V-A2 "Reuse").
-// ib and pb are the two blocks' packed colours.
-func encodeDeltaBlock(out []byte, ib, pb []uint32, q int32, ds *deltaScratch) []byte {
-	kp := len(pb)
-	ds.deltas, ds.resid = grow(ds.deltas, 3*kp), grow(ds.resid, kp)
-	deltas, resid := ds.deltas, ds.resid
-	st := newPairStep(kp, len(ib))
-	for i, pc := range pb {
-		ic := ib[st.next()]
-		for ch := 0; ch < 3; ch++ {
-			deltas[ch*kp+i] = int32(pc>>(8*ch)&0xff) - int32(ic>>(8*ch)&0xff)
-		}
-	}
-	for ch := 0; ch < 3; ch++ {
-		chDeltas := deltas[ch*kp : (ch+1)*kp]
-		base := medianI32(chDeltas, &ds.med)
-		out = appendVarint(out, int64(base))
-		for i, d := range chDeltas {
-			resid[i] = quantizeI32(d-base, q)
-		}
-		out = appendResiduals(out, resid)
-	}
-	return out
+	return sc.cols.AppendFrame(dev, nil), st, nil
 }

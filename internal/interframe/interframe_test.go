@@ -337,7 +337,7 @@ func TestDecodeCountFromGeometry(t *testing.T) {
 	pF := jitterColors(big, 63, 6)
 	p := Params{Segments: 20, Candidates: 10, Threshold: 50, QStep: 2}
 	pBounds, iBounds := attr.SegmentBounds(len(pF), p.Segments), attr.SegmentBounds(len(big), p.Segments)
-	tile, _, err := EncodePTile(packColors(nil, big), packColors(nil, pF), p, pBounds, iBounds, 5, 10, new(PTileScratch))
+	tile, _, err := encodePTile(packColors(nil, big), packColors(nil, pF), p, pBounds, iBounds, 5, 10, new(EncodeScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package interframe
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -147,7 +148,7 @@ func TestPackedDeltaBlockMatchesVoxels(t *testing.T) {
 	for _, shape := range [][2]int{{1, 1}, {16, 16}, {8, 10}, {10, 8}, {5, 1}, {1, 5}} {
 		kp, ki := shape[0], shape[1]
 		pv, iv := colorFrame(rng, kp, 256), colorFrame(rng, ki, 256)
-		got := encodeDeltaBlock(nil, packColors(nil, iv), packColors(nil, pv), 1, new(deltaScratch))
+		got := new(EncodeScratch).appendDeltaBlock(nil, packColors(nil, iv), packColors(nil, pv), 1)
 		var want []byte
 		for ch := 0; ch < 3; ch++ {
 			deltas := make([]int32, kp)
@@ -155,12 +156,12 @@ func TestPackedDeltaBlockMatchesVoxels(t *testing.T) {
 				ic, pc := iv[pairIndex(i, kp, ki)].C, pv[i].C
 				deltas[i] = [3]int32{int32(pc.R) - int32(ic.R), int32(pc.G) - int32(ic.G), int32(pc.B) - int32(ic.B)}[ch]
 			}
-			base := medianI32(deltas, nil)
-			want = appendVarint(want, int64(base))
+			base := attr.Median(deltas, nil)
+			want = binary.AppendVarint(want, int64(base))
 			for i := range deltas {
 				deltas[i] -= base
 			}
-			want = appendResiduals(want, deltas)
+			want = attr.AppendPacked(want, deltas)
 		}
 		if string(got) != string(want) {
 			t.Fatalf("kp=%d ki=%d: payload %x, want %x", kp, ki, got, want)

@@ -1,10 +1,26 @@
 package interframe
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"repro/internal/attr"
 )
+
+// encodePTile codes the block window [bLo, bLo+bCount) of the grids as a tile
+// stream: the body over the window, then the tile framing of it.
+func encodePTile(iPack, pPack []uint32, p Params, pBounds, iBounds []int, bLo, bCount int, sc *EncodeScratch) ([]byte, Stats, error) {
+	var c Columns
+	c.Reset(pBounds, iBounds, p, 1)
+	st, err := sc.EncodeWindow(&c, 0, iPack, pPack, bLo, bCount)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	stream, err := c.EncodePTile(nil, 0)
+	return stream, st, err
+}
 
 // TestTilePDecodeExact pins the tiled inter invariant: splitting the
 // P-frame's blocks into contiguous tile windows and coding each window
@@ -37,7 +53,7 @@ func TestTilePDecodeExact(t *testing.T) {
 		nBlocks := len(pBounds) - 1
 		cuts := attr.SegmentBounds(nBlocks, tc.tiles)
 		iPack, pPack := packColors(nil, iF), packColors(nil, pF)
-		var sc PTileScratch
+		var sc EncodeScratch
 		var sum Stats
 		next := 0
 		for ti := 0; ti+1 < len(cuts); ti++ {
@@ -45,7 +61,7 @@ func TestTilePDecodeExact(t *testing.T) {
 			if bLo == bHi {
 				continue
 			}
-			stream, st, err := EncodePTile(iPack, pPack, tc.p, pBounds, iBounds, bLo, bHi-bLo, &sc)
+			stream, st, err := encodePTile(iPack, pPack, tc.p, pBounds, iBounds, bLo, bHi-bLo, &sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,17 +98,17 @@ func TestTilePErrors(t *testing.T) {
 	pBounds := attr.SegmentBounds(len(pF), p.Segments)
 	iBounds := attr.SegmentBounds(len(iF), p.Segments)
 	iPack, pPack := packColors(nil, iF), packColors(nil, pF)
-	var sc PTileScratch
-	if _, _, err := EncodePTile(iPack, pPack, p, pBounds, iBounds, 48, 5, &sc); err == nil {
+	var sc EncodeScratch
+	if _, _, err := encodePTile(iPack, pPack, p, pBounds, iBounds, 48, 5, &sc); err == nil {
 		t.Fatal("window past end must error")
 	}
-	if _, _, err := EncodePTile(nil, pPack, p, pBounds, attr.SegmentBounds(0, p.Segments), 0, 1, &sc); err == nil {
+	if _, _, err := encodePTile(nil, pPack, p, pBounds, attr.SegmentBounds(0, p.Segments), 0, 1, &sc); err == nil {
 		t.Fatal("empty reference must error")
 	}
 	if _, _, _, err := DecodePTile(nil, iF); err == nil {
 		t.Fatal("empty stream must error")
 	}
-	stream, _, err := EncodePTile(iPack, pPack, p, pBounds, iBounds, 0, 5, &sc)
+	stream, _, err := encodePTile(iPack, pPack, p, pBounds, iBounds, 0, 5, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +118,62 @@ func TestTilePErrors(t *testing.T) {
 	for cut := 1; cut < len(stream); cut++ {
 		if _, _, _, err := DecodePTile(stream[:cut], iF); err == nil {
 			t.Fatalf("truncated stream (len %d) must error", cut)
+		}
+	}
+}
+
+// TestWindowCutInvariant: the untiled stream does not show how the P-frame
+// was cut into windows, nor the order their bodies ran in; and one body call
+// over every block frames to the same pointers and payloads either way.
+func TestWindowCutInvariant(t *testing.T) {
+	d := dev()
+	iF := sortedFrame(31, 3000)
+	pF := jitterColors(sortedFrame(32, 2700), 33, 10)
+	iPack, pPack := packColors(nil, iF), packColors(nil, pF)
+	for _, p := range []Params{
+		{Segments: 200, Candidates: 40, Threshold: 45, QStep: 4},
+		{Segments: 5000, Candidates: 100, Threshold: 45, QStep: 1}, // one point per block
+		{Segments: 7, Candidates: 3, Threshold: -1, QStep: 2},      // all delta
+	} {
+		want, wantSt, err := EncodeP(d, iF, pF, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pBounds, iBounds := attr.SegmentBounds(len(pF), p.Segments), attr.SegmentBounds(len(iF), p.Segments)
+		nBlocks := len(pBounds) - 1
+		for _, windows := range []int{1, 2, 3, 8, 64} {
+			var c Columns
+			var sc EncodeScratch
+			var sum Stats
+			c.Reset(pBounds, iBounds, p, windows)
+			for _, w := range rand.New(rand.NewSource(int64(windows))).Perm(windows) {
+				bLo, bHi := w*nBlocks/windows, (w+1)*nBlocks/windows
+				st, err := sc.EncodeWindow(&c, w, iPack, pPack, bLo, bHi-bLo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum.Blocks += st.Blocks
+				sum.DirectReuse += st.DirectReuse
+				sum.DeltaBlocks += st.DeltaBlocks
+			}
+			got := c.AppendFrame(d, nil)
+			if !bytes.Equal(got, want) || sum != wantSt {
+				t.Errorf("%+v in %d windows is not the one-window stream (stats %+v, want %+v)", p, windows, sum, wantSt)
+			}
+			if windows > 1 {
+				continue
+			}
+			// One window over every block: the tile framing's bytes behind
+			// its two extra varints are the untiled framing's.
+			tile, err := c.EncodePTile(nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr := len(c.appendHeader(nil))
+			skip := len(binary.AppendUvarint(binary.AppendUvarint(nil, 0), uint64(nBlocks)))
+			if !bytes.Equal(tile[:hdr], got[:hdr]) || !bytes.Equal(tile[hdr+skip:], got[hdr:]) {
+				t.Errorf("%+v: tile framing over every block differs from the untiled framing past its window", p)
+			}
 		}
 	}
 }
