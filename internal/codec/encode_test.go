@@ -49,28 +49,69 @@ var tiledStreamHashes = []struct {
 	}, "724baf8e00f1b50ad2d6ad9e5fcb9c6645875138a7dc9425e8c05e98270fe385"},
 }
 
+// layeredStreamHashes pins the untiled-layered and layered-entropy streams the
+// same way: they had decode-exactness tests but no byte pin. Captured at the
+// commit before the geometry phase wrote its layers itself.
+var layeredStreamHashes = []struct {
+	name string
+	opts func() Options
+	want string
+}{
+	{"Intra-Only/tiles=0/layers=3", func() Options { return layerOpts(IntraOnly, 0, 3) }, "a5f11db328e0e7a42a3d2223138cc8f4b412efb7d1124e0014d9db2f999b7ea7"},
+	{"Intra-Inter-V1/tiles=0/layers=3", func() Options { return layerOpts(IntraInterV1, 0, 3) }, "4acb9ed6cda723a29d26c8a9d230089e5754c7c7d02c5cda363194aef215efd9"},
+	{"Intra-Inter-V1/tiles=0/layers=3/geometry entropy", func() Options {
+		o := layerOpts(IntraInterV1, 0, 3)
+		o.EntropyGeometry = true
+		return o
+	}, "d3f59ae93fc6ef3669fd0b88d055aba28c1c7a0d1c5b3fefad89b42c34f6ef46"},
+	{"Intra-Inter-V1/tiles=4/layers=3/geometry entropy", func() Options {
+		o := layerOpts(IntraInterV1, 4, 3)
+		o.EntropyGeometry = true
+		return o
+	}, "8dab6ec03756229213e030e629ab3e2f3633353a160158ca3006747f18d41924"},
+	{"Intra-Inter-V1/tiles=0/layers=8", func() Options { return layerOpts(IntraInterV1, 0, 8) }, "7b5ae74f5a6d436c08b248a65015439d164407eae9ef1d775e888b2a05dde959"},
+}
+
+// goldenStreamHash encodes the six golden frames under opts and returns the
+// hash of their serialized containers, checking each frame's shape first.
+func goldenStreamHash(t *testing.T, opts Options, check func(*EncodedFrame) bool) string {
+	t.Helper()
+	enc := NewEncoder(dev(), opts)
+	h := sha256.New()
+	for _, f := range goldenFrames(t) {
+		ef, _, err := enc.EncodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !check(ef) {
+			t.Fatal("frame does not have the shape the row names")
+		}
+		if _, err := ef.WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestTiledStreamsPinned asserts byte-identical tiled streams across
 // refactors of the encode path, as TestGoldenStreams does for untiled ones.
 func TestTiledStreamsPinned(t *testing.T) {
-	frames := goldenFrames(t)
 	for _, tc := range tiledStreamHashes {
 		t.Run(tc.name, func(t *testing.T) {
-			enc := NewEncoder(dev(), tc.opts())
-			h := sha256.New()
-			for _, f := range frames {
-				ef, _, err := enc.EncodeFrame(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ef.Tiled() {
-					t.Fatal("frame is not tiled")
-				}
-				if _, err := ef.WriteTo(h); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			if got := goldenStreamHash(t, tc.opts(), (*EncodedFrame).Tiled); got != tc.want {
 				t.Errorf("tiled stream hash changed:\n got  %s\n want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestLayeredStreamsPinned is TestTiledStreamsPinned for the layered shapes
+// that table does not reach: untiled x layers, and per-layer geometry entropy.
+func TestLayeredStreamsPinned(t *testing.T) {
+	for _, tc := range layeredStreamHashes {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := goldenStreamHash(t, tc.opts(), (*EncodedFrame).Layered); got != tc.want {
+				t.Errorf("layered stream hash changed:\n got  %s\n want %s", got, tc.want)
 			}
 		})
 	}
@@ -94,8 +135,9 @@ func encodeLedger(t *testing.T, d *edgesim.Device, opts Options, n int) []ledger
 }
 
 // TestEncodeLedgerPinned pins the encode direction's accounting layer: the
-// ledger of one I + one P encode — untiled, with both entropy stages, tiled,
-// tiled and layered, and untiled on a device with the fixed-function unit —
+// ledger of one I + one P encode — untiled, untiled and layered, with both
+// entropy stages, tiled, tiled and layered, and untiled on a device with the
+// fixed-function unit —
 // is the table captured at the commit before the attribute encoders became
 // one body each: same kernels, same launch counts and order, same items,
 // ops, bytes and simulated time.
@@ -134,6 +176,14 @@ func TestEncodeLedgerPinned(t *testing.T) {
 		{"MidResidual_L2", "Attribute", 3, 4500, 1.9773486e+07, 888696, 1050258},
 		{"PackBits", "Attribute", 3, 4500, 9.886743e+06, 333260.99999999994, 555129},
 	}
+	inter := []ledgerRow{
+		{"Diff_Squared", "Attribute", 1, 2500, 4.07341e+07, 2.22186e+07, 2059968},
+		{"Squared_Sum", "Attribute", 1, 3703100, 1.85155e+07, 3.7031e+06, 947258},
+		{"ReuseDecide", "Attribute", 1, 2500, 212500, 20000, 30642},
+		{"Reuse_Pointer", "Attribute", 1, 2500, 50000, 5000, 22504},
+		{"AddressGen", "Attribute", 1, 37031, 3.7031e+07, 444372, 1874517},
+		{"Delta_Quantize", "Attribute", 1, 2500, 7.221045e+06, 407341, 381630},
+	}
 	for _, tc := range []struct {
 		name   string
 		dev    func() *edgesim.Device
@@ -141,14 +191,9 @@ func TestEncodeLedgerPinned(t *testing.T) {
 		frames int
 		want   []ledgerRow
 	}{
-		{"untiled I+P", dev, layerOpts(IntraInterV1, 0, 0), 2, slices.Concat(untiledGeom, intra, []ledgerRow{
-			{"Diff_Squared", "Attribute", 1, 2500, 4.07341e+07, 2.22186e+07, 2059968},
-			{"Squared_Sum", "Attribute", 1, 3703100, 1.85155e+07, 3.7031e+06, 947258},
-			{"ReuseDecide", "Attribute", 1, 2500, 212500, 20000, 30642},
-			{"Reuse_Pointer", "Attribute", 1, 2500, 50000, 5000, 22504},
-			{"AddressGen", "Attribute", 1, 37031, 3.7031e+07, 444372, 1874517},
-			{"Delta_Quantize", "Attribute", 1, 2500, 7.221045e+06, 407341, 381630},
-		})},
+		{"untiled I+P", dev, layerOpts(IntraInterV1, 0, 0), 2, slices.Concat(untiledGeom, intra, inter)},
+		// Layers re-frame an untiled frame's bytes and book nothing.
+		{"untiled and layered I+P", dev, layerOpts(IntraInterV1, 0, 3), 2, slices.Concat(untiledGeom, intra, inter)},
 		{"untiled I, entropy geometry and attributes", dev, entropyOpts, 1, slices.Concat([]ledgerRow{
 			{"Rescale", "Geometry", 1, 37029, 444348, 592464, 42253},
 			{"MortonGen", "Geometry", 1, 37029, 444348, 592464, 42253},
