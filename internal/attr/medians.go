@@ -17,27 +17,28 @@ import (
 // Wire format: uvarint cell count, then 3 bytes (R, G, B) per cell, in the
 // cells' Morton order.
 
-// EncodeBaseMedians encodes one RGB median per cell. runs holds the cell
-// boundaries over colors: cell c covers colors[runs[c]:runs[c+1]]
+// AppendBaseMedians appends one RGB median per cell to dst. runs holds the
+// cell boundaries over colors: cell c covers colors[runs[c]:runs[c+1]]
 // (len(runs) == cells+1, first element 0, last element len(colors),
-// strictly increasing — every cell non-empty).
-func EncodeBaseMedians(colors []geom.Color, runs []int) []byte {
+// strictly increasing — every cell non-empty). It works in s's channel
+// columns and allocates nothing once they have grown.
+func (s *Scratch) AppendBaseMedians(dst []byte, colors []geom.Color, runs []int) []byte {
 	cells := max(len(runs)-1, 0)
-	buf := binary.AppendUvarint(make([]byte, 0, 10+3*cells), uint64(cells))
-	var r, g, b, scratch []int32
+	dst = binary.AppendUvarint(dst, uint64(cells))
 	for c := 0; c < cells; c++ {
-		lo, hi := runs[c], runs[c+1]
-		n := hi - lo
-		r, g, b = grow(r, n), grow(g, n), grow(b, n)
-		for i, col := range colors[lo:hi] {
-			r[i], g[i], b[i] = int32(col.R), int32(col.G), int32(col.B)
+		cell := colors[runs[c]:runs[c+1]]
+		for ch := range s.chans {
+			s.chans[ch] = grow(s.chans[ch], len(cell))
 		}
-		buf = append(buf, byte(Median(r, &scratch)), byte(Median(g, &scratch)), byte(Median(b, &scratch)))
+		for i, col := range cell {
+			s.chans[0][i], s.chans[1][i], s.chans[2][i] = int32(col.R), int32(col.G), int32(col.B)
+		}
+		dst = append(dst, byte(Median(s.chans[0], &s.med)), byte(Median(s.chans[1], &s.med)), byte(Median(s.chans[2], &s.med)))
 	}
-	return buf
+	return dst
 }
 
-// DecodeBaseMedians inverts EncodeBaseMedians, returning one colour per
+// DecodeBaseMedians inverts AppendBaseMedians, returning one colour per
 // cell. The stream must be exactly consumed.
 func DecodeBaseMedians(data []byte) ([]geom.Color, error) {
 	c := NewCursor(data)

@@ -16,7 +16,7 @@ func TestBaseMediansRoundTrip(t *testing.T) {
 		{R: 150, G: 60, B: 20},
 	}
 	runs := []int{0, 3, 4, 6}
-	wire := EncodeBaseMedians(colors, runs)
+	wire := new(Scratch).AppendBaseMedians(nil, colors, runs)
 	meds, err := DecodeBaseMedians(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestBaseMediansRoundTrip(t *testing.T) {
 }
 
 func TestBaseMediansEmpty(t *testing.T) {
-	wire := EncodeBaseMedians(nil, []int{0})
+	wire := new(Scratch).AppendBaseMedians(nil, nil, []int{0})
 	meds, err := DecodeBaseMedians(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestBaseMediansEmpty(t *testing.T) {
 }
 
 func TestBaseMediansBadStreams(t *testing.T) {
-	good := EncodeBaseMedians(
+	good := new(Scratch).AppendBaseMedians(nil,
 		[]geom.Color{{R: 1}, {R: 2}}, []int{0, 1, 2})
 	cases := map[string][]byte{
 		"empty":     {},

@@ -225,9 +225,8 @@ type Encoder struct {
 	grid      []int
 	iGrid     []int
 	attrSize  [2]int
-	// layerCols/layerRuns are the layerizer's per-unit scratch: the unit's
-	// leaf colours and the base-cell run boundaries over them.
-	layerCols []geom.Color
+	// layerRuns holds the base-cell run boundaries over one unit's leaves, for
+	// a layered frame's base medians.
 	layerRuns []int
 }
 

@@ -64,6 +64,16 @@ func AppendGeomChunk(dst, chunk []byte) ([]byte, error) {
 	return nil, ErrBadContainer
 }
 
+// appendGeomChunk is AppendGeomChunk's inverse and the one place the encoder
+// writes a chunk mode: it appends raw occupancy bytes to dst as one
+// [mode][payload] chunk, entropy-coded or as they are.
+func appendGeomChunk(dst, raw []byte, entropyOn bool) []byte {
+	if entropyOn {
+		return entropy.AppendCompressBytes(append(dst, 1), raw)
+	}
+	return append(append(dst, 0), raw...)
+}
+
 // geometry unwraps unit idx's geometry — one chunk, or one per layer — into
 // the unit's buffer and returns the unit's raw occupancy stream.
 func (u *unitDecoder) geometry(f *EncodedFrame, l *FrameLayout, idx int) ([]byte, error) {

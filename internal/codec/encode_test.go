@@ -136,8 +136,8 @@ func encodeLedger(t *testing.T, d *edgesim.Device, opts Options, n int) []ledger
 
 // TestEncodeLedgerPinned pins the encode direction's accounting layer: the
 // ledger of one I + one P encode — untiled, untiled and layered, with both
-// entropy stages, tiled, tiled and layered, and untiled on a device with the
-// fixed-function unit —
+// entropy stages, tiled, tiled with the geometry entropy stage, the same
+// layered, and untiled on a device with the fixed-function unit —
 // is the table captured at the commit before the attribute encoders became
 // one body each: same kernels, same launch counts and order, same items,
 // ops, bytes and simulated time.
@@ -145,8 +145,10 @@ func TestEncodeLedgerPinned(t *testing.T) {
 	entropyOpts := layerOpts(IntraOnly, 0, 0)
 	entropyOpts.EntropyGeometry = true
 	entropyOpts.IntraAttr.Entropy = true
-	layered := layerOpts(IntraInterV1, 4, 3)
-	layered.EntropyGeometry = true
+	tiledEntropy := layerOpts(IntraInterV1, 4, 0)
+	tiledEntropy.EntropyGeometry = true
+	layered := tiledEntropy
+	layered.Layers = 3
 	accel := func() *edgesim.Device {
 		return edgesim.New(edgesim.WithAccelerator(edgesim.XavierConfig(edgesim.Mode15W), edgesim.DefaultAccel()))
 	}
@@ -175,6 +177,11 @@ func TestEncodeLedgerPinned(t *testing.T) {
 		{"Quantize", "Attribute", 3, 111087, 6.554133e+06, 888696, 388230},
 		{"MidResidual_L2", "Attribute", 3, 4500, 1.9773486e+07, 888696, 1050258},
 		{"PackBits", "Attribute", 3, 4500, 9.886743e+06, 333260.99999999994, 555129},
+	}
+	tiledEntropyAttr := []ledgerRow{
+		{"GeomEntropy", "", 2, 160012, 2.40018e+07, 320024, 24001800},
+		{"TileAttrIntra", "Attribute", 1, 37029, 5.55435e+07, 2.96232e+06, 2801625},
+		{"TileAttrInter", "Attribute", 1, 37031, 1.036868e+08, 2.703263e+07, 5212648},
 	}
 	inter := []ledgerRow{
 		{"Diff_Squared", "Attribute", 1, 2500, 4.07341e+07, 2.22186e+07, 2059968},
@@ -213,11 +220,11 @@ func TestEncodeLedgerPinned(t *testing.T) {
 			{"TileAttrIntra", "Attribute", 1, 37029, 5.55435e+07, 2.96232e+06, 2801625},
 			{"TileAttrInter", "Attribute", 1, 37031, 1.036868e+08, 2.703263e+07, 5212648},
 		})},
-		{"tiled and layered I+P, entropy geometry", dev, layered, 2, slices.Concat(tiledGeom, []ledgerRow{
-			{"TileAttrIntra", "Attribute", 1, 37029, 5.55435e+07, 2.96232e+06, 2801625},
-			{"GeomEntropy", "Layer", 8, 160012, 2.40018e+07, 320024, 24001800},
-			{"TileAttrInter", "Attribute", 1, 37031, 1.036868e+08, 2.703263e+07, 5212648},
-		})},
+		// The entropy stage is one row a frame over the raw occupancy bytes of
+		// every tile (160 012 B: each tile repeats the ancestors it shares with
+		// its neighbours, the untiled stream is 159 963 B), layered or not.
+		{"tiled I+P, entropy geometry", dev, tiledEntropy, 2, slices.Concat(tiledGeom, tiledEntropyAttr)},
+		{"tiled and layered I+P, entropy geometry", dev, layered, 2, slices.Concat(tiledGeom, tiledEntropyAttr)},
 		{"untiled I+P with the accelerator", accel, layerOpts(IntraInterV1, 0, 0), 2, slices.Concat(untiledGeom, intra, []ledgerRow{
 			{"Diff_Squared", "Attribute", 1, 2500, 4.07341e+07, 2.22186e+07, 262588},
 			{"Squared_Sum", "Attribute", 1, 3703100, 1.85155e+07, 3.7031e+06, 123721},
@@ -357,6 +364,43 @@ func checkWindowCounts(t *testing.T, name string, opts Options, clouds []*geom.V
 	for i, v := range vc.Voxels {
 		if v.C != recon[i] {
 			t.Fatalf("%s: the encoder's reconstruction of point %d is %v, the decoder returns %v", name, i, recon[i], v.C)
+		}
+	}
+}
+
+// TestFrameStatsSplitEqualsWhole: FrameStats is one number whichever entry
+// point made it. An I and a P frame through EncodeFrame on one encoder and
+// through EncodeGeometryOn + FinishFrame on another report the same stats for
+// every frame shape — nothing runs after the attribute phase's snapshot that
+// the split-phase total would miss.
+func TestFrameStatsSplitEqualsWhole(t *testing.T) {
+	clouds := goldenFrames(t)[:2]
+	for _, d := range []Design{IntraOnly, IntraInterV1} {
+		for _, tiles := range []int{0, 8} {
+			for _, layers := range []int{0, 3} {
+				for _, entropyOn := range []bool{false, true} {
+					opts := layerOpts(d, tiles, layers)
+					opts.EntropyGeometry = entropyOn
+					whole, split := NewEncoder(dev(), opts), NewEncoder(dev(), opts)
+					for i, vc := range clouds {
+						_, want, err := whole.EncodeFrame(vc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						g, err := split.EncodeGeometryOn(split.Device(), vc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						_, got, err := split.FinishFrame(g)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want {
+							t.Errorf("%v tiles=%d layers=%d entropy=%v frame %d:\n split %+v\n whole %+v", d, tiles, layers, entropyOn, i, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

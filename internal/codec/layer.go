@@ -30,7 +30,6 @@ package codec
 
 import (
 	"repro/internal/attr"
-	"repro/internal/entropy"
 	"repro/internal/geom"
 	"repro/internal/morton"
 	"repro/internal/paroctree"
@@ -101,124 +100,49 @@ func (o Options) layersFor(depth uint) int {
 	return l
 }
 
-// layerize rewrites a freshly encoded proposed-design frame in place into
-// its layered form: per-unit geometry sliced at the level cuts (with
-// per-layer entropy when enabled), base-median + verbatim-top attribute
-// layers, and the filled directory. Called at the end of the attribute
-// phase for both the untiled and tiled paths; a no-op unless
-// Options.Layers is set and the frame is deep enough for two layers.
-func (e *Encoder) layerize(frame *EncodedFrame, sorted []morton.Keyed) error {
-	depth := uint(frame.Depth)
-	l := e.opts.layersFor(depth)
-	if l == 0 {
-		return nil
-	}
-	baseLevel := int(depth) - l + 1
-	units := layerUnits(len(frame.Tiles))
+// newLayerDir returns the full-subscription directory of a frame of the given
+// depth cut into units x layers (layers from Options.layersFor), its spans
+// one backing array sliced per unit and still zero: the geometry phase fills
+// every GeomLen, the attribute phase the AttrLen of layers 0 and layers-1.
+func newLayerDir(units, layers int, depth uint) *LayerDir {
 	ld := &LayerDir{
-		Layers:    uint8(l),
-		Sub:       uint8(l),
-		BaseLevel: uint8(baseLevel),
+		Layers:    uint8(layers),
+		Sub:       uint8(layers),
+		BaseLevel: uint8(int(depth) - layers + 1),
 		Units:     make([][]LayerSpan, units),
 	}
-	var err error
-	var geomOut, attrOut []byte
-	e.dev.Stage("Layer", func() {
-		gOff, aOff, pOff := 0, 0, 0
-		for u := 0; u < units; u++ {
-			glen, alen, pts := len(frame.Geometry), len(frame.Attr), len(sorted)
-			if frame.Tiled() {
-				ti := frame.Tiles[u]
-				glen, alen, pts = int(ti.GeomLen), int(ti.AttrLen), int(ti.Points)
-			}
-			gchunk := frame.Geometry[gOff : gOff+glen]
-			achunk := frame.Attr[aOff : aOff+alen]
-			leaves := sorted[pOff : pOff+pts]
-			gOff, aOff, pOff = gOff+glen, aOff+alen, pOff+pts
-
-			// Layered encodes force raw geometry chunks (entropy moves
-			// per-layer), so the mask stream is directly sliceable.
-			if len(gchunk) == 0 || gchunk[0] != 0 {
-				err = ErrBadContainer
-				return
-			}
-			raw := gchunk[1:]
-			// The per-level cut points, without retaining any octree state.
-			offs, _, lerr := paroctree.LevelOffsets(raw, depth)
-			if lerr != nil {
-				err = ErrBadContainer
-				return
-			}
-			spans := make([]LayerSpan, l)
-			gBase := len(geomOut)
-			if e.opts.EntropyGeometry {
-				e.dev.CPUSerial("GeomEntropy", len(raw), costEntropyByte, func() {
-					for lay := 0; lay < l; lay++ {
-						lo, hi := layerCut(offs, baseLevel, lay)
-						geomOut = append(geomOut, 1)
-						geomOut = entropy.AppendCompressBytes(geomOut, raw[lo:hi])
-						spans[lay].GeomLen = uint32(len(geomOut) - gBase)
-						gBase = len(geomOut)
-					}
-				})
-			} else {
-				for lay := 0; lay < l; lay++ {
-					lo, hi := layerCut(offs, baseLevel, lay)
-					geomOut = append(geomOut, 0)
-					geomOut = append(geomOut, raw[lo:hi]...)
-					spans[lay].GeomLen = uint32(1 + hi - lo)
-				}
-			}
-
-			// Attribute base layer: one median per base-level cell of this
-			// unit's leaves; top layer: the original chunk verbatim.
-			shift := 3 * uint(l-1)
-			e.layerRuns = e.layerRuns[:0]
-			e.layerCols = grow(e.layerCols, len(leaves))
-			var prev morton.Code
-			for i, k := range leaves {
-				e.layerCols[i] = k.Voxel.C
-				if anc := k.Code >> shift; i == 0 || anc != prev {
-					e.layerRuns = append(e.layerRuns, i)
-					prev = anc
-				}
-			}
-			e.layerRuns = append(e.layerRuns, len(leaves))
-			base := append([]byte{2}, attr.EncodeBaseMedians(e.layerCols, e.layerRuns)...)
-			spans[0].AttrLen = uint32(len(base))
-			spans[l-1].AttrLen = uint32(len(achunk))
-			attrOut = append(attrOut, base...)
-			attrOut = append(attrOut, achunk...)
-
-			if frame.Tiled() {
-				var gs, as uint32
-				for _, s := range spans {
-					gs += s.GeomLen
-					as += s.AttrLen
-				}
-				frame.Tiles[u].GeomLen = gs
-				frame.Tiles[u].AttrLen = as
-			}
-			ld.Units[u] = spans
-		}
-	})
-	if err != nil {
-		return err
+	spans := make([]LayerSpan, units*layers)
+	for u := range ld.Units {
+		ld.Units[u] = spans[u*layers : (u+1)*layers : (u+1)*layers]
 	}
-	frame.Geometry = geomOut
-	frame.Attr = attrOut
-	frame.Layer = ld
-	return nil
+	return ld
 }
 
-// layerCut returns layer lay's byte range within a raw occupancy stream
-// whose level offsets are offs: layer 0 is the whole prefix below
-// baseLevel, enhancement layer l is exactly mask level baseLevel+l-1.
-func layerCut(offs []int, baseLevel, lay int) (lo, hi int) {
+// layerLevels returns the octree mask levels layer lay carries: layer 0 every
+// level below baseLevel, enhancement layer l exactly level baseLevel+l-1. An
+// unlayered unit is one layer whose base level is the frame depth.
+func layerLevels(baseLevel, lay uint) (lo, hi uint) {
 	if lay == 0 {
-		return 0, offs[baseLevel]
+		return 0, baseLevel
 	}
-	return offs[baseLevel+lay-1], offs[baseLevel+lay]
+	return baseLevel + lay - 1, baseLevel + lay
+}
+
+// appendBaseLayer appends a unit's attribute base layer to dst — mode byte 2,
+// then one median per base-level cell of the unit's leaves, whose colours are
+// given — with s as the medians' working memory.
+func (e *Encoder) appendBaseLayer(dst []byte, ld *LayerDir, leaves []morton.Keyed, colors []geom.Color, s *attr.Scratch) []byte {
+	shift := 3 * uint(ld.Layers-1)
+	runs := e.layerRuns[:0]
+	var prev morton.Code
+	for i, k := range leaves {
+		if anc := k.Code >> shift; i == 0 || anc != prev {
+			runs = append(runs, i)
+			prev = anc
+		}
+	}
+	e.layerRuns = append(runs, len(leaves))
+	return s.AppendBaseMedians(append(dst, 2), colors, e.layerRuns)
 }
 
 // decodeLayeredPartial decodes the first Sub < Layers layers: geometry to

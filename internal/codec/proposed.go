@@ -3,10 +3,8 @@ package codec
 import (
 	"repro/internal/attr"
 	"repro/internal/edgesim"
-	"repro/internal/entropy"
 	"repro/internal/geom"
 	"repro/internal/interframe"
-	"repro/internal/morton"
 	"repro/internal/paroctree"
 )
 
@@ -18,18 +16,18 @@ var (
 	costMortonDecode = edgesim.Cost{OpsPerItem: 12, BytesPerItem: 16}
 )
 
-// geomScratch is the per-frame geometry arena: the rescaled cloud, the
-// octree build scratch and the serialized occupancy buffer. Several geometry
-// phases may run concurrently under the pipeline's lookahead, so the encoder
-// keeps a free list of them; one travels with the GeometryIntermediate until
-// FinishFrame consumes the frame. Nothing the attribute phase owns lives here,
-// and nothing of this lives in the attribute units.
+// geomScratch is the per-frame geometry arena: the rescaled cloud, the sort's
+// scratch, the unit partition and one geometry scratch per unit. Several
+// geometry phases may run concurrently under the pipeline's lookahead, so the
+// encoder keeps a free list of them; one travels with the GeometryIntermediate
+// until FinishFrame consumes the frame. Nothing the attribute phase owns lives
+// here, and nothing of this lives in the attribute units.
 type geomScratch struct {
 	scaled geom.VoxelCloud
 	build  paroctree.BuildScratch
-	wire   []byte
-	// Tiled-path arenas: the two segment grids, the merged common-boundary
-	// columns, the chosen cuts, and one geometry scratch per tile.
+	// The tile planner's arenas — the two segment grids and the merged
+	// common-boundary columns — then the chosen cuts (the frame's unit ranges,
+	// tiled or not) and one geometry scratch per unit.
 	intraBounds []int
 	interBounds []int
 	comVal      []int
@@ -88,81 +86,111 @@ func (e *Encoder) encodeProposed(vc *geom.VoxelCloud, isP bool) (*EncodedFrame, 
 
 // proposedGeometry runs the geometry half of the proposed pipeline on dev
 // (which may be a different device from the attribute phase's when the two
-// phases are pipelined across frames). It reads only immutable encoder
-// configuration, so it may run concurrently with proposedAttr of an
-// earlier frame.
+// phases are pipelined across frames): one Geometry stage (geometryStage),
+// then the optional entropy stage's row. It reads only immutable encoder
+// configuration, so it may run concurrently with proposedAttr of an earlier
+// frame.
 func (e *Encoder) proposedGeometry(dev *edgesim.Device, vc *geom.VoxelCloud) (*GeometryIntermediate, error) {
+	g := &GeometryIntermediate{frame: &EncodedFrame{Depth: uint8(vc.Depth)}, split: true, gs: e.takeGeom()}
 	var (
-		frame   = &EncodedFrame{Depth: uint8(vc.Depth)}
-		build   *paroctree.BuildResult
-		err     error
-		geomRaw []byte
-		sorted  []morton.Keyed
-		plan    tilePlan
+		raw int
+		err error
 	)
-	gs := e.takeGeom()
-	tiled := e.opts.Tiles > 1
 	s0 := dev.Snapshot()
-	dev.Stage("Geometry", func() {
-		work := vc
-		if !e.opts.Lossless {
-			// Tight-cuboid rescale: the source of the parallel pipeline's
-			// small geometry loss (Sec. IV-B3).
-			r := paroctree.FitRescale(vc)
-			frame.HasRescale = true
-			frame.Rescale = r
-			gs.scaled.Depth = vc.Depth
-			gs.scaled.Voxels = grow(gs.scaled.Voxels, vc.Len())
-			scaled := &gs.scaled
-			dev.GPUKernelIdx("Rescale", vc.Len(), costRescale, func(i int) {
-				scaled.Voxels[i] = r.Apply(vc.Voxels[i])
-			})
-			work = scaled
-		}
-		if tiled {
-			sorted, plan, err = e.tiledGeometry(dev, work, frame, gs)
-			return
-		}
-		build, err = paroctree.BuildWith(dev, work, &gs.build)
-		if err != nil {
-			return
-		}
-		gs.wire = build.Tree.SerializeInto(dev, gs.wire)
-		geomRaw = gs.wire
-	})
-	stageDelta := dev.Since(s0)
+	dev.Stage("Geometry", func() { raw, err = e.geometryStage(dev, vc, g) })
+	g.stageDelta = dev.Since(s0)
 	if err != nil {
-		e.putGeom(gs)
+		e.releaseGeom(g)
 		return nil, err
 	}
-	if !tiled {
-		// Layered frames keep the chunk raw here: entropy moves into the
-		// per-layer slices (layer.go), the per-level flush points that make
-		// a base-layer prefix decodable on its own.
-		if e.opts.EntropyGeometry && e.opts.layersFor(vc.Depth) == 0 {
-			// Optional entropy stage (Sec. IV-B3 ablation): ~halves the
-			// geometry stream, costs ~100 ms of serial coding at 1 M points.
-			out := make([]byte, 1, 64+len(geomRaw)/2)
-			out[0] = 1
-			dev.CPUSerial("GeomEntropy", len(geomRaw), costEntropyByte, func() {
-				out = entropy.AppendCompressBytes(out, geomRaw)
-			})
-			frame.Geometry = out
-		} else {
-			frame.Geometry = append([]byte{0}, geomRaw...)
-		}
-		frame.NumPoints = uint32(len(build.Sorted))
-		sorted = build.Sorted
+	if e.opts.EntropyGeometry {
+		// Optional entropy stage (Sec. IV-B3 ablation): ~halves the geometry
+		// stream, costs ~100 ms of serial coding at 1 M points. The units ran
+		// it slice by slice; the board pays for it once per frame, on one
+		// core, over the raw bytes of every unit.
+		dev.CPUSerial("GeomEntropy", raw, costEntropyByte, func() {})
 	}
-	return &GeometryIntermediate{
-		frame:      frame,
-		sorted:     sorted,
-		stageDelta: stageDelta,
-		phaseDelta: dev.Since(s0),
-		split:      true,
-		gs:         gs,
-		plan:       plan,
-	}, nil
+	g.phaseDelta = dev.Since(s0)
+	return g, nil
+}
+
+// geometryStage writes g's frame as units x layers, whatever its shape:
+// rescale, sort and dedup, then one fan-out over the frame's units — the tile
+// plan's ranges, or the one range [0, n) — in which every unit sweeps its
+// leaf range and writes its geometry slices (tileGeom.encode), then one
+// concatenation into frame.Geometry. It fills the tile records and the layer
+// directory but for their AttrLen, which the attribute phase owns, and
+// returns the raw occupancy bytes the units wrote. The unit bodies book
+// nothing; the stage books from counts: the paper's build and pack kernels
+// off the one tree of an untiled frame, one TileGeometry row over a tiled
+// one.
+func (e *Encoder) geometryStage(dev *edgesim.Device, vc *geom.VoxelCloud, g *GeometryIntermediate) (raw int, err error) {
+	frame, gs := g.frame, g.gs
+	if !e.opts.Lossless {
+		// Tight-cuboid rescale: the source of the parallel pipeline's
+		// small geometry loss (Sec. IV-B3).
+		r := paroctree.FitRescale(vc)
+		frame.HasRescale = true
+		frame.Rescale = r
+		gs.scaled.Depth = vc.Depth
+		gs.scaled.Voxels = grow(gs.scaled.Voxels, vc.Len())
+		scaled := &gs.scaled
+		dev.GPUKernelIdx("Rescale", vc.Len(), costRescale, func(i int) {
+			scaled.Voxels[i] = r.Apply(vc.Voxels[i])
+		})
+		vc = scaled
+	}
+	sorted, leaves, err := paroctree.SortWith(dev, vc, &gs.build)
+	if err != nil {
+		return 0, err
+	}
+	n, depth := len(leaves), vc.Depth
+	gs.cuts = append(gs.cuts[:0], 0, n)
+	plan := tilePlan{cuts: gs.cuts}
+	if e.opts.Tiles > 1 {
+		plan = planTilesIn(gs, n, e.opts.Tiles, e.opts.IntraAttr.Segments, e.opts.Inter.Segments, e.opts.Design.UsesInter())
+		frame.Tiles = make([]TileInfo, plan.units())
+	}
+	cols := max(e.opts.layersFor(depth), 1)
+	if cols > 1 {
+		frame.Layer = newLayerDir(plan.units(), cols, depth)
+	}
+	for len(gs.tiles) < plan.units() {
+		gs.tiles = append(gs.tiles, tileGeom{})
+	}
+	tiles := gs.tiles[:plan.units()]
+	dev.ParallelFor(len(tiles), func(u0, u1 int) {
+		for u := u0; u < u1; u++ {
+			var spans []LayerSpan
+			if frame.Layer != nil {
+				spans = frame.Layer.Units[u]
+			}
+			tg, seg := &tiles[u], leaves[plan.cuts[u]:plan.cuts[u+1]]
+			if tg.encode(seg, depth, cols, spans, e.opts.EntropyGeometry); tg.err == nil && frame.Tiled() {
+				frame.Tiles[u] = tileRecord(seg, frame, len(tg.chunk))
+			}
+		}
+	})
+	total := 0
+	for u := range tiles {
+		if tiles[u].err != nil {
+			return 0, tiles[u].err
+		}
+		total += len(tiles[u].chunk)
+		raw += tiles[u].rawLen
+	}
+	if frame.Tiled() {
+		dev.GPUNoop("TileGeometry", n, costTileGeom)
+	} else {
+		tiles[0].tree.Book(dev)
+	}
+	frame.Geometry = make([]byte, 0, total)
+	for u := range tiles {
+		frame.Geometry = append(frame.Geometry, tiles[u].chunk...)
+	}
+	frame.NumPoints = uint32(n)
+	g.sorted, g.plan = sorted, plan
+	return raw, nil
 }
 
 // unitEncoder is one unit's encode scratch: the two attribute stages' working
@@ -182,13 +210,14 @@ type unitEncoder struct {
 // own segment grid — the tile plan's when the frame is tiled, otherwise
 // `windows` contiguous ranges w·nSeg/W (production passes dev.Workers(); an
 // empty window is valid) — and one fan-out runs the stage's encode body over
-// them, unit w on window w. The stage's framing then appends the result to
-// the frame's attribute buffer: one stream over every window, or one
-// self-contained stream per tile. The bodies book nothing; the untiled
-// framing books the paper's kernels and the tiled path one TileAttr row, from
-// counts. It performs the reference handoff: I-frames of inter designs
-// install their reconstruction under refMu after the last point the frame
-// can fail at, P-frames read it.
+// them, unit w on window w. The stage's framing then appends each unit of the
+// frame to the attribute buffer in directory order — on a layered frame its
+// base medians first — as one stream over every window, or one self-contained
+// stream per tile, and closes the AttrLen fields the geometry phase left
+// open. The bodies book nothing; the untiled framing books the paper's
+// kernels and the tiled path one TileAttr row, from counts. It performs the
+// reference handoff: I-frames of inter designs install their reconstruction
+// under refMu after the last point the frame can fail at, P-frames read it.
 func (e *Encoder) proposedAttr(g *GeometryIntermediate, isP bool, windows int) (*EncodedFrame, edgesim.Snapshot, error) {
 	frame, sorted, plan, dev := g.frame, g.sorted, g.plan, e.dev
 	n := len(sorted)
@@ -196,13 +225,13 @@ func (e *Encoder) proposedAttr(g *GeometryIntermediate, isP bool, windows int) (
 	// the next reference; the intra body produces it as a by-product (no
 	// decode round-trip).
 	needRef := !isP && e.opts.Design.UsesInter()
-	tiled := plan.tiles() > 0
+	tiled, ld := frame.Tiled(), frame.Layer
 	grid, cuts, segments, mode := plan.intraBounds, plan.intraSeg, e.opts.IntraAttr.Segments, byte(0)
 	if isP {
 		grid, cuts, segments, mode = plan.interBounds, plan.interSeg, e.opts.Inter.Segments, 1
 	}
 	if tiled {
-		windows = plan.tiles()
+		windows = plan.units()
 	} else {
 		e.grid = attr.SegmentBoundsIn(e.grid, n, segments)
 		grid = e.grid
@@ -224,6 +253,13 @@ func (e *Encoder) proposedAttr(g *GeometryIntermediate, isP bool, windows int) (
 	s1 := dev.Snapshot()
 	dev.Stage("Attribute", func() {
 		var ref []uint32
+		if !isP || ld != nil {
+			// The colour column: the intra body's input, the base medians'.
+			e.colors = grow(e.colors, n)
+			for i, k := range sorted {
+				e.colors[i] = k.Voxel.C
+			}
+		}
 		if isP {
 			ref = e.plane()
 			e.pPack = grow(e.pPack, n)
@@ -233,10 +269,6 @@ func (e *Encoder) proposedAttr(g *GeometryIntermediate, isP bool, windows int) (
 			e.iGrid = attr.SegmentBoundsIn(e.iGrid, len(ref), segments)
 			e.interCols.Reset(grid, e.iGrid, e.opts.Inter, windows)
 		} else {
-			e.colors = grow(e.colors, n)
-			for i, k := range sorted {
-				e.colors[i] = k.Voxel.C
-			}
 			if needRef {
 				e.recon = grow(e.recon, n)
 			}
@@ -268,34 +300,41 @@ func (e *Encoder) proposedAttr(g *GeometryIntermediate, isP bool, windows int) (
 		if isP {
 			e.lastInterStats = sum
 		}
-		if !tiled {
-			if out = append(out, mode); isP {
-				out = e.interCols.AppendFrame(dev, out)
-			} else {
-				out = e.intraCols.AppendFrame(dev, out)
-			}
-			return
-		}
-		if isP {
+		if tiled && isP {
 			cost := costTileInterBase
 			cand := max(e.opts.Inter.Candidates, 1)
 			cost.OpsPerItem += 16 * float64(cand)
 			cost.BytesPerItem += 7 * float64(cand)
 			dev.GPUNoop("TileAttrInter", n, cost)
-		} else {
+		} else if tiled {
 			dev.GPUNoop("TileAttrIntra", n, costTileIntra)
 		}
-		for t := range units {
-			at := len(out)
-			if out = append(out, mode); isP {
-				out, err = e.interCols.EncodePTile(out, t)
-			} else {
-				out, err = e.intraCols.EncodeIntraTile(out, t)
+		for u := 0; u < plan.units(); u++ {
+			at, lo, hi := len(out), plan.cuts[u], plan.cuts[u+1]
+			if ld != nil {
+				out = e.appendBaseLayer(out, ld, sorted[lo:hi], e.colors[lo:hi], &units[0].intra)
+				ld.Units[u][0].AttrLen = uint32(len(out) - at)
+			}
+			top := len(out)
+			switch out = append(out, mode); {
+			case !tiled && isP:
+				out = e.interCols.AppendFrame(dev, out)
+			case !tiled:
+				out = e.intraCols.AppendFrame(dev, out)
+			case isP:
+				out, err = e.interCols.EncodePTile(out, u)
+			default:
+				out, err = e.intraCols.EncodeIntraTile(out, u)
 			}
 			if err != nil {
 				return
 			}
-			frame.Tiles[t].AttrLen = uint32(len(out) - at)
+			if ld != nil {
+				ld.Units[u][ld.Layers-1].AttrLen = uint32(len(out) - top)
+			}
+			if tiled {
+				frame.Tiles[u].AttrLen = uint32(len(out) - at)
+			}
 		}
 	})
 	attrDelta := dev.Since(s1)
@@ -307,9 +346,6 @@ func (e *Encoder) proposedAttr(g *GeometryIntermediate, isP bool, windows int) (
 	frame.Type = IFrame
 	if isP {
 		frame.Type = PFrame
-	}
-	if err := e.layerize(frame, sorted); err != nil {
-		return nil, edgesim.Snapshot{}, err
 	}
 	if needRef {
 		// Install the reference exactly as the decoder will see it — the

@@ -72,60 +72,59 @@ func BenchmarkEncodeSteadyState(b *testing.B) {
 
 // TestSteadyStateAllocsPerFrame is the allocation-regression gate: after a
 // one-session warmup, steady-state encoding must stay under a hard
-// allocs/frame cap. The caps sit 10% above the measurement at 1500/2500
-// segments on two cores, which is the same in plain and -race builds because
-// nothing on the path is pooled — the encoder indexes its units and keeps its
-// geometry arenas on a free list: IntraOnly 89.0, IntraInterV1 85.0 and
-// IntraInterV1 over 8 tiles 47.0 allocations per frame (74.0 / 70.0 / 31.0
-// at GOMAXPROCS=1). What is left is the escaping frame and its payloads, the
-// sort's per-pass dispatch, the fan-out's closure and a key string per ledger
-// row; the geometry sweep and the attribute bodies allocate nothing. With the
-// four pools the attribute path used to draw from, the same rows read 120.0 /
-// 102.7 / 76.3 in a plain build and 140.7 / 122.5 / 183.0 under -race, where
-// sync.Pool drops a quarter of its Puts; the pre-arena figures (~45k/~36k
-// allocs/frame) fail the caps by two orders of magnitude.
+// allocs/frame cap and allocate little more than the frames it returns.
+// MEASURED
 func TestSteadyStateAllocsPerFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full frames")
 	}
 	frames := steadyFrames(t, 60)
 	for _, row := range []struct {
-		design Design
-		tiles  int
-		cap    float64
+		design        Design
+		tiles, layers int
+		capAllocs     float64 // per frame
+		capBytes      float64 // per frame, in units of the wire frame
 	}{
-		{IntraOnly, 0, 98},
-		{IntraInterV1, 0, 94},
-		{IntraInterV1, 8, 52},
+		{IntraOnly, 0, 0, 98, 1.25},
+		{IntraInterV1, 0, 0, 94, 1.25},
+		{IntraInterV1, 8, 0, 52, 1.25},
+		{IntraInterV1, 8, 3, 80, 1.25},
 	} {
 		name := row.design.String()
 		if row.tiles > 0 {
 			name = fmt.Sprintf("%s/tiles=%d", name, row.tiles)
 		}
+		if row.layers > 0 {
+			name = fmt.Sprintf("%s/layers=%d", name, row.layers)
+		}
 		t.Run(name, func(t *testing.T) {
 			opts := steadyOpts(row.design)
-			opts.Tiles = row.tiles
+			opts.Tiles, opts.Layers = row.tiles, row.layers
 			enc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), opts)
 			for _, f := range frames { // warmup session
 				if _, _, err := enc.EncodeFrame(f); err != nil {
 					t.Fatal(err)
 				}
 			}
-			allocs := testing.AllocsPerRun(1, func() {
-				for _, f := range frames {
-					if _, _, err := enc.EncodeFrame(f); err != nil {
-						t.Fatal(err)
-					}
+			var before, after runtime.MemStats
+			var wire int64
+			runtime.ReadMemStats(&before)
+			for _, f := range frames {
+				ef, _, err := enc.EncodeFrame(f)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-			perFrame := allocs / 60
-			t.Logf("%s: %.1f allocs/frame (cap %.0f)", name, perFrame, row.cap)
-			if perFrame > row.cap {
-				t.Errorf("%s steady-state allocations regressed: %.1f allocs/frame > cap %.0f", name, perFrame, row.cap)
+				wire += ef.Size()
+			}
+			runtime.ReadMemStats(&after)
+			allocs := float64(after.Mallocs-before.Mallocs) / 60
+			perWire := float64(after.TotalAlloc-before.TotalAlloc) / float64(wire)
+			t.Logf("%s: %.1f allocs/frame (cap %.0f), %.2f x the %d B wire frame (cap %.2f)", name, allocs, row.capAllocs, perWire, wire/60, row.capBytes)
+			if allocs > row.capAllocs || perWire > row.capBytes {
+				t.Errorf("%s steady-state encode allocations regressed", name)
 			}
 		})
 	}
-	runtime.KeepAlive(frames)
 }
 
 // BenchmarkDecodeSteadyState is the decode side of

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/edgesim"
-	"repro/internal/entropy"
 	"repro/internal/geom"
 	"repro/internal/morton"
 	"repro/internal/paroctree"
@@ -45,11 +44,13 @@ var (
 	costTileInterBase = edgesim.Cost{OpsPerItem: 1200, BytesPerItem: 30} // + Candidates-proportional match term
 )
 
-// tilePlan is a frame's tile partition: point-index cuts (len tiles+1) and
-// the matching segment-index windows in the intra grid and — for inter
-// designs — the inter grid. The bounds slices are the grids themselves
-// (intraBounds over the frame's n for IntraAttr.Segments, interBounds for
-// Inter.Segments). All slices alias the geometry arena.
+// tilePlan is a frame's partition into units: point-index cuts (len units+1)
+// and, for a tiled frame, the matching segment-index windows in the intra
+// grid and — for inter designs — the inter grid. The bounds slices are the
+// grids themselves (intraBounds over the frame's n for IntraAttr.Segments,
+// interBounds for Inter.Segments). An untiled frame is the one unit [0, n)
+// and has no windows: the attribute phase cuts its own. All slices alias the
+// geometry arena.
 type tilePlan struct {
 	cuts        []int
 	intraSeg    []int
@@ -58,22 +59,20 @@ type tilePlan struct {
 	interBounds []int
 }
 
-// tiles returns the number of tiles (0 = untiled frame).
-func (p tilePlan) tiles() int {
-	if len(p.cuts) == 0 {
-		return 0
-	}
-	return len(p.cuts) - 1
-}
+// units returns the number of units: the tiles, or 1 for an untiled frame.
+func (p tilePlan) units() int { return len(p.cuts) - 1 }
 
-// tileGeom is one tile's geometry scratch, indexed by tile in the frame's
-// geomScratch: the subtree serializer's arena, the raw stream when the
-// entropy stage follows, the finished chunk and what the tile failed with.
+// tileGeom is one unit's geometry scratch, indexed by unit in the frame's
+// geomScratch: the sweep's arena and the tree it last built, the raw levels
+// of the slice being written, the unit's finished chunk — its slices back to
+// back — with the raw bytes that went into it, and what the unit failed with.
 type tileGeom struct {
-	geo   paroctree.TileScratch
-	raw   []byte
-	chunk []byte
-	err   error
+	geo    paroctree.TileScratch
+	tree   *paroctree.Tree
+	raw    []byte
+	chunk  []byte
+	rawLen int
+	err    error
 }
 
 // planTilesIn partitions n sorted points into at most tiles contiguous
@@ -145,67 +144,38 @@ func planTilesIn(gs *geomScratch, n, tiles, segIntra, segInter int, useInter boo
 	return plan
 }
 
-// tiledGeometry is the geometry half of the tiled encode: sort + dedup via
-// the parallel front half of the octree pipeline, plan the cuts, then fan
-// one self-contained subtree serialization per tile across the pool. It
-// fills frame.Tiles (AttrLen left for the attribute phase), frame.Geometry
-// and frame.NumPoints.
-func (e *Encoder) tiledGeometry(dev *edgesim.Device, work *geom.VoxelCloud, frame *EncodedFrame, gs *geomScratch) ([]morton.Keyed, tilePlan, error) {
-	sorted, leaves, err := paroctree.SortWith(dev, work, &gs.build)
-	if err != nil {
-		return nil, tilePlan{}, err
+// encode is one unit's geometry body, a pool leaf that books nothing: the
+// sweep over the unit's leaf range, then the unit's cols geometry slices —
+// the whole stream when cols is 1, otherwise cut at layerLevels — each
+// written as one [mode][levels] chunk straight from the tree's per-level
+// masks into the unit's chunk buffer. spans is the unit's row of the layer
+// directory (nil when unlayered); its GeomLen column is filled here.
+func (tg *tileGeom) encode(leaves []morton.Code, depth uint, cols int, spans []LayerSpan, entropyOn bool) {
+	tg.chunk, tg.rawLen = tg.chunk[:0], 0
+	if tg.tree, tg.err = tg.geo.Sweep(leaves, depth); tg.err != nil {
+		return
 	}
-	n := len(leaves)
-	plan := planTilesIn(gs, n, e.opts.Tiles, e.opts.IntraAttr.Segments, e.opts.Inter.Segments, e.opts.Design.UsesInter())
-	nT := plan.tiles()
-	for len(gs.tiles) < nT {
-		gs.tiles = append(gs.tiles, tileGeom{})
-	}
-	tiles := gs.tiles[:nT]
-	frame.Tiles = make([]TileInfo, nT)
-	infos := frame.Tiles
-	depth := work.Depth
-	// Layered frames keep per-tile chunks raw: entropy moves into the
-	// per-layer slices (layer.go).
-	entropyOn := e.opts.EntropyGeometry && e.opts.layersFor(depth) == 0
-	hasR, resc := frame.HasRescale, frame.Rescale
-	dev.GPUCompute("TileGeometry", n, costTileGeom, func() {
-		dev.ParallelFor(nT, func(t0, t1 int) {
-			for t := t0; t < t1; t++ {
-				tg := &tiles[t]
-				lo, hi := plan.cuts[t], plan.cuts[t+1]
-				seg := leaves[lo:hi]
-				if entropyOn {
-					if tg.raw, tg.err = tg.geo.SerializeSubtree(seg, depth, tg.raw[:0]); tg.err != nil {
-						continue
-					}
-					tg.chunk = entropy.AppendCompressBytes(append(tg.chunk[:0], 1), tg.raw)
-				} else if tg.chunk, tg.err = tg.geo.SerializeSubtree(seg, depth, append(tg.chunk[:0], 0)); tg.err != nil {
-					continue
-				}
-				mn, mx, _ := morton.Bounds(seg)
-				if hasR {
-					vmin := resc.Invert(geom.Voxel{X: mn[0], Y: mn[1], Z: mn[2]})
-					vmax := resc.Invert(geom.Voxel{X: mx[0], Y: mx[1], Z: mx[2]})
-					mn = [3]uint32{vmin.X, vmin.Y, vmin.Z}
-					mx = [3]uint32{vmax.X, vmax.Y, vmax.Z}
-				}
-				infos[t] = TileInfo{Points: uint32(hi - lo), GeomLen: uint32(len(tg.chunk)), Min: mn, Max: mx}
-			}
-		})
-	})
-	total := 0
-	for t := range tiles {
-		if tiles[t].err != nil {
-			return nil, tilePlan{}, tiles[t].err
+	for lay := 0; lay < cols; lay++ {
+		lo, hi := layerLevels(depth-uint(cols)+1, uint(lay))
+		tg.raw = tg.tree.AppendLevels(tg.raw[:0], lo, hi)
+		tg.rawLen += len(tg.raw)
+		at := len(tg.chunk)
+		if tg.chunk = appendGeomChunk(tg.chunk, tg.raw, entropyOn); spans != nil {
+			spans[lay].GeomLen = uint32(len(tg.chunk) - at)
 		}
-		total += len(tiles[t].chunk)
 	}
-	out := make([]byte, 0, total)
-	for t := range tiles {
-		out = append(out, tiles[t].chunk...)
+}
+
+// tileRecord returns the tile record of a unit whose leaves and geometry
+// chunk length are given: its point count and its AABB in the frame's
+// original lattice. AttrLen is left for the attribute phase.
+func tileRecord(leaves []morton.Code, frame *EncodedFrame, geomLen int) TileInfo {
+	mn, mx, _ := morton.Bounds(leaves)
+	if frame.HasRescale {
+		vmin := frame.Rescale.Invert(geom.Voxel{X: mn[0], Y: mn[1], Z: mn[2]})
+		vmax := frame.Rescale.Invert(geom.Voxel{X: mx[0], Y: mx[1], Z: mx[2]})
+		mn = [3]uint32{vmin.X, vmin.Y, vmin.Z}
+		mx = [3]uint32{vmax.X, vmax.Y, vmax.Z}
 	}
-	frame.Geometry = out
-	frame.NumPoints = uint32(n)
-	return sorted, plan, nil
+	return TileInfo{Points: uint32(len(leaves)), GeomLen: uint32(geomLen), Min: mn, Max: mx}
 }

@@ -26,7 +26,6 @@ package paroctree
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/edgesim"
 	"repro/internal/geom"
@@ -145,11 +144,11 @@ func (t *Tree) sweep(leaves []morton.Code, depth uint) error {
 	return nil
 }
 
-// appendStream appends the BFS occupancy stream to dst: every level's
-// masks, root first, leaf level (no masks) excluded.
-func (t *Tree) appendStream(dst []byte) []byte {
-	dst = slices.Grow(dst, t.internal)
-	for _, m := range t.masks[:t.Depth] {
+// AppendLevels appends mask levels [lo, hi) of the BFS occupancy stream to
+// dst, coarsest first: [0, Depth) is the whole stream (the leaf level carries
+// no masks), and any cut between two levels is a layer boundary.
+func (t *Tree) AppendLevels(dst []byte, lo, hi uint) []byte {
+	for _, m := range t.masks[lo:hi] {
 		dst = append(dst, m...)
 	}
 	return dst
@@ -170,6 +169,13 @@ func bookBuild(dev *edgesim.Device, t *Tree) {
 	total := t.internal + t.NumLeaves
 	dev.GPUNoop("OccupyBits", total-1, costOccupy)
 	dev.GPUNoop("OccupyPack", total, costPack)
+}
+
+// Book is bookBuild plus SerializeInto's pack row: the whole ledger of a tree
+// built by TileScratch.Sweep and written out with AppendLevels.
+func (t *Tree) Book(dev *edgesim.Device) {
+	bookBuild(dev, t)
+	dev.GPUNoop("SerializePack", t.internal, costPack)
 }
 
 // ErrNoPoints is returned when building from an empty cloud.
@@ -233,9 +239,9 @@ func BuildWith(dev *edgesim.Device, vc *geom.VoxelCloud, s *BuildScratch) (*Buil
 // SortWith runs only the front half of the construction — Morton code
 // generation, data-parallel sort, and deduplication (kernels 1-3 of
 // BuildWith, identical accounting) — returning the sorted keyed voxels and
-// the leaf-code column without building the tree. The tiled encode path
-// uses this: each tile then sweeps its own leaf range
-// (TileScratch.SerializeSubtree). Both results alias the scratch.
+// the leaf-code column without building the tree. The codec's geometry phase
+// uses this: each unit of the frame then sweeps its own leaf range
+// (TileScratch.Sweep). Both results alias the scratch.
 func SortWith(dev *edgesim.Device, vc *geom.VoxelCloud, s *BuildScratch) ([]morton.Keyed, []morton.Code, error) {
 	if vc.Len() == 0 {
 		return nil, nil, ErrNoPoints

@@ -33,7 +33,7 @@ func (t *Tree) Serialize(dev *edgesim.Device) []byte {
 // booked as the paper's pack kernel over the nodes that have children.
 func (t *Tree) SerializeInto(dev *edgesim.Device, dst []byte) []byte {
 	dev.GPUNoop("SerializePack", t.internal, costPack)
-	return t.appendStream(dst[:0])
+	return t.AppendLevels(dst[:0], 0, t.Depth)
 }
 
 // ErrBadStream reports a malformed occupancy stream.
@@ -89,19 +89,6 @@ func scanWhole(off *[maxLevels]int, stream []byte, depth uint, want int) (leaves
 		err = fmt.Errorf("%w: %d leaves, want %d", ErrBadStream, leaves, want)
 	}
 	return leaves, err
-}
-
-// LevelOffsets returns each level's first byte offset in a whole BFS
-// occupancy stream: off[d] is where depth d's masks start (depth+1 entries,
-// off[depth] == len(stream)), plus the leaf count. This is how a consumer
-// finds the per-level cut points without retaining any octree state.
-// Truncation, zero masks and trailing bytes are ErrBadStream.
-func LevelOffsets(stream []byte, depth uint) (off []int, leaves int, err error) {
-	var tab [maxLevels]int
-	if leaves, err = scanWhole(&tab, stream, depth, -1); err != nil {
-		return nil, 0, err
-	}
-	return tab[: depth+1 : depth+1], leaves, nil
 }
 
 // expand is the one stream expander: given scanLevels' offsets it regenerates

@@ -16,19 +16,28 @@ package paroctree
 import "repro/internal/morton"
 
 // TileScratch is the reusable level arena for one tile's sweep. A scratch
-// must not be shared by concurrent tiles — the tiled encoder holds one per
-// worker slot.
+// must not be shared by concurrent tiles — the encoder holds one per unit.
 type TileScratch struct{ tree Tree }
 
-// SerializeSubtree appends the BFS occupancy stream of the octree over the
-// given sorted, strictly-ascending leaf codes to dst and returns it. The
-// leaves must be a subset of a depth-deep lattice (codes < 8^depth);
-// Deserialize(stream, depth) recovers exactly these leaves.
-func (s *TileScratch) SerializeSubtree(leaves []morton.Code, depth uint, dst []byte) ([]byte, error) {
+// Sweep builds the octree over the given sorted, strictly-ascending leaf
+// codes, a subset of a depth-deep lattice (codes < 8^depth). The tree aliases
+// the scratch and the leaves, and is valid until the next Sweep.
+func (s *TileScratch) Sweep(leaves []morton.Code, depth uint) (*Tree, error) {
 	if err := s.tree.sweep(leaves, depth); err != nil {
 		return nil, err
 	}
-	return s.tree.appendStream(dst), nil
+	return &s.tree, nil
+}
+
+// SerializeSubtree appends the BFS occupancy stream of the octree over the
+// given leaves (see Sweep) to dst and returns it; Deserialize(stream, depth)
+// recovers exactly these leaves.
+func (s *TileScratch) SerializeSubtree(leaves []morton.Code, depth uint, dst []byte) ([]byte, error) {
+	t, err := s.Sweep(leaves, depth)
+	if err != nil {
+		return nil, err
+	}
+	return t.AppendLevels(dst, 0, depth), nil
 }
 
 // DeserializeSerial is DeserializeInto without a device, the per-tile decode
