@@ -163,15 +163,20 @@ type FrameStats struct {
 // geometry phase touches no mutable encoder state but the free list of its
 // arenas, which refMu guards along with the reference handoff.
 //
-// For the proposed designs an Encoder owns its working memory and reuses it
-// from frame to frame: the geometry arenas (a free list, because look-ahead
-// geometry phases overlap; one travels with each frame between its two
-// phases) and the attribute phase's arena — the frame-wide colour columns
-// and planes, the two stages' Columns, and one scratch per unit, indexed by
-// unit, never pooled. What escapes is the EncodedFrame and its byte slices
-// (Geometry, Attr, the tile and layer directories), freshly allocated, the
-// caller's to keep; nothing else does, and nothing the Encoder keeps aliases
-// a frame it has returned.
+// For the proposed designs a frame is units x layers — the tiles of a tiled
+// frame or the whole frame, by the layers of a layered one or one — and each
+// phase writes its stream in that shape once: the one geometry phase every
+// unit's geometry slices, with the directories' point counts, AABBs and
+// GeomLen; the one attribute phase every unit's attribute bytes, with the
+// AttrLen fields geometry left open. An Encoder owns its working memory and
+// reuses it from frame to frame: the geometry arenas (a free list, because
+// look-ahead geometry phases overlap; one travels with each frame between its
+// two phases), one geometry scratch per unit in each, and the attribute
+// phase's arena — the frame-wide colour columns and planes, the two stages'
+// Columns, and one scratch per unit, indexed by unit, never pooled. What
+// escapes is the EncodedFrame and its byte slices (Geometry, Attr, the tile
+// and layer directories), freshly allocated, the caller's to keep; nothing
+// else does, and nothing the Encoder keeps aliases a frame it has returned.
 type Encoder struct {
 	dev  *edgesim.Device
 	opts Options

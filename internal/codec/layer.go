@@ -14,19 +14,27 @@ package codec
 // prefix is a complete coarse octree (pcc/progressive.go). With L layers
 // over a depth-D tree, BaseLevel = D-L+1: layer 0 carries mask levels
 // [0, BaseLevel), and enhancement layer l carries exactly mask level
-// BaseLevel+l-1 — each enhancement refines the cloud by one octree level.
-// Every layer is wrapped [mode][payload] like the unlayered geometry chunk
-// (0 = raw, 1 = entropy). Entropy, when enabled, is coded PER LAYER: that
-// is the per-level flush point progressive decode needs — base-layer
-// decode touches only base-layer bytes, never the tail of a frame-wide
-// entropy stream.
+// BaseLevel+l-1 — each enhancement refines the cloud by one octree level
+// (layerLevels). Every layer is wrapped [mode][payload] like the unlayered
+// geometry chunk (0 = raw, 1 = entropy). Entropy, when enabled, is coded PER
+// LAYER: that is the per-level flush point progressive decode needs —
+// base-layer decode touches only base-layer bytes, never the tail of a
+// frame-wide entropy stream.
 //
 // Attribute cut rule: the top layer carries the unit's complete original
 // attribute chunk verbatim (full-subscription decode is exactly the
 // unlayered decode); layer 0 carries one RGB median per base-level cell
-// (mode byte 2, attr.EncodeBaseMedians) computed from the CURRENT frame's
+// (mode byte 2, attr.AppendBaseMedians) computed from the CURRENT frame's
 // colours, so a partial subscription decodes standalone — P-frames
 // included, no reference needed; middle layers carry no attribute bytes.
+//
+// Nothing rewrites a finished frame into this form: the layers are what the
+// two phases write. The geometry phase (proposed.go) derives L and BaseLevel
+// once per frame, allocates the directory and has every unit write its L
+// geometry slices straight from its tree's per-level masks, filling each
+// span's GeomLen; the attribute phase writes a unit's base medians ahead of
+// its stream and fills the AttrLen of layers 0 and L-1. This file holds the
+// format, the cut rule and the partial decode.
 
 import (
 	"repro/internal/attr"

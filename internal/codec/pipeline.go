@@ -24,19 +24,21 @@ import (
 type GeometryIntermediate struct {
 	// cloud is retained for designs whose encode cannot be split; their
 	// whole frame is coded inside FinishFrame.
-	cloud  *geom.VoxelCloud
+	cloud *geom.VoxelCloud
+	// frame is complete but for Attr, Type and the AttrLen column of its tile
+	// and layer directories, which the attribute phase fills.
 	frame  *EncodedFrame
 	sorted []morton.Keyed
 	// stageDelta is the "Geometry" stage cost alone (FrameStats.GeometryTime);
-	// phaseDelta additionally includes the optional geometry entropy pass.
+	// phaseDelta additionally includes the optional geometry entropy row.
 	stageDelta edgesim.Snapshot
 	phaseDelta edgesim.Snapshot
 	split      bool
 	// gs is the geometry arena backing sorted; FinishFrame returns it to
 	// the encoder's free list once the frame is complete.
 	gs *geomScratch
-	// plan is the frame's tile partition (empty cuts = untiled). Its slices
-	// alias gs and are valid until FinishFrame releases the arena.
+	// plan is the frame's partition into units (one unit = untiled). Its
+	// slices alias gs and are valid until FinishFrame releases the arena.
 	plan tilePlan
 }
 

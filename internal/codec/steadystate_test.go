@@ -70,10 +70,25 @@ func BenchmarkEncodeSteadyState(b *testing.B) {
 	}
 }
 
-// TestSteadyStateAllocsPerFrame is the allocation-regression gate: after a
-// one-session warmup, steady-state encoding must stay under a hard
-// allocs/frame cap and allocate little more than the frames it returns.
-// MEASURED
+// TestSteadyStateAllocsPerFrame is the encode side's allocation gate: after
+// a one-session warmup, a session of steady-state encoding stays under a hard
+// allocs/frame cap and allocates little more than the frames it returns, for
+// every frame shape — untiled, tiled, layered, and tiles x layers, which is
+// what the streaming servers run. Measured at 1500/2500 segments on two
+// cores: 89.0 / 85.0 / 48.0 / 88.0 / 51.0 allocations per frame (74 / 70 / 32
+// / 73 / 35 at GOMAXPROCS=1) and 1.11-1.12 times the wire frame on every row.
+// The allocation caps sit 10% above the measurement, which is the same in
+// plain and -race builds because nothing on the path is pooled — the encoder
+// indexes its units and keeps its geometry arenas on a free list; the bytes
+// cap is 1.25 times the wire frame. What is left is the escaping frame, its
+// two payloads (Attr sized from the last frame of its type plus an eighth)
+// and its directories, the sort's per-pass dispatch, the fan-outs' closures
+// and a key string per ledger row; the geometry sweep, the unit chunk
+// buffers, the attribute bodies and the base medians allocate nothing. The
+// layered rows read 122.9 and 234.8 allocations and 3.38 and 5.69 times the
+// wire frame while a post-pass rebuilt a finished frame into its layers; the
+// pre-arena figures (~45k/~36k allocs/frame) fail the caps by two orders of
+// magnitude.
 func TestSteadyStateAllocsPerFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full frames")
@@ -88,7 +103,8 @@ func TestSteadyStateAllocsPerFrame(t *testing.T) {
 		{IntraOnly, 0, 0, 98, 1.25},
 		{IntraInterV1, 0, 0, 94, 1.25},
 		{IntraInterV1, 8, 0, 52, 1.25},
-		{IntraInterV1, 8, 3, 80, 1.25},
+		{IntraInterV1, 0, 3, 97, 1.25},
+		{IntraInterV1, 8, 3, 57, 1.25},
 	} {
 		name := row.design.String()
 		if row.tiles > 0 {

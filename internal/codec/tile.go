@@ -1,16 +1,18 @@
 package codec
 
-// Tile-parallel encode (the viewport fan-out tentpole).
+// Tiles: the frame cut into self-contained units (the viewport fan-out
+// tentpole).
 //
 // A tiled frame partitions the sorted, deduplicated voxel sequence into up
 // to Options.Tiles contiguous Morton-key ranges, balanced by point count.
 // Each tile is a fully self-contained unit — its own octree subtree stream,
 // its own attribute stream, its own (optional) entropy slab — so:
 //
-//   - the geometry phase fans one subtree serialization per tile across the
-//     persistent worker pool WITHIN one frame; the attribute phase
-//     (proposed.go) takes the tiles as its windows and frames each on its
-//     own;
+//   - both phases fan out over units WITHIN one frame. There is one geometry
+//     phase (proposed.go): every frame is units x layers, a tiled frame's
+//     units are this file's plan, an untiled frame is the one unit [0, n),
+//     and each unit runs tileGeom.encode. The attribute phase takes the
+//     tiles as its windows and frames each on its own;
 //   - the streaming layer can drop or coarsen individual tiles per viewer
 //     (viewport culling) without touching the encoder, because every
 //     remaining tile still decodes on its own.
@@ -21,6 +23,10 @@ package codec
 // both grids. Per-segment (and per-block) coding is independent, which
 // makes tiled attribute streams decode-exact against the untiled codec —
 // the canonical invariant pinned by the differential tests.
+//
+// The tile directory is written by both phases, never at once: geometry
+// fills a record's Points, GeomLen and AABB before the hand-off, the
+// attribute phase its AttrLen after it.
 
 import (
 	"sort"
@@ -155,8 +161,9 @@ func (tg *tileGeom) encode(leaves []morton.Code, depth uint, cols int, spans []L
 	if tg.tree, tg.err = tg.geo.Sweep(leaves, depth); tg.err != nil {
 		return
 	}
+	base := depth - uint(cols) + 1
 	for lay := 0; lay < cols; lay++ {
-		lo, hi := layerLevels(depth-uint(cols)+1, uint(lay))
+		lo, hi := layerLevels(base, uint(lay))
 		tg.raw = tg.tree.AppendLevels(tg.raw[:0], lo, hi)
 		tg.rawLen += len(tg.raw)
 		at := len(tg.chunk)

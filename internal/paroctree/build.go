@@ -10,9 +10,10 @@
 // child level: every run of children with the same parent becomes one node,
 // and the run's octants are that node's occupy bits. That pass (Tree.sweep)
 // is the only octree construction in the package: the untiled frame is the
-// sweep over all leaves, a tile is the sweep over the tile's leaf range, and
-// the layered and progressive paths cut the stream it emits. Its inverse
-// (scanLevels + expand) is the only stream expander.
+// sweep over all leaves, a tile is the sweep over the tile's leaf range, a
+// layer is a range of its levels (AppendLevels) and the progressive path cuts
+// the stream it emits. Its inverse (scanLevels + expand) is the only stream
+// expander.
 //
 // The sweep and the expander are pure functions of their input. The
 // edgesim ledger is booked beside them, from the level node counts, as the

@@ -1,17 +1,18 @@
 package paroctree
 
-// Per-tile entry points for the tiled encode and decode paths.
+// Per-tile entry points for the codec's unit encode and decode paths.
 //
 // A tile is a contiguous range of the frame's sorted, deduplicated leaf
 // codes. The octree restricted to that subset still roots at code 0 (every
 // leaf's depth-D ancestor is the whole-space root), so the sweep over the
 // range emits a BFS occupancy stream decodable by the ordinary Deserialize
 // with the frame's depth — each tile's geometry slab is self-contained, and
-// one tile over the full leaf set is the untiled stream by construction.
-// Tiles are the unit of parallelism (the codec fans T of these out across
-// the edgesim worker pool inside one frame), so the per-tile bodies must be
-// pool LEAVES: they take no device and book nothing — the codec books the
-// fan-out once as its own kernel.
+// one tile over the full leaf set is the untiled stream by construction,
+// which is how the codec encodes an untiled frame. Tiles are the unit of
+// parallelism (the codec fans T of these out across the edgesim worker pool
+// inside one frame), so the per-tile bodies must be pool LEAVES: they take no
+// device and book nothing — the codec books the fan-out afterwards, from
+// counts (Tree.Book for the one tile of an untiled frame).
 
 import "repro/internal/morton"
 
