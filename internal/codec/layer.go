@@ -96,8 +96,10 @@ func layerDirSize(units, layers int) int {
 
 // layersFor returns the effective layer count for a frame of this depth:
 // Options.Layers clamped so every layer refines by a whole octree level,
-// or 0 when the frame stays unlayered.
-func (o Options) layersFor(depth uint) int {
+// or 0 when the frame stays unlayered. It reads Layers alone, through a
+// pointer: the geometry phase calls it while the attribute phase of an
+// earlier frame may be writing the controller's knobs into other fields.
+func (o *Options) layersFor(depth uint) int {
 	l := o.Layers
 	if l > int(depth) {
 		l = int(depth)

@@ -125,7 +125,7 @@ func (e *Encoder) proposedGeometry(dev *edgesim.Device, vc *geom.VoxelCloud) (*G
 // off the one tree of an untiled frame, one TileGeometry row over a tiled
 // one.
 func (e *Encoder) geometryStage(dev *edgesim.Device, vc *geom.VoxelCloud, g *GeometryIntermediate) (raw int, err error) {
-	frame, gs := g.frame, g.gs
+	frame, gs, work := g.frame, g.gs, vc
 	if !e.opts.Lossless {
 		// Tight-cuboid rescale: the source of the parallel pipeline's
 		// small geometry loss (Sec. IV-B3).
@@ -138,13 +138,13 @@ func (e *Encoder) geometryStage(dev *edgesim.Device, vc *geom.VoxelCloud, g *Geo
 		dev.GPUKernelIdx("Rescale", vc.Len(), costRescale, func(i int) {
 			scaled.Voxels[i] = r.Apply(vc.Voxels[i])
 		})
-		vc = scaled
+		work = scaled
 	}
-	sorted, leaves, err := paroctree.SortWith(dev, vc, &gs.build)
+	sorted, leaves, err := paroctree.SortWith(dev, work, &gs.build)
 	if err != nil {
 		return 0, err
 	}
-	n, depth := len(leaves), vc.Depth
+	n, depth := len(leaves), work.Depth
 	gs.cuts = append(gs.cuts[:0], 0, n)
 	plan := tilePlan{cuts: gs.cuts}
 	if e.opts.Tiles > 1 {
