@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash"
 	"slices"
 	"testing"
 	"time"
@@ -357,6 +358,124 @@ func TestDecodedCloudsPinned(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != sh.want {
 			t.Errorf("%s: decoded clouds hash to %s, want %s", sh.name, got, sh.want)
+		}
+	}
+}
+
+// hashCloud folds a decoded cloud — its length, then every voxel's position
+// and colour — into h, the way TestDecodedCloudsPinned does.
+func hashCloud(h hash.Hash, vc *geom.VoxelCloud) {
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:8], uint64(len(vc.Voxels)))
+	h.Write(b[:8])
+	for _, v := range vc.Voxels {
+		binary.LittleEndian.PutUint32(b[0:], v.X)
+		binary.LittleEndian.PutUint32(b[4:], v.Y)
+		binary.LittleEndian.PutUint32(b[8:], v.Z)
+		b[12], b[13], b[14], b[15] = v.C.R, v.C.G, v.C.B, 0
+		h.Write(b[:])
+	}
+}
+
+// TestPartialDecodesPinned pins what a layer-shed viewer's decoder returns:
+// SHA-256 over every cloud of TestDecodedCloudsPinned's frame set (three GOPs,
+// two frame sizes, I- and P-frames) decoded from the first Sub of three
+// layers — untiled, tiled, and tiled with one tile omitted and one coarse —
+// captured at the commit before the partial decode moved into the one decode
+// phase. The per-layer geometry entropy stage, off or on, decodes to the same
+// clouds, as it must.
+func TestPartialDecodesPinned(t *testing.T) {
+	clouds := append(goldenFrames(t), frames(t, 3)...)
+	culled := map[int]uint8{1: TileOmitted, 2: TileCoarse}
+	for _, sh := range []struct {
+		name  string
+		sub   uint8
+		tiles int
+		marks map[int]uint8
+		want  string
+	}{
+		{"sub 1, untiled", 1, 0, nil, "0a74123cd8323dc60042dba2ad2d65dd1fefbd0fa53b35f0ab2440d8794f2b86"},
+		{"sub 1, tiled", 1, 4, nil, "8a0ddeaa071697df0651934c1c312a7f55ab3ae5070c34eb88039e2099ddee3d"},
+		{"sub 1, tiled, culled", 1, 4, culled, "1f079b7905b2ecc9af086e67f9697bc7f12f77b2150a5097a66f4de3b98f6b56"},
+		{"sub 2, untiled", 2, 0, nil, "e88e8369ca8dd6976bc4a85c28fcd1d23b81ef457c3ae96d50580bd3f4dbccdd"},
+		{"sub 2, tiled", 2, 4, nil, "e364432fe3b3efe28fa09e4e8daa356730c30ba6db1ab0cf0e119d62ca865d07"},
+		{"sub 2, tiled, culled", 2, 4, culled, "7ef5c034ee50487137762f9035d76ffe2a1ab1c4a58ed88efffe75c24be82b2c"},
+	} {
+		for _, entropy := range []bool{false, true} {
+			opts := layerOpts(IntraInterV1, sh.tiles, 3)
+			opts.EntropyGeometry = entropy
+			enc, dec := NewEncoder(dev(), opts), NewDecoder(dev(), opts)
+			h := sha256.New()
+			for i, vc := range clouds {
+				ef, _, err := enc.EncodeFrame(vc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := dec.DecodeFrame(stripLayers(ef, sh.marks, sh.sub))
+				if err != nil {
+					t.Fatalf("%s frame %d (%v): %v", sh.name, i, ef.Type, err)
+				}
+				hashCloud(h, out)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != sh.want {
+				t.Errorf("%s, entropy geometry %v: decoded clouds hash to %s, want %s", sh.name, entropy, got, sh.want)
+			}
+		}
+	}
+}
+
+// TestPartialDecodeLedgerPinned is TestDecodeLedgerPinned for partial
+// subscriptions: the ledger of one I + one P decode of the first Sub of three
+// layers (entropy geometry on), untiled and over four tiles, as captured at
+// the commit before the partial decode moved into the one decode phase.
+func TestPartialDecodeLedgerPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tiles int
+		sub   uint8
+		want  []ledgerRow
+	}{
+		{"sub 1, untiled I+P", 0, 1, []ledgerRow{
+			{"DecodeExpand", "", 16, 36050, 1.0815e+06, 360500, 374156},
+			{"LoDUpscale", "", 2, 51245, 614940, 819920, 70795},
+			{"InverseRescale", "", 2, 51245, 614940, 819920, 70795},
+		}},
+		{"sub 2, untiled I+P", 0, 2, []ledgerRow{
+			{"DecodeExpand", "", 18, 87295, 2.61885e+06, 872950, 491146},
+			{"LoDUpscale", "", 2, 72668, 872016, 1.162688e+06, 83670},
+			{"InverseRescale", "", 2, 72668, 872016, 1.162688e+06, 83670},
+		}},
+		{"sub 1, tiled I+P", 4, 1, []ledgerRow{
+			{"DecodeExpand", "", 64, 36097, 1.08291e+06, 360970, 1334207},
+			{"LoDUpscale", "", 2, 51245, 614940, 819920, 70795},
+			{"InverseRescale", "", 2, 51245, 614940, 819920, 70795},
+		}},
+		{"sub 2, tiled I+P", 4, 2, []ledgerRow{
+			{"DecodeExpand", "", 72, 87344, 2.62032e+06, 873440, 1571197},
+			{"LoDUpscale", "", 2, 72668, 872016, 1.162688e+06, 83670},
+			{"InverseRescale", "", 2, 72668, 872016, 1.162688e+06, 83670},
+		}},
+	} {
+		opts := layerOpts(IntraInterV1, tc.tiles, 3)
+		opts.EntropyGeometry = true
+		enc := NewEncoder(dev(), opts)
+		d := dev()
+		dec := NewDecoder(d, opts)
+		for _, vc := range goldenFrames(t)[:2] {
+			ef, _, err := enc.EncodeFrame(vc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dec.DecodeFrame(stripLayers(ef, nil, tc.sub)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []ledgerRow
+		for _, k := range d.Kernels() {
+			got = append(got, ledgerRow{k.Name, k.Stage, k.Launches, k.Items, k.Ops, k.Bytes, k.SimTime})
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s ledger:\n got %v\nwant %v", tc.name, got, tc.want)
 		}
 	}
 }

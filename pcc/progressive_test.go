@@ -1,6 +1,11 @@
 package pcc
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"testing"
+)
 
 func TestDecodeProgressiveLevels(t *testing.T) {
 	v := testVideo(t)
@@ -185,5 +190,63 @@ func TestDecodeProgressiveRejectsBaseline(t *testing.T) {
 	}
 	if _, _, err := DecodeProgressive(bits, 4); err == nil {
 		t.Fatal("TMC13 stream must not progressively decode")
+	}
+}
+
+// TestDecodeProgressivePinned pins what DecodeProgressive returns at every
+// level — from 0 to one past the depth — of an unlayered raw frame, an
+// unlayered entropy-coded frame and a three-layer frame: SHA-256 over each
+// level's prefix bytes and cloud (positions and the unpopulated colours),
+// captured at the commit before progressive decoding became a geometry-only
+// call of the decoder's one unit body. I- and P-frames read the same: the call
+// never touches attributes.
+func TestDecodeProgressivePinned(t *testing.T) {
+	v := testVideo(t)
+	for _, tc := range []struct {
+		name    string
+		layers  int
+		entropy bool
+		want    string
+	}{
+		{"unlayered raw", 0, false, "824240b965f29e6077fd22d7af4e33b54eabdabf1da396aa0270e2db0e7805d9"},
+		{"unlayered entropy", 0, true, "824240b965f29e6077fd22d7af4e33b54eabdabf1da396aa0270e2db0e7805d9"},
+		{"three layers", 3, false, "35a389d9a87dd84d7bf8b08cb552f1e32e8621c6d9debb513e096dd4ae9be99a"},
+		{"three layers, entropy", 3, true, "07b3967e6eca511db21b54892bfbcb775e8ea67d621f1abd88c5c4b89560c109"},
+	} {
+		o := DefaultOptions(IntraInterV1)
+		o.IntraAttr.Segments, o.Inter.Segments = 300, 500
+		o.Layers, o.EntropyGeometry = tc.layers, tc.entropy
+		enc := NewEncoderOptions(o)
+		h := sha256.New()
+		for fi := 0; fi < 2; fi++ { // I, P
+			f, err := v.Frame(fi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits, _, err := enc.Encode(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for level := uint(0); level <= uint(bits.Depth)+1; level++ {
+				coarse, prefix, err := DecodeProgressive(bits, level)
+				if err != nil {
+					t.Fatalf("%s frame %d level %d: %v", tc.name, fi, level, err)
+				}
+				var b [16]byte
+				binary.LittleEndian.PutUint64(b[0:], uint64(prefix))
+				binary.LittleEndian.PutUint64(b[8:], uint64(coarse.Len()))
+				h.Write(b[:])
+				for _, p := range coarse.Voxels {
+					binary.LittleEndian.PutUint32(b[0:], p.X)
+					binary.LittleEndian.PutUint32(b[4:], p.Y)
+					binary.LittleEndian.PutUint32(b[8:], p.Z)
+					b[12], b[13], b[14], b[15] = p.C.R, p.C.G, p.C.B, 0
+					h.Write(b[:])
+				}
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: progressive decodes hash to %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
