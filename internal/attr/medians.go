@@ -38,18 +38,22 @@ func (s *Scratch) AppendBaseMedians(dst []byte, colors []geom.Color, runs []int)
 	return dst
 }
 
-// DecodeBaseMedians inverts AppendBaseMedians, returning one colour per
-// cell. The stream must be exactly consumed.
-func DecodeBaseMedians(data []byte) ([]geom.Color, error) {
+// DecodeBaseMedians inverts AppendBaseMedians into the caller's window: every
+// colour of cell c — dst[runs[c]:runs[c+1]], runs as AppendBaseMedians takes
+// them over dst — becomes the cell's median. The stream must be exactly
+// consumed and hold exactly the runs' cell count.
+func DecodeBaseMedians(dst []geom.Color, data []byte, runs []int) error {
 	c := NewCursor(data)
 	n, ok := c.Uvarint()
-	if !ok || n > uint64(len(data)) || uint64(c.Len()) != 3*n {
-		return nil, ErrBadStream
+	if !ok || n != uint64(max(len(runs)-1, 0)) || uint64(c.Len()) != 3*n {
+		return ErrBadStream
 	}
-	out := make([]geom.Color, n)
-	for i := range out {
+	for i := 0; i < int(n); i++ {
 		rgb, _ := c.Take(3)
-		out[i] = geom.Color{R: rgb[0], G: rgb[1], B: rgb[2]}
+		med := geom.Color{R: rgb[0], G: rgb[1], B: rgb[2]}
+		for j := runs[i]; j < runs[i+1]; j++ {
+			dst[j] = med
+		}
 	}
-	return out, nil
+	return nil
 }

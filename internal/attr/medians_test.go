@@ -17,9 +17,22 @@ func TestBaseMediansRoundTrip(t *testing.T) {
 	}
 	runs := []int{0, 3, 4, 6}
 	wire := new(Scratch).AppendBaseMedians(nil, colors, runs)
-	meds, err := DecodeBaseMedians(wire)
-	if err != nil {
+	// The inverse paints every colour of a cell with the cell's median; one
+	// colour per cell reads the medians themselves back.
+	meds := make([]geom.Color, len(runs)-1)
+	if err := DecodeBaseMedians(meds, wire, []int{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
+	}
+	painted := make([]geom.Color, len(colors))
+	if err := DecodeBaseMedians(painted, wire, runs); err != nil {
+		t.Fatal(err)
+	}
+	for c := range meds {
+		for i := runs[c]; i < runs[c+1]; i++ {
+			if painted[i] != meds[c] {
+				t.Errorf("colour %d of cell %d painted %v, median %v", i, c, painted[i], meds[c])
+			}
+		}
 	}
 	want := []geom.Color{
 		// cell 0: lower medians of {10,12,11}, {20,18,19}, {30,33,31}
@@ -41,12 +54,11 @@ func TestBaseMediansRoundTrip(t *testing.T) {
 
 func TestBaseMediansEmpty(t *testing.T) {
 	wire := new(Scratch).AppendBaseMedians(nil, nil, []int{0})
-	meds, err := DecodeBaseMedians(wire)
-	if err != nil {
+	if err := DecodeBaseMedians(nil, wire, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if len(meds) != 0 {
-		t.Fatalf("got %d cells from empty encode", len(meds))
+	if err := DecodeBaseMedians(make([]geom.Color, 1), wire, []int{0, 1}); err == nil {
+		t.Fatal("an empty stream painted a cell")
 	}
 }
 
@@ -60,7 +72,7 @@ func TestBaseMediansBadStreams(t *testing.T) {
 		"huge":      {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
 	}
 	for name, b := range cases {
-		if _, err := DecodeBaseMedians(b); err == nil {
+		if err := DecodeBaseMedians(make([]geom.Color, 2), b, []int{0, 1, 2}); err == nil {
 			t.Errorf("%s: decode accepted a malformed stream", name)
 		}
 	}

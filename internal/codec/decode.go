@@ -1,27 +1,43 @@
 package codec
 
-// The proposed designs' decode path.
+// The proposed designs' decode path: one phase over units x (layers read,
+// level decoded).
 //
 // A frame is a grid of units — the tiles of a tiled frame, or the whole
 // frame — by layers, and FrameLayout gives every (unit, layer) span of both
-// streams. Decoding a full subscription is the same two steps for every
-// shape: each unit fills its own window of the Decoder's two frame-wide
-// columns (Morton codes from the unit's geometry layers, colours from its
-// top attribute layer, through the one decode body each stage has), then one
-// fused pass turns codes and colours into the returned voxels. The untiled
-// path runs on the calling core and books the paper's decode kernels beside
-// the bodies; tiles fan out over the worker pool, each with the scratch its
-// own index names, and book one TileDecode.
+// streams. Decoding it to octree level l is the same for every shape and every
+// subscription. One fan-out runs one unit body: the unit unwraps the geometry
+// layers that carry levels up to l, expands them to level l into its window
+// of the Decoder's code column (sizing pass first; the window is the unit's
+// point range of the directory and is never overrun), and colours the window
+// — from its top attribute layer, under the frame's or the tile's framing,
+// when every level was read; from its base-layer medians, one per base-level
+// cell painted over the cell's run of level-l codes, when layers were shed;
+// zeroed for a coarse tile or a geometry-only decode. Then one boundary check
+// (codes strictly ascending across units, a partial decode dropping the
+// boundary cell two tiles share), one fused pass from the two columns to the
+// returned voxels (Morton decode, cell centre on the full lattice, colour,
+// inverse rescale) and one reference rule. A full decode is l = depth; an
+// untiled frame is a plan of one unit, which the fan-out runs on the calling
+// core, booking the paper's decode kernels beside the bodies; tiles run on
+// the worker pool, each with the scratch its own index names, under one
+// TileDecode. DecodeGeometry (pcc.DecodeProgressive) is the same phase with
+// the colours left out.
 //
 // The reference a P-frame predicts from is the last I-frame's colour column
-// (the block pointers index points, never positions). It is installed by
-// swapping the two colour buffers after the last point a decode can fail
-// at, so a failed decode leaves it as it was.
+// (the block pointers index points, never positions). It is decided in one
+// place, after the last point a decode can fail at, so a failed decode leaves
+// it as it was: a full I-frame that decoded a point conceals its omitted
+// tiles and swaps the two colour buffers; any other I-frame — layers shed,
+// or every tile omitted — cannot be predicted from and clears the reference,
+// so that no stream can pair a P-frame with the GOP before; a P-frame never
+// touches it.
 
 import (
 	"errors"
 
 	"repro/internal/attr"
+	"repro/internal/edgesim"
 	"repro/internal/entropy"
 	"repro/internal/geom"
 	"repro/internal/interframe"
@@ -29,17 +45,21 @@ import (
 	"repro/internal/paroctree"
 )
 
-// unitDecoder is one unit's decode scratch: its unwrapped geometry stream
-// and the two attribute stages' arenas. Units decode concurrently, each with
-// the scratch its index names.
+// unitDecoder is one unit's decode scratch: its unwrapped geometry stream,
+// what the sizing pass found in it, the base-cell runs of a partial decode and
+// the two attribute stages' arenas. Units decode concurrently, each with the
+// scratch its index names.
 type unitDecoder struct {
 	raw   []byte
+	lv    paroctree.Levels
+	runs  []int
 	intra attr.DecodeScratch
 	inter interframe.DecodeScratch
-	// outLo is where the unit's voxels start in the returned cloud, and err
-	// what its decode failed with.
-	outLo int
-	err   error
+	// The unit emits codes [lo, lo+n) of the columns — what it expanded, less
+	// a boundary cell the unit before it already emitted — to the returned
+	// cloud from outLo on; err is what its decode failed with.
+	lo, n, outLo int
+	err          error
 }
 
 // maxLeavesPerGeomByte bounds the points a geometry stream can hold per byte
@@ -74,203 +94,225 @@ func appendGeomChunk(dst, raw []byte, entropyOn bool) []byte {
 	return append(append(dst, 0), raw...)
 }
 
-// geometry unwraps unit idx's geometry — one chunk, or one per layer — into
-// the unit's buffer and returns the unit's raw occupancy stream.
-func (u *unitDecoder) geometry(f *EncodedFrame, l *FrameLayout, idx int) ([]byte, error) {
-	raw := u.raw[:0]
-	for lay := 0; lay < l.cols(); lay++ {
-		var err error
-		if raw, err = AppendGeomChunk(raw, l.Geom(f.Geometry, idx, lay)); err != nil {
-			return nil, err
-		}
-	}
-	u.raw = raw
-	return raw, nil
+// decodeView is what one decode reads of a frame and how far it expands it:
+// the leading layers read, the octree level decoded, whether that is every
+// level (full), and whether it is a geometry-only decode (bare): colours left
+// out, and the level possibly inside the last layer read, whose tail then
+// stays unread.
+type decodeView struct {
+	sub        int
+	level      uint
+	full, bare bool
 }
 
 // decodeProposed inverts encodeProposed. The inter designs require frames
 // to be decoded in stream order (P-frames need the preceding I).
 func (d *Decoder) decodeProposed(f *EncodedFrame) (*geom.VoxelCloud, error) {
+	vc, _, err := d.decodeTo(f, uint(f.Depth), false)
+	return vc, err
+}
+
+// DecodeGeometry decodes the geometry of a proposed-design frame to octree
+// level `level` (clamped to what the frame carries), colours zero, on a
+// decoder of its own: the cells of that level at their centres on the full
+// lattice. The second result is how much of the geometry a receiver must hold
+// to show this level: the prefix of the raw occupancy stream, or, for a
+// layered frame, the wire bytes of the layers read — the entropy stage
+// restarts at every layer, so whole layers are the unit.
+func DecodeGeometry(dev *edgesim.Device, f *EncodedFrame, level uint) (*geom.VoxelCloud, int, error) {
+	return (&Decoder{dev: dev}).decodeTo(f, level, true)
+}
+
+// decodeTo is the one decode phase: the frame's units, each reading the
+// layers that carry levels up to want and expanding them that far.
+func (d *Decoder) decodeTo(f *EncodedFrame, want uint, bare bool) (*geom.VoxelCloud, int, error) {
 	l, err := f.Layout()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if l.Layered() && l.Sub < l.Layers {
-		return d.decodeLayeredPartial(f, l)
+	// Layer 0 carries the levels up to BaseLevel, each layer above one more.
+	depth := uint(f.Depth)
+	v := decodeView{sub: 1, level: depth, bare: bare}
+	if l.Layered() {
+		v.sub = min(max(1+int(want)-l.BaseLevel, 1), l.Sub)
+		v.level = uint(l.BaseLevel + v.sub - 1)
 	}
-	for len(d.units) < l.LayerUnits() {
+	v.level = min(v.level, want)
+	v.full = v.level == depth
+
+	units := l.LayerUnits()
+	for len(d.units) < units {
 		d.units = append(d.units, unitDecoder{})
 	}
-	if f.Tiled() {
-		return d.decodeTiled(f, l)
-	}
-	return d.decodeUntiled(f, l)
-}
-
-// decodeUntiled decodes a frame of one unit on the calling core.
-func (d *Decoder) decodeUntiled(f *EncodedFrame, l *FrameLayout) (*geom.VoxelCloud, error) {
-	u := &d.units[0]
-	var raw []byte
-	var err error
-	// The entropy stage of an unlayered frame is the paper's Sec. IV-B3
-	// ablation and is on the ledger; the per-layer slices' never was.
-	if !l.Layered() && len(f.Geometry) > 0 && f.Geometry[0] == 1 {
-		d.dev.CPUSerial("GeomEntropyDecode", len(f.Geometry)-1, costEntropyByte, func() {
-			raw, err = u.geometry(f, l, 0)
-		})
-	} else {
-		raw, err = u.geometry(f, l, 0)
-	}
-	if err != nil {
-		return nil, err
-	}
-	codes, err := paroctree.DeserializeInto(d.dev, d.codes, raw, uint(f.Depth), int(f.NumPoints))
-	if err != nil {
-		return nil, err
-	}
-	d.codes = codes
-	d.dev.GPUNoop("MortonDecode", len(codes), costMortonDecode)
-
-	achunk := l.Attr(f.Attr, 0, l.cols()-1)
-	if len(achunk) == 0 {
-		return nil, ErrBadContainer
-	}
-	d.colors = grow(d.colors, len(codes))
-	switch achunk[0] {
-	case 0: // intra
-		err = u.intra.Decode(d.dev, d.colors, achunk[1:])
-	case 1: // inter
-		if !d.hasRef {
-			return nil, ErrMissingReference
+	included := int(f.NumPoints)
+	for _, ti := range f.Tiles {
+		if ti.Omitted() {
+			included -= int(ti.Points)
 		}
-		err = u.inter.DecodeP(d.dev, d.colors, achunk[1:], d.ref)
-	default:
-		return nil, ErrBadContainer
 	}
-	if err != nil {
-		return nil, err
+	var out []geom.Voxel
+	if included > 0 {
+		if out, err = d.decodeUnits(f, l, v, included); err != nil {
+			return nil, 0, err
+		}
 	}
-
-	out := make([]geom.Voxel, len(codes))
-	emitVoxels(out, codes, d.colors, d.inverter(f, len(codes)))
 	if f.Type == IFrame {
-		d.installRef()
-	}
-	return &geom.VoxelCloud{Depth: uint(f.Depth), Voxels: out}, nil
-}
-
-// decodeTiled inverts the tiled encode. Omitted tiles (per-viewer viewport
-// culling) are simply absent from the output; coarse tiles decode geometry
-// with zeroed colours. I-frames install a FULL-length reference: omitted
-// ranges are concealed by clamping to the nearest included point, so P-tiles
-// keep decoding with global indices even under a moving camera.
-func (d *Decoder) decodeTiled(f *EncodedFrame, l *FrameLayout) (*geom.VoxelCloud, error) {
-	nT := len(f.Tiles)
-	pointOff := l.PointOff
-	included := 0
-	for t, ti := range f.Tiles {
-		d.units[t].outLo, d.units[t].err = included, nil
-		if !ti.Omitted() {
-			included += int(ti.Points)
+		// Omitted ranges of the FULL-length reference are concealed by clamping
+		// to the nearest included point, so P-tiles keep decoding with global
+		// indices even under a moving camera.
+		if d.hasRef = v.full && included > 0; d.hasRef {
+			concealOmitted(d.colors, f.Tiles, l.PointOff)
+			d.ref, d.colors = d.colors, d.ref
 		}
 	}
-	if included == 0 {
-		return &geom.VoxelCloud{Depth: uint(f.Depth)}, nil
+	prefix := d.units[0].lv.Prefix
+	if l.Layered() {
+		prefix = l.GeomOff[v.sub] - l.GeomOff[0]
 	}
-	// The columns are sized from the directory's counts before any tile is
-	// read: refuse counts the geometry bytes cannot hold.
-	if included > maxLeavesPerGeomByte*len(f.Geometry) {
+	return &geom.VoxelCloud{Depth: depth, Voxels: out}, prefix, nil
+}
+
+// decodeUnits fills the columns — one fan-out of the unit body — checks the
+// units against each other and emits the cloud. Omitted tiles (per-viewer
+// viewport culling) are simply absent from it.
+func (d *Decoder) decodeUnits(f *EncodedFrame, l *FrameLayout, v decodeView, included int) ([]geom.Voxel, error) {
+	// The columns are sized from the directory's counts before any unit is
+	// read: refuse counts the geometry bytes cannot hold — a leaf needs a bit
+	// of some mask byte, and every level shed multiplies the leaves under a
+	// cell by at most eight.
+	depth := uint(f.Depth)
+	if included>>(3*(depth-v.level)) > maxLeavesPerGeomByte*len(f.Geometry) {
 		return nil, ErrBadContainer
 	}
 	d.codes = grow(d.codes, int(f.NumPoints))
 	d.colors = grow(d.colors, int(f.NumPoints))
-	dev := d.dev
-	dev.GPUCompute("TileDecode", int(f.NumPoints), costTileGeomDec, func() {
-		dev.ParallelFor(nT, func(t0, t1 int) {
-			for t := t0; t < t1; t++ {
-				d.units[t].err = d.decodeTile(f, l, t)
+	dev, units := d.dev, d.units[:l.LayerUnits()]
+	fan := func() {
+		dev.ParallelFor(len(units), func(u0, u1 int) {
+			for u := u0; u < u1; u++ {
+				units[u].err = d.decodeUnit(f, l, u, v)
 			}
 		})
-	})
-	for t := range f.Tiles {
-		if err := d.units[t].err; errors.Is(err, ErrMissingReference) {
+	}
+	if f.Tiled() {
+		dev.GPUCompute("TileDecode", int(f.NumPoints), costTileGeomDec, fan)
+	} else {
+		fan()
+	}
+	for u := range units {
+		if err := units[u].err; errors.Is(err, ErrMissingReference) {
 			return nil, err
 		}
 	}
-	for t := range f.Tiles {
-		if err := d.units[t].err; err != nil {
+	for u := range units {
+		if err := units[u].err; err != nil {
 			return nil, err
 		}
 	}
 
-	// Included tiles must stay in ascending Morton order across boundaries
-	// (contiguous key ranges of one sorted sequence).
+	// Units are contiguous key ranges of one sorted sequence: their codes stay
+	// strictly ascending across boundaries. Above the leaves, adjacent tiles
+	// may both hold the cell their cut splits: the first tile's wins.
+	emitted := 0
 	var last morton.Code
-	have := false
-	for t, ti := range f.Tiles {
-		if ti.Omitted() {
+	for u := range units {
+		un := &units[u]
+		un.outLo = emitted
+		if un.n == 0 {
 			continue
 		}
-		if have && d.codes[pointOff[t]] <= last {
-			return nil, ErrBadContainer
+		if first := d.codes[un.lo]; emitted > 0 && first <= last {
+			if first < last || v.full {
+				return nil, ErrBadContainer
+			}
+			un.lo, un.n = un.lo+1, un.n-1
 		}
-		last, have = d.codes[pointOff[t+1]-1], true
+		if un.n > 0 {
+			last = d.codes[un.lo+un.n-1]
+			emitted += un.n
+		}
 	}
 
-	out := make([]geom.Voxel, included)
-	dev.GPUNoop("MortonDecode", included, costMortonDecode)
-	inv := d.inverter(f, included)
-	dev.ParallelFor(nT, func(t0, t1 int) {
-		for t := t0; t < t1; t++ {
-			if f.Tiles[t].Omitted() {
-				continue
-			}
-			lo, hi := pointOff[t], pointOff[t+1]
-			emitVoxels(out[d.units[t].outLo:][:hi-lo], d.codes[lo:hi], d.colors[lo:hi], inv)
+	out := make([]geom.Voxel, emitted)
+	if f.Tiled() {
+		dev.GPUNoop("MortonDecode", emitted, costMortonDecode)
+	}
+	inv := d.inverter(f, emitted)
+	dev.ParallelFor(len(units), func(u0, u1 int) {
+		for u := u0; u < u1; u++ {
+			un := &units[u]
+			emitVoxels(out[un.outLo:][:un.n], d.codes[un.lo:][:un.n], d.colors[un.lo:][:un.n], depth-v.level, inv)
 		}
 	})
-
-	if f.Type == IFrame {
-		concealOmitted(d.colors, f.Tiles, pointOff)
-		d.installRef()
-	}
-	return &geom.VoxelCloud{Depth: uint(f.Depth), Voxels: out}, nil
+	return out, nil
 }
 
-// decodeTile decodes tile t into its window of the two columns, on the
-// calling goroutine with no device kernels: a pool leaf.
-func (d *Decoder) decodeTile(f *EncodedFrame, l *FrameLayout, t int) error {
-	ti, u := f.Tiles[t], &d.units[t]
-	if ti.Omitted() {
+// decodeUnit is the one unit body: unit u unwraps the geometry layers it
+// reads, expands them to the view's level into its window of the code column
+// and colours the window. The one unit of an untiled frame runs on the
+// calling core, decodes its attributes under the frame's framing and books
+// the paper's kernels from its counts; a tile is a pool leaf, takes the
+// tile's framing and books nothing.
+func (d *Decoder) decodeUnit(f *EncodedFrame, l *FrameLayout, u int, v decodeView) error {
+	un, tiled := &d.units[u], f.Tiled()
+	lo, hi := l.PointOff[u], l.PointOff[u+1]
+	un.lo, un.n = lo, 0
+	if tiled && f.Tiles[u].Omitted() {
 		return nil
 	}
-	lo, hi := l.PointOff[t], l.PointOff[t+1]
-	raw, err := u.geometry(f, l, t)
-	if err != nil {
+	raw := un.raw[:0]
+	for lay := 0; lay < v.sub; lay++ {
+		var err error
+		if raw, err = AppendGeomChunk(raw, l.Geom(f.Geometry, u, lay)); err != nil {
+			return err
+		}
+	}
+	un.raw = raw
+	var err error
+	if un.lv, err = paroctree.ScanLevels(raw, uint(f.Depth), v.level); err != nil {
 		return err
 	}
-	if err := paroctree.DeserializeSerial(d.codes[lo:hi], raw, uint(f.Depth)); err != nil {
-		return err
-	}
-	colors := d.colors[lo:hi]
-	if ti.Coarse() {
-		clear(colors) // geometry only
-		return nil
-	}
-	achunk := l.Attr(f.Attr, t, l.cols()-1)
-	if len(achunk) == 0 {
+	// The stream and the directory must agree before a code is written: the
+	// level's cells fit the unit's window — and are its points when the level
+	// is the leaves — and a viewer's layers hold nothing behind their last level.
+	n := un.lv.Nodes()
+	if n == 0 || n > hi-lo || (v.full && n != hi-lo) || (!v.bare && un.lv.Prefix != len(raw)) {
 		return ErrBadContainer
 	}
-	switch achunk[0] {
-	case 0: // intra
-		return u.intra.DecodeTile(colors, achunk[1:])
-	case 1: // inter
-		if !d.hasRef {
-			return ErrMissingReference
+	codes, colors := d.codes[lo:lo+n], d.colors[lo:lo+n]
+	un.lv.Expand(codes, raw)
+	un.n = n
+	if !tiled {
+		// The entropy stage of an unlayered frame is the paper's Sec. IV-B3
+		// ablation and is on the ledger; the per-layer slices' never was.
+		if !l.Layered() && f.Geometry[0] == 1 {
+			d.dev.CPUSerial("GeomEntropyDecode", len(f.Geometry)-1, costEntropyByte, func() {})
 		}
-		return u.inter.DecodePTile(colors, lo, achunk[1:], d.ref)
+		un.lv.Book(d.dev)
+		d.dev.GPUNoop("MortonDecode", n, costMortonDecode)
 	}
-	return ErrBadContainer
+
+	switch {
+	case v.bare || tiled && f.Tiles[u].Coarse():
+		clear(colors) // geometry only
+		return nil
+	case !v.full:
+		return un.paintBaseLayer(colors, codes, 3*(v.level-uint(l.BaseLevel)), l.Attr(f.Attr, u, 0))
+	}
+	achunk := l.Attr(f.Attr, u, l.cols()-1)
+	switch {
+	case len(achunk) == 0 || achunk[0] > 1:
+		return ErrBadContainer
+	case achunk[0] == 0 && tiled: // intra
+		return un.intra.DecodeTile(colors, achunk[1:])
+	case achunk[0] == 0:
+		return un.intra.Decode(d.dev, colors, achunk[1:])
+	case !d.hasRef: // inter
+		return ErrMissingReference
+	case tiled:
+		return un.inter.DecodePTile(colors, lo, achunk[1:], d.ref)
+	}
+	return un.inter.DecodeP(d.dev, colors, achunk[1:], d.ref)
 }
 
 // inverter books the frame's inverse rescale over n points and returns its
@@ -284,19 +326,23 @@ func (d *Decoder) inverter(f *EncodedFrame, n int) *paroctree.Inverter {
 	return &inv
 }
 
-// emitVoxels is the fused pass from the two columns to the output: Morton
-// decode, colour, and the inverse rescale when the frame has one.
-func emitVoxels(out []geom.Voxel, codes []morton.Code, colors []geom.Color, inv *paroctree.Inverter) {
+// emitVoxels is the fused pass from the two columns to the output: cell
+// centre, Morton decode, colour, and the inverse rescale when the frame has
+// one. Codes of a level s above the leaves are cells 2^s voxels wide, and the
+// centre is taken on the code: s more triples of bits, the first of them set,
+// are the leaf at x<<s | 2^(s-1) on every axis. s = 0 leaves a leaf where it is.
+func emitVoxels(out []geom.Voxel, codes []morton.Code, colors []geom.Color, s uint, inv *paroctree.Inverter) {
 	_, _ = out[:len(codes)], colors[:len(codes)]
+	shift, centre := 3*s&63, morton.Code(7)<<(3*s)>>3
 	if inv == nil {
 		for i, c := range codes {
-			x, y, z := c.Decode()
+			x, y, z := (c<<shift | centre).Decode()
 			out[i] = geom.Voxel{X: x, Y: y, Z: z, C: colors[i]}
 		}
 		return
 	}
 	for i, c := range codes {
-		x, y, z := inv.Invert(c.Decode())
+		x, y, z := inv.Invert((c<<shift | centre).Decode())
 		out[i] = geom.Voxel{X: x, Y: y, Z: z, C: colors[i]}
 	}
 }
@@ -326,12 +372,4 @@ func fill(dst []geom.Color, c geom.Color) {
 	for i := range dst {
 		dst[i] = c
 	}
-}
-
-// installRef makes the colour column just decoded the reference of the
-// P-frames that follow; the buffer the old reference lived in becomes the
-// next frame's colour column.
-func (d *Decoder) installRef() {
-	d.ref, d.colors = d.colors, d.ref
-	d.hasRef = true
 }

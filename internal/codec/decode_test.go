@@ -294,6 +294,45 @@ func TestFailedDecodeKeepsReference(t *testing.T) {
 	}
 }
 
+// TestUndecodedIFrameClearsReference: an I-frame the decoder took nothing to
+// predict from — every tile omitted, or layers shed — ends the GOP before it
+// all the same. Its P-frames must report ErrMissingReference, not decode
+// against the previous GOP's colours (36 980 of 37 034 wrong, with no error,
+// while an all-omitted I-frame returned early and left the reference be).
+func TestUndecodedIFrameClearsReference(t *testing.T) {
+	clouds := goldenFrames(t)[:4]
+	all := map[int]uint8{0: TileOmitted, 1: TileOmitted, 2: TileOmitted, 3: TileOmitted}
+	for _, tc := range []struct {
+		name   string
+		layers int
+		strip  func(*EncodedFrame) *EncodedFrame
+	}{
+		{"every tile omitted", 0, func(ef *EncodedFrame) *EncodedFrame { return stripTiles(ef, all) }},
+		{"layered, every tile omitted", 3, func(ef *EncodedFrame) *EncodedFrame { return stripLayers(ef, all, 0) }},
+		{"layered, top layer shed", 3, func(ef *EncodedFrame) *EncodedFrame { return stripLayers(ef, nil, 2) }},
+	} {
+		opts := layerOpts(IntraInterV1, 4, tc.layers)
+		opts.GOP = 2
+		enc, dec := NewEncoder(dev(), opts), NewDecoder(dev(), opts)
+		for i, vc := range clouds {
+			ef, _, err := enc.EncodeFrame(vc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 2 {
+				if ef.Type != IFrame {
+					t.Fatalf("%s: frame 2 is a %v", tc.name, ef.Type)
+				}
+				ef = tc.strip(ef)
+			}
+			_, err = dec.DecodeFrame(ef)
+			if want := i == 3; want != errors.Is(err, ErrMissingReference) || (!want && err != nil) {
+				t.Fatalf("%s: frame %d (%v): %v", tc.name, i, ef.Type, err)
+			}
+		}
+	}
+}
+
 // TestDecodedCloudsPinned pins what the decoder returns, frame by frame,
 // over three GOPs of two frame sizes in every shape, per-viewer culling
 // applied to three frames of four so that P-frames meet concealed and whole
@@ -426,8 +465,16 @@ func TestPartialDecodesPinned(t *testing.T) {
 
 // TestPartialDecodeLedgerPinned is TestDecodeLedgerPinned for partial
 // subscriptions: the ledger of one I + one P decode of the first Sub of three
-// layers (entropy geometry on), untiled and over four tiles, as captured at
-// the commit before the partial decode moved into the one decode phase.
+// layers (entropy geometry on), untiled and over four tiles. A partial decode
+// books what a full one books, from the counts of what it read: off the one
+// unit of an untiled frame the offset scan over the prefix and one
+// DecodeExpand per level, over tiles one TileDecode; then the fused pass as
+// MortonDecode and InverseRescale over the cells it emitted. Before the
+// partial decode moved into the one decode phase (where these rows were first
+// captured) it booked no scan, DecodeExpand per tile per level — 64 and 72
+// launches over four tiles, 1.33 and 1.57 ms — instead of TileDecode, and the
+// pass as LoDUpscale, at MortonDecode's cost; the DecodeExpand and
+// InverseRescale rows read the same then.
 func TestPartialDecodeLedgerPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -436,23 +483,25 @@ func TestPartialDecodeLedgerPinned(t *testing.T) {
 		want  []ledgerRow
 	}{
 		{"sub 1, untiled I+P", 0, 1, []ledgerRow{
+			{"DecodeScan", "", 2, 36050, 901250, 72100, 901250},
 			{"DecodeExpand", "", 16, 36050, 1.0815e+06, 360500, 374156},
-			{"LoDUpscale", "", 2, 51245, 614940, 819920, 70795},
+			{"MortonDecode", "", 2, 51245, 614940, 819920, 70795},
 			{"InverseRescale", "", 2, 51245, 614940, 819920, 70795},
 		}},
 		{"sub 2, untiled I+P", 0, 2, []ledgerRow{
+			{"DecodeScan", "", 2, 87295, 2.182375e+06, 174590, 2182375},
 			{"DecodeExpand", "", 18, 87295, 2.61885e+06, 872950, 491146},
-			{"LoDUpscale", "", 2, 72668, 872016, 1.162688e+06, 83670},
+			{"MortonDecode", "", 2, 72668, 872016, 1.162688e+06, 83670},
 			{"InverseRescale", "", 2, 72668, 872016, 1.162688e+06, 83670},
 		}},
 		{"sub 1, tiled I+P", 4, 1, []ledgerRow{
-			{"DecodeExpand", "", 64, 36097, 1.08291e+06, 360970, 1334207},
-			{"LoDUpscale", "", 2, 51245, 614940, 819920, 70795},
+			{"TileDecode", "", 2, 74060, 8.8872e+06, 888720, 485072},
+			{"MortonDecode", "", 2, 51245, 614940, 819920, 70795},
 			{"InverseRescale", "", 2, 51245, 614940, 819920, 70795},
 		}},
 		{"sub 2, tiled I+P", 4, 2, []ledgerRow{
-			{"DecodeExpand", "", 72, 87344, 2.62032e+06, 873440, 1571197},
-			{"LoDUpscale", "", 2, 72668, 872016, 1.162688e+06, 83670},
+			{"TileDecode", "", 2, 74060, 8.8872e+06, 888720, 485072},
+			{"MortonDecode", "", 2, 72668, 872016, 1.162688e+06, 83670},
 			{"InverseRescale", "", 2, 72668, 872016, 1.162688e+06, 83670},
 		}},
 	} {

@@ -106,11 +106,13 @@ func FuzzParseLayerDirectory(f *testing.F) {
 // FuzzDecodeFrame drives the whole proposed-design decoder — container,
 // geometry, both attribute stages, tiles, layers — with arbitrary bytes, on
 // one long-lived Decoder that holds a valid reference, the way a receiver
-// meets them. Seeds are real frames of every shape. Whatever the bytes: no
-// panic; a full-subscription cloud has the header's points less the omitted
-// tiles'; the decode allocates at most 64 B per header point plus 64 B per
-// input byte; a frame that fails leaves the reference exactly as it was; and
-// the decoder goes on decoding the seed GOP to the same clouds afterwards.
+// meets them. Seeds are real frames of every shape, whole and as a culling,
+// layer-shedding viewer gets them. Whatever the bytes: no panic; a
+// full-subscription cloud has the header's points less the omitted tiles', a
+// partial one at most as many; the decode allocates at most 64 B per header
+// point plus 64 B per input byte, partial frames included; a frame that fails
+// leaves the reference exactly as it was; and the decoder goes on decoding
+// the seed GOP to the same clouds afterwards.
 func FuzzDecodeFrame(f *testing.F) {
 	// A small GOP (every 16th voxel of the test frames) keeps executions in
 	// the tens of microseconds.
@@ -196,7 +198,7 @@ func FuzzDecodeFrame(f *testing.F) {
 					want -= int(ti.Points)
 				}
 			}
-			if partial := ef.Layered() && ef.Layer.Sub < ef.Layer.Layers; !partial && vc.Len() != want {
+			if partial := ef.Layered() && ef.Layer.Sub < ef.Layer.Layers; vc.Len() > want || (!partial && vc.Len() != want) {
 				t.Fatalf("decoded %d points, header says %d", vc.Len(), want)
 			}
 			// The frame may have become the reference; put the seed's back.

@@ -33,14 +33,19 @@ package codec
 // once per frame, allocates the directory and has every unit write its L
 // geometry slices straight from its tree's per-level masks, filling each
 // span's GeomLen; the attribute phase writes a unit's base medians ahead of
-// its stream and fills the AttrLen of layers 0 and L-1. This file holds the
-// format, the cut rule and the partial decode.
+// its stream and fills the AttrLen of layers 0 and L-1. Nothing decodes a
+// layered frame on a path of its own either: the decoder's one phase
+// (decode.go) reads the first Sub layers of every unit and expands them to
+// the level they carry, BaseLevel+Sub-1 — the leaves and the top attribute
+// layer for a full subscription, the level's cells under the base medians for
+// a partial one, which is why a partial P-frame decodes standalone and a
+// partial I-frame cannot serve as a reference. This file holds the format,
+// the cut rule and the base attribute layer's two directions.
 
 import (
 	"repro/internal/attr"
 	"repro/internal/geom"
 	"repro/internal/morton"
-	"repro/internal/paroctree"
 )
 
 // MaxLayers caps the layer count per frame: subscriptions travel as one
@@ -155,106 +160,24 @@ func (e *Encoder) appendBaseLayer(dst []byte, ld *LayerDir, leaves []morton.Keye
 	return s.AppendBaseMedians(append(dst, 2), colors, e.layerRuns)
 }
 
-// decodeLayeredPartial decodes the first Sub < Layers layers: geometry to
-// level BaseLevel+Sub-1, colours from the base-layer medians (zero for
-// coarse tiles), cells upscaled to the full lattice at their centres
-// exactly like DecodeProgressive. It never reads or installs the GOP
-// reference: partial P-frames are standalone, and a partial I-frame cannot
-// serve as a reference, so it clears any stale one.
-func (d *Decoder) decodeLayeredPartial(f *EncodedFrame, l *FrameLayout) (*geom.VoxelCloud, error) {
-	depth := uint(f.Depth)
-	level := uint(l.BaseLevel + l.Sub - 1)
-	shift := 3 * (level - uint(l.BaseLevel))
-	var allCodes []morton.Code
-	var allColors []geom.Color
-	var last morton.Code
-	have := false
-	for u := 0; u < l.LayerUnits(); u++ {
-		if f.Tiled() && f.Tiles[u].Omitted() {
-			continue
-		}
-		// Reassemble the kept geometry prefix.
-		var raw []byte
-		for lay := 0; lay < l.Sub; lay++ {
-			var err error
-			if raw, err = AppendGeomChunk(raw, l.Geom(f.Geometry, u, lay)); err != nil {
-				return nil, err
-			}
-		}
-		lod, err := paroctree.DeserializeLoD(d.dev, raw, depth, level)
-		if err != nil {
-			return nil, err
-		}
-		if lod.PrefixBytes != len(raw) || len(lod.Codes) == 0 {
-			return nil, ErrBadContainer
-		}
-		codes := lod.Codes
-		cols := make([]geom.Color, len(codes))
-		if coarse := f.Tiled() && f.Tiles[u].Coarse(); !coarse {
-			achunk := l.Attr(f.Attr, u, 0)
-			if len(achunk) == 0 || achunk[0] != 2 {
-				return nil, ErrBadContainer
-			}
-			meds, err := attr.DecodeBaseMedians(achunk[1:])
-			if err != nil {
-				return nil, err
-			}
-			// Paint each level cell with its base-cell median: cells of one
-			// base cell are contiguous in Morton order.
-			run := -1
-			var prev morton.Code
-			for i, c := range codes {
-				if anc := c >> shift; run < 0 || anc != prev {
-					run++
-					prev = anc
-				}
-				if run >= len(meds) {
-					return nil, ErrBadContainer
-				}
-				cols[i] = meds[run]
-			}
-			if run+1 != len(meds) {
-				return nil, ErrBadContainer
-			}
-		}
-		// Merge across units: strictly ascending, except that adjacent
-		// tiles may share the boundary cell their cut splits — drop the
-		// duplicate (the first tile's median wins).
-		if have && len(codes) > 0 {
-			if codes[0] < last {
-				return nil, ErrBadContainer
-			}
-			if codes[0] == last {
-				codes, cols = codes[1:], cols[1:]
-			}
-		}
-		if len(codes) > 0 {
-			last = codes[len(codes)-1]
-			have = true
-		}
-		allCodes = append(allCodes, codes...)
-		allColors = append(allColors, cols...)
+// paintBaseLayer is appendBaseLayer's inverse for a unit decoded to a level at
+// or above the base level and below the leaves: it colours the level's cells,
+// whose codes are given, from the unit's attribute base layer — mode byte 2,
+// one median per base-level cell — each median painted over the run of cells
+// under its base cell, which are contiguous in Morton order. shift is three
+// bits per level between the two.
+func (un *unitDecoder) paintBaseLayer(colors []geom.Color, codes []morton.Code, shift uint, achunk []byte) error {
+	if len(achunk) == 0 || achunk[0] != 2 {
+		return ErrBadContainer
 	}
-	if f.Type == IFrame {
-		// A partial I-frame cannot serve as a GOP reference; drop any
-		// stale one so a malformed stream cannot pair it with a full P.
-		d.hasRef = false
+	runs := un.runs[:0]
+	var prev morton.Code
+	for i, c := range codes {
+		if anc := c >> shift; i == 0 || anc != prev {
+			runs = append(runs, i)
+			prev = anc
+		}
 	}
-	if len(allCodes) == 0 {
-		return &geom.VoxelCloud{Depth: depth}, nil
-	}
-	lr := &paroctree.LoDResult{Level: level, Codes: allCodes}
-	voxels := lr.UpscaleToLattice(d.dev, depth)
-	for i := range voxels {
-		voxels[i].C = allColors[i]
-	}
-	if f.HasRescale {
-		out := make([]geom.Voxel, len(voxels))
-		r := f.Rescale
-		d.dev.GPUKernelIdx("InverseRescale", len(voxels), costRescale, func(i int) {
-			out[i] = r.Invert(voxels[i])
-		})
-		voxels = out
-	}
-	return &geom.VoxelCloud{Depth: depth, Voxels: voxels}, nil
+	un.runs = append(runs, len(codes))
+	return attr.DecodeBaseMedians(colors, achunk[1:], un.runs)
 }

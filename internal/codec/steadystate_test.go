@@ -150,8 +150,9 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 	for _, row := range []struct {
 		design        Design
 		tiles, layers int
-	}{{IntraOnly, 0, 0}, {IntraInterV1, 0, 0}, {IntraInterV1, 8, 3}} {
-		b.Run(fmt.Sprintf("%v/tiles=%d/layers=%d", row.design, row.tiles, row.layers), func(b *testing.B) {
+		sub           uint8 // layers a shedding viewer keeps; 0: all
+	}{{IntraOnly, 0, 0, 0}, {IntraInterV1, 0, 0, 0}, {IntraInterV1, 8, 3, 0}, {IntraInterV1, 8, 3, 1}, {IntraInterV1, 8, 3, 2}} {
+		b.Run(fmt.Sprintf("%v/tiles=%d/layers=%d/sub=%d", row.design, row.tiles, row.layers, row.sub), func(b *testing.B) {
 			opts := steadyOpts(row.design)
 			opts.Tiles, opts.Layers = row.tiles, row.layers
 			enc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), opts)
@@ -163,10 +164,14 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 				if encoded[i], _, err = enc.EncodeFrame(f); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := dec.DecodeFrame(encoded[i]); err != nil {
+				if row.sub > 0 {
+					encoded[i] = stripLayers(encoded[i], nil, row.sub)
+				}
+				vc, err := dec.DecodeFrame(encoded[i])
+				if err != nil {
 					b.Fatal(err)
 				}
-				pts += int64(encoded[i].NumPoints)
+				pts += int64(vc.Len())
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -187,14 +192,18 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 
 // TestDecodeSteadyStateAllocs is the decode side's allocation gate: a warm
 // Decoder over a 60-frame session allocates little more than the clouds it
-// returns. The caps sit 10% above the measurement, which is the same in
-// plain and -race builds and at one core or two, because nothing on the
-// path is pooled: 25.0 / 21.7 / 12.0 allocations per frame (the returned
-// cloud and its voxel slice, the frame's span table, and a key string per
-// ledger row — the untiled path books a row per octree level) and 1.01 times
-// the 16 B per point of the returned voxels. Before the Decoder owned its
-// memory the same rows read 4556 / 10648 / 9429 allocations per frame and
-// 5.5 / 4.4 / 5.5 times the output.
+// returns, whatever the viewer subscribed to. The caps sit 10% above the
+// measurement (the three full rows' since the decoder got its arena), which
+// is the same in plain and -race builds because nothing on the path is
+// pooled: 27.0 / 23.7 / 12.0 allocations per frame for full subscriptions and
+// 12.0 / 12.0 for a viewer that keeps one or two of three layers (10.0 on one
+// core, where the fan-outs run inline) — the returned cloud and its voxel
+// slice, the frame's span table, the two fan-outs' closures and a key string
+// per ledger row; the untiled path books a row per octree level — and 1.01
+// times the 16 B per point of the returned voxels on every row. Before the
+// Decoder owned its memory the full rows read 4556 / 10648 / 9429 allocations
+// per frame and 5.5 / 4.4 / 5.5 times the output; the partial rows, the last
+// to move into the arena, 131.2 / 146.1 allocations and 5.76 / 5.38 times.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full frames")
@@ -203,16 +212,22 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	for _, row := range []struct {
 		design        Design
 		tiles, layers int
+		sub           uint8   // layers a shedding viewer keeps; 0: all
 		capAllocs     float64 // per frame
-		capBytes      float64 // per point, in units of the 16 B output voxel
+		capBytes      float64 // per returned point, in units of the 16 B output voxel
 	}{
-		{IntraOnly, 0, 0, 28, 1.1},
-		{IntraInterV1, 0, 0, 24, 1.1},
-		{IntraInterV1, 8, 3, 14, 1.1},
+		{IntraOnly, 0, 0, 0, 28, 1.1},
+		{IntraInterV1, 0, 0, 0, 24, 1.1},
+		{IntraInterV1, 8, 3, 0, 14, 1.1},
+		{IntraInterV1, 8, 3, 1, 13.2, 1.1},
+		{IntraInterV1, 8, 3, 2, 13.2, 1.1},
 	} {
 		name := row.design.String()
 		if row.tiles > 0 {
 			name = fmt.Sprintf("%s/tiles=%d/layers=%d", name, row.tiles, row.layers)
+		}
+		if row.sub > 0 {
+			name = fmt.Sprintf("%s/sub=%d", name, row.sub)
 		}
 		t.Run(name, func(t *testing.T) {
 			opts := steadyOpts(row.design)
@@ -226,10 +241,14 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 				if encoded[i], _, err = enc.EncodeFrame(f); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := dec.DecodeFrame(encoded[i]); err != nil {
+				if row.sub > 0 {
+					encoded[i] = stripLayers(encoded[i], nil, row.sub)
+				}
+				vc, err := dec.DecodeFrame(encoded[i])
+				if err != nil {
 					t.Fatal(err)
 				}
-				points += int(encoded[i].NumPoints)
+				points += vc.Len()
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -241,7 +260,7 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			allocs := float64(after.Mallocs-before.Mallocs) / 60
 			perPoint := float64(after.TotalAlloc-before.TotalAlloc) / float64(16*points)
-			t.Logf("%s: %.1f allocs/frame (cap %.0f), %.2f x 16 B per point (cap %.1f)", name, allocs, row.capAllocs, perPoint, row.capBytes)
+			t.Logf("%s: %.1f allocs/frame (cap %.1f), %.2f x 16 B per returned point (cap %.1f)", name, allocs, row.capAllocs, perPoint, row.capBytes)
 			if allocs > row.capAllocs || perPoint > row.capBytes {
 				t.Errorf("%s steady-state decode allocations regressed", name)
 			}

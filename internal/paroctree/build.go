@@ -12,12 +12,13 @@
 // is the only octree construction in the package: the untiled frame is the
 // sweep over all leaves, a tile is the sweep over the tile's leaf range, a
 // layer is a range of its levels (AppendLevels) and the progressive path cuts
-// the stream it emits. Its inverse (scanLevels + expand) is the only stream
-// expander.
+// the stream it emits. Its inverse — the sizing pass ScanLevels and the
+// expander Levels.Expand, to any level, into a window the caller owns — is
+// the only stream expander.
 //
 // The sweep and the expander are pure functions of their input. The
 // edgesim ledger is booked beside them, from the level node counts, as the
-// kernels the paper's GPU pipeline launches (bookBuild, bookExpand), so
+// kernels the paper's GPU pipeline launches (bookBuild, Levels.Book), so
 // simulated latency and energy follow the paper's decomposition while the
 // host executes the fused form. Morton generation and the radix sort still
 // run over the device's worker pool, and every buffer lives in a reusable

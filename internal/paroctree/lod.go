@@ -13,6 +13,12 @@ import (
 // the progressive-transmission property octree PCC systems ship with
 // (Schnabel & Klein [74]) and that the paper's BFS layout gets for free —
 // the DFS layout of the sequential baseline cannot be cut this way.
+//
+// The codec's decoder uses the property through the expander itself: every
+// unit of every frame is ScanLevels + Levels.Expand to some level, into a
+// window the decoder owns, and the cell centres are taken in its fused emit
+// pass. What stays here is the fresh-column form of the two steps, the
+// reference the layer tests and `pccbench lod` hold that path to.
 
 // LoDResult is a partially-decoded frame.
 type LoDResult struct {
@@ -26,27 +32,29 @@ type LoDResult struct {
 }
 
 // DeserializeLoD decodes only the first `level` levels of a BFS occupancy
-// stream (level == depth reproduces Deserialize, minus its trailing-bytes
-// rule: bytes past the prefix are simply not read).
+// stream into a fresh column (level == depth reproduces Deserialize, minus its
+// trailing-bytes rule: bytes past the prefix are simply not read). It is a
+// front end over ScanLevels and Levels.Expand, the pair the codec's decoder
+// runs per unit, kept as the reference the layer tests and `pccbench lod`
+// compare against.
 func DeserializeLoD(dev *edgesim.Device, stream []byte, depth, level uint) (*LoDResult, error) {
-	level = min(level, depth)
-	var off [maxLevels]int
-	nodes, err := scanLevels(&off, stream, depth, level)
+	lv, err := ScanLevels(stream, depth, level)
 	if err != nil {
 		return nil, err
 	}
-	if nodes == 0 {
-		return &LoDResult{Level: level}, nil
+	res := &LoDResult{Level: lv.Level}
+	if n := lv.Nodes(); n > 0 {
+		lv.bookExpand(dev)
+		res.Codes, res.PrefixBytes = make([]morton.Code, n), lv.Prefix
+		lv.Expand(res.Codes, stream)
 	}
-	bookExpand(dev, off[:level+1])
-	codes := make([]morton.Code, nodes)
-	expand(codes, stream, off[:level+1])
-	return &LoDResult{Level: level, Codes: codes, PrefixBytes: off[level]}, nil
+	return res, nil
 }
 
 // UpscaleToLattice maps level-L node codes back into full-lattice voxel
 // positions at the centres of their cells, so a coarse decode can be
-// rendered in the same coordinate frame as a full decode.
+// rendered in the same coordinate frame as a full decode. The decoder does
+// this inside its fused emit pass; this is the reference it is tested against.
 func (r *LoDResult) UpscaleToLattice(dev *edgesim.Device, depth uint) []geom.Voxel {
 	if r.Level > depth {
 		return nil

@@ -39,125 +39,116 @@ func (t *Tree) SerializeInto(dev *edgesim.Device, dst []byte) []byte {
 // ErrBadStream reports a malformed occupancy stream.
 var ErrBadStream = errors.New("paroctree: malformed occupancy stream")
 
-// maxLevels is the longest offset table scanLevels fills: one entry per mask
-// level of the deepest lattice, plus the end.
+// maxLevels is the longest level table ScanLevels fills: one entry per depth
+// of the deepest lattice, root and leaves included.
 const maxLevels = maxDepth + 1
 
-// scanLevels is the expander's sizing pass over the first `level` mask
-// levels of a BFS occupancy stream. It fills off[:level+1] — off[d] is the
-// byte offset of level d's masks, so off[d+1]-off[d] is the node count at
-// depth d and off[level] the prefix consumed — and returns the node count at
-// depth level. It validates what it walks — depth range, truncation, zero
-// masks — so nothing is sized for a stream that will not expand. An empty
-// stream is the empty cloud: nodes == 0.
-func scanLevels(off *[maxLevels]int, stream []byte, depth, level uint) (nodes int, err error) {
+// Levels is what the expander's sizing pass found in the first Level mask
+// levels of a BFS occupancy stream: Count[d] is the node count at depth d, for
+// d up to Level, and Prefix the stream bytes those mask levels occupy — level
+// d's masks start where the levels before it end, one byte per node. An empty
+// stream is the empty cloud: every count zero.
+type Levels struct {
+	Level  uint
+	Count  [maxLevels]int
+	Prefix int
+}
+
+// Nodes returns the node count at depth Level: the codes Expand writes.
+func (l *Levels) Nodes() int { return l.Count[l.Level] }
+
+// ScanLevels is the expander's sizing pass over the first min(level, depth)
+// mask levels of stream. It validates what it walks — depth range,
+// truncation, zero masks — so nothing is sized for a stream that will not
+// expand; bytes behind the last level walked are not read.
+func ScanLevels(stream []byte, depth, level uint) (Levels, error) {
 	if err := checkDepth(depth); err != nil {
-		return 0, err
+		return Levels{}, err
 	}
-	clear(off[:level+1])
+	lv := Levels{Level: min(level, depth)}
 	if len(stream) == 0 {
-		return 0, nil
+		return lv, nil
 	}
-	nodes = 1
-	for d := uint(0); d < level; d++ {
-		pos := off[d]
-		if nodes > len(stream)-pos {
-			return 0, fmt.Errorf("%w: truncated at depth %d", ErrBadStream, d)
+	nodes := 1
+	for d := uint(0); d < lv.Level; d++ {
+		if nodes > len(stream)-lv.Prefix {
+			return Levels{}, fmt.Errorf("%w: truncated at depth %d", ErrBadStream, d)
 		}
 		next := 0
-		for i, m := range stream[pos : pos+nodes] {
+		for i, m := range stream[lv.Prefix : lv.Prefix+nodes] {
 			if m == 0 {
-				return 0, fmt.Errorf("%w: zero mask at depth %d node %d", ErrBadStream, d, i)
+				return Levels{}, fmt.Errorf("%w: zero mask at depth %d node %d", ErrBadStream, d, i)
 			}
 			next += bits.OnesCount8(m)
 		}
-		off[d+1] = pos + nodes
+		lv.Count[d] = nodes
+		lv.Prefix += nodes
 		nodes = next
 	}
-	return nodes, nil
+	lv.Count[lv.Level] = nodes
+	return lv, nil
 }
 
-// scanWhole is scanLevels over a whole stream: every level, nothing behind
-// the last one, and — unless want is negative — exactly want leaves.
-func scanWhole(off *[maxLevels]int, stream []byte, depth uint, want int) (leaves int, err error) {
-	leaves, err = scanLevels(off, stream, depth, depth)
-	switch {
-	case err != nil:
-	case off[depth] != len(stream):
-		err = fmt.Errorf("%w: %d trailing bytes", ErrBadStream, len(stream)-off[depth])
-	case want >= 0 && leaves != want:
-		err = fmt.Errorf("%w: %d leaves, want %d", ErrBadStream, leaves, want)
-	}
-	return leaves, err
-}
-
-// expand is the one stream expander: given scanLevels' offsets it regenerates
-// the depth-(len(off)-1) node codes, ascending, into buf, which must hold
-// exactly that level's node count. The levels are expanded in place in buf,
-// each level right-aligned: every node has at least one child, so the write
-// cursor (start of the child level plus children so far) never passes the
-// read cursor (the next unread parent).
-func expand(buf []morton.Code, stream []byte, off []int) {
-	nodes := len(buf)
+// Expand is the one stream expander: it regenerates the depth-Level node
+// codes of the stream l was scanned from, ascending, into dst[:l.Nodes()] — a
+// fresh column or a window of the caller's, sized from the sizing pass and
+// never written past. The levels are expanded in place, each level
+// right-aligned: every node has at least one child, so the write cursor
+// (start of the child level plus children so far) never passes the read
+// cursor (the next unread parent).
+func (l *Levels) Expand(dst []morton.Code, stream []byte) {
+	nodes := l.Nodes()
 	if nodes == 0 {
 		return
 	}
-	buf[nodes-1] = 0 // level 0: the root
-	for d := 0; d+1 < len(off); d++ {
-		masks := stream[off[d]:off[d+1]]
-		next := nodes
-		if d+2 < len(off) {
-			next = off[d+2] - off[d+1]
-		}
-		r, w := nodes-len(masks), nodes-next
+	dst = dst[:nodes]
+	dst[nodes-1] = 0 // level 0: the root
+	for d := uint(0); d < l.Level; d++ {
+		masks := stream[:l.Count[d]]
+		stream = stream[len(masks):]
+		r, w := nodes-len(masks), nodes-l.Count[d+1]
 		for _, m := range masks {
-			base := buf[r] << 3
+			base := dst[r] << 3
 			r++
 			for ; m != 0; m &= m - 1 {
-				b := bits.TrailingZeros8(m)
-				buf[w] = base | morton.Code(b)
+				dst[w] = base | morton.Code(bits.TrailingZeros8(m))
 				w++
 			}
 		}
 	}
 }
 
-// bookExpand books the decode direction's kernels for the levels off
-// describes: one DecodeExpand launch per mask level over its node count.
-func bookExpand(dev *edgesim.Device, off []int) {
-	for d := 0; d+1 < len(off); d++ {
-		dev.GPUNoop("DecodeExpand", off[d+1]-off[d], costDecodeExpand)
+// Book books the paper's parallel decode path for the levels scanned: a
+// serial per-level offset scan over the prefix ("sub-optimal", Sec. IV-B3,
+// ~70 ms/frame end-to-end for Redandblack), then the expansion kernels.
+func (l *Levels) Book(dev *edgesim.Device) {
+	dev.CPUSerial("DecodeScan", l.Prefix, costDecodeScan, func() {})
+	l.bookExpand(dev)
+}
+
+// bookExpand books one DecodeExpand launch per mask level over its node
+// count: every node of a level expands independently.
+func (l *Levels) bookExpand(dev *edgesim.Device) {
+	for d := uint(0); d < l.Level; d++ {
+		dev.GPUNoop("DecodeExpand", l.Count[d], costDecodeExpand)
 	}
 }
 
-// Deserialize reconstructs the leaf Morton codes from a whole BFS
-// occupancy stream into a fresh column (see DeserializeInto).
+// Deserialize reconstructs the leaf Morton codes from a whole BFS occupancy
+// stream into a fresh column: a front end that sizes, allocates and expands,
+// refusing bytes behind the last level before anything is allocated.
 func Deserialize(dev *edgesim.Device, stream []byte, depth uint) ([]morton.Code, error) {
-	return DeserializeInto(dev, nil, stream, depth, -1)
-}
-
-// DeserializeInto is Deserialize into a caller-owned column: the leaf codes
-// land in dst[:leaves], regrown only when its capacity is short. want is the
-// leaf count the caller expects (negative: any); a stream that holds another
-// count is ErrBadStream, found by the sizing pass before dst is sized or a
-// code is written. The device ledger records the paper's parallel decode
-// path: a serial per-level offset scan ("sub-optimal", Sec. IV-B3, ~70
-// ms/frame end-to-end for Redandblack), then one expansion kernel per level
-// in which every node expands independently.
-func DeserializeInto(dev *edgesim.Device, dst []morton.Code, stream []byte, depth uint, want int) ([]morton.Code, error) {
-	var off [maxLevels]int
-	leaves, err := scanWhole(&off, stream, depth, want)
-	if err != nil || leaves == 0 {
-		return dst[:0], err
+	lv, err := ScanLevels(stream, depth, depth)
+	if err == nil && lv.Prefix != len(stream) {
+		err = fmt.Errorf("%w: %d trailing bytes", ErrBadStream, len(stream)-lv.Prefix)
 	}
-	dev.CPUSerial("DecodeScan", len(stream), costDecodeScan, func() {})
-	bookExpand(dev, off[:depth+1])
-	if cap(dst) < leaves {
-		dst = make([]morton.Code, leaves)
+	if err != nil || lv.Nodes() == 0 {
+		return nil, err
 	}
-	dst = dst[:leaves]
-	expand(dst, stream, off[:depth+1])
-	return dst, nil
+	lv.Book(dev)
+	codes := make([]morton.Code, lv.Nodes())
+	lv.Expand(codes, stream)
+	return codes, nil
 }
 
 // Rescale models the quality cost of the paper's parallel pipeline

@@ -1,11 +1,12 @@
 package paroctree
 
-// Per-tile entry points for the codec's unit encode and decode paths.
+// Per-tile entry points for the codec's unit encode path.
 //
 // A tile is a contiguous range of the frame's sorted, deduplicated leaf
 // codes. The octree restricted to that subset still roots at code 0 (every
 // leaf's depth-D ancestor is the whole-space root), so the sweep over the
-// range emits a BFS occupancy stream decodable by the ordinary Deserialize
+// range emits a BFS occupancy stream the ordinary expander (ScanLevels +
+// Levels.Expand, into the tile's window of the decoder's code column) reads
 // with the frame's depth — each tile's geometry slab is self-contained, and
 // one tile over the full leaf set is the untiled stream by construction,
 // which is how the codec encodes an untiled frame. Tiles are the unit of
@@ -39,17 +40,4 @@ func (s *TileScratch) SerializeSubtree(leaves []morton.Code, depth uint, dst []b
 		return nil, err
 	}
 	return t.AppendLevels(dst, 0, depth), nil
-}
-
-// DeserializeSerial is DeserializeInto without a device, the per-tile decode
-// counterpart of SerializeSubtree: dst is the tile's window of the frame's
-// code column, and a stream that does not hold exactly len(dst) leaves is
-// ErrBadStream before a code is written.
-func DeserializeSerial(dst []morton.Code, stream []byte, depth uint) error {
-	var off [maxLevels]int
-	if _, err := scanWhole(&off, stream, depth, len(dst)); err != nil {
-		return err
-	}
-	expand(dst, stream, off[:depth+1])
-	return nil
 }

@@ -10,6 +10,22 @@ import (
 	"repro/internal/morton"
 )
 
+// DeserializeSerial is a whole-stream decode into a caller's window as the
+// codec's unit body runs it — sizing pass, then a stream that ends behind its
+// last level and holds exactly len(dst) leaves, then the expander — for the
+// tests that hold the windowed decode to the fresh-column front ends.
+func DeserializeSerial(dst []morton.Code, stream []byte, depth uint) error {
+	lv, err := ScanLevels(stream, depth, depth)
+	if err != nil {
+		return err
+	}
+	if lv.Prefix != len(stream) || lv.Nodes() != len(dst) {
+		return fmt.Errorf("%w: %d leaves over %d of %d bytes, want %d", ErrBadStream, lv.Nodes(), lv.Prefix, len(stream), len(dst))
+	}
+	lv.Expand(dst, stream)
+	return nil
+}
+
 // TestSerializeGolden pins the stream bytes of the full-leaf-set sweep for
 // fixed seeded clouds, through both front ends (Build + Serialize, and one
 // tile over every leaf — a T=1 "tiled" stream is the untiled stream). The
