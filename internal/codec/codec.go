@@ -11,6 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/interframe"
 	"repro/internal/morton"
+	"repro/internal/paroctree"
 )
 
 // Design selects one of the five evaluated PCC designs.
@@ -404,12 +405,14 @@ type Decoder struct {
 
 	// The proposed designs' arena. codes and colors are the columns every
 	// unit fills its window of; units holds one scratch per unit, grown to
-	// the most units a frame has had. ref is the reference of the P-frames
-	// that follow — the last I-frame's colour column, valid while hasRef —
-	// and trades buffers with colors at every I-frame.
+	// the most units a frame has had; inv is the frame's inverse rescale while
+	// its voxels are emitted. ref is the reference of the P-frames that follow
+	// — the last I-frame's colour column, valid while hasRef — and trades
+	// buffers with colors at every full I-frame.
 	codes  []morton.Code
 	colors []geom.Color
 	units  []unitDecoder
+	inv    paroctree.Inverter
 	ref    []geom.Color
 	hasRef bool
 }

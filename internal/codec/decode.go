@@ -322,8 +322,8 @@ func (d *Decoder) inverter(f *EncodedFrame, n int) *paroctree.Inverter {
 		return nil
 	}
 	d.dev.GPUNoop("InverseRescale", n, costRescale)
-	inv := f.Rescale.Inverter()
-	return &inv
+	d.inv = f.Rescale.Inverter()
+	return &d.inv
 }
 
 // emitVoxels is the fused pass from the two columns to the output: cell

@@ -42,7 +42,7 @@ func DeserializeLoD(dev *edgesim.Device, stream []byte, depth, level uint) (*LoD
 	if err != nil {
 		return nil, err
 	}
-	res := &LoDResult{Level: lv.Level}
+	res := &LoDResult{Level: lv.level}
 	if n := lv.Nodes(); n > 0 {
 		lv.bookExpand(dev)
 		res.Codes, res.PrefixBytes = make([]morton.Code, n), lv.Prefix

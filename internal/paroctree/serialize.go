@@ -43,19 +43,20 @@ var ErrBadStream = errors.New("paroctree: malformed occupancy stream")
 // of the deepest lattice, root and leaves included.
 const maxLevels = maxDepth + 1
 
-// Levels is what the expander's sizing pass found in the first Level mask
-// levels of a BFS occupancy stream: Count[d] is the node count at depth d, for
-// d up to Level, and Prefix the stream bytes those mask levels occupy — level
-// d's masks start where the levels before it end, one byte per node. An empty
-// stream is the empty cloud: every count zero.
+// Levels is what the expander's sizing pass found in the leading mask levels
+// of a BFS occupancy stream: the depth it walked to, the node count at every
+// depth up to that one, and Prefix, the stream bytes those mask levels occupy
+// — a level's masks start where the levels before it end, one byte per node.
+// An empty stream is the empty cloud: every count zero.
 type Levels struct {
-	Level  uint
-	Count  [maxLevels]int
+	level  uint
+	count  [maxLevels]int
 	Prefix int
 }
 
-// Nodes returns the node count at depth Level: the codes Expand writes.
-func (l *Levels) Nodes() int { return l.Count[l.Level] }
+// Nodes returns the node count at the depth walked to: the codes Expand
+// writes.
+func (l *Levels) Nodes() int { return l.count[l.level] }
 
 // ScanLevels is the expander's sizing pass over the first min(level, depth)
 // mask levels of stream. It validates what it walks — depth range,
@@ -65,12 +66,12 @@ func ScanLevels(stream []byte, depth, level uint) (Levels, error) {
 	if err := checkDepth(depth); err != nil {
 		return Levels{}, err
 	}
-	lv := Levels{Level: min(level, depth)}
+	lv := Levels{level: min(level, depth)}
 	if len(stream) == 0 {
 		return lv, nil
 	}
 	nodes := 1
-	for d := uint(0); d < lv.Level; d++ {
+	for d := uint(0); d < lv.level; d++ {
 		if nodes > len(stream)-lv.Prefix {
 			return Levels{}, fmt.Errorf("%w: truncated at depth %d", ErrBadStream, d)
 		}
@@ -81,16 +82,16 @@ func ScanLevels(stream []byte, depth, level uint) (Levels, error) {
 			}
 			next += bits.OnesCount8(m)
 		}
-		lv.Count[d] = nodes
+		lv.count[d] = nodes
 		lv.Prefix += nodes
 		nodes = next
 	}
-	lv.Count[lv.Level] = nodes
+	lv.count[lv.level] = nodes
 	return lv, nil
 }
 
-// Expand is the one stream expander: it regenerates the depth-Level node
-// codes of the stream l was scanned from, ascending, into dst[:l.Nodes()] — a
+// Expand is the one stream expander: it regenerates the node codes, at the
+// depth walked to, of the stream l was scanned from, ascending, into dst[:l.Nodes()] — a
 // fresh column or a window of the caller's, sized from the sizing pass and
 // never written past. The levels are expanded in place, each level
 // right-aligned: every node has at least one child, so the write cursor
@@ -103,10 +104,10 @@ func (l *Levels) Expand(dst []morton.Code, stream []byte) {
 	}
 	dst = dst[:nodes]
 	dst[nodes-1] = 0 // level 0: the root
-	for d := uint(0); d < l.Level; d++ {
-		masks := stream[:l.Count[d]]
+	for d := uint(0); d < l.level; d++ {
+		masks := stream[:l.count[d]]
 		stream = stream[len(masks):]
-		r, w := nodes-len(masks), nodes-l.Count[d+1]
+		r, w := nodes-len(masks), nodes-l.count[d+1]
 		for _, m := range masks {
 			base := dst[r] << 3
 			r++
@@ -129,8 +130,8 @@ func (l *Levels) Book(dev *edgesim.Device) {
 // bookExpand books one DecodeExpand launch per mask level over its node
 // count: every node of a level expands independently.
 func (l *Levels) bookExpand(dev *edgesim.Device) {
-	for d := uint(0); d < l.Level; d++ {
-		dev.GPUNoop("DecodeExpand", l.Count[d], costDecodeExpand)
+	for d := uint(0); d < l.level; d++ {
+		dev.GPUNoop("DecodeExpand", l.count[d], costDecodeExpand)
 	}
 }
 
