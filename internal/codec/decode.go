@@ -260,15 +260,14 @@ func (d *Decoder) decodeUnit(f *EncodedFrame, l *FrameLayout, u int, v decodeVie
 	if tiled && f.Tiles[u].Omitted() {
 		return nil
 	}
+	var err error
 	raw := un.raw[:0]
 	for lay := 0; lay < v.sub; lay++ {
-		var err error
 		if raw, err = AppendGeomChunk(raw, l.Geom(f.Geometry, u, lay)); err != nil {
 			return err
 		}
 	}
 	un.raw = raw
-	var err error
 	if un.lv, err = paroctree.ScanLevels(raw, uint(f.Depth), v.level); err != nil {
 		return err
 	}
@@ -333,6 +332,7 @@ func (d *Decoder) inverter(f *EncodedFrame, n int) *paroctree.Inverter {
 // are the leaf at x<<s | 2^(s-1) on every axis. s = 0 leaves a leaf where it is.
 func emitVoxels(out []geom.Voxel, codes []morton.Code, colors []geom.Color, s uint, inv *paroctree.Inverter) {
 	_, _ = out[:len(codes)], colors[:len(codes)]
+	// s is at most the depth, 21: the mask only spares the loops a range check.
 	shift, centre := 3*s&63, morton.Code(7)<<(3*s)>>3
 	if inv == nil {
 		for i, c := range codes {

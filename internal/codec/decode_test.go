@@ -26,6 +26,13 @@ type ledgerRow struct {
 // a fresh device and returns that device's ledger.
 func decodeLedger(t *testing.T, opts Options, n int) []ledgerRow {
 	t.Helper()
+	return viewLedger(t, opts, n, func(ef *EncodedFrame) *EncodedFrame { return ef })
+}
+
+// viewLedger is decodeLedger of the frames as a viewer gets them: view is
+// applied to every encoded frame before it is decoded.
+func viewLedger(t *testing.T, opts Options, n int, view func(*EncodedFrame) *EncodedFrame) []ledgerRow {
+	t.Helper()
 	enc := NewEncoder(dev(), opts)
 	d := dev()
 	dec := NewDecoder(d, opts)
@@ -34,7 +41,7 @@ func decodeLedger(t *testing.T, opts Options, n int) []ledgerRow {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dec.DecodeFrame(ef); err != nil {
+		if _, err := dec.DecodeFrame(view(ef)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -507,22 +514,7 @@ func TestPartialDecodeLedgerPinned(t *testing.T) {
 	} {
 		opts := layerOpts(IntraInterV1, tc.tiles, 3)
 		opts.EntropyGeometry = true
-		enc := NewEncoder(dev(), opts)
-		d := dev()
-		dec := NewDecoder(d, opts)
-		for _, vc := range goldenFrames(t)[:2] {
-			ef, _, err := enc.EncodeFrame(vc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := dec.DecodeFrame(stripLayers(ef, nil, tc.sub)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var got []ledgerRow
-		for _, k := range d.Kernels() {
-			got = append(got, ledgerRow{k.Name, k.Stage, k.Launches, k.Items, k.Ops, k.Bytes, k.SimTime})
-		}
+		got := viewLedger(t, opts, 2, func(ef *EncodedFrame) *EncodedFrame { return stripLayers(ef, nil, tc.sub) })
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("%s ledger:\n got %v\nwant %v", tc.name, got, tc.want)
 		}
