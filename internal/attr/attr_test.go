@@ -173,8 +173,12 @@ func TestBitPackRoundTrip(t *testing.T) {
 			return false
 		}
 		got := make([]int32, len(vals))
-		Unpack(got, raw, width, 0, 1)
-		return slices.Equal(got, vals)
+		Unpack(got, raw, width, 0, 0, 1)
+		// A window of the column unpacks from its bit offset.
+		from := int(w8) % (len(vals) + 1)
+		tail := make([]int32, len(vals)-from)
+		Unpack(tail, raw, width, from, 0, 1)
+		return slices.Equal(got, vals) && slices.Equal(tail, vals[from:])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -366,7 +370,7 @@ func TestDecodeCountFromGeometry(t *testing.T) {
 	var s DecodeScratch
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := s.Decode(d, make([]geom.Color, 4), hostileCount)
+	err := decodeOne(&s, make([]geom.Color, 4), hostileCount)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrBadStream) {
 		t.Errorf("%d-byte stream coding 2^27 points over a 4-point geometry: %v, want ErrBadStream", len(hostileCount), err)
@@ -378,17 +382,27 @@ func TestDecodeCountFromGeometry(t *testing.T) {
 	// an honest one must still decode: four points, the same way.
 	honest := append([]byte{0, 4}, hostileCount[5:]...)
 	got := []geom.Color{{R: 1}, {G: 2}, {B: 3}, {R: 4}}
-	if err := s.Decode(d, got, honest); err != nil || !slices.Equal(got, make([]geom.Color, 4)) {
+	if err := decodeOne(&s, got, honest); err != nil || !slices.Equal(got, make([]geom.Color, 4)) {
 		t.Errorf("4-point stream of zero residuals: %v, %v", got, err)
 	}
 	// An empty frame has an empty destination, and no other.
 	empty, _ := Encode(d, nil, DefaultParams())
-	if err := s.Decode(d, nil, empty); err != nil {
+	if err := decodeOne(&s, nil, empty); err != nil {
 		t.Errorf("empty stream into an empty destination: %v", err)
 	}
-	if err := s.Decode(d, got, empty); !errors.Is(err, ErrBadStream) {
+	if err := decodeOne(&s, got, empty); !errors.Is(err, ErrBadStream) {
 		t.Errorf("empty stream into 4 colours: %v, want ErrBadStream", err)
 	}
+}
+
+// decodeOne decodes an untiled stream as one window into dst, whose length
+// is the point count the caller's geometry gives the frame.
+func decodeOne(s *DecodeScratch, dst []geom.Color, data []byte) error {
+	st, err := s.OpenFrame(dev(), data, len(dst))
+	if err == nil {
+		err = s.DecodeWindow(dst, &st, 0, 1)
+	}
+	return err
 }
 
 func TestRoundTripProperty(t *testing.T) {

@@ -1,12 +1,15 @@
 package attr
 
-// The intra attribute decoder: one body, decodeWindow, over a window of the
-// frame's macro blocks, under two header framings. The untiled stream
-// (EncodeWith) covers every segment of the frame; a tile stream
+// The intra attribute decoder: one body, DecodeWindow, over a window of the
+// segments an opened Stream codes, under two header framings. The untiled
+// stream (EncodeWith) covers every segment of the frame; a tile stream
 // (EncodeIntraTile) records the frame's global counts plus its own segment
 // window, so the per-segment values are the untiled ones and only the
-// framing differs. The body is pure and device-free; the untiled framing
-// books the paper's decode kernels beside it.
+// framing differs. A stream is opened once (OpenFrame, OpenTile) and any
+// number of windows of it decode concurrently: an untiled frame is decoded as
+// one window per core, a tile as one. The body is pure and device-free;
+// opening the untiled framing books the paper's decode kernels, once per
+// frame.
 //
 // Nothing here is sized from a header: the caller's destination window —
 // whose length the codec takes from the decoded geometry — is the point
@@ -86,9 +89,32 @@ func (c *Cursor) Packed(count int) (raw []byte, width uint, ok bool) {
 // bits, and one more has always been let through.
 const maxWidth = 33
 
-// Unpack fills dst[i] = base + v[i]*scale from a column Packed cut for
-// len(dst) values.
-func Unpack(dst []int32, raw []byte, width uint, base, scale int32) {
+// SkipVarints steps over the next k varints by their terminator bytes,
+// refusing what Uvarint refuses: a varint of more than ten bytes, or a tenth
+// byte above 1.
+func (c *Cursor) SkipVarints(k int) bool {
+	run := 0 // continuation bytes of the varint under the cursor
+	for k > 0 {
+		if c.pos >= len(c.buf) {
+			return false
+		}
+		b := c.buf[c.pos]
+		c.pos++
+		switch {
+		case run == binary.MaxVarintLen64-1 && b > 1:
+			return false
+		case b < 0x80:
+			run, k = 0, k-1
+		default:
+			run++
+		}
+	}
+	return true
+}
+
+// Unpack fills dst[i] = base + v[from+i]*scale from a column Packed cut: the
+// len(dst) values from index from on, which start from bit from*width.
+func Unpack(dst []int32, raw []byte, width uint, from int, base, scale int32) {
 	if width == 0 {
 		for i := range dst {
 			dst[i] = base
@@ -97,7 +123,12 @@ func Unpack(dst []int32, raw []byte, width uint, base, scale int32) {
 	}
 	var bits uint64
 	var n uint
-	pos := 0
+	bit := uint(from) * width
+	pos := int(bit / 8)
+	if r := bit % 8; r != 0 {
+		bits, n = uint64(raw[pos])>>r, 8-r
+		pos++
+	}
 	for i := range dst {
 		for n < width {
 			bits |= uint64(raw[pos]) << n
@@ -135,19 +166,23 @@ func (s *BoundStep) Next() int {
 }
 
 // DecodeScratch is the intra attribute decoder's reusable arena: the
-// entropy-decoded payload, the window's base columns and its channel
-// columns. Buffers grow to the largest window decoded and are then reused. A
-// scratch must not be shared by concurrent decodes.
+// entropy-decoded payload of the stream it opened, and the base and channel
+// columns of the window it decodes. Buffers grow to the largest window decoded
+// and are then reused. A scratch must not be shared by concurrent decodes: the
+// windows of one stream decode with a scratch each, reading the payload of
+// the one that opened it.
 type DecodeScratch struct {
 	payload []byte
 	bases   [2][]int32
 	chans   [3][]int32
 }
 
-// stream is an opened intra attribute stream of either framing: the header's
-// fields, the segment window [segLo, segHi) of the frame's nSeg segments, and
-// the cursor at the window's first channel.
-type stream struct {
+// Stream is an opened intra attribute stream of either framing: the header's
+// fields, the segments [segLo, segHi) of the frame's nSeg that it codes —
+// every one for the untiled framing, a tile's own for the tile framing — and
+// the cursor at its first channel. Windows of one Stream may decode
+// concurrently; each reads from a copy of the cursor.
+type Stream struct {
 	cur          Cursor
 	n, nSeg      int
 	segLo, segHi int
@@ -156,17 +191,20 @@ type stream struct {
 	ycocg        bool
 }
 
-// points returns the window's point count.
-func (st *stream) points() int {
+// bound returns the first point of segment j of the frame's grid.
+func (st *Stream) bound(j int) int { return j * st.n / st.nSeg }
+
+// points returns the stream's point count.
+func (st *Stream) points() int {
 	if st.n == 0 {
 		return 0
 	}
-	return st.segHi*st.n/st.nSeg - st.segLo*st.n/st.nSeg
+	return st.bound(st.segHi) - st.bound(st.segLo)
 }
 
-// checkPoints refuses a stream whose window does not hold exactly the points
-// the caller's geometry has.
-func (st *stream) checkPoints(want int) error {
+// checkPoints refuses a stream that does not hold exactly the points the
+// caller's geometry has.
+func (st *Stream) checkPoints(want int) error {
 	if got := st.points(); got != want {
 		return fmt.Errorf("%w: stream codes %d points, geometry has %d", ErrBadStream, got, want)
 	}
@@ -193,7 +231,7 @@ func (s *DecodeScratch) unwrap(data []byte) ([]byte, error) {
 // open parses an unwrapped stream's header: the untiled one, and behind it
 // the segment window when tile is set. A frame of zero points has no
 // segments, and no tiles.
-func open(payload []byte, tile bool) (st stream, err error) {
+func open(payload []byte, tile bool) (st Stream, err error) {
 	st.cur = NewCursor(payload)
 	c := &st.cur
 	n, ok1 := c.Uvarint()
@@ -235,31 +273,43 @@ func open(payload []byte, tile bool) (st stream, err error) {
 	return st, nil
 }
 
-// decodeWindow is the one decode body: it reads the three channels of the
-// stream's segment window and writes the window's colours to dst, which must
-// hold exactly st.points() colours. Per channel the stream carries the
-// window's base column (one per layer), then every segment's residuals
-// behind their width byte; a point is base1 + (base2 + residual) * qstep in
-// its channel, converted back from YCoCg-R when the stream says so.
-func (s *DecodeScratch) decodeWindow(st *stream, dst []geom.Color) error {
+// DecodeWindow is the one decode body: it reads window w of the given number
+// over st's S segments — segments w·S/W up to (w+1)·S/W, the encoder's cut —
+// and writes the window's colours to its range of dst, which holds every
+// point the stream codes. Per channel the stream carries the base column of
+// its segments (one per layer), then every segment's residuals behind their
+// width byte; a window unpacks its range of the base column from a bit offset,
+// and steps over the residual runs of the segments before it — and, in the
+// first two channels, after it — by their width bytes alone. A point is
+// base1 + (base2 + residual) * qstep in its channel, converted back from
+// YCoCg-R when the stream says so. An empty window reads nothing.
+func (s *DecodeScratch) DecodeWindow(dst []geom.Color, st *Stream, w, windows int) error {
 	segs := st.segHi - st.segLo
+	lo, hi := w*segs/windows, (w+1)*segs/windows
+	if st.n == 0 || lo == hi {
+		return nil
+	}
+	c := st.cur
+	origin, first, last := st.bound(st.segLo), st.bound(st.segLo+lo), st.bound(st.segLo+hi)
 	for ch := range s.chans {
 		for l := 0; l < st.layers; l++ {
-			raw, w, ok := st.cur.Packed(segs)
+			raw, width, ok := c.Packed(segs)
 			if !ok {
 				return ErrBadStream
 			}
-			s.bases[l] = grow(s.bases[l], segs)
-			Unpack(s.bases[l], raw, w, 0, 1)
+			s.bases[l] = grow(s.bases[l], hi-lo)
+			Unpack(s.bases[l], raw, width, lo, 0, 1)
 		}
-		s.chans[ch] = grow(s.chans[ch], len(dst))
+		s.chans[ch] = grow(s.chans[ch], last-first)
 		values := s.chans[ch]
 		step := NewBoundStep(st.n, st.nSeg, st.segLo)
-		first := step.At()
-		for j := 0; j < segs; j++ {
-			lo := step.At() - first
-			hi := step.Next() - first
-			raw, w, ok := st.cur.Packed(hi - lo)
+		if !c.skipRuns(&step, lo) {
+			return ErrBadStream
+		}
+		for j := 0; j < hi-lo; j++ {
+			a := step.At() - first
+			b := step.Next() - first
+			raw, width, ok := c.Packed(b - a)
 			if !ok {
 				return ErrBadStream
 			}
@@ -267,54 +317,77 @@ func (s *DecodeScratch) decodeWindow(st *stream, dst []geom.Color) error {
 			if st.layers == 2 {
 				base += s.bases[1][j] * st.qstep // layer 2 is lossless: q = 1
 			}
-			Unpack(values[lo:hi], raw, w, base, st.qstep)
+			Unpack(values[a:b], raw, width, 0, base, st.qstep)
+		}
+		if ch < len(s.chans)-1 && !c.skipRuns(&step, segs-hi) {
+			return ErrBadStream
 		}
 	}
 	c0, c1, c2 := s.chans[0], s.chans[1], s.chans[2]
-	for i := range dst {
+	out := dst[first-origin : last-origin]
+	for i := range out {
 		a, b, c := c0[i], c1[i], c2[i]
 		if st.ycocg {
 			a, b, c = yCoCgToRGB(a, b, c)
 		}
-		dst[i] = geom.Color{R: clampU8i(a), G: clampU8i(b), B: clampU8i(c)}
+		out[i] = geom.Color{R: clampU8i(a), G: clampU8i(b), B: clampU8i(c)}
 	}
 	return nil
 }
 
+// skipRuns steps the cursor over the residual runs of the next k segments of
+// step's grid by their width bytes, refusing what Packed refuses.
+func (c *Cursor) skipRuns(step *BoundStep, k int) bool {
+	for ; k > 0; k-- {
+		at := step.At()
+		if _, _, ok := c.Packed(step.Next() - at); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // Decode reconstructs the attribute column of a frame from an EncodeWith
 // stream, with a fresh scratch and trusting the stream's own point count.
-// Decoders that hold the frame's geometry use DecodeScratch.Decode.
+// Decoders that hold the frame's geometry open the stream for its point count
+// (DecodeScratch.OpenFrame) and decode its windows (DecodeWindow).
 func Decode(dev *edgesim.Device, data []byte) ([]geom.Color, error) {
 	var s DecodeScratch
 	st, err := s.openFrame(dev, data)
 	if err != nil || st.n == 0 {
 		return nil, err
 	}
+	st.book(dev)
 	out := make([]geom.Color, st.n)
-	if err := s.decodeFrame(dev, &st, out); err != nil {
+	if err := s.DecodeWindow(out, &st, 0, 1); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// Decode reconstructs the attribute column of a frame from an EncodeWith
-// stream into dst, one colour per point in sorted order. len(dst) is the
-// point count of the frame's geometry: a stream that codes another count is
-// ErrBadStream.
-func (s *DecodeScratch) Decode(dev *edgesim.Device, dst []geom.Color, data []byte) error {
+// OpenFrame unwraps and opens an EncodeWith stream for a frame of the given
+// point count, the one its geometry has — a stream that codes another count
+// is ErrBadStream. It books the stream's decode on dev from the frame's
+// counts, whatever windows then decode it: the entropy stage when the stream
+// went through it, then the paper's decode path — stream parsing walks
+// segment headers serially (the "sub-optimal" decode path the paper measures
+// at ~70 ms/frame end-to-end), then per channel an unpack kernel over the
+// points and a reconstruction kernel over the segments.
+func (s *DecodeScratch) OpenFrame(dev *edgesim.Device, data []byte, points int) (Stream, error) {
 	st, err := s.openFrame(dev, data)
 	if err == nil {
-		err = st.checkPoints(len(dst))
+		err = st.checkPoints(points)
 	}
-	if err != nil || st.n == 0 {
-		return err
+	if err != nil {
+		return Stream{}, err
 	}
-	return s.decodeFrame(dev, &st, dst)
+	st.book(dev)
+	return st, nil
 }
 
 // openFrame unwraps and opens an untiled stream, booking the entropy stage
 // when the stream went through it.
-func (s *DecodeScratch) openFrame(dev *edgesim.Device, data []byte) (stream, error) {
+func (s *DecodeScratch) openFrame(dev *edgesim.Device, data []byte) (Stream, error) {
 	var payload []byte
 	var err error
 	if len(data) > 0 && data[0] == 1 {
@@ -325,29 +398,24 @@ func (s *DecodeScratch) openFrame(dev *edgesim.Device, data []byte) (stream, err
 		payload, err = s.unwrap(data)
 	}
 	if err != nil {
-		return stream{}, err
+		return Stream{}, err
 	}
 	return open(payload, false)
 }
 
-// decodeFrame runs the body over a whole frame and books the paper's decode
-// path beside it: stream parsing walks segment headers serially (the
-// "sub-optimal" decode path the paper measures at ~70 ms/frame end-to-end),
-// then per channel an unpack kernel over the points and a reconstruction
-// kernel over the segments.
-func (s *DecodeScratch) decodeFrame(dev *edgesim.Device, st *stream, dst []geom.Color) error {
-	dev.CPUSerial("AttrParse", st.n, edgesim.Cost{OpsPerItem: 55, BytesPerItem: 3}, func() {})
-	if err := s.decodeWindow(st, dst); err != nil {
-		return err
+// book books the paper's decode path of an untiled stream (OpenFrame).
+func (st *Stream) book(dev *edgesim.Device) {
+	if st.n == 0 {
+		return
 	}
-	for range s.chans {
+	dev.CPUSerial("AttrParse", st.n, edgesim.Cost{OpsPerItem: 55, BytesPerItem: 3}, func() {})
+	for range 3 {
 		dev.GPUNoop("UnpackBits", st.n, costUnpackBits)
 		dev.GPUNoop("Reconstruct", st.nSeg, edgesim.Cost{
 			OpsPerItem:   costReconstr.OpsPerItem * float64(st.n) / float64(st.nSeg),
 			BytesPerItem: costReconstr.BytesPerItem * float64(st.n) / float64(st.nSeg),
 		})
 	}
-	return nil
 }
 
 // DecodeIntraTile reconstructs one tile's attribute column from an
@@ -361,31 +429,27 @@ func DecodeIntraTile(data []byte) ([]geom.Color, error) {
 		return nil, err
 	}
 	out := make([]geom.Color, st.points())
-	if err := s.decodeWindow(&st, out); err != nil {
+	if err := s.DecodeWindow(out, &st, 0, 1); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// DecodeTile reconstructs one tile's attribute column from an
-// EncodeIntraTile stream into dst, on the calling goroutine with no device
-// kernels. len(dst) is the point count of the tile's geometry: a stream
-// whose segment window holds another count is ErrBadStream.
-func (s *DecodeScratch) DecodeTile(dst []geom.Color, data []byte) error {
+// OpenTile unwraps and opens an EncodeIntraTile stream for a tile of the
+// given point count, the one its geometry has, on the calling goroutine with
+// no device kernels.
+func (s *DecodeScratch) OpenTile(data []byte, points int) (Stream, error) {
 	st, err := s.openTile(data)
 	if err == nil {
-		err = st.checkPoints(len(dst))
+		err = st.checkPoints(points)
 	}
-	if err != nil {
-		return err
-	}
-	return s.decodeWindow(&st, dst)
+	return st, err
 }
 
-func (s *DecodeScratch) openTile(data []byte) (stream, error) {
+func (s *DecodeScratch) openTile(data []byte) (Stream, error) {
 	payload, err := s.unwrap(data)
 	if err != nil {
-		return stream{}, err
+		return Stream{}, err
 	}
 	return open(payload, true)
 }

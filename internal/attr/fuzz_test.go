@@ -53,7 +53,7 @@ func FuzzDecode(f *testing.F) {
 				var s DecodeScratch
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				_ = s.Decode(d, dst, data)
+				_ = decodeOne(&s, dst, data)
 				runtime.ReadMemStats(&after)
 				got := after.TotalAlloc - before.TotalAlloc
 				if got <= limit {

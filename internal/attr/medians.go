@@ -38,18 +38,22 @@ func (s *Scratch) AppendBaseMedians(dst []byte, colors []geom.Color, runs []int)
 	return dst
 }
 
-// DecodeBaseMedians inverts AppendBaseMedians into the caller's window: every
-// colour of cell c — dst[runs[c]:runs[c+1]], runs as AppendBaseMedians takes
-// them over dst — becomes the cell's median. The stream must be exactly
-// consumed and hold exactly the runs' cell count.
-func DecodeBaseMedians(dst []geom.Color, data []byte, runs []int) error {
+// DecodeBaseMedians inverts AppendBaseMedians into the caller's window of
+// cells: the stream holds `cells` medians and the window's cells are first,
+// first+1, … — every colour of the window's cell c, dst[runs[c]:runs[c+1]]
+// with runs as AppendBaseMedians takes them over dst, becomes median
+// first+c. The stream must be exactly consumed and hold exactly `cells`
+// medians, and the window must lie within them.
+func DecodeBaseMedians(dst []geom.Color, data []byte, cells, first int, runs []int) error {
 	c := NewCursor(data)
 	n, ok := c.Uvarint()
-	if !ok || n != uint64(max(len(runs)-1, 0)) || uint64(c.Len()) != 3*n {
+	k := max(len(runs)-1, 0)
+	if !ok || n != uint64(cells) || uint64(c.Len()) != 3*n || first < 0 || first+k > cells {
 		return ErrBadStream
 	}
-	for i := 0; i < int(n); i++ {
-		rgb, _ := c.Take(3)
+	meds, _ := c.Take(3 * cells)
+	for i := 0; i < k; i++ {
+		rgb := meds[3*(first+i):]
 		med := geom.Color{R: rgb[0], G: rgb[1], B: rgb[2]}
 		for j := runs[i]; j < runs[i+1]; j++ {
 			dst[j] = med

@@ -1,6 +1,7 @@
 package attr
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -20,11 +21,11 @@ func TestBaseMediansRoundTrip(t *testing.T) {
 	// The inverse paints every colour of a cell with the cell's median; one
 	// colour per cell reads the medians themselves back.
 	meds := make([]geom.Color, len(runs)-1)
-	if err := DecodeBaseMedians(meds, wire, []int{0, 1, 2, 3}); err != nil {
+	if err := DecodeBaseMedians(meds, wire, 3, 0, []int{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	painted := make([]geom.Color, len(colors))
-	if err := DecodeBaseMedians(painted, wire, runs); err != nil {
+	if err := DecodeBaseMedians(painted, wire, 3, 0, runs); err != nil {
 		t.Fatal(err)
 	}
 	for c := range meds {
@@ -33,6 +34,15 @@ func TestBaseMediansRoundTrip(t *testing.T) {
 				t.Errorf("colour %d of cell %d painted %v, median %v", i, c, painted[i], meds[c])
 			}
 		}
+	}
+	// A window of the last two cells paints what the whole stream painted
+	// there, and a window past the last cell is refused.
+	window := make([]geom.Color, 3)
+	if err := DecodeBaseMedians(window, wire, 3, 1, []int{0, 1, 3}); err != nil || !slices.Equal(window, painted[3:]) {
+		t.Fatalf("window of cells 1-2: %v, %v; whole stream painted %v", window, err, painted[3:])
+	}
+	if err := DecodeBaseMedians(window, wire, 3, 2, []int{0, 1, 3}); err == nil {
+		t.Fatal("a window past the last cell was painted")
 	}
 	want := []geom.Color{
 		// cell 0: lower medians of {10,12,11}, {20,18,19}, {30,33,31}
@@ -54,10 +64,10 @@ func TestBaseMediansRoundTrip(t *testing.T) {
 
 func TestBaseMediansEmpty(t *testing.T) {
 	wire := new(Scratch).AppendBaseMedians(nil, nil, []int{0})
-	if err := DecodeBaseMedians(nil, wire, []int{0}); err != nil {
+	if err := DecodeBaseMedians(nil, wire, 0, 0, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := DecodeBaseMedians(make([]geom.Color, 1), wire, []int{0, 1}); err == nil {
+	if err := DecodeBaseMedians(make([]geom.Color, 1), wire, 0, 0, []int{0, 1}); err == nil {
 		t.Fatal("an empty stream painted a cell")
 	}
 }
@@ -72,7 +82,7 @@ func TestBaseMediansBadStreams(t *testing.T) {
 		"huge":      {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
 	}
 	for name, b := range cases {
-		if err := DecodeBaseMedians(make([]geom.Color, 2), b, []int{0, 1, 2}); err == nil {
+		if err := DecodeBaseMedians(make([]geom.Color, 2), b, 2, 0, []int{0, 1, 2}); err == nil {
 			t.Errorf("%s: decode accepted a malformed stream", name)
 		}
 	}

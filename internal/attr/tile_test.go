@@ -164,7 +164,7 @@ func TestTileBodyIsUntiledBody(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := make([]geom.Color, n)
-					if err := ds.Decode(d, want, whole); err != nil {
+					if err := decodeOne(&ds, want, whole); err != nil {
 						t.Fatalf("%s: untiled: %v", name, err)
 					}
 					gbounds := SegmentBounds(n, p.Segments)
@@ -173,7 +173,11 @@ func TestTileBodyIsUntiledBody(t *testing.T) {
 						t.Fatal(err)
 					}
 					got := make([]geom.Color, n)
-					if err := ds.DecodeTile(got, tile); err != nil {
+					st, err := ds.OpenTile(tile, n)
+					if err == nil {
+						err = ds.DecodeWindow(got, &st, 0, 1)
+					}
+					if err != nil {
 						t.Fatalf("%s: tile over every segment: %v", name, err)
 					}
 					if !slices.Equal(got, want) || !slices.Equal(want, recon) {
@@ -206,7 +210,7 @@ func TestTileBodyIsUntiledBody(t *testing.T) {
 						t.Errorf("%s: one body call framed twice disagrees with the two encoders", name)
 					}
 					// Either framing refuses a destination of another size.
-					if ds.Decode(d, want[1:], whole) == nil || ds.DecodeTile(got[1:], tile) == nil {
+					if _, err := ds.OpenTile(tile, n-1); err == nil || decodeOne(&ds, want[1:], whole) == nil {
 						t.Errorf("%s: a %d-colour destination took a %d-point stream", name, n-1, n)
 					}
 				}
@@ -214,6 +218,80 @@ func TestTileBodyIsUntiledBody(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeWindowIsWholeSlice: a window of the untiled stream decodes to
+// the matching slice of the whole-stream decode and writes nothing else, at
+// 1 to 64 windows across layers, colour space, quantization, segment size and
+// the entropy stage; and the windows of a truncated or bit-flipped stream
+// fail exactly when the whole-stream decode does.
+func TestDecodeWindowIsWholeSlice(t *testing.T) {
+	d := dev()
+	const n = 1000
+	colors := randColors(5, n)
+	for _, layers := range []int{1, 2} {
+		for _, ycocg := range []bool{false, true} {
+			for _, qstep := range []int{1, 4} {
+				for _, perSeg := range []int{1, 16, 25} {
+					for _, entropy := range []bool{false, true} {
+						p := Params{Segments: n / perSeg, QStep: qstep, Layers: layers, YCoCg: ycocg, Entropy: entropy}
+						whole, err := Encode(d, colors, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := Decode(d, whole)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var open DecodeScratch
+						st, err := open.OpenFrame(d, whole, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						gb := SegmentBounds(n, p.Segments)
+						nSeg := len(gb) - 1
+						for _, windows := range []int{1, 2, 3, 8, 64} {
+							for w := 0; w < windows; w++ {
+								lo, hi := gb[w*nSeg/windows], gb[(w+1)*nSeg/windows]
+								got := make([]geom.Color, n)
+								var ws DecodeScratch
+								if err := ws.DecodeWindow(got, &st, w, windows); err != nil {
+									t.Fatalf("%+v window %d of %d: %v", p, w, windows, err)
+								}
+								if !slices.Equal(got[lo:hi], want[lo:hi]) || slices.ContainsFunc(got[:lo], nonZero) || slices.ContainsFunc(got[hi:], nonZero) {
+									t.Fatalf("%+v window %d of %d: not the whole decode's colours [%d,%d)", p, w, windows, lo, hi)
+								}
+							}
+						}
+						if entropy {
+							continue // a damaged entropy stream fails as it unwraps, before any window
+						}
+						for i := 8; i < len(whole); i += len(whole)/23 + 1 {
+							flipped := bytes.Clone(whole)
+							flipped[i] ^= 0x5A
+							for _, bad := range [][]byte{whole[:i], flipped} {
+								var ds DecodeScratch
+								st, err := ds.OpenFrame(d, bad, n)
+								if err != nil {
+									continue
+								}
+								errWhole := ds.DecodeWindow(make([]geom.Color, n), &st, 0, 1)
+								var errWin error
+								for w := 0; w < 3 && errWin == nil; w++ {
+									errWin = ds.DecodeWindow(make([]geom.Color, n), &st, w, 3)
+								}
+								if errWhole != errWin {
+									t.Fatalf("%+v, damaged at byte %d: whole stream %v, three windows %v", p, i, errWhole, errWin)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func nonZero(c geom.Color) bool { return c != geom.Color{} }
 
 // TestWindowCutInvariant: the untiled stream does not show how the frame was
 // cut into windows, nor the order their bodies ran in.

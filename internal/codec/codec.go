@@ -405,16 +405,19 @@ type Decoder struct {
 
 	// The proposed designs' arena. codes and colors are the columns every
 	// unit fills its window of; units holds one scratch per unit, grown to
-	// the most units a frame has had; inv is the frame's inverse rescale while
-	// its voxels are emitted. ref is the reference of the P-frames that follow
-	// — the last I-frame's colour column, valid while hasRef — and trades
-	// buffers with colors at every full I-frame.
-	codes  []morton.Code
-	colors []geom.Color
-	units  []unitDecoder
-	inv    paroctree.Inverter
-	ref    []geom.Color
-	hasRef bool
+	// the most units a frame has had — tiles, or the windows of an untiled
+	// frame, dev.Workers() of them unless a test sets windows; inv is the
+	// frame's inverse rescale while its voxels are emitted. ref is the
+	// reference of the P-frames that follow — the last I-frame's colour
+	// column, valid while hasRef — and trades buffers with colors at every
+	// full I-frame.
+	codes   []morton.Code
+	colors  []geom.Color
+	units   []unitDecoder
+	windows int
+	inv     paroctree.Inverter
+	ref     []geom.Color
+	hasRef  bool
 }
 
 // NewDecoder creates a decoder running on dev.

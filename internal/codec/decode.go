@@ -3,26 +3,30 @@ package codec
 // The proposed designs' decode path: one phase over units x (layers read,
 // level decoded).
 //
-// A frame is a grid of units — the tiles of a tiled frame, or the whole
-// frame — by layers, and FrameLayout gives every (unit, layer) span of both
-// streams. Decoding it to octree level l is the same for every shape and every
-// subscription. One fan-out runs one unit body: the unit unwraps the geometry
-// layers that carry levels up to l, expands them to level l into its window
-// of the Decoder's code column (sizing pass first; the window is the unit's
-// point range of the directory and is never overrun), and colours the window
-// — from its top attribute layer, under the frame's or the tile's framing,
-// when every level was read; from its base-layer medians, one per base-level
-// cell painted over the cell's run of level-l codes, when layers were shed;
-// zeroed for a coarse tile or a geometry-only decode. Then one boundary check
-// (codes strictly ascending across units, a partial decode dropping the
-// boundary cell two tiles share), one fused pass from the two columns to the
-// returned voxels (Morton decode, cell centre on the full lattice, colour,
-// inverse rescale) and one reference rule. A full decode is l = depth; an
-// untiled frame is a plan of one unit, which the fan-out runs on the calling
-// core, booking the paper's decode kernels beside the bodies; tiles run on
-// the worker pool, each with the scratch its own index names, under one
-// TileDecode. DecodeGeometry (pcc.DecodeProgressive) is the same phase with
-// the colours left out.
+// A frame is a grid of streams — one per tile of a tiled frame, or the
+// frame's one — by layers, and FrameLayout gives every (stream, layer) span
+// of both payloads. Decoding it to octree level l is the same for every shape
+// and every subscription. A stream is read once by the stream pass: it
+// unwraps the geometry layers that carry levels up to l, sizes them to level l
+// and cuts them into windows of whole subtrees (paroctree.Levels.Scan), checks
+// them against the directory and opens the attribute stream. Then one fan-out
+// runs one unit body per window: the unit expands its subtrees to level l
+// into its range of the Decoder's code column (never past the stream's point
+// range of the directory) and colours its window — from the top attribute
+// layer's stream, its own window of the segments or blocks, when every level
+// was read; from the base-layer medians of its base-level cells, painted over
+// their runs of level-l codes, when layers were shed; zeroed for a coarse
+// tile or a geometry-only decode. Then one boundary check (codes strictly
+// ascending across units, a partial decode dropping the boundary cell two
+// tiles share), one fused pass per unit from the two columns to the returned
+// voxels (Morton decode, cell centre on the full lattice, colour, inverse
+// rescale) and one reference rule. A full decode is l = depth. An untiled
+// frame's plan is dev.Workers() windows of its one stream, whose pass runs on
+// the calling core before they fan out and books the paper's decode kernels
+// from the frame's counts, once, whatever the window count; a tiled frame's
+// plan is its tiles, each the one window of its own stream, whose pass the
+// tile's unit runs on the worker pool, under one TileDecode. DecodeGeometry
+// (pcc.DecodeProgressive) is the same phase with the colours left out.
 //
 // The reference a P-frame predicts from is the last I-frame's colour column
 // (the block pointers index points, never positions). It is decided in one
@@ -45,16 +49,21 @@ import (
 	"repro/internal/paroctree"
 )
 
-// unitDecoder is one unit's decode scratch: its unwrapped geometry stream,
-// what the sizing pass found in it, the base-cell runs of a partial decode and
-// the two attribute stages' arenas. Units decode concurrently, each with the
-// scratch its index names.
+// unitDecoder is one unit's decode scratch. A unit that reads a stream — a
+// tile, or the first window of an untiled frame — keeps what the stream pass
+// found there: the unwrapped geometry, the sizing pass with its windows'
+// cuts, and the attribute stream opened for them (isP: a P stream). Every
+// unit keeps its window's base-cell runs and the two attribute stages'
+// arenas. Units decode concurrently, each with the scratch its index names.
 type unitDecoder struct {
-	raw   []byte
-	lv    paroctree.Levels
-	runs  []int
-	intra attr.DecodeScratch
-	inter interframe.DecodeScratch
+	raw     []byte
+	lv      paroctree.Levels
+	isP     bool
+	intraSt attr.Stream
+	interSt interframe.Stream
+	runs    []int
+	intra   attr.DecodeScratch
+	inter   interframe.DecodeScratch
 	// The unit emits codes [lo, lo+n) of the columns — what it expanded, less
 	// a boundary cell the unit before it already emitted — to the returned
 	// cloud from outLo on; err is what its decode failed with.
@@ -98,11 +107,13 @@ func appendGeomChunk(dst, raw []byte, entropyOn bool) []byte {
 // the leading layers read, the octree level decoded, whether that is every
 // level (full), and whether it is a geometry-only decode (bare): colours left
 // out, and the level possibly inside the last layer read, whose tail then
-// stays unread.
+// stays unread. units is the plan's unit count and windows the windows each
+// stream is cut into.
 type decodeView struct {
-	sub        int
-	level      uint
-	full, bare bool
+	sub            int
+	level          uint
+	full, bare     bool
+	units, windows int
 }
 
 // decodeProposed inverts encodeProposed. The inter designs require frames
@@ -140,8 +151,17 @@ func (d *Decoder) decodeTo(f *EncodedFrame, want uint, bare bool) (*geom.VoxelCl
 	v.level = min(v.level, want)
 	v.full = v.level == depth
 
-	units := l.LayerUnits()
-	for len(d.units) < units {
+	// The plan: a tiled frame's units are its tiles, each the one window of
+	// its own stream; an untiled frame's are the windows of its one stream,
+	// one per core.
+	v.units, v.windows = l.LayerUnits(), 1
+	if !f.Tiled() {
+		if v.windows = d.windows; v.windows == 0 {
+			v.windows = d.dev.Workers()
+		}
+		v.units = v.windows
+	}
+	for len(d.units) < v.units {
 		d.units = append(d.units, unitDecoder{})
 	}
 	included := int(f.NumPoints)
@@ -186,7 +206,12 @@ func (d *Decoder) decodeUnits(f *EncodedFrame, l *FrameLayout, v decodeView, inc
 	}
 	d.codes = grow(d.codes, int(f.NumPoints))
 	d.colors = grow(d.colors, int(f.NumPoints))
-	dev, units := d.dev, d.units[:l.LayerUnits()]
+	dev, units := d.dev, d.units[:v.units]
+	if !f.Tiled() {
+		if err := d.openStream(f, l, 0, v); err != nil {
+			return nil, err
+		}
+	}
 	fan := func() {
 		dev.ParallelFor(len(units), func(u0, u1 int) {
 			for u := u0; u < u1; u++ {
@@ -247,40 +272,41 @@ func (d *Decoder) decodeUnits(f *EncodedFrame, l *FrameLayout, v decodeView, inc
 	return out, nil
 }
 
-// decodeUnit is the one unit body: unit u unwraps the geometry layers it
-// reads, expands them to the view's level into its window of the code column
-// and colours the window. The one unit of an untiled frame runs on the
-// calling core, decodes its attributes under the frame's framing and books
-// the paper's kernels from its counts; a tile is a pool leaf, takes the
-// tile's framing and books nothing.
-func (d *Decoder) decodeUnit(f *EncodedFrame, l *FrameLayout, u int, v decodeView) error {
-	un, tiled := &d.units[u], f.Tiled()
-	lo, hi := l.PointOff[u], l.PointOff[u+1]
-	un.lo, un.n = lo, 0
-	if tiled && f.Tiles[u].Omitted() {
-		return nil
-	}
+// openStream is the stream pass, once per stream: unit s unwraps the
+// geometry layers it reads, sizes them to the view's level and cuts them into
+// the stream's windows (paroctree.Levels.Scan), checks them against the
+// directory, and opens the attribute stream its windows colour from. The one
+// stream of an untiled frame is read on the calling core before its windows
+// fan out, and books the paper's kernels from the frame's counts, once
+// whatever the window count; a tile's is read by the tile's own unit, a pool
+// leaf, and books nothing.
+func (d *Decoder) openStream(f *EncodedFrame, l *FrameLayout, s int, v decodeView) error {
+	un, tiled := &d.units[s], f.Tiled()
+	lo, hi := l.PointOff[s], l.PointOff[s+1]
 	var err error
 	raw := un.raw[:0]
 	for lay := 0; lay < v.sub; lay++ {
-		if raw, err = AppendGeomChunk(raw, l.Geom(f.Geometry, u, lay)); err != nil {
+		if raw, err = AppendGeomChunk(raw, l.Geom(f.Geometry, s, lay)); err != nil {
 			return err
 		}
 	}
 	un.raw = raw
-	if un.lv, err = paroctree.ScanLevels(raw, uint(f.Depth), v.level); err != nil {
+	// A window holds whole cells of the level the base medians colour.
+	base := v.level
+	if l.Layered() {
+		base = uint(l.BaseLevel)
+	}
+	if err = un.lv.Scan(raw, uint(f.Depth), v.level, base, v.windows); err != nil {
 		return err
 	}
 	// The stream and the directory must agree before a code is written: the
-	// level's cells fit the unit's window — and are its points when the level
-	// is the leaves — and a viewer's layers hold nothing behind their last level.
+	// level's cells fit the unit's point range — and are its points when the
+	// level is the leaves — and a viewer's layers hold nothing behind their
+	// last level.
 	n := un.lv.Nodes()
 	if n == 0 || n > hi-lo || (v.full && n != hi-lo) || (!v.bare && un.lv.Prefix != len(raw)) {
 		return ErrBadContainer
 	}
-	codes, colors := d.codes[lo:lo+n], d.colors[lo:lo+n]
-	un.lv.Expand(codes, raw)
-	un.n = n
 	if !tiled {
 		// The entropy stage of an unlayered frame is the paper's Sec. IV-B3
 		// ablation and is on the ledger; the per-layer slices' never was.
@@ -290,28 +316,69 @@ func (d *Decoder) decodeUnit(f *EncodedFrame, l *FrameLayout, u int, v decodeVie
 		un.lv.Book(d.dev)
 		d.dev.GPUNoop("MortonDecode", n, costMortonDecode)
 	}
+	if v.bare || !v.full || tiled && f.Tiles[s].Coarse() {
+		return nil
+	}
+	achunk := l.Attr(f.Attr, s, l.cols()-1)
+	if len(achunk) == 0 || achunk[0] > 1 {
+		return ErrBadContainer
+	}
+	switch un.isP = achunk[0] == 1; {
+	case un.isP && !d.hasRef:
+		return ErrMissingReference
+	case un.isP && tiled:
+		un.interSt, err = interframe.OpenPTile(achunk[1:], lo, n)
+	case un.isP:
+		un.interSt, err = interframe.OpenP(d.dev, achunk[1:], n)
+	case tiled:
+		un.intraSt, err = un.intra.OpenTile(achunk[1:], n)
+	default:
+		un.intraSt, err = un.intra.OpenFrame(d.dev, achunk[1:], n)
+	}
+	return err
+}
 
-	switch {
+// decodeUnit is the one unit body: unit u decodes window w of stream s — a
+// tile is the one window of its own stream, whose stream pass it runs first;
+// an untiled frame's unit u is window u of the frame's one stream — expanding
+// it to the view's level into its range of the code column and colouring it:
+// zeroed for a coarse tile or a geometry-only decode, from the base medians of
+// its base-level cells when layers were shed, otherwise from its window of
+// the attribute stream's segments or blocks.
+func (d *Decoder) decodeUnit(f *EncodedFrame, l *FrameLayout, u int, v decodeView) error {
+	un, tiled := &d.units[u], f.Tiled()
+	s, w := 0, u
+	if tiled {
+		s, w = u, 0
+	}
+	lo := l.PointOff[s]
+	un.lo, un.n = lo, 0
+	if tiled {
+		if f.Tiles[u].Omitted() {
+			return nil
+		}
+		if err := d.openStream(f, l, u, v); err != nil {
+			return err
+		}
+	}
+	st := &d.units[s]
+	a, b := st.lv.Window(w, v.level)
+	codes, colors := d.codes[lo+a:lo+b], d.colors[lo+a:lo+b]
+	st.lv.Expand(codes, st.raw, w)
+	un.lo, un.n = lo+a, b-a
+
+	switch base := uint(l.BaseLevel); {
 	case v.bare || tiled && f.Tiles[u].Coarse():
 		clear(colors) // geometry only
 		return nil
 	case !v.full:
-		return un.paintBaseLayer(colors, codes, 3*(v.level-uint(l.BaseLevel)), l.Attr(f.Attr, u, 0))
+		first, _ := st.lv.Window(w, base)
+		_, cells := st.lv.Window(-1, base)
+		return un.paintBaseLayer(colors, codes, 3*(v.level-base), l.Attr(f.Attr, s, 0), cells, first)
+	case st.isP:
+		return un.inter.DecodeWindow(d.colors[lo:l.PointOff[s+1]], d.ref, &st.interSt, w, v.windows)
 	}
-	achunk := l.Attr(f.Attr, u, l.cols()-1)
-	switch {
-	case len(achunk) == 0 || achunk[0] > 1:
-		return ErrBadContainer
-	case achunk[0] == 0 && tiled: // intra
-		return un.intra.DecodeTile(colors, achunk[1:])
-	case achunk[0] == 0:
-		return un.intra.Decode(d.dev, colors, achunk[1:])
-	case !d.hasRef: // inter
-		return ErrMissingReference
-	case tiled:
-		return un.inter.DecodePTile(colors, lo, achunk[1:], d.ref)
-	}
-	return un.inter.DecodeP(d.dev, colors, achunk[1:], d.ref)
+	return un.intra.DecodeWindow(d.colors[lo:l.PointOff[s+1]], &st.intraSt, w, v.windows)
 }
 
 // inverter books the frame's inverse rescale over n points and returns its

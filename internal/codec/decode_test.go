@@ -1,15 +1,19 @@
 package codec
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/attr"
+	"repro/internal/edgesim"
 	"repro/internal/geom"
 )
 
@@ -45,6 +49,180 @@ func viewLedger(t *testing.T, opts Options, n int, view func(*EncodedFrame) *Enc
 			t.Fatal(err)
 		}
 	}
+	return ledgerOf(d)
+}
+
+// windowedDecode is what one decoder cut into a given number of windows made
+// of a run of frames: a cloud (or nil) and an error text per frame, and the
+// ledger of the device it ran on.
+type windowedDecode struct {
+	clouds []*geom.VoxelCloud
+	errs   []string
+	ledger []ledgerRow
+}
+
+// decodeWindowed decodes frames in order, each through decode, on a fresh
+// decoder that cuts an untiled frame into the given number of windows.
+func decodeWindowed(opts Options, windows int, frames []*EncodedFrame, decode func(*Decoder, *EncodedFrame) (*geom.VoxelCloud, error)) windowedDecode {
+	d := dev()
+	dec := NewDecoder(d, opts)
+	dec.windows = windows
+	var out windowedDecode
+	for _, ef := range frames {
+		vc, err := decode(dec, ef)
+		out.clouds = append(out.clouds, vc)
+		out.errs = append(out.errs, fmt.Sprint(err))
+	}
+	out.ledger = ledgerOf(d)
+	return out
+}
+
+// sameDecode reports whether two windowed decodes returned the same clouds
+// and errors, and, when ledgers is set, booked the same ledger.
+func sameDecode(a, b windowedDecode, ledgers bool) bool {
+	for i := range a.clouds {
+		if (a.clouds[i] == nil) != (b.clouds[i] == nil) || a.clouds[i] != nil && !sameCloud(a.clouds[i], b.clouds[i]) {
+			return false
+		}
+	}
+	return slices.Equal(a.errs, b.errs) && (!ledgers || slices.Equal(a.ledger, b.ledger))
+}
+
+// damaged returns broken copies of ef whose containers still parse: bit
+// flips spread over both payloads and, for an unlayered frame, both payloads
+// cut short.
+func damaged(ef *EncodedFrame) []*EncodedFrame {
+	var out []*EncodedFrame
+	for _, geometry := range []bool{true, false} {
+		payload := ef.Attr
+		if geometry {
+			payload = ef.Geometry
+		}
+		for k := 1; k <= 3; k++ {
+			at := k * len(payload) / 4
+			flipped := *ef
+			mut := bytes.Clone(payload)
+			mut[at] ^= byte(0x11 << (k % 4))
+			if flipped.Attr = mut; geometry {
+				flipped.Attr, flipped.Geometry = ef.Attr, mut
+			}
+			out = append(out, &flipped)
+			if ef.Layered() {
+				continue
+			}
+			short := *ef
+			if short.Attr = payload[:at]; geometry {
+				short.Attr, short.Geometry = ef.Attr, payload[:at]
+			}
+			out = append(out, &short)
+		}
+	}
+	return out
+}
+
+// TestDecodeWindowCountInvariant is TestEncodeWorkerCountInvariant's decode
+// mirror: the window cut is not in what a decode returns. An untiled I + P
+// pair — and a 40-point pair, at more windows than points — decodes at 1, 2,
+// 3, 8 and 64 windows to the same clouds and books the same edgesim ledger,
+// whole, layer-shed to one or two of three layers, and geometry-only at every
+// progressive level; across layered or not, colour space with one or two
+// attribute layers, quantization and points per segment, with both entropy
+// stages on for half of the colour space x quantization pairs (the entropy
+// stage is the same serial work at every window count). Every bit-flipped or
+// cut-short copy of either frame decodes to the same cloud, or fails with
+// the same error, at every window count.
+func TestDecodeWindowCountInvariant(t *testing.T) {
+	// Every third voxel of the test frames: a window walks the runs of every
+	// segment before it, so 64 windows cost 64 times the frame's segments.
+	var fs, tiny []*geom.VoxelCloud
+	for _, vc := range frames(t, 2) {
+		thin := &geom.VoxelCloud{Depth: vc.Depth}
+		for i := 0; i < vc.Len(); i += 3 {
+			thin.Voxels = append(thin.Voxels, vc.Voxels[i])
+		}
+		fs = append(fs, thin)
+		tiny = append(tiny, &geom.VoxelCloud{Depth: vc.Depth, Voxels: vc.Voxels[:40]})
+	}
+	for _, clouds := range [][]*geom.VoxelCloud{fs, tiny} {
+		for _, layers := range []int{1, 3} {
+			for _, ycocg := range []bool{false, true} {
+				for _, qstep := range []int{1, 4} {
+					for _, perSeg := range []int{1, 16, 25} {
+						entropy := ycocg != (qstep == 4)
+						opts := OptionsFor(IntraInterV1)
+						opts.GOP, opts.Layers, opts.EntropyGeometry = 2, layers, entropy
+						segs := max(clouds[0].Len()/perSeg, 1)
+						attrLayers := 2
+						if ycocg {
+							attrLayers = 1
+						}
+						opts.IntraAttr = attr.Params{Segments: segs, QStep: qstep, Layers: attrLayers, YCoCg: ycocg, Entropy: entropy}
+						opts.Inter.Segments, opts.Inter.Candidates, opts.Inter.QStep = segs, 32, qstep
+						name := fmt.Sprintf("%d points, %d layers, entropy %v, %+v", clouds[0].Len(), layers, entropy, opts.IntraAttr)
+						// A geometry-only decode reads no attribute option.
+						checkDecodeWindows(t, name, opts, clouds, perSeg == 25 && qstep == 1)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkDecodeWindows holds the decodes of an I + P pair at every window count
+// to the one-window decode: whole, layer-shed, geometry-only at every level
+// when levels is set, and every damaged copy of either frame.
+func checkDecodeWindows(t *testing.T, name string, opts Options, clouds []*geom.VoxelCloud, levels bool) {
+	t.Helper()
+	enc := NewEncoder(dev(), opts)
+	var gop []*EncodedFrame
+	for _, vc := range clouds {
+		ef, _, err := enc.EncodeFrame(vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gop = append(gop, ef)
+	}
+	full := func(dec *Decoder, ef *EncodedFrame) (*geom.VoxelCloud, error) { return dec.DecodeFrame(ef) }
+	views := map[string]func(*Decoder, *EncodedFrame) (*geom.VoxelCloud, error){"whole": full}
+	if gop[0].Layered() {
+		for _, sub := range []uint8{1, 2} {
+			views[fmt.Sprintf("sub %d", sub)] = func(dec *Decoder, ef *EncodedFrame) (*geom.VoxelCloud, error) {
+				return dec.DecodeFrame(stripLayers(ef, nil, sub))
+			}
+		}
+	}
+	for level := uint(0); levels && level <= uint(gop[0].Depth); level++ {
+		views[fmt.Sprintf("level %d", level)] = func(dec *Decoder, ef *EncodedFrame) (*geom.VoxelCloud, error) {
+			vc, _, err := dec.decodeTo(ef, level, true)
+			return vc, err
+		}
+	}
+	for view, decode := range views {
+		want := decodeWindowed(opts, 1, gop, decode)
+		if view == "whole" && slices.Contains(want.clouds, nil) {
+			t.Fatalf("%s: the GOP does not decode: %v", name, want.errs)
+		}
+		for _, windows := range []int{2, 3, 8, 64} {
+			if got := decodeWindowed(opts, windows, gop, decode); !sameDecode(got, want, true) {
+				t.Fatalf("%s, %s: %d windows decode to other clouds, errors or ledger than one (%v, want %v)", name, view, windows, got.errs, want.errs)
+			}
+		}
+	}
+	for i, ef := range gop {
+		for j, bad := range damaged(ef) {
+			run := append(slices.Clone(gop[:i]), bad)
+			want := decodeWindowed(opts, 1, run, full)
+			for _, windows := range []int{2, 3, 8, 64} {
+				if got := decodeWindowed(opts, windows, run, full); !sameDecode(got, want, false) {
+					t.Fatalf("%s, frame %d, damage %d: %d windows decode to %v, one window to %v", name, i, j, windows, got.errs, want.errs)
+				}
+			}
+		}
+	}
+}
+
+// ledgerOf returns d's ledger as the pinned tests compare it.
+func ledgerOf(d *edgesim.Device) []ledgerRow {
 	var rows []ledgerRow
 	for _, k := range d.Kernels() {
 		rows = append(rows, ledgerRow{k.Name, k.Stage, k.Launches, k.Items, k.Ops, k.Bytes, k.SimTime})

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -112,7 +113,10 @@ func FuzzParseLayerDirectory(f *testing.F) {
 // partial one at most as many; the decode allocates at most 64 B per header
 // point plus 64 B per input byte, partial frames included; a frame that fails
 // leaves the reference exactly as it was; and the decoder goes on decoding
-// the seed GOP to the same clouds afterwards.
+// the seed GOP to the same clouds afterwards. A second decoder cuts every
+// untiled frame into three windows, on any runner: it returns the same cloud
+// or fails with the same error, which fuzzes the window cuts on hostile level
+// counts, segment counts and varints.
 func FuzzDecodeFrame(f *testing.F) {
 	// A small GOP (every 16th voxel of the test frames) keeps executions in
 	// the tens of microseconds.
@@ -159,8 +163,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		return vc
 	}
-	dec := NewDecoder(dev(), OptionsFor(IntraInterV1))
+	// The decoder under test, and one that cuts every untiled frame into three
+	// windows whatever the runner's core count.
+	dec, windowed := NewDecoder(dev(), OptionsFor(IntraInterV1)), NewDecoder(dev(), OptionsFor(IntraInterV1))
+	windowed.windows = 3
 	wantI, wantP := decodeSeed(f, dec, seedGOP[0]), decodeSeed(f, dec, seedGOP[1])
+	if !sameCloud(decodeSeed(f, windowed, seedGOP[0]), wantI) || !sameCloud(decodeSeed(f, windowed, seedGOP[1]), wantP) {
+		f.Fatal("three windows decode the seed GOP differently")
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ef, err := ParseFrame(data)
@@ -191,6 +201,10 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 		vc, err := dec.DecodeFrame(ef)
+		vc3, err3 := windowed.DecodeFrame(ef)
+		if fmt.Sprint(err) != fmt.Sprint(err3) || err == nil && !sameCloud(vc, vc3) {
+			t.Fatalf("one window: %v; three windows: %v, or another cloud", err, err3)
+		}
 		if err == nil {
 			want := int(ef.NumPoints)
 			for _, ti := range ef.Tiles {
@@ -201,13 +215,15 @@ func FuzzDecodeFrame(f *testing.F) {
 			if partial := ef.Layered() && ef.Layer.Sub < ef.Layer.Layers; vc.Len() > want || (!partial && vc.Len() != want) {
 				t.Fatalf("decoded %d points, header says %d", vc.Len(), want)
 			}
+		}
+		for _, d := range []*Decoder{dec, windowed} {
 			// The frame may have become the reference; put the seed's back.
-			if !sameCloud(decodeSeed(t, dec, seedGOP[0]), wantI) {
+			if err == nil && !sameCloud(decodeSeed(t, d, seedGOP[0]), wantI) {
 				t.Fatal("seed I-frame decodes differently after this frame")
 			}
-		}
-		if !sameCloud(decodeSeed(t, dec, seedGOP[1]), wantP) {
-			t.Fatal("seed P-frame decodes differently after this frame")
+			if !sameCloud(decodeSeed(t, d, seedGOP[1]), wantP) {
+				t.Fatal("seed P-frame decodes differently after this frame")
+			}
 		}
 	})
 }

@@ -160,13 +160,14 @@ func (e *Encoder) appendBaseLayer(dst []byte, ld *LayerDir, leaves []morton.Keye
 	return s.AppendBaseMedians(append(dst, 2), colors, e.layerRuns)
 }
 
-// paintBaseLayer is appendBaseLayer's inverse for a unit decoded to a level at
-// or above the base level and below the leaves: it colours the level's cells,
-// whose codes are given, from the unit's attribute base layer — mode byte 2,
-// one median per base-level cell — each median painted over the run of cells
-// under its base cell, which are contiguous in Morton order. shift is three
-// bits per level between the two.
-func (un *unitDecoder) paintBaseLayer(colors []geom.Color, codes []morton.Code, shift uint, achunk []byte) error {
+// paintBaseLayer is appendBaseLayer's inverse for a window decoded to a level
+// at or below the base level and above the leaves: it colours the level's
+// cells, whose codes are given, from the unit's attribute base layer — mode
+// byte 2, one median per base-level cell, `cells` of them — each median
+// painted over the run of cells under its base cell, which are contiguous in
+// Morton order. The window's base cells are whole and start at base cell
+// first; shift is three bits per level between the two levels.
+func (un *unitDecoder) paintBaseLayer(colors []geom.Color, codes []morton.Code, shift uint, achunk []byte, cells, first int) error {
 	if len(achunk) == 0 || achunk[0] != 2 {
 		return ErrBadContainer
 	}
@@ -179,5 +180,5 @@ func (un *unitDecoder) paintBaseLayer(colors []geom.Color, codes []morton.Code, 
 		}
 	}
 	un.runs = append(runs, len(codes))
-	return attr.DecodeBaseMedians(colors, achunk[1:], un.runs)
+	return attr.DecodeBaseMedians(colors, achunk[1:], cells, first, un.runs)
 }

@@ -75,16 +75,18 @@ func BenchmarkEncodeSteadyState(b *testing.B) {
 // allocs/frame cap and allocates little more than the frames it returns, for
 // every frame shape — untiled, tiled, layered, and tiles x layers, which is
 // what the streaming servers run. Measured at 1500/2500 segments on two
-// cores: 88.0 / 84.0 / 47.0 / 87.0 / 50.0 allocations per frame (73 / 69 / 31
-// / 72 / 34 at GOMAXPROCS=1) and 1.11-1.12 times the wire frame on every row.
-// The allocation caps sit 10% above the measurement, which is the same in
-// plain and -race builds because nothing on the path is pooled — the encoder
-// indexes its units and keeps its geometry arenas on a free list; the bytes
-// cap is 1.25 times the wire frame. What is left is the escaping frame, its
-// two payloads (Attr sized from the last frame of its type plus an eighth)
-// and its directories, the sort's per-pass dispatch, the fan-outs' closures
-// and a key string per ledger row; the geometry sweep, the unit chunk
-// buffers, the attribute bodies and the base medians allocate nothing. The
+// cores: 39.0 / 39.0 / 41.0 / 42.0 / 44.0 allocations per frame (24 / 24 / 25
+// / 27 / 28 at GOMAXPROCS=1) and 1.10-1.11 times the wire frame on every row;
+// 88.0 / 84.0 / 47.0 / 87.0 / 50.0 while every ledger row booked allocated a
+// key string, when the caps were set. The allocation caps sat 10% above that
+// measurement, which is the same in plain and -race builds because nothing on
+// the path is pooled — the encoder indexes its units and keeps its geometry
+// arenas on a free list; the bytes cap is 1.25 times the wire frame. What is
+// left is the escaping frame, its two payloads (Attr sized from the last
+// frame of its type plus an eighth) and its directories, the sort's per-pass
+// dispatch and the fan-outs' closures; the geometry sweep, the unit chunk
+// buffers, the attribute bodies, the base medians and the ledger allocate
+// nothing. The
 // layered rows read 122.9 and 234.8 allocations and 3.38 and 5.69 times the
 // wire frame while a post-pass rebuilt a finished frame into its layers; the
 // pre-arena figures (~45k/~36k allocs/frame) fail the caps by two orders of
@@ -192,19 +194,20 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 
 // TestDecodeSteadyStateAllocs is the decode side's allocation gate: a warm
 // Decoder over a 60-frame session allocates little more than the clouds it
-// returns, whatever the viewer subscribed to. Measured: 26.0 / 22.7 / 11.0
-// allocations per frame for full subscriptions and 11.0 / 11.0 for a viewer
-// that keeps one or two of three layers (9.0 over tiles on one core, where
-// the fan-outs run inline) — the returned cloud and its voxel slice, the
-// frame's span table, the two fan-outs' closures and a key string per ledger
-// row; the untiled path books a row per octree level — and 1.01 times the
-// 16 B per point of the returned voxels on every row. The partial rows' caps
-// sit 10% above the measurement; the full rows' were set the same way when
-// the decoder got its arena (25.0 / 21.7 / 12.0 then) and still hold. All
-// read the same in plain and -race builds, because nothing on the path is
-// pooled. Before the Decoder owned its memory the full rows read 4556 /
-// 10648 / 9429 allocations per frame and 5.5 / 4.4 / 5.5 times the output;
-// the partial rows, the last to move into the arena, 131.2 / 146.1
+// returns, whatever the viewer subscribed to. Measured on two cores, where an
+// untiled frame decodes as two windows: 8.0 allocations per frame on every
+// row, full or partial, untiled or tiled (6.0 on one core, where the fan-outs
+// run inline) — the returned cloud and its voxel slice, the frame's span
+// table, the two fan-outs' closures and their wait groups — and 1.01 times
+// the 16 B per point of the returned voxels on every row. The caps were set
+// 10% above the measurement while every ledger row booked allocated a key
+// string and an untiled frame was one unit on the calling core: 26.0 / 22.7
+// / 11.0 for full subscriptions and 11.0 / 11.0 for a viewer that keeps one
+// or two of three layers (25.0 / 21.7 / 12.0 when the decoder got its
+// arena). All read the same in plain and -race builds, because nothing on
+// the path is pooled. Before the Decoder owned its memory the full rows read
+// 4556 / 10648 / 9429 allocations per frame and 5.5 / 4.4 / 5.5 times the
+// output; the partial rows, the last to move into the arena, 131.2 / 146.1
 // allocations and 5.76 / 5.38 times.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {

@@ -203,12 +203,16 @@ type Device struct {
 	stageStack  []string
 	stages      map[string]*StageRecord
 	stageOrder  []string
-	kernels     map[string]*KernelRecord
-	kernelOrder []string
+	kernels     map[kernelKey]*KernelRecord
+	kernelOrder []*KernelRecord
 
 	workers int
 	pool    *Pool
 }
+
+// kernelKey names a ledger row: a kernel under a stage. It is a pair, not a
+// joined string, so that booking a launch allocates nothing.
+type kernelKey struct{ stage, name string }
 
 // New creates a device with the given configuration. The device attaches to
 // the persistent kernel worker pool (created on the first New, shared by
@@ -219,7 +223,7 @@ func New(cfg Config) *Device {
 	return &Device{
 		cfg:     cfg,
 		stages:  make(map[string]*StageRecord),
-		kernels: make(map[string]*KernelRecord),
+		kernels: make(map[kernelKey]*KernelRecord),
 		workers: p.Workers(),
 		pool:    p,
 	}
@@ -241,7 +245,7 @@ func (d *Device) Reset() {
 	d.stageStack = nil
 	d.stages = make(map[string]*StageRecord)
 	d.stageOrder = nil
-	d.kernels = make(map[string]*KernelRecord)
+	d.kernels = make(map[kernelKey]*KernelRecord)
 	d.kernelOrder = nil
 }
 
@@ -323,12 +327,12 @@ func (d *Device) account(name string, engine Engine, items int64, c Cost, simTim
 		sr.SimTime += simTime
 		sr.EnergyJ += energy
 	}
-	key := stage + "/" + name
+	key := kernelKey{stage, name}
 	kr, ok := d.kernels[key]
 	if !ok {
 		kr = &KernelRecord{Name: name, Stage: stage, Engine: engine}
 		d.kernels[key] = kr
-		d.kernelOrder = append(d.kernelOrder, key)
+		d.kernelOrder = append(d.kernelOrder, kr)
 	}
 	kr.Launches++
 	kr.Items += items
@@ -480,8 +484,8 @@ func (d *Device) Kernels() []KernelRecord {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]KernelRecord, 0, len(d.kernelOrder))
-	for _, key := range d.kernelOrder {
-		out = append(out, *d.kernels[key])
+	for _, kr := range d.kernelOrder {
+		out = append(out, *kr)
 	}
 	return out
 }

@@ -46,7 +46,7 @@ func FuzzDecodeP(f *testing.F) {
 				var s DecodeScratch
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				_ = s.DecodeP(d, dst, data, ref)
+				_ = decodePOne(&s, dst, data, ref)
 				runtime.ReadMemStats(&after)
 				got := after.TotalAlloc - before.TotalAlloc
 				if got <= limit {

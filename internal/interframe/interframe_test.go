@@ -317,13 +317,12 @@ var hostileCount = []byte{0xac, 0xb7, 0xfb, 0x30, 0x00, 0x30, 0x31, 0x00}
 // count — and for a tile the position — and a stream that claims another is
 // refused before a block of it is read.
 func TestDecodeCountFromGeometry(t *testing.T) {
-	d := dev()
 	iF := sortedFrame(61, 4)
 	ref := frameColors(iF)
 	var s DecodeScratch
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := s.DecodeP(d, make([]geom.Color, 4), hostileCount, ref)
+	err := decodePOne(&s, make([]geom.Color, 4), hostileCount, ref)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrBadStream) {
 		t.Errorf("8-byte stream coding 102 685 612 points over a 4-point geometry: %v, want ErrBadStream", err)
@@ -342,16 +341,29 @@ func TestDecodeCountFromGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := pBounds[5], pBounds[15]
-	dst := make([]geom.Color, hi-lo+1)
-	if err := s.DecodePTile(dst[:hi-lo], lo, tile, frameColors(big)); err != nil {
+	st, err := OpenPTile(tile, lo, hi-lo)
+	if err == nil {
+		err = s.DecodeWindow(make([]geom.Color, hi-lo), frameColors(big), &st, 0, 1)
+	}
+	if err != nil {
 		t.Errorf("tile at its own window: %v", err)
 	}
-	if err := s.DecodePTile(dst[:hi-lo], lo+1, tile, frameColors(big)); !errors.Is(err, ErrBadStream) {
+	if _, err := OpenPTile(tile, lo+1, hi-lo); !errors.Is(err, ErrBadStream) {
 		t.Errorf("tile one point off its window: %v, want ErrBadStream", err)
 	}
-	if err := s.DecodePTile(dst, lo, tile, frameColors(big)); !errors.Is(err, ErrBadStream) {
+	if _, err := OpenPTile(tile, lo, hi-lo+1); !errors.Is(err, ErrBadStream) {
 		t.Errorf("tile into a window one point too long: %v, want ErrBadStream", err)
 	}
+}
+
+// decodePOne decodes an untiled P stream as one window into dst, whose
+// length is the point count the caller's geometry gives the frame.
+func decodePOne(s *DecodeScratch, dst []geom.Color, data []byte, ref []geom.Color) error {
+	st, err := OpenP(dev(), data, len(dst))
+	if err == nil {
+		err = s.DecodeWindow(dst, ref, &st, 0, 1)
+	}
+	return err
 }
 
 func TestKernelLedgerHasFig9Kernels(t *testing.T) {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/attr"
+	"repro/internal/geom"
 )
 
 // encodePTile codes the block window [bLo, bLo+bCount) of the grids as a tile
@@ -118,6 +120,73 @@ func TestTilePErrors(t *testing.T) {
 	for cut := 1; cut < len(stream); cut++ {
 		if _, _, _, err := DecodePTile(stream[:cut], iF); err == nil {
 			t.Fatalf("truncated stream (len %d) must error", cut)
+		}
+	}
+}
+
+// TestDecodeWindowIsWholeSlice: a window of the untiled P stream decodes to
+// the matching slice of the whole-stream decode and writes nothing else, at 1
+// to 64 windows over mixed, all-delta and all-reuse blocks of one or many
+// points and pointers of one or two bytes; and the windows of a truncated or
+// bit-flipped stream fail exactly when the whole-stream decode does.
+func TestDecodeWindowIsWholeSlice(t *testing.T) {
+	d := dev()
+	iF := sortedFrame(41, 3000)
+	pF := jitterColors(sortedFrame(42, 2700), 43, 10)
+	ref := frameColors(iF)
+	for _, p := range []Params{
+		{Segments: 200, Candidates: 40, Threshold: 45, QStep: 4},
+		{Segments: 5000, Candidates: 100, Threshold: 45, QStep: 1},  // one point per block
+		{Segments: 5000, Candidates: 1000, Threshold: 20, QStep: 2}, // two-byte pointers
+		{Segments: 7, Candidates: 3, Threshold: -1, QStep: 2},       // all delta
+		{Segments: 300, Candidates: 20, Threshold: 1e9, QStep: 4},   // all reuse
+	} {
+		whole, _, err := EncodeP(d, iF, pF, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DecodeP(d, whole, iF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenP(d, whole, len(pF))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb := attr.SegmentBounds(len(pF), p.Segments)
+		nBlocks := len(pb) - 1
+		for _, windows := range []int{1, 2, 3, 8, 64} {
+			for w := 0; w < windows; w++ {
+				lo, hi := pb[w*nBlocks/windows], pb[(w+1)*nBlocks/windows]
+				got := make([]geom.Color, len(pF))
+				var ws DecodeScratch
+				if err := ws.DecodeWindow(got, ref, &st, w, windows); err != nil {
+					t.Fatalf("%+v window %d of %d: %v", p, w, windows, err)
+				}
+				set := func(c geom.Color) bool { return c != geom.Color{} }
+				if !slices.Equal(got[lo:hi], want[lo:hi]) || slices.ContainsFunc(got[:lo], set) || slices.ContainsFunc(got[hi:], set) {
+					t.Fatalf("%+v window %d of %d: not the whole decode's colours [%d,%d)", p, w, windows, lo, hi)
+				}
+			}
+		}
+		for i := 4; i < len(whole); i += len(whole)/29 + 1 {
+			flipped := bytes.Clone(whole)
+			flipped[i] ^= 0xA5
+			for _, bad := range [][]byte{whole[:i], flipped} {
+				st, err := OpenP(d, bad, len(pF))
+				if err != nil {
+					continue
+				}
+				var ds DecodeScratch
+				errWhole := ds.DecodeWindow(make([]geom.Color, len(pF)), ref, &st, 0, 1)
+				var errWin error
+				for w := 0; w < 3 && errWin == nil; w++ {
+					errWin = ds.DecodeWindow(make([]geom.Color, len(pF)), ref, &st, w, 3)
+				}
+				if errWhole != errWin || errWin != nil && errWin != ErrBadStream {
+					t.Fatalf("%+v, damaged at byte %d: whole stream %v, three windows %v", p, i, errWhole, errWin)
+				}
+			}
 		}
 	}
 }

@@ -12,9 +12,10 @@
 // is the only octree construction in the package: the untiled frame is the
 // sweep over all leaves, a tile is the sweep over the tile's leaf range, a
 // layer is a range of its levels (AppendLevels) and the progressive path cuts
-// the stream it emits. Its inverse — the sizing pass ScanLevels and the
-// expander Levels.Expand, to any level, into a window the caller owns — is
-// the only stream expander.
+// the stream it emits. Its inverse — the sizing pass Levels.Scan, which also
+// cuts the tree into windows of whole subtrees, and the expander
+// Levels.Expand, a window to any level into a column the caller owns — is the
+// only stream expander.
 //
 // The sweep and the expander are pure functions of their input. The
 // edgesim ledger is booked beside them, from the level node counts, as the

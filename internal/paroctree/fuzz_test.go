@@ -12,7 +12,8 @@ import (
 // FuzzDeserialize feeds the geometry expander — the first thing network
 // bytes reach after the container — arbitrary streams. It must never
 // panic; the three front ends must agree (DeserializeLoD at level == depth
-// is Deserialize minus the trailing-bytes rule); an accepted stream must
+// is Deserialize minus the trailing-bytes rule), and so must the stream cut
+// into three windows; an accepted stream must
 // re-serialize through the sweep to the identical bytes; and allocation
 // stays within 8 codes (64 bytes) per input byte.
 func FuzzDeserialize(f *testing.F) {
@@ -61,6 +62,14 @@ func FuzzDeserialize(f *testing.F) {
 			t.Fatalf("Deserialize (%d codes, %v) != DeserializeSerial (%v)", len(codes), err, serr)
 		}
 		lod, lerr := DeserializeLoD(d, stream, depth, depth)
+		// Three windows, cut wherever the levels allow or no deeper than half
+		// the depth, expand to the same codes or refuse with the same error.
+		for _, base := range []uint{depth, depth / 2} {
+			win, werr := expandWindows(t, stream, depth, depth, base, 3)
+			if (werr == nil) != (lerr == nil) || werr != nil && werr.Error() != lerr.Error() || lerr == nil && !slices.Equal(win, lod.Codes) {
+				t.Fatalf("3 windows, base %d: %d codes (%v); one window: %v", base, len(win), werr, lerr)
+			}
+		}
 		if err != nil {
 			// LoD may still accept: the one extra rule is trailing bytes.
 			if lerr == nil && lod.PrefixBytes == len(stream) && len(stream) > 0 {

@@ -15,10 +15,11 @@ import (
 // the DFS layout of the sequential baseline cannot be cut this way.
 //
 // The codec's decoder uses the property through the expander itself: every
-// unit of every frame is ScanLevels + Levels.Expand to some level, into a
-// window the decoder owns, and the cell centres are taken in its fused emit
-// pass. What stays here is the fresh-column form of the two steps, the
-// reference the layer tests and `pccbench lod` hold that path to.
+// stream of every frame is Levels.Scan to some level, then Levels.Expand of
+// each of its windows into the decoder's column, and the cell centres are
+// taken in its fused emit pass. What stays here is the fresh-column,
+// one-window form of the two steps, the reference the layer tests and
+// `pccbench lod` hold that path to.
 
 // LoDResult is a partially-decoded frame.
 type LoDResult struct {
@@ -46,7 +47,7 @@ func DeserializeLoD(dev *edgesim.Device, stream []byte, depth, level uint) (*LoD
 	if n := lv.Nodes(); n > 0 {
 		lv.bookExpand(dev)
 		res.Codes, res.PrefixBytes = make([]morton.Code, n), lv.Prefix
-		lv.Expand(res.Codes, stream)
+		lv.Expand(res.Codes, stream, 0)
 	}
 	return res, nil
 }

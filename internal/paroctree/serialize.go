@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/edgesim"
 	"repro/internal/geom"
@@ -48,72 +49,156 @@ const maxLevels = maxDepth + 1
 // depth up to that one, and Prefix, the stream bytes those mask levels occupy
 // — a level's masks start where the levels before it end, one byte per node.
 // An empty stream is the empty cloud: every count zero.
+//
+// The pass also cuts the tree into windows of whole subtrees, which expand
+// independently: at the cut level window w owns nodes w·n/W up to
+// (w+1)·n/W of the level's n, and at every deeper level the children of those
+// nodes — its first node there is the popcount of the masks before its first
+// parent. top holds the cut level's nodes, the roots of the windows' subtrees.
+// A Levels is reused from stream to stream, so its tables live as long as it.
 type Levels struct {
 	level  uint
 	count  [maxLevels]int
 	Prefix int
+
+	cut     uint
+	windows int
+	cuts    []int // (d-cut)*(windows+1)+w: window w's first node at level d; the row ends with the level's count
+	top     []morton.Code
 }
 
-// Nodes returns the node count at the depth walked to: the codes Expand
-// writes.
+// minWindowNodes is how many nodes per window the cut level must hold before
+// the pass cuts there: enough subtrees that whole ones split the leaves about
+// evenly.
+const minWindowNodes = 64
+
+// Nodes returns the node count at the depth walked to: the codes the windows
+// expand.
 func (l *Levels) Nodes() int { return l.count[l.level] }
 
-// ScanLevels is the expander's sizing pass over the first min(level, depth)
-// mask levels of stream. It validates what it walks — depth range,
-// truncation, zero masks — so nothing is sized for a stream that will not
-// expand; bytes behind the last level walked are not read.
-func ScanLevels(stream []byte, depth, level uint) (Levels, error) {
-	if err := checkDepth(depth); err != nil {
-		return Levels{}, err
+// Window returns window w's node range at level d, a level at or above the
+// depth walked to. Above the cut every window holds the whole level, and
+// w < 0 is the whole level anywhere.
+func (l *Levels) Window(w int, d uint) (lo, hi int) {
+	if w < 0 || d < l.cut {
+		return 0, l.count[d]
 	}
-	lv := Levels{level: min(level, depth)}
-	if len(stream) == 0 {
-		return lv, nil
-	}
-	nodes := 1
-	for d := uint(0); d < lv.level; d++ {
-		if nodes > len(stream)-lv.Prefix {
-			return Levels{}, fmt.Errorf("%w: truncated at depth %d", ErrBadStream, d)
-		}
-		next := 0
-		for i, m := range stream[lv.Prefix : lv.Prefix+nodes] {
-			if m == 0 {
-				return Levels{}, fmt.Errorf("%w: zero mask at depth %d node %d", ErrBadStream, d, i)
-			}
-			next += bits.OnesCount8(m)
-		}
-		lv.count[d] = nodes
-		lv.Prefix += nodes
-		nodes = next
-	}
-	lv.count[lv.level] = nodes
-	return lv, nil
+	row := l.cuts[int(d-l.cut)*(l.windows+1):]
+	return row[w], row[w+1]
 }
 
-// Expand is the one stream expander: it regenerates the node codes, at the
-// depth walked to, of the stream l was scanned from, ascending, into dst[:l.Nodes()] — a
-// fresh column or a window of the caller's, sized from the sizing pass and
-// never written past. The levels are expanded in place, each level
-// right-aligned: every node has at least one child, so the write cursor
-// (start of the child level plus children so far) never passes the read
-// cursor (the next unread parent).
-func (l *Levels) Expand(dst []morton.Code, stream []byte) {
-	nodes := l.Nodes()
-	if nodes == 0 {
+// ScanLevels is the one-window sizing pass, for the fresh-column front ends.
+func ScanLevels(stream []byte, depth, level uint) (Levels, error) {
+	var lv Levels
+	err := lv.Scan(stream, depth, level, level, 1)
+	return lv, err
+}
+
+// Scan is the expander's sizing pass over the first min(level, depth) mask
+// levels of stream, cutting them into the given number of windows. It
+// validates what it walks — depth range, truncation, zero masks — so nothing
+// is sized for a stream that will not expand; bytes behind the last level
+// walked are not read. The cut level is the first with minWindowNodes nodes
+// per window, and never below base, so that every window holds whole cells of
+// that level; one window is cut at the root.
+func (l *Levels) Scan(stream []byte, depth, level, base uint, windows int) error {
+	if err := checkDepth(depth); err != nil {
+		return err
+	}
+	*l = Levels{level: min(level, depth), windows: max(windows, 1), cuts: l.cuts[:0], top: l.top}
+	nodes := min(len(stream), 1) // an empty stream is the empty cloud
+	for d := uint(0); ; d++ {
+		l.count[d] = nodes
+		if len(l.cuts) == 0 && (l.windows == 1 || nodes >= minWindowNodes*l.windows || d >= min(base, l.level)) {
+			l.cut = d
+			l.cuts = slices.Grow(l.cuts, int(l.level-d+1)*(l.windows+1))
+			for w := 0; w <= l.windows; w++ {
+				l.cuts = append(l.cuts, w*nodes/l.windows)
+			}
+		}
+		if d == l.level {
+			break
+		}
+		if nodes > len(stream)-l.Prefix {
+			return fmt.Errorf("%w: truncated at depth %d", ErrBadStream, d)
+		}
+		// From the cut on the masks are summed window by window, and the sum
+		// before a window's first parent is its first child; above it the
+		// level is one run.
+		masks, row, cut := stream[l.Prefix:l.Prefix+nodes], []int{0, nodes}, len(l.cuts) > 0
+		if cut {
+			row = l.cuts[len(l.cuts)-l.windows-1:]
+		}
+		next := 0
+		for w := 0; w+1 < len(row); w++ {
+			if cut {
+				l.cuts = append(l.cuts, next)
+			}
+			for i, m := range masks[row[w]:row[w+1]] {
+				if m == 0 {
+					return fmt.Errorf("%w: zero mask at depth %d node %d", ErrBadStream, d, row[w]+i)
+				}
+				next += bits.OnesCount8(m)
+			}
+		}
+		if cut {
+			l.cuts = append(l.cuts, next)
+		}
+		l.Prefix += nodes
+		nodes = next
+	}
+	if l.cut > 0 && l.Nodes() > 0 {
+		l.top = grow(l.top, l.count[l.cut])
+		l.top[len(l.top)-1] = 0 // level 0: the root
+		l.expand(l.top, stream, -1, 0, l.cut)
+	}
+	return nil
+}
+
+// Expand is the one stream expander: it regenerates window w's node codes,
+// at the depth walked to, of the stream l was scanned from, ascending, into
+// dst[:hi-lo] for the window's range [lo, hi) — a fresh column or a window of
+// the caller's, sized from the sizing pass and never written past. Windows
+// write disjoint columns and only read l and stream, so they may expand
+// concurrently.
+func (l *Levels) Expand(dst []morton.Code, stream []byte, w int) {
+	lo, hi := l.Window(w, l.level)
+	n := hi - lo
+	if n == 0 {
 		return
 	}
-	dst = dst[:nodes]
-	dst[nodes-1] = 0 // level 0: the root
-	for d := uint(0); d < l.level; d++ {
-		masks := stream[:l.count[d]]
-		stream = stream[len(masks):]
-		r, w := nodes-len(masks), nodes-l.count[d+1]
+	dst = dst[:n]
+	if a, b := l.Window(w, l.cut); l.cut == 0 {
+		dst[n-1] = 0 // the root
+	} else {
+		copy(dst[n-(b-a):], l.top[a:b])
+	}
+	l.expand(dst, stream, w, l.cut, l.level)
+}
+
+// expand regenerates window w's nodes of level to from its nodes of level
+// from, which sit at the end of dst. The levels are expanded in place, each
+// level right-aligned: every node has at least one child, so the write cursor
+// (start of the child level plus children so far) never passes the read
+// cursor (the next unread parent).
+func (l *Levels) expand(dst []morton.Code, stream []byte, w int, from, to uint) {
+	off := 0
+	for d := uint(0); d < from; d++ {
+		off += l.count[d]
+	}
+	n := len(dst)
+	for d := from; d < to; d++ {
+		lo, hi := l.Window(w, d)
+		masks := stream[off+lo : off+hi]
+		off += l.count[d]
+		clo, chi := l.Window(w, d+1)
+		r, wr := n-len(masks), n-(chi-clo)
 		for _, m := range masks {
 			base := dst[r] << 3
 			r++
 			for ; m != 0; m &= m - 1 {
-				dst[w] = base | morton.Code(bits.TrailingZeros8(m))
-				w++
+				dst[wr] = base | morton.Code(bits.TrailingZeros8(m))
+				wr++
 			}
 		}
 	}
@@ -148,7 +233,7 @@ func Deserialize(dev *edgesim.Device, stream []byte, depth uint) ([]morton.Code,
 	}
 	lv.Book(dev)
 	codes := make([]morton.Code, lv.Nodes())
-	lv.Expand(codes, stream)
+	lv.Expand(codes, stream, 0)
 	return codes, nil
 }
 

@@ -5,8 +5,8 @@ package paroctree
 // A tile is a contiguous range of the frame's sorted, deduplicated leaf
 // codes. The octree restricted to that subset still roots at code 0 (every
 // leaf's depth-D ancestor is the whole-space root), so the sweep over the
-// range emits a BFS occupancy stream the ordinary expander (ScanLevels +
-// Levels.Expand, into the tile's window of the decoder's code column) reads
+// range emits a BFS occupancy stream the ordinary expander (Levels.Scan +
+// Levels.Expand, into the tile's range of the decoder's code column) reads
 // with the frame's depth — each tile's geometry slab is self-contained, and
 // one tile over the full leaf set is the untiled stream by construction,
 // which is how the codec encodes an untiled frame. Tiles are the unit of

@@ -1,9 +1,11 @@
 package paroctree
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/attr"
@@ -22,8 +24,77 @@ func DeserializeSerial(dst []morton.Code, stream []byte, depth uint) error {
 	if lv.Prefix != len(stream) || lv.Nodes() != len(dst) {
 		return fmt.Errorf("%w: %d leaves over %d of %d bytes, want %d", ErrBadStream, lv.Nodes(), lv.Prefix, len(stream), len(dst))
 	}
-	lv.Expand(dst, stream)
+	lv.Expand(dst, stream, 0)
 	return nil
+}
+
+// expandWindows scans stream to level cut into the given number of windows,
+// no deeper than base, and expands every window into its range of one
+// column, checking that the ranges tile the level in order.
+func expandWindows(t testing.TB, stream []byte, depth, level, base uint, windows int) ([]morton.Code, error) {
+	t.Helper()
+	var lv Levels
+	if err := lv.Scan(stream, depth, level, base, windows); err != nil {
+		return nil, err
+	}
+	if lv.cut > min(base, lv.level) {
+		t.Fatalf("cut at level %d, below base %d", lv.cut, base)
+	}
+	codes := make([]morton.Code, lv.Nodes())
+	next := 0
+	for w := 0; w < windows; w++ {
+		lo, hi := lv.Window(w, lv.level)
+		if lo != next || hi < lo {
+			t.Fatalf("window %d of %d covers [%d,%d), want it from %d", w, windows, lo, hi, next)
+		}
+		lv.Expand(codes[lo:hi], stream, w)
+		next = hi
+	}
+	if next != len(codes) {
+		t.Fatalf("%d windows cover %d of %d nodes", windows, next, len(codes))
+	}
+	return codes, nil
+}
+
+// TestExpandWindowsMatchWhole: however a stream is cut into windows — more
+// windows than nodes, a cut forced up to a shallow base, every level, the
+// empty stream — the windows expand to the one-window column, and a stream
+// the one-window pass refuses is refused with the same error.
+func TestExpandWindowsMatchWhole(t *testing.T) {
+	d := dev()
+	for _, n := range []int{1, 40, 3000} {
+		vc := randomCloud(int64(n), n, 8)
+		br, err := Build(d, vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := br.Tree.Serialize(d)
+		for level := uint(0); level <= 8; level++ {
+			want, err := DeserializeLoD(d, stream, 8, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, windows := range []int{1, 2, 3, 8, 64} {
+				for _, base := range []uint{2, 5, level} {
+					got, err := expandWindows(t, stream, 8, level, base, windows)
+					if err != nil || !slices.Equal(got, want.Codes) {
+						t.Fatalf("n=%d level %d base %d: %d windows expand to %d codes (%v), want %d", n, level, base, windows, len(got), err, len(want.Codes))
+					}
+				}
+			}
+		}
+		for _, bad := range [][]byte{stream[:len(stream)/2], append(bytes.Clone(stream[:len(stream)-1]), 0)} {
+			_, want := ScanLevels(bad, 8, 8)
+			if _, err := expandWindows(t, bad, 8, 8, 8, 3); want == nil || err == nil || err.Error() != want.Error() {
+				t.Fatalf("n=%d: broken stream refused with %v by 3 windows, %v by one", n, err, want)
+			}
+		}
+	}
+	for _, windows := range []int{1, 3} {
+		if got, err := expandWindows(t, nil, 8, 8, 8, windows); err != nil || len(got) != 0 {
+			t.Fatalf("the empty stream in %d windows: %d codes, %v", windows, len(got), err)
+		}
+	}
 }
 
 // TestSerializeGolden pins the stream bytes of the full-leaf-set sweep for

@@ -254,11 +254,13 @@ func (sv *Server) publish(_ context.Context, seq int, ftype codec.FrameType, wir
 }
 
 // frameRelayed is called by the last shard to finish fanning a frame out.
+// The keyframe count moves first, so a reader that has seen FramesEncoded
+// reach n also sees the IFrames of those n frames.
 func (sv *Server) frameRelayed(f *sharedFrame) {
-	sv.relayed.Add(1)
 	if f.ftype == codec.IFrame {
 		sv.iFrames.Add(1)
 	}
+	sv.relayed.Add(1)
 }
 
 // shardOf maps a viewer id to its owning shard — the partition function:

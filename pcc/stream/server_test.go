@@ -235,10 +235,12 @@ func TestServerControlCoalescing(t *testing.T) {
 	}
 	// Wait for both senders to drain so the retransmit buffers are full
 	// and no encode is in flight (the server must still be live: detach
-	// frees the retransmit buffer).
+	// frees the retransmit buffer) — and for the last shard to book the
+	// relay, which it does only after its viewers have the frame: IFrames
+	// is read below.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		done := true
+		done := srv.Metrics().FramesEncoded == int64(len(frames))
 		for _, v := range views {
 			if v.Metrics().FramesSent < int64(len(frames)) {
 				done = false
