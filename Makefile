@@ -99,15 +99,19 @@ fec:
 # Layered multi-rate serving gate: the differential layer-conformance and
 # per-viewer subscription tests, the partial-decode pins (clouds, ledger,
 # reference rule) and the progressive-decode tests under the race detector;
-# the window-count invariant, the decode allocation gate and the partial and
-# progressive pins again with four concurrent windows per untiled frame
-# (GOMAXPROCS=4, whatever the host's cores); then the layers experiment
-# against the committed BENCH_10.json (subscription sweep wire ratios plus
-# the split-link run: clean viewer >= 0.99 decoded at full quality while the
-# lossy viewer sheds >= 1 layer, shared encoder pinned).
+# the decode window-count invariant, the decode allocation gate and the
+# partial and progressive pins again with four concurrent windows per untiled
+# frame (GOMAXPROCS=4, whatever the host's cores), and so the encode side:
+# the geometry and attribute window-count invariants, the encode allocation
+# gate and the sort tests; then the layers experiment against the committed
+# BENCH_10.json (subscription sweep wire ratios plus the split-link run:
+# clean viewer >= 0.99 decoded at full quality while the lossy viewer sheds
+# >= 1 layer, shared encoder pinned).
 layers:
 	$(GO) test -race -count=1 -run 'Layer|Partial|UndecodedIFrame|DecodeProgressive' ./internal/codec ./pcc/stream ./pcc
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestDecodeWindowCountInvariant|TestDecodeSteadyStateAllocs|TestPartialDecode|TestDecodeProgressivePinned' ./internal/codec ./pcc
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestGeometryWindowCountInvariant|TestEncodeWorkerCountInvariant|TestSteadyStateAllocsPerFrame' ./internal/codec
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Sort' ./internal/morton
 	$(GO) run ./cmd/pccbench -baseline BENCH_10.json layers
 
 # Paper-scale canonical run (~30-45 min); regenerates results_full_scale.txt.

@@ -209,6 +209,9 @@ type Encoder struct {
 	refPlane  []uint32
 	// geomFree holds the geometry arenas no frame is travelling with.
 	geomFree []*geomScratch
+	// windows is how many windows both phases cut an untiled frame into:
+	// dev.Workers() unless a test sets it (windowCount).
+	windows int
 	// lastInterStats captures the block-reuse statistics of the most
 	// recently encoded inter frame.
 	lastInterStats interframe.Stats
@@ -241,6 +244,14 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// windowCount returns the windows both phases cut an untiled frame into.
+func (e *Encoder) windowCount() int {
+	if e.windows > 0 {
+		return e.windows
+	}
+	return e.dev.Workers()
 }
 
 // NewEncoder creates an encoder running on dev.

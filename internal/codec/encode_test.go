@@ -5,10 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
 	"repro/internal/attr"
+	"repro/internal/dataset"
 	"repro/internal/edgesim"
 	"repro/internal/geom"
 	"repro/internal/interframe"
@@ -399,6 +401,174 @@ func TestFrameStatsSplitEqualsWhole(t *testing.T) {
 							t.Errorf("%v tiles=%d layers=%d entropy=%v frame %d:\n split %+v\n whole %+v", d, tiles, layers, entropyOn, i, got, want)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// windowedEncode encodes clouds as one GOP on an encoder that cuts an untiled
+// frame into the given number of windows, and returns the frames' wire bytes,
+// the encoder's ledger and the decoded clouds.
+func windowedEncode(t *testing.T, opts Options, clouds []*geom.VoxelCloud, windows int) ([][]byte, []ledgerRow, []*geom.VoxelCloud) {
+	t.Helper()
+	enc, dec := NewEncoder(dev(), opts), NewDecoder(dev(), opts)
+	enc.windows = windows
+	var wires [][]byte
+	var decoded []*geom.VoxelCloud
+	for _, vc := range clouds {
+		ef, _, err := enc.EncodeFrame(vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if _, err := ef.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		out, err := dec.DecodeFrame(ef)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wires, decoded = append(wires, b.Bytes()), append(decoded, out)
+	}
+	return wires, ledgerOf(enc.Device()), decoded
+}
+
+// geometryWindowClouds returns the I + P pairs the geometry window tests
+// encode: dense and sparse frames, 40 points, a cloud inside one cell of the
+// sort's cut level, and a dense pair whose every cut-level cell holds
+// duplicates of its first and last voxels — appended, in other colours, so
+// that the sort's stability decides which one survives — whichever cell
+// boundary a cut falls on.
+func geometryWindowClouds(t *testing.T) map[string][]*geom.VoxelCloud {
+	t.Helper()
+	dense := frames(t, 2)
+	spec, err := dataset.SpecByName("kitti-sparse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dataset.NewGenerator(spec, 0.05)
+	out := map[string][]*geom.VoxelCloud{"dense": dense}
+	for i := 0; i < 2; i++ {
+		vc, err := g.Frame(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["sparse"] = append(out["sparse"], vc)
+	}
+	for _, vc := range dense {
+		depth := vc.Depth
+		out["40 points"] = append(out["40 points"], &geom.VoxelCloud{Depth: depth, Voxels: vc.Voxels[:40]})
+
+		// One cut-level cell: every coordinate folded into the cell at 3·side.
+		side := uint32(1) << (depth - morton.CellLevel(depth, 64))
+		one := &geom.VoxelCloud{Depth: depth}
+		for _, v := range vc.Voxels {
+			v.X, v.Y, v.Z = 3*side+v.X%side, 3*side+v.Y%side, 3*side+v.Z%side
+			one.Voxels = append(one.Voxels, v)
+		}
+		out["one cell"] = append(out["one cell"], one)
+
+		shift := 3 * (depth - morton.CellLevel(depth, 2))
+		ends := map[morton.Code][2]geom.Voxel{}
+		for _, v := range vc.Voxels {
+			c := morton.Encode(v.X, v.Y, v.Z)
+			e, ok := ends[c>>shift]
+			if !ok || c < morton.Encode(e[0].X, e[0].Y, e[0].Z) {
+				e[0] = v
+			}
+			if !ok || c > morton.Encode(e[1].X, e[1].Y, e[1].Z) {
+				e[1] = v
+			}
+			ends[c>>shift] = e
+		}
+		dups := &geom.VoxelCloud{Depth: depth, Voxels: slices.Clone(vc.Voxels)}
+		for _, cell := range slices.Sorted(maps.Keys(ends)) {
+			for _, v := range ends[cell] {
+				v.C = geom.Color{R: ^v.C.R, G: v.C.G, B: ^v.C.B}
+				dups.Voxels = append(dups.Voxels, v)
+			}
+		}
+		out["duplicates at cuts"] = append(out["duplicates at cuts"], dups)
+	}
+	return out
+}
+
+// TestGeometryWindowCountInvariant: the sort's windows are not in the stream.
+// An I + P pair encoded at 1, 2, 3, 8 and 64 windows gives the same wire
+// bytes, the same ledger and the same decoded clouds — untiled and at 4 and 8
+// tiles, at one layer and three, with the geometry entropy stage on and off,
+// lossless and rescaled — on dense and sparse frames, 40 points, a cloud in
+// one cut-level cell, and duplicate voxels on both sides of every cut.
+func TestGeometryWindowCountInvariant(t *testing.T) {
+	for name, clouds := range geometryWindowClouds(t) {
+		n := clouds[0].Len()
+		for _, tiles := range []int{0, 4, 8} {
+			for _, layers := range []int{1, 3} {
+				for _, entropyOn := range []bool{false, true} {
+					for _, lossless := range []bool{false, true} {
+						opts := OptionsFor(IntraInterV1)
+						opts.GOP, opts.Tiles, opts.Layers = 2, tiles, layers
+						opts.EntropyGeometry, opts.Lossless = entropyOn, lossless
+						opts.IntraAttr.Segments, opts.Inter.Segments = max(n/25, 1), max(n/16, 1)
+						opts.Inter.Candidates = 32
+						what := fmt.Sprintf("%s, tiles %d, layers %d, entropy %v, lossless %v", name, tiles, layers, entropyOn, lossless)
+						wantWire, wantLedger, wantClouds := windowedEncode(t, opts, clouds, 1)
+						for _, windows := range []int{2, 3, 8, 64} {
+							wire, ledger, decoded := windowedEncode(t, opts, clouds, windows)
+							for i := range wire {
+								if !bytes.Equal(wire[i], wantWire[i]) {
+									t.Errorf("%s: frame %d at %d windows is not the one-window stream", what, i, windows)
+								}
+								if !sameCloud(decoded[i], wantClouds[i]) {
+									t.Errorf("%s: frame %d at %d windows decodes to another cloud", what, i, windows)
+								}
+							}
+							if !slices.Equal(ledger, wantLedger) {
+								t.Errorf("%s: %d windows book\n%v\none window\n%v", what, windows, ledger, wantLedger)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeRefusesHostileGeometry: what the geometry phase cannot code is an
+// error from EncodeFrame at any window count, never a panic — a lossless
+// voxel outside the 2^depth lattice, and depths 0 and 22 — untiled or tiled,
+// lossless or rescaled.
+func TestEncodeRefusesHostileGeometry(t *testing.T) {
+	base := frames(t, 1)[0]
+	outside := &geom.VoxelCloud{Depth: base.Depth, Voxels: slices.Clone(base.Voxels)}
+	outside.Voxels[len(outside.Voxels)/2].Y = 1 << base.Depth
+	cases := map[string]*geom.VoxelCloud{
+		"voxel outside the lattice": outside,
+		"depth 0":                   {Depth: 0, Voxels: base.Voxels},
+		"depth 22":                  {Depth: 22, Voxels: base.Voxels},
+	}
+	for name, vc := range cases {
+		for _, tiles := range []int{0, 4} {
+			for _, lossless := range []bool{true, false} {
+				if name == "voxel outside the lattice" && !lossless {
+					continue // the rescale fits every voxel into the lattice
+				}
+				for _, windows := range []int{1, 64} {
+					opts := scaledOpts(IntraInterV1, base.Len())
+					opts.Tiles, opts.Lossless = tiles, lossless
+					enc := NewEncoder(dev(), opts)
+					enc.windows = windows
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Errorf("%s, tiles %d, lossless %v, %d windows: panic %v", name, tiles, lossless, windows, r)
+							}
+						}()
+						if _, _, err := enc.EncodeFrame(vc); err == nil {
+							t.Errorf("%s, tiles %d, lossless %v, %d windows: encoded", name, tiles, lossless, windows)
+						}
+					}()
 				}
 			}
 		}

@@ -95,7 +95,7 @@ func (e *Encoder) FinishFrame(g *GeometryIntermediate) (*EncodedFrame, FrameStat
 		err       error
 	)
 	if g.split {
-		frame, attrDelta, err = e.proposedAttr(g, isP, e.dev.Workers())
+		frame, attrDelta, err = e.proposedAttr(g, isP, e.windowCount())
 		e.releaseGeom(g)
 		geomDelta = g.stageDelta
 		// phaseDelta already contains the geometry stage (plus the optional

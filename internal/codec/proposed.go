@@ -16,15 +16,15 @@ var (
 	costMortonDecode = edgesim.Cost{OpsPerItem: 12, BytesPerItem: 16}
 )
 
-// geomScratch is the per-frame geometry arena: the rescaled cloud, the sort's
-// scratch, the unit partition and one geometry scratch per unit. Several
-// geometry phases may run concurrently under the pipeline's lookahead, so the
-// encoder keeps a free list of them; one travels with the GeometryIntermediate
-// until FinishFrame consumes the frame. Nothing the attribute phase owns lives
-// here, and nothing of this lives in the attribute units.
+// geomScratch is the per-frame geometry arena: the sort's arena — its cell
+// histograms, window cuts, local sort buffers and per-window trees — the unit
+// partition and one geometry scratch per tile. Several geometry phases may
+// run concurrently under the pipeline's lookahead, so the encoder keeps a free
+// list of them; one travels with the GeometryIntermediate until FinishFrame
+// consumes the frame. Nothing the attribute phase owns lives here, and
+// nothing of this lives in the attribute units.
 type geomScratch struct {
-	scaled geom.VoxelCloud
-	build  paroctree.BuildScratch
+	build paroctree.BuildScratch
 	// The tile planner's arenas — the two segment grids and the merged
 	// common-boundary columns — then the chosen cuts (the frame's unit ranges,
 	// tiled or not) and one geometry scratch per unit.
@@ -76,7 +76,7 @@ func (e *Encoder) encodeProposed(vc *geom.VoxelCloud, isP bool) (*EncodedFrame, 
 	if err != nil {
 		return nil, edgesim.Snapshot{}, edgesim.Snapshot{}, err
 	}
-	frame, attrDelta, err := e.proposedAttr(g, isP, e.dev.Workers())
+	frame, attrDelta, err := e.proposedAttr(g, isP, e.windowCount())
 	e.releaseGeom(g)
 	if err != nil {
 		return nil, edgesim.Snapshot{}, edgesim.Snapshot{}, err
@@ -114,40 +114,39 @@ func (e *Encoder) proposedGeometry(dev *edgesim.Device, vc *geom.VoxelCloud) (*G
 	return g, nil
 }
 
-// geometryStage writes g's frame as units x layers, whatever its shape:
-// rescale, sort and dedup, then one fan-out over the frame's units — the tile
-// plan's ranges, or the one range [0, n) — in which every unit sweeps its
-// leaf range and writes its geometry slices (tileGeom.encode), then one
-// concatenation into frame.Geometry. It fills the tile records and the layer
-// directory but for their AttrLen, which the attribute phase owns, and
-// returns the raw occupancy bytes the units wrote. The unit bodies book
-// nothing; the stage books from counts: the paper's build and pack kernels
-// off the one tree of an untiled frame, one TileGeometry row over a tiled
-// one.
+// geometryStage writes g's frame as units x layers, whatever its shape. One
+// SortWith rescales, keys, sorts and dedups the frame as windows of whole
+// cells, one per core; the frame's units are then the tile plan's ranges, or
+// the one range [0, n). An untiled frame's windows also sweep their leaves in
+// SortWith, so its one unit only writes its geometry slices from the swept
+// windows (tileGeom.write); a tiled frame fans out over its tiles, every tile
+// sweeping its own leaf range and writing its slices (tileGeom.encode). Then
+// one concatenation into frame.Geometry. It fills the tile records and the
+// layer directory but for their AttrLen, which the attribute phase owns, and
+// returns the raw occupancy bytes the units wrote. Nothing in the windows or
+// the units books; the stage books from counts, once per frame: the rescale
+// row, SortWith's kernels, then the paper's build and pack kernels off the
+// windows of an untiled frame or one TileGeometry row over a tiled one.
 func (e *Encoder) geometryStage(dev *edgesim.Device, vc *geom.VoxelCloud, g *GeometryIntermediate) (raw int, err error) {
-	frame, gs, work := g.frame, g.gs, vc
+	frame, gs := g.frame, g.gs
+	r := paroctree.IdentityRescale()
 	if !e.opts.Lossless {
 		// Tight-cuboid rescale: the source of the parallel pipeline's
-		// small geometry loss (Sec. IV-B3).
-		r := paroctree.FitRescale(vc)
+		// small geometry loss (Sec. IV-B3), applied in SortWith's key pass.
+		r = paroctree.FitRescale(vc)
 		frame.HasRescale = true
 		frame.Rescale = r
-		gs.scaled.Depth = vc.Depth
-		gs.scaled.Voxels = grow(gs.scaled.Voxels, vc.Len())
-		scaled := &gs.scaled
-		dev.GPUKernelIdx("Rescale", vc.Len(), costRescale, func(i int) {
-			scaled.Voxels[i] = r.Apply(vc.Voxels[i])
-		})
-		work = scaled
+		dev.GPUNoop("Rescale", vc.Len(), costRescale)
 	}
-	sorted, leaves, err := paroctree.SortWith(dev, work, &gs.build)
+	tiled := e.opts.Tiles > 1
+	sorted, leaves, windows, err := paroctree.SortWith(dev, vc, r, e.windowCount(), !tiled, &gs.build)
 	if err != nil {
 		return 0, err
 	}
-	n, depth := len(leaves), work.Depth
+	n, depth := len(leaves), vc.Depth
 	gs.cuts = append(gs.cuts[:0], 0, n)
 	plan := tilePlan{cuts: gs.cuts}
-	if e.opts.Tiles > 1 {
+	if tiled {
 		plan = planTilesIn(gs, n, e.opts.Tiles, e.opts.IntraAttr.Segments, e.opts.Inter.Segments, e.opts.Design.UsesInter())
 		frame.Tiles = make([]TileInfo, plan.units())
 	}
@@ -155,34 +154,39 @@ func (e *Encoder) geometryStage(dev *edgesim.Device, vc *geom.VoxelCloud, g *Geo
 	if cols > 1 {
 		frame.Layer = newLayerDir(plan.units(), cols, depth)
 	}
+	spans := func(u int) []LayerSpan {
+		if frame.Layer == nil {
+			return nil
+		}
+		return frame.Layer.Units[u]
+	}
 	for len(gs.tiles) < plan.units() {
 		gs.tiles = append(gs.tiles, tileGeom{})
 	}
 	tiles := gs.tiles[:plan.units()]
-	dev.ParallelFor(len(tiles), func(u0, u1 int) {
-		for u := u0; u < u1; u++ {
-			var spans []LayerSpan
-			if frame.Layer != nil {
-				spans = frame.Layer.Units[u]
+	if tiled {
+		dev.ParallelFor(len(tiles), func(u0, u1 int) {
+			for u := u0; u < u1; u++ {
+				tg, seg := &tiles[u], leaves[plan.cuts[u]:plan.cuts[u+1]]
+				if tg.encode(seg, depth, cols, spans(u), e.opts.EntropyGeometry); tg.err == nil {
+					frame.Tiles[u] = tileRecord(seg, frame, len(tg.chunk))
+				}
 			}
-			tg, seg := &tiles[u], leaves[plan.cuts[u]:plan.cuts[u+1]]
-			if tg.encode(seg, depth, cols, spans, e.opts.EntropyGeometry); tg.err == nil && frame.Tiled() {
-				frame.Tiles[u] = tileRecord(seg, frame, len(tg.chunk))
+		})
+		for u := range tiles {
+			if err := tiles[u].err; err != nil {
+				return 0, err
 			}
 		}
-	})
-	total := 0
-	for u := range tiles {
-		if tiles[u].err != nil {
-			return 0, tiles[u].err
-		}
-		total += len(tiles[u].chunk)
-		raw += tiles[u].rawLen
-	}
-	if frame.Tiled() {
 		dev.GPUNoop("TileGeometry", n, costTileGeom)
 	} else {
-		tiles[0].tree.Book(dev)
+		tiles[0].write(windows, depth, cols, spans(0), e.opts.EntropyGeometry)
+		windows.Book(dev)
+	}
+	total := 0
+	for u := range tiles {
+		total += len(tiles[u].chunk)
+		raw += tiles[u].rawLen
 	}
 	frame.Geometry = make([]byte, 0, total)
 	for u := range tiles {
@@ -208,7 +212,7 @@ type unitEncoder struct {
 // proposedGeometry intermediate: intra (Sec. IV) for I-frames, inter (Sec. V)
 // for P-frames, tiled or not. The frame is cut into windows of the stage's
 // own segment grid — the tile plan's when the frame is tiled, otherwise
-// `windows` contiguous ranges w·nSeg/W (production passes dev.Workers(); an
+// `windows` contiguous ranges w·nSeg/W (production passes windowCount(); an
 // empty window is valid) — and one fan-out runs the stage's encode body over
 // them, unit w on window w. The stage's framing then appends each unit of the
 // frame to the attribute buffer in directory order — on a layered frame its

@@ -10,9 +10,10 @@ package codec
 //
 //   - both phases fan out over units WITHIN one frame. There is one geometry
 //     phase (proposed.go): every frame is units x layers, a tiled frame's
-//     units are this file's plan, an untiled frame is the one unit [0, n),
-//     and each unit runs tileGeom.encode. The attribute phase takes the
-//     tiles as its windows and frames each on its own;
+//     units are this file's plan, each running tileGeom.encode, and an
+//     untiled frame is the one unit [0, n), written from the windows the
+//     sort swept. The attribute phase takes the tiles as its windows and
+//     frames each on its own;
 //   - the streaming layer can drop or coarsen individual tiles per viewer
 //     (viewport culling) without touching the encoder, because every
 //     remaining tile still decodes on its own.
@@ -69,12 +70,11 @@ type tilePlan struct {
 func (p tilePlan) units() int { return len(p.cuts) - 1 }
 
 // tileGeom is one unit's geometry scratch, indexed by unit in the frame's
-// geomScratch: the sweep's arena and the tree it last built, the raw levels
-// of the slice being written, the unit's finished chunk — its slices back to
-// back — with the raw bytes that went into it, and what the unit failed with.
+// geomScratch: a tile's sweep arena, the raw levels of the slice being
+// written, the unit's finished chunk — its slices back to back — with the raw
+// bytes that went into it, and what the tile's sweep failed with.
 type tileGeom struct {
 	geo    paroctree.TileScratch
-	tree   *paroctree.Tree
 	raw    []byte
 	chunk  []byte
 	rawLen int
@@ -150,21 +150,32 @@ func planTilesIn(gs *geomScratch, n, tiles, segIntra, segInter int, useInter boo
 	return plan
 }
 
-// encode is one unit's geometry body, a pool leaf that books nothing: the
-// sweep over the unit's leaf range, then the unit's cols geometry slices —
-// the whole stream when cols is 1, otherwise cut at layerLevels — each
-// written as one [mode][levels] chunk straight from the tree's per-level
-// masks into the unit's chunk buffer. spans is the unit's row of the layer
-// directory (nil when unlayered); its GeomLen column is filled here.
+// encode is one tile's geometry body, a pool leaf that books nothing: the
+// sweep over the tile's leaf range, then its slices (write).
 func (tg *tileGeom) encode(leaves []morton.Code, depth uint, cols int, spans []LayerSpan, entropyOn bool) {
-	tg.chunk, tg.rawLen = tg.chunk[:0], 0
-	if tg.tree, tg.err = tg.geo.Sweep(leaves, depth); tg.err != nil {
-		return
+	var t *paroctree.Tree
+	if t, tg.err = tg.geo.Sweep(leaves, depth); tg.err == nil {
+		tg.write(t, depth, cols, spans, entropyOn)
 	}
+}
+
+// levels is a swept octree's occupancy stream, level by level: a tile's Tree,
+// or the Windows of an untiled frame.
+type levels interface {
+	AppendLevels(dst []byte, lo, hi uint) []byte
+}
+
+// write writes a unit's cols geometry slices from its swept octree t — the
+// whole stream when cols is 1, otherwise cut at layerLevels — each as one
+// [mode][levels] chunk straight from the per-level masks into the unit's chunk
+// buffer. spans is the unit's row of the layer directory (nil when
+// unlayered); its GeomLen column is filled here.
+func (tg *tileGeom) write(t levels, depth uint, cols int, spans []LayerSpan, entropyOn bool) {
+	tg.chunk, tg.rawLen = tg.chunk[:0], 0
 	base := depth - uint(cols) + 1
 	for lay := 0; lay < cols; lay++ {
 		lo, hi := layerLevels(base, uint(lay))
-		tg.raw = tg.tree.AppendLevels(tg.raw[:0], lo, hi)
+		tg.raw = t.AppendLevels(tg.raw[:0], lo, hi)
 		tg.rawLen += len(tg.raw)
 		at := len(tg.chunk)
 		if tg.chunk = appendGeomChunk(tg.chunk, tg.raw, entropyOn); spans != nil {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Ranges must cover [0, items) exactly once, with the documented
@@ -110,4 +111,37 @@ func TestPoolConcurrentStress(t *testing.T) {
 	if got, want := sum.Load(), int64(sessions)*50*wantPer; got != want {
 		t.Fatalf("total = %d, want %d", got, want)
 	}
+}
+
+// BenchmarkPoolColdLaunch measures how long a launch takes to reach a second
+// core: the time from Pool.Ranges to a parked worker starting chunk 1, while
+// chunk 0 keeps the calling core busy until then, as a real chunk does (a
+// caller that blocked at once would run chunk 1 itself). The workers and
+// their threads go idle before every launch, as they do between the kernels
+// of a frame; launching back to back reads the same. A fan-out whose chunks
+// run shorter than this runs them one after another, so size chunks well
+// above it (DESIGN.md §8). Reported as start-us per launch.
+func BenchmarkPoolColdLaunch(b *testing.B) {
+	p := DefaultPool()
+	if p.Workers() < 2 {
+		b.Skip("a launch reaches a second core only with two pool workers")
+	}
+	var total time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		time.Sleep(2 * time.Millisecond)
+		b.StartTimer()
+		var started atomic.Int64
+		t0 := time.Now()
+		p.Ranges(2, 2, func(lo, hi int) {
+			if lo == 1 {
+				started.Store(int64(time.Since(t0)))
+				return
+			}
+			for started.Load() == 0 && time.Since(t0) < 100*time.Millisecond {
+			}
+		})
+		total += time.Duration(started.Load())
+	}
+	b.ReportMetric(total.Seconds()*1e6/float64(b.N), "start-us")
 }

@@ -102,6 +102,15 @@ func EncodeKeyed(dst []Keyed, vs []geom.Voxel) {
 	}
 }
 
+// KeyVoxels fills ks[i].Code from ks[i].Voxel (LUT path, serial): EncodeKeyed
+// for voxels already in place.
+func KeyVoxels(ks []Keyed) {
+	for i := range ks {
+		v := &ks[i].Voxel
+		ks[i].Code = Code(lutSpread3(v.X) | lutSpread3(v.Y)<<1 | lutSpread3(v.Z)<<2)
+	}
+}
+
 // EncodeVoxels fills dst[i] = Code(vs[i]) for a voxel slab (LUT path,
 // serial) — the code-column-only sibling of EncodeKeyed.
 func EncodeVoxels(dst []Code, vs []geom.Voxel) {

@@ -1,7 +1,9 @@
 package morton
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/edgesim"
@@ -71,5 +73,87 @@ func BenchmarkParallelRadixSort1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(work, src)
 		radixSort(work, 8)
+	}
+}
+
+// keysAt returns n keys of a depth-deep lattice with the input index in their
+// payload: uniform codes, or, when skewed, 99 % of them in one level-c cell of
+// the windowed sort.
+func keysAt(rng *rand.Rand, n int, depth uint, skewed bool) []Keyed {
+	ks := make([]Keyed, n)
+	shift := 3 * (depth - CellLevel(depth, 2))
+	for i := range ks {
+		ks[i].Code = Code(rng.Uint64() & (1<<(3*depth) - 1))
+		if skewed && rng.Intn(100) != 0 {
+			ks[i].Code = 5<<shift | ks[i].Code&(1<<shift-1)
+		}
+		ks[i].Voxel.Y = uint32(i)
+	}
+	return ks
+}
+
+// TestSortWindowsMatchesSerial: the windowed sort is the stable reference
+// Sort at every window count — on uniform keys, on keys 99 % of which share
+// one cell, and with fewer keys than windows — and every window the body is
+// handed is sorted, starts where the one before it ends, and shares no cell
+// with it.
+func TestSortWindowsMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, depth := range []uint{1, 3, 10, 21} {
+		for _, skewed := range []bool{false, true} {
+			for _, windows := range []int{1, 2, 3, 8, 64} {
+				for _, n := range []int{0, 1, 2, 7, 63, 1000, 10001} {
+					a := keysAt(rng, n, depth, skewed)
+					b := slices.Clone(a)
+					var s SortScratch
+					got := make([][2]int, windows) // every window's range, written by its own task
+					shift := 3 * (depth - CellLevel(depth, windows))
+					err := s.SortWindows(edgesim.DefaultPool(), a, depth, windows, nil, func(w, lo, hi int) {
+						if !IsSorted(a[lo:hi]) {
+							t.Errorf("depth %d windows %d n %d: window %d unsorted", depth, windows, n, w)
+						}
+						got[w] = [2]int{lo, hi}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					Sort(b)
+					if !slices.Equal(a, b) {
+						t.Fatalf("depth %d skewed %v windows %d n %d: not the stable order", depth, skewed, windows, n)
+					}
+					if n == 0 {
+						continue
+					}
+					if got[0][0] != 0 || got[windows-1][1] != n {
+						t.Fatalf("depth %d windows %d n %d: windows %v do not cover the keys", depth, windows, n, got)
+					}
+					for w := 1; w < windows; w++ {
+						end, next := got[w-1][1], got[w][0]
+						if end != next {
+							t.Fatalf("windows %d n %d: a window ends at %d, the next starts at %d", windows, n, end, next)
+						}
+						if end > 0 && end < n && a[end-1].Code>>shift == a[end].Code>>shift {
+							t.Fatalf("windows %d n %d: a cell straddles the cut at %d", windows, n, end)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSortWindowsRefusesOutsideLattice: a code at or above 8^depth is an
+// error, found before the window bodies run.
+func TestSortWindowsRefusesOutsideLattice(t *testing.T) {
+	for _, windows := range []int{1, 64} {
+		ks := keysAt(rand.New(rand.NewSource(5)), 1000, 10, false)
+		ks[999].Code = 1 << 30
+		var s SortScratch
+		err := s.SortWindows(edgesim.DefaultPool(), ks, 10, windows, nil, func(w, lo, hi int) {
+			t.Errorf("window %d ran on a frame outside the lattice", w)
+		})
+		if !errors.Is(err, ErrLattice) {
+			t.Errorf("windows %d: err = %v, want ErrLattice", windows, err)
+		}
 	}
 }

@@ -225,13 +225,13 @@ func TestDeserializeErrors(t *testing.T) {
 
 func TestBuildRejectsUnsortedInternal(t *testing.T) {
 	var tr Tree
-	if err := tr.sweep([]morton.Code{5, 3}, 4); err == nil {
+	if err := tr.sweep([]morton.Code{5, 3}, 4, 0); err == nil {
 		t.Error("unsorted leaves must fail")
 	}
-	if err := tr.sweep([]morton.Code{3, 3}, 4); err == nil {
+	if err := tr.sweep([]morton.Code{3, 3}, 4, 0); err == nil {
 		t.Error("duplicate leaves must fail")
 	}
-	if err := tr.sweep([]morton.Code{1 << 12}, 4); err == nil {
+	if err := tr.sweep([]morton.Code{1 << 12}, 4, 0); err == nil {
 		t.Error("a code outside the depth-4 lattice must fail")
 	}
 }

@@ -257,9 +257,8 @@ type Rescale struct {
 
 // FitRescale computes the tight-cuboid transform for a cloud.
 func FitRescale(vc *geom.VoxelCloud) Rescale {
-	ident := uint64(1 << 16)
 	if vc.Len() == 0 {
-		return Rescale{ScaleX: ident, ScaleY: ident, ScaleZ: ident}
+		return IdentityRescale()
 	}
 	minX, minY, minZ := ^uint32(0), ^uint32(0), ^uint32(0)
 	var maxX, maxY, maxZ uint32
@@ -273,7 +272,7 @@ func FitRescale(vc *geom.VoxelCloud) Rescale {
 	}
 	grid := (uint32(1) << vc.Depth) - 1
 	extent := max(maxX-minX, max(maxY-minY, maxZ-minZ))
-	scale := ident
+	scale := uint64(1 << 16)
 	if extent > 0 {
 		scale = uint64(grid) << 16 / uint64(extent)
 	}
@@ -281,6 +280,13 @@ func FitRescale(vc *geom.VoxelCloud) Rescale {
 		MinX: minX, MinY: minY, MinZ: minZ,
 		ScaleX: scale, ScaleY: scale, ScaleZ: scale,
 	}
+}
+
+// IdentityRescale returns the transform that maps every voxel to itself: a
+// lossless frame's.
+func IdentityRescale() Rescale {
+	const ident = 1 << 16
+	return Rescale{ScaleX: ident, ScaleY: ident, ScaleZ: ident}
 }
 
 // Identity reports whether the transform is a no-op.

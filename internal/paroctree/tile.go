@@ -8,12 +8,13 @@ package paroctree
 // range emits a BFS occupancy stream the ordinary expander (Levels.Scan +
 // Levels.Expand, into the tile's range of the decoder's code column) reads
 // with the frame's depth — each tile's geometry slab is self-contained, and
-// one tile over the full leaf set is the untiled stream by construction,
-// which is how the codec encodes an untiled frame. Tiles are the unit of
-// parallelism (the codec fans T of these out across the edgesim worker pool
-// inside one frame), so the per-tile bodies must be pool LEAVES: they take no
-// device and book nothing — the codec books the fan-out afterwards, from
-// counts (Tree.Book for the one tile of an untiled frame).
+// repeats the ancestors it shares with its neighbours; one tile over the
+// full leaf set is the untiled stream by construction, which the codec
+// builds instead as SortWith's Windows. Tiles are the unit of parallelism of
+// a tiled frame (the codec fans T of these out across the edgesim worker
+// pool inside one frame), so the per-tile bodies must be pool LEAVES: they
+// take no device and book nothing — the codec books the fan-out afterwards,
+// from counts.
 
 import "repro/internal/morton"
 
@@ -25,7 +26,7 @@ type TileScratch struct{ tree Tree }
 // codes, a subset of a depth-deep lattice (codes < 8^depth). The tree aliases
 // the scratch and the leaves, and is valid until the next Sweep.
 func (s *TileScratch) Sweep(leaves []morton.Code, depth uint) (*Tree, error) {
-	if err := s.tree.sweep(leaves, depth); err != nil {
+	if err := s.tree.sweep(leaves, depth, 0); err != nil {
 		return nil, err
 	}
 	return &s.tree, nil
