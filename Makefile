@@ -103,15 +103,20 @@ fec:
 # partial and progressive pins again with four concurrent windows per untiled
 # frame (GOMAXPROCS=4, whatever the host's cores), and so the encode side:
 # the geometry and attribute window-count invariants, the encode allocation
-# gate and the sort tests; then the layers experiment against the committed
-# BENCH_10.json (subscription sweep wire ratios plus the split-link run:
+# gate and the sort tests — the invariants and both allocation gates with a
+# frame whose geometry chunk is mode 2's entropy slices, beside the sliced
+# codec's round-trip, worker-count and hostile-header tests and 10 s of
+# FuzzDecodeFrame from its mode-2 seeds; then the layers experiment against
+# the committed BENCH_10.json (subscription sweep wire ratios plus the split-link run:
 # clean viewer >= 0.99 decoded at full quality while the lossy viewer sheds
 # >= 1 layer, shared encoder pinned).
 layers:
 	$(GO) test -race -count=1 -run 'Layer|Partial|UndecodedIFrame|DecodeProgressive' ./internal/codec ./pcc/stream ./pcc
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestDecodeWindowCountInvariant|TestDecodeSteadyStateAllocs|TestPartialDecode|TestDecodeProgressivePinned' ./internal/codec ./pcc
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestDecodeWindowCountInvariant|TestDecodeSteadyStateAllocs|TestPartialDecode|TestDecodeProgressivePinned|TestGeomChunk' ./internal/codec ./pcc
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestGeometryWindowCountInvariant|TestEncodeWorkerCountInvariant|TestSteadyStateAllocsPerFrame' ./internal/codec
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Sort' ./internal/morton
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Sliced' ./internal/entropy
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/codec
 	$(GO) run ./cmd/pccbench -baseline BENCH_10.json layers
 
 # Paper-scale canonical run (~30-45 min); regenerates results_full_scale.txt.

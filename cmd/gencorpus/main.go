@@ -115,6 +115,54 @@ func codecCorpus() [][]byte {
 	return entries
 }
 
+// frameCorpus: whole frames whose geometry chunk is mode 2 — entropy-coded
+// as equal slices, which takes over entropy.SliceBytes of raw occupancy bytes
+// — for the frame decoder: a healthy I-frame, then the same frame with its
+// chunk's raw length declared 0, a slice length damaged, the last slice cut
+// short and a bit flipped inside a slice. The thin frames the fuzz target
+// seeds itself with are all under the slice bound.
+func frameCorpus() [][]byte {
+	spec, err := dataset.SpecByName("redandblack")
+	if err != nil {
+		log.Fatal(err)
+	}
+	vc, err := dataset.NewGenerator(spec, 0.02).Frame(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts := codec.OptionsFor(codec.IntraInterV1)
+	opts.IntraAttr.Segments = vc.Len() / 25
+	opts.IntraAttr.QStep = 8
+	opts.IntraAttr.Entropy = true
+	opts.EntropyGeometry = true
+	ef, _, err := codec.NewEncoder(dev(), opts).EncodeFrame(vc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if ef.Geometry[0] != 2 {
+		log.Fatalf("frame corpus: geometry chunk is mode %d, not 2", ef.Geometry[0])
+	}
+	wire := func(geometry []byte) []byte {
+		f := *ef
+		f.Geometry = geometry
+		var buf bytes.Buffer
+		if _, err := f.WriteTo(&buf); err != nil {
+			log.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	g := ef.Geometry
+	_, k := binary.Uvarint(g[1:])
+	zero := append([]byte{2, 0}, g[1+k:]...)
+	return [][]byte{
+		wire(g),
+		wire(zero),
+		wire(corrupt(g, 1+k, 0x40)),
+		wire(g[:len(g)-len(g)/8]),
+		wire(corrupt(g, len(g)/2, 0x08)),
+	}
+}
+
 // layerCorpus: serialized layered containers (tiled and untiled) for the
 // layout/reader differential target, plus truncations and directory-byte
 // damage straddling every layer-prologue validation fence.
@@ -338,6 +386,7 @@ func main() {
 	decompress, roundTrip := entropyCorpus()
 	for dir, entries := range map[string][][]byte{
 		"internal/codec/testdata/fuzz/FuzzReadFrameFrom":       codecCorpus(),
+		"internal/codec/testdata/fuzz/FuzzDecodeFrame":         frameCorpus(),
 		"internal/codec/testdata/fuzz/FuzzParseLayerDirectory": layerCorpus(),
 		"internal/attr/testdata/fuzz/FuzzDecode":               attrCorpus(),
 		"internal/entropy/testdata/fuzz/FuzzDecompressBytes":   decompress,

@@ -38,6 +38,7 @@ package codec
 // touches it.
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/attr"
@@ -52,11 +53,13 @@ import (
 // unitDecoder is one unit's decode scratch. A unit that reads a stream — a
 // tile, or the first window of an untiled frame — keeps what the stream pass
 // found there: the unwrapped geometry, the sizing pass with its windows'
-// cuts, and the attribute stream opened for them (isP: a P stream). Every
-// unit keeps its window's base-cell runs and the two attribute stages'
-// arenas. Units decode concurrently, each with the scratch its index names.
+// cuts, and the attribute stream opened for them (isP: a P stream), and the
+// coder states of its entropy slices. Every unit keeps its window's base-cell
+// runs and the two attribute stages' arenas. Units decode concurrently, each
+// with the scratch its index names.
 type unitDecoder struct {
 	raw     []byte
+	slicer  entropy.Slicer
 	lv      paroctree.Levels
 	isP     bool
 	intraSt attr.Stream
@@ -78,9 +81,13 @@ const maxLeavesPerGeomByte = 8 * entropy.MaxExpansion
 
 // AppendGeomChunk unwraps one [mode][payload] geometry chunk — a frame's, a
 // tile's or a layer's — and appends its raw occupancy bytes to dst: mode 0
-// is raw, mode 1 entropy-coded. It is the one place the chunk modes are
-// decided; an empty chunk or an unknown mode is ErrBadContainer.
-func AppendGeomChunk(dst, chunk []byte) ([]byte, error) {
+// is raw, mode 1 entropy-coded in one coder state, mode 2 entropy-coded as
+// the equal slices of entropy.Slicer, decoded by one fan-out (inline when fan
+// is nil) with sl's coder states. It is the one place the chunk modes are
+// decided; an empty chunk, an unknown mode or a mode-2 chunk of at most
+// entropy.SliceBytes raw bytes — which the encoder writes as mode 1 — is
+// ErrBadContainer.
+func AppendGeomChunk(dst, chunk []byte, sl *entropy.Slicer, fan entropy.Fan) ([]byte, error) {
 	if len(chunk) == 0 {
 		return nil, ErrBadContainer
 	}
@@ -89,18 +96,29 @@ func AppendGeomChunk(dst, chunk []byte) ([]byte, error) {
 		return append(dst, chunk[1:]...), nil
 	case 1:
 		return entropy.AppendDecompressBytes(dst, chunk[1:])
+	case 2:
+		if n, k := binary.Uvarint(chunk[1:]); k <= 0 || n <= entropy.SliceBytes {
+			return nil, ErrBadContainer
+		}
+		return sl.AppendDecompress(dst, chunk[1:], fan)
 	}
 	return nil, ErrBadContainer
 }
 
 // appendGeomChunk is AppendGeomChunk's inverse and the one place the encoder
 // writes a chunk mode: it appends raw occupancy bytes to dst as one
-// [mode][payload] chunk, entropy-coded or as they are.
-func appendGeomChunk(dst, raw []byte, entropyOn bool) []byte {
-	if entropyOn {
+// [mode][payload] chunk — as they are with entropy off, else in one coder
+// state up to entropy.SliceBytes (a one-slice mode 2 would be mode 1 and a
+// header) and as mode 2's slices above it, compressed by one fan-out (inline
+// when fan is nil) with sl's coder states.
+func appendGeomChunk(dst, raw []byte, entropyOn bool, sl *entropy.Slicer, fan entropy.Fan) []byte {
+	switch {
+	case !entropyOn:
+		return append(append(dst, 0), raw...)
+	case len(raw) <= entropy.SliceBytes:
 		return entropy.AppendCompressBytes(append(dst, 1), raw)
 	}
-	return append(append(dst, 0), raw...)
+	return sl.AppendCompress(append(dst, 2), raw, fan)
 }
 
 // decodeView is what one decode reads of a frame and how far it expands it:
@@ -276,17 +294,24 @@ func (d *Decoder) decodeUnits(f *EncodedFrame, l *FrameLayout, v decodeView, inc
 // geometry layers it reads, sizes them to the view's level and cuts them into
 // the stream's windows (paroctree.Levels.Scan), checks them against the
 // directory, and opens the attribute stream its windows colour from. The one
-// stream of an untiled frame is read on the calling core before its windows
-// fan out, and books the paper's kernels from the frame's counts, once
-// whatever the window count; a tile's is read by the tile's own unit, a pool
-// leaf, and books nothing.
+// stream of an untiled frame is read on the calling core — a mode-2 chunk's
+// entropy slices by one fan-out — before its windows fan out, and books the
+// paper's kernels from the frame's counts, once whatever the window or slice
+// count; a tile's is read by the tile's own unit, a pool leaf, slices inline,
+// and books nothing.
 func (d *Decoder) openStream(f *EncodedFrame, l *FrameLayout, s int, v decodeView) error {
 	un, tiled := &d.units[s], f.Tiled()
 	lo, hi := l.PointOff[s], l.PointOff[s+1]
+	// An untiled frame's entropy slices fan out; a tile, a pool leaf, decodes
+	// its own inline.
+	var fan entropy.Fan
+	if !tiled {
+		fan = d.dev.ParallelFor
+	}
 	var err error
 	raw := un.raw[:0]
 	for lay := 0; lay < v.sub; lay++ {
-		if raw, err = AppendGeomChunk(raw, l.Geom(f.Geometry, s, lay)); err != nil {
+		if raw, err = AppendGeomChunk(raw, l.Geom(f.Geometry, s, lay), &un.slicer, fan); err != nil {
 			return err
 		}
 	}
@@ -310,7 +335,7 @@ func (d *Decoder) openStream(f *EncodedFrame, l *FrameLayout, s int, v decodeVie
 	if !tiled {
 		// The entropy stage of an unlayered frame is the paper's Sec. IV-B3
 		// ablation and is on the ledger; the per-layer slices' never was.
-		if !l.Layered() && f.Geometry[0] == 1 {
+		if !l.Layered() && f.Geometry[0] != 0 {
 			d.dev.CPUSerial("GeomEntropyDecode", len(f.Geometry)-1, costEntropyByte, func() {})
 		}
 		un.lv.Book(d.dev)

@@ -128,7 +128,8 @@ func damaged(ef *EncodedFrame) []*EncodedFrame {
 // progressive level; across layered or not, colour space with one or two
 // attribute layers, quantization and points per segment, with both entropy
 // stages on for half of the colour space x quantization pairs (the entropy
-// stage is the same serial work at every window count). Every bit-flipped or
+// stage is the same work at every window count), and on two golden frames
+// whose geometry chunk is mode 2's entropy slices. Every bit-flipped or
 // cut-short copy of either frame decodes to the same cloud, or fails with
 // the same error, at every window count.
 func TestDecodeWindowCountInvariant(t *testing.T) {
@@ -166,6 +167,11 @@ func TestDecodeWindowCountInvariant(t *testing.T) {
 			}
 		}
 	}
+	// The golden frames with geometry entropy: a mode-2 chunk, whose slices
+	// the stream pass decodes before the windows fan out.
+	opts := layerOpts(IntraInterV1, 0, 0)
+	opts.GOP, opts.EntropyGeometry = 2, true
+	checkDecodeWindows(t, "mode-2 geometry chunk", opts, goldenFrames(t)[:2], false)
 }
 
 // checkDecodeWindows holds the decodes of an I + P pair at every window count
@@ -261,7 +267,9 @@ func TestDecodeLedgerPinned(t *testing.T) {
 			{"ReconstructP", "", 1, 2500, 3.147635e+06, 296248, 177633},
 		}},
 		{"untiled I, entropy geometry and attributes", entropyOpts, 1, []ledgerRow{
-			{"GeomEntropyDecode", "", 1, 37103, 5.56545e+06, 74206, 5565450},
+			// The frame's 79 952 raw occupancy bytes are a mode-2 chunk of three
+			// slices, 37 427 B behind its mode byte (one coder state: 37 103 B).
+			{"GeomEntropyDecode", "", 1, 37427, 5.61405e+06, 74854, 5614050},
 			{"DecodeScan", "", 1, 79952, 1.9988e+06, 159904, 1998799},
 			{"DecodeExpand", "", 10, 79952, 2.39856e+06, 799520, 320116},
 			{"MortonDecode", "", 1, 37029, 444348, 592464, 42253},

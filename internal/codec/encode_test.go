@@ -53,7 +53,9 @@ var tiledStreamHashes = []struct {
 
 // layeredStreamHashes pins the untiled-layered and layered-entropy streams the
 // same way: they had decode-exactness tests but no byte pin. Captured at the
-// commit before the geometry phase wrote its layers itself.
+// commit before the geometry phase wrote its layers itself; the untiled
+// geometry-entropy row again when chunks over entropy.SliceBytes became
+// sliced (mode 2).
 var layeredStreamHashes = []struct {
 	name string
 	opts func() Options
@@ -65,7 +67,7 @@ var layeredStreamHashes = []struct {
 		o := layerOpts(IntraInterV1, 0, 3)
 		o.EntropyGeometry = true
 		return o
-	}, "d3f59ae93fc6ef3669fd0b88d055aba28c1c7a0d1c5b3fefad89b42c34f6ef46"},
+	}, "ae1e5087487ae5091c6ca191d3112826e15fbebc4f34256fde601a73038de77b"}, // the top layer's chunk is over entropy.SliceBytes: mode 2
 	{"Intra-Inter-V1/tiles=4/layers=3/geometry entropy", func() Options {
 		o := layerOpts(IntraInterV1, 4, 3)
 		o.EntropyGeometry = true
@@ -248,7 +250,8 @@ func TestEncodeLedgerPinned(t *testing.T) {
 // one-window front ends' output, across layers, colour space, quantization
 // and segment size, and the front end's reconstruction is what the decoder
 // returns. Tiled streams come out the same however many windows are asked
-// for and however the pool orders their units.
+// for and however the pool orders their units. A frame whose geometry chunk is
+// entropy-coded as mode 2's slices is the same stream at every window count.
 func TestEncodeWorkerCountInvariant(t *testing.T) {
 	fs := frames(t, 2)
 	tiny := &geom.VoxelCloud{Depth: fs[0].Depth, Voxels: fs[0].Voxels[:40]}
@@ -267,6 +270,22 @@ func TestEncodeWorkerCountInvariant(t *testing.T) {
 						checkWindowCounts(t, fmt.Sprintf("%d points, %+v", clouds[0].Len(), opts.IntraAttr), opts, clouds)
 					}
 				}
+			}
+		}
+	}
+	// Geometry entropy over entropy.SliceBytes: the golden frames' chunks are
+	// mode 2, and its slices are the stream's, not the window count's.
+	opts := layerOpts(IntraInterV1, 0, 0)
+	opts.GOP, opts.EntropyGeometry = 2, true
+	wantWire, _, wantClouds := windowedEncode(t, opts, goldenFrames(t)[:2], 1)
+	if ef, err := ParseFrame(wantWire[0]); err != nil || ef.Geometry[0] != 2 {
+		t.Fatalf("the entropy-geometry I-frame is not a mode-2 chunk (err %v)", err)
+	}
+	for _, windows := range []int{2, 3, 8, 64} {
+		wire, _, decoded := windowedEncode(t, opts, goldenFrames(t)[:2], windows)
+		for i := range wire {
+			if !bytes.Equal(wire[i], wantWire[i]) || !sameCloud(decoded[i], wantClouds[i]) {
+				t.Errorf("entropy geometry, frame %d: %d windows give another stream or cloud than one", i, windows)
 			}
 		}
 	}

@@ -105,9 +105,11 @@ func (e *Encoder) proposedGeometry(dev *edgesim.Device, vc *geom.VoxelCloud) (*G
 	}
 	if e.opts.EntropyGeometry {
 		// Optional entropy stage (Sec. IV-B3 ablation): ~halves the geometry
-		// stream, costs ~100 ms of serial coding at 1 M points. The units ran
-		// it slice by slice; the board pays for it once per frame, on one
-		// core, over the raw bytes of every unit.
+		// stream. The units ran it chunk by chunk — an untiled frame's chunks
+		// over entropy.SliceBytes as equal slices across the cores, a tile's
+		// inline in its pool leaf; the paper's board codes it serially, so it
+		// is booked once per frame, on one core, over the raw bytes of every
+		// unit.
 		dev.CPUSerial("GeomEntropy", raw, costEntropyByte, func() {})
 	}
 	g.phaseDelta = dev.Since(s0)
@@ -180,7 +182,7 @@ func (e *Encoder) geometryStage(dev *edgesim.Device, vc *geom.VoxelCloud, g *Geo
 		}
 		dev.GPUNoop("TileGeometry", n, costTileGeom)
 	} else {
-		tiles[0].write(windows, depth, cols, spans(0), e.opts.EntropyGeometry)
+		tiles[0].write(windows, depth, cols, spans(0), e.opts.EntropyGeometry, dev.ParallelFor)
 		windows.Book(dev)
 	}
 	total := 0

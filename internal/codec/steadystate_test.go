@@ -13,12 +13,25 @@ import (
 // steadyFrames returns a deterministic 60-frame GOP session (redandblack at
 // 5% scale, frames cycling through the generator's articulation loop).
 func steadyFrames(tb testing.TB, n int) []*geom.VoxelCloud {
+	return sessionFrames(tb, "redandblack", 0.05, n)
+}
+
+// sparseFrames is steadyFrames' sparse LiDAR session: kitti-sparse at the
+// sparse benchmark workload's 25% scale, whose raw occupancy streams are over
+// entropy.SliceBytes.
+func sparseFrames(tb testing.TB, n int) []*geom.VoxelCloud {
+	return sessionFrames(tb, "kitti-sparse", 0.25, n)
+}
+
+// sessionFrames returns n frames of a video at a scale, cycling through its
+// frames.
+func sessionFrames(tb testing.TB, video string, scale float64, n int) []*geom.VoxelCloud {
 	tb.Helper()
-	spec, err := dataset.SpecByName("redandblack")
+	spec, err := dataset.SpecByName(video)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	g := dataset.NewGenerator(spec, 0.05)
+	g := dataset.NewGenerator(spec, scale)
 	frames := make([]*geom.VoxelCloud, n)
 	for i := range frames {
 		if frames[i], err = g.Frame(i % spec.Frames); err != nil {
@@ -90,23 +103,29 @@ func BenchmarkEncodeSteadyState(b *testing.B) {
 // layered rows read 122.9 and 234.8 allocations and 3.38 and 5.69 times the
 // wire frame while a post-pass rebuilt a finished frame into its layers; the
 // pre-arena figures (~45k/~36k allocs/frame) fail the caps by two orders of
-// magnitude.
+// magnitude. The sparse LiDAR row, with geometry entropy on, codes its
+// ~46 KB raw occupancy streams as two mode-2 slices: 18.0 allocations per
+// frame (13.0 at GOMAXPROCS=1), two more than the dense intra row for the
+// slices' fan-out, and 1.13 times the wire frame; its slice coders and their
+// outputs live in the geometry arena. Its cap is 10% above that.
 func TestSteadyStateAllocsPerFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full frames")
 	}
-	frames := steadyFrames(t, 60)
+	dense, sparse := steadyFrames(t, 60), sparseFrames(t, 60)
 	for _, row := range []struct {
 		design        Design
 		tiles, layers int
+		sparse        bool    // the sparse session, with geometry entropy
 		capAllocs     float64 // per frame
 		capBytes      float64 // per frame, in units of the wire frame
 	}{
-		{IntraOnly, 0, 0, 98, 1.25},
-		{IntraInterV1, 0, 0, 94, 1.25},
-		{IntraInterV1, 8, 0, 52, 1.25},
-		{IntraInterV1, 0, 3, 96, 1.25},
-		{IntraInterV1, 8, 3, 55, 1.25},
+		{IntraOnly, 0, 0, false, 98, 1.25},
+		{IntraInterV1, 0, 0, false, 94, 1.25},
+		{IntraInterV1, 8, 0, false, 52, 1.25},
+		{IntraInterV1, 0, 3, false, 96, 1.25},
+		{IntraInterV1, 8, 3, false, 55, 1.25},
+		{IntraOnly, 0, 0, true, 20, 1.25},
 	} {
 		name := row.design.String()
 		if row.tiles > 0 {
@@ -115,9 +134,13 @@ func TestSteadyStateAllocsPerFrame(t *testing.T) {
 		if row.layers > 0 {
 			name = fmt.Sprintf("%s/layers=%d", name, row.layers)
 		}
+		frames := dense
+		if row.sparse {
+			name, frames = name+"/sparse, entropy geometry", sparse
+		}
 		t.Run(name, func(t *testing.T) {
 			opts := steadyOpts(row.design)
-			opts.Tiles, opts.Layers = row.tiles, row.layers
+			opts.Tiles, opts.Layers, opts.EntropyGeometry = row.tiles, row.layers, row.sparse
 			enc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), opts)
 			for _, f := range frames { // warmup session
 				if _, _, err := enc.EncodeFrame(f); err != nil {
@@ -208,24 +231,29 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 // the path is pooled. Before the Decoder owned its memory the full rows read
 // 4556 / 10648 / 9429 allocations per frame and 5.5 / 4.4 / 5.5 times the
 // output; the partial rows, the last to move into the arena, 131.2 / 146.1
-// allocations and 5.76 / 5.38 times.
+// allocations and 5.76 / 5.38 times. The sparse LiDAR row, whose geometry
+// chunks are two mode-2 entropy slices, reads 10.0 (7.0 on one core): the
+// slices' fan-out adds a closure and a wait group, their coders live in the
+// unit arena. Its cap is 10% above that.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full frames")
 	}
-	frames := steadyFrames(t, 60)
+	dense, sparse := steadyFrames(t, 60), sparseFrames(t, 60)
 	for _, row := range []struct {
 		design        Design
 		tiles, layers int
 		sub           uint8   // layers a shedding viewer keeps; 0: all
+		sparse        bool    // the sparse session, with geometry entropy
 		capAllocs     float64 // per frame
 		capBytes      float64 // per returned point, in units of the 16 B output voxel
 	}{
-		{IntraOnly, 0, 0, 0, 28, 1.1},
-		{IntraInterV1, 0, 0, 0, 24, 1.1},
-		{IntraInterV1, 8, 3, 0, 14, 1.1},
-		{IntraInterV1, 8, 3, 1, 12.1, 1.1},
-		{IntraInterV1, 8, 3, 2, 12.1, 1.1},
+		{IntraOnly, 0, 0, 0, false, 28, 1.1},
+		{IntraInterV1, 0, 0, 0, false, 24, 1.1},
+		{IntraInterV1, 8, 3, 0, false, 14, 1.1},
+		{IntraInterV1, 8, 3, 1, false, 12.1, 1.1},
+		{IntraInterV1, 8, 3, 2, false, 12.1, 1.1},
+		{IntraOnly, 0, 0, 0, true, 11, 1.1},
 	} {
 		name := row.design.String()
 		if row.tiles > 0 {
@@ -234,9 +262,13 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 		if row.sub > 0 {
 			name = fmt.Sprintf("%s/sub=%d", name, row.sub)
 		}
+		frames := dense
+		if row.sparse {
+			name, frames = name+"/sparse, entropy geometry", sparse
+		}
 		t.Run(name, func(t *testing.T) {
 			opts := steadyOpts(row.design)
-			opts.Tiles, opts.Layers = row.tiles, row.layers
+			opts.Tiles, opts.Layers, opts.EntropyGeometry = row.tiles, row.layers, row.sparse
 			enc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), opts)
 			dec := NewDecoder(edgesim.NewXavier(edgesim.Mode15W), opts)
 			encoded := make([]*EncodedFrame, len(frames))

@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/edgesim"
+	"repro/internal/entropy"
 	"repro/internal/geom"
 	"repro/internal/morton"
 	"repro/internal/paroctree"
@@ -71,11 +72,13 @@ func (p tilePlan) units() int { return len(p.cuts) - 1 }
 
 // tileGeom is one unit's geometry scratch, indexed by unit in the frame's
 // geomScratch: a tile's sweep arena, the raw levels of the slice being
-// written, the unit's finished chunk — its slices back to back — with the raw
-// bytes that went into it, and what the tile's sweep failed with.
+// written, the coder states of its entropy slices, the unit's finished chunk
+// — its slices back to back — with the raw bytes that went into it, and what
+// the tile's sweep failed with.
 type tileGeom struct {
 	geo    paroctree.TileScratch
 	raw    []byte
+	slicer entropy.Slicer
 	chunk  []byte
 	rawLen int
 	err    error
@@ -151,11 +154,12 @@ func planTilesIn(gs *geomScratch, n, tiles, segIntra, segInter int, useInter boo
 }
 
 // encode is one tile's geometry body, a pool leaf that books nothing: the
-// sweep over the tile's leaf range, then its slices (write).
+// sweep over the tile's leaf range, then its slices (write), entropy slices
+// inline.
 func (tg *tileGeom) encode(leaves []morton.Code, depth uint, cols int, spans []LayerSpan, entropyOn bool) {
 	var t *paroctree.Tree
 	if t, tg.err = tg.geo.Sweep(leaves, depth); tg.err == nil {
-		tg.write(t, depth, cols, spans, entropyOn)
+		tg.write(t, depth, cols, spans, entropyOn, nil)
 	}
 }
 
@@ -169,8 +173,9 @@ type levels interface {
 // whole stream when cols is 1, otherwise cut at layerLevels — each as one
 // [mode][levels] chunk straight from the per-level masks into the unit's chunk
 // buffer. spans is the unit's row of the layer directory (nil when
-// unlayered); its GeomLen column is filled here.
-func (tg *tileGeom) write(t levels, depth uint, cols int, spans []LayerSpan, entropyOn bool) {
+// unlayered); its GeomLen column is filled here. A mode-2 chunk's entropy
+// slices run on fan (inline when nil).
+func (tg *tileGeom) write(t levels, depth uint, cols int, spans []LayerSpan, entropyOn bool, fan entropy.Fan) {
 	tg.chunk, tg.rawLen = tg.chunk[:0], 0
 	base := depth - uint(cols) + 1
 	for lay := 0; lay < cols; lay++ {
@@ -178,7 +183,7 @@ func (tg *tileGeom) write(t levels, depth uint, cols int, spans []LayerSpan, ent
 		tg.raw = t.AppendLevels(tg.raw[:0], lo, hi)
 		tg.rawLen += len(tg.raw)
 		at := len(tg.chunk)
-		if tg.chunk = appendGeomChunk(tg.chunk, tg.raw, entropyOn); spans != nil {
+		if tg.chunk = appendGeomChunk(tg.chunk, tg.raw, entropyOn, &tg.slicer, fan); spans != nil {
 			spans[lay].GeomLen = uint32(len(tg.chunk) - at)
 		}
 	}

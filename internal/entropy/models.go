@@ -1,6 +1,9 @@
 package entropy
 
-import "sync"
+import (
+	"encoding/binary"
+	"sync"
+)
 
 // ByteModel is an adaptive order-0 byte model: a bit-tree of 255 binary
 // contexts, one per internal node of the 8-level decision tree. It adapts to
@@ -290,8 +293,9 @@ func (m *IntModel) DecodeSlice(d *Decoder, dst []int64) {
 	}
 }
 
-// byteCodec bundles the coder and the models CompressBytes/DecompressBytes
-// need, so the whole per-call working set comes from one pool hit.
+// byteCodec bundles one coder state and the models CompressBytes and
+// DecompressBytes need, so the whole per-call working set comes from one pool
+// hit — or, for the slices of a sliced stream, from one Slicer entry.
 type byteCodec struct {
 	enc Encoder
 	dec Decoder
@@ -300,6 +304,40 @@ type byteCodec struct {
 }
 
 var byteCodecPool = sync.Pool{New: func() any { return new(byteCodec) }}
+
+// code codes data in c's one coder state — its length, then its bytes under
+// the adaptive order-0 model — and returns the stream, which aliases the
+// encoder's scratch until c codes again.
+func (c *byteCodec) code(data []byte) []byte {
+	c.enc.Reset()
+	c.lm.Init()
+	c.bm.Init()
+	c.lm.Encode(&c.enc, uint64(len(data)))
+	c.bm.EncodeSlice(&c.enc, data)
+	return c.enc.Bytes()
+}
+
+// open arms c's decoder over one coded stream and returns the payload length
+// it declares, refused above MaxExpansion times the stream.
+func (c *byteCodec) open(data []byte) (int, error) {
+	if err := c.dec.Reset(data); err != nil {
+		return 0, err
+	}
+	c.lm.Init()
+	c.bm.Init()
+	n := c.lm.Decode(&c.dec)
+	if n > MaxExpansion*uint64(len(data)) {
+		return 0, ErrCorrupt
+	}
+	return int(n), nil
+}
+
+// fill decodes the payload of the stream open armed into dst, which holds
+// exactly the declared length, and reports a stream that ran out first.
+func (c *byteCodec) fill(dst []byte) error {
+	c.bm.DecodeSlice(&c.dec, dst)
+	return c.dec.Err()
+}
 
 // CompressBytes entropy-codes a byte slice with an adaptive order-0 model,
 // prefixing the length. This is the generic "Entropy Encoding" stage the
@@ -313,12 +351,7 @@ func CompressBytes(data []byte) []byte {
 // only allocation in steady state is dst's own growth.
 func AppendCompressBytes(dst, data []byte) []byte {
 	c := byteCodecPool.Get().(*byteCodec)
-	c.enc.Reset()
-	c.lm.Init()
-	c.bm.Init()
-	c.lm.Encode(&c.enc, uint64(len(data)))
-	c.bm.EncodeSlice(&c.enc, data)
-	dst = append(dst, c.enc.Bytes()...)
+	dst = append(dst, c.code(data)...)
 	byteCodecPool.Put(c)
 	return dst
 }
@@ -345,26 +378,155 @@ const MaxExpansion = 64
 func AppendDecompressBytes(dst, data []byte) ([]byte, error) {
 	c := byteCodecPool.Get().(*byteCodec)
 	defer byteCodecPool.Put(c)
-	if err := c.dec.Reset(data); err != nil {
+	n, err := c.open(data)
+	if err != nil {
 		return nil, err
-	}
-	c.lm.Init()
-	c.bm.Init()
-	n := c.lm.Decode(&c.dec)
-	if n > MaxExpansion*uint64(len(data)) {
-		return nil, ErrCorrupt
 	}
 	base := len(dst)
-	if cap(dst)-base < int(n) {
-		grown := make([]byte, base+int(n))
-		copy(grown, dst)
-		dst = grown
-	} else {
-		dst = dst[:base+int(n)]
-	}
-	c.bm.DecodeSlice(&c.dec, dst[base:])
-	if err := c.dec.Err(); err != nil {
+	dst = growBy(dst, n)
+	if err := c.fill(dst[base:]); err != nil {
 		return nil, err
+	}
+	return dst, nil
+}
+
+// growBy extends dst by n bytes, reallocating only when its capacity is short.
+func growBy(dst []byte, n int) []byte {
+	base := len(dst)
+	if cap(dst)-base < n {
+		grown := make([]byte, base+n)
+		copy(grown, dst)
+		return grown
+	}
+	return dst[:base+n]
+}
+
+// SliceBytes is the most raw bytes one slice of a sliced stream holds. Each
+// slice restarts the adaptive model, so the bound trades bits for parallel
+// work: on the sparse LiDAR workload fixed 4, 8 and 16 KiB slices cost 0.9,
+// 0.45 and 0.20 % more bits per point than one state, ⌈n/32 KiB⌉ equal slices
+// 0.11 %, and the latter still gives two cores a slice each.
+const SliceBytes = 32 << 10
+
+// SliceCount returns how many slices an n-byte stream is cut into:
+// ⌈n / SliceBytes⌉, and one for an empty stream. It depends on n alone.
+func SliceCount(n int) int { return max((n+SliceBytes-1)/SliceBytes, 1) }
+
+// Fan runs body over [0, n) as contiguous chunks that may run concurrently,
+// returning once every chunk has — a worker pool's parallel-for. The bodies
+// the sliced codec hands it are leaves: they submit nothing.
+type Fan func(n int, body func(lo, hi int))
+
+// Slicer is the working memory of the sliced codec: one coder state per
+// slice, which also holds the slice's output while it is compressed. It grows
+// to the most slices it has coded and serves one stream at a time.
+//
+// A sliced stream is [uvarint n][uvarint compressed length × S][S slices]:
+// the n raw bytes cut into S = SliceCount(n) equal contiguous slices, slice i
+// being raw[i·n/S : (i+1)·n/S], each coded as CompressBytes codes it, in its
+// own coder state. S follows from n alone, never from who runs the slices, so
+// the stream is the same byte for byte however the fan splits them.
+type Slicer struct {
+	slices []slice
+}
+
+type slice struct {
+	byteCodec
+	// Decompressing: the slice's coded length and span, and what its
+	// decode failed with.
+	size int
+	src  []byte
+	err  error
+}
+
+// take returns the first s slice states, growing the arena to hold them.
+func (sl *Slicer) take(s int) []slice {
+	for len(sl.slices) < s {
+		sl.slices = append(sl.slices, slice{})
+	}
+	return sl.slices[:s]
+}
+
+// run hands body to fan, or runs it inline when fan is nil.
+func run(fan Fan, n int, body func(lo, hi int)) {
+	if fan == nil {
+		body(0, n)
+		return
+	}
+	fan(n, body)
+}
+
+// AppendCompress appends the sliced stream of data to dst. The slices are
+// compressed by one fan-out (inline when fan is nil), then copied out behind
+// the header in order.
+func (sl *Slicer) AppendCompress(dst, data []byte, fan Fan) []byte {
+	n := len(data)
+	ss := sl.take(SliceCount(n))
+	run(fan, len(ss), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ss[i].code(data[i*n/len(ss) : (i+1)*n/len(ss)])
+		}
+	})
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for i := range ss {
+		dst = binary.AppendUvarint(dst, uint64(len(ss[i].enc.out)))
+	}
+	for i := range ss {
+		dst = append(dst, ss[i].enc.out...)
+	}
+	return dst
+}
+
+// AppendDecompress inverts AppendCompress: it appends the raw bytes of the
+// sliced stream data to dst, each slice decoded straight into its range by
+// one fan-out (inline when fan is nil). Before dst is sized the header must
+// hold: n at most MaxExpansion times the stream, and slice lengths that tile
+// the rest of the stream exactly. A slice whose stream declares another
+// length than its range, or runs out before filling it, is ErrCorrupt.
+func (sl *Slicer) AppendDecompress(dst, data []byte, fan Fan) ([]byte, error) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > MaxExpansion*uint64(len(data)) {
+		return nil, ErrCorrupt
+	}
+	// The bound also caps the slice states taken at one per 512 stream bytes.
+	data, s := data[k:], SliceCount(int(n))
+	ss := sl.take(s)
+	for i := range ss {
+		c, k := binary.Uvarint(data)
+		if k <= 0 || c > uint64(len(data)) {
+			return nil, ErrCorrupt
+		}
+		data, ss[i].size = data[k:], int(c)
+	}
+	for i := range ss {
+		if ss[i].size > len(data) {
+			return nil, ErrCorrupt
+		}
+		ss[i].src, data = data[:ss[i].size], data[ss[i].size:]
+	}
+	if len(data) != 0 {
+		return nil, ErrCorrupt
+	}
+	base, raw := len(dst), int(n)
+	dst = growBy(dst, raw)
+	out := dst[base:]
+	run(fan, s, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			part := out[i*raw/s : (i+1)*raw/s]
+			m, err := ss[i].open(ss[i].src)
+			if err == nil && m != len(part) {
+				err = ErrCorrupt
+			}
+			if err == nil {
+				err = ss[i].fill(part)
+			}
+			ss[i].src, ss[i].err = nil, err
+		}
+	})
+	for i := range ss {
+		if err := ss[i].err; err != nil {
+			return nil, err
+		}
 	}
 	return dst, nil
 }
