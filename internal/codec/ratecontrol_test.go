@@ -1,6 +1,9 @@
 package codec
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 func TestRateControlUpdateDirection(t *testing.T) {
 	rc := RateControl{TargetBitsPerPoint: 20}.normalized()
@@ -110,6 +113,12 @@ func feedLoss(c *Controller, rate float64, n int) {
 	for i := 0; i < n; i++ {
 		c.ObserveFeedback(Signal{LossRate: rate})
 	}
+}
+
+// localSignal builds one transmit-stage observation: queue fill, shed, and
+// the frame's modelled link time.
+func localSignal(queue float64, shed bool, latency time.Duration) LocalSignal {
+	return LocalSignal{QueueFill: queue, Shed: shed, Utilization: float64(latency) / float64(33*time.Millisecond)}
 }
 
 func TestAdaptiveRateDefaults(t *testing.T) {
