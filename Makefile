@@ -81,8 +81,9 @@ fanout-scale:
 # Congestion-adaptation step response against the checked-in convergence
 # contract (GOP reacts within 24 frames of the loss step, the probing
 # upswitch returns every knob to baseline within 30 frames of the loss
-# clearing — at most half the passive decay, measured against a probing-off
-# control run — and the settled decoded ratio stays >= 0.70).
+# clearing — half the checked-in passive decay reference, which
+# TestProbingUpswitchBeatsPassiveDecay measures — and the settled decoded
+# ratio stays >= 0.70).
 adapt:
 	$(GO) run ./cmd/pccbench -scale 0.008 -frames 96 adapt
 

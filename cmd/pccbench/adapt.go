@@ -21,11 +21,11 @@ const (
 	// controller has to shrink the GOP below its pre-step value (the PR 5
 	// downswitch contract).
 	adaptConvergeBudget = 24
-	// adaptPassiveDecayFrames is the PR 5 passive recovery reference: how
-	// many frames the controller needs to ease every knob back to baseline
-	// from deep congestion on CleanHold decay alone (measured with probing
-	// disabled, ProbeAfter < 0: 15 clean feedback reports at a report
-	// every adaptFeedbackEvery frames).
+	// adaptPassiveDecayFrames is the passive recovery reference: how many
+	// frames the controller needed to ease every knob back to baseline from
+	// deep congestion on clean-hold decay alone, before it probed (15 clean
+	// feedback reports at a report every adaptFeedbackEvery frames).
+	// TestProbingUpswitchBeatsPassiveDecay keeps the measured comparison.
 	adaptPassiveDecayFrames = 60
 	// adaptRecoverBudget is the probing-upswitch recovery contract: after
 	// the loss step clears, the controller must return every knob to
@@ -74,9 +74,6 @@ func runAdaptOnce(frames []*geom.VoxelCloud, opts codec.Options, stepAt, recover
 	results := s.Results()
 	winStart := 0
 	flushWindow := func(end int) {
-		if tb == nil {
-			return
-		}
 		snap := s.Controller().Snapshot()
 		rate := 0.0
 		if winStart >= stepAt && winStart < recoverAt {
@@ -159,8 +156,7 @@ func runAdaptOnce(frames []*geom.VoxelCloud, opts codec.Options, stepAt, recover
 //     the loss step;
 //   - probing upswitch: after the loss clears, every knob returns to
 //     baseline within adaptRecoverBudget frames — at most half the
-//     passive CleanHold decay, verified against a control run with
-//     probing disabled;
+//     passive clean-hold decay;
 //   - quality: the settled decoded ratio stays above adaptDecodedFloor.
 func runAdapt(cfg benchConfig) error {
 	spec := cfg.Videos[0]
@@ -214,29 +210,16 @@ func runAdapt(cfg benchConfig) error {
 			shrunkAt-stepAt, adaptConvergeBudget)
 	}
 
-	// Leg 2 — probing upswitch contract, with a passive control run
-	// (probing disabled) to hold the "at most half the passive decay"
-	// claim against a measurement, not just the checked-in constant.
-	passiveOpts := opts
-	passiveOpts.Adapt.ProbeAfter = -1
-	passive, err := runAdaptOnce(frames, passiveOpts, stepAt, recoverAt, nil)
-	if err != nil {
-		return fmt.Errorf("adapt (passive control): %w", err)
-	}
-	fmt.Printf("converged %d frames after the step; recovery to baseline: probing %d frames, "+
-		"passive %d frames (cap %d); budget %d (= passive reference %d / 2)\n",
-		shrunkAt-stepAt, run.recovered, passive.recovered, passive.recoverCap,
-		adaptRecoverBudget, adaptPassiveDecayFrames)
+	// Leg 2 — probing upswitch contract.
+	fmt.Printf("converged %d frames after the step; recovery to baseline: probing %d frames; "+
+		"budget %d (= passive reference %d / 2)\n",
+		shrunkAt-stepAt, run.recovered, adaptRecoverBudget, adaptPassiveDecayFrames)
 	if run.recovered >= run.recoverCap {
 		return fmt.Errorf("adapt: knobs never returned to baseline in the %d clean tail frames", run.recoverCap)
 	}
 	if run.recovered > adaptRecoverBudget {
 		return fmt.Errorf("adapt: recovery took %d frames, budget is %d",
 			run.recovered, adaptRecoverBudget)
-	}
-	if 2*run.recovered > passive.recovered && passive.recovered < passive.recoverCap {
-		return fmt.Errorf("adapt: probing recovery (%d frames) is not at least twice as fast as passive decay (%d)",
-			run.recovered, passive.recovered)
 	}
 	if snap.FEC.Probes == 0 {
 		return fmt.Errorf("adapt: the controller never probed after the loss cleared")

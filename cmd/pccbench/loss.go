@@ -50,7 +50,7 @@ func runLoss(cfg benchConfig) error {
 	}
 	opts := scaledOptions(codec.IntraInterV1, cfg.Scale)
 
-	fec := stream.FECConfig{GroupLen: -1} // hard off: byte-identical to a pre-FEC sender
+	var fec stream.FECConfig // off: no controller, so no parity packets
 	floor, mode := lossDecodedFloor, "FEC off"
 	if cfg.FEC {
 		fec = stream.FECConfig{GroupLen: lossFECGroupLen}

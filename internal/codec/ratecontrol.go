@@ -3,25 +3,30 @@ package codec
 // Rate control. The paper leaves the direct-reuse threshold as a manually
 // tuned knob ("can be adjusted based on the application preference",
 // Sec. III-B/VI-E) and evaluates fixed operating points on Fig. 10b's
-// static trade-off curve. This file closes the loop twice over:
+// static trade-off curve. This file closes the loop three times:
 //
-//   - RateControl (PR 1 of this subsystem) steers the inter-frame reuse
-//     threshold after every P-frame so the stream converges onto a target
-//     compressed rate — a per-frame proportional loop on ONE knob.
+//   - RateControl steers the inter-frame reuse threshold after every
+//     P-frame so the stream converges onto a target compressed rate — a
+//     per-frame proportional loop on ONE knob.
 //
-//   - Controller (this PR) is the closed-loop congestion controller: it
-//     fuses receiver feedback reports (observed packet loss, NACK and
-//     concealment counts) with local pipeline state (transmit-queue fill,
-//     backpressure sheds, modelled link utilization) into a hysteresis
-//     state machine that actuates THREE knobs — the reuse threshold, the
-//     attribute quantization step, and the GOP length. Sustained loss
-//     shrinks the GOP (more I-frames → faster resync after a lost
-//     reference); clean links stretch it back to amortize I-frame cost;
-//     congestion without loss degrades quality (bigger quantization step,
-//     higher reuse threshold) instead of shedding frames.
+//   - Controller is the closed-loop congestion controller: it fuses
+//     receiver feedback (the reports' loss rate) with local pipeline state
+//     (transmit-queue fill, backpressure sheds, modelled link time) into a
+//     hysteresis state machine that actuates four knobs — the reuse
+//     threshold, the attribute quantization step, the GOP length and the
+//     FEC parity overhead. Sustained loss shrinks the GOP (more I-frames →
+//     faster resync after a lost reference); clean links stretch it back to
+//     amortize I-frame cost; congestion without loss degrades quality
+//     (bigger quantization step, higher reuse threshold) instead of
+//     shedding frames.
 //
-// Every controller decision is pure integer/float math on explicit state —
-// no clocks, no randomness — so a seeded virtual-time harness
+//   - LayerController turns one viewer's feedback into how many enhancement
+//     layers that viewer is sent.
+//
+// The two congestion deciders share one hysteresis rule (band). Their
+// tuning is fixed: the constants below are the only configuration anyone
+// runs. Every decision is pure integer/float math on explicit state — no
+// clocks, no randomness — so a seeded virtual-time harness
 // (pcc/stream.LossyPipe) replays an entire adaptation trajectory
 // byte-for-byte.
 
@@ -40,22 +45,13 @@ type RateControl struct {
 	// Gain is the multiplicative step per frame (default 0.25): the
 	// threshold moves by up to this fraction of itself per correction.
 	Gain float64
-	// MinThreshold / MaxThreshold clamp the knob (defaults 1 and 4096).
-	MinThreshold, MaxThreshold float64
 }
 
-func (rc RateControl) normalized() RateControl {
-	if rc.Gain <= 0 || rc.Gain > 1 {
-		rc.Gain = 0.25
-	}
-	if rc.MinThreshold <= 0 {
-		rc.MinThreshold = 1
-	}
-	if rc.MaxThreshold <= rc.MinThreshold {
-		rc.MaxThreshold = 4096
-	}
-	return rc
-}
+// The rate loop clamps the threshold to [minThreshold, maxThreshold].
+const (
+	minThreshold = 1
+	maxThreshold = 4096
+)
 
 // Enabled reports whether the controller is active.
 func (rc RateControl) Enabled() bool { return rc.TargetBitsPerPoint > 0 }
@@ -64,26 +60,16 @@ func (rc RateControl) Enabled() bool { return rc.TargetBitsPerPoint > 0 }
 // A frame over budget raises the threshold (more direct reuse, smaller
 // frames); under budget lowers it (more delta blocks, better quality).
 func (rc RateControl) update(threshold, achievedBPP float64) float64 {
-	rc = rc.normalized()
 	if achievedBPP <= 0 {
 		return threshold
 	}
-	err := achievedBPP/rc.TargetBitsPerPoint - 1 // >0: over budget
-	step := err
-	if step > 1 {
-		step = 1
+	gain := rc.Gain
+	if gain <= 0 || gain > 1 {
+		gain = 0.25
 	}
-	if step < -1 {
-		step = -1
-	}
-	threshold *= 1 + rc.Gain*step
-	if threshold < rc.MinThreshold {
-		threshold = rc.MinThreshold
-	}
-	if threshold > rc.MaxThreshold {
-		threshold = rc.MaxThreshold
-	}
-	return threshold
+	step := min(max(achievedBPP/rc.TargetBitsPerPoint-1, -1), 1) // >0: over budget
+	threshold *= 1 + gain*step
+	return min(max(threshold, minThreshold), maxThreshold)
 }
 
 // applyRateControl is called after each encoded frame: the per-frame rate
@@ -103,140 +89,89 @@ func (e *Encoder) applyRateControl(st FrameStats) {
 // over time under rate control).
 func (e *Encoder) Threshold() float64 { return e.opts.Inter.Threshold }
 
+// band is the hysteresis both congestion deciders run: a high observation
+// degrades and restarts the clean count; hold consecutive clean
+// observations ease one notch; anything in between holds and restarts the
+// count, so a link flapping around a threshold does not oscillate the
+// knobs. No integrator accumulates anywhere (anti-windup): the next
+// verdict acts from the clamped knobs alone.
+type band struct {
+	hold   int // clean observations per ease
+	streak int // consecutive clean observations since the last reset
+}
+
+// bandVerdict is what one observation asks the decider to do.
+type bandVerdict int
+
+const (
+	bandHold bandVerdict = iota
+	bandDegrade
+	bandEase
+)
+
+// observe classifies one observation; high wins over clean.
+func (b *band) observe(high, clean bool) bandVerdict {
+	switch {
+	case high:
+		b.streak = 0
+		return bandDegrade
+	case clean:
+		b.streak++
+		if b.streak < b.hold {
+			return bandHold
+		}
+		b.streak = 0
+		return bandEase
+	default:
+		b.streak = 0
+		return bandHold
+	}
+}
+
 // AdaptiveRate configures the closed-loop congestion controller. The zero
-// value is disabled; setting Enabled with every other field zero uses the
-// documented defaults.
+// value is disabled.
 type AdaptiveRate struct {
 	// Enabled turns the controller on. Off, the encoder's knobs never move
 	// (beyond the independent RateControl loop) and the wire output is
 	// byte-identical to a controller-free encoder.
 	Enabled bool
-	// HighLoss is the observed-loss EWMA above which the link counts as
-	// lossy: the GOP shrinks and quality degrades (default 0.04).
-	HighLoss float64
-	// LowLoss is the loss EWMA below which the link counts as clean
-	// (default 0.01). Between the two the controller holds its knobs —
-	// the hysteresis band that stops actuation flapping.
-	LowLoss float64
-	// MinGOP / MaxGOP clamp the GOP-length knob (defaults 1 and
-	// 4x the configured GOP). MinGOP 1 degrades to all-I streaming.
-	MinGOP, MaxGOP int
-	// MaxQScale clamps the quality knob: the attribute quantization steps
-	// scale by up to this factor, doubling per degrade step (default 8).
-	MaxQScale int
-	// MaxBoost clamps the congestion boost on the reuse threshold
-	// (default 8x the configured threshold). Ignored while the RateControl
-	// loop is enabled — that loop owns the threshold.
-	MaxBoost float64
-	// CleanHold is how many consecutive clean observations ease the knobs
-	// one notch (default 2).
-	CleanHold int
-	// LossGain is the EWMA weight of a new feedback report's loss rate
-	// (default 0.5); local signals blend at half this gain.
-	LossGain float64
-	// HighUtil is the local link-utilization EWMA (modelled transmit time
-	// per frame over FrameBudget) above which the sender counts as
-	// congested even without receiver loss (default 1.0).
-	HighUtil float64
-	// FrameBudget is the real-time budget per frame used to normalize link
-	// utilization (default 33ms ≈ 30 fps).
-	FrameBudget time.Duration
-	// LocalPeriod is how many local (per-frame) observations elapse
-	// between controller steps driven by local state alone, so a session
-	// without receiver feedback still adapts at report-like cadence
-	// (default 8 frames).
-	LocalPeriod int
-	// MinParity / MaxParity clamp the FEC parity-overhead knob
-	// (Knobs.Parity): the fraction of data packets re-sent as XOR parity.
-	// Loss-driven degradation raises parity toward the observed loss rate
-	// (times a safety factor); easing decays it back to MinParity.
-	// Defaults 0 and 0.5 — no parity overhead on clean links.
-	MinParity, MaxParity float64
-	// ProbeAfter is how many non-congested controller steps the probing
-	// upswitch waits, while the knobs are degraded, before provisionally
-	// easing one notch on every knob (the probe: deliberately
-	// larger-than-steady-state frames) and judging the next feedback
-	// report's echo. A clean echo keeps the ease and compounds it; a
-	// congested echo reverts and doubles the probe interval (capped at
-	// ProbeBackoffMax). 0 defaults to 2; negative disables probing and
-	// recovery falls back to passive CleanHold decay alone.
-	ProbeAfter int
-	// ProbeBackoffMax caps the probe-interval exponential backoff, in
-	// controller steps (default 16).
-	ProbeBackoffMax int
 }
 
-func (a AdaptiveRate) normalized(baseGOP int) AdaptiveRate {
-	if a.HighLoss <= 0 {
-		a.HighLoss = 0.04
-	}
-	if a.LowLoss <= 0 || a.LowLoss >= a.HighLoss {
-		a.LowLoss = a.HighLoss / 4
-	}
-	if a.MinGOP < 1 {
-		a.MinGOP = 1
-	}
-	if a.MaxGOP < baseGOP {
-		a.MaxGOP = 4 * baseGOP
-	}
-	if a.MaxGOP < a.MinGOP {
-		a.MaxGOP = a.MinGOP
-	}
-	if a.MaxQScale < 1 {
-		a.MaxQScale = 8
-	}
-	if a.MaxBoost < 1 {
-		a.MaxBoost = 8
-	}
-	if a.CleanHold < 1 {
-		a.CleanHold = 2
-	}
-	if a.LossGain <= 0 || a.LossGain > 1 {
-		a.LossGain = 0.5
-	}
-	if a.HighUtil <= 0 {
-		a.HighUtil = 1.0
-	}
-	if a.FrameBudget <= 0 {
-		a.FrameBudget = 33 * time.Millisecond
-	}
-	if a.LocalPeriod < 1 {
-		a.LocalPeriod = 8
-	}
-	if a.MaxParity <= 0 {
-		a.MaxParity = 0.5
-	}
-	if a.MaxParity > 1 {
-		a.MaxParity = 1
-	}
-	if a.MinParity < 0 {
-		a.MinParity = 0
-	}
-	if a.MinParity > a.MaxParity {
-		a.MinParity = a.MaxParity
-	}
-	if a.ProbeAfter == 0 {
-		a.ProbeAfter = 2
-	}
-	if a.ProbeBackoffMax < 1 {
-		a.ProbeBackoffMax = 16
-	}
-	return a
-}
-
-// Signal is one receiver feedback observation: the report window's loss
-// rate plus the recovery work it cost.
-type Signal struct {
-	// LossRate is the window's steering loss signal in [0,1]. Transports
-	// feed Feedback.CongestionRate here: unrecovered losses plus NACK
-	// round trips, with zero-RTT parity repairs in neither term — so FEC
-	// absorbing the link's loss reads as clean and lets quality recover.
-	LossRate float64
-	// NACKs, Concealed and Skipped count the window's recovery events;
-	// they are recorded for metrics but do not steer the knobs (the
-	// transport folds round trips into LossRate before observing).
-	NACKs, Concealed, Skipped int
-}
+// Controller tuning.
+const (
+	// highLoss is the loss EWMA at or above which the link counts as lossy:
+	// the GOP shrinks and quality degrades. At or below lowLoss it counts as
+	// clean; between the two the knobs hold.
+	highLoss = 0.04
+	lowLoss  = highLoss / 4
+	// lossGain is the EWMA weight of a feedback report's loss rate; local
+	// signals blend at half this gain.
+	lossGain = 0.5
+	// frameBudget is the real-time budget per frame (≈ 30 fps) that turns a
+	// frame's modelled link time into utilization; at or above highUtil the
+	// sender counts as congested even without receiver loss.
+	frameBudget = 33 * time.Millisecond
+	highUtil    = 1.0
+	// localPeriod is how many local (per-frame) observations elapse between
+	// steps driven by local state alone, so a session without receiver
+	// feedback still adapts at report-like cadence.
+	localPeriod = 8
+	// cleanHold is how many consecutive clean steps ease the knobs a notch.
+	cleanHold = 2
+	// maxQScale clamps the quality knob: the attribute quantization steps
+	// scale by up to this factor, doubling per degrade.
+	maxQScale = 8
+	// maxBoost clamps the congestion boost on the reuse threshold.
+	maxBoost = 8
+	// maxParity clamps the FEC parity-overhead knob; easing decays it to 0.
+	maxParity = 0.5
+	// defaultProbeAfter is how many non-congested steps the probing upswitch
+	// waits, while the knobs are degraded, before provisionally easing one
+	// notch (the probe). probeBackoffMax caps the interval's doubling after
+	// each reverted probe.
+	defaultProbeAfter = 2
+	probeBackoffMax   = 16
+)
 
 // LocalSignal is one sender-side per-frame observation from the transmit
 // stage.
@@ -246,9 +181,8 @@ type LocalSignal struct {
 	// Shed reports that this frame was sacrificed by the backpressure
 	// policy before transmission.
 	Shed bool
-	// Utilization is the frame's modelled link time over FrameBudget
-	// (>1 = the link alone cannot sustain the frame rate).
-	Utilization float64
+	// Latency is the frame's modelled link time (zero for a shed frame).
+	Latency time.Duration
 }
 
 // Knobs is the controller's actuator state, applied by the encoder at the
@@ -309,23 +243,28 @@ type ControllerSnapshot struct {
 // Options.Adapt (NewEncoder attaches one); observe signals from any
 // goroutine — the encoder consumes the knob state at frame boundaries.
 type Controller struct {
-	cfg AdaptiveRate
 	// rateActive: the RateControl loop owns the threshold; the congestion
 	// boost then stays inert.
 	rateActive    bool
 	baseThreshold float64
 	baseGOP       int
+	// maxGOP caps how far a clean link stretches the GOP: 4x the base.
+	maxGOP int
+	// probeAfter is the probe interval after a win or a timeout:
+	// defaultProbeAfter unless a test sets it negative, which disables
+	// probing and leaves recovery to the passive clean-hold ease alone.
+	probeAfter int
 
-	mu          sync.Mutex
-	loss        float64 // receiver-observed loss EWMA
-	util        float64 // local link-utilization EWMA
-	queue       float64 // transmit-queue fill EWMA
-	shed        float64 // backpressure-shed EWMA
-	boost       float64 // current threshold congestion boost (>= 1)
-	cleanStreak int
-	congested   bool
-	localCount  int
-	k           Knobs
+	mu         sync.Mutex
+	loss       float64 // receiver-observed loss EWMA
+	util       float64 // local link-utilization EWMA
+	queue      float64 // transmit-queue fill EWMA
+	shed       float64 // backpressure-shed EWMA
+	boost      float64 // current threshold congestion boost (>= 1)
+	band       band
+	congested  bool
+	localCount int
+	k          Knobs
 
 	// Probing upswitch state (see armProbe/step): probing marks an applied
 	// provisional ease awaiting its feedback echo; probeCountdown counts
@@ -343,26 +282,23 @@ type Controller struct {
 
 // newController builds the controller for normalized options.
 func newController(o Options) *Controller {
-	cfg := o.Adapt.normalized(o.GOP)
 	return &Controller{
-		cfg:            cfg,
 		rateActive:     o.Rate.Enabled(),
 		baseThreshold:  o.Inter.Threshold,
 		baseGOP:        o.GOP,
+		maxGOP:         4 * o.GOP,
+		probeAfter:     defaultProbeAfter,
 		boost:          1,
-		probeInterval:  cfg.ProbeAfter,
-		probeCountdown: cfg.ProbeAfter,
+		band:           band{hold: cleanHold},
+		probeInterval:  defaultProbeAfter,
+		probeCountdown: defaultProbeAfter,
 		k: Knobs{
 			Threshold: o.Inter.Threshold,
 			QScale:    1,
 			GOP:       o.GOP,
-			Parity:    cfg.MinParity,
 		},
 	}
 }
-
-// Config returns the normalized controller configuration.
-func (c *Controller) Config() AdaptiveRate { return c.cfg }
 
 // Knobs returns the current actuator state.
 func (c *Controller) Knobs() Knobs {
@@ -401,39 +337,42 @@ func (c *Controller) AtBaseline() bool {
 
 // degradedLocked reports residual degradation on any knob. Runs under c.mu.
 func (c *Controller) degradedLocked() bool {
-	return c.k.QScale > 1 || c.k.GOP < c.baseGOP || c.boost > 1 || c.k.Parity > c.cfg.MinParity
+	return c.k.QScale > 1 || c.k.GOP < c.baseGOP || c.boost > 1 || c.k.Parity > 0
 }
 
 func mix(old, sample, gain float64) float64 {
 	return old*(1-gain) + sample*gain
 }
 
-// ObserveFeedback folds one receiver feedback report into the loss EWMA
-// and runs a controller step.
-func (c *Controller) ObserveFeedback(sig Signal) {
+// ObserveFeedback folds one receiver feedback report's loss rate, clamped
+// to [0, 1], into the loss EWMA and runs a controller step. Transports feed
+// Feedback.CongestionRate here: unrecovered losses plus NACK round trips,
+// with zero-RTT parity repairs in neither term — so FEC absorbing the
+// link's loss reads as clean and lets quality recover.
+func (c *Controller) ObserveFeedback(loss float64) {
 	c.counters.FeedbackReport()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if sig.LossRate < 0 {
-		sig.LossRate = 0
+	if loss < 0 {
+		loss = 0
 	}
-	if sig.LossRate > 1 {
-		sig.LossRate = 1
+	if loss > 1 {
+		loss = 1
 	}
-	c.loss = mix(c.loss, sig.LossRate, c.cfg.LossGain)
+	c.loss = mix(c.loss, loss, lossGain)
 	c.step(true)
 }
 
 // ObserveLocal folds one per-frame transmit-stage observation into the
-// local EWMAs. Steps driven by local state alone run every LocalPeriod
+// local EWMAs. Steps driven by local state alone run every localPeriod
 // frames, so a feedback-free session still adapts — at report cadence, not
 // per frame.
 func (c *Controller) ObserveLocal(sig LocalSignal) {
 	c.counters.LocalSignal()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	g := c.cfg.LossGain / 2
-	c.util = mix(c.util, sig.Utilization, g)
+	g := lossGain / 2
+	c.util = mix(c.util, float64(sig.Latency)/float64(frameBudget), g)
 	c.queue = mix(c.queue, sig.QueueFill, g)
 	shed := 0.0
 	if sig.Shed {
@@ -441,7 +380,7 @@ func (c *Controller) ObserveLocal(sig LocalSignal) {
 	}
 	c.shed = mix(c.shed, shed, g)
 	c.localCount++
-	if c.localCount%c.cfg.LocalPeriod == 0 {
+	if c.localCount%localPeriod == 0 {
 		c.step(false)
 	}
 }
@@ -452,17 +391,16 @@ func (c *Controller) ObserveLocal(sig LocalSignal) {
 // revert a bad probe through the congested classification).
 const probeTimeout = 4
 
-// step is the controller decision: classify the fused state as lossy,
-// locally congested, clean, or in the hysteresis band, actuate, then run
-// the probing upswitch state machine. Runs under c.mu.
+// step is the controller decision: classify the fused state as congested
+// (lossy or locally), clean, or in the hysteresis band, let the band decide,
+// actuate, then run the probing upswitch state machine. Runs under c.mu.
 func (c *Controller) step(fromFeedback bool) {
-	lossHigh := c.loss >= c.cfg.HighLoss
-	localHigh := c.util >= c.cfg.HighUtil || c.queue >= 0.9 || c.shed >= 0.25
-	clean := c.loss <= c.cfg.LowLoss && c.util < c.cfg.HighUtil && c.queue < 0.5 && c.shed < 0.05
+	lossHigh := c.loss >= highLoss
+	localHigh := c.util >= highUtil || c.queue >= 0.9 || c.shed >= 0.25
+	clean := c.loss <= lowLoss && c.util < highUtil && c.queue < 0.5 && c.shed < 0.05
 
-	switch {
-	case lossHigh || localHigh:
-		c.cleanStreak = 0
+	v := c.band.observe(lossHigh || localHigh, clean)
+	if v == bandDegrade {
 		if !c.congested {
 			c.congested = true
 			c.counters.CongestedEnter()
@@ -474,35 +412,18 @@ func (c *Controller) step(fromFeedback bool) {
 			c.probeRevert()
 		}
 		c.degrade(lossHigh)
-	case clean:
+	} else {
 		if c.congested {
 			c.congested = false
 			c.counters.CongestedExit()
 		}
 		if c.probing && fromFeedback {
-			// Clean echo: the link absorbed the probe's larger frames with
-			// no loss. Keep the ease, compound it, and rearm immediately —
-			// this is the upswitch-in-seconds path.
-			c.probeWin(true)
+			// The link absorbed the probe's larger frames without pushing
+			// loss over highLoss: keep the notch.
+			c.probeWin(clean)
 		}
-		c.cleanStreak++
-		if c.cleanStreak >= c.cfg.CleanHold {
-			c.cleanStreak = 0
-			c.ease()
-		}
-	default:
-		// Hysteresis band: hold every knob, restart the clean streak. No
-		// hidden integrator accumulates here (anti-windup): the next clean
-		// or congested classification acts from the clamped knobs alone.
-		c.cleanStreak = 0
-		if c.congested {
-			c.congested = false
-			c.counters.CongestedExit()
-		}
-		if c.probing && fromFeedback {
-			// Band echo: the probe survived without pushing loss over
-			// HighLoss. Keep the notch, rearm at normal cadence.
-			c.probeWin(false)
+		if v == bandEase {
+			c.ease(false)
 		}
 	}
 	c.armProbe(lossHigh || localHigh)
@@ -511,10 +432,10 @@ func (c *Controller) step(fromFeedback bool) {
 // armProbe is the probing upswitch's idle side: while the knobs carry
 // residual degradation and the link is not classified congested, count
 // non-congested steps down to the next probe. Launching one applies a
-// provisional easeFast — the deliberately larger-than-steady-state frames
-// ARE the probe — whose echo the next feedback-driven step judges.
+// provisional probe ease — the deliberately larger-than-steady-state
+// frames ARE the probe — whose echo the next feedback-driven step judges.
 func (c *Controller) armProbe(congestedNow bool) {
-	if c.cfg.ProbeAfter < 0 {
+	if c.probeAfter < 0 {
 		return
 	}
 	if c.probing {
@@ -522,7 +443,7 @@ func (c *Controller) armProbe(congestedNow bool) {
 		if c.probeAge >= probeTimeout {
 			// No feedback verdict in time: resolve quietly as a keep.
 			c.probing = false
-			c.probeInterval = c.cfg.ProbeAfter
+			c.probeInterval = c.probeAfter
 			c.probeCountdown = c.probeInterval
 		}
 		return
@@ -538,58 +459,54 @@ func (c *Controller) armProbe(congestedNow bool) {
 	c.probing = true
 	c.probeAge = 0
 	c.fec.Probe()
-	c.easeFast()
+	c.ease(true)
 }
 
 // probeWin resolves an in-flight probe whose echo came back non-congested.
-// A fully clean echo compounds the win (another fast ease) and rearms at
+// A fully clean echo compounds the win (another probe ease) and rearms at
 // the shortest cadence, so consecutive wins chain the knobs back to
-// baseline in a few feedback windows.
+// baseline in a few feedback windows; a band echo rearms at the normal
+// cadence.
 func (c *Controller) probeWin(cleanEcho bool) {
 	c.probing = false
 	c.fec.ProbeWin()
 	if cleanEcho {
-		c.easeFast()
+		c.ease(true)
 		c.probeInterval = 1
 	} else {
-		c.probeInterval = c.cfg.ProbeAfter
+		c.probeInterval = c.probeAfter
 	}
 	c.probeCountdown = c.probeInterval
 }
 
-// probeRevert rolls back a probe whose echo came back congested and
-// doubles the probe interval (capped), so a persistently congested link
-// is probed ever more rarely.
+// probeRevert rolls back a probe whose echo came back congested — one
+// loss-driven degrade undoes exactly the notch the probe applied — and
+// doubles the probe interval (capped), so a persistently congested link is
+// probed ever more rarely.
 func (c *Controller) probeRevert() {
 	c.probing = false
 	c.fec.ProbeRevert()
-	c.degradeFast()
-	c.probeInterval *= 2
-	if c.probeInterval > c.cfg.ProbeBackoffMax {
-		c.probeInterval = c.cfg.ProbeBackoffMax
-	}
+	c.degrade(true)
+	c.probeInterval = min(2*c.probeInterval, probeBackoffMax)
 	c.probeCountdown = c.probeInterval
 }
 
 // degrade steps the knobs one notch toward survival: quality halves
 // (quantization doubles), loss-driven congestion halves the GOP for faster
-// resync, and — when the rate loop is off — the reuse threshold boost
-// doubles. Every knob saturates at its clamp with no windup.
+// resync and raises parity toward the observed loss, and — when the rate
+// loop is off — the reuse threshold boost doubles. Every knob saturates at
+// its clamp with no windup.
 func (c *Controller) degrade(lossDriven bool) {
-	if q := c.k.QScale * 2; q <= c.cfg.MaxQScale {
+	if q := c.k.QScale * 2; q <= maxQScale {
 		c.k.QScale = q
 		c.counters.QualityDrop()
 	}
-	if lossDriven && c.k.GOP > c.cfg.MinGOP {
-		g := c.k.GOP / 2
-		if g < c.cfg.MinGOP {
-			g = c.cfg.MinGOP
-		}
-		c.k.GOP = g
+	if lossDriven && c.k.GOP > 1 {
+		c.k.GOP /= 2
 		c.counters.GOPShrink()
 	}
 	if !c.rateActive {
-		if b := c.boost * 2; b <= c.cfg.MaxBoost {
+		if b := c.boost * 2; b <= maxBoost {
 			c.boost = b
 			c.k.Threshold = c.baseThreshold * c.boost
 			c.counters.ThresholdBoost()
@@ -608,107 +525,43 @@ const parityLossGain = 4
 // raiseParity tracks the parity knob up to the observed loss (never down:
 // ease decays it once the loss clears).
 func (c *Controller) raiseParity() {
-	p := parityLossGain * c.loss
-	if p > c.cfg.MaxParity {
-		p = c.cfg.MaxParity
-	}
+	p := min(parityLossGain*c.loss, maxParity)
 	if p < minParityKnob {
-		p = c.cfg.MinParity
+		p = 0
 	}
 	if p > c.k.Parity {
 		c.k.Parity = p
 	}
 }
 
-// easeParity halves the parity knob back toward MinParity.
-func (c *Controller) easeParity() {
-	if c.k.Parity <= c.cfg.MinParity {
-		return
-	}
-	p := c.k.Parity / 2
-	if p < minParityKnob || p < c.cfg.MinParity {
-		p = c.cfg.MinParity
-	}
-	c.k.Parity = p
-}
-
-// ease relaxes the knobs one notch after a sustained clean window: quality
-// recovers a halving, the GOP stretches by one frame (clean links amortize
-// I-frames further — above the configured base, up to MaxGOP), and the
-// threshold boost halves back toward 1.
-func (c *Controller) ease() {
+// ease relaxes the knobs one notch: quality recovers a halving, the
+// threshold boost halves back toward 1 and the parity knob halves toward
+// off. The GOP rule is the caller's. The passive ease after a sustained
+// clean window stretches the GOP by one frame, up to maxGOP: clean links
+// amortize I-frames further, above the configured base. A probe doubles
+// it, up to the configured base — the inverse of degrade.
+func (c *Controller) ease(probe bool) {
 	if c.k.QScale > 1 {
 		c.k.QScale /= 2
 		c.counters.QualityRaise()
 	}
-	if c.k.GOP < c.cfg.MaxGOP {
-		c.k.GOP++
+	next, limit := c.k.GOP+1, c.maxGOP
+	if probe {
+		next, limit = c.k.GOP*2, c.baseGOP
+	}
+	if c.k.GOP < limit {
+		c.k.GOP = min(next, limit)
 		c.counters.GOPGrow()
 	}
 	if !c.rateActive && c.boost > 1 {
 		c.boost /= 2
-		if c.boost < 1 {
-			c.boost = 1
-		}
 		c.k.Threshold = c.baseThreshold * c.boost
 		c.counters.ThresholdEase()
 	}
-	c.easeParity()
-}
-
-// easeFast is the probe notch: one multiplicative step back toward the
-// configured baseline on EVERY knob — the inverse of degrade, where the
-// passive ease only grows the GOP additively. The GOP clamps at its
-// configured base here (stretching beyond base stays the passive
-// clean-link behavior); the threshold boost still belongs to the rate
-// loop when that is active.
-func (c *Controller) easeFast() {
-	if c.k.QScale > 1 {
-		c.k.QScale /= 2
-		c.counters.QualityRaise()
+	c.k.Parity /= 2
+	if c.k.Parity < minParityKnob {
+		c.k.Parity = 0
 	}
-	if c.k.GOP < c.baseGOP {
-		g := c.k.GOP * 2
-		if g > c.baseGOP {
-			g = c.baseGOP
-		}
-		c.k.GOP = g
-		c.counters.GOPGrow()
-	}
-	if !c.rateActive && c.boost > 1 {
-		c.boost /= 2
-		if c.boost < 1 {
-			c.boost = 1
-		}
-		c.k.Threshold = c.baseThreshold * c.boost
-		c.counters.ThresholdEase()
-	}
-	c.easeParity()
-}
-
-// degradeFast rolls back one easeFast: the congested echo of a failed
-// probe undoes exactly the notch the probe applied.
-func (c *Controller) degradeFast() {
-	if q := c.k.QScale * 2; q <= c.cfg.MaxQScale {
-		c.k.QScale = q
-		c.counters.QualityDrop()
-	}
-	if c.k.GOP > c.cfg.MinGOP {
-		g := c.k.GOP / 2
-		if g < c.cfg.MinGOP {
-			g = c.cfg.MinGOP
-		}
-		c.k.GOP = g
-		c.counters.GOPShrink()
-	}
-	if !c.rateActive {
-		if b := c.boost * 2; b <= c.cfg.MaxBoost {
-			c.boost = b
-			c.k.Threshold = c.baseThreshold * c.boost
-			c.counters.ThresholdBoost()
-		}
-	}
-	c.raiseParity()
 }
 
 // applyKnobs copies the controller's actuator state into the encoder's
@@ -743,71 +596,44 @@ func (e *Encoder) Controller() *Controller { return e.ctrl }
 type LayerAdapt struct {
 	// Enabled turns the controller on.
 	Enabled bool
-	// DropThreshold is the congestion rate (Feedback.CongestionRate) at or
-	// above which one more enhancement layer is shed (default 0.05).
-	DropThreshold float64
-	// ClearThreshold is the congestion rate at or below which a report
-	// counts as clean (default 0.01). Rates in between hold steady.
-	ClearThreshold float64
-	// Recover is how many consecutive clean reports restore one layer
-	// (default 4) — hysteresis so a flapping link does not oscillate.
-	Recover int
-	// MaxDrop caps how many enhancement layers may be shed (default
-	// MaxLayers-1); the base layer is never dropped.
-	MaxDrop int
 }
 
-func (a LayerAdapt) normalized() LayerAdapt {
-	if a.DropThreshold <= 0 {
-		a.DropThreshold = 0.05
-	}
-	if a.ClearThreshold <= 0 {
-		a.ClearThreshold = 0.01
-	}
-	if a.ClearThreshold > a.DropThreshold {
-		a.ClearThreshold = a.DropThreshold
-	}
-	if a.Recover < 1 {
-		a.Recover = 4
-	}
-	if a.MaxDrop < 1 || a.MaxDrop > MaxLayers-1 {
-		a.MaxDrop = MaxLayers - 1
-	}
-	return a
-}
+// Layer controller tuning: a congestion rate (Feedback.CongestionRate) at
+// or above layerDropRate sheds one more enhancement layer, up to all but
+// the base layer; layerRecover consecutive reports at or below
+// layerClearRate restore one. Rates in between hold.
+const (
+	layerDropRate  = 0.05
+	layerClearRate = 0.01
+	layerRecover   = 4
+)
 
-// LayerController is the pure hysteresis state machine behind LayerAdapt:
-// feed it one congestion rate per feedback report, read how many layers to
-// drop. Like every controller in this file it is deterministic — no
-// clocks, no randomness — so a seeded harness replays a whole trajectory;
-// the caller (stream.Viewer) provides synchronization.
+// LayerController is the band behind LayerAdapt: feed it one congestion
+// rate per feedback report, read how many layers to drop. Like every
+// controller in this file it is deterministic — no clocks, no randomness —
+// so a seeded harness replays a whole trajectory; the caller (stream.Viewer)
+// provides synchronization.
 type LayerController struct {
-	cfg    LayerAdapt
-	drop   int
-	streak int
+	band band
+	drop int
 }
 
-// NewLayerController creates a controller with normalized defaults.
-func NewLayerController(cfg LayerAdapt) *LayerController {
-	return &LayerController{cfg: cfg.normalized()}
+// NewLayerController creates a layer controller.
+func NewLayerController(LayerAdapt) *LayerController {
+	return &LayerController{band: band{hold: layerRecover}}
 }
 
 // Observe feeds one feedback report's congestion rate.
 func (c *LayerController) Observe(congestion float64) {
-	switch {
-	case congestion >= c.cfg.DropThreshold:
-		c.streak = 0
-		if c.drop < c.cfg.MaxDrop {
+	switch c.band.observe(congestion >= layerDropRate, congestion <= layerClearRate) {
+	case bandDegrade:
+		if c.drop < MaxLayers-1 {
 			c.drop++
 		}
-	case congestion <= c.cfg.ClearThreshold:
-		c.streak++
-		if c.streak >= c.cfg.Recover && c.drop > 0 {
+	case bandEase:
+		if c.drop > 0 {
 			c.drop--
-			c.streak = 0
 		}
-	default:
-		c.streak = 0
 	}
 }
 

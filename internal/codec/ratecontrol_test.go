@@ -6,7 +6,7 @@ import (
 )
 
 func TestRateControlUpdateDirection(t *testing.T) {
-	rc := RateControl{TargetBitsPerPoint: 20}.normalized()
+	rc := RateControl{TargetBitsPerPoint: 20}
 	// Over budget -> threshold must rise (more reuse).
 	if got := rc.update(100, 40); got <= 100 {
 		t.Fatalf("over budget: threshold %v did not rise", got)
@@ -20,12 +20,11 @@ func TestRateControlUpdateDirection(t *testing.T) {
 		t.Fatalf("on target: threshold %v changed", got)
 	}
 	// Clamps.
-	if got := rc.update(1, 1); got < 1 {
-		t.Fatalf("below MinThreshold: %v", got)
+	if got := rc.update(1, 1); got != minThreshold {
+		t.Fatalf("below minThreshold: %v", got)
 	}
-	rc.MaxThreshold = 150
-	if got := rc.update(140, 1e9); got > 150 {
-		t.Fatalf("above MaxThreshold: %v", got)
+	if got := rc.update(4000, 1e9); got != maxThreshold {
+		t.Fatalf("above maxThreshold: %v", got)
 	}
 	// Degenerate achieved rate is a no-op.
 	if got := rc.update(100, 0); got != 100 {
@@ -111,30 +110,14 @@ func adaptOpts(mut func(*Options)) Options {
 // feedLoss pushes n feedback reports with a fixed loss rate.
 func feedLoss(c *Controller, rate float64, n int) {
 	for i := 0; i < n; i++ {
-		c.ObserveFeedback(Signal{LossRate: rate})
+		c.ObserveFeedback(rate)
 	}
 }
 
 // localSignal builds one transmit-stage observation: queue fill, shed, and
 // the frame's modelled link time.
 func localSignal(queue float64, shed bool, latency time.Duration) LocalSignal {
-	return LocalSignal{QueueFill: queue, Shed: shed, Utilization: float64(latency) / float64(33*time.Millisecond)}
-}
-
-func TestAdaptiveRateDefaults(t *testing.T) {
-	a := AdaptiveRate{Enabled: true}.normalized(3)
-	if a.HighLoss <= a.LowLoss || a.LowLoss <= 0 {
-		t.Fatalf("loss band inverted: low %v high %v", a.LowLoss, a.HighLoss)
-	}
-	if a.MinGOP != 1 || a.MaxGOP != 12 {
-		t.Fatalf("GOP clamps = [%d, %d], want [1, 12]", a.MinGOP, a.MaxGOP)
-	}
-	if a.MaxQScale != 8 || a.MaxBoost != 8 || a.CleanHold != 2 {
-		t.Fatalf("defaults: MaxQScale %d MaxBoost %v CleanHold %d", a.MaxQScale, a.MaxBoost, a.CleanHold)
-	}
-	if a.LocalPeriod != 8 || a.FrameBudget <= 0 {
-		t.Fatalf("defaults: LocalPeriod %d FrameBudget %v", a.LocalPeriod, a.FrameBudget)
-	}
+	return LocalSignal{QueueFill: queue, Shed: shed, Latency: latency}
 }
 
 func TestControllerInertWithoutSignals(t *testing.T) {
@@ -156,7 +139,7 @@ func TestControllerInertWithoutSignals(t *testing.T) {
 func TestControllerStepResponse(t *testing.T) {
 	t.Run("rising loss shrinks GOP and quality", func(t *testing.T) {
 		c := newController(adaptOpts(nil))
-		c.ObserveFeedback(Signal{LossRate: 0.5}) // EWMA 0.25 >= HighLoss
+		c.ObserveFeedback(0.5) // EWMA 0.25 >= highLoss
 		k := c.Knobs()
 		if k.GOP >= 3 {
 			t.Fatalf("GOP %d did not shrink under loss", k.GOP)
@@ -180,7 +163,7 @@ func TestControllerStepResponse(t *testing.T) {
 		c := newController(adaptOpts(nil))
 		feedLoss(c, 0.5, 2) // deep congestion: GOP -> 1, QScale -> 4
 		degraded := c.Knobs()
-		feedLoss(c, 0, 10) // loss EWMA decays below LowLoss, then holds clean
+		feedLoss(c, 0, 10) // loss EWMA decays below lowLoss, then holds clean
 		eased := c.Knobs()
 		if eased.QScale >= degraded.QScale {
 			t.Fatalf("QScale %d did not ease from %d", eased.QScale, degraded.QScale)
@@ -198,15 +181,16 @@ func TestControllerStepResponse(t *testing.T) {
 	})
 
 	t.Run("hysteresis band holds the knobs", func(t *testing.T) {
-		// ProbeAfter -1: the band-hold invariant is the NON-probing
+		// probeAfter -1: the band-hold invariant is the NON-probing
 		// behavior — the probing upswitch deliberately breaks it (that is
 		// the feature) and has its own tests below.
-		c := newController(adaptOpts(func(o *Options) { o.Adapt.ProbeAfter = -1 }))
-		c.ObserveFeedback(Signal{LossRate: 0.5})
+		c := newController(adaptOpts(nil))
+		c.probeAfter = -1
+		c.ObserveFeedback(0.5)
 		feedLoss(c, 0, 3) // decay the loss EWMA down into the band
 		s := c.Snapshot()
-		if s.LossEWMA <= c.cfg.LowLoss || s.LossEWMA >= c.cfg.HighLoss {
-			t.Fatalf("EWMA %v not inside the band (%v, %v)", s.LossEWMA, c.cfg.LowLoss, c.cfg.HighLoss)
+		if s.LossEWMA <= lowLoss || s.LossEWMA >= highLoss {
+			t.Fatalf("EWMA %v not inside the band (%v, %v)", s.LossEWMA, lowLoss, highLoss)
 		}
 		k0 := c.Knobs()
 		// Feeding the EWMA's own value is its fixed point: the state stays
@@ -219,9 +203,9 @@ func TestControllerStepResponse(t *testing.T) {
 
 	t.Run("local congestion degrades quality but not GOP", func(t *testing.T) {
 		c := newController(adaptOpts(nil))
-		// Saturated link, full queue: every LocalPeriod-th observation steps.
-		for i := 0; i < c.cfg.LocalPeriod; i++ {
-			c.ObserveLocal(LocalSignal{QueueFill: 1, Shed: true, Utilization: 3})
+		// Saturated link, full queue: every localPeriod-th observation steps.
+		for i := 0; i < localPeriod; i++ {
+			c.ObserveLocal(localSignal(1, true, 3*frameBudget))
 		}
 		k := c.Knobs()
 		if k.QScale <= 1 {
@@ -231,8 +215,8 @@ func TestControllerStepResponse(t *testing.T) {
 			t.Fatalf("GOP %d moved without receiver loss", k.GOP)
 		}
 		s := c.Snapshot()
-		if s.Counters.LocalSignals != int64(c.cfg.LocalPeriod) {
-			t.Fatalf("local signals %d, want %d", s.Counters.LocalSignals, c.cfg.LocalPeriod)
+		if s.Counters.LocalSignals != localPeriod {
+			t.Fatalf("local signals %d, want %d", s.Counters.LocalSignals, localPeriod)
 		}
 	})
 }
@@ -244,13 +228,13 @@ func TestControllerClampsAndAntiWindup(t *testing.T) {
 	c := newController(adaptOpts(nil))
 	feedLoss(c, 1, 50) // way past saturation
 	k := c.Knobs()
-	if k.GOP != c.cfg.MinGOP {
-		t.Fatalf("GOP %d, want clamp %d", k.GOP, c.cfg.MinGOP)
+	if k.GOP != 1 {
+		t.Fatalf("GOP %d, want clamp 1", k.GOP)
 	}
-	if k.QScale != c.cfg.MaxQScale {
-		t.Fatalf("QScale %d, want clamp %d", k.QScale, c.cfg.MaxQScale)
+	if k.QScale != maxQScale {
+		t.Fatalf("QScale %d, want clamp %d", k.QScale, maxQScale)
 	}
-	if max := c.baseThreshold * c.cfg.MaxBoost; k.Threshold != max {
+	if max := c.baseThreshold * maxBoost; k.Threshold != max {
 		t.Fatalf("threshold %v, want clamp %v", k.Threshold, max)
 	}
 	s := c.Snapshot().Counters
@@ -263,7 +247,7 @@ func TestControllerClampsAndAntiWindup(t *testing.T) {
 	// must not have buried the recovery under accumulated error.
 	feedLoss(c, 0, 20)
 	e := c.Knobs()
-	if e.QScale == c.cfg.MaxQScale && e.GOP == c.cfg.MinGOP {
+	if e.QScale == maxQScale && e.GOP == 1 {
 		t.Fatalf("knobs still pinned after clean holds: %+v", e)
 	}
 	// And a long clean run must restore (and clamp at) the configured ends.
@@ -272,8 +256,8 @@ func TestControllerClampsAndAntiWindup(t *testing.T) {
 	if r.QScale != 1 || r.Threshold != c.baseThreshold {
 		t.Fatalf("quality/threshold did not recover: %+v", r)
 	}
-	if r.GOP != c.cfg.MaxGOP {
-		t.Fatalf("GOP %d did not stretch to MaxGOP %d on a clean link", r.GOP, c.cfg.MaxGOP)
+	if r.GOP != c.maxGOP {
+		t.Fatalf("GOP %d did not stretch to maxGOP %d on a clean link", r.GOP, c.maxGOP)
 	}
 }
 
@@ -315,7 +299,7 @@ func TestRateControlNoOpFrames(t *testing.T) {
 
 // TestParityKnobTracksLoss: loss-driven degradation must raise the parity
 // knob toward the observed loss (times the safety factor), easing must
-// decay it back to MinParity, and the group-size mapping must honour its
+// decay it back to zero, and the group-size mapping must honour its
 // clamps.
 func TestParityKnobTracksLoss(t *testing.T) {
 	c := newController(adaptOpts(nil))
@@ -324,8 +308,8 @@ func TestParityKnobTracksLoss(t *testing.T) {
 	}
 	feedLoss(c, 0.5, 2)
 	k := c.Knobs()
-	if k.Parity != c.cfg.MaxParity {
-		t.Fatalf("deep loss: parity %v, want clamp %v", k.Parity, c.cfg.MaxParity)
+	if k.Parity != maxParity {
+		t.Fatalf("deep loss: parity %v, want clamp %v", k.Parity, maxParity)
 	}
 	if g := k.ParityGroupLen(); g != 2 {
 		t.Fatalf("parity %v maps to group %d, want 2", k.Parity, g)
@@ -339,20 +323,6 @@ func TestParityKnobTracksLoss(t *testing.T) {
 	}
 	if !c.AtBaseline() {
 		t.Fatalf("not at baseline after a long clean run: %+v", c.Knobs())
-	}
-
-	// A configured MinParity is the always-on floor, not zero.
-	c = newController(adaptOpts(func(o *Options) { o.Adapt.MinParity = 0.1 }))
-	if p := c.Knobs().Parity; p != 0.1 {
-		t.Fatalf("fresh parity knob %v, want the 0.1 floor", p)
-	}
-	feedLoss(c, 0.5, 2)
-	feedLoss(c, 0, 200)
-	if p := c.Knobs().Parity; p != 0.1 {
-		t.Fatalf("parity %v did not decay to the 0.1 floor", p)
-	}
-	if !c.AtBaseline() {
-		t.Fatal("MinParity floor must count as baseline")
 	}
 }
 
@@ -388,7 +358,7 @@ func degradeDeep(c *Controller) {
 func reportsToBaseline(t *testing.T, c *Controller) int {
 	t.Helper()
 	for n := 1; n <= 100; n++ {
-		c.ObserveFeedback(Signal{LossRate: 0})
+		c.ObserveFeedback(0)
 		if c.AtBaseline() {
 			return n
 		}
@@ -399,10 +369,11 @@ func reportsToBaseline(t *testing.T, c *Controller) int {
 
 // TestProbingUpswitchBeatsPassiveDecay: after congestion clears, the
 // probing controller must return every knob to baseline in strictly fewer
-// feedback windows than the passive CleanHold decay (ProbeAfter -1), with
+// feedback windows than the passive clean-hold decay (probeAfter -1), with
 // the probe outcome counters telling the story.
 func TestProbingUpswitchBeatsPassiveDecay(t *testing.T) {
-	passive := newController(adaptOpts(func(o *Options) { o.Adapt.ProbeAfter = -1 }))
+	passive := newController(adaptOpts(nil))
+	passive.probeAfter = -1
 	degradeDeep(passive)
 	passiveN := reportsToBaseline(t, passive)
 
@@ -422,7 +393,7 @@ func TestProbingUpswitchBeatsPassiveDecay(t *testing.T) {
 		t.Fatalf("%d reverts on a clean recovery", s.FEC.ProbeReverts)
 	}
 	if ps := passive.Snapshot(); ps.FEC.Probes != 0 {
-		t.Fatalf("ProbeAfter -1 still probed %d times", ps.FEC.Probes)
+		t.Fatalf("probeAfter -1 still probed %d times", ps.FEC.Probes)
 	}
 }
 
@@ -433,10 +404,10 @@ func probeNow(t *testing.T, c *Controller) {
 	for i := 0; i < 50; i++ {
 		s := c.Snapshot()
 		rate := s.LossEWMA // EWMA fixed point: holds the band state
-		if rate >= c.cfg.HighLoss {
+		if rate >= highLoss {
 			rate = 0 // still above the band: decay
 		}
-		c.ObserveFeedback(Signal{LossRate: rate})
+		c.ObserveFeedback(rate)
 		if c.Snapshot().Probing {
 			return
 		}
@@ -446,7 +417,7 @@ func probeNow(t *testing.T, c *Controller) {
 
 // TestProbeRevertBacksOff: a probe answered by a congested echo must roll
 // the provisional ease back and double the probe interval, capped at
-// ProbeBackoffMax.
+// probeBackoffMax.
 func TestProbeRevertBacksOff(t *testing.T) {
 	c := newController(adaptOpts(nil))
 	degradeDeep(c)
@@ -454,7 +425,7 @@ func TestProbeRevertBacksOff(t *testing.T) {
 	preEcho := c.Knobs()
 	interval0 := c.probeInterval
 
-	c.ObserveFeedback(Signal{LossRate: 1}) // congested echo
+	c.ObserveFeedback(1) // congested echo
 	k := c.Knobs()
 	if k.QScale < preEcho.QScale || k.GOP > preEcho.GOP {
 		t.Fatalf("congested echo did not revert the probe: %+v -> %+v", preEcho, k)
@@ -473,10 +444,10 @@ func TestProbeRevertBacksOff(t *testing.T) {
 	// Every further failed probe doubles again, saturating at the cap.
 	for i := 0; i < 8; i++ {
 		probeNow(t, c)
-		c.ObserveFeedback(Signal{LossRate: 1})
+		c.ObserveFeedback(1)
 	}
-	if c.probeInterval != c.cfg.ProbeBackoffMax {
-		t.Fatalf("probe interval %d, want cap %d", c.probeInterval, c.cfg.ProbeBackoffMax)
+	if c.probeInterval != probeBackoffMax {
+		t.Fatalf("probe interval %d, want cap %d", c.probeInterval, probeBackoffMax)
 	}
 }
 
@@ -489,8 +460,8 @@ func TestProbeTimeoutQuietKeep(t *testing.T) {
 	probeNow(t, c)
 	post := c.Knobs()
 	// Local steps in the hysteresis band: no echo verdict, just age.
-	for i := 0; i < probeTimeout*c.cfg.LocalPeriod; i++ {
-		c.ObserveLocal(LocalSignal{Utilization: 0.7})
+	for i := 0; i < probeTimeout*localPeriod; i++ {
+		c.ObserveLocal(localSignal(0, false, 23*time.Millisecond))
 	}
 	s := c.Snapshot()
 	if s.Probing {
@@ -528,7 +499,7 @@ func TestControllerIFrameOnlyStream(t *testing.T) {
 	o := scaledOpts(IntraOnly, fs[0].Len())
 	o.Adapt = AdaptiveRate{Enabled: true}
 	enc := NewEncoder(dev(), o)
-	enc.Controller().ObserveFeedback(Signal{LossRate: 0.5})
+	enc.Controller().ObserveFeedback(0.5)
 	for i := 0; i < 4; i++ {
 		_, st, err := enc.EncodeFrame(fs[i%2])
 		if err != nil {

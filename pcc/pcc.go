@@ -75,14 +75,16 @@ func DefaultOptions(d Design) Options { return codec.OptionsFor(d) }
 
 // RateControl closes the loop on the inter-frame direct-reuse threshold to
 // hit a target compressed rate (bits/point) — the online form of the
-// paper's Sec. VI-E tuning knob. Set it on Options.Rate.
+// paper's Sec. VI-E tuning knob. Set TargetBitsPerPoint (and optionally
+// the per-frame Gain) on Options.Rate; the threshold stays within [1, 4096].
 type RateControl = codec.RateControl
 
 // AdaptiveRate enables the closed-loop congestion controller: receiver
 // feedback (stream.ReceiverConfig.FeedbackEvery) and local pipeline
-// pressure steer the GOP length, attribute quantization, and reuse
-// threshold. Set it on Options.Adapt; the zero Enabled field leaves the
-// codec byte-for-byte identical to a non-adaptive one.
+// pressure steer the GOP length, attribute quantization, reuse threshold
+// and FEC parity overhead. Enabled is its only field — the controller's
+// thresholds and clamps are fixed. Set it on Options.Adapt; left false,
+// the codec is byte-for-byte identical to a non-adaptive one.
 type AdaptiveRate = codec.AdaptiveRate
 
 // EncodedFrame is one compressed frame.

@@ -29,11 +29,10 @@ import (
 // FECConfig configures sender-side parity emission.
 type FECConfig struct {
 	// GroupLen, when > 0, statically emits one parity packet per GroupLen
-	// data packets (clamped to [1, MaxParityGroup]). When 0, parity is
+	// data packets (clamped to [1, MaxParityGroup]). When ≤ 0, parity is
 	// emitted only while the adaptive controller's parity knob is raised,
-	// with the group size the knob implies — zero overhead on clean links.
-	// Negative disables parity entirely, adaptive knob included, making
-	// the packet stream byte-identical to a pre-FEC sender.
+	// with the group size the knob implies — without Options.Adapt, none at
+	// all, and the packet stream is byte-identical to a pre-FEC sender.
 	GroupLen int
 }
 
@@ -41,13 +40,7 @@ type FECConfig struct {
 // configuration and the controller's adaptive knob, with the stronger
 // (smaller group) winning. 0 means no parity.
 func (c FECConfig) groupLen(ctrl *codec.Controller) int {
-	if c.GroupLen < 0 {
-		return 0
-	}
-	k := c.GroupLen
-	if k > MaxParityGroup {
-		k = MaxParityGroup
-	}
+	k := min(max(c.GroupLen, 0), MaxParityGroup)
 	if ctrl != nil {
 		if a := ctrl.Knobs().ParityGroupLen(); a > 0 && (k == 0 || a < k) {
 			k = a

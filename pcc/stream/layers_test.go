@@ -253,7 +253,7 @@ func TestViewerLayerAdaptSheds(t *testing.T) {
 
 	// Clean start: the full GOP ships whole.
 	submit(0, 3)
-	// One congested report (rate 20/70 ≈ 0.29 ≥ DropThreshold): the next
+	// One congested report (rate 20/70 ≈ 0.29 ≥ the 0.05 drop rate): the next
 	// send — an I-frame, then its GOP — is truncated immediately.
 	feedback(1, 50, 10, 10)
 	submit(3, 6)

@@ -106,13 +106,9 @@ type ReceiverConfig struct {
 	SendControl func(Control) error
 	// OnFrame receives every frame's fate, in frame order.
 	OnFrame func(DecodedFrame)
-	// NACKTimeout is the base retransmit timeout; retry n waits
-	// NACKTimeout << n (default 15ms).
-	NACKTimeout time.Duration
-	// IFrameRetries / PFrameRetries bound the NACK retries for packets of
-	// I-frames (deep: the stream needs them) and P-frames (shallow: they
-	// conceal). Defaults 6 and 2.
-	IFrameRetries int
+	// PFrameRetries bounds the NACK retries for packets of P-frames
+	// (default 2: shallow, they conceal). I-frame packets get
+	// iFrameRetries.
 	PFrameRetries int
 	// FeedbackEvery emits a ControlFeedback report through SendControl after
 	// every N delivered frames: windowed loss rate, NACK work, and frame
@@ -124,13 +120,17 @@ type ReceiverConfig struct {
 	Now func() time.Time
 }
 
+// Receiver recovery tuning.
+const (
+	// nackTimeout is the base retransmit timeout; retry n waits
+	// nackTimeout << n.
+	nackTimeout = 15 * time.Millisecond
+	// iFrameRetries bounds the NACK retries for packets of I-frames (and
+	// unattributed, possibly-I packets): deep, because the stream needs them.
+	iFrameRetries = 6
+)
+
 func (c ReceiverConfig) normalized() ReceiverConfig {
-	if c.NACKTimeout <= 0 {
-		c.NACKTimeout = 15 * time.Millisecond
-	}
-	if c.IFrameRetries <= 0 {
-		c.IFrameRetries = 6
-	}
 	if c.PFrameRetries <= 0 {
 		c.PFrameRetries = 2
 	}
@@ -330,7 +330,7 @@ func (r *Receiver) ingestOne(raw []byte) {
 				delete(r.prehealed, s) // parity already rebuilt this one
 				continue
 			}
-			r.missing[s] = &lossState{deadline: now.Add(r.cfg.NACKTimeout)}
+			r.missing[s] = &lossState{deadline: now.Add(nackTimeout)}
 		}
 		delete(r.prehealed, h.Seq) // a repaired original arriving late
 		r.nextSeq = h.Seq + 1
@@ -516,7 +516,7 @@ func (r *Receiver) retryBudget(seq uint32) int {
 	if pf := r.findFrame(seq); pf != nil && pf.ftype == codec.PFrame {
 		return r.cfg.PFrameRetries
 	}
-	return r.cfg.IFrameRetries
+	return iFrameRetries
 }
 
 // checkTimeouts re-NACKs every missing seq whose deadline passed (force
@@ -551,7 +551,7 @@ func (r *Receiver) checkTimeouts(now time.Time, force bool) {
 			// it lost. Reorders that heal inside the timeout never get here.
 			r.counters.PacketLost()
 		}
-		ls.deadline = now.Add(r.cfg.NACKTimeout << uint(ls.attempts))
+		ls.deadline = now.Add(nackTimeout << uint(ls.attempts))
 		nack = append(nack, s)
 	}
 	if len(nack) > 0 {
@@ -828,7 +828,7 @@ func (r *Receiver) Finish(totalFrames int) error {
 
 	// Final recovery rounds: force every missing seq due, let synchronous
 	// retransmissions land, until the budget gives out or nothing is left.
-	for i := 0; i <= r.cfg.IFrameRetries && len(r.missing) > 0; i++ {
+	for i := 0; i <= iFrameRetries && len(r.missing) > 0; i++ {
 		r.checkTimeouts(now, true)
 		r.drain()
 	}

@@ -237,7 +237,7 @@ func TestRetransmitEvictionIsFrameGranular(t *testing.T) {
 	for _, owner := range sendOwners {
 		t.Run(owner.name, func(t *testing.T) {
 			tap := newWireTap()
-			o := owner.make(t, ownerConfig{opts: testOptions(codec.IntraOnly), fec: FECConfig{GroupLen: -1}, buffer: budget}, tap.packetOut)
+			o := owner.make(t, ownerConfig{opts: testOptions(codec.IntraOnly), buffer: budget}, tap.packetOut)
 			streamAll(t, o, tap, frames)
 
 			// The frames kept are the longest suffix that fits the budget.
@@ -314,7 +314,6 @@ func TestMTUClampedOnce(t *testing.T) {
 	s := New(context.Background(), Config{
 		Options: testOptions(codec.IntraOnly),
 		MTU:     100000,
-		FEC:     FECConfig{GroupLen: -1},
 		PacketOut: func(_ context.Context, pkt []byte) error {
 			p, err := ParsePacket(pkt)
 			if err != nil {

@@ -72,9 +72,6 @@ type ServerConfig struct {
 	// the viewers (default runtime.NumCPU()). Viewer id % Shards picks
 	// the owning shard, so every viewer maps to exactly one.
 	Shards int
-	// Ring is the frame ring's capacity in frames (default 64). The
-	// encode path blocks only when a shard falls a full ring behind.
-	Ring int
 	// Link is the default per-viewer downlink (default linksim.WiFi); a
 	// ViewerConfig.Link overrides it per viewer.
 	Link linksim.Link
@@ -89,12 +86,6 @@ type ServerConfig struct {
 	// partition — and rebuilds NACKed fragments from them on demand. It
 	// also caps the per-viewer span of answerable sequence numbers.
 	RetransmitBuffer int
-	// FeedbackQuantile picks the per-viewer loss rate fed to the shared
-	// congestion controller (Options.Adapt): with N reporting viewers the
-	// controller sees the ceil(q·N)-th worst loss (default 0.9). 1 tracks
-	// the single worst viewer; lower values let outliers resolve through
-	// their own queue shedding while fleet-wide loss adapts the encode.
-	FeedbackQuantile float64
 	// FEC configures parity emission for every viewer. The XOR bodies are
 	// built once per published frame at the server MTU and shared; viewers
 	// at other MTUs rebuild from the immutable ring payload.
@@ -109,20 +100,27 @@ func (c ServerConfig) normalized() ServerConfig {
 	if c.Shards < 1 {
 		c.Shards = runtime.NumCPU()
 	}
-	if c.Ring < 2 {
-		c.Ring = 64
-	}
 	if c.ViewerQueue < 1 {
 		c.ViewerQueue = 8
 	}
 	if c.RetransmitBuffer < 1 {
 		c.RetransmitBuffer = 1024
 	}
-	if c.FeedbackQuantile <= 0 || c.FeedbackQuantile > 1 {
-		c.FeedbackQuantile = 0.9
-	}
 	return c
 }
+
+const (
+	// ringFrames is the frame ring's capacity in frames. The encode path
+	// blocks only when a shard falls a full ring behind.
+	ringFrames = 64
+	// feedbackQuantile picks the per-viewer loss rate fed to the shared
+	// congestion controller (Options.Adapt). The N reporting viewers'
+	// losses are sorted ascending and the controller sees index
+	// ⌈q·N⌉−1, the q-quantile: at N = 10 the second-worst loss. The worst
+	// tenth resolves through its own queue shedding while fleet-wide loss
+	// adapts the encode.
+	feedbackQuantile = 0.9
+)
 
 // ServerMetrics is a point-in-time snapshot of the fan-out state.
 type ServerMetrics struct {
@@ -182,7 +180,7 @@ func NewServer(ctx context.Context, cfg ServerConfig) *Server {
 	sv := &Server{
 		cfg:  cfg,
 		done: make(chan struct{}),
-		ring: newFrameRing(cfg.Ring, cfg.Shards),
+		ring: newFrameRing(ringFrames, cfg.Shards),
 	}
 	sv.shards = make([]*shard, cfg.Shards)
 	for i := range sv.shards {
@@ -385,13 +383,13 @@ func (sv *Server) HandleControl(c Control) error {
 
 // reduceFeedback is the root of the feedback reduction tree: after one
 // viewer's report lands in its shard's loss table, reduce the S shard
-// tables to the FeedbackQuantile-th worst loss and feed the shared
-// controller. Per-viewer queues already isolate one congested viewer;
-// the shared encode only reacts when the quantile-th worst viewer sees
-// loss, so the controller tracks sustained fleet-wide congestion, not a
-// single outlier (unless the quantile is set to 1). No viewer lock is
-// taken: the reduction reads S shard tables, not N viewers.
-func (sv *Server) reduceFeedback(fb Feedback) {
+// tables to the feedbackQuantile of the per-viewer losses and feed the
+// shared controller. Per-viewer queues already isolate one congested
+// viewer; the shared encode only reacts when that quantile sees loss, so
+// the controller tracks sustained fleet-wide congestion, not a single
+// outlier. No viewer lock is taken: the reduction reads S shard tables,
+// not N viewers.
+func (sv *Server) reduceFeedback() {
 	ctrl := sv.sess.Controller()
 	if ctrl == nil {
 		return
@@ -404,16 +402,11 @@ func (sv *Server) reduceFeedback(fb Feedback) {
 		return
 	}
 	sort.Float64s(losses)
-	idx := int(math.Ceil(sv.cfg.FeedbackQuantile*float64(len(losses)))) - 1
+	idx := int(math.Ceil(feedbackQuantile*float64(len(losses)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	ctrl.ObserveFeedback(codec.Signal{
-		LossRate:  losses[idx],
-		NACKs:     int(fb.NACKs),
-		Concealed: int(fb.Concealed),
-		Skipped:   int(fb.Skipped),
-	})
+	ctrl.ObserveFeedback(losses[idx])
 }
 
 // Controller returns the shared pipeline's congestion controller, nil

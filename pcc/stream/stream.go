@@ -53,16 +53,6 @@ func (p Policy) String() string {
 	return "block"
 }
 
-// SendFunc optionally transmits a packetized frame over a real transport
-// (the wire bytes are one .pcv frame container). It runs in the transmit
-// stage, in frame order; returning an error aborts the session. The
-// context is the session's: implementations must return (with any error)
-// once it is cancelled, or Close cannot drain the pipeline. The wire slice
-// is only valid for the duration of the call — the session recycles its
-// backing buffer for a later frame; implementations that retain the bytes
-// must copy them.
-type SendFunc func(ctx context.Context, seq int, wire []byte) error
-
 // PacketSendFunc transmits one framed packet (packet.go layout) over a
 // datagram-style transport. It runs in the transmit stage for fresh
 // packets and on the HandleControl caller's goroutine for retransmissions;
@@ -71,12 +61,15 @@ type SendFunc func(ctx context.Context, seq int, wire []byte) error
 // delivery of an earlier packet.
 type PacketSendFunc func(ctx context.Context, pkt []byte) error
 
-// FrameSendFunc receives each undropped frame's type and wire bytes, in
-// transmit order — the fan-out hook a Server uses to broadcast one encode
-// to many viewers. It runs in the transmit stage; returning an error aborts
-// the session. The wire slice is only valid for the duration of the call
-// (the session recycles its backing buffer); implementations that retain
-// the bytes must copy them.
+// FrameSendFunc receives each undropped frame's type and wire bytes (one
+// .pcv frame container), in transmit order — the hook for a real
+// transport, and the one a Server uses to broadcast one encode to many
+// viewers. It runs in the transmit stage; returning an error aborts the
+// session. The context is the session's: implementations must return (with
+// any error) once it is cancelled, or Close cannot drain the pipeline. The
+// wire slice is only valid for the duration of the call (the session
+// recycles its backing buffer); implementations that retain the bytes must
+// copy them.
 type FrameSendFunc func(ctx context.Context, seq int, ftype codec.FrameType, wire []byte) error
 
 // Config configures a Session. The zero value of every field is usable:
@@ -106,17 +99,15 @@ type Config struct {
 	// simulated link second, so a congested link really backpressures the
 	// pipeline (0 = transmit at full speed, accounting latency only).
 	Pace float64
-	// Send, when set, transmits each undropped frame's wire bytes (e.g.
-	// over TCP). Dropped frames are skipped.
-	Send SendFunc
 	// Output, when set, receives the .pcv stream (header + surviving
 	// frames, in order); a core.VideoReader on the other end decodes it.
 	// The byte slice passed to Write is recycled after the call returns, so
 	// writers that buffer asynchronously must copy (io.Writer's contract).
 	Output io.Writer
 	// FrameOut, when set, receives each undropped frame's encoded wire
-	// bytes in transmit order, before Send/Output/PacketOut emission. A
-	// Server uses it to broadcast one encode to many viewers.
+	// bytes in transmit order, before Output/PacketOut emission (e.g. to
+	// send them over TCP). Dropped frames are skipped. A Server uses it to
+	// broadcast one encode to many viewers.
 	FrameOut FrameSendFunc
 	// StreamID tags every packet emitted through PacketOut (default 1).
 	StreamID uint32
@@ -134,7 +125,7 @@ type Config struct {
 	// FEC configures forward-error-correction parity emission over
 	// PacketOut (see fec.go). The zero value emits no parity unless the
 	// congestion controller's adaptive parity knob raises it; either way
-	// the .pcv wire output (Send/Output/FrameOut) is untouched — parity
+	// the .pcv wire output (Output/FrameOut) is untouched — parity
 	// exists only in the packet stream.
 	FEC FECConfig
 }
@@ -702,17 +693,16 @@ func (s *Session) Controller() *codec.Controller { return s.enc.Controller() }
 
 // observeLocal feeds the congestion controller one per-frame observation
 // from the transmit stage: transmit-queue fill, whether the backpressure
-// policy shed the frame, and the frame's modelled link time against the
-// controller's real-time budget.
+// policy shed the frame, and the frame's modelled link time.
 func (s *Session) observeLocal(cost linksim.Cost, shed bool) {
 	ctrl := s.enc.Controller()
 	if ctrl == nil {
 		return
 	}
 	ctrl.ObserveLocal(codec.LocalSignal{
-		QueueFill:   float64(s.gaugeTx.Depth()) / float64(s.cfg.Queue),
-		Shed:        shed,
-		Utilization: float64(cost.Latency) / float64(ctrl.Config().FrameBudget),
+		QueueFill: float64(s.gaugeTx.Depth()) / float64(s.cfg.Queue),
+		Shed:      shed,
+		Latency:   cost.Latency,
 	})
 }
 
@@ -745,12 +735,7 @@ func (s *Session) HandleControl(c Control) error {
 			return nil
 		}
 		if ctrl := s.enc.Controller(); ctrl != nil {
-			ctrl.ObserveFeedback(codec.Signal{
-				LossRate:  fb.CongestionRate(),
-				NACKs:     int(fb.NACKs),
-				Concealed: int(fb.Concealed),
-				Skipped:   int(fb.Skipped),
-			})
+			ctrl.ObserveFeedback(fb.CongestionRate())
 		}
 	case ControlNACK:
 		return s.tx.handleNACK(c.Seqs)
@@ -758,13 +743,8 @@ func (s *Session) HandleControl(c Control) error {
 	return nil
 }
 
-// emitWire hands the frame's wire bytes to the configured transports.
+// emitWire writes the frame's wire bytes to the configured Output.
 func (s *Session) emitWire(j *job) error {
-	if s.cfg.Send != nil {
-		if err := s.cfg.Send(s.ctx, j.seq, j.wire); err != nil {
-			return err
-		}
-	}
 	if s.cfg.Output != nil {
 		if !s.wroteHdr {
 			if err := core.WriteStreamHeader(s.cfg.Output, s.hdrOpts); err != nil {

@@ -148,7 +148,7 @@ func gatedSession(t *testing.T, frames []*geom.VoxelCloud, policy Policy, out io
 		Queue:   2,
 		Policy:  policy,
 		Output:  out,
-		Send: func(ctx context.Context, seq int, wire []byte) error {
+		FrameOut: func(ctx context.Context, _ int, _ codec.FrameType, _ []byte) error {
 			select {
 			case <-gate:
 				return nil
@@ -239,7 +239,7 @@ func TestGracefulCancelMidGOP(t *testing.T) {
 		Options: testOptions(codec.IntraInterV1),
 		Queue:   2,
 		// The link is stuck: only cancellation releases the transmitter.
-		Send: func(ctx context.Context, _ int, _ []byte) error {
+		FrameOut: func(ctx context.Context, _ int, _ codec.FrameType, _ []byte) error {
 			<-ctx.Done()
 			return ctx.Err()
 		},
@@ -279,7 +279,7 @@ func TestParentContextCancellation(t *testing.T) {
 	s := New(ctx, Config{
 		Options: testOptions(codec.IntraOnly),
 		Queue:   1,
-		Send: func(sctx context.Context, _ int, _ []byte) error {
+		FrameOut: func(sctx context.Context, _ int, _ codec.FrameType, _ []byte) error {
 			<-sctx.Done()
 			return sctx.Err()
 		},
@@ -302,8 +302,8 @@ func TestTransportErrorAborts(t *testing.T) {
 	frames := testFrames(t, 2)
 	boom := errors.New("link down")
 	s := New(context.Background(), Config{
-		Options: testOptions(codec.IntraOnly),
-		Send:    func(context.Context, int, []byte) error { return boom },
+		Options:  testOptions(codec.IntraOnly),
+		FrameOut: func(context.Context, int, codec.FrameType, []byte) error { return boom },
 	})
 	col := NewCollector(s)
 	for _, f := range frames {
@@ -337,7 +337,7 @@ func TestMultiSessionCongestedRace(t *testing.T) {
 				Link:    congested,
 				Queue:   2,
 				Policy:  DropOldestP,
-				Send: func(ctx context.Context, _ int, _ []byte) error {
+				FrameOut: func(ctx context.Context, _ int, _ codec.FrameType, _ []byte) error {
 					select {
 					case <-gate:
 						return nil

@@ -595,7 +595,7 @@ func (v *Viewer) HandleControl(c Control) error {
 		if v.shard != nil {
 			v.shard.noteLoss(v.id, loss)
 		}
-		v.sv.reduceFeedback(fb)
+		v.sv.reduceFeedback()
 	case ControlNACK:
 		return v.tx.handleNACK(c.Seqs)
 	}
