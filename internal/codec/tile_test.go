@@ -2,99 +2,10 @@ package codec
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"testing"
 
 	"repro/internal/edgesim"
 )
-
-// TestTiledT1ByteIdentical pins the tentpole's compatibility contract:
-// Tiles 0 and 1 take the untiled path and must reproduce the golden stream
-// hashes bit for bit.
-func TestTiledT1ByteIdentical(t *testing.T) {
-	frames := goldenFrames(t)
-	for _, d := range []Design{IntraOnly, IntraInterV1} {
-		for _, tiles := range []int{0, 1} {
-			opts := OptionsFor(d)
-			opts.IntraAttr.Segments = 1500
-			opts.Inter.Segments = 2500
-			opts.Tiles = tiles
-			enc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), opts)
-			h := sha256.New()
-			for _, f := range frames {
-				ef, _, err := enc.EncodeFrame(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ef.Tiled() {
-					t.Fatalf("%v Tiles=%d produced a tiled frame", d, tiles)
-				}
-				if _, err := ef.WriteTo(h); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != goldenStreamHashes[d] {
-				t.Errorf("%v Tiles=%d stream diverged from golden:\n got  %s\n want %s",
-					d, tiles, got, goldenStreamHashes[d])
-			}
-		}
-	}
-}
-
-// TestTiledDecodeExact is the differential guard for T>1: the per-tile
-// streams carry the GLOBAL segment grids, so per-segment/per-block values
-// are the untiled codec's — only the framing differs. Every tiled decode
-// must therefore be exactly (voxel- and colour-) equal to the untiled one.
-func TestTiledDecodeExact(t *testing.T) {
-	frames := goldenFrames(t)
-	for _, d := range []Design{IntraOnly, IntraInterV1} {
-		for _, tiles := range []int{2, 4, 8} {
-			opts := OptionsFor(d)
-			opts.IntraAttr.Segments = 1500
-			opts.Inter.Segments = 2500
-
-			ref := opts
-			enc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), ref)
-			dec := NewDecoder(edgesim.NewXavier(edgesim.Mode15W), ref)
-
-			opts.Tiles = tiles
-			tenc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), opts)
-			tdec := NewDecoder(edgesim.NewXavier(edgesim.Mode15W), opts)
-
-			for fi, f := range frames {
-				ef, _, err := enc.EncodeFrame(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tf, _, err := tenc.EncodeFrame(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !tf.Tiled() {
-					t.Fatalf("%v T=%d frame %d not tiled", d, tiles, fi)
-				}
-				if got := len(tf.Tiles); got > tiles {
-					t.Fatalf("%v T=%d frame %d: %d tiles", d, tiles, fi, got)
-				}
-				if tf.Type != ef.Type || tf.NumPoints != ef.NumPoints {
-					t.Fatalf("%v T=%d frame %d: header mismatch", d, tiles, fi)
-				}
-				want, err := dec.DecodeFrame(ef)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := tdec.DecodeFrame(tf)
-				if err != nil {
-					t.Fatalf("%v T=%d frame %d: tiled decode: %v", d, tiles, fi, err)
-				}
-				if !sameCloud(want, got) {
-					t.Fatalf("%v T=%d frame %d: tiled decode differs from untiled", d, tiles, fi)
-				}
-			}
-		}
-	}
-}
 
 // TestTiledContainerRoundTrip exercises WriteTo/ReadFrameFrom on real tiled
 // frames, including per-viewer stripping (omitted and coarse tiles) done
