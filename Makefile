@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-module bench-interframe vet fmt fmt-check fuzz-smoke ci experiments experiments-full fanout fanout-scale adapt fec layers clean
+.PHONY: all build test race bench bench-module bench-interframe vet fmt fmt-check check-run-patterns fuzz-smoke ci experiments experiments-full fanout fanout-scale adapt fec layers clean
 
 all: build test
 
@@ -25,6 +25,11 @@ fmt:
 fmt-check:
 	@drift=$$(gofmt -l .); if [ -n "$$drift" ]; then \
 		echo "gofmt drift in:" >&2; echo "$$drift" >&2; exit 1; fi
+
+# Fails when a -run pattern in this Makefile or .github/workflows/ci.yml
+# selects no test in its packages (go test passes silently on such a pattern).
+check-run-patterns:
+	GO=$(GO) sh scripts/check-run-patterns.sh
 
 # 20 s of fuzzing per hardened decoder entry point. This is the one list:
 # the CI fuzz-smoke job runs this target.
@@ -54,7 +59,7 @@ bench-interframe:
 # Everything the CI gate runs (see .github/workflows/ci.yml), including the
 # fan-out serving smoke (8 viewers against the aggregate frames/s floor)
 # and the CI-sized relay-tree viewer-scaling gate.
-ci: build vet fmt-check test bench-module bench-interframe race fuzz-smoke fec adapt fanout-scale layers
+ci: build vet fmt-check check-run-patterns test bench-module bench-interframe race fuzz-smoke fec adapt fanout-scale layers
 	$(GO) run ./cmd/pccbench -scale 0.05 all
 	$(GO) run ./cmd/pccbench -viewers 8 -frames 20 -floor 80 fanout
 
@@ -97,9 +102,10 @@ fec:
 	$(GO) test -race -count=1 -run 'TestFaultyLink' ./internal/linksim
 	$(GO) run ./cmd/pccbench -scale 0.008 -frames 60 -fec loss
 
-# Layered multi-rate serving gate: the differential layer-conformance and
-# per-viewer subscription tests, the partial-decode pins (clouds, ledger,
-# reference rule) and the progressive-decode tests under the race detector;
+# Layered multi-rate serving gate: the layer tests, the layered rows of the
+# conformance table (TestLayered*, TestPartialDecode*: streams, clouds,
+# ledgers), the per-viewer subscription tests, the reference rule and the
+# progressive-decode tests under the race detector;
 # the decode window-count invariant, the decode allocation gate and the
 # partial and progressive pins again with four concurrent windows per untiled
 # frame (GOMAXPROCS=4, whatever the host's cores), and so the encode side:

@@ -170,11 +170,12 @@ type FrameStats struct {
 // unit's geometry slices, with the directories' point counts, AABBs and
 // GeomLen; the one attribute phase every unit's attribute bytes, with the
 // AttrLen fields geometry left open. An Encoder owns its working memory and
-// reuses it from frame to frame: the geometry arenas (a free list, because
-// look-ahead geometry phases overlap; one travels with each frame between its
-// two phases), one geometry scratch per unit in each, and the attribute
-// phase's arena — the frame-wide colour columns and planes, the two stages'
-// Columns, and one scratch per unit, indexed by unit, never pooled. What
+// reuses it from frame to frame: the geometry arenas (a free list, because a
+// pipeline runs the next frame's geometry phase beside this frame's attribute
+// phase; one travels with each frame between its two phases), one geometry
+// scratch per unit in each, and the attribute phase's arena — the frame-wide
+// colour columns and planes, the two stages' Columns, and one scratch per
+// unit, indexed by unit, never pooled. What
 // escapes is the EncodedFrame and its byte slices (Geometry, Attr, the tile
 // and layer directories), freshly allocated, the caller's to keep; nothing
 // else does, and nothing the Encoder keeps aliases a frame it has returned.
@@ -350,53 +351,14 @@ var ErrCorruptFrame = errors.New("codec: corrupt frame payload")
 // refresh from the sender.
 var ErrMissingReference = errors.New("codec: P-frame without reference")
 
-// EncodeFrame compresses the next frame of the stream.
+// EncodeFrame compresses the next frame of the stream: the two phases of
+// pipeline.go back to back, the geometry on the encoder's own device.
 func (e *Encoder) EncodeFrame(vc *geom.VoxelCloud) (*EncodedFrame, FrameStats, error) {
-	if vc.Len() == 0 {
-		return nil, FrameStats{}, ErrEmptyFrame
-	}
-	e.applyKnobs()
-	isP := e.opts.Design.UsesInter() && e.frameIdx%e.opts.GOP != 0 && e.hasRef()
-	if e.takeForceI() {
-		isP = false
-		e.frameIdx = 0 // restart the GOP so the following frames predict from this I
-	}
-
-	start := e.dev.Snapshot()
-	var (
-		frame *EncodedFrame
-		err   error
-	)
-	var geomDelta, attrDelta edgesim.Snapshot
-	switch e.opts.Design {
-	case TMC13:
-		frame, geomDelta, attrDelta, err = e.encodeTMC13(vc)
-	case CWIPC:
-		frame, geomDelta, attrDelta, err = e.encodeCWIPC(vc, isP)
-	case IntraOnly, IntraInterV1, IntraInterV2:
-		frame, geomDelta, attrDelta, err = e.encodeProposed(vc, isP)
-	default:
-		return nil, FrameStats{}, fmt.Errorf("codec: unknown design %v", e.opts.Design)
-	}
+	g, err := e.EncodeGeometryOn(e.dev, vc)
 	if err != nil {
 		return nil, FrameStats{}, err
 	}
-	total := e.dev.Since(start)
-
-	st := FrameStats{
-		Type:         frame.Type,
-		Points:       int(frame.NumPoints),
-		SizeBytes:    frame.Size(),
-		GeometryTime: geomDelta.SimTime,
-		AttrTime:     attrDelta.SimTime,
-		TotalTime:    total.SimTime,
-		EnergyJ:      total.EnergyJ,
-		Inter:        e.lastInterStats,
-	}
-	e.lastInterStats = interframe.Stats{}
-	e.frameIdx++
-	e.applyRateControl(st)
-	return frame, st, nil
+	return e.FinishFrame(g)
 }
 
 // Decoder decodes a stream produced by an Encoder with the same Options.

@@ -134,7 +134,8 @@ type decodeView struct {
 	units, windows int
 }
 
-// decodeProposed inverts encodeProposed. The inter designs require frames
+// decodeProposed inverts the proposed designs' two encode phases
+// (proposedGeometry, proposedAttr). The inter designs require frames
 // to be decoded in stream order (P-frames need the preceding I).
 func (d *Decoder) decodeProposed(f *EncodedFrame) (*geom.VoxelCloud, error) {
 	vc, _, err := d.decodeTo(f, uint(f.Depth), false)

@@ -1,9 +1,9 @@
 package codec
 
-// Split-phase encoding for the streaming pipeline (pcc/stream).
+// The two encode phases, the one way a frame is encoded.
 //
 // EncodeFrame runs both halves of a frame back to back on the encoder's
-// device. The split-phase API below separates them so a pipeline can
+// device. A pipeline (pcc/stream) calls them itself so that it can
 // overlap the geometry encode of frame N+1 with the attribute encode of
 // frame N — the frame-granularity analogue of the paper's intra-frame
 // parallelism (the geometry half touches no mutable encoder state, while

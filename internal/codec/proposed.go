@@ -18,11 +18,11 @@ var (
 
 // geomScratch is the per-frame geometry arena: the sort's arena — its cell
 // histograms, window cuts, local sort buffers and per-window trees — the unit
-// partition and one geometry scratch per tile. Several geometry phases may
-// run concurrently under the pipeline's lookahead, so the encoder keeps a free
-// list of them; one travels with the GeometryIntermediate until FinishFrame
-// consumes the frame. Nothing the attribute phase owns lives here, and
-// nothing of this lives in the attribute units.
+// partition and one geometry scratch per tile. A pipeline runs the next
+// frame's geometry phase beside this frame's attribute phase, so the encoder
+// keeps a free list of them; one travels with the GeometryIntermediate until
+// FinishFrame consumes the frame. Nothing the attribute phase owns lives here,
+// and nothing of this lives in the attribute units.
 type geomScratch struct {
 	build paroctree.BuildScratch
 	// The tile planner's arenas — the two segment grids and the merged
@@ -67,21 +67,6 @@ func (e *Encoder) releaseGeom(g *GeometryIntermediate) {
 		g.gs = nil
 		g.sorted = nil
 	}
-}
-
-// encodeProposed runs the paper's pipelines: parallel geometry always;
-// attributes intra (Sec. IV) for I-frames and inter (Sec. V) for P-frames.
-func (e *Encoder) encodeProposed(vc *geom.VoxelCloud, isP bool) (*EncodedFrame, edgesim.Snapshot, edgesim.Snapshot, error) {
-	g, err := e.proposedGeometry(e.dev, vc)
-	if err != nil {
-		return nil, edgesim.Snapshot{}, edgesim.Snapshot{}, err
-	}
-	frame, attrDelta, err := e.proposedAttr(g, isP, e.windowCount())
-	e.releaseGeom(g)
-	if err != nil {
-		return nil, edgesim.Snapshot{}, edgesim.Snapshot{}, err
-	}
-	return frame, g.stageDelta, attrDelta, nil
 }
 
 // proposedGeometry runs the geometry half of the proposed pipeline on dev

@@ -118,10 +118,3 @@ func (q *frameQueue) cancelQ() {
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }
-
-// depth returns the instantaneous queue length.
-func (q *frameQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}

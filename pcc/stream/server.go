@@ -2,8 +2,8 @@ package stream
 
 // Server is the encode-once fan-out, restructured as a two-level relay
 // tree so one process serves 10k+ viewers: one capture feed drives a
-// single shared encode pipeline (a Session with its geometry lookahead
-// and scratch-arena hot path), the pipeline publishes each frame's wire
+// single shared encode pipeline (a Session with its overlapped encode
+// phases and scratch-arena hot path), the pipeline publishes each frame's wire
 // bytes exactly once into an immutable refcounted frame ring, and S
 // relay shards (default one per core) each fan the ring out to their own
 // partition of viewers. N viewers cost ONE encode and ONE payload copy
@@ -66,8 +66,6 @@ type ServerConfig struct {
 	Mode edgesim.PowerMode
 	// Queue is the shared pipeline's per-stage queue capacity (default 4).
 	Queue int
-	// Lookahead is the shared pipeline's concurrent geometry depth.
-	Lookahead int
 	// Shards is the relay-tree width: how many shard workers partition
 	// the viewers (default runtime.NumCPU()). Viewer id % Shards picks
 	// the owning shard, so every viewer maps to exactly one.
@@ -187,11 +185,10 @@ func NewServer(ctx context.Context, cfg ServerConfig) *Server {
 		sv.shards[i] = newShard(sv, i)
 	}
 	sv.sess = New(ctx, Config{
-		Options:   cfg.Options,
-		Mode:      cfg.Mode,
-		Queue:     cfg.Queue,
-		Lookahead: cfg.Lookahead,
-		MTU:       cfg.MTU,
+		Options: cfg.Options,
+		Mode:    cfg.Mode,
+		Queue:   cfg.Queue,
+		MTU:     cfg.MTU,
 		// The shared pipeline never sheds frames; per-viewer queues are
 		// where slowness resolves, in isolation.
 		Policy:   Block,

@@ -84,12 +84,6 @@ type Config struct {
 	Link linksim.Link
 	// Queue is the per-stage queue capacity (default 4).
 	Queue int
-	// Lookahead is how many frames the geometry stage may encode ahead of
-	// the in-order attribute stage (default 1 = classic two-stage overlap).
-	// Values > 1 run that many concurrent geometry workers, each with its
-	// own device ledger; frames still reach the attribute stage — and the
-	// GOP reference handoff — strictly in submission order.
-	Lookahead int
 	// Policy is the transmit-queue backpressure policy.
 	Policy Policy
 	// MTU is the packet payload size used by the packetize stage
@@ -133,9 +127,6 @@ type Config struct {
 func (c Config) normalized() Config {
 	if c.Queue < 1 {
 		c.Queue = 4
-	}
-	if c.Lookahead < 1 {
-		c.Lookahead = 1
 	}
 	c.MTU = clampMTU(c.MTU, 64, 1400)
 	if c.Link.BandwidthMbps <= 0 {
@@ -228,10 +219,10 @@ type Metrics struct {
 type Session struct {
 	cfg Config
 	enc *codec.Encoder
-	// geomDevs holds one device per geometry worker (len = Lookahead), so
-	// concurrent geometry phases keep per-frame stage deltas exact.
-	geomDevs []*edgesim.Device
-	attrDev  *edgesim.Device
+	// geomDev and attrDev are the two stages' devices: the geometry of the
+	// next frame runs beside the attribute phase of this one, and each keeps
+	// its own ledger.
+	geomDev, attrDev *edgesim.Device
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -284,6 +275,7 @@ func New(ctx context.Context, cfg Config) *Session {
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Session{
 		cfg:       cfg,
+		geomDev:   edgesim.NewXavier(cfg.Mode),
 		attrDev:   edgesim.NewXavier(cfg.Mode),
 		ctx:       sctx,
 		cancel:    cancel,
@@ -303,10 +295,6 @@ func New(ctx context.Context, cfg Config) *Session {
 			out:    cfg.PacketOut,
 			cache:  newRetxCache(cfg.RetransmitBuffer, cfg.MTU, nil),
 		},
-	}
-	s.geomDevs = make([]*edgesim.Device, cfg.Lookahead)
-	for i := range s.geomDevs {
-		s.geomDevs[i] = edgesim.NewXavier(cfg.Mode)
 	}
 	s.enc = codec.NewEncoder(s.attrDev, cfg.Options)
 	s.hdrOpts = s.enc.Options()
@@ -438,82 +426,37 @@ func (s *Session) Metrics() Metrics {
 		s.gaugePkt.Snapshot(),
 		s.gaugeTx.Snapshot(),
 	}
-	for _, d := range s.geomDevs {
-		m.GeometrySim += d.SimTime()
-		m.GeometryEnergyJ += d.EnergyJ()
-	}
+	m.GeometrySim = s.geomDev.SimTime()
+	m.GeometryEnergyJ = s.geomDev.EnergyJ()
 	m.AttrSim = s.attrDev.SimTime()
 	m.AttrEnergyJ = s.attrDev.EnergyJ()
 	return m
 }
 
-// geometryStage encodes geometry up to cfg.Lookahead frames ahead of the
-// in-order attribute stage: a dispatcher feeds a fixed set of workers (one
-// device each — geometry touches no mutable encoder state, so frames
-// encode concurrently), and an in-order collector forwards completed
-// frames to attrStage strictly in submission order, preserving the GOP
-// reference handoff.
+// geometryStage encodes each frame's geometry on the geometry device, ahead
+// of the in-order attribute stage by at most the geometry queue: geometry
+// touches no mutable encoder state, so frame N+1's geometry runs beside
+// frame N's attributes.
 func (s *Session) geometryStage() {
 	defer s.wg.Done()
 	defer close(s.gq)
-	type pending struct {
-		j    *job
-		err  error
-		done chan struct{}
-	}
-	look := s.cfg.Lookahead
-	work := make(chan *pending)
-	order := make(chan *pending, look) // bounds in-flight geometry
-	var wwg sync.WaitGroup
-	wwg.Add(look)
-	for w := 0; w < look; w++ {
-		dev := s.geomDevs[w]
-		go func() {
-			defer wwg.Done()
-			for p := range work {
-				if err := s.ctx.Err(); err != nil {
-					p.err = err
-				} else {
-					p.j.g, p.err = s.enc.EncodeGeometryOn(dev, p.j.cloud)
-				}
-				close(p.done)
-			}
-		}()
-	}
-	collectorDone := make(chan struct{})
-	go func() {
-		defer close(collectorDone)
-		for p := range order {
-			<-p.done
-			if p.err != nil {
-				// Suppress the cancellation pseudo-error workers report
-				// while draining an aborted session.
-				if s.ctx.Err() == nil {
-					s.fail(p.err)
-				}
-				continue
-			}
-			p.j.cloud = nil
-			select {
-			case s.gq <- p.j:
-				s.gaugeGeom.EnqueueAt(len(s.gq))
-			case <-s.ctx.Done():
-			}
-		}
-	}()
 	for j := range s.in {
 		s.gaugeIn.Dequeue()
 		if s.ctx.Err() != nil {
 			continue // drain remaining submissions without encoding
 		}
-		p := &pending{j: j, done: make(chan struct{})}
-		order <- p
-		work <- p
+		g, err := s.enc.EncodeGeometryOn(s.geomDev, j.cloud)
+		if err != nil {
+			s.fail(err)
+			continue
+		}
+		j.g, j.cloud = g, nil
+		select {
+		case s.gq <- j:
+			s.gaugeGeom.EnqueueAt(len(s.gq))
+		case <-s.ctx.Done():
+		}
 	}
-	close(work)
-	wwg.Wait()
-	close(order)
-	<-collectorDone
 }
 
 // attrStage finishes frames strictly in order: it owns the GOP position and

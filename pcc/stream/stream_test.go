@@ -437,72 +437,3 @@ func TestPacedTransmitSmoke(t *testing.T) {
 		t.Fatalf("no link time accounted: %+v", m)
 	}
 }
-
-// Lookahead > 1 runs concurrent geometry workers; the wire stream must stay
-// byte-identical to the sequential encode (in-order collector, GOP reference
-// handoff intact) and the summed geometry ledgers must stay populated.
-func TestLookaheadMatchesSequentialStream(t *testing.T) {
-	frames := testFrames(t, 9)
-	opts := testOptions(codec.IntraInterV1)
-
-	var seq bytes.Buffer
-	vw := core.NewVideoWriter(&seq, edgesim.NewXavier(edgesim.Mode15W), opts)
-	for _, f := range frames {
-		if _, err := vw.WriteFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := vw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, look := range []int{2, 3, 4} {
-		t.Run(fmt.Sprintf("lookahead=%d", look), func(t *testing.T) {
-			var piped bytes.Buffer
-			s := New(context.Background(), Config{Options: opts, Lookahead: look, Output: &piped})
-			col := NewCollector(s)
-			for _, f := range frames {
-				if err := s.Submit(context.Background(), f); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			results := col.Wait()
-			if drops := checkOrdered(t, results, len(frames)); drops != 0 {
-				t.Fatalf("%d drops under the Block policy", drops)
-			}
-			if !bytes.Equal(seq.Bytes(), piped.Bytes()) {
-				t.Fatalf("lookahead=%d stream (%d B) differs from sequential stream (%d B)",
-					look, piped.Len(), seq.Len())
-			}
-			m := s.Metrics()
-			if m.GeometrySim <= 0 || m.AttrSim <= 0 {
-				t.Fatalf("device ledgers empty: geom=%v attr=%v", m.GeometrySim, m.AttrSim)
-			}
-		})
-	}
-}
-
-// A lookahead session must also cancel cleanly while geometry workers are
-// mid-flight (the collector and dispatcher drain without deadlock).
-func TestLookaheadCancelMidStream(t *testing.T) {
-	frames := testFrames(t, 8)
-	s := New(context.Background(), Config{
-		Options:   testOptions(codec.IntraOnly),
-		Lookahead: 3,
-	})
-	col := NewCollector(s)
-	for i, f := range frames {
-		if err := s.Submit(context.Background(), f); err != nil {
-			t.Fatal(err)
-		}
-		if i == 4 {
-			s.Cancel()
-			break
-		}
-	}
-	_ = s.Close()
-	col.Wait() // must terminate
-}
