@@ -15,10 +15,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/linksim"
 	"repro/internal/metrics"
@@ -35,6 +37,8 @@ func adaptOptions(d codec.Design) codec.Options {
 type adaptRun struct {
 	gops     []int // GOP knob after each frame's cycle
 	qscales  []int // quality knob after each frame's cycle
+	snaps    []codec.ControllerSnapshot
+	atBase   []bool // every knob at baseline after each frame's cycle
 	statuses []FrameStatus
 	wireHash string // sha256 of the sender's clean .pcv output
 	sender   Metrics
@@ -47,7 +51,19 @@ type adaptRun struct {
 // pre to post before frame stepAt.
 func runAdaptive(t testing.TB, frames []*geom.VoxelCloud, seed int64, stepAt int, pre, post float64) adaptRun {
 	t.Helper()
-	opts := adaptOptions(codec.IntraInterV2)
+	return runAdaptiveSteps(t, frames, adaptOptions(codec.IntraInterV2), seed, pre, dropStep{stepAt, post})
+}
+
+// dropStep sets the link's drop rate before frame at.
+type dropStep struct {
+	at   int
+	rate float64
+}
+
+// runAdaptiveSteps is runAdaptive for any options and any drop schedule:
+// the link starts at pre and takes each step's rate before its frame.
+func runAdaptiveSteps(t testing.TB, frames []*geom.VoxelCloud, opts codec.Options, seed int64, pre float64, steps ...dropStep) adaptRun {
+	t.Helper()
 	fl := linksim.NewFaultyLink(linksim.WiFi, linksim.FaultProfile{DropRate: pre, Seed: seed})
 	var run adaptRun
 	pipe := NewLossyPipe(fl, ReceiverConfig{
@@ -64,8 +80,10 @@ func runAdaptive(t testing.TB, frames []*geom.VoxelCloud, seed int64, stepAt int
 	pipe.Attach(s)
 	results := s.Results()
 	for i, f := range frames {
-		if i == stepAt {
-			fl.SetDropRate(post)
+		for _, st := range steps {
+			if i == st.at {
+				fl.SetDropRate(st.rate)
+			}
 		}
 		if err := s.Submit(context.Background(), f); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
@@ -73,9 +91,11 @@ func runAdaptive(t testing.TB, frames []*geom.VoxelCloud, seed int64, stepAt int
 		if _, ok := <-results; !ok {
 			t.Fatalf("results closed at frame %d: %v", i, s.Err())
 		}
-		k := s.Controller().Knobs()
-		run.gops = append(run.gops, k.GOP)
-		run.qscales = append(run.qscales, k.QScale)
+		snap := s.Controller().Snapshot()
+		run.gops = append(run.gops, snap.Knobs.GOP)
+		run.qscales = append(run.qscales, snap.Knobs.QScale)
+		run.snaps = append(run.snaps, snap)
+		run.atBase = append(run.atBase, s.Controller().AtBaseline())
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -91,67 +111,142 @@ func runAdaptive(t testing.TB, frames []*geom.VoxelCloud, seed int64, stepAt int
 	return run
 }
 
-// TestAdaptConvergesOnDropStep is the step-response acceptance run: a
-// clean link for 16 frames, then a 15% drop step. The controller must
-// shrink the GOP within the frame budget, degrade quality, and the
-// decoded ratio over the trailing window must stay above the floor —
-// exactly the contract the CI adapt-smoke sweep enforces at larger scale.
+// TestAdaptConvergesOnDropStep is the step-response acceptance table. Each
+// row is a lockstep session with the controller on: a clean link, then a
+// 15% drop step. The controller must shrink the GOP within 24 frames of the
+// step, and the trailing window must decode at least 0.70 of its frames.
+//
+//   - loot: 48 frames, the step at frame 16 and never cleared. Quality
+//     must have degraded by the end.
+//   - redandblack: the step response at the paper's segment counts scaled
+//     to 0.008, 96 frames, the step over frames 24-47, clean again after.
+//     Once the link clears, a probing upswitch must bring every knob back
+//     to baseline within 30 frames (half the 60 frames passive decay
+//     took before the controller probed), and the last third must decode.
+//     Run with -v for its table, one row per feedback window.
 func TestAdaptConvergesOnDropStep(t *testing.T) {
 	const (
-		total      = 48
-		stepAt     = 16
-		budget     = 24 // frames after the step for the GOP to shrink
-		tailFloor  = 0.70
-		tailWindow = 12
+		budget    = 24 // frames after the step for the GOP to shrink
+		recovery  = 30 // frames after the link clears to reach baseline
+		tailFloor = 0.70
 	)
-	frames := lossyFrames(t, total, 0.008)
-	run := runAdaptive(t, frames, 42, stepAt, 0, 0.15)
+	v2 := scaledOptions(codec.IntraInterV2, 0.008)
+	v2.Adapt = codec.AdaptiveRate{Enabled: true}
+	for _, row := range []struct {
+		name            string
+		frames          []*geom.VoxelCloud
+		opts            codec.Options
+		stepAt, clearAt int // clearAt 0: the step never clears
+		tail            int // trailing frames held to the floor
+	}{
+		{"loot", lossyFrames(t, 48, 0.008), adaptOptions(codec.IntraInterV2), 16, 0, 12},
+		{dataset.TableI()[0].Name, videoFrames(t, dataset.TableI()[0].Name, 96, 0.008), v2, 24, 48, 32},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			total := len(row.frames)
+			steps := []dropStep{{row.stepAt, 0.15}}
+			if row.clearAt > 0 {
+				steps = append(steps, dropStep{row.clearAt, 0})
+			}
+			run := runAdaptiveSteps(t, row.frames, row.opts, 42, 0, steps...)
+			stepAt := row.stepAt
 
-	if len(run.statuses) != total || len(run.gops) != total {
-		t.Fatalf("accounting: %d statuses, %d knob samples, want %d", len(run.statuses), len(run.gops), total)
+			if len(run.statuses) != total || len(run.gops) != total {
+				t.Fatalf("accounting: %d statuses, %d knob samples, want %d", len(run.statuses), len(run.gops), total)
+			}
+			logAdaptWindows(t, run, row.opts, stepAt, row.clearAt)
+			// Pre-step: a clean link must never shrink the GOP below its base.
+			for i := 0; i < stepAt; i++ {
+				if run.gops[i] < 3 {
+					t.Fatalf("frame %d (clean link): GOP knob %d below base", i, run.gops[i])
+				}
+			}
+			// Post-step: the GOP must shrink within the budget...
+			shrunkAt := -1
+			for i := stepAt; i < stepAt+budget && i < total; i++ {
+				if run.gops[i] < run.gops[stepAt-1] {
+					shrunkAt = i
+					break
+				}
+			}
+			if shrunkAt < 0 {
+				t.Fatalf("GOP never shrank within %d frames of the drop step (trajectory %v)", budget, run.gops)
+			}
+			// Controller bookkeeping must reflect the story.
+			if run.sender.FeedbackReports == 0 {
+				t.Fatal("no feedback reports consumed")
+			}
+			a := run.sender.Adapt.Counters
+			if a.GOPShrinks == 0 || a.QualityDrops == 0 || a.CongestedEnters == 0 {
+				t.Errorf("controller counters missing the step response: %+v", a)
+			}
+			if row.clearAt == 0 {
+				// ...and quality must have degraded with it.
+				if run.qscales[total-1] <= 1 {
+					t.Errorf("quality knob never degraded under 15%% loss (trajectory %v)", run.qscales)
+				}
+			} else {
+				// Probing upswitch: back to baseline within the recovery budget.
+				recovered := -1
+				for i := row.clearAt; i < total; i++ {
+					if run.atBase[i] {
+						recovered = i - row.clearAt
+						break
+					}
+				}
+				probes := run.sender.Adapt.FEC.Probes
+				t.Logf("GOP shrank %d frames after the step; every knob at baseline %d frames after the link cleared; %d probes",
+					shrunkAt-stepAt, recovered, probes)
+				if recovered < 0 || recovered > recovery {
+					t.Errorf("knobs back at baseline %d frames after the link cleared, budget %d (-1: never)", recovered, recovery)
+				}
+				if probes == 0 {
+					t.Error("the controller never probed after the loss cleared")
+				}
+			}
+			// Recovery: the trailing window (shrunken GOP in effect) must decode.
+			decoded := 0
+			for _, st := range run.statuses[total-row.tail:] {
+				if st == FrameDecoded {
+					decoded++
+				}
+			}
+			ratio := float64(decoded) / float64(row.tail)
+			t.Logf("GOP shrank at frame %d (%d→%d); tail decoded %d/%d (%.2f); gops=%v qscales=%v",
+				shrunkAt, run.gops[stepAt-1], run.gops[total-1], decoded, row.tail, ratio,
+				run.gops, run.qscales)
+			if ratio < tailFloor {
+				t.Fatalf("trailing decoded ratio %.2f below the %.2f floor", ratio, tailFloor)
+			}
+		})
 	}
-	// Pre-step: a clean link must never shrink the GOP below its base.
-	for i := 0; i < stepAt; i++ {
-		if run.gops[i] < 3 {
-			t.Fatalf("frame %d (clean link): GOP knob %d below base", i, run.gops[i])
+}
+
+// logAdaptWindows logs a run's step response, one line per feedback window
+// of four frames: the link's drop rate, the knobs after the window (GOP,
+// with * while a probe is in flight, quantization, reuse-threshold boost,
+// parity), the loss EWMA, and the window's frame fates.
+func logAdaptWindows(t *testing.T, run adaptRun, opts codec.Options, stepAt, clearAt int) {
+	t.Helper()
+	t.Logf("%-6s %4s %4s %6s %5s %6s %9s %3s %7s %4s", "frames", "drop", "gop", "qscale", "boost", "parity", "loss ewma", "ok", "conceal", "skip")
+	for lo := 0; lo < len(run.snaps); lo += 4 {
+		hi := min(lo+4, len(run.snaps))
+		drop := 0.0
+		if lo >= stepAt && (clearAt == 0 || lo < clearAt) {
+			drop = 0.15
 		}
-	}
-	// Post-step: the GOP must shrink within the budget...
-	shrunkAt := -1
-	for i := stepAt; i < stepAt+budget && i < total; i++ {
-		if run.gops[i] < run.gops[stepAt-1] {
-			shrunkAt = i
-			break
+		snap := run.snaps[hi-1]
+		probe := ""
+		if snap.Probing {
+			probe = "*"
 		}
-	}
-	if shrunkAt < 0 {
-		t.Fatalf("GOP never shrank within %d frames of the drop step (trajectory %v)", budget, run.gops)
-	}
-	// ...and quality must have degraded with it.
-	if run.qscales[total-1] <= 1 {
-		t.Errorf("quality knob never degraded under 15%% loss (trajectory %v)", run.qscales)
-	}
-	// Controller bookkeeping must reflect the story.
-	if run.sender.FeedbackReports == 0 {
-		t.Fatal("no feedback reports consumed")
-	}
-	a := run.sender.Adapt.Counters
-	if a.GOPShrinks == 0 || a.QualityDrops == 0 || a.CongestedEnters == 0 {
-		t.Errorf("controller counters missing the step response: %+v", a)
-	}
-	// Recovery: the trailing window (shrunken GOP in effect) must decode.
-	decoded := 0
-	for _, st := range run.statuses[total-tailWindow:] {
-		if st == FrameDecoded {
-			decoded++
+		var fates [3]int
+		for _, st := range run.statuses[lo:min(hi, len(run.statuses))] {
+			fates[st]++
 		}
-	}
-	ratio := float64(decoded) / float64(tailWindow)
-	t.Logf("GOP shrank at frame %d (%d→%d); tail decoded %d/%d (%.2f); gops=%v qscales=%v",
-		shrunkAt, run.gops[stepAt-1], run.gops[total-1], decoded, tailWindow, ratio,
-		run.gops, run.qscales)
-	if ratio < tailFloor {
-		t.Fatalf("trailing decoded ratio %.2f below the %.2f floor", ratio, tailFloor)
+		t.Logf("%-6s %3.0f%% %4s %6d %4.0fx %6.2f %9.3f %3d %7d %4d", fmt.Sprintf("%d-%d", lo, hi-1), drop*100,
+			fmt.Sprintf("%d%s", snap.Knobs.GOP, probe), snap.Knobs.QScale, snap.Knobs.Threshold/opts.Inter.Threshold,
+			snap.Knobs.Parity, snap.LossEWMA, fates[FrameDecoded], fates[FrameConcealed], fates[FrameSkipped])
 	}
 }
 

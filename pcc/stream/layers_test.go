@@ -25,6 +25,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/linksim"
 )
 
 func layeredTestOptions(tiles int) codec.Options {
@@ -285,6 +286,165 @@ func TestViewerLayerAdaptSheds(t *testing.T) {
 		if w.layeredByFrame[idx] != want {
 			t.Fatalf("frame %d layered=%v, want %v", idx, w.layeredByFrame[idx], want)
 		}
+	}
+}
+
+// layeredSessionOptions is the layered serving scenario's encode:
+// Intra-Inter-V1 at 1500 / 2500 segments (the steady-state session's
+// counts) with three layers, and no rate controller.
+func layeredSessionOptions() codec.Options {
+	o := codec.OptionsFor(codec.IntraInterV1)
+	o.IntraAttr.Segments, o.Inter.Segments = 1500, 2500
+	o.Layers = 3
+	return o
+}
+
+// TestServerLayerSubscriptionSweep serves one layered encode (longdress at
+// scale 0.05, 24 frames) to one viewer per explicit subscription over clean
+// links: full, the base layer alone, and two of three layers. Every viewer
+// decodes every frame, and a truncated subscription costs at most its share
+// of the full viewer's wire bytes: 0.528 for the base layer, 0.671 for two
+// layers (the measured 0.440 and 0.559 plus 20%). Run with -v for the
+// sweep's table.
+func TestServerLayerSubscriptionSweep(t *testing.T) {
+	t.Parallel()
+	frames := videoFrames(t, "longdress", 24, 0.05)
+	opts := layeredSessionOptions()
+	srv := NewServer(context.Background(), ServerConfig{Options: opts, ViewerQueue: len(frames) + 1})
+	subs := []struct {
+		sub      uint8 // 0: full
+		maxRatio float64
+	}{{0, 1}, {1, 0.528}, {2, 0.671}}
+	sinks := make([]*viewerSink, len(subs))
+	views := make([]*Viewer, len(subs))
+	for i, s := range subs {
+		sinks[i] = newViewerSink(opts)
+		v, err := srv.Attach(ViewerConfig{Layers: s.sub, PacketOut: sinks[i].packetOut})
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[i] = v
+	}
+	for _, f := range frames {
+		if err := srv.Submit(context.Background(), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full := views[0].Metrics().WireBytes
+	if full == 0 {
+		t.Fatal("the full viewer sent no bytes")
+	}
+	t.Logf("%-4s %12s %6s %8s %13s", "sub", "wire bytes", "ratio", "decoded", "points/frame")
+	for i, s := range subs {
+		m := views[i].Metrics()
+		decoded, points := 0, 0
+		for _, f := range sinks[i].finish(t, len(frames)) {
+			if f.Status == FrameDecoded {
+				decoded++
+				points += f.Cloud.Len()
+			}
+		}
+		ratio := float64(m.WireBytes) / float64(full)
+		t.Logf("%-4d %12d %6.3f %5d/%d %13.2f", s.sub, m.WireBytes, ratio, decoded, len(frames), float64(points)/float64(len(frames)))
+		if m.FramesSent != int64(len(frames)) || decoded != len(frames) {
+			t.Errorf("sub %d: sent %d, decoded %d of %d frames over a clean link", s.sub, m.FramesSent, decoded, len(frames))
+		}
+		if ratio > s.maxRatio {
+			t.Errorf("sub %d: wire ratio %.3f above %.3f", s.sub, ratio, s.maxRatio)
+		}
+	}
+}
+
+// TestViewerLayerAdaptSplitLink serves the sweep's layered encode to two
+// viewers on seeded links with the shared encoder's rate controller off: a
+// clean one (seed 1) and one losing 12% of its packets (seed 7) that runs
+// its own layer controller on its own feedback. The clean viewer decodes at
+// least 0.99 of the frames and its subscription never moves; the lossy one
+// sheds at least one layer, with at least one downswitch, and still decodes
+// at least 0.734 (the measured 0.917 less 20%). Quality moves per viewer
+// only: nothing in the encode did.
+func TestViewerLayerAdaptSplitLink(t *testing.T) {
+	t.Parallel()
+	frames := videoFrames(t, "longdress", 24, 0.05)
+	opts := layeredSessionOptions()
+	if opts.Adapt != (codec.AdaptiveRate{}) {
+		t.Fatal("the shared encoder must run without a rate controller")
+	}
+	srv := NewServer(context.Background(), ServerConfig{Options: opts, ViewerQueue: len(frames) + 1})
+	if srv.Controller() != nil {
+		t.Fatal("the shared encoder has a rate controller")
+	}
+	type side struct {
+		name    string
+		prof    linksim.FaultProfile
+		cfg     ViewerConfig
+		pipe    *LossyPipe
+		view    *Viewer
+		mu      sync.Mutex
+		decoded int
+	}
+	sides := []*side{
+		{name: "clean", prof: linksim.FaultProfile{Seed: 1}},
+		{name: "lossy", prof: linksim.FaultProfile{DropRate: 0.12, Seed: 7},
+			cfg: ViewerConfig{LayerAdapt: codec.LayerAdapt{Enabled: true}}},
+	}
+	for _, sd := range sides {
+		sd.pipe = NewLossyPipe(linksim.NewFaultyLink(linksim.WiFi, sd.prof), ReceiverConfig{
+			Options:       opts,
+			FeedbackEvery: 4,
+			OnFrame: func(f DecodedFrame) {
+				if f.Status == FrameDecoded {
+					sd.mu.Lock()
+					sd.decoded++
+					sd.mu.Unlock()
+				}
+			},
+		})
+		sd.pipe.AttachServer(srv)
+		sd.cfg.PacketOut = sd.pipe.PacketOut
+		v, err := srv.Attach(sd.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd.view = v
+	}
+	for _, f := range frames {
+		if err := srv.Submit(context.Background(), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sd := range sides {
+		if err := sd.pipe.Finish(len(frames)); err != nil {
+			t.Fatalf("%s viewer: %v", sd.name, err)
+		}
+		m := sd.view.Metrics()
+		t.Logf("%s viewer: decoded %d/%d (%.3f), sub %d, %d downswitches, %d wire bytes",
+			sd.name, sd.decoded, len(frames), float64(sd.decoded)/float64(len(frames)),
+			m.SubLayers, m.LayerDownswitches, m.WireBytes)
+	}
+	clean, lossy := sides[0], sides[1]
+	if r := float64(clean.decoded) / float64(len(frames)); r < 0.99 {
+		t.Errorf("clean viewer decoded %.3f of the frames, floor 0.99", r)
+	}
+	if m := clean.view.Metrics(); m.SubLayers != 0 || m.LayerDownswitches != 0 {
+		t.Errorf("clean viewer's subscription moved: sub %d, %d downswitches", m.SubLayers, m.LayerDownswitches)
+	}
+	m := lossy.view.Metrics()
+	shed := 0
+	if m.SubLayers > 0 {
+		shed = opts.Layers - int(m.SubLayers)
+	}
+	if shed < 1 || m.LayerDownswitches < 1 {
+		t.Errorf("lossy viewer shed %d layers with %d downswitches, want at least one of each", shed, m.LayerDownswitches)
+	}
+	if r := float64(lossy.decoded) / float64(len(frames)); r < 0.734 {
+		t.Errorf("lossy viewer decoded %.3f of the frames, floor 0.734", r)
 	}
 }
 
