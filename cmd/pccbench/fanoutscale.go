@@ -1,8 +1,8 @@
 package main
 
 // Relay-tree viewer-scaling sweep: how much does ONE MORE viewer cost once
-// the encode is amortized? The fanout experiment proves the encode is paid
-// once; this one prices the fan-out itself — per-viewer CPU cost as the
+// the encode is amortized? TestServerEncodeOnceFanOut proves the encode is
+// paid once; this sweep prices the fan-out itself — per-viewer CPU cost as the
 // audience grows 64 → 16k — and makes the sub-linear scaling claim
 // executable: encode-once is enforced at every point, and the per-viewer
 // cost at the top of the sweep must stay within a small factor of the cost
@@ -165,9 +165,7 @@ func runFanoutScale(cfg benchConfig) error {
 	}
 
 	sweep := []int{64, 256, 1024, 2048, 4096, 16384}
-	if *flagViewers > 0 {
-		sweep = []int{*flagViewers}
-	} else if *flagMaxViewers > 0 {
+	if *flagMaxViewers > 0 {
 		kept := sweep[:0]
 		for _, n := range sweep {
 			if n <= *flagMaxViewers {

@@ -16,13 +16,13 @@ package main
 //
 // plus two steady-state rows tracked for regression: the entropy-enabled
 // ablation encode (IntraOnly + EntropyGeometry + attr entropy) and the
-// sparse LiDAR regime (kitti-sparse), both measured with the same session
-// discipline as `pccbench bench`.
+// sparse LiDAR regime (kitti-sparse), both measured by benchDesignOpts over
+// the steady-state session.
 //
 // The speedup floors are HARD gates (entropy >= 1.3x, morton >= 2.0x):
 // they fail the run even without -baseline. With -baseline BENCH_8.json the
 // fps/allocs rows are additionally gated against the committed figures with
-// the -gate tolerance, like the BENCH_3 job.
+// the -gate tolerance.
 
 import (
 	"encoding/json"
@@ -249,7 +249,7 @@ func runHotpath(cfg benchConfig) error {
 	ablOpts := benchOptions(codec.IntraOnly)
 	ablOpts.EntropyGeometry = true
 	ablOpts.IntraAttr.Entropy = true
-	abl, _, err := benchDesignOpts(ablOpts, denseFrames)
+	abl, err := benchDesignOpts(ablOpts, denseFrames)
 	if err != nil {
 		return err
 	}
@@ -262,7 +262,7 @@ func runHotpath(cfg benchConfig) error {
 	if err != nil {
 		return err
 	}
-	sp, _, err := benchDesignOpts(benchOptions(codec.IntraOnly), sparseFrames)
+	sp, err := benchDesignOpts(benchOptions(codec.IntraOnly), sparseFrames)
 	if err != nil {
 		return err
 	}

@@ -12,23 +12,29 @@
 //	pccbench power             Sec. VI-C 15 W vs 10 W mode
 //	pccbench decode            Sec. VI-C decode latency
 //	pccbench ablation          Sec. IV-B3 entropy / layers / segments
+//	pccbench future            future-work ASIC projection
+//	pccbench endtoend          Fig. 1 end-to-end budget with wireless transmission
+//	pccbench lod               progressive level-of-detail decoding
+//	pccbench altcodecs         codec family incl. kd-tree and Predicting/Lifting
+//	pccbench viewport          viewport culling
+//	pccbench capture           capture-rig sweep
 //	pccbench pipeline          Sec. IV    concurrent streaming pipeline
-//	pccbench loss              lossy-transport recovery sweep
-//	pccbench adapt             closed-loop congestion adaptation step response
-//	pccbench bench             steady-state encode throughput (BENCH_3.json)
+//	pccbench all               everything above
 //	pccbench hotpath           entropy/Morton hot-loop micros + sparse row (BENCH_8.json)
-//	pccbench fanout            multi-viewer serving fan-out (stream.Server)
 //	pccbench fanout-scale      relay-tree viewer scaling 64 → 16k (BENCH_6.json)
 //	pccbench tiles             tile-parallel encode sweep + viewport egress (BENCH_9.json)
-//	pccbench layers            layered multi-rate serving + split-link run (BENCH_10.json)
-//	pccbench all               everything above (except bench, fanout, fanout-scale)
+//
+// The loss-recovery, congestion-adaptation and layered-serving floors are
+// pcc/stream tests (TestLossyStreamRecovers5PercentLoss,
+// TestAdaptConvergesOnDropStep, TestServerLayerSubscriptionSweep,
+// TestViewerLayerAdaptSplitLink); steady-state encode throughput is the
+// BENCHMARK.json ledger's encode_fps.
 //
 // Flags:
 //
 //	-scale f    dataset scale (fraction of Table I points/frame; default 0.1)
 //	-frames n   frames per video per experiment (default 3)
 //	-videos csv comma-separated subset of video names (default all six)
-//	-fec        loss: arm XOR parity (group 4) and gate on the FEC floor
 //
 // Latency and energy are simulated Jetson-AGX-Xavier numbers from the
 // device model; they scale linearly with point count, so sub-scale runs
@@ -49,16 +55,13 @@ var (
 	flagFrames = flag.Int("frames", 3, "frames per video per experiment")
 	flagVideos = flag.String("videos", "", "comma-separated subset of videos (default: all six)")
 	flagCSV    = flag.String("csv", "", "also write each result table as CSV into this directory")
-	flagFEC    = flag.Bool("fec", false, "loss: arm XOR parity (group 4) and gate on the FEC decoded floor")
 
-	// bench-experiment flags (see steady.go).
-	flagBenchOut = flag.String("benchout", "", "bench: write machine-readable results to this JSON file")
-	flagBaseline = flag.String("baseline", "", "bench: compare against this BENCH JSON and fail on regression")
-	flagGate     = flag.Float64("gate", 0.20, "bench: regression tolerance as a fraction")
+	// Gate flags of hotpath, tiles and fanout-scale.
+	flagBenchOut = flag.String("benchout", "", "hotpath, tiles, fanout-scale: write machine-readable results to this JSON file")
+	flagBaseline = flag.String("baseline", "", "hotpath, tiles: compare against this BENCH JSON and fail on regression")
+	flagGate     = flag.Float64("gate", 0.20, "hotpath, tiles: regression tolerance as a fraction")
 
-	// fanout-experiment flags (see fanout.go, fanoutscale.go).
-	flagViewers    = flag.Int("viewers", 0, "fanout: viewer count (0 = sweep 1..64)")
-	flagFloor      = flag.Float64("floor", 0, "fanout: fail when aggregate viewer-frames/s falls below this")
+	// fanout-scale flags (see fanoutscale.go).
 	flagMaxViewers = flag.Int("maxviewers", 0, "fanout-scale: cap the sweep (0 = full 64..16384)")
 	flagCeiling    = flag.Float64("ceiling", 0, "fanout-scale: fail when per-viewer CPU cost (µs/viewer-frame) at the largest point exceeds this")
 	flagRatio      = flag.Float64("ratio", 0, "fanout-scale: fail when cost(largest)/cost(smallest) exceeds this")
@@ -66,7 +69,7 @@ var (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pccbench [flags] <experiment>\nexperiments: table1 fig2 fig3a fig3b fig8 fig9 fig10b power decode ablation future endtoend lod altcodecs viewport capture pipeline loss adapt bench hotpath fanout fanout-scale tiles layers all\n")
+		fmt.Fprintf(os.Stderr, "usage: pccbench [flags] <experiment>\nexperiments: table1 fig2 fig3a fig3b fig8 fig9 fig10b power decode ablation future endtoend lod altcodecs viewport capture pipeline hotpath fanout-scale tiles all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -86,7 +89,6 @@ func main() {
 		Scale:  *flagScale,
 		Frames: *flagFrames,
 		Videos: selectVideos(*flagVideos),
-		FEC:    *flagFEC,
 	}
 	if cfg.Frames < 1 {
 		cfg.Frames = 1
@@ -110,17 +112,12 @@ func main() {
 		"viewport":     runViewport,
 		"capture":      runCapture,
 		"pipeline":     runPipeline,
-		"loss":         runLoss,
-		"adapt":        runAdapt,
-		"bench":        runBench,
 		"hotpath":      runHotpath,
-		"fanout":       runFanout,
 		"fanout-scale": runFanoutScale,
 		"tiles":        runTiles,
-		"layers":       runLayers,
 	}
 	if cmd == "all" {
-		for _, name := range []string{"table1", "fig2", "fig3a", "fig3b", "fig8", "fig9", "fig10b", "power", "decode", "ablation", "future", "endtoend", "lod", "altcodecs", "viewport", "capture", "pipeline", "loss", "adapt"} {
+		for _, name := range []string{"table1", "fig2", "fig3a", "fig3b", "fig8", "fig9", "fig10b", "power", "decode", "ablation", "future", "endtoend", "lod", "altcodecs", "viewport", "capture", "pipeline"} {
 			fmt.Printf("\n===== %s =====\n", name)
 			if err := experiments[name](cfg); err != nil {
 				fmt.Fprintf(os.Stderr, "pccbench %s: %v\n", name, err)
@@ -145,7 +142,6 @@ type benchConfig struct {
 	Scale  float64
 	Frames int
 	Videos []dataset.VideoSpec
-	FEC    bool // loss: arm sender-side XOR parity and gate on the FEC floor
 }
 
 func selectVideos(csv string) []dataset.VideoSpec {

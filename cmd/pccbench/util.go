@@ -5,7 +5,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
@@ -197,3 +199,96 @@ func frameQuality(orig, decoded *geom.VoxelCloud) (geoPSNR, attrPSNR float64) {
 	mse /= float64(orig.Len())
 	return gp, metrics.PSNRFromMSE(mse, 255)
 }
+
+// The steady-state session the hotpath, tiles and fanout-scale experiments
+// encode: redandblack at 5% scale, 60 frames cycling through the video, the
+// paper's segment counts scaled to 1500 intra / 2500 inter (the session
+// BenchmarkEncodeSteadyState and the allocation gates measure).
+const (
+	benchVideo  = "redandblack"
+	benchScale  = 0.05
+	benchFrames = 60
+)
+
+// BenchResult is one steady-state encode measurement.
+type BenchResult struct {
+	FPS            float64 `json:"fps"`
+	MptsPerS       float64 `json:"mpts_per_s"`
+	MBPerS         float64 `json:"mb_per_s"`
+	AllocsPerFrame float64 `json:"allocs_per_frame"`
+}
+
+func benchFrameSet() ([]*geom.VoxelCloud, error) {
+	spec, err := dataset.SpecByName(benchVideo)
+	if err != nil {
+		return nil, err
+	}
+	g := dataset.NewGenerator(spec, benchScale)
+	frames := make([]*geom.VoxelCloud, benchFrames)
+	for i := range frames {
+		if frames[i], err = g.Frame(i % spec.Frames); err != nil {
+			return nil, err
+		}
+	}
+	return frames, nil
+}
+
+func benchOptions(d codec.Design) codec.Options {
+	o := codec.OptionsFor(d)
+	o.IntraAttr.Segments = 1500
+	o.Inter.Segments = 2500
+	return o
+}
+
+// benchDesignOpts measures steady-state encoding of frames under opts: a
+// full warmup session brings the arenas to steady state, one session counts
+// allocations, then sessions run until at least two seconds of timed work.
+func benchDesignOpts(opts codec.Options, frames []*geom.VoxelCloud) (BenchResult, error) {
+	enc := codec.NewEncoder(edgesim.NewXavier(edgesim.Mode15W), opts)
+	runSession := func() (pts, bytes int64, err error) {
+		for _, f := range frames {
+			frame, st, err := enc.EncodeFrame(f)
+			if err != nil {
+				return 0, 0, err
+			}
+			pts += int64(st.Points)
+			bytes += frame.Size()
+		}
+		return pts, bytes, nil
+	}
+	if _, _, err := runSession(); err != nil { // warmup
+		return BenchResult{}, err
+	}
+
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if _, _, err := runSession(); err != nil {
+		return BenchResult{}, err
+	}
+	runtime.ReadMemStats(&m1)
+	allocsPerFrame := float64(m1.Mallocs-m0.Mallocs) / float64(len(frames))
+
+	const minWall = 2 * time.Second
+	var pts, bytes, nframes int64
+	start := time.Now()
+	for time.Since(start) < minWall {
+		p, b, err := runSession()
+		if err != nil {
+			return BenchResult{}, err
+		}
+		pts += p
+		bytes += b
+		nframes += int64(len(frames))
+	}
+	sec := time.Since(start).Seconds()
+	return BenchResult{
+		FPS:            round2(float64(nframes) / sec),
+		MptsPerS:       round3(float64(pts) / sec / 1e6),
+		MBPerS:         round2(float64(bytes) / sec / 1e6),
+		AllocsPerFrame: round2(allocsPerFrame),
+	}, nil
+}
+
+func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
+func round3(v float64) float64 { return float64(int64(v*1000+0.5)) / 1000 }
