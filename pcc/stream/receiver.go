@@ -128,6 +128,13 @@ const (
 	// iFrameRetries bounds the NACK retries for packets of I-frames (and
 	// unattributed, possibly-I packets): deep, because the stream needs them.
 	iFrameRetries = 6
+	// maxSeqJump is the widest forward sequence jump that opens a gap of
+	// missing packets. A wider one reaches back past what a sender's
+	// default retransmit buffer still holds, so NACKing it could not repair
+	// it: it is a corrupt header (the packet CRC covers the payload only)
+	// or the far side of a blackout, and the packet is dropped (RFC 3550
+	// Appendix A.1's update_seq, with this as MAX_DROPOUT).
+	maxSeqJump = defaultRetransmitBuffer
 )
 
 func (c ReceiverConfig) normalized() ReceiverConfig {
@@ -174,7 +181,7 @@ type Receiver struct {
 	busy  bool
 
 	streamID  uint32
-	nextSeq   uint32 // next expected sequence number
+	nextSeq   uint32 // next expected sequence number, modulo 2^32
 	missing   map[uint32]*lossState
 	frames    map[uint32]*partialFrame
 	nextFrame uint32 // next frame index to deliver
@@ -186,6 +193,14 @@ type Receiver struct {
 	// gapLost marks that packets of entirely-unseen frames were given up:
 	// the frames in the current index gap were lost (not sender-dropped).
 	gapLost bool
+	// jumpNext is the sequence number after the last packet dropped for a
+	// jump wider than maxSeqJump (valid while jumped): a packet carrying it
+	// resyncs the sequence space there.
+	jumpNext uint32
+	jumped   bool
+	// skipLo..skipHi is the sequence range the last resync skipped without
+	// tracking it: a frame with fragments in it can never complete.
+	skipLo, skipHi uint32
 	// refValid tracks whether the decoder holds a usable GOP reference.
 	refValid bool
 	// refreshPending suppresses duplicate refresh requests until the next
@@ -322,10 +337,20 @@ func (r *Receiver) ingestOne(raw []byte) {
 		r.counters.CachedReceived()
 	}
 
-	// Sequence tracking: a jump past nextSeq opens a gap of missing seqs;
-	// an arrival inside the missing set heals it (retransmit or reorder).
-	if h.Seq >= r.nextSeq {
-		for s := r.nextSeq; s < h.Seq; s++ {
+	// Sequence tracking, modulo 2^32: a jump past nextSeq opens a gap of
+	// missing seqs; an arrival inside the missing set heals it (retransmit
+	// or reorder). A jump wider than maxSeqJump is dropped, unless it
+	// follows the last dropped one: then the stream resyncs.
+	if gap := h.Seq - r.nextSeq; gap > maxSeqJump && gap < 1<<31 {
+		if !r.jumped || h.Seq != r.jumpNext {
+			r.jumped, r.jumpNext = true, h.Seq+1
+			r.counters.PacketCorrupt()
+			return
+		}
+		r.resync(h.Seq - 1)
+	}
+	if ahead(h.Seq, r.nextSeq) {
+		for s := r.nextSeq; s != h.Seq; s++ {
 			if _, ok := r.prehealed[s]; ok {
 				delete(r.prehealed, s) // parity already rebuilt this one
 				continue
@@ -334,6 +359,11 @@ func (r *Receiver) ingestOne(raw []byte) {
 		}
 		delete(r.prehealed, h.Seq) // a repaired original arriving late
 		r.nextSeq = h.Seq + 1
+		if r.skipLo != r.skipHi && r.nextSeq-r.skipHi > 1<<17 {
+			// Past the reach of any frame (65535 fragments at most) that
+			// could overlap the skipped range.
+			r.skipLo = r.skipHi
+		}
 	} else if ls, open := r.missing[h.Seq]; open {
 		if ls.attempts >= 1 {
 			// Late retransmit landing after its first NACK timeout already
@@ -358,14 +388,7 @@ func (r *Receiver) ingestOne(raw []byte) {
 	}
 	pf := r.frames[h.FrameIndex]
 	if pf == nil {
-		pf = &partialFrame{
-			index:     h.FrameIndex,
-			ftype:     h.FrameType,
-			firstSeq:  h.Seq - uint32(h.Frag),
-			frags:     make([][]byte, h.FragCount),
-			firstSeen: now,
-		}
-		r.frames[h.FrameIndex] = pf
+		pf = r.newFrame(h, h.Seq-uint32(h.Frag), int(h.FragCount), now)
 	}
 	if int(h.FragCount) != len(pf.frags) || pf.firstSeq != h.Seq-uint32(h.Frag) || pf.ftype != h.FrameType {
 		r.counters.PacketCorrupt() // inconsistent with sibling fragments
@@ -385,6 +408,59 @@ func (r *Receiver) ingestOne(raw []byte) {
 
 	r.advance(now)
 	r.checkTimeouts(now, false)
+}
+
+// ahead reports whether sequence number a is at or after b, modulo 2^32.
+func ahead(a, b uint32) bool { return int32(a-b) >= 0 }
+
+// inSeqRange reports whether s lies in [lo, hi), modulo 2^32.
+func inSeqRange(s, lo, hi uint32) bool { return s-lo < hi-lo }
+
+// newFrame opens reassembly state for the frame h belongs to. A frame with
+// fragments in the range the last resync skipped starts failed.
+func (r *Receiver) newFrame(h PacketHeader, firstSeq uint32, frags int, now time.Time) *partialFrame {
+	pf := &partialFrame{
+		index:     h.FrameIndex,
+		ftype:     h.FrameType,
+		firstSeq:  firstSeq,
+		frags:     make([][]byte, frags),
+		firstSeen: now,
+	}
+	pf.failed = r.skipped(pf)
+	r.frames[h.FrameIndex] = pf
+	return pf
+}
+
+// skipped reports whether pf has fragments in the range the last resync
+// skipped.
+func (r *Receiver) skipped(pf *partialFrame) bool {
+	end := pf.firstSeq + uint32(len(pf.frags))
+	return r.skipLo != r.skipHi &&
+		(inSeqRange(pf.firstSeq, r.skipLo, r.skipHi) || inSeqRange(r.skipLo, pf.firstSeq, end))
+}
+
+// resync moves the sequence space across a jump wider than maxSeqJump: the
+// next expected packet becomes dropped, the one that first showed the jump
+// and was thrown away (it gets the one missing entry, so it is NACKed like
+// any loss). The skipped range [nextSeq, dropped) opens no per-sequence
+// state. Its fragments can never be recovered, so the frames with any fail
+// now or when they first show up, and whole frames that vanished in it
+// resolve as lost, not as sender drops.
+func (r *Receiver) resync(dropped uint32) {
+	r.skipLo, r.skipHi = r.nextSeq, dropped
+	for _, pf := range r.frames {
+		if pf.have < len(pf.frags) && r.skipped(pf) {
+			pf.failed = true
+		}
+	}
+	for s := range r.prehealed {
+		if inSeqRange(s, r.skipLo, r.skipHi) {
+			delete(r.prehealed, s)
+		}
+	}
+	r.gapLost = true
+	r.jumped = false
+	r.nextSeq = dropped
 }
 
 // ingestParity folds one parity packet into its frame's reassembly state
@@ -410,14 +486,7 @@ func (r *Receiver) ingestParity(pkt Packet, now time.Time) {
 	if pf == nil {
 		// Parity alone carries the frame geometry: set up reassembly state
 		// even when every data packet is still in flight (or lost).
-		pf = &partialFrame{
-			index:     h.FrameIndex,
-			ftype:     h.FrameType,
-			firstSeq:  pg.FrameFirstSeq,
-			frags:     make([][]byte, pg.FragCount),
-			firstSeen: now,
-		}
-		r.frames[h.FrameIndex] = pf
+		pf = r.newFrame(h, pg.FrameFirstSeq, int(pg.FragCount), now)
 	}
 	if int(pg.FragCount) != len(pf.frags) || pf.firstSeq != pg.FrameFirstSeq || pf.ftype != h.FrameType {
 		r.counters.PacketCorrupt() // inconsistent with sibling fragments
@@ -489,7 +558,7 @@ func (r *Receiver) repairGroup(pf *partialFrame, g *ParityGroup) bool {
 			r.counters.PacketRecovered()
 		}
 		delete(r.missing, seq)
-	} else if seq >= r.nextSeq {
+	} else if ahead(seq, r.nextSeq) {
 		// Repaired before any later arrival revealed the loss: remember so
 		// the gap detector won't re-open it.
 		r.prehealed[seq] = struct{}{}
@@ -503,7 +572,7 @@ func (r *Receiver) repairGroup(pf *partialFrame, g *ParityGroup) bool {
 // findFrame returns the pending frame whose sequence range contains seq.
 func (r *Receiver) findFrame(seq uint32) *partialFrame {
 	for _, pf := range r.frames {
-		if seq >= pf.firstSeq && seq < pf.firstSeq+uint32(len(pf.frags)) {
+		if seq-pf.firstSeq < uint32(len(pf.frags)) {
 			return pf
 		}
 	}
@@ -534,7 +603,7 @@ func (r *Receiver) checkTimeouts(now time.Time, force bool) {
 	}
 	// Sorted processing keeps the NACK (and so the retransmit) order
 	// deterministic across runs.
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
+	sort.Slice(due, func(i, j int) bool { return int32(due[i]-due[j]) < 0 })
 	var nack []uint32
 	for _, s := range due {
 		ls := r.missing[s]
@@ -589,7 +658,7 @@ func (r *Receiver) minPending() (uint32, bool) {
 // missingBefore reports whether any missing seq precedes firstSeq.
 func (r *Receiver) missingBefore(firstSeq uint32) bool {
 	for s := range r.missing {
-		if s < firstSeq {
+		if !ahead(s, firstSeq) {
 			return true
 		}
 	}

@@ -102,7 +102,7 @@ func (c ServerConfig) normalized() ServerConfig {
 		c.ViewerQueue = 8
 	}
 	if c.RetransmitBuffer < 1 {
-		c.RetransmitBuffer = 1024
+		c.RetransmitBuffer = defaultRetransmitBuffer
 	}
 	return c
 }

@@ -124,6 +124,10 @@ type Config struct {
 	FEC FECConfig
 }
 
+// defaultRetransmitBuffer is the default RetransmitBuffer of a Session and
+// a Server: the sent packets that stay answerable for NACKs.
+const defaultRetransmitBuffer = 1024
+
 func (c Config) normalized() Config {
 	if c.Queue < 1 {
 		c.Queue = 4
@@ -136,7 +140,7 @@ func (c Config) normalized() Config {
 		c.StreamID = 1
 	}
 	if c.RetransmitBuffer < 1 {
-		c.RetransmitBuffer = 1024
+		c.RetransmitBuffer = defaultRetransmitBuffer
 	}
 	return c
 }
