@@ -10,8 +10,8 @@ import (
 	"repro/internal/geom"
 )
 
-// steadyFrames returns a deterministic 60-frame GOP session (redandblack at
-// 5% scale, frames cycling through the generator's articulation loop).
+// steadyFrames returns a deterministic n-frame session (redandblack at 5%
+// scale, frames cycling through the generator's articulation loop).
 func steadyFrames(tb testing.TB, n int) []*geom.VoxelCloud {
 	return sessionFrames(tb, "redandblack", 0.05, n)
 }
@@ -87,9 +87,15 @@ func BenchmarkEncodeSteadyState(b *testing.B) {
 // a one-session warmup, a session of steady-state encoding stays under a hard
 // allocs/frame cap and allocates little more than the frames it returns, for
 // every frame shape — untiled, tiled, layered, and tiles x layers, which is
-// what the streaming servers run. Measured at 1500/2500 segments on two
-// cores: 39.0 / 39.0 / 41.0 / 42.0 / 44.0 allocations per frame (24 / 24 / 25
-// / 27 / 28 at GOMAXPROCS=1) and 1.10-1.11 times the wire frame on every row;
+// what the streaming servers run. A warm encoder allocates the same per frame
+// whatever the session length, so each row's session is the fewest whole
+// GOPs that read a 60-frame session's count at GOMAXPROCS 1, 2 and 4: one
+// frame intra-only (every frame is its own GOP), two GOPs of three IPP.
+// Measured at 1500/2500 segments on two cores: 16.0 / 16.0 / 19.0 / 19.0 /
+// 22.0 allocations per frame (12 / 12 / 14 / 15 / 17 at GOMAXPROCS=1) and
+// 1.11-1.13 times the wire frame on every row; when the caps were set, 39.0 /
+// 39.0 / 41.0 / 42.0 / 44.0 (24 / 24 / 25 / 27 / 28 at GOMAXPROCS=1) and
+// 1.10-1.11 times the wire frame on every row;
 // 88.0 / 84.0 / 47.0 / 87.0 / 50.0 while every ledger row booked allocated a
 // key string, when the caps were set. The allocation caps sat 10% above that
 // measurement, which is the same in plain and -race builds because nothing on
@@ -106,26 +112,28 @@ func BenchmarkEncodeSteadyState(b *testing.B) {
 // magnitude. The sparse LiDAR row, with geometry entropy on, codes its
 // ~46 KB raw occupancy streams as two mode-2 slices: 18.0 allocations per
 // frame (13.0 at GOMAXPROCS=1), two more than the dense intra row for the
-// slices' fan-out, and 1.13 times the wire frame; its slice coders and their
-// outputs live in the geometry arena. Its cap is 10% above that.
+// slices' fan-out, and 1.19 times the wire frame (1.13 over 60 frames); its
+// slice coders and their outputs live in the geometry arena. Its cap is 10%
+// above that.
 func TestSteadyStateAllocsPerFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full frames")
 	}
-	dense, sparse := steadyFrames(t, 60), sparseFrames(t, 60)
+	dense, sparse := steadyFrames(t, 6), sparseFrames(t, 1)
 	for _, row := range []struct {
 		design        Design
 		tiles, layers int
 		sparse        bool    // the sparse session, with geometry entropy
+		frames        int     // session length: whole GOPs
 		capAllocs     float64 // per frame
 		capBytes      float64 // per frame, in units of the wire frame
 	}{
-		{IntraOnly, 0, 0, false, 98, 1.25},
-		{IntraInterV1, 0, 0, false, 94, 1.25},
-		{IntraInterV1, 8, 0, false, 52, 1.25},
-		{IntraInterV1, 0, 3, false, 96, 1.25},
-		{IntraInterV1, 8, 3, false, 55, 1.25},
-		{IntraOnly, 0, 0, true, 20, 1.25},
+		{IntraOnly, 0, 0, false, 1, 98, 1.25},
+		{IntraInterV1, 0, 0, false, 6, 94, 1.25},
+		{IntraInterV1, 8, 0, false, 6, 52, 1.25},
+		{IntraInterV1, 0, 3, false, 6, 96, 1.25},
+		{IntraInterV1, 8, 3, false, 6, 55, 1.25},
+		{IntraOnly, 0, 0, true, 1, 20, 1.25},
 	} {
 		name := row.design.String()
 		if row.tiles > 0 {
@@ -134,9 +142,9 @@ func TestSteadyStateAllocsPerFrame(t *testing.T) {
 		if row.layers > 0 {
 			name = fmt.Sprintf("%s/layers=%d", name, row.layers)
 		}
-		frames := dense
+		frames := dense[:row.frames]
 		if row.sparse {
-			name, frames = name+"/sparse, entropy geometry", sparse
+			name, frames = name+"/sparse, entropy geometry", sparse[:row.frames]
 		}
 		t.Run(name, func(t *testing.T) {
 			opts := steadyOpts(row.design)
@@ -158,9 +166,9 @@ func TestSteadyStateAllocsPerFrame(t *testing.T) {
 				wire += ef.Size()
 			}
 			runtime.ReadMemStats(&after)
-			allocs := float64(after.Mallocs-before.Mallocs) / 60
+			allocs := float64(after.Mallocs-before.Mallocs) / float64(len(frames))
 			perWire := float64(after.TotalAlloc-before.TotalAlloc) / float64(wire)
-			t.Logf("%s: %.1f allocs/frame (cap %.0f), %.2f x the %d B wire frame (cap %.2f)", name, allocs, row.capAllocs, perWire, wire/60, row.capBytes)
+			t.Logf("%s: %.1f allocs/frame (cap %.0f), %.2f x the %d B wire frame (cap %.2f)", name, allocs, row.capAllocs, perWire, wire/int64(len(frames)), row.capBytes)
 			if allocs > row.capAllocs || perWire > row.capBytes {
 				t.Errorf("%s steady-state encode allocations regressed", name)
 			}
@@ -216,8 +224,11 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 }
 
 // TestDecodeSteadyStateAllocs is the decode side's allocation gate: a warm
-// Decoder over a 60-frame session allocates little more than the clouds it
-// returns, whatever the viewer subscribed to. Measured on two cores, where an
+// Decoder over a session allocates little more than the clouds it returns,
+// whatever the viewer subscribed to. Each row's session is the fewest whole
+// GOPs that read a 60-frame session's count at GOMAXPROCS 1, 2 and 4: two
+// intra-only frames (one reads one more allocation), two GOPs of three IPP
+// for a full subscription, one for a partial one. Measured on two cores, where an
 // untiled frame decodes as two windows: 8.0 allocations per frame on every
 // row, full or partial, untiled or tiled (6.0 on one core, where the fan-outs
 // run inline) — the returned cloud and its voxel slice, the frame's span
@@ -239,21 +250,22 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full frames")
 	}
-	dense, sparse := steadyFrames(t, 60), sparseFrames(t, 60)
+	dense, sparse := steadyFrames(t, 6), sparseFrames(t, 2)
 	for _, row := range []struct {
 		design        Design
 		tiles, layers int
 		sub           uint8   // layers a shedding viewer keeps; 0: all
 		sparse        bool    // the sparse session, with geometry entropy
+		frames        int     // session length: whole GOPs
 		capAllocs     float64 // per frame
 		capBytes      float64 // per returned point, in units of the 16 B output voxel
 	}{
-		{IntraOnly, 0, 0, 0, false, 28, 1.1},
-		{IntraInterV1, 0, 0, 0, false, 24, 1.1},
-		{IntraInterV1, 8, 3, 0, false, 14, 1.1},
-		{IntraInterV1, 8, 3, 1, false, 12.1, 1.1},
-		{IntraInterV1, 8, 3, 2, false, 12.1, 1.1},
-		{IntraOnly, 0, 0, 0, true, 11, 1.1},
+		{IntraOnly, 0, 0, 0, false, 2, 28, 1.1},
+		{IntraInterV1, 0, 0, 0, false, 6, 24, 1.1},
+		{IntraInterV1, 8, 3, 0, false, 6, 14, 1.1},
+		{IntraInterV1, 8, 3, 1, false, 3, 12.1, 1.1},
+		{IntraInterV1, 8, 3, 2, false, 3, 12.1, 1.1},
+		{IntraOnly, 0, 0, 0, true, 2, 11, 1.1},
 	} {
 		name := row.design.String()
 		if row.tiles > 0 {
@@ -262,9 +274,9 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 		if row.sub > 0 {
 			name = fmt.Sprintf("%s/sub=%d", name, row.sub)
 		}
-		frames := dense
+		frames := dense[:row.frames]
 		if row.sparse {
-			name, frames = name+"/sparse, entropy geometry", sparse
+			name, frames = name+"/sparse, entropy geometry", sparse[:row.frames]
 		}
 		t.Run(name, func(t *testing.T) {
 			opts := steadyOpts(row.design)
@@ -295,7 +307,7 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 				}
 			}
 			runtime.ReadMemStats(&after)
-			allocs := float64(after.Mallocs-before.Mallocs) / 60
+			allocs := float64(after.Mallocs-before.Mallocs) / float64(len(frames))
 			perPoint := float64(after.TotalAlloc-before.TotalAlloc) / float64(16*points)
 			t.Logf("%s: %.1f allocs/frame (cap %.1f), %.2f x 16 B per returned point (cap %.1f)", name, allocs, row.capAllocs, perPoint, row.capBytes)
 			if allocs > row.capAllocs || perPoint > row.capBytes {
