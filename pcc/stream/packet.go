@@ -35,6 +35,7 @@ package stream
 // reassembly stays a plain in-order concatenation of fragment payloads.
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -347,9 +348,7 @@ func xorLen(body []byte, n int) {
 }
 
 func xorBytes(dst, src []byte) {
-	for i, b := range src {
-		dst[i] ^= b
-	}
+	subtle.XORBytes(dst[:len(src)], dst[:len(src)], src)
 }
 
 // ControlKind identifies a receiver→sender control message.
