@@ -203,7 +203,7 @@ func frameQuality(orig, decoded *geom.VoxelCloud) (geoPSNR, attrPSNR float64) {
 // The steady-state session the hotpath, tiles and fanout-scale experiments
 // encode: redandblack at 5% scale, 60 frames cycling through the video, the
 // paper's segment counts scaled to 1500 intra / 2500 inter (the session
-// BenchmarkEncodeSteadyState and the allocation gates measure).
+// the codec's allocation gates measure).
 const (
 	benchVideo  = "redandblack"
 	benchScale  = 0.05

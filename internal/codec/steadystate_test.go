@@ -48,41 +48,6 @@ func steadyOpts(d Design) Options {
 	return o
 }
 
-// BenchmarkEncodeSteadyState measures the real-execution encode hot path
-// over a 60-frame GOP session: the workload every scaling PR (session
-// multiplexing, FEC) rides on. Run with -benchmem; allocs/op divided by 60
-// is allocs/frame.
-func BenchmarkEncodeSteadyState(b *testing.B) {
-	frames := steadyFrames(b, 60)
-	for _, d := range []Design{IntraOnly, IntraInterV1} {
-		b.Run(d.String(), func(b *testing.B) {
-			enc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), steadyOpts(d))
-			// Warm up one full session so arena buffers reach steady state.
-			for _, f := range frames {
-				if _, _, err := enc.EncodeFrame(f); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var pts int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, f := range frames {
-					_, st, err := enc.EncodeFrame(f)
-					if err != nil {
-						b.Fatal(err)
-					}
-					pts += int64(st.Points)
-				}
-			}
-			b.StopTimer()
-			sec := b.Elapsed().Seconds()
-			b.ReportMetric(float64(60*b.N)/sec, "frames/s")
-			b.ReportMetric(float64(pts)/sec/1e6, "Mpts/s")
-		})
-	}
-}
-
 // TestSteadyStateAllocsPerFrame is the encode side's allocation gate: after
 // a one-session warmup, a session of steady-state encoding stays under a hard
 // allocs/frame cap and allocates little more than the frames it returns, for
@@ -172,53 +137,6 @@ func TestSteadyStateAllocsPerFrame(t *testing.T) {
 			if allocs > row.capAllocs || perWire > row.capBytes {
 				t.Errorf("%s steady-state encode allocations regressed", name)
 			}
-		})
-	}
-}
-
-// BenchmarkDecodeSteadyState is the decode side of
-// BenchmarkEncodeSteadyState: a warm Decoder over the same 60-frame session.
-func BenchmarkDecodeSteadyState(b *testing.B) {
-	frames := steadyFrames(b, 60)
-	for _, row := range []struct {
-		design        Design
-		tiles, layers int
-		sub           uint8 // layers a shedding viewer keeps; 0: all
-	}{{IntraOnly, 0, 0, 0}, {IntraInterV1, 0, 0, 0}, {IntraInterV1, 8, 3, 0}, {IntraInterV1, 8, 3, 1}, {IntraInterV1, 8, 3, 2}} {
-		b.Run(fmt.Sprintf("%v/tiles=%d/layers=%d/sub=%d", row.design, row.tiles, row.layers, row.sub), func(b *testing.B) {
-			opts := steadyOpts(row.design)
-			opts.Tiles, opts.Layers = row.tiles, row.layers
-			enc := NewEncoder(edgesim.NewXavier(edgesim.Mode15W), opts)
-			dec := NewDecoder(edgesim.NewXavier(edgesim.Mode15W), opts)
-			encoded := make([]*EncodedFrame, len(frames))
-			var pts int64
-			for i, f := range frames { // encode, and warm the decoder
-				var err error
-				if encoded[i], _, err = enc.EncodeFrame(f); err != nil {
-					b.Fatal(err)
-				}
-				if row.sub > 0 {
-					encoded[i] = stripLayers(encoded[i], nil, row.sub)
-				}
-				vc, err := dec.DecodeFrame(encoded[i])
-				if err != nil {
-					b.Fatal(err)
-				}
-				pts += int64(vc.Len())
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, ef := range encoded {
-					if _, err := dec.DecodeFrame(ef); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			sec := b.Elapsed().Seconds()
-			b.ReportMetric(float64(60*b.N)/sec, "frames/s")
-			b.ReportMetric(float64(pts)*float64(b.N)/sec/1e6, "Mpts/s")
 		})
 	}
 }

@@ -10,7 +10,6 @@ package linksim
 
 import (
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -70,19 +69,6 @@ func (l Link) Transmit(bytes int64) (Cost, error) {
 		TxEnergy: float64(bytes) * l.TxNanojoulePerByte * 1e-9,
 		RxEnergy: float64(bytes) * l.RxNanojoulePerByte * 1e-9,
 	}, nil
-}
-
-// Share returns the link as one of n concurrent consumers sees it: the
-// sustained bandwidth divides equally while the latency floor and per-byte
-// radio energy stay per-packet properties. An edge server fanning one
-// encode out to n viewers over a single egress radio serves each viewer
-// over l.Share(n).
-func (l Link) Share(n int) Link {
-	if n > 1 {
-		l.BandwidthMbps /= float64(n)
-		l.Name = fmt.Sprintf("%s/%d", l.Name, n)
-	}
-	return l
 }
 
 // SustainableFPS returns the maximum frame rate the link alone supports for

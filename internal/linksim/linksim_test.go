@@ -81,23 +81,3 @@ func TestPresetsOrdering(t *testing.T) {
 		t.Fatal("RTT ordering broken")
 	}
 }
-
-func TestShare(t *testing.T) {
-	l := WiFi.Share(4)
-	if l.BandwidthMbps != WiFi.BandwidthMbps/4 {
-		t.Fatalf("Share(4) bandwidth = %v, want %v", l.BandwidthMbps, WiFi.BandwidthMbps/4)
-	}
-	// Latency floor and per-byte radio energy are per-packet properties:
-	// sharing the egress radio does not change them.
-	if l.RTTMs != WiFi.RTTMs || l.TxNanojoulePerByte != WiFi.TxNanojoulePerByte {
-		t.Fatal("Share must only divide bandwidth")
-	}
-	if l.Name != "WiFi/4" {
-		t.Fatalf("Share(4) name = %q", l.Name)
-	}
-	for _, n := range []int{0, 1, -3} {
-		if got := WiFi.Share(n); got != WiFi {
-			t.Fatalf("Share(%d) = %+v, want the link unchanged", n, got)
-		}
-	}
-}

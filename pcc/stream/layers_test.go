@@ -383,8 +383,7 @@ func TestViewerLayerAdaptSplitLink(t *testing.T) {
 		cfg     ViewerConfig
 		pipe    *LossyPipe
 		view    *Viewer
-		mu      sync.Mutex
-		decoded int
+		decoded int64
 	}
 	sides := []*side{
 		{name: "clean", prof: linksim.FaultProfile{Seed: 1}},
@@ -392,17 +391,7 @@ func TestViewerLayerAdaptSplitLink(t *testing.T) {
 			cfg: ViewerConfig{LayerAdapt: codec.LayerAdapt{Enabled: true}}},
 	}
 	for _, sd := range sides {
-		sd.pipe = NewLossyPipe(linksim.NewFaultyLink(linksim.WiFi, sd.prof), ReceiverConfig{
-			Options:       opts,
-			FeedbackEvery: 4,
-			OnFrame: func(f DecodedFrame) {
-				if f.Status == FrameDecoded {
-					sd.mu.Lock()
-					sd.decoded++
-					sd.mu.Unlock()
-				}
-			},
-		})
+		sd.pipe = NewLossyPipe(linksim.NewFaultyLink(linksim.WiFi, sd.prof), ReceiverConfig{Options: opts, FeedbackEvery: 4})
 		sd.pipe.AttachServer(srv)
 		sd.cfg.PacketOut = sd.pipe.PacketOut
 		v, err := srv.Attach(sd.cfg)
@@ -423,6 +412,7 @@ func TestViewerLayerAdaptSplitLink(t *testing.T) {
 		if err := sd.pipe.Finish(len(frames)); err != nil {
 			t.Fatalf("%s viewer: %v", sd.name, err)
 		}
+		sd.decoded = sd.pipe.Receiver().Metrics().FramesDecoded
 		m := sd.view.Metrics()
 		t.Logf("%s viewer: decoded %d/%d (%.3f), sub %d, %d downswitches, %d wire bytes",
 			sd.name, sd.decoded, len(frames), float64(sd.decoded)/float64(len(frames)),
