@@ -546,6 +546,7 @@ func TestServerFeedbackChurnRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
+	stormed := make(chan struct{}) // the first report reached the stable viewer
 	var wg sync.WaitGroup
 	wg.Add(3)
 	go func() { // viewer churn
@@ -575,6 +576,9 @@ func TestServerFeedbackChurnRace(t *testing.T) {
 			}
 			_ = sv.HandleControl(Control{Kind: ControlFeedback, StreamID: stable.StreamID(),
 				Feedback: Feedback{Report: i, Received: 100, Lost: i % 30}})
+			if i == 1 {
+				close(stormed)
+			}
 		}
 	}()
 	go func() { // refresh storm: ForceIFrame coalescing under churn
@@ -594,6 +598,9 @@ func TestServerFeedbackChurnRace(t *testing.T) {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
+	// On a loaded machine the storm goroutine may not have run yet: let it
+	// land one report before the storms stop.
+	<-stormed
 	close(done)
 	wg.Wait()
 	if err := sv.Close(); err != nil {
