@@ -18,11 +18,15 @@ package stream
 // Parity packets ride the same PacketOut path as data but consume no
 // sequence numbers: the receiver's gap detector never sees them, they are
 // never NACKed, and they are never retransmitted. Each group's XOR body is
-// built once per published frame over the frame's identity plan (reading
-// the immutable payload in place — frame bytes are never copied) and every
-// whole-frame send at that MTU reuses it under its own header.
+// built once per (view, MTU) cut of a published frame (sender.go:
+// frameCut), reading the cut's plan over the immutable payload in place —
+// frame bytes are never copied — and every send of that cut frames it
+// under its own header. The groups are laid out at the group size the
+// frame was published with, whatever the view.
 
 import (
+	"hash/crc32"
+
 	"repro/internal/codec"
 )
 
@@ -90,40 +94,19 @@ func parityGroups(n, k int, ftype codec.FrameType) []groupSpec {
 	return out
 }
 
-// parityShare is one published frame's parity build, cut from the frame's
-// identity plan at the publisher's MTU and attached to the sharedFrame:
-// every whole-frame send at that MTU reuses the XOR bodies under its own
-// headers; culled sends and sends at other MTUs rebuild theirs from their
-// own plan. Bodies are read-only after build (parityPacket copies them
-// into the framed payload).
-type parityShare struct {
-	k      int // effective parity group size at build time
-	mtu    int // payload MTU the bodies were split at
-	groups []groupSpec
-	bodies [][]byte
+// parityPacketLen is the framed length of a parity packet with body.
+func parityPacketLen(body []byte) int {
+	return PacketHeaderSize + ParityHeaderSize + len(body)
 }
 
-// buildParityShare XORs every parity group body of plan at the given MTU.
-// Returns nil when k means no parity.
-func buildParityShare(plan *viewPlan, mtu, k int, ftype codec.FrameType) *parityShare {
-	groups := parityGroups(fragsAtMTU(plan.total, mtu), k, ftype)
-	if len(groups) == 0 {
-		return nil
-	}
-	ps := &parityShare{k: k, mtu: mtu, groups: groups, bodies: make([][]byte, len(groups))}
-	for i, g := range groups {
-		ps.bodies[i] = plan.parityBody(g, mtu)
-	}
-	return ps
-}
-
-// parityPacket frames one group's parity packet in the receiver's
-// sequence space. The header Seq mirrors the group's base sequence for
-// observability, but parity packets occupy no slot in the data sequence
-// stream.
-func parityPacket(streamID, frameIndex uint32, ftype codec.FrameType, firstSeq uint32, fragCount int, g groupSpec, body []byte) []byte {
+// appendParityPacket appends one group's parity packet, in the receiver's
+// sequence space, to dst. The header Seq mirrors the group's base sequence
+// for observability, but parity packets occupy no slot in the data
+// sequence stream.
+func appendParityPacket(dst []byte, streamID, frameIndex uint32, ftype codec.FrameType, firstSeq uint32, fragCount int, g groupSpec, body []byte) []byte {
 	base := firstSeq + uint32(g.base)
-	pkt := appendHeader(make([]byte, 0, PacketHeaderSize+ParityHeaderSize+len(body)), PacketHeader{
+	start := len(dst)
+	dst = appendHeader(dst, PacketHeader{
 		Flags:      FlagParity,
 		StreamID:   streamID,
 		FrameIndex: frameIndex,
@@ -131,12 +114,14 @@ func parityPacket(streamID, frameIndex uint32, ftype codec.FrameType, firstSeq u
 		FragCount:  1,
 		Seq:        base,
 	})
-	return sealPacket(AppendParity(pkt, ParityGroup{
+	payload := len(dst)
+	dst = AppendParity(dst, ParityGroup{
 		BaseSeq:       base,
 		Count:         uint8(g.count),
 		Stride:        uint8(g.stride),
 		FrameFirstSeq: firstSeq,
 		FragCount:     uint16(fragCount),
 		Body:          body,
-	}), 0, PacketHeaderSize)
+	})
+	return sealPacket(dst, start, payload, crc32.ChecksumIEEE(dst[payload:]))
 }

@@ -151,13 +151,27 @@ func appendHeader(dst []byte, h PacketHeader) []byte {
 	return dst
 }
 
+// headerLen is the framed header length of a packet with the given flags:
+// the fixed header plus the tile and layer id extensions they switch on.
+func headerLen(flags byte) int {
+	n := PacketHeaderSize
+	if flags&FlagTiled != 0 {
+		n += TileIDSize
+	}
+	if flags&FlagLayered != 0 {
+		n += LayerIDSize
+	}
+	return n
+}
+
 // sealPacket patches the payload length and CRC of the packet whose header
-// starts at pkt[start] and whose payload is pkt[body:]. Splitting the seal
-// from the header lets a sender write a payload straight behind its
-// header, with no staging copy.
-func sealPacket(pkt []byte, start, body int) []byte {
+// starts at pkt[start] and whose payload is pkt[body:]; crc is the
+// payload's CRC-32 (IEEE). Splitting the seal from the header lets a
+// sender write a payload straight behind its header, with no staging copy,
+// and take the CRC from a cut that computed it once for every receiver.
+func sealPacket(pkt []byte, start, body int, crc uint32) []byte {
 	binary.LittleEndian.PutUint16(pkt[start+21:], uint16(len(pkt)-body))
-	binary.LittleEndian.PutUint32(pkt[start+23:], crc32.ChecksumIEEE(pkt[body:]))
+	binary.LittleEndian.PutUint32(pkt[start+23:], crc)
 	return pkt
 }
 
@@ -165,7 +179,7 @@ func sealPacket(pkt []byte, start, body int) []byte {
 func AppendPacket(dst []byte, h PacketHeader, payload []byte) []byte {
 	start := len(dst)
 	dst = appendHeader(dst, h)
-	return sealPacket(append(dst, payload...), start, len(dst))
+	return sealPacket(append(dst, payload...), start, len(dst), crc32.ChecksumIEEE(payload))
 }
 
 // MarshalPacket frames one packet.
@@ -234,6 +248,8 @@ func ParsePacket(b []byte) (Packet, error) {
 // the payload size per packet (the header adds PacketHeaderSize on top;
 // values below 1 mean 1400, values above MaxPayload are capped). A frame
 // too large for the 16-bit fragment count (ErrFrameTooLarge) returns nil.
+// The packets share large backing chunks, each with no spare capacity, so
+// an append to one never reaches another.
 func PacketizeFrame(streamID, frameIndex uint32, ftype codec.FrameType, firstSeq uint32, wire []byte, mtu int) [][]byte {
 	pkts, _ := identityPlan(wire).packets(PacketHeader{
 		StreamID:   streamID,

@@ -58,7 +58,9 @@ func (p Policy) String() string {
 // packets and on the HandleControl caller's goroutine for retransmissions;
 // returning an error aborts the session. Implementations must tolerate
 // re-entrant invocation: an in-process receiver can NACK from within the
-// delivery of an earlier packet.
+// delivery of an earlier packet. The callee owns pkt: the sender never
+// writes it again, so it may be kept, modified or appended to (it comes
+// with no spare capacity, so an append never reaches another packet).
 type PacketSendFunc func(ctx context.Context, pkt []byte) error
 
 // FrameSendFunc receives each undropped frame's type and wire bytes (one
