@@ -83,6 +83,7 @@ func (sh *shard) run() {
 		if f.pending.Add(-1) == 0 {
 			sh.sv.frameRelayed(f)
 		}
+		f.sent()
 	}
 }
 

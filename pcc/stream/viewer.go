@@ -152,10 +152,17 @@ type ViewerMetrics struct {
 
 // queuedFrame is one frame waiting in a viewer's send queue, tagged with
 // the viewer-local frame index assigned at enqueue time. The entry holds
-// one payload reference, released after the frame is sent or shed.
+// one payload reference and one of the frame's unsent holds, both released
+// after the frame is sent or shed.
 type queuedFrame struct {
 	idx uint32
 	f   *sharedFrame
+}
+
+// release drops the entry's payload reference and its unsent hold.
+func (qf queuedFrame) release() {
+	qf.f.sent()
+	qf.f.p.release()
 }
 
 // Viewer is one fan-out consumer. Create with Server.Attach; release with
@@ -375,7 +382,7 @@ func (v *Viewer) enqueue(f *sharedFrame) bool {
 			for _, qf := range v.queue {
 				v.gauge.Dequeue()
 				v.gauge.Drop()
-				qf.f.p.release()
+				qf.release()
 			}
 			v.framesDropped += int64(len(v.queue))
 			v.queue = v.queue[:0]
@@ -395,6 +402,7 @@ func (v *Viewer) enqueue(f *sharedFrame) bool {
 		v.cachedJoin = true
 	}
 	f.p.retain()
+	f.unsent.Add(1)
 	v.queue = append(v.queue, queuedFrame{idx: v.nextIdx, f: f})
 	v.nextIdx++
 	v.gauge.Enqueue()
@@ -408,7 +416,7 @@ func (v *Viewer) enqueue(f *sharedFrame) bool {
 func (v *Viewer) dropOldestPLocked() bool {
 	for i, qf := range v.queue {
 		if qf.f.ftype == codec.PFrame {
-			qf.f.p.release()
+			qf.release()
 			copy(v.queue[i:], v.queue[i+1:])
 			v.queue[len(v.queue)-1] = queuedFrame{}
 			v.queue = v.queue[:len(v.queue)-1]
@@ -442,7 +450,7 @@ func (v *Viewer) sendLoop() {
 		v.mu.Unlock()
 
 		err := v.sendFrame(qf)
-		qf.f.p.release() // queue entry's reference
+		qf.release() // queue entry's reference
 		if err != nil {
 			v.mu.Lock()
 			if v.err == nil {
@@ -619,7 +627,7 @@ func (v *Viewer) shutdown(discard bool) {
 	v.mu.Lock()
 	for _, qf := range v.queue {
 		v.gauge.Dequeue()
-		qf.f.p.release()
+		qf.release()
 	}
 	v.queue = nil
 	v.mu.Unlock()
