@@ -447,7 +447,8 @@ func TestFECOffByteIdentical(t *testing.T) {
 // data packet equals MarshalPacket of its own header and payload (length
 // and CRC recomputed), and every parity packet cancels against the
 // viewer's own data packets; and once every viewer has sent every frame,
-// no frame still holds its cuts.
+// every frame's cut memo is garbage — though the shard retransmit caches
+// still hold the frames.
 func TestServerFECParityFanout(t *testing.T) {
 	frames := testFrames(t, 6)
 	opts := layeredTestOptions(4)
@@ -481,11 +482,13 @@ func TestServerFECParityFanout(t *testing.T) {
 		v    *Viewer
 	}
 	caps := make([]*capture, len(rows))
+	gate := make(chan struct{}) // holds every viewer in its first send
 	for i, r := range rows {
 		c := &capture{sink: newViewerSink(opts)}
 		caps[i] = c
 		cfg := r.cfg
 		cfg.PacketOut = func(ctx context.Context, p []byte) error {
+			<-gate
 			c.pkts = append(c.pkts, append([]byte(nil), p...))
 			return c.sink.packetOut(ctx, p)
 		}
@@ -500,25 +503,50 @@ func TestServerFECParityFanout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Cuts live only while a frame has a send left: once every viewer has
-	// sent every frame, no published frame holds one.
+	// Cuts live only while a frame has a send left. With every viewer held
+	// sending the first frame, every later frame waits in every queue: watch
+	// its memo, let the sends go, and once every viewer has sent every frame
+	// no memo may stay reachable.
+	queued := func(v *Viewer) int {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		return len(v.queue)
+	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		held := 0
-		srv.ring.mu.Lock()
-		for _, f := range srv.ring.slots {
-			if f != nil && f.cuts.Load() != nil {
-				held++
-			}
+		ready := true
+		for _, c := range caps {
+			ready = ready && queued(c.v) == len(frames)-1
 		}
-		published := srv.ring.head
-		srv.ring.mu.Unlock()
-		if published == uint64(len(frames)) && held == 0 {
+		if ready {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d published frames still hold their cuts", held, published)
+			t.Fatal("frames never queued at every viewer behind the held send")
 		}
 	}
+	var memo memoWatch
+	v := caps[0].v // every viewer's queue holds the same frames and memos
+	v.mu.Lock()
+	for _, qf := range v.queue {
+		memo.watch(qf.cuts)
+	}
+	v.mu.Unlock()
+	close(gate)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		sent := 0
+		for _, c := range caps {
+			if c.v.Metrics().FramesSent == int64(len(frames)) {
+				sent++
+			}
+		}
+		if sent == len(caps) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d viewers sent every frame", sent, len(caps))
+		}
+	}
+	memo.waitFreed(t)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

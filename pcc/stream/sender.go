@@ -2,8 +2,8 @@ package stream
 
 // The one send path: plan → cut → gather → frame → parity → record →
 // emit, and rebuild on NACK. A Server drives one sender per Viewer; a
-// Session wraps exactly one. A frame is an immutable refcounted payload
-// (ring.go); what a send ships of it is a viewPlan — the identity plan for
+// Session wraps exactly one. A frame is an immutable payload (ring.go);
+// what a send ships of it is a viewPlan — the identity plan for
 // a whole frame, a culled and/or layer-truncated plan for a viewer that
 // drops tiles or layers — and packets and parity bodies are cut from the
 // plan's spans, whatever the plan. What does not depend on the receiver —
@@ -269,13 +269,13 @@ func (f *sharedFrame) buildCut(v view, mtu int) *frameCut {
 	return c
 }
 
-// cut returns f's cut of (v, mtu): the memoised one, else one built and
-// memoised into the first free slot. No caller ever waits on another's
+// cut returns the frame's cut of (v, mtu): the memoised one, else one built
+// and memoised into the first free slot. No caller ever waits on another's
 // build: two senders that race on one key may both build, one
 // CompareAndSwap wins, and both return the winner. Past maxCuts distinct
-// keys, or once the memo is dropped, the cut is built for this send alone.
-func (f *sharedFrame) cut(v view, mtu int) *frameCut {
-	m := f.cuts.Load()
+// keys, or without a memo, the cut is built for this send alone.
+func (lf liveFrame) cut(v view, mtu int) *frameCut {
+	f, m := lf.f, lf.cuts
 	if m == nil {
 		return f.buildCut(v, mtu)
 	}
@@ -389,8 +389,8 @@ type sender struct {
 // tile bytes). Returns the packet bytes put on the wire (headers and
 // parity included) and the frame bytes they carry, for the owner's
 // accounting.
-func (s *sender) send(f *sharedFrame, idx uint32, vw view) (wire int64, shipped int, err error) {
-	c := f.cut(vw, s.mtu)
+func (s *sender) send(lf liveFrame, idx uint32, vw view) (wire int64, shipped int, err error) {
+	f, c := lf.f, lf.cut(vw, s.mtu)
 	if c.err != nil {
 		return 0, 0, c.err
 	}
@@ -495,7 +495,7 @@ func (s *sender) findRecLocked(seq uint32) (sentRec, bool) {
 // rebuild re-frames one NACKed packet — the original plus FlagRetransmit —
 // from the frame, view and fragment its sent-record names: the plan and
 // the one fragment's CRC, both pure in (frame, view), never the cut, which
-// is gone once the frame is sent. Returns nil (a counted miss) when the
+// the retransmit cache does not hold. Returns nil (a counted miss) when the
 // record or the cached frame has been evicted.
 func (s *sender) rebuild(seq uint32) []byte {
 	s.mu.Lock()
@@ -518,7 +518,6 @@ func (s *sender) rebuild(seq uint32) []byte {
 	if f == nil {
 		return nil
 	}
-	defer f.p.release()
 	h := PacketHeader{
 		Flags:      FlagRetransmit,
 		StreamID:   s.id,

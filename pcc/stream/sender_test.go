@@ -8,7 +8,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,9 +288,8 @@ func TestPacketOutOwnsPacket(t *testing.T) {
 }
 
 // publishedTestFrame publishes one ~50 KB tiled, layered I-frame as a
-// Server would, with parity group size 4 and its identity cut at mtu. The
-// caller releases it.
-func publishedTestFrame(t *testing.T, mtu int) *sharedFrame {
+// Server would, with parity group size 4 and its identity cut at mtu.
+func publishedTestFrame(t *testing.T, mtu int) liveFrame {
 	t.Helper()
 	enc := codec.NewEncoder(edgesim.NewXavier(edgesim.Mode15W), layeredTestOptions(4))
 	ef, _, err := enc.EncodeFrame(videoFrames(t, "loot", 1, 0.0075)[0])
@@ -299,20 +300,46 @@ func publishedTestFrame(t *testing.T, mtu int) *sharedFrame {
 	if _, err := ef.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	f := newSharedFrame(0, codec.IFrame, buf.Bytes(), mtu, 4)
-	f.layout = codec.ParseFrameLayout(f.p.wire)
-	return f
+	lf := newLiveFrame(0, codec.IFrame, buf.Bytes(), mtu, 4)
+	lf.f.layout = codec.ParseFrameLayout(lf.f.p.wire)
+	return lf
+}
+
+// memoWatch counts the cut memos it watches that the garbage collector has
+// found unreachable.
+type memoWatch struct {
+	watched int
+	freed   atomic.Int64
+}
+
+func (w *memoWatch) watch(m *cutMemo) {
+	w.watched++
+	runtime.SetFinalizer(m, func(*cutMemo) { w.freed.Add(1) })
+}
+
+// waitFreed runs the collector until every watched memo's finalizer has
+// run, and fails after 10 s.
+func (w *memoWatch) waitFreed(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); w.freed.Load() < int64(w.watched); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d cut memos still reachable", w.watched-int(w.freed.Load()), w.watched)
+		}
+		runtime.GC()
+	}
 }
 
 // TestFrameCutMemo: senders of one (view, MTU) that ask for a frame's cut
 // at once all get the same *frameCut, built by whichever asked first and
-// equal to a fresh build; past maxCuts distinct keys, or once the frame's
-// last unsent hold drops the memo, each send builds its own, equal one, and
-// a NACK is still answered with the original packet.
+// equal to a fresh build; past maxCuts distinct keys, or without a memo (a
+// late joiner's replay copy), each send builds its own, equal one. The
+// retransmit cache never reaches the memo: once the frame's last liveFrame
+// is dropped the memo is garbage, while the cached frame still answers a
+// NACK with the original packet.
 func TestFrameCutMemo(t *testing.T) {
 	const mtu = 1400
-	f := publishedTestFrame(t, mtu)
-	defer f.p.release()
+	lf := publishedTestFrame(t, mtu)
+	f := lf.f
 	type key struct {
 		vw  view
 		mtu int
@@ -336,7 +363,7 @@ func TestFrameCutMemo(t *testing.T) {
 			go func() {
 				defer done.Done()
 				start.Wait()
-				got[i] = f.cut(k.vw, k.mtu)
+				got[i] = lf.cut(k.vw, k.mtu)
 			}()
 		}
 		start.Done()
@@ -346,31 +373,27 @@ func TestFrameCutMemo(t *testing.T) {
 				t.Fatalf("view %+v at MTU %d: concurrent senders got different cuts", k.vw, k.mtu)
 			}
 		}
-		if c := f.cut(k.vw, k.mtu); c != got[0] || !reflect.DeepEqual(c, f.buildCut(k.vw, k.mtu)) {
+		if c := lf.cut(k.vw, k.mtu); c != got[0] || !reflect.DeepEqual(c, f.buildCut(k.vw, k.mtu)) {
 			t.Fatalf("view %+v at MTU %d: memoised cut is not the fresh build", k.vw, k.mtu)
 		}
 	}
-	m := f.cuts.Load()
-	for i := range m {
-		if m[i].Load() == nil {
+	for i := range lf.cuts {
+		if lf.cuts[i].Load() == nil {
 			t.Fatalf("memo slot %d empty after %d distinct keys", i, len(keys))
 		}
 	}
-	over, again := f.cut(view{}, 1000), f.cut(view{}, 1000)
+	over, again := lf.cut(view{}, 1000), lf.cut(view{}, 1000)
 	if over == again || !reflect.DeepEqual(over, again) {
 		t.Fatal("a key past maxCuts was memoised, or its cuts differ")
 	}
-	// The last unsent hold drops the memo; later cuts are built per call.
-	f.unsent.Store(1)
-	f.sent()
-	if f.cuts.Load() != nil {
-		t.Fatal("memo kept after the frame's last unsent hold")
-	}
-	if c := f.cut(keys[0].vw, keys[0].mtu); c == f.cut(keys[0].vw, keys[0].mtu) || !reflect.DeepEqual(c, m[0].Load()) {
-		t.Fatal("a cut after the memo was dropped was memoised, or differs")
+	// Without a memo, cuts are built per call.
+	bare := liveFrame{f: f}
+	if c := bare.cut(keys[0].vw, keys[0].mtu); c == bare.cut(keys[0].vw, keys[0].mtu) || !reflect.DeepEqual(c, lf.cuts[0].Load()) {
+		t.Fatal("a cut without a memo was memoised, or differs")
 	}
 	// A send past maxCuts is NACK-answerable like any other: the rebuilt
-	// packet is the original plus FlagRetransmit.
+	// packet is the original plus FlagRetransmit, from the cached frame
+	// alone once the memo is garbage.
 	var sent [][]byte
 	s := &sender{ctx: context.Background(), mtu: 1000, budget: defaultRetransmitBuffer,
 		cache: newRetxCache(defaultRetransmitBuffer, 1000, nil),
@@ -381,10 +404,13 @@ func TestFrameCutMemo(t *testing.T) {
 			return nil
 		}}
 	s.cache.add(f)
-	defer s.cache.drain()
-	if _, _, err := s.send(f, 0, view{layers: 1}); err != nil {
+	if _, _, err := s.send(lf, 0, view{layers: 1}); err != nil {
 		t.Fatal(err)
 	}
+	var memo memoWatch
+	memo.watch(lf.cuts)
+	lf = liveFrame{}
+	memo.waitFreed(t)
 	for seq, orig := range sent {
 		want := bytes.Clone(orig)
 		want[3] |= FlagRetransmit
@@ -402,8 +428,7 @@ func TestFrameCutMemo(t *testing.T) {
 // and 41. Nothing on the path is pooled, so a -race build reads the same.
 func TestSendAllocsPerFrame(t *testing.T) {
 	const mtu = 1400
-	f := publishedTestFrame(t, mtu)
-	defer f.p.release()
+	lf := publishedTestFrame(t, mtu)
 	out := func(context.Context, []byte) error { return nil }
 	for _, tc := range []struct {
 		name string
@@ -419,11 +444,11 @@ func TestSendAllocsPerFrame(t *testing.T) {
 		var wire int64
 		var err error
 		allocs := testing.AllocsPerRun(50, func() {
-			if wire, _, err = s.send(f, 0, tc.vw); err != nil {
+			if wire, _, err = s.send(lf, 0, tc.vw); err != nil {
 				panic(err)
 			}
 		})
-		c := f.cut(tc.vw, tc.mtu)
+		c := lf.cut(tc.vw, tc.mtu)
 		limit := float64((wire + slabChunk - 1) / slabChunk)
 		t.Logf("%-8s %6d bytes in %2d packets: %.0f allocs per send (cap %.0f)",
 			tc.name, wire, c.n+len(c.groups), allocs, limit)
@@ -488,9 +513,7 @@ func TestFragmentCountLimit(t *testing.T) {
 		w := wire[:tc.n*mtu]
 		pkts := PacketizeFrame(1, 0, codec.IFrame, 7, w, mtu)
 		s := &sender{mtu: mtu, budget: 1 << 20}
-		f := newSharedFrame(0, codec.IFrame, w, mtu, 0)
-		_, _, err := s.send(f, 0, view{})
-		f.p.release()
+		_, _, err := s.send(newLiveFrame(0, codec.IFrame, w, mtu, 0), 0, view{})
 		if !tc.ok {
 			if pkts != nil || !errors.Is(err, ErrFrameTooLarge) {
 				t.Fatalf("n=%d: PacketizeFrame gave %d packets, send gave %v; want nil and ErrFrameTooLarge", tc.n, len(pkts), err)

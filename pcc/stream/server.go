@@ -3,18 +3,21 @@ package stream
 // Server is the encode-once fan-out, restructured as a two-level relay
 // tree so one process serves 10k+ viewers: one capture feed drives a
 // single shared encode pipeline (a Session with its overlapped encode
-// phases and scratch-arena hot path), the pipeline publishes each frame's wire
-// bytes exactly once into an immutable refcounted frame ring, and S
-// relay shards (default one per core) each fan the ring out to their own
-// partition of viewers. N viewers cost ONE encode and ONE payload copy
-// per frame; the encode goroutine's fan-out work is O(1) in the viewer
-// count (a ring publish), and the O(N) per-viewer work spreads across
-// the shard workers.
+// phases and scratch-arena hot path), the pipeline publishes each frame's
+// wire bytes exactly once as an immutable payload, and S relay shards
+// (default one per core) each receive it over a bounded channel and fan it
+// out to their own partition of viewers. N viewers cost ONE encode and ONE
+// payload copy per frame; the encode goroutine's fan-out work is O(1) in
+// the viewer count (one channel send per shard), and the O(N) per-viewer
+// work spreads across the shard workers. A published frame lives as long
+// as a shard channel, a viewer queue or a cache references it, and the
+// garbage collector frees it after that (ring.go).
 //
 //	capture ─▶ [shared Session: geometry ∥ attr ∥ packetize ∥ transmit]
 //	                            │ FrameOut (one encode per frame)
-//	                      [frame ring]  immutable, refcounted
-//	              ┌─────────────┼──────────────┐
+//	                 [publish: one immutable payload copy]
+//	              ┌─────────────┼──────────────┐  a channel per shard,
+//	              ▼             ▼              ▼  ringFrames deep
 //	          shard 0        shard 1   …   shard S-1     one worker each:
 //	        retx cache      retx cache     retx cache    relay, NACK cache,
 //	        loss table      loss table     loss table    refresh coalesce,
@@ -28,8 +31,8 @@ package stream
 // I-frame refresh requests coalesce twice (shard arm, then server arm)
 // into at most one GOP restart.
 //
-// Keyframe cache: the server retains the last encoded I-frame's payload,
-// so a late-joining viewer starts from a decodable keyframe immediately
+// Keyframe cache: the server keeps the last encoded I-frame, so a
+// late-joining viewer starts from a decodable keyframe immediately
 // (packets marked FlagCached) instead of forcing a mid-GOP re-encode.
 // Receiver-requested refreshes — and cacheless mid-stream joins — are
 // coalesced into at most one GOP restart.
@@ -109,8 +112,8 @@ func (c ServerConfig) normalized() ServerConfig {
 }
 
 const (
-	// ringFrames is the frame ring's capacity in frames. The encode path
-	// blocks only when a shard falls a full ring behind.
+	// ringFrames is each shard channel's capacity in frames: how far a
+	// shard's relay may lag the encode before the encode path waits on it.
 	ringFrames = 64
 	// feedbackQuantile picks the per-viewer loss rate fed to the shared
 	// congestion controller (Options.Adapt). The N reporting viewers'
@@ -157,17 +160,22 @@ type Server struct {
 	cfg    ServerConfig
 	sess   *Session
 	done   chan struct{} // results collector finished
-	ring   *frameRing
 	shards []*shard
+	// stop is canceled by Cancel: a blocked publish returns, and the shard
+	// workers abandon the frames still in their channels.
+	stop     context.Context
+	halt     context.CancelFunc
+	shutOnce sync.Once // closes the shard channels, once
 
 	nextID      atomic.Uint32
-	relayed     atomic.Int64 // frames fully fanned out by every shard
+	published   atomic.Uint64 // frames published; the next publish seq
+	relayed     atomic.Int64  // frames fully fanned out by every shard
 	iFrames     atomic.Int64
 	coalesced   atomic.Int64 // refresh requests absorbed (shard + server)
 	cachedJoins atomic.Int64
 
 	mu           sync.Mutex
-	cache        *sharedFrame // latest I-frame, payload retained
+	cache        *sharedFrame // latest I-frame
 	refreshArmed bool
 	closed       bool
 }
@@ -176,11 +184,8 @@ type Server struct {
 // Cancelling ctx aborts them.
 func NewServer(ctx context.Context, cfg ServerConfig) *Server {
 	cfg = cfg.normalized()
-	sv := &Server{
-		cfg:  cfg,
-		done: make(chan struct{}),
-		ring: newFrameRing(ringFrames, cfg.Shards),
-	}
+	sv := &Server{cfg: cfg, done: make(chan struct{})}
+	sv.stop, sv.halt = context.WithCancel(context.Background())
 	sv.shards = make([]*shard, cfg.Shards)
 	for i := range sv.shards {
 		sv.shards[i] = newShard(sv, i)
@@ -220,33 +225,32 @@ func (sv *Server) Submit(ctx context.Context, vc *geom.VoxelCloud) error {
 }
 
 // publish is the shared session's FrameOut hook: copy the frame's wire
-// bytes ONCE into a refcounted ring slot and refresh the keyframe cache.
-// Runs on the transmit stage; its cost is O(1) in the viewer count — the
-// shard workers do the O(N) fan-out.
+// bytes ONCE into an immutable payload, send it to every shard, and
+// refresh the keyframe cache. Runs on the transmit stage; its cost is O(1)
+// in the viewer count — the shard workers do the O(N) fan-out.
 func (sv *Server) publish(_ context.Context, seq int, ftype codec.FrameType, wire []byte) error {
 	// The identity cut — CRCs and parity bodies — is built once, here on
 	// the O(1) encode path, so the O(N) viewer fan-out of the whole frame
 	// only frames it under per-viewer headers.
-	f := newSharedFrame(seq, ftype, wire, sv.cfg.MTU, sv.cfg.FEC.groupLen(sv.sess.Controller()))
-	// Parse the tile layout against the ring's own copy so every span a
-	// viewer slices aliases the immutable published payload.
+	lf := newLiveFrame(seq, ftype, wire, sv.cfg.MTU, sv.cfg.FEC.groupLen(sv.sess.Controller()))
+	f := lf.f
+	// Parse the tile layout against the published copy so every span a
+	// viewer slices aliases the immutable payload.
 	f.layout = codec.ParseFrameLayout(f.p.wire)
+	f.seq = sv.published.Add(1) - 1
 	f.pending.Store(int32(len(sv.shards)))
-	f.unsent.Store(int32(len(sv.shards)))
-	if !sv.ring.publish(f) {
-		f.p.release() // canceled mid-publish; the session is aborting
-		return nil
+	for _, sh := range sv.shards {
+		select {
+		case sh.in <- lf:
+		case <-sv.stop.Done():
+			return nil // canceled mid-publish; the session is aborting
+		}
 	}
 	if ftype == codec.IFrame {
-		f.p.retain() // cache reference
 		sv.mu.Lock()
-		old := sv.cache
 		sv.cache = f
 		sv.refreshArmed = false // the pending restart (if any) just landed
 		sv.mu.Unlock()
-		if old != nil {
-			old.p.release()
-		}
 	}
 	return nil
 }
@@ -293,7 +297,6 @@ func (sv *Server) Attach(cfg ViewerConfig) (*Viewer, error) {
 	}
 	var joinCache *sharedFrame
 	if c := sv.cache; c != nil {
-		c.p.retain() // creation reference, released by shard.attach
 		joinCache = &sharedFrame{seq: c.seq, index: c.index, ftype: c.ftype, cached: true, p: c.p, layout: c.layout, ident: c.ident}
 	}
 	sv.mu.Unlock()
@@ -317,9 +320,6 @@ func (sv *Server) Attach(cfg ViewerConfig) (*Viewer, error) {
 			break
 		}
 		if cfg.StreamID != 0 {
-			if joinCache != nil {
-				joinCache.p.release()
-			}
 			return nil, fmt.Errorf("stream: viewer id %d already attached", cfg.StreamID)
 		}
 		// Server-assigned id collided with an explicitly chosen one: skip.
@@ -337,14 +337,10 @@ func (sv *Server) Attach(cfg ViewerConfig) (*Viewer, error) {
 		sh.detach(v)
 		close(v.done)
 		v.shutdown(true)
-		// The flag is set only after the shard workers exit, so the retx
-		// reference attach just took (the join keyframe) may have landed
-		// after the closing side's drain; drain again to drop it.
-		sh.retx.drain()
 		return nil, ErrServerClosed
 	}
 
-	needRestart := joinCache == nil && sv.ring.published() > 0
+	needRestart := joinCache == nil && sv.published.Load() > 0
 	if joinCache != nil {
 		sv.cachedJoins.Add(1)
 	}
@@ -472,52 +468,48 @@ func (sv *Server) Metrics() ServerMetrics {
 func (sv *Server) Err() error { return sv.sess.Err() }
 
 // Close stops accepting frames, drains the shared pipeline (every frame
-// reaches the ring), waits for every shard to finish relaying, then
-// drains and stops every viewer's sender. Idempotent; returns the
-// pipeline's close error. Attached viewers' counters stay readable
-// afterwards.
+// reaches the shard channels), waits for every shard to finish relaying,
+// then drains and stops every viewer's sender. Idempotent, and safe
+// against a racing Cancel; returns the pipeline's close error. Attached
+// viewers' counters stay readable afterwards.
 func (sv *Server) Close() error {
 	err := sv.sess.Close()
 	<-sv.done
-	sv.ring.close()
-	for _, sh := range sv.shards {
-		<-sh.done
-	}
+	// The pipeline has drained, so no publish is left to send on a shard
+	// channel: closing them ends each worker once it has relayed the rest.
+	sv.shutOnce.Do(func() {
+		for _, sh := range sv.shards {
+			close(sh.in)
+		}
+	})
 	sv.teardown(err != nil) // drain on a clean close, discard on abort
 	return err
 }
 
-// teardown marks the server closed and, with the shard workers gone, stops
-// every viewer and releases every cached payload reference — keyframe
-// cache, shard retransmit caches, ring slots — so the buffers return to
-// the pool. Idempotent: a Cancel racing a draining Close cuts it short.
+// teardown waits out the shard workers, marks the server closed, drops the
+// keyframe cache and stops every viewer. Idempotent: a Cancel racing a
+// draining Close cuts it short. The shard retransmit caches keep their
+// frames until the Server itself is garbage.
 func (sv *Server) teardown(discard bool) {
+	for _, sh := range sv.shards {
+		<-sh.done
+	}
 	sv.mu.Lock()
 	sv.closed = true
-	cache := sv.cache
 	sv.cache = nil
 	sv.mu.Unlock()
 	for _, sh := range sv.shards {
 		for _, v := range sh.snapshotViewers() {
 			v.shutdown(discard)
 		}
-		sh.retx.drain()
 	}
-	if cache != nil {
-		cache.p.release()
-	}
-	sv.ring.drain()
 }
 
 // Cancel aborts the shared pipeline, the shard workers, and every viewer
-// immediately, then releases every cached payload reference (ring slots,
-// shard retransmit caches, keyframe cache) so the buffers return to the
-// pool. The server is closed afterwards: Attach fails, Close stays safe.
+// immediately. The server is closed afterwards: Attach fails, Close stays
+// safe.
 func (sv *Server) Cancel() {
 	sv.sess.Cancel()
-	sv.ring.cancel()
-	for _, sh := range sv.shards {
-		<-sh.done
-	}
+	sv.halt()
 	sv.teardown(true)
 }

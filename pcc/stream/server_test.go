@@ -523,15 +523,52 @@ func TestServerViewerErrorIsolation(t *testing.T) {
 	}
 }
 
+// TestDetachWakesPacedViewer: a viewer paced to sleep seconds per frame
+// detaches at once — the pacing sleep wakes on the viewer's own shutdown,
+// not only on the server's.
+func TestDetachWakesPacedViewer(t *testing.T) {
+	const pace = 1e6
+	ctx := context.Background()
+	sv := NewServer(ctx, ServerConfig{Options: testOptions(codec.IntraOnly), Shards: 1})
+	defer sv.Cancel()
+	v, err := sv.Attach(ViewerConfig{Pace: pace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Submit(ctx, testFrames(t, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); v.Metrics().FramesSent < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the paced viewer never sent its frame")
+		}
+	}
+	if pause := time.Duration(float64(v.Metrics().LinkTime) * pace); pause < 2*time.Second {
+		t.Fatalf("the viewer sleeps %v after its frame, want >= 2s", pause)
+	}
+	detached := make(chan struct{})
+	go func() {
+		sv.Detach(v)
+		close(detached)
+	}()
+	select {
+	case <-detached:
+	case <-time.After(500 * time.Millisecond):
+		t.Fatal("Detach still waits on the paced viewer's sleep after 500ms")
+	}
+}
+
 // Session.HandleControl coalesces duplicate sequence numbers within one
-// NACK message: [s, s, s] answers with exactly one retransmit.
+// NACK message: [s, s, s] answers with exactly one retransmit — here for
+// the stream's tail after Close, which a retransmit budget of one packet
+// still keeps (the newest frame is kept whole, and alone).
 func TestSessionNACKDuplicateSeqsCoalesce(t *testing.T) {
 	frames := testFrames(t, 3)
 	opts := testOptions(codec.IntraOnly)
 
 	var mu sync.Mutex
 	var pkts [][]byte
-	s := New(context.Background(), Config{Options: opts,
+	s := New(context.Background(), Config{Options: opts, RetransmitBuffer: 1,
 		PacketOut: func(_ context.Context, p []byte) error {
 			mu.Lock()
 			pkts = append(pkts, append([]byte(nil), p...))
@@ -548,18 +585,26 @@ func TestSessionNACKDuplicateSeqsCoalesce(t *testing.T) {
 		t.Fatal(err)
 	}
 	col.Wait()
+	if n := len(s.tx.cache.frames); n != 1 {
+		t.Fatalf("retransmit cache keeps %d frames, want 1", n)
+	}
 
 	mu.Lock()
 	before := len(pkts)
+	tail, err := ParsePacket(pkts[before-1])
 	mu.Unlock()
-	if err := s.HandleControl(Control{Kind: ControlNACK, Seqs: []uint32{1, 1, 1}}); err != nil {
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := tail.Header.Seq
+	if err := s.HandleControl(Control{Kind: ControlNACK, Seqs: []uint32{seq, seq, seq}}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	emitted := len(pkts) - before
 	mu.Unlock()
 	if emitted != 1 {
-		t.Fatalf("NACK [1,1,1] emitted %d packets, want 1", emitted)
+		t.Fatalf("NACK [%d,%d,%d] emitted %d packets, want 1", seq, seq, seq, emitted)
 	}
 	if m := s.Metrics(); m.Retransmits != 1 {
 		t.Fatalf("Retransmits = %d, want 1", m.Retransmits)

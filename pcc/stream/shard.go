@@ -1,18 +1,18 @@
 package stream
 
 // The relay tree's branches: S relay shards, each owning a partition of
-// viewers. A shard's worker goroutine drains the shared frame ring and
-// fans each frame out to its own viewers, so the encode pipeline's cost
-// per frame is one ring publish — O(1) in the viewer count — while the
-// O(N) fan-out work spreads across the shards. Everything a viewer does
-// that used to touch the server's global lock now touches only its
+// viewers. A shard's worker goroutine drains its frame channel and fans
+// each frame out to its own viewers, so the encode pipeline's cost per
+// frame is one channel send per shard — O(1) in the viewer count — while
+// the O(N) fan-out work spreads across the shards. Everything a viewer
+// does that used to touch the server's global lock now touches only its
 // shard:
 //
 //   - Attach/Detach mutate the shard's partition (sv.mu is taken only
 //     for the closed check);
 //   - NACKs are answered from the shard's retransmit cache — the frame
 //     payloads are shared by every viewer in the partition, so the cache
-//     stores each frame once (refcounted) and rebuilds the NACKed
+//     stores each frame once, by reference, and rebuilds the NACKed
 //     fragment in the viewer's own sequence space on demand;
 //   - I-frame refresh requests arm a shard-local flag first, so a
 //     refresh storm across a partition coalesces inside the shard and
@@ -37,7 +37,11 @@ type shard struct {
 	sv    *Server
 	idx   int
 	stats *metrics.ShardCounters
-	done  chan struct{} // worker exited
+	// in is the shard's ring: published frames it has yet to relay, at
+	// most ringFrames of them. Closed by Server.Close once the shared
+	// pipeline has drained.
+	in   chan liveFrame
+	done chan struct{} // worker exited
 
 	mu      sync.Mutex
 	viewers []*Viewer
@@ -49,9 +53,9 @@ type shard struct {
 	// forwards to the server, later ones ride along until the next
 	// I-frame clears the arm.
 	refreshArmed bool
-	// retx is the shard retransmit cache: recent ring frames, shared by
-	// every viewer in the partition, budgeted in packets at the server MTU.
-	// Its own lock nests inside mu.
+	// retx is the shard retransmit cache: recent published frames, shared
+	// by every viewer in the partition, budgeted in packets at the server
+	// MTU. Its own lock nests inside mu.
 	retx *retxCache
 }
 
@@ -61,6 +65,7 @@ func newShard(sv *Server, idx int) *shard {
 		sv:     sv,
 		idx:    idx,
 		stats:  stats,
+		in:     make(chan liveFrame, ringFrames),
 		done:   make(chan struct{}),
 		byID:   make(map[uint32]*Viewer),
 		losses: make(map[uint32]float64),
@@ -68,39 +73,43 @@ func newShard(sv *Server, idx int) *shard {
 	}
 }
 
-// run is the shard worker: drain the ring, relay each frame to the
+// run is the shard worker: drain the channel, relay each frame to the
 // partition, then mark the frame's relay complete. Frames are relayed in
-// publish order, so every viewer observes the stream in encode order.
+// publish order, so every viewer observes the stream in encode order. A
+// canceled server's worker abandons the frames still queued.
 func (sh *shard) run() {
 	defer close(sh.done)
+	stop := sh.sv.stop.Done()
 	for {
-		f, ok := sh.sv.ring.waitNext(sh.idx)
-		if !ok {
+		select {
+		case <-stop:
 			return
+		case lf, ok := <-sh.in:
+			if !ok || sh.sv.stop.Err() != nil {
+				return
+			}
+			sh.relay(lf)
+			if lf.f.pending.Add(-1) == 0 {
+				sh.sv.frameRelayed(lf.f)
+			}
 		}
-		sh.relay(f)
-		sh.sv.ring.advance(sh.idx)
-		if f.pending.Add(-1) == 0 {
-			sh.sv.frameRelayed(f)
-		}
-		f.sent()
 	}
 }
 
-// relay offers one ring frame to every viewer in the partition and folds
-// it into the shard retransmit cache. Holds sh.mu for the iteration, so
-// attaches and detaches interleave between frames, never mid-frame —
-// the partition a frame is delivered to is exactly the partition at
-// relay time (the detach-in-flight invariant).
-func (sh *shard) relay(f *sharedFrame) {
+// relay offers one published frame to every viewer in the partition and
+// folds it into the shard retransmit cache. Holds sh.mu for the iteration,
+// so attaches and detaches interleave between frames, never mid-frame —
+// the partition a frame is delivered to is exactly the partition at relay
+// time (the detach-in-flight invariant).
+func (sh *shard) relay(lf liveFrame) {
 	sh.mu.Lock()
-	if f.ftype == codec.IFrame {
+	if lf.f.ftype == codec.IFrame {
 		sh.refreshArmed = false // the pending restart (if any) just landed
 	}
-	sh.retx.add(f)
+	sh.retx.add(lf.f)
 	accepted := int64(0)
 	for _, v := range sh.viewers {
-		if v.enqueue(f) {
+		if v.enqueue(lf) {
 			accepted++
 		}
 	}
@@ -133,11 +142,8 @@ func (sh *shard) attach(v *Viewer) bool {
 	// in the shard retransmit cache so its packets are NACKable.
 	if c := v.joinCache; c != nil {
 		sh.retx.add(c)
-		v.enqueue(c)
+		v.enqueue(liveFrame{f: c})
 		v.joinCache = nil
-		// Attach's creation reference is done: the retx cache and the
-		// queue entry (when accepted) each took their own above.
-		c.p.release()
 	}
 	sh.viewers = append(sh.viewers, v)
 	sh.byID[v.id] = v

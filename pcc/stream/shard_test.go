@@ -8,25 +8,29 @@ package stream
 //   - detach-in-flight: a viewer detaching mid-stream never makes the
 //     remaining viewers drop or double-receive a frame — relay delivers
 //     each ring frame to each surviving viewer exactly once;
-//   - frozen ring: a published payload is immutable until its last
-//     reference is released, even while the publisher's scratch buffer is
-//     recycled and slots are overwritten (checksum-verified);
+//   - frozen payloads: a published payload is immutable for as long as
+//     anything holds it, even while the publisher's scratch buffer is
+//     recycled and later frames are published (checksum-verified);
 //   - churn: 1k viewers attaching, storming the control plane (NACK,
 //     feedback, refresh), and detaching while the stream runs — the
 //     encode path never blocks on a viewer, proven under -race;
-//   - shutdown: Close while viewers churn terminates without deadlock.
+//   - shutdown: Close while viewers churn terminates without deadlock, and
+//     every way to end a Server leaves no goroutine behind.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/edgesim"
 )
 
 // TestServerShardPartition proves the partition function: every viewer —
@@ -203,65 +207,113 @@ func TestServerDetachInFlight(t *testing.T) {
 	}
 }
 
-// TestRingFrozenBytes proves the publish-freeze invariant: the ring copies
-// the publisher's buffer, so later mutation of that buffer — the transmit
-// stage recycles its scratch — and slot overwrite never touch a payload
-// any holder can still read. Checksums are verified concurrently from
-// consumer goroutines and again on long-held references at the end.
+// TestRingFrozenBytes proves the publish-freeze invariant on the channel
+// relay: publish copies the publisher's buffer, so recycling that buffer
+// right after each publish — as the transmit stage does — never touches a
+// payload anything can still read. One viewer per shard must receive every
+// frame's bytes as published; a fourth, held in its first send, keeps every
+// later frame queued across the publishes after it; and at the end every
+// frame in the held queue and in each shard's retransmit cache still
+// matches its publish checksum.
 func TestRingFrozenBytes(t *testing.T) {
-	const shards, total = 3, 64
-	r := newFrameRing(4, shards)
-
-	var held [shards][]*sharedFrame
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for {
-				f, ok := r.waitNext(s)
-				if !ok {
-					return
-				}
-				if !f.p.frozen() {
-					t.Errorf("shard %d: frame %d mutated after publish", s, f.seq)
-				}
-				if f.seq%7 == uint64(s) { // hold some refs across overwrites
-					f.p.retain()
-					held[s] = append(held[s], f)
-				}
-				r.advance(s)
-				f.pending.Add(-1)
+	const shards, total, size = 3, 64, 512
+	sv := NewServer(context.Background(), ServerConfig{Options: testOptions(codec.IntraOnly), Shards: shards, ViewerQueue: total})
+	pattern := func(i int) []byte {
+		b := make([]byte, size)
+		for j := range b {
+			b[j] = byte(i + j)
+		}
+		return b
+	}
+	var mu sync.Mutex
+	var bad []string
+	var live []*Viewer
+	for id := uint32(1); id <= shards; id++ { // ids 1..3: one viewer per shard
+		v, err := sv.Attach(ViewerConfig{StreamID: id, PacketOut: func(_ context.Context, pkt []byte) error {
+			p, err := ParsePacket(pkt)
+			if err == nil && !bytes.Equal(p.Payload, pattern(int(p.Header.FrameIndex))) {
+				err = fmt.Errorf("viewer %d: frame %d mutated after publish", id, p.Header.FrameIndex)
 			}
-		}(s)
+			if err != nil {
+				mu.Lock()
+				bad = append(bad, err.Error())
+				mu.Unlock()
+			}
+			return nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, v)
+	}
+	gate := make(chan struct{})
+	held, err := sv.Attach(ViewerConfig{Queue: total, PacketOut: func(context.Context, []byte) error {
+		<-gate
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	scratch := make([]byte, 512)
+	scratch := make([]byte, size)
 	for i := 0; i < total; i++ {
-		for j := range scratch {
-			scratch[j] = byte(i + j)
+		copy(scratch, pattern(i))
+		ftype := codec.PFrame
+		if i == 0 {
+			ftype = codec.IFrame
 		}
-		f := &sharedFrame{index: i, ftype: codec.PFrame, p: newFramePayload(scratch)}
-		f.pending.Store(shards)
-		if !r.publish(f) {
-			t.Fatal("publish refused")
+		if err := sv.publish(context.Background(), i, ftype, scratch); err != nil {
+			t.Fatal(err)
 		}
 		for j := range scratch {
 			scratch[j] = 0xAA // recycle the publisher's buffer immediately
 		}
 	}
-	r.close()
-	wg.Wait()
-
-	for s := range held {
-		for _, f := range held[s] {
-			if !f.p.frozen() {
-				t.Fatalf("held frame %d mutated after slot overwrite", f.seq)
+	waitRelayed(t, sv, total)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		sent := 0
+		for _, v := range live {
+			if v.Metrics().FramesSent == total {
+				sent++
 			}
-			f.p.release()
+		}
+		if sent == len(live) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d viewers sent every frame", sent, len(live))
 		}
 	}
-	r.drain()
+
+	held.mu.Lock()
+	if len(held.queue) != total-1 {
+		t.Errorf("held viewer queues %d frames, want %d", len(held.queue), total-1)
+	}
+	for _, qf := range held.queue {
+		if !qf.f.p.frozen() {
+			t.Errorf("queued frame %d mutated after later publishes", qf.f.seq)
+		}
+	}
+	held.mu.Unlock()
+	for _, sh := range sv.shards {
+		sh.retx.mu.Lock()
+		if len(sh.retx.frames) != total {
+			t.Errorf("shard %d caches %d frames, want %d", sh.idx, len(sh.retx.frames), total)
+		}
+		for _, f := range sh.retx.frames {
+			if !f.p.frozen() {
+				t.Errorf("shard %d: cached frame %d mutated after publish", sh.idx, f.seq)
+			}
+		}
+		sh.retx.mu.Unlock()
+	}
+	close(gate)
+	if err := sv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bad {
+		t.Error(b)
+	}
 }
 
 // TestServerShardChurn1k is the lock-scope proof for the relay tree: 1000
@@ -409,174 +461,111 @@ func waitRelayed(t *testing.T, sv *Server, n int64) {
 	}
 }
 
-// capturePayloads snapshots every live payload the server currently holds
-// a reference to — keyframe cache, shard retransmit caches, ring slots —
-// so a teardown test can assert the refcounts unwind to zero.
-func capturePayloads(t *testing.T, sv *Server) []*framePayload {
-	t.Helper()
-	seen := make(map[*framePayload]bool)
-	var ps []*framePayload
-	add := func(p *framePayload) {
-		if p != nil && !seen[p] {
-			seen[p] = true
-			ps = append(ps, p)
-		}
-	}
-	sv.mu.Lock()
-	if sv.cache != nil {
-		add(sv.cache.p)
-	}
-	sv.mu.Unlock()
-	for _, sh := range sv.shards {
-		sh.retx.mu.Lock()
-		for _, f := range sh.retx.frames {
-			add(f.p)
-		}
-		sh.retx.mu.Unlock()
-	}
-	sv.ring.mu.Lock()
-	for _, f := range sv.ring.slots {
-		if f != nil {
-			add(f.p)
-		}
-	}
-	sv.ring.mu.Unlock()
-	if len(ps) == 0 {
-		t.Fatal("captured no live payloads")
-	}
-	return ps
-}
-
-// TestServerCloseReleasesPayloadRefs proves the reference-count ledger
-// balances on a clean close: every payload the relay tree held — ring
-// slots, shard retransmit caches, the keyframe cache, and the late-join
-// path's creation/cache/queue references — reaches zero references, so
-// the buffers return to the pool.
-func TestServerCloseReleasesPayloadRefs(t *testing.T) {
+// TestServerTeardownNoLeak: every way to end a Server — Close, Cancel,
+// Close twice, Cancel after Close, Close racing Cancel — after a stream
+// with a cached late join, a detach and a viewer paced mid-send, returns
+// the goroutine count to where it was before NewServer. None panics on a
+// closed channel; Attach is refused afterwards; and every payload the
+// server held at the end — keyframe cache, shard retransmit caches — is
+// still as published. Cancel alone stops every goroutine of the Server's
+// own, but the shared Session it aborts keeps its three encode stages
+// parked on their input queues until Close, so that row counts them and
+// then closes.
+func TestServerTeardownNoLeak(t *testing.T) {
+	const sessionStages = 3 // geometry, attribute and packetize
 	frames := testFrames(t, 6)
 	opts := testOptions(codec.IntraInterV1)
 	ctx := context.Background()
-	sv := NewServer(ctx, ServerConfig{Options: opts, Shards: 2, ViewerQueue: 32})
+	edgesim.DefaultPool() // the process-wide kernel pool outlives every Server
+	both := func(a, b func()) {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); a() }()
+		go func() { defer wg.Done(); b() }()
+		wg.Wait()
+	}
+	settle := func(t *testing.T, want int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Log(string(buf[:runtime.Stack(buf, true)]))
+				t.Fatalf("%d goroutines after teardown, want %d", runtime.NumGoroutine(), want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		end    func(sv *Server)
+		parked int // goroutines left until a Close
+	}{
+		{"close", func(sv *Server) { _ = sv.Close() }, 0},
+		{"cancel", func(sv *Server) { sv.Cancel() }, sessionStages},
+		{"close-twice", func(sv *Server) { _ = sv.Close(); _ = sv.Close() }, 0},
+		{"cancel-after-close", func(sv *Server) { _ = sv.Close(); sv.Cancel() }, 0},
+		{"close-racing-cancel", func(sv *Server) { both(func() { _ = sv.Close() }, sv.Cancel) }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			sv := NewServer(ctx, ServerConfig{Options: opts, Shards: 2, ViewerQueue: 32})
+			gone, err := sv.Attach(ViewerConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, err := sv.Attach(ViewerConfig{Pace: 1e6}) // sleeps minutes per frame
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range frames[:3] {
+				if err := sv.Submit(ctx, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitRelayed(t, sv, 3)
+			late, err := sv.Attach(ViewerConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv.Detach(gone)
+			for _, f := range frames[3:] {
+				if err := sv.Submit(ctx, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitRelayed(t, sv, int64(len(frames)))
+			for deadline := time.Now().Add(10 * time.Second); slow.Metrics().FramesSent < 1 || !late.Metrics().CachedJoin; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the paced viewer never started sending, or the late one never joined from the cache")
+				}
+			}
 
-	for _, f := range frames[:4] {
-		if err := sv.Submit(ctx, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitRelayed(t, sv, 4)
+			var payloads []*framePayload
+			sv.mu.Lock()
+			payloads = append(payloads, sv.cache.p)
+			sv.mu.Unlock()
+			for _, sh := range sv.shards {
+				sh.retx.mu.Lock()
+				for _, f := range sh.retx.frames {
+					payloads = append(payloads, f.p)
+				}
+				sh.retx.mu.Unlock()
+			}
 
-	// Late join through the keyframe cache: this path takes the creation,
-	// retx-cache, and queue references that must all unwind by Close.
-	sink := newViewerSink(opts)
-	if _, err := sv.Attach(ViewerConfig{PacketOut: sink.packetOut}); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range frames[4:] {
-		if err := sv.Submit(ctx, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitRelayed(t, sv, int64(len(frames)))
-
-	payloads := capturePayloads(t, sv)
-	if err := sv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range payloads {
-		if n := p.refs.Load(); n != 0 {
-			t.Fatalf("payload %d: %d references after Close, want 0 (pool recycling defeated)", i, n)
-		}
-	}
-}
-
-// TestServerCancelReleasesPayloadRefs proves Cancel is a complete
-// teardown, not just an abort: after it returns, the ring slots, shard
-// retransmit caches, and keyframe cache have released their references
-// and the server refuses further attaches.
-func TestServerCancelReleasesPayloadRefs(t *testing.T) {
-	frames := testFrames(t, 6)
-	opts := testOptions(codec.IntraInterV1)
-	ctx := context.Background()
-	sv := NewServer(ctx, ServerConfig{Options: opts, Shards: 2, ViewerQueue: 32})
-
-	if _, err := sv.Attach(ViewerConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range frames {
-		if err := sv.Submit(ctx, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitRelayed(t, sv, int64(len(frames)))
-
-	payloads := capturePayloads(t, sv)
-	sv.Cancel()
-	for i, p := range payloads {
-		if n := p.refs.Load(); n != 0 {
-			t.Fatalf("payload %d: %d references after Cancel, want 0 (pool recycling defeated)", i, n)
-		}
-	}
-	if _, err := sv.Attach(ViewerConfig{}); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("attach after cancel: err=%v, want ErrServerClosed", err)
-	}
-}
-
-// TestSessionPayloadRefsBalance is the same ledger for the sender's other
-// owner. A Session is not torn down at Close — NACKs for the stream's tail
-// arrive after it and are still answered — so the balance is: every frame
-// the retransmit cache evicted has reached zero references, every frame it
-// still holds has exactly the cache's one, and a NACK answer leaves it so.
-func TestSessionPayloadRefsBalance(t *testing.T) {
-	frames := testFrames(t, 4)
-	tap := newWireTap()
-	s := New(context.Background(), Config{
-		Options:          testOptions(codec.IntraInterV1),
-		FEC:              FECConfig{GroupLen: 4},
-		RetransmitBuffer: 1, // the newest frame only
-		PacketOut:        tap.packetOut,
-	})
-	// Runs on the transmit stage, inside PacketOut: every published
-	// payload is in the cache while its own packets go out.
-	seen := map[*framePayload]bool{}
-	tap.onFresh = func(PacketHeader) {
-		s.tx.cache.mu.Lock()
-		for _, f := range s.tx.cache.frames {
-			seen[f.p] = true
-		}
-		s.tx.cache.mu.Unlock()
-	}
-	col := NewCollector(s)
-	for _, f := range frames {
-		if err := s.Submit(context.Background(), f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	col.Wait()
-	if len(seen) != len(frames) {
-		t.Fatalf("saw %d payloads, want %d", len(seen), len(frames))
-	}
-	last := tap.frames[uint32(len(frames)-1)]
-	if err := s.HandleControl(Control{Kind: ControlNACK, Seqs: last[:1]}); err != nil {
-		t.Fatal(err)
-	}
-	if m := s.Metrics(); m.Retransmits != 1 {
-		t.Fatalf("tail NACK after Close: %d retransmits, want 1", m.Retransmits)
-	}
-	held := 0
-	for p := range seen {
-		switch n := p.refs.Load(); n {
-		case 0:
-		case 1:
-			held++
-		default:
-			t.Fatalf("payload holds %d references after Close, want 0 (evicted) or 1 (cached)", n)
-		}
-	}
-	if held != 1 || len(s.tx.cache.frames) != 1 {
-		t.Fatalf("%d payloads referenced, %d frames cached, want 1 and 1", held, len(s.tx.cache.frames))
+			tc.end(sv)
+			if _, err := sv.Attach(ViewerConfig{}); !errors.Is(err, ErrServerClosed) {
+				t.Fatalf("attach after teardown: err=%v, want ErrServerClosed", err)
+			}
+			for i, p := range payloads {
+				if !p.frozen() {
+					t.Fatalf("payload %d mutated by teardown", i)
+				}
+			}
+			settle(t, before+tc.parked)
+			if tc.parked > 0 {
+				_ = sv.Close()
+				settle(t, before)
+			}
+		})
 	}
 }
 

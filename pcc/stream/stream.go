@@ -623,16 +623,15 @@ func (c *Collector) Wait() []Result {
 }
 
 // sendPackets publishes one transmitted frame to the session's sender:
-// the wire bytes are copied once into a refcounted payload (the pooled
-// wire buffer is recycled after this returns), retained by the retransmit
+// the wire bytes are copied once into an immutable payload (the pooled
+// wire buffer is recycled after this returns), kept by the retransmit
 // cache so NACKs can be rebuilt from it, and sent whole — the identity
 // view — as frame index j.seq. Runs only on the transmit stage.
 func (s *Session) sendPackets(j *job) error {
-	f := newSharedFrame(j.seq, j.ftype, j.wire, s.cfg.MTU, s.cfg.FEC.groupLen(s.enc.Controller()))
-	f.seq = uint64(j.seq)
-	defer f.p.release()
-	s.tx.cache.add(f)
-	_, _, err := s.tx.send(f, uint32(j.seq), view{})
+	lf := newLiveFrame(j.seq, j.ftype, j.wire, s.cfg.MTU, s.cfg.FEC.groupLen(s.enc.Controller()))
+	lf.f.seq = uint64(j.seq)
+	s.tx.cache.add(lf.f)
+	_, _, err := s.tx.send(lf, uint32(j.seq), view{})
 	return err
 }
 

@@ -2,7 +2,7 @@ package stream
 
 // Viewport-adaptive tile fan-out: per-viewer culling of tiled frames.
 //
-// The encoder publishes one tiled container per frame into the ring; the
+// The encoder publishes one tiled container per frame; the
 // layout parsed at publish time (sharedFrame.layout) maps every tile's
 // geometry and attribute chunk to a byte span of the immutable payload.
 // A viewer with a viewport rewrites the frame for its own camera as PURE
@@ -90,7 +90,8 @@ func tileMasks(l *codec.FrameLayout, cam viewport.Camera) (omit, coarse uint64) 
 }
 
 // buildViewPlan assembles a viewer's plan for one published frame. wire
-// is the immutable ring payload; only the rewritten header is copied.
+// is the immutable published payload; only the rewritten header is
+// copied.
 // sub truncates layered frames to their first sub layers (0 = keep all);
 // it is ignored for unlayered frames, whose units are one layer each.
 func buildViewPlan(l *codec.FrameLayout, wire []byte, omit, coarse uint64, sub uint8) *viewPlan {

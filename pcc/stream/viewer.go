@@ -5,7 +5,7 @@ package stream
 // space and frame-index space, and a control loop — everything
 // per-session except the encode itself, which the Server pays once per
 // frame for all viewers, and the frame bytes themselves, which the
-// viewer's queue holds by reference into the server's frame ring.
+// viewer's queue holds by reference to the one published payload.
 //
 // Slow-viewer isolation: enqueueing never blocks the relay shard. A full
 // queue sheds its oldest P-frame (frame-index gaps read as sender drops at
@@ -19,8 +19,7 @@ package stream
 // WHAT to ship of each frame — the tiles its camera keeps, the layers its
 // subscription keeps — and its sender packetizes that and answers NACKs by
 // rebuilding from the owning shard's retransmit cache, so the retransmit
-// memory for a partition is one refcounted frame set shared by every
-// viewer in it.
+// memory for a partition is one frame set shared by every viewer in it.
 
 import (
 	"math/bits"
@@ -151,18 +150,12 @@ type ViewerMetrics struct {
 }
 
 // queuedFrame is one frame waiting in a viewer's send queue, tagged with
-// the viewer-local frame index assigned at enqueue time. The entry holds
-// one payload reference and one of the frame's unsent holds, both released
-// after the frame is sent or shed.
+// the viewer-local frame index assigned at enqueue time. It carries the
+// frame's cut memo with it, so a slot the queue no longer uses is zeroed:
+// once the frame's last entry is sent or shed, nothing reaches the memo.
 type queuedFrame struct {
 	idx uint32
-	f   *sharedFrame
-}
-
-// release drops the entry's payload reference and its unsent hold.
-func (qf queuedFrame) release() {
-	qf.f.sent()
-	qf.f.p.release()
+	liveFrame
 }
 
 // Viewer is one fan-out consumer. Create with Server.Attach; release with
@@ -176,14 +169,17 @@ type Viewer struct {
 	gauge    *metrics.QueueGauge
 	joinedAt time.Time
 	done     chan struct{}
+	// quit is closed when the viewer is told to abandon its queue (detach,
+	// cancel): it cuts a paced send's sleep short.
+	quit chan struct{}
 	// tx is the viewer's packet stream: sequence space, sent-records, NACK
 	// and stale-feedback handling (its own lock; never nested with mu).
 	tx *sender
 
-	// joinCache is the cached keyframe handed to a late joiner, holding
-	// one payload reference; shard.attach enqueues and clears it.
+	// joinCache is the cached keyframe handed to a late joiner;
+	// shard.attach enqueues and clears it.
 	joinCache *sharedFrame
-	// minLiveSeq is the first ring sequence this viewer accepts live: a
+	// minLiveSeq is the first publish sequence this viewer accepts live: a
 	// cached join supersedes everything published up to the cached
 	// keyframe, so older in-flight frames are skipped silently.
 	minLiveSeq uint64
@@ -233,6 +229,7 @@ func newViewer(sv *Server, cfg ViewerConfig, joinCache *sharedFrame) *Viewer {
 		gauge:     metrics.NewQueueGauge("viewer-send"),
 		joinedAt:  time.Now(),
 		done:      make(chan struct{}),
+		quit:      make(chan struct{}),
 		joinCache: joinCache,
 		lostRef:   joinCache == nil,
 		tx: &sender{
@@ -347,12 +344,12 @@ func (v *Viewer) Metrics() ViewerMetrics {
 	}
 }
 
-// enqueue offers one relayed frame to the viewer, retaining a payload
-// reference on acceptance. It never blocks: the queue policy resolves
-// overflow by shedding (see the type comment). Runs under the owning
-// shard's lock, so it must stay O(queue). Returns whether the frame
-// entered the queue.
-func (v *Viewer) enqueue(f *sharedFrame) bool {
+// enqueue offers one relayed frame to the viewer. It never blocks: the
+// queue policy resolves overflow by shedding (see the type comment). Runs
+// under the owning shard's lock, so it must stay O(queue). Returns whether
+// the frame entered the queue.
+func (v *Viewer) enqueue(lf liveFrame) bool {
+	f := lf.f
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.closed {
@@ -379,12 +376,12 @@ func (v *Viewer) enqueue(f *sharedFrame) bool {
 		case f.ftype == codec.IFrame:
 			// Forced I-frame resync: the backlog is stale and a fresh
 			// keyframe supersedes all of it — flush and restart from f.
-			for _, qf := range v.queue {
+			for range v.queue {
 				v.gauge.Dequeue()
 				v.gauge.Drop()
-				qf.release()
 			}
 			v.framesDropped += int64(len(v.queue))
+			clear(v.queue)
 			v.queue = v.queue[:0]
 			v.resyncs++
 		case v.dropOldestPLocked():
@@ -401,22 +398,19 @@ func (v *Viewer) enqueue(f *sharedFrame) bool {
 	if f.cached {
 		v.cachedJoin = true
 	}
-	f.p.retain()
-	f.unsent.Add(1)
-	v.queue = append(v.queue, queuedFrame{idx: v.nextIdx, f: f})
+	v.queue = append(v.queue, queuedFrame{idx: v.nextIdx, liveFrame: lf})
 	v.nextIdx++
 	v.gauge.Enqueue()
 	v.cond.Signal()
 	return true
 }
 
-// dropOldestPLocked removes (and releases) the oldest queued P-frame.
+// dropOldestPLocked removes the oldest queued P-frame.
 // Returns false when the queue holds only I-frames (which are only
 // superseded, never shed).
 func (v *Viewer) dropOldestPLocked() bool {
 	for i, qf := range v.queue {
 		if qf.f.ftype == codec.PFrame {
-			qf.release()
 			copy(v.queue[i:], v.queue[i+1:])
 			v.queue[len(v.queue)-1] = queuedFrame{}
 			v.queue = v.queue[:len(v.queue)-1]
@@ -449,9 +443,7 @@ func (v *Viewer) sendLoop() {
 		v.gauge.Dequeue()
 		v.mu.Unlock()
 
-		err := v.sendFrame(qf)
-		qf.release() // queue entry's reference
-		if err != nil {
+		if err := v.sendFrame(qf); err != nil {
 			v.mu.Lock()
 			if v.err == nil {
 				v.err = err
@@ -466,7 +458,7 @@ func (v *Viewer) sendLoop() {
 // sender loop. The viewer's part is the drop decision — tileMasks
 // classifies a tiled frame's tiles against the camera, the subscription
 // latch picks the layers; the sender core turns it into a plan over the
-// immutable ring payload and cuts every packet from that, so culling
+// immutable published payload and cuts every packet from that, so culling
 // neither re-encodes nor copies the frame. An empty decision (no camera,
 // untiled frame, a camera that sees everything, full subscription) ships
 // the published bytes whole.
@@ -478,7 +470,7 @@ func (v *Viewer) sendFrame(qf queuedFrame) error {
 	if l := qf.f.layout; l != nil && cam != nil && len(l.Tiles) > 0 {
 		vw.omit, vw.coarse = tileMasks(l, *cam)
 	}
-	wire, shipped, err := v.tx.send(qf.f, qf.idx, vw)
+	wire, shipped, err := v.tx.send(qf.liveFrame, qf.idx, vw)
 	if err != nil {
 		return err
 	}
@@ -504,6 +496,7 @@ func (v *Viewer) sendFrame(qf queuedFrame) error {
 		select {
 		case <-time.After(pause):
 		case <-v.sv.sess.ctx.Done():
+		case <-v.quit:
 		}
 	}
 	return nil
@@ -611,23 +604,23 @@ func (v *Viewer) HandleControl(c Control) error {
 }
 
 // shutdown stops the viewer: no further enqueues, the sender either drains
-// the queue (clean close) or abandons it (detach/cancel), queued payload
-// references are released, and the sent-records are freed. Blocks until
-// the sender goroutine exits; counters remain readable through Metrics
-// afterwards. Idempotent.
+// the queue (clean close) or abandons it (detach/cancel) — waking from a
+// paced send's sleep — the queue is dropped, and the sent-records are
+// freed. Blocks until the sender goroutine exits; counters remain
+// readable through Metrics afterwards. Idempotent.
 func (v *Viewer) shutdown(discard bool) {
 	v.mu.Lock()
 	v.closed = true
-	if discard {
+	if discard && !v.discard {
 		v.discard = true
+		close(v.quit)
 	}
 	v.cond.Broadcast()
 	v.mu.Unlock()
 	<-v.done
 	v.mu.Lock()
-	for _, qf := range v.queue {
+	for range v.queue {
 		v.gauge.Dequeue()
-		qf.release()
 	}
 	v.queue = nil
 	v.mu.Unlock()
