@@ -6,9 +6,10 @@
 //
 //   - viewer wifi receives framed packets over a real TCP socket and
 //     decodes them with a stream.Receiver, scoring geometry PSNR;
-//   - viewer slow sits behind a paced 1 Mbps link with a 2-frame queue:
-//     overflow sheds P-frames and I-frames force a resync (flush to the
-//     fresh keyframe) — the slow viewer degrades alone, the rest don't;
+//   - viewer slow has a transport that drains at a 1 Mbps pace, so its
+//     4-frame queue overflows: overflow sheds P-frames and I-frames force
+//     a resync (flush to the fresh keyframe) — the slow viewer degrades
+//     alone, the rest don't;
 //   - viewer lossy streams through a seeded fault-injected link with 5%
 //     drop and reordering: lost packets are NACKed back through the
 //     server to this viewer's retransmit buffer, unrecoverable P-frames
@@ -68,7 +69,7 @@ func main() {
 
 	srv := stream.NewServer(context.Background(), stream.ServerConfig{
 		Options:     opts,
-		ViewerQueue: 32,
+		ViewerQueue: 4,
 		Shards:      2, // relay tree: viewers partitioned over two shard workers
 	})
 
@@ -86,22 +87,21 @@ func main() {
 		log.Fatal(err)
 	}
 	wifi, err := srv.Attach(stream.ViewerConfig{
-		Link:      linksim.WiFi,
 		PacketOut: func(_ context.Context, pkt []byte) error { return writePacket(conn, pkt) },
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Viewer slow: a 1 Mbps link paced into real time with a 2-frame
-	// queue, so the send queue genuinely overflows mid-stream.
+	// Viewer slow: a transport that drains at 1 Mbps, sped up five times
+	// (about 0.3 s a frame), so the send queue genuinely overflows
+	// mid-stream.
 	slowRx := newLocalReceiver("slow", opts, nil)
 	slow, err := srv.Attach(stream.ViewerConfig{
-		Queue: 2,
-		Pace:  0.2,
-		Link: linksim.Link{Name: "1mbps", BandwidthMbps: 1, RTTMs: 40,
-			TxNanojoulePerByte: 1000, RxNanojoulePerByte: 500},
-		PacketOut: slowRx.packetOut,
+		PacketOut: func(ctx context.Context, pkt []byte) error {
+			time.Sleep(time.Duration(len(pkt)) * 8 * time.Microsecond / 5)
+			return slowRx.packetOut(ctx, pkt)
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -116,7 +116,7 @@ func main() {
 		OnFrame:       reportFrame("lossy", nil),
 	})
 	pipe.AttachServer(srv)
-	lossy, err := srv.Attach(stream.ViewerConfig{Link: linksim.WiFi, PacketOut: pipe.PacketOut})
+	lossy, err := srv.Attach(stream.ViewerConfig{PacketOut: pipe.PacketOut})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func main() {
 	// Viewer vp: announces its camera in-band, so the server culls tiles
 	// outside the frustum from this viewer's copy of every frame.
 	vpRx := newLocalReceiver("vp", opts, nil)
-	vp, err := srv.Attach(stream.ViewerConfig{Link: linksim.WiFi, PacketOut: vpRx.packetOut})
+	vp, err := srv.Attach(stream.ViewerConfig{PacketOut: vpRx.packetOut})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func main() {
 		time.Sleep(time.Millisecond)
 	}
 	lateRx := newLocalReceiver("late", opts, nil)
-	late, err := srv.Attach(stream.ViewerConfig{Link: linksim.WiFi, PacketOut: lateRx.packetOut})
+	late, err := srv.Attach(stream.ViewerConfig{PacketOut: lateRx.packetOut})
 	if err != nil {
 		log.Fatal(err)
 	}

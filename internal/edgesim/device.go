@@ -263,14 +263,6 @@ func (d *Device) EnergyJ() float64 {
 	return d.energyJ
 }
 
-// WallTime returns the real time spent inside device stages (for sanity
-// checking the model against actual Go execution).
-func (d *Device) WallTime() time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.wallBusy
-}
-
 // BeginStage pushes a named stage; all kernels launched until the matching
 // EndStage are attributed to it. Stages may nest; attribution goes to the
 // innermost stage.

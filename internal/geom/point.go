@@ -73,11 +73,6 @@ type Voxel struct {
 	C       Color
 }
 
-// Vec3 returns the voxel's coordinates as floats.
-func (v Voxel) Vec3() (x, y, z float64) {
-	return float64(v.X), float64(v.Y), float64(v.Z)
-}
-
 // Dist2 returns the squared Euclidean distance between the lattice positions
 // of two voxels.
 func (v Voxel) Dist2(o Voxel) float64 {

@@ -25,9 +25,6 @@ func NewDynamicTree() *DynamicTree { return &DynamicTree{} }
 // Side returns the current bounding-cube side length (0 while empty).
 func (t *DynamicTree) Side() int64 { return t.side }
 
-// Origin returns the bounding cube's minimum corner.
-func (t *DynamicTree) Origin() (x, y, z int64) { return t.ox, t.oy, t.oz }
-
 // NumPoints returns the number of distinct unit cells occupied.
 func (t *DynamicTree) NumPoints() int { return t.numPoints }
 

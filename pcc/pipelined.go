@@ -4,6 +4,8 @@ import (
 	"context"
 	"io"
 
+	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/pcc/stream"
 )
 
@@ -21,15 +23,25 @@ type PipelinedWriter struct {
 	col *stream.Collector
 }
 
-// NewPipelinedWriter starts a pipelined encoder writing a .pcv stream to w.
+// NewPipelinedWriter starts a pipelined encoder writing a .pcv stream to w:
+// the stream header before the first frame, then each frame's wire bytes.
 func NewPipelinedWriter(w io.Writer, o Options) *PipelinedWriter {
-	return NewPipelinedWriterConfig(stream.Config{Options: o, Output: w})
-}
-
-// NewPipelinedWriterConfig starts a pipelined encoder with full control over
-// the session (link model, queue depth, drop policy, transport hooks).
-func NewPipelinedWriterConfig(cfg stream.Config) *PipelinedWriter {
-	s := stream.New(context.Background(), cfg)
+	var hdr codec.Options
+	wroteHdr := false
+	s := stream.New(context.Background(), stream.Config{Options: o,
+		FrameOut: func(_ context.Context, _ int, _ codec.FrameType, wire []byte) error {
+			if !wroteHdr {
+				if err := core.WriteStreamHeader(w, hdr); err != nil {
+					return err
+				}
+				wroteHdr = true
+			}
+			_, err := w.Write(wire)
+			return err
+		}})
+	// The header carries the options as of New: the attribute stage's rate
+	// knobs rewrite the live ones once frames flow.
+	hdr = s.Options()
 	return &PipelinedWriter{s: s, col: stream.NewCollector(s)}
 }
 

@@ -72,11 +72,10 @@ func runAdaptiveSteps(t testing.TB, frames []*geom.VoxelCloud, opts codec.Option
 		OnFrame:       func(f DecodedFrame) { run.statuses = append(run.statuses, f.Status) },
 	})
 	var wire bytes.Buffer
-	s := New(context.Background(), Config{
+	s := newPCVSession(context.Background(), Config{
 		Options:   opts,
 		PacketOut: pipe.PacketOut,
-		Output:    &wire,
-	})
+	}, &wire)
 	pipe.Attach(s)
 	results := s.Results()
 	for i, f := range frames {

@@ -377,8 +377,7 @@ func capturePackets(t *testing.T, frames int, fec FECConfig) (pkts [][]byte, pcv
 		return nil
 	}
 	var wire bytes.Buffer
-	cfg.Output = &wire
-	s := New(context.Background(), cfg)
+	s := newPCVSession(context.Background(), cfg, &wire)
 	col := NewCollector(s)
 	for _, f := range lossyFrames(t, frames, 0.01) {
 		if err := s.Submit(context.Background(), f); err != nil {

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/linksim"
@@ -107,6 +108,39 @@ func TestControlLayersRoundTrip(t *testing.T) {
 		if _, err := ParseControl(pkt); !errors.Is(err, ErrBadPacket) {
 			t.Fatalf("layers payload %d bytes parsed: %v", len(payload), err)
 		}
+	}
+
+	// Receiver.SendLayers: a receiver behind a LossyPipe sets and clears
+	// its viewer's subscription over the pipe's control path. It learns
+	// its stream id from the first packet, so one frame goes first.
+	opts := layeredTestOptions(0)
+	srv := NewServer(context.Background(), ServerConfig{Options: opts})
+	defer srv.Cancel()
+	pipe := NewLossyPipe(linksim.NewFaultyLink(linksim.WiFi, linksim.FaultProfile{}), ReceiverConfig{Options: opts})
+	pipe.AttachServer(srv)
+	v, err := srv.Attach(ViewerConfig{PacketOut: pipe.PacketOut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Submit(context.Background(), testFrames(t, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); v.Metrics().FramesSent < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the viewer never sent its first frame")
+		}
+	}
+	for _, sub := range []uint8{2, 0} {
+		pipe.Receiver().SendLayers(sub)
+		v.mu.Lock()
+		got := v.layersWant
+		v.mu.Unlock()
+		if got != sub {
+			t.Fatalf("SendLayers(%d) left the viewer's subscription at %d", sub, got)
+		}
+	}
+	if err := pipe.Receiver().Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -96,7 +96,6 @@ func runLossy(t *testing.T, frames []*geom.VoxelCloud, prof linksim.FaultProfile
 	var run lossyRun
 	pipe := NewLossyPipe(fl, ReceiverConfig{
 		Options: cfg.Options,
-		Mode:    cfg.Mode,
 		// Feedback rides the reliable control path (no fault-PRNG draws),
 		// so enabling it here keeps every run seed-deterministic while
 		// letting adaptive sessions close the congestion loop.
@@ -105,9 +104,8 @@ func runLossy(t *testing.T, frames []*geom.VoxelCloud, prof linksim.FaultProfile
 	})
 	var wire bytes.Buffer
 	cfg.PacketOut = pipe.PacketOut
-	cfg.Output = &wire
 
-	s := New(context.Background(), cfg)
+	s := newPCVSession(context.Background(), cfg, &wire)
 	pipe.Attach(s)
 	col := NewCollector(s)
 	for _, f := range frames {
@@ -126,7 +124,7 @@ func runLossy(t *testing.T, frames []*geom.VoxelCloud, prof linksim.FaultProfile
 	run.sender = s.Metrics()
 	run.faults = fl.Stats()
 
-	vr, err := core.NewVideoReader(bytes.NewReader(wire.Bytes()), edgesim.NewXavier(cfg.Mode))
+	vr, err := core.NewVideoReader(bytes.NewReader(wire.Bytes()), edgesim.NewXavier(edgesim.Mode15W))
 	if err != nil {
 		t.Fatalf("reference stream: %v", err)
 	}

@@ -92,14 +92,11 @@ type DecodedFrame struct {
 }
 
 // ReceiverConfig configures a Receiver. Options must match the sender's.
+// The modelled decode board runs at edgesim.Mode15W, and the receiver
+// adopts the first stream id it sees, rejecting packets of any other.
 type ReceiverConfig struct {
 	// Options selects and configures the codec (as the sender's Config).
 	Options codec.Options
-	// Mode selects the modelled decode board's power budget.
-	Mode edgesim.PowerMode
-	// StreamID, when non-zero, rejects packets from other streams;
-	// zero adopts the first stream seen.
-	StreamID uint32
 	// SendControl transmits a control message (NACK, refresh) back to the
 	// sender — typically Session.HandleControl or a socket write. Nil
 	// disables active recovery: losses conceal/skip on timeout alone.
@@ -129,12 +126,12 @@ const (
 	// unattributed, possibly-I packets): deep, because the stream needs them.
 	iFrameRetries = 6
 	// maxSeqJump is the widest forward sequence jump that opens a gap of
-	// missing packets. A wider one reaches back past what a sender's
-	// default retransmit buffer still holds, so NACKing it could not repair
+	// missing packets: the sender's retransmit budget. A wider one reaches
+	// back past what the sender still holds, so NACKing it could not repair
 	// it: it is a corrupt header (the packet CRC covers the payload only)
 	// or the far side of a blackout, and the packet is dropped (RFC 3550
 	// Appendix A.1's update_seq, with this as MAX_DROPOUT).
-	maxSeqJump = defaultRetransmitBuffer
+	maxSeqJump = retxBudget
 )
 
 func (c ReceiverConfig) normalized() ReceiverConfig {
@@ -220,7 +217,7 @@ type Receiver struct {
 // NewReceiver creates a receiver decoding on a fresh device model.
 func NewReceiver(cfg ReceiverConfig) *Receiver {
 	cfg = cfg.normalized()
-	dev := edgesim.NewXavier(cfg.Mode)
+	dev := edgesim.NewXavier(edgesim.Mode15W)
 	return &Receiver{
 		cfg:       cfg,
 		dev:       dev,
@@ -228,7 +225,6 @@ func NewReceiver(cfg ReceiverConfig) *Receiver {
 		missing:   make(map[uint32]*lossState),
 		frames:    make(map[uint32]*partialFrame),
 		prehealed: make(map[uint32]struct{}),
-		streamID:  cfg.StreamID,
 	}
 }
 

@@ -107,9 +107,9 @@ type sendOwner struct {
 }
 
 type ownerConfig struct {
-	opts   codec.Options
-	fec    FECConfig
-	buffer int // RetransmitBuffer
+	opts codec.Options
+	fec  FECConfig
+	mtu  int
 }
 
 var sendOwners = []struct {
@@ -117,7 +117,7 @@ var sendOwners = []struct {
 	make func(*testing.T, ownerConfig, PacketSendFunc) sendOwner
 }{
 	{"Session", func(t *testing.T, c ownerConfig, out PacketSendFunc) sendOwner {
-		s := New(context.Background(), Config{Options: c.opts, FEC: c.fec, RetransmitBuffer: c.buffer, PacketOut: out})
+		s := New(context.Background(), Config{Options: c.opts, FEC: c.fec, MTU: c.mtu, PacketOut: out})
 		col := NewCollector(s)
 		return sendOwner{
 			submit:  func(vc *geom.VoxelCloud) error { return s.Submit(context.Background(), vc) },
@@ -134,7 +134,7 @@ var sendOwners = []struct {
 		}
 	}},
 	{"Server", func(t *testing.T, c ownerConfig, out PacketSendFunc) sendOwner {
-		sv := NewServer(context.Background(), ServerConfig{Options: c.opts, FEC: c.fec, RetransmitBuffer: c.buffer, ViewerQueue: 64})
+		sv := NewServer(context.Background(), ServerConfig{Options: c.opts, FEC: c.fec, MTU: c.mtu, ViewerQueue: 64})
 		v, err := sv.Attach(ViewerConfig{PacketOut: out})
 		if err != nil {
 			t.Fatal(err)
@@ -395,8 +395,8 @@ func TestFrameCutMemo(t *testing.T) {
 	// packet is the original plus FlagRetransmit, from the cached frame
 	// alone once the memo is garbage.
 	var sent [][]byte
-	s := &sender{ctx: context.Background(), mtu: 1000, budget: defaultRetransmitBuffer,
-		cache: newRetxCache(defaultRetransmitBuffer, 1000, nil),
+	s := &sender{ctx: context.Background(), mtu: 1000, budget: retxBudget,
+		cache: newRetxCache(retxBudget, 1000, nil),
 		out: func(_ context.Context, pkt []byte) error {
 			if pkt[3]&FlagParity == 0 {
 				sent = append(sent, pkt)
@@ -440,7 +440,7 @@ func TestSendAllocsPerFrame(t *testing.T) {
 		{"culled", mtu, view{omit: 1 << 0, coarse: 1 << 2}},
 		{"layers-1", mtu, view{layers: 1}},
 	} {
-		s := &sender{ctx: context.Background(), mtu: tc.mtu, budget: defaultRetransmitBuffer, out: out}
+		s := &sender{ctx: context.Background(), mtu: tc.mtu, budget: retxBudget, out: out}
 		var wire int64
 		var err error
 		allocs := testing.AllocsPerRun(50, func() {
@@ -461,14 +461,15 @@ func TestSendAllocsPerFrame(t *testing.T) {
 // TestRetransmitEvictionIsFrameGranular: the retransmit budget evicts whole
 // frames, oldest first — every fragment of the oldest frame still inside
 // the budget is answerable, every fragment of the frame before it is a
-// counted miss.
+// counted miss. A 256-byte MTU cuts each frame into about 290 packets, so
+// the budget keeps a few of the eight.
 func TestRetransmitEvictionIsFrameGranular(t *testing.T) {
 	frames := testFrames(t, 8)
-	const budget = 100
+	const budget = retxBudget
 	for _, owner := range sendOwners {
 		t.Run(owner.name, func(t *testing.T) {
 			tap := newWireTap()
-			o := owner.make(t, ownerConfig{opts: testOptions(codec.IntraOnly), buffer: budget}, tap.packetOut)
+			o := owner.make(t, ownerConfig{opts: testOptions(codec.IntraOnly), mtu: 256}, tap.packetOut)
 			streamAll(t, o, tap, frames)
 
 			// The frames kept are the longest suffix that fits the budget.

@@ -42,7 +42,6 @@ package stream
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -50,9 +49,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/codec"
-	"repro/internal/edgesim"
 	"repro/internal/geom"
-	"repro/internal/linksim"
 	"repro/internal/metrics"
 )
 
@@ -60,33 +57,22 @@ import (
 var ErrServerClosed = errors.New("stream: server closed")
 
 // ServerConfig configures a Server. The zero value of every field is
-// usable: paper-default codec options require only Options.Design; the
-// per-viewer defaults mirror Session's.
+// usable: paper-default codec options require only Options.Design. The
+// shared pipeline runs a Session's defaults (edgesim.Mode15W, queues of
+// 4); every viewer's downlink is linksim.WiFi, and every shard cache and
+// viewer sender keeps the last retxBudget packets answerable for NACKs.
 type ServerConfig struct {
 	// Options selects and configures the shared codec (as codec.OptionsFor).
 	Options codec.Options
-	// Mode selects the modelled edge board's power budget.
-	Mode edgesim.PowerMode
-	// Queue is the shared pipeline's per-stage queue capacity (default 4).
-	Queue int
 	// Shards is the relay-tree width: how many shard workers partition
 	// the viewers (default runtime.NumCPU()). Viewer id % Shards picks
 	// the owning shard, so every viewer maps to exactly one.
 	Shards int
-	// Link is the default per-viewer downlink (default linksim.WiFi); a
-	// ViewerConfig.Link overrides it per viewer.
-	Link linksim.Link
 	// MTU is the default per-viewer packet payload size (default 1400).
 	MTU int
-	// ViewerQueue is the default per-viewer send-queue capacity in frames
+	// ViewerQueue is every viewer's send-queue capacity in frames
 	// (default 8).
 	ViewerQueue int
-	// RetransmitBuffer is the per-shard retransmit-cache budget in
-	// packets (default 1024): each shard retains the most recent frames
-	// covering that many packets — shared by every viewer in the
-	// partition — and rebuilds NACKed fragments from them on demand. It
-	// also caps the per-viewer span of answerable sequence numbers.
-	RetransmitBuffer int
 	// FEC configures parity emission for every viewer. The XOR bodies are
 	// built once per frame cut — per (view, MTU) a frame is sent under, the
 	// whole frame at the server MTU at publish — and shared by every
@@ -95,18 +81,12 @@ type ServerConfig struct {
 }
 
 func (c ServerConfig) normalized() ServerConfig {
-	if c.Link.BandwidthMbps <= 0 {
-		c.Link = linksim.WiFi
-	}
 	c.MTU = clampMTU(c.MTU, 64, 1400)
 	if c.Shards < 1 {
 		c.Shards = runtime.NumCPU()
 	}
 	if c.ViewerQueue < 1 {
 		c.ViewerQueue = 8
-	}
-	if c.RetransmitBuffer < 1 {
-		c.RetransmitBuffer = defaultRetransmitBuffer
 	}
 	return c
 }
@@ -167,6 +147,7 @@ type Server struct {
 	halt     context.CancelFunc
 	shutOnce sync.Once // closes the shard channels, once
 
+	closing     atomic.Bool // Close has begun: a failed Submit lost the race
 	nextID      atomic.Uint32
 	published   atomic.Uint64 // frames published; the next publish seq
 	relayed     atomic.Int64  // frames fully fanned out by every shard
@@ -192,8 +173,6 @@ func NewServer(ctx context.Context, cfg ServerConfig) *Server {
 	}
 	sv.sess = New(ctx, Config{
 		Options: cfg.Options,
-		Mode:    cfg.Mode,
-		Queue:   cfg.Queue,
 		MTU:     cfg.MTU,
 		// The shared pipeline never sheds frames; per-viewer queues are
 		// where slowness resolves, in isolation.
@@ -219,9 +198,13 @@ func (sv *Server) Options() codec.Options { return sv.sess.Options() }
 
 // Submit hands the shared pipeline the next captured frame. It blocks when
 // the pipeline's ingest queue is full. Single producer, like
-// Session.Submit.
+// Session.Submit. A Submit that Close overtakes returns ErrServerClosed.
 func (sv *Server) Submit(ctx context.Context, vc *geom.VoxelCloud) error {
-	return sv.sess.Submit(ctx, vc)
+	err := sv.sess.Submit(ctx, vc)
+	if err != nil && sv.closing.Load() {
+		return ErrServerClosed
+	}
+	return err
 }
 
 // publish is the shared session's FrameOut hook: copy the frame's wire
@@ -272,24 +255,15 @@ func (sv *Server) shardOf(id uint32) *shard {
 }
 
 // Attach adds a viewer to its shard's partition and starts its sender.
-// Zero ViewerConfig fields take the server's defaults here, once.
-// When the keyframe cache holds an I-frame the viewer's stream opens with
-// it (frame 0, packets marked FlagCached), so a mid-GOP join decodes
-// immediately without a re-encode; a cacheless mid-stream join instead
-// arms a (coalesced) I-frame restart and skips P-frames until the
-// keyframe arrives. Only the owning shard's lock is taken — attaching
+// The server assigns the viewer's stream id, in sequence from 1, and a
+// zero MTU takes the server's. When the keyframe cache holds an I-frame
+// the viewer's stream opens with it (frame 0, packets marked FlagCached),
+// so a mid-GOP join decodes immediately without a re-encode; a cacheless
+// mid-stream join instead arms a (coalesced) I-frame restart and skips
+// P-frames until the keyframe arrives. Only the owning shard's lock is taken — attaching
 // never touches the encode path or the other partitions.
 func (sv *Server) Attach(cfg ViewerConfig) (*Viewer, error) {
-	if cfg.Link.BandwidthMbps <= 0 {
-		cfg.Link = sv.cfg.Link
-	}
 	cfg.MTU = clampMTU(cfg.MTU, 64, sv.cfg.MTU)
-	if cfg.Queue < 1 {
-		cfg.Queue = sv.cfg.ViewerQueue
-	}
-	if cfg.RetransmitBuffer < 1 {
-		cfg.RetransmitBuffer = sv.cfg.RetransmitBuffer
-	}
 	sv.mu.Lock()
 	if sv.closed {
 		sv.mu.Unlock()
@@ -304,12 +278,9 @@ func (sv *Server) Attach(cfg ViewerConfig) (*Viewer, error) {
 	v := newViewer(sv, cfg, joinCache)
 	var sh *shard
 	for {
-		id := cfg.StreamID
-		if id == 0 {
-			id = sv.nextID.Add(1)
-			if id == 0 { // wrapped
-				continue
-			}
+		id := sv.nextID.Add(1)
+		if id == 0 { // wrapped
+			continue
 		}
 		sh = sv.shardOf(id)
 		// Set before the viewer becomes reachable through the shard (whose
@@ -319,10 +290,7 @@ func (sv *Server) Attach(cfg ViewerConfig) (*Viewer, error) {
 		if sh.attach(v) {
 			break
 		}
-		if cfg.StreamID != 0 {
-			return nil, fmt.Errorf("stream: viewer id %d already attached", cfg.StreamID)
-		}
-		// Server-assigned id collided with an explicitly chosen one: skip.
+		// The id counter wrapped onto a viewer still attached: skip it.
 	}
 
 	// Re-check closed: Close snapshots the partitions after setting the
@@ -473,6 +441,7 @@ func (sv *Server) Err() error { return sv.sess.Err() }
 // against a racing Cancel; returns the pipeline's close error. Attached
 // viewers' counters stay readable afterwards.
 func (sv *Server) Close() error {
+	sv.closing.Store(true)
 	err := sv.sess.Close()
 	<-sv.done
 	// The pipeline has drained, so no publish is left to send on a shard

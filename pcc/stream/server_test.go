@@ -397,7 +397,7 @@ func TestServerSlowViewerOverflowResync(t *testing.T) {
 	frames := testFrames(t, 9) // I P P I P P I P P
 	opts := testOptions(codec.IntraInterV1)
 
-	srv := NewServer(context.Background(), ServerConfig{Options: opts})
+	srv := NewServer(context.Background(), ServerConfig{Options: opts, ViewerQueue: 2})
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -410,7 +410,7 @@ func TestServerSlowViewerOverflowResync(t *testing.T) {
 		})
 		return sink.packetOut(ctx, p)
 	}
-	v, err := srv.Attach(ViewerConfig{Queue: 2, PacketOut: gated})
+	v, err := srv.Attach(ViewerConfig{PacketOut: gated})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,52 +523,18 @@ func TestServerViewerErrorIsolation(t *testing.T) {
 	}
 }
 
-// TestDetachWakesPacedViewer: a viewer paced to sleep seconds per frame
-// detaches at once — the pacing sleep wakes on the viewer's own shutdown,
-// not only on the server's.
-func TestDetachWakesPacedViewer(t *testing.T) {
-	const pace = 1e6
-	ctx := context.Background()
-	sv := NewServer(ctx, ServerConfig{Options: testOptions(codec.IntraOnly), Shards: 1})
-	defer sv.Cancel()
-	v, err := sv.Attach(ViewerConfig{Pace: pace})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sv.Submit(ctx, testFrames(t, 1)[0]); err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(10 * time.Second); v.Metrics().FramesSent < 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the paced viewer never sent its frame")
-		}
-	}
-	if pause := time.Duration(float64(v.Metrics().LinkTime) * pace); pause < 2*time.Second {
-		t.Fatalf("the viewer sleeps %v after its frame, want >= 2s", pause)
-	}
-	detached := make(chan struct{})
-	go func() {
-		sv.Detach(v)
-		close(detached)
-	}()
-	select {
-	case <-detached:
-	case <-time.After(500 * time.Millisecond):
-		t.Fatal("Detach still waits on the paced viewer's sleep after 500ms")
-	}
-}
-
 // Session.HandleControl coalesces duplicate sequence numbers within one
 // NACK message: [s, s, s] answers with exactly one retransmit — here for
-// the stream's tail after Close, which a retransmit budget of one packet
-// still keeps (the newest frame is kept whole, and alone).
+// the stream's tail after Close, which the retransmit budget still keeps
+// when a 64-byte MTU makes every frame wider than it (the newest frame is
+// kept whole, and alone).
 func TestSessionNACKDuplicateSeqsCoalesce(t *testing.T) {
 	frames := testFrames(t, 3)
 	opts := testOptions(codec.IntraOnly)
 
 	var mu sync.Mutex
 	var pkts [][]byte
-	s := New(context.Background(), Config{Options: opts, RetransmitBuffer: 1,
+	s := New(context.Background(), Config{Options: opts, MTU: 64,
 		PacketOut: func(_ context.Context, p []byte) error {
 			mu.Lock()
 			pkts = append(pkts, append([]byte(nil), p...))

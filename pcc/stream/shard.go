@@ -69,7 +69,7 @@ func newShard(sv *Server, idx int) *shard {
 		done:   make(chan struct{}),
 		byID:   make(map[uint32]*Viewer),
 		losses: make(map[uint32]float64),
-		retx:   newRetxCache(sv.cfg.RetransmitBuffer, sv.cfg.MTU, stats.CacheResize),
+		retx:   newRetxCache(retxBudget, sv.cfg.MTU, stats.CacheResize),
 	}
 }
 
@@ -128,8 +128,7 @@ func (sh *shard) noteRetx(hit bool) {
 }
 
 // attach inserts a viewer into the partition. Returns false when the id
-// is already taken (only possible for explicitly chosen StreamIDs, or a
-// server-assigned id racing an explicit one).
+// is already taken (only possible once the id counter wraps).
 func (sh *shard) attach(v *Viewer) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

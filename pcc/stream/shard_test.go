@@ -33,9 +33,10 @@ import (
 	"repro/internal/edgesim"
 )
 
-// TestServerShardPartition proves the partition function: every viewer —
-// explicit or server-assigned id — lands on exactly one shard, the one
-// id % Shards names, and the per-shard gauges sum to the attachment count.
+// TestServerShardPartition proves the partition function: every viewer
+// lands on exactly one shard, the one id % Shards names — ids are assigned
+// in sequence from 1, so sixteen viewers put four on each shard — and the
+// per-shard gauges sum to the attachment count.
 func TestServerShardPartition(t *testing.T) {
 	ctx := context.Background()
 	sv := NewServer(ctx, ServerConfig{
@@ -45,28 +46,21 @@ func TestServerShardPartition(t *testing.T) {
 	defer sv.Cancel()
 
 	var viewers []*Viewer
-	for _, id := range []uint32{7, 8, 9, 10} { // one per shard at S=4
-		v, err := sv.Attach(ViewerConfig{StreamID: id})
-		if err != nil {
-			t.Fatalf("attach explicit %d: %v", id, err)
-		}
-		viewers = append(viewers, v)
-	}
-	for i := 0; i < 12; i++ { // server-assigned
+	for i := 0; i < 16; i++ {
 		v, err := sv.Attach(ViewerConfig{})
 		if err != nil {
-			t.Fatalf("attach assigned: %v", err)
+			t.Fatalf("attach: %v", err)
+		}
+		if v.id != uint32(i+1) {
+			t.Fatalf("viewer %d assigned id %d, want %d", i, v.id, i+1)
 		}
 		viewers = append(viewers, v)
-	}
-	if _, err := sv.Attach(ViewerConfig{StreamID: 9}); err == nil {
-		t.Fatal("duplicate explicit id attached")
 	}
 
 	seen := map[uint32]int{}
 	for _, v := range viewers {
 		want := sv.shardOf(v.id)
-		if v.shard != want {
+		if want.idx != int(v.id%4) || v.shard != want {
 			t.Fatalf("viewer %d owned by shard %d, partition function says %d",
 				v.id, v.shard.idx, want.idx)
 		}
@@ -93,6 +87,9 @@ func TestServerShardPartition(t *testing.T) {
 	}
 	total := int64(0)
 	for _, s := range m.PerShard {
+		if s.Viewers != 4 {
+			t.Fatalf("shard %d holds %d viewers, want 4", s.Shard, s.Viewers)
+		}
 		total += s.Viewers
 	}
 	if total != int64(len(viewers)) || m.Viewers != len(viewers) {
@@ -228,8 +225,8 @@ func TestRingFrozenBytes(t *testing.T) {
 	var mu sync.Mutex
 	var bad []string
 	var live []*Viewer
-	for id := uint32(1); id <= shards; id++ { // ids 1..3: one viewer per shard
-		v, err := sv.Attach(ViewerConfig{StreamID: id, PacketOut: func(_ context.Context, pkt []byte) error {
+	for id := uint32(1); id <= shards; id++ { // assigned ids 1..3: one viewer per shard
+		v, err := sv.Attach(ViewerConfig{PacketOut: func(_ context.Context, pkt []byte) error {
 			p, err := ParsePacket(pkt)
 			if err == nil && !bytes.Equal(p.Payload, pattern(int(p.Header.FrameIndex))) {
 				err = fmt.Errorf("viewer %d: frame %d mutated after publish", id, p.Header.FrameIndex)
@@ -244,10 +241,13 @@ func TestRingFrozenBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if v.StreamID() != id {
+			t.Fatalf("viewer assigned id %d, want %d", v.StreamID(), id)
+		}
 		live = append(live, v)
 	}
 	gate := make(chan struct{})
-	held, err := sv.Attach(ViewerConfig{Queue: total, PacketOut: func(context.Context, []byte) error {
+	held, err := sv.Attach(ViewerConfig{PacketOut: func(context.Context, []byte) error {
 		<-gate
 		return nil
 	}})
@@ -463,7 +463,8 @@ func waitRelayed(t *testing.T, sv *Server, n int64) {
 
 // TestServerTeardownNoLeak: every way to end a Server — Close, Cancel,
 // Close twice, Cancel after Close, Close racing Cancel — after a stream
-// with a cached late join, a detach and a viewer paced mid-send, returns
+// with a cached late join, a detach and a viewer whose transport blocks
+// mid-send until the server's context ends, returns
 // the goroutine count to where it was before NewServer. None panics on a
 // closed channel; Attach is refused afterwards; and every payload the
 // server held at the end — keyframe cache, shard retransmit caches — is
@@ -512,7 +513,12 @@ func TestServerTeardownNoLeak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := sv.Attach(ViewerConfig{Pace: 1e6}) // sleeps minutes per frame
+			var stuck atomic.Bool
+			_, err = sv.Attach(ViewerConfig{PacketOut: func(ctx context.Context, _ []byte) error {
+				stuck.Store(true)
+				<-ctx.Done()
+				return ctx.Err()
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -533,9 +539,9 @@ func TestServerTeardownNoLeak(t *testing.T) {
 				}
 			}
 			waitRelayed(t, sv, int64(len(frames)))
-			for deadline := time.Now().Add(10 * time.Second); slow.Metrics().FramesSent < 1 || !late.Metrics().CachedJoin; time.Sleep(time.Millisecond) {
+			for deadline := time.Now().Add(10 * time.Second); !stuck.Load() || !late.Metrics().CachedJoin; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
-					t.Fatal("the paced viewer never started sending, or the late one never joined from the cache")
+					t.Fatal("the blocked viewer never started sending, or the late one never joined from the cache")
 				}
 			}
 

@@ -21,12 +21,10 @@ package stream
 import (
 	"bytes"
 	"context"
-	"io"
 	"sync"
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/edgesim"
 	"repro/internal/geom"
 	"repro/internal/linksim"
@@ -76,12 +74,12 @@ type FrameSendFunc func(ctx context.Context, seq int, ftype codec.FrameType, wir
 
 // Config configures a Session. The zero value of every field is usable:
 // paper-default codec options require only Options.Design, the link
-// defaults to Wi-Fi, queues to depth 4, packets to a 1400-byte MTU.
+// defaults to Wi-Fi, queues to depth 4, packets to a 1400-byte MTU. The
+// modelled edge board runs at edgesim.Mode15W, packets carry stream id 1,
+// and the last retxBudget sent packets stay answerable for NACKs.
 type Config struct {
 	// Options selects and configures the codec (as codec.OptionsFor).
 	Options codec.Options
-	// Mode selects the modelled edge board's power budget.
-	Mode edgesim.PowerMode
 	// Link is the modelled wireless uplink (default linksim.WiFi).
 	Link linksim.Link
 	// Queue is the per-stage queue capacity (default 4).
@@ -95,18 +93,11 @@ type Config struct {
 	// simulated link second, so a congested link really backpressures the
 	// pipeline (0 = transmit at full speed, accounting latency only).
 	Pace float64
-	// Output, when set, receives the .pcv stream (header + surviving
-	// frames, in order); a core.VideoReader on the other end decodes it.
-	// The byte slice passed to Write is recycled after the call returns, so
-	// writers that buffer asynchronously must copy (io.Writer's contract).
-	Output io.Writer
 	// FrameOut, when set, receives each undropped frame's encoded wire
-	// bytes in transmit order, before Output/PacketOut emission (e.g. to
-	// send them over TCP). Dropped frames are skipped. A Server uses it to
-	// broadcast one encode to many viewers.
+	// bytes in transmit order, before PacketOut emission (e.g. to write a
+	// .pcv stream or send the frames over TCP). Dropped frames are
+	// skipped. A Server uses it to broadcast one encode to many viewers.
 	FrameOut FrameSendFunc
-	// StreamID tags every packet emitted through PacketOut (default 1).
-	StreamID uint32
 	// PacketOut, when set, emits each undropped frame as framed packets
 	// (packet.go) with consecutive per-stream sequence numbers, retaining
 	// the frame in a bounded retransmit cache so HandleControl can answer
@@ -114,21 +105,20 @@ type Config struct {
 	// frames shed by the backpressure policy leave a frame-index gap but
 	// no sequence gap — a receiver tells sender drops from network loss.
 	PacketOut PacketSendFunc
-	// RetransmitBuffer caps how many sent packets stay answerable for NACK
-	// retransmission (default 1024; whole frames are evicted, oldest first,
-	// and the newest frame stays answerable even when it alone is wider).
-	RetransmitBuffer int
 	// FEC configures forward-error-correction parity emission over
 	// PacketOut (see fec.go). The zero value emits no parity unless the
 	// congestion controller's adaptive parity knob raises it; either way
-	// the .pcv wire output (Output/FrameOut) is untouched — parity
-	// exists only in the packet stream.
+	// the frames FrameOut sees are untouched — parity exists only in the
+	// packet stream.
 	FEC FECConfig
 }
 
-// defaultRetransmitBuffer is the default RetransmitBuffer of a Session and
-// a Server: the sent packets that stay answerable for NACKs.
-const defaultRetransmitBuffer = 1024
+// retxBudget is every sender's retransmit budget in packets: a Session's
+// and each viewer's sent-records, a Session's and each shard's retransmit
+// cache (whole frames are evicted, oldest first, and the newest frame
+// stays answerable even when it alone is wider), and the receiver's widest
+// NACKable sequence jump (maxSeqJump).
+const retxBudget = 1024
 
 func (c Config) normalized() Config {
 	if c.Queue < 1 {
@@ -137,12 +127,6 @@ func (c Config) normalized() Config {
 	c.MTU = clampMTU(c.MTU, 64, 1400)
 	if c.Link.BandwidthMbps <= 0 {
 		c.Link = linksim.WiFi
-	}
-	if c.StreamID == 0 {
-		c.StreamID = 1
-	}
-	if c.RetransmitBuffer < 1 {
-		c.RetransmitBuffer = defaultRetransmitBuffer
 	}
 	return c
 }
@@ -241,6 +225,12 @@ type Session struct {
 
 	gaugeIn, gaugeGeom, gaugePkt, gaugeTx *metrics.QueueGauge
 
+	// inShut, set by Close under inMu, refuses further Submits; submits
+	// counts those past the check, and Close waits them out before it
+	// closes in, so no send reaches a closed channel.
+	inMu      sync.Mutex
+	inShut    bool
+	submits   sync.WaitGroup
 	nextSeq   int
 	closeOnce sync.Once
 	closeErr  error
@@ -258,18 +248,13 @@ type Session struct {
 	wireBytes int64
 	packets   int64
 	refreshes int64
-	wroteHdr  bool
-	// hdrOpts is the encoder's normalized configuration as of New: what the
-	// stream header carries. The transmit stage must not read the live
-	// encoder options, which the attribute stage's rate knobs rewrite.
-	hdrOpts codec.Options
 
 	// tx is the session's one sender (sender.go): the PacketOut stream's
 	// sequence space, sent-records, NACK answers and stale-feedback check.
-	// Its frames' payloads live in tx.cache, budgeted at RetransmitBuffer
+	// Its frames' payloads live in tx.cache, budgeted at retxBudget
 	// packets. Neither is torn down at Close: a receiver's NACKs for the
 	// stream's tail arrive after the sender has closed and are still
-	// answered, so the last RetransmitBuffer packets' worth of frames stay
+	// answered, so the last retxBudget packets' worth of frames stay
 	// referenced until the Session itself is garbage.
 	tx *sender
 }
@@ -281,8 +266,8 @@ func New(ctx context.Context, cfg Config) *Session {
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Session{
 		cfg:       cfg,
-		geomDev:   edgesim.NewXavier(cfg.Mode),
-		attrDev:   edgesim.NewXavier(cfg.Mode),
+		geomDev:   edgesim.NewXavier(edgesim.Mode15W),
+		attrDev:   edgesim.NewXavier(edgesim.Mode15W),
 		ctx:       sctx,
 		cancel:    cancel,
 		in:        make(chan *job, cfg.Queue),
@@ -295,15 +280,14 @@ func New(ctx context.Context, cfg Config) *Session {
 		gaugeTx:   metrics.NewQueueGauge("transmit"),
 		tx: &sender{
 			ctx:    sctx,
-			id:     cfg.StreamID,
+			id:     1,
 			mtu:    cfg.MTU,
-			budget: cfg.RetransmitBuffer,
+			budget: retxBudget,
 			out:    cfg.PacketOut,
-			cache:  newRetxCache(cfg.RetransmitBuffer, cfg.MTU, nil),
+			cache:  newRetxCache(retxBudget, cfg.MTU, nil),
 		},
 	}
 	s.enc = codec.NewEncoder(s.attrDev, cfg.Options)
-	s.hdrOpts = s.enc.Options()
 	s.txq = newFrameQueue(cfg.Queue, cfg.Policy, s.gaugeTx)
 
 	// Propagate context cancellation into the cond-based transmit queue.
@@ -331,6 +315,9 @@ func (s *Session) fail(err error) {
 // Submit hands the pipeline the next frame. It blocks when the ingest
 // queue is full (backpressure reaches the producer under the Block policy).
 // Submit is single-producer: frames take sequence numbers in call order.
+// A Submit that Close overtakes takes no frame and returns an error
+// (context.Canceled after a clean close); Close drains every frame whose
+// Submit returned nil.
 func (s *Session) Submit(ctx context.Context, vc *geom.VoxelCloud) error {
 	if vc == nil || vc.Len() == 0 {
 		return codec.ErrEmptyFrame
@@ -340,6 +327,16 @@ func (s *Session) Submit(ctx context.Context, vc *geom.VoxelCloud) error {
 		// cases: an aborted session with room in its ingest queue has two.
 		return s.abortErr()
 	}
+	s.inMu.Lock()
+	shut := s.inShut
+	if !shut {
+		s.submits.Add(1)
+	}
+	s.inMu.Unlock()
+	if shut {
+		return context.Canceled // Close is draining
+	}
+	defer s.submits.Done()
 	j := &job{seq: s.nextSeq, cloud: vc}
 	select {
 	case s.in <- j:
@@ -377,6 +374,10 @@ func (s *Session) Results() <-chan Result { return s.results }
 // Close is idempotent: later calls return the first call's result.
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
+		s.inMu.Lock()
+		s.inShut = true
+		s.inMu.Unlock()
+		s.submits.Wait()
 		close(s.in)
 		s.wg.Wait()
 		err := s.ctx.Err() // read before the self-cancel below
@@ -569,10 +570,6 @@ func (s *Session) transmitStage() {
 					return
 				}
 			}
-			if err := s.emitWire(j); err != nil {
-				s.fail(err)
-				return
-			}
 			if s.cfg.PacketOut != nil {
 				if err := s.sendPackets(j); err != nil {
 					s.fail(err)
@@ -687,22 +684,6 @@ func (s *Session) HandleControl(c Control) error {
 		}
 	case ControlNACK:
 		return s.tx.handleNACK(c.Seqs)
-	}
-	return nil
-}
-
-// emitWire writes the frame's wire bytes to the configured Output.
-func (s *Session) emitWire(j *job) error {
-	if s.cfg.Output != nil {
-		if !s.wroteHdr {
-			if err := core.WriteStreamHeader(s.cfg.Output, s.hdrOpts); err != nil {
-				return err
-			}
-			s.wroteHdr = true
-		}
-		if _, err := s.cfg.Output.Write(j.wire); err != nil {
-			return err
-		}
 	}
 	return nil
 }

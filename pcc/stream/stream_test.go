@@ -50,6 +50,34 @@ func testOptions(d codec.Design) codec.Options {
 	return o
 }
 
+// newPCVSession starts a Session that also writes its .pcv stream to w
+// through FrameOut, after cfg's own FrameOut (if any) takes each frame:
+// the stream header before the first frame, then each frame's wire bytes.
+// The header carries the options as of New, before any rate knob moves.
+func newPCVSession(ctx context.Context, cfg Config, w io.Writer) *Session {
+	var hdr codec.Options
+	wroteHdr := false
+	next := cfg.FrameOut
+	cfg.FrameOut = func(ctx context.Context, seq int, ftype codec.FrameType, wire []byte) error {
+		if next != nil {
+			if err := next(ctx, seq, ftype, wire); err != nil {
+				return err
+			}
+		}
+		if !wroteHdr {
+			if err := core.WriteStreamHeader(w, hdr); err != nil {
+				return err
+			}
+			wroteHdr = true
+		}
+		_, err := w.Write(wire)
+		return err
+	}
+	s := New(ctx, cfg)
+	hdr = s.Options()
+	return s
+}
+
 // checkOrdered asserts results cover seqs 0..n-1 in strictly increasing
 // order, that dropped frames are all P, and that every I-frame survived.
 func checkOrdered(t *testing.T, results []Result, n int) (drops int) {
@@ -90,7 +118,7 @@ func TestPipelineMatchesSequentialStream(t *testing.T) {
 	}
 
 	var piped bytes.Buffer
-	s := New(context.Background(), Config{Options: opts, Output: &piped})
+	s := newPCVSession(context.Background(), Config{Options: opts}, &piped)
 	col := NewCollector(s)
 	for _, f := range frames {
 		if err := s.Submit(context.Background(), f); err != nil {
@@ -114,6 +142,60 @@ func TestPipelineMatchesSequentialStream(t *testing.T) {
 	}
 	if m.GeometrySim <= 0 || m.AttrSim <= 0 {
 		t.Fatalf("per-stage device ledgers empty: geom=%v attr=%v", m.GeometrySim, m.AttrSim)
+	}
+}
+
+// TestSubmitRacingClose: a producer looping Submit while Close runs never
+// panics on the closed ingest queue. The Submit that loses the race fails —
+// context.Canceled from a Session, ErrServerClosed from a Server — and
+// every frame whose Submit returned nil is delivered. Run under -race in
+// CI.
+func TestSubmitRacingClose(t *testing.T) {
+	frame := lossyFrames(t, 1, 0.005)[0]
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		lost error
+		// start returns the owner's Submit and Close, and after Close the
+		// count of frames it delivered.
+		start func() (submit func() error, close func() error, delivered func() int)
+	}{
+		{"Session", context.Canceled, func() (func() error, func() error, func() int) {
+			s := New(ctx, Config{Options: testOptions(codec.IntraOnly)})
+			col := NewCollector(s)
+			return func() error { return s.Submit(ctx, frame) }, s.Close,
+				func() int { return len(col.Wait()) }
+		}},
+		{"Server", ErrServerClosed, func() (func() error, func() error, func() int) {
+			sv := NewServer(ctx, ServerConfig{Options: testOptions(codec.IntraOnly), Shards: 2})
+			return func() error { return sv.Submit(ctx, frame) }, sv.Close,
+				func() int { return int(sv.Metrics().FramesEncoded) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			submit, closeFn, delivered := tc.start()
+			accepted := 0
+			lost := make(chan error, 1)
+			go func() {
+				for {
+					if err := submit(); err != nil {
+						lost <- err
+						return
+					}
+					accepted++
+				}
+			}()
+			time.Sleep(5 * time.Millisecond) // the ingest queue fills, Submit blocks
+			if err := closeFn(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-lost; !errors.Is(err, tc.lost) {
+				t.Fatalf("losing Submit: %v, want %v", err, tc.lost)
+			}
+			if got := delivered(); got != accepted {
+				t.Fatalf("%d frames delivered, %d Submits returned nil", got, accepted)
+			}
+		})
 	}
 }
 
@@ -142,12 +224,14 @@ func waitForDrop(s *Session) error {
 func gatedSession(t *testing.T, frames []*geom.VoxelCloud, policy Policy, out io.Writer) ([]Result, Metrics) {
 	t.Helper()
 	gate := make(chan struct{})
-	s := New(context.Background(), Config{
+	if out == nil {
+		out = io.Discard
+	}
+	s := newPCVSession(context.Background(), Config{
 		Options: testOptions(codec.IntraInterV1),
 		Link:    congested,
 		Queue:   2,
 		Policy:  policy,
-		Output:  out,
 		FrameOut: func(ctx context.Context, _ int, _ codec.FrameType, _ []byte) error {
 			select {
 			case <-gate:
@@ -156,7 +240,7 @@ func gatedSession(t *testing.T, frames []*geom.VoxelCloud, policy Policy, out io
 				return ctx.Err()
 			}
 		},
-	})
+	}, out)
 	col := NewCollector(s)
 	for _, f := range frames {
 		if err := s.Submit(context.Background(), f); err != nil {

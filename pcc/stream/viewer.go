@@ -33,24 +33,14 @@ import (
 )
 
 // ViewerConfig configures one attached viewer. The zero value of every
-// field is usable: the server assigns a stream id, the queue defaults to
-// the server's ViewerQueue, the MTU and retransmit buffer to the server's.
+// field is usable: the MTU defaults to the server's. The server assigns
+// the stream id; the queue holds ServerConfig.ViewerQueue frames, the
+// modelled downlink is linksim.WiFi, the sender keeps the last retxBudget
+// packets answerable for NACKs, and nothing is paced: a slow viewer is a
+// slow PacketOut.
 type ViewerConfig struct {
-	// StreamID tags this viewer's packets (0 = server-assigned, unique).
-	StreamID uint32
-	// Queue is the viewer's send-queue capacity in frames.
-	Queue int
 	// MTU is the packet payload size for this viewer.
 	MTU int
-	// Link is this viewer's modelled downlink (default: the server's link).
-	Link linksim.Link
-	// Pace, when > 0, makes the viewer's sender sleep Pace real seconds per
-	// simulated link second — the knob that turns a narrow Link into a
-	// genuinely slow viewer.
-	Pace float64
-	// RetransmitBuffer caps the sent packets this viewer can still answer
-	// NACKs for (records only; the payload bytes live in the shard cache).
-	RetransmitBuffer int
 	// Viewport, when non-nil, is the viewer's initial camera: tiled frames
 	// are culled against it from the very first send (SetViewport updates
 	// it live; a receiver drives it remotely with ControlViewport).
@@ -163,15 +153,11 @@ type queuedFrame struct {
 type Viewer struct {
 	sv    *Server
 	shard *shard // owning relay shard (set by Attach before the sender starts)
-	cfg   ViewerConfig
 	id    uint32
 
 	gauge    *metrics.QueueGauge
 	joinedAt time.Time
 	done     chan struct{}
-	// quit is closed when the viewer is told to abandon its queue (detach,
-	// cancel): it cuts a paced send's sleep short.
-	quit chan struct{}
 	// tx is the viewer's packet stream: sequence space, sent-records, NACK
 	// and stale-feedback handling (its own lock; never nested with mu).
 	tx *sender
@@ -225,17 +211,15 @@ type Viewer struct {
 func newViewer(sv *Server, cfg ViewerConfig, joinCache *sharedFrame) *Viewer {
 	v := &Viewer{
 		sv:        sv,
-		cfg:       cfg,
 		gauge:     metrics.NewQueueGauge("viewer-send"),
 		joinedAt:  time.Now(),
 		done:      make(chan struct{}),
-		quit:      make(chan struct{}),
 		joinCache: joinCache,
 		lostRef:   joinCache == nil,
 		tx: &sender{
 			ctx:    sv.sess.ctx,
 			mtu:    cfg.MTU,
-			budget: cfg.RetransmitBuffer,
+			budget: retxBudget,
 			out:    cfg.PacketOut,
 		},
 	}
@@ -371,7 +355,7 @@ func (v *Viewer) enqueue(lf liveFrame) bool {
 		}
 		v.lostRef = false
 	}
-	if len(v.queue) >= v.cfg.Queue {
+	if len(v.queue) >= v.sv.cfg.ViewerQueue {
 		switch {
 		case f.ftype == codec.IFrame:
 			// Forced I-frame resync: the backlog is stale and a fresh
@@ -475,7 +459,7 @@ func (v *Viewer) sendFrame(qf queuedFrame) error {
 		return err
 	}
 	// Parity bytes ride the same link budget as the data.
-	cost, err := v.cfg.Link.Transmit(wire)
+	cost, err := linksim.WiFi.Transmit(wire)
 	if err != nil {
 		return err
 	}
@@ -491,14 +475,6 @@ func (v *Viewer) sendFrame(qf queuedFrame) error {
 		v.joinLatency = time.Since(v.joinedAt)
 	}
 	v.mu.Unlock()
-	if v.cfg.Pace > 0 {
-		pause := time.Duration(float64(cost.Latency) * v.cfg.Pace)
-		select {
-		case <-time.After(pause):
-		case <-v.sv.sess.ctx.Done():
-		case <-v.quit:
-		}
-	}
 	return nil
 }
 
@@ -604,17 +580,14 @@ func (v *Viewer) HandleControl(c Control) error {
 }
 
 // shutdown stops the viewer: no further enqueues, the sender either drains
-// the queue (clean close) or abandons it (detach/cancel) — waking from a
-// paced send's sleep — the queue is dropped, and the sent-records are
-// freed. Blocks until the sender goroutine exits; counters remain
-// readable through Metrics afterwards. Idempotent.
+// the queue (clean close) or abandons it (detach/cancel) after the send in
+// progress, the queue is dropped, and the sent-records are freed. Blocks
+// until the sender goroutine exits; counters remain readable through
+// Metrics afterwards. Idempotent.
 func (v *Viewer) shutdown(discard bool) {
 	v.mu.Lock()
 	v.closed = true
-	if discard && !v.discard {
-		v.discard = true
-		close(v.quit)
-	}
+	v.discard = v.discard || discard
 	v.cond.Broadcast()
 	v.mu.Unlock()
 	<-v.done
