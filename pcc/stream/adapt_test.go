@@ -1,9 +1,10 @@
 package stream
 
 // Closed-loop congestion adaptation tests. The deterministic harness runs
-// the sender LOCKSTEP — submit one frame, wait for its Result — so each
-// frame's full cycle (encode → transmit → faulty link → receiver ingest →
-// feedback report → HandleControl → controller step) completes before the
+// a one-viewer Server LOCKSTEP — submit one frame, wait until the viewer
+// has sent it — so each frame's full cycle (encode → publish → viewer send
+// → faulty link → receiver ingest → feedback report → Server.HandleControl
+// → controller step) completes before the
 // next frame's encode reads the knobs. Combined with the virtual-clock
 // LossyPipe and the seeded FaultyLink, an entire adaptation trajectory —
 // fault pattern, feedback cadence, knob moves, decoded bytes — replays
@@ -12,7 +13,6 @@ package stream
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -33,15 +33,16 @@ func adaptOptions(d codec.Design) codec.Options {
 	return o
 }
 
-// adaptRun captures one lockstep adaptive session end to end.
+// adaptRun captures one lockstep adaptive stream end to end.
 type adaptRun struct {
 	gops     []int // GOP knob after each frame's cycle
 	qscales  []int // quality knob after each frame's cycle
 	snaps    []codec.ControllerSnapshot
 	atBase   []bool // every knob at baseline after each frame's cycle
 	statuses []FrameStatus
-	wireHash string // sha256 of the sender's clean .pcv output
-	sender   Metrics
+	wireHash string // sha256 of the encoder's bytes, as the viewer sent them
+	adapt    codec.ControllerSnapshot
+	viewer   ViewerMetrics
 	recovery metrics.RecoverySnapshot
 	faults   linksim.FaultStats
 }
@@ -71,47 +72,39 @@ func runAdaptiveSteps(t testing.TB, frames []*geom.VoxelCloud, opts codec.Option
 		FeedbackEvery: 4,
 		OnFrame:       func(f DecodedFrame) { run.statuses = append(run.statuses, f.Status) },
 	})
-	var wire bytes.Buffer
-	s := newPCVSession(context.Background(), Config{
-		Options:   opts,
-		PacketOut: pipe.PacketOut,
-	}, &wire)
-	pipe.Attach(s)
-	results := s.Results()
+	clean := newCleanCopy(opts)
+	sv, v := oneViewer(t, ServerConfig{Options: opts}, len(frames), clean.tee(pipe.PacketOut))
+	pipe.AttachServer(sv)
+	ctrl := sv.Controller()
 	for i, f := range frames {
 		for _, st := range steps {
 			if i == st.at {
 				fl.SetDropRate(st.rate)
 			}
 		}
-		if err := s.Submit(context.Background(), f); err != nil {
-			t.Fatalf("Submit %d: %v", i, err)
-		}
-		if _, ok := <-results; !ok {
-			t.Fatalf("results closed at frame %d: %v", i, s.Err())
-		}
-		snap := s.Controller().Snapshot()
+		sendLockstep(t, sv, v, i, f)
+		snap := ctrl.Snapshot()
 		run.gops = append(run.gops, snap.Knobs.GOP)
 		run.qscales = append(run.qscales, snap.Knobs.QScale)
 		run.snaps = append(run.snaps, snap)
-		run.atBase = append(run.atBase, s.Controller().AtBaseline())
+		run.atBase = append(run.atBase, ctrl.AtBaseline())
 	}
-	if err := s.Close(); err != nil {
+	if err := sv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	if err := pipe.Finish(len(frames)); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	run.sender = s.Metrics()
+	run.adapt = ctrl.Snapshot()
+	run.viewer = v.Metrics()
 	run.recovery = pipe.Receiver().Metrics()
 	run.faults = fl.Stats()
-	sum := sha256.Sum256(wire.Bytes())
-	run.wireHash = hex.EncodeToString(sum[:])
+	run.wireHash = hex.EncodeToString(clean.sum.Sum(nil))
 	return run
 }
 
 // TestAdaptConvergesOnDropStep is the step-response acceptance table. Each
-// row is a lockstep session with the controller on: a clean link, then a
+// row is a lockstep stream with the controller on: a clean link, then a
 // 15% drop step. The controller must shrink the GOP within 24 frames of the
 // step, and the trailing window must decode at least 0.70 of its frames.
 //
@@ -172,10 +165,10 @@ func TestAdaptConvergesOnDropStep(t *testing.T) {
 				t.Fatalf("GOP never shrank within %d frames of the drop step (trajectory %v)", budget, run.gops)
 			}
 			// Controller bookkeeping must reflect the story.
-			if run.sender.FeedbackReports == 0 {
+			if run.viewer.FeedbackReports == 0 {
 				t.Fatal("no feedback reports consumed")
 			}
-			a := run.sender.Adapt.Counters
+			a := run.adapt.Counters
 			if a.GOPShrinks == 0 || a.QualityDrops == 0 || a.CongestedEnters == 0 {
 				t.Errorf("controller counters missing the step response: %+v", a)
 			}
@@ -193,7 +186,7 @@ func TestAdaptConvergesOnDropStep(t *testing.T) {
 						break
 					}
 				}
-				probes := run.sender.Adapt.FEC.Probes
+				probes := run.adapt.FEC.Probes
 				t.Logf("GOP shrank %d frames after the step; every knob at baseline %d frames after the link cleared; %d probes",
 					shrunkAt-stepAt, recovered, probes)
 				if recovered < 0 || recovered > recovery {
@@ -285,8 +278,9 @@ func TestAdaptDeterministic(t *testing.T) {
 }
 
 // TestHandleControlFeedback is the table over duplicate, stale, zero, and
-// fresh feedback reports at the Session: only strictly increasing report
-// numbers may reach the controller.
+// fresh feedback reports one viewer's receiver sends through
+// Server.HandleControl: only strictly increasing report numbers may reach
+// the controller.
 func TestHandleControlFeedback(t *testing.T) {
 	steps := []struct {
 		name        string
@@ -303,23 +297,22 @@ func TestHandleControlFeedback(t *testing.T) {
 		{"gap accepted", 9, 0.5, 3, 3}, // lost reports don't wedge the stream
 		{"post-gap stale dropped", 5, 0.5, 3, 4},
 	}
-	s := New(context.Background(), Config{Options: adaptOptions(codec.IntraInterV2)})
+	sv, v := oneViewer(t, ServerConfig{Options: adaptOptions(codec.IntraInterV2)}, 1, nil)
 	defer func() {
-		_ = s.Close()
+		_ = sv.Close()
 	}()
 	for _, st := range steps {
 		fb := Feedback{Report: st.report, Received: 100, Lost: uint32(100 * st.loss / (1 - st.loss))}
-		if err := s.HandleControl(Control{Kind: ControlFeedback, StreamID: 1, Feedback: fb}); err != nil {
+		if err := sv.HandleControl(Control{Kind: ControlFeedback, StreamID: v.StreamID(), Feedback: fb}); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
-		m := s.Metrics()
+		m := v.Metrics()
 		if m.FeedbackReports != st.wantReports || m.FeedbackStale != st.wantStale {
 			t.Fatalf("%s: reports=%d stale=%d, want %d/%d",
 				st.name, m.FeedbackReports, m.FeedbackStale, st.wantReports, st.wantStale)
 		}
-		if m.Adapt.Counters.FeedbackReports != st.wantReports {
-			t.Fatalf("%s: controller saw %d reports, want %d",
-				st.name, m.Adapt.Counters.FeedbackReports, st.wantReports)
+		if got := sv.Controller().Snapshot().Counters.FeedbackReports; got != st.wantReports {
+			t.Fatalf("%s: controller saw %d reports, want %d", st.name, got, st.wantReports)
 		}
 	}
 }
@@ -333,24 +326,17 @@ func TestReceiverEmitsFeedback(t *testing.T) {
 	fl := linksim.NewFaultyLink(linksim.WiFi, linksim.FaultProfile{})
 	var reports []Feedback
 	pipe := NewLossyPipe(fl, ReceiverConfig{Options: opts, FeedbackEvery: 3})
-	s := New(context.Background(), Config{Options: opts, PacketOut: pipe.PacketOut})
-	// Intercept the control path to record reports while still forwarding.
-	pipe.ctrl = controlFunc(func(c Control) error {
-		if c.Kind == ControlFeedback {
-			reports = append(reports, c.Feedback)
-		}
-		return s.HandleControl(c)
-	})
-	col := NewCollector(s)
+	recordFeedback(pipe, &reports)
+	sv, v := oneViewer(t, ServerConfig{Options: opts}, len(frames), pipe.PacketOut)
+	pipe.AttachServer(sv)
 	for _, f := range frames {
-		if err := s.Submit(context.Background(), f); err != nil {
+		if err := sv.Submit(context.Background(), f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Close(); err != nil {
+	if err := sv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	col.Wait()
 	if err := pipe.Finish(len(frames)); err != nil {
 		t.Fatal(err)
 	}
@@ -367,15 +353,22 @@ func TestReceiverEmitsFeedback(t *testing.T) {
 	if got := pipe.Receiver().Metrics().Frames(); frameSum != got {
 		t.Errorf("window deltas sum to %d frames, lifetime counters say %d", frameSum, got)
 	}
-	if s.Metrics().FeedbackReports != int64(len(reports)) {
-		t.Errorf("session consumed %d reports, receiver sent %d", s.Metrics().FeedbackReports, len(reports))
+	if got := v.Metrics().FeedbackReports; got != int64(len(reports)) {
+		t.Errorf("viewer consumed %d reports, receiver sent %d", got, len(reports))
 	}
 }
 
-// controlFunc adapts a closure to the LossyPipe's sender interface.
-type controlFunc func(Control) error
-
-func (f controlFunc) HandleControl(c Control) error { return f(c) }
+// recordFeedback appends every feedback report the pipe's receiver sends
+// to reports, ahead of the pipe's own control path.
+func recordFeedback(pipe *LossyPipe, reports *[]Feedback) {
+	send := pipe.rx.cfg.SendControl
+	pipe.rx.cfg.SendControl = func(c Control) error {
+		if c.Kind == ControlFeedback {
+			*reports = append(*reports, c.Feedback)
+		}
+		return send(c)
+	}
+}
 
 // TestFeedbackRoundTrip: a feedback report survives the payload encoding
 // and the full control-packet framing byte-for-byte.

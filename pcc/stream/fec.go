@@ -2,7 +2,7 @@ package stream
 
 // Sender-side forward error correction: the layout of the XOR parity
 // groups the sender core (sender.go) interleaves with each frame's data
-// packets, for a Session and for every Viewer of a Server alike.
+// packets, for every Viewer of a Server.
 //
 // Group layout. A frame of n fragments with parity group size K gets:
 //

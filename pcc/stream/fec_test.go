@@ -8,8 +8,8 @@ package stream
 //     on the deterministic virtual-clock LossyPipe;
 //   - parity survives drop/dup/reorder and Gilbert–Elliott burst faults
 //     without ever corrupting a frame silently;
-//   - with FEC disabled the packet stream and .pcv output are
-//     byte-identical to a sender with no FEC at all;
+//   - with FEC disabled the packet stream is byte-identical to a sender
+//     with no FEC at all;
 //   - the relay tree fans parity out per viewer from each frame's cut of
 //     the viewer's (view, MTU), the XOR bodies built once per cut;
 //   - feedback windows net recovered packets out of the loss they report.
@@ -270,24 +270,24 @@ func FuzzParseParity(f *testing.F) {
 func TestFECRepairsSingleLossWithoutRetransmit(t *testing.T) {
 	const total = 30
 	frames := lossyFrames(t, total, 0.008)
-	cfg := Config{Options: testOptions(codec.IntraInterV1), FEC: FECConfig{GroupLen: 4}}
+	cfg := ServerConfig{Options: testOptions(codec.IntraInterV1), FEC: FECConfig{GroupLen: 4}}
 	run := runLossy(t, frames, linksim.FaultProfile{DropEvery: 23}, cfg)
 
 	decoded := checkOutcomes(t, run, total)
 	fec := run.recovery.FEC
 	t.Logf("decoded %d/%d; scheduled drops %d; parity sent=%d recv=%d repairs=%d wasted=%d; nacks=%d retx=%d",
-		decoded, total, run.faults.ScheduledDrops, run.sender.FEC.ParitySent,
+		decoded, total, run.faults.ScheduledDrops, run.viewer.ParitySent,
 		fec.ParityReceived, fec.ParityRepairs, fec.ParityWasted,
-		run.recovery.NACKsSent, run.sender.Retransmits)
+		run.recovery.NACKsSent, run.viewer.Retransmits)
 	if run.faults.ScheduledDrops == 0 {
 		t.Fatal("no scheduled drops: test is vacuous")
 	}
 	if decoded != total {
 		t.Fatalf("decoded %d/%d: single-loss groups must fully repair", decoded, total)
 	}
-	if run.recovery.NACKsSent != 0 || run.sender.Retransmits != 0 || run.recovery.RetransmitsReceived != 0 {
+	if run.recovery.NACKsSent != 0 || run.viewer.Retransmits != 0 || run.recovery.RetransmitsReceived != 0 {
 		t.Fatalf("retransmit traffic with repairable losses: nacks=%d retx=%d",
-			run.recovery.NACKsSent, run.sender.Retransmits)
+			run.recovery.NACKsSent, run.viewer.Retransmits)
 	}
 	if fec.ParityRepairs == 0 {
 		t.Fatal("losses healed but no parity repairs counted")
@@ -321,7 +321,7 @@ func TestFECReassemblyUnderFaults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Options: testOptions(codec.IntraInterV1), FEC: FECConfig{GroupLen: 4}}
+			cfg := ServerConfig{Options: testOptions(codec.IntraInterV1), FEC: FECConfig{GroupLen: 4}}
 			run := runLossy(t, frames, tc.prof, cfg)
 			decoded := checkOutcomes(t, run, total)
 			ratio := float64(decoded) / float64(total)
@@ -352,7 +352,7 @@ func TestFECDeterministic(t *testing.T) {
 	frames := lossyFrames(t, 15, 0.008)
 	prof := linksim.FaultProfile{
 		DropRate: 0.03, ReorderRate: 0.02, GEBadLoss: 0.6, GEGoodToBad: 0.02, Seed: 21}
-	cfg := Config{Options: testOptions(codec.IntraInterV1), FEC: FECConfig{GroupLen: 4}}
+	cfg := ServerConfig{Options: testOptions(codec.IntraInterV1), FEC: FECConfig{GroupLen: 4}}
 	a := runLossy(t, frames, prof, cfg)
 	b := runLossy(t, frames, prof, cfg)
 	if a.recovery != b.recovery {
@@ -367,40 +367,34 @@ func TestFECDeterministic(t *testing.T) {
 	}
 }
 
-// capturePackets streams frames through a faultless session, returning
-// every emitted packet and the .pcv bytes.
-func capturePackets(t *testing.T, frames int, fec FECConfig) (pkts [][]byte, pcv []byte) {
+// capturePackets streams frames to a one-viewer Server over a faultless
+// link, returning every packet the viewer emitted.
+func capturePackets(t *testing.T, frames int, fec FECConfig) (pkts [][]byte) {
 	t.Helper()
-	cfg := Config{Options: testOptions(codec.IntraInterV1), FEC: fec}
-	cfg.PacketOut = func(_ context.Context, p []byte) error {
-		pkts = append(pkts, append([]byte(nil), p...))
-		return nil
-	}
-	var wire bytes.Buffer
-	s := newPCVSession(context.Background(), cfg, &wire)
-	col := NewCollector(s)
+	sv, _ := oneViewer(t, ServerConfig{Options: testOptions(codec.IntraInterV1), FEC: fec}, frames,
+		func(_ context.Context, p []byte) error {
+			pkts = append(pkts, append([]byte(nil), p...))
+			return nil
+		})
 	for _, f := range lossyFrames(t, frames, 0.01) {
-		if err := s.Submit(context.Background(), f); err != nil {
+		if err := sv.Submit(context.Background(), f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Close(); err != nil {
+	if err := sv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	col.Wait()
-	return pkts, wire.Bytes()
+	return pkts
 }
 
 // TestFECOffByteIdentical: the zero-value FECConfig without a controller
 // emits no parity, and enabling static FEC only ever ADDS parity packets —
-// the data packets and the .pcv output are untouched.
+// the data packets, and with them the encoded frames they carry, are
+// untouched.
 func TestFECOffByteIdentical(t *testing.T) {
-	off, pcvOff := capturePackets(t, 6, FECConfig{})
-	on, pcvOn := capturePackets(t, 6, FECConfig{GroupLen: 4})
+	off := capturePackets(t, 6, FECConfig{})
+	on := capturePackets(t, 6, FECConfig{GroupLen: 4})
 
-	if !bytes.Equal(pcvOff, pcvOn) {
-		t.Fatal("FEC setting changed the encoded .pcv output")
-	}
 	for _, p := range off {
 		pkt, err := ParsePacket(p)
 		if err != nil {
@@ -636,9 +630,10 @@ func TestFeedbackNetsRecoveredLosses(t *testing.T) {
 		FeedbackEvery: 3,
 		OnFrame:       func(f DecodedFrame) { outcomes = append(outcomes, f) },
 	})
-	cfg := Config{Options: testOptions(codec.IntraInterV1)}
+	var reports []Feedback
+	recordFeedback(pipe, &reports)
 	dropped := false
-	cfg.PacketOut = func(ctx context.Context, pkt []byte) error {
+	sv, _ := oneViewer(t, ServerConfig{Options: testOptions(codec.IntraInterV1)}, total, func(ctx context.Context, pkt []byte) error {
 		if !dropped {
 			if p, err := ParsePacket(pkt); err == nil &&
 				p.Header.Flags&(FlagControl|FlagParity) == 0 && p.Header.Seq == 5 {
@@ -647,26 +642,16 @@ func TestFeedbackNetsRecoveredLosses(t *testing.T) {
 			}
 		}
 		return pipe.PacketOut(ctx, pkt)
-	}
-	s := New(context.Background(), cfg)
-	var reports []Feedback
-	pipe.Attach(s)
-	pipe.ctrl = controlFunc(func(c Control) error {
-		if c.Kind == ControlFeedback {
-			reports = append(reports, c.Feedback)
-		}
-		return s.HandleControl(c)
 	})
-	col := NewCollector(s)
+	pipe.AttachServer(sv)
 	for _, f := range frames {
-		if err := s.Submit(context.Background(), f); err != nil {
+		if err := sv.Submit(context.Background(), f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Close(); err != nil {
+	if err := sv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	col.Wait()
 	if err := pipe.Finish(total); err != nil {
 		t.Fatal(err)
 	}
@@ -703,17 +688,16 @@ func TestFeedbackNetsRecoveredLosses(t *testing.T) {
 // appears once reported loss raises the parity knob.
 func TestAdaptiveParityEngagesUnderLoss(t *testing.T) {
 	frames := lossyFrames(t, 24, 0.008)
-	cfg := Config{Options: adaptOptions(codec.IntraInterV2)}
+	cfg := ServerConfig{Options: adaptOptions(codec.IntraInterV2)}
 	clean := runLossy(t, frames, linksim.FaultProfile{}, cfg)
-	if clean.sender.FEC.ParitySent != 0 {
-		t.Fatalf("clean link emitted %d parity packets at zero overhead setting", clean.sender.FEC.ParitySent)
+	if clean.viewer.ParitySent != 0 {
+		t.Fatalf("clean link emitted %d parity packets at zero overhead setting", clean.viewer.ParitySent)
 	}
 	lossy := runLossy(t, frames, linksim.FaultProfile{DropRate: 0.12, Seed: 33}, cfg)
-	if lossy.sender.FEC.ParitySent == 0 {
+	if lossy.viewer.ParitySent == 0 {
 		t.Fatal("sustained loss never raised the parity knob")
 	}
 	checkOutcomes(t, lossy, len(frames))
-	snap := clean.sender.FEC
-	t.Logf("clean parity=%d, lossy parity=%d repairs=%d", snap.ParitySent,
-		lossy.sender.FEC.ParitySent, lossy.recovery.FEC.ParityRepairs)
+	t.Logf("clean parity=%d, lossy parity=%d repairs=%d", clean.viewer.ParitySent,
+		lossy.viewer.ParitySent, lossy.recovery.FEC.ParityRepairs)
 }

@@ -1,18 +1,18 @@
 package stream
 
-// LossyPipe wires one sender's packet output — a Session's, or one Viewer's
-// of a Server; the same sender core either way (sender.go) — to a Receiver
-// through a linksim.FaultyLink, entirely in process: the harness for
-// loss-sweep experiments and deterministic recovery tests:
+// LossyPipe wires one viewer's packet output to a Receiver through a
+// linksim.FaultyLink, entirely in process: the harness for loss-sweep
+// experiments and deterministic recovery tests. The receiver's control
+// messages go back to the viewer's Server, which routes them by stream id:
 //
-//	sender ──PacketOut──▶ FaultyLink ──▶ Receiver
+//	viewer ──PacketOut──▶ FaultyLink ──▶ Receiver
 //	   ▲                                    │
-//	   └────────── HandleControl ◀──────────┘  (NACK / refresh / feedback)
+//	   └──── Server.HandleControl ◀─────────┘  (NACK / refresh / feedback)
 //
 // Time is virtual: the pipe starts a clock at zero and advances it by the
 // modelled link latency of every send (data and control), and the
 // Receiver's NACK timeouts read that clock. Combined with the FaultyLink's
-// seeded PRNG, an entire lossy session — faults, timeouts, retransmits,
+// seeded PRNG, an entire lossy stream — faults, timeouts, retransmits,
 // concealments — replays identically from the seed alone.
 //
 // The reverse (control) path is delivered reliably: data-plane recovery
@@ -28,16 +28,14 @@ import (
 	"repro/internal/linksim"
 )
 
-// LossyPipe is an in-process lossy transport between one sender and one
-// Receiver. Create with NewLossyPipe, set the sender's PacketOut to
-// pipe.PacketOut, then Attach the Session (or AttachServer the Server
-// owning the viewer) before submitting frames.
+// LossyPipe is an in-process lossy transport between one viewer and one
+// Receiver. Create with NewLossyPipe, attach the viewer with PacketOut set
+// to pipe.PacketOut, and AttachServer its Server before submitting frames.
 type LossyPipe struct {
 	fl *linksim.FaultyLink
 	rx *Receiver
-	// ctrl is the sender's control entry point: Session.HandleControl, or
-	// Server.HandleControl (which routes by the message's stream id).
-	ctrl interface{ HandleControl(Control) error }
+	// ctrl is where the receiver's control messages go.
+	ctrl *Server
 
 	mu  sync.Mutex
 	now time.Time
@@ -53,11 +51,8 @@ func NewLossyPipe(fl *linksim.FaultyLink, rcfg ReceiverConfig) *LossyPipe {
 	return p
 }
 
-// Attach wires the sender side so receiver control messages reach it.
-func (p *LossyPipe) Attach(s *Session) { p.ctrl = s }
-
-// AttachServer wires a fan-out Server as the sender side: control messages
-// route to the viewer whose stream id they carry.
+// AttachServer wires the viewer's Server as the sender side: control
+// messages route to the viewer whose stream id they carry.
 func (p *LossyPipe) AttachServer(sv *Server) { p.ctrl = sv }
 
 // Receiver returns the pipe's receive side.
@@ -79,8 +74,7 @@ func (p *LossyPipe) advance(d time.Duration) {
 	p.mu.Unlock()
 }
 
-// PacketOut is the sender's PacketOut (Config's or ViewerConfig's): the
-// packet crosses the faulty link and whatever survives (copies, reordered
+// PacketOut is the viewer's PacketOut: the packet crosses the faulty link and whatever survives (copies, reordered
 // releases) is ingested by the receiver. Re-entrant — NACKs triggered by
 // a delivery retransmit through this same path.
 func (p *LossyPipe) PacketOut(_ context.Context, pkt []byte) error {
@@ -108,7 +102,7 @@ func (p *LossyPipe) control(c Control) error {
 	return p.ctrl.HandleControl(c)
 }
 
-// Finish ends the session on the receive side after the sender has closed:
+// Finish ends the stream on the receive side after the Server has closed:
 // any reorder-held packet is released, then the receiver resolves its tail
 // (final NACK rounds, then conceal/skip). totalFrames is the sender-side
 // submitted frame count.

@@ -1,11 +1,11 @@
 package stream
 
-// End-to-end lossy-transport tests: a full Session streams real packets
-// through a seeded linksim.FaultyLink into a Receiver, and every frame's
-// fate is checked against the clean stream. These are the acceptance tests
-// for the recovery design:
+// End-to-end lossy-transport tests: a one-viewer Server streams real
+// packets through a seeded linksim.FaultyLink into a Receiver, and every
+// frame's fate is checked against the clean stream. These are the
+// acceptance tests for the recovery design:
 //
-//   - at 5% random loss plus reordering, a 60-frame GOP-3 session decodes
+//   - at 5% random loss plus reordering, a 60-frame GOP-3 stream decodes
 //     ≥ 95% of frames;
 //   - every delivered frame is either byte-correct or explicitly reported
 //     concealed/skipped (no silent corruption);
@@ -14,17 +14,16 @@ package stream
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
+	"hash"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/edgesim"
 	"repro/internal/geom"
 	"repro/internal/linksim"
 	"repro/internal/metrics"
@@ -81,63 +80,116 @@ func scaledOptions(d codec.Design, scale float64) codec.Options {
 type lossyRun struct {
 	outcomes []DecodedFrame
 	recovery metrics.RecoverySnapshot
-	sender   Metrics
+	viewer   ViewerMetrics
 	faults   linksim.FaultStats
-	// reference holds the clean decode of the sender's own .pcv output —
-	// the ground truth a byte-correct receiver must match.
+	// reference holds the clean decode of the encoder's own bytes — the
+	// ground truth a byte-correct receiver must match.
 	reference []*geom.VoxelCloud
 }
 
-// runLossy streams frames through cfg with the given fault profile and
-// collects every outcome. It fails the test on any pipeline error.
-func runLossy(t *testing.T, frames []*geom.VoxelCloud, prof linksim.FaultProfile, cfg Config) lossyRun {
+// oneViewer starts a one-shard Server with one viewer, stream id 1, whose
+// packets go to out. Its queue holds every one of frames frames, so the
+// viewer sheds nothing: its stream is the shared pipeline's, frame for
+// frame.
+func oneViewer(t testing.TB, cfg ServerConfig, frames int, out PacketSendFunc) (*Server, *Viewer) {
 	t.Helper()
-	fl := linksim.NewFaultyLink(cfg.normalized().Link, prof)
+	cfg.Shards, cfg.ViewerQueue = 1, frames
+	sv := NewServer(context.Background(), cfg)
+	v, err := sv.Attach(ViewerConfig{PacketOut: out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sv, v
+}
+
+// sendLockstep submits frame i and waits until v has sent it, so the
+// frame's whole round trip — link, receiver, control back to the server —
+// lands before the next frame is encoded.
+func sendLockstep(t testing.TB, sv *Server, v *Viewer, i int, f *geom.VoxelCloud) {
+	t.Helper()
+	if err := sv.Submit(context.Background(), f); err != nil {
+		t.Fatalf("Submit %d: %v", i, err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); v.Metrics().FramesSent <= int64(i); time.Sleep(50 * time.Microsecond) {
+		if err := sv.Err(); err != nil || time.Now().After(deadline) {
+			t.Fatalf("frame %d never sent: %v", i, err)
+		}
+	}
+}
+
+// cleanCopy is a lossy run's fault-free twin: a Receiver fed every fresh
+// data packet before the packet enters the faulty link, so it decodes the
+// encoder's own bytes, and a hash of those bytes.
+type cleanCopy struct {
+	rx     *Receiver
+	clouds []*geom.VoxelCloud
+	sum    hash.Hash
+}
+
+func newCleanCopy(opts codec.Options) *cleanCopy {
+	c := &cleanCopy{sum: sha256.New()}
+	c.rx = NewReceiver(ReceiverConfig{
+		Options: opts,
+		OnFrame: func(f DecodedFrame) { c.clouds = append(c.clouds, f.Cloud) },
+	})
+	return c
+}
+
+// tee returns out, with every fresh data packet copied to the clean
+// receiver first.
+func (c *cleanCopy) tee(out PacketSendFunc) PacketSendFunc {
+	return func(ctx context.Context, pkt []byte) error {
+		if p, err := ParsePacket(pkt); err == nil && p.Header.Flags&(FlagParity|FlagRetransmit) == 0 {
+			c.sum.Write(p.Payload)
+			c.rx.Ingest(bytes.Clone(pkt))
+		}
+		return out(ctx, pkt)
+	}
+}
+
+// reference resolves the clean receiver's stream of frames frames and
+// returns their decoded clouds, in frame order.
+func (c *cleanCopy) reference(t testing.TB, frames int) []*geom.VoxelCloud {
+	t.Helper()
+	if err := c.rx.Finish(frames); err != nil {
+		t.Fatalf("clean receiver: %v", err)
+	}
+	return c.clouds
+}
+
+// runLossy streams frames to a one-viewer Server configured by cfg, over a
+// Wi-Fi link with the given fault profile, and collects every outcome. It
+// fails the test on any pipeline error.
+func runLossy(t *testing.T, frames []*geom.VoxelCloud, prof linksim.FaultProfile, cfg ServerConfig) lossyRun {
+	t.Helper()
+	fl := linksim.NewFaultyLink(linksim.WiFi, prof)
 	var run lossyRun
 	pipe := NewLossyPipe(fl, ReceiverConfig{
 		Options: cfg.Options,
 		// Feedback rides the reliable control path (no fault-PRNG draws),
 		// so enabling it here keeps every run seed-deterministic while
-		// letting adaptive sessions close the congestion loop.
+		// letting adaptive streams close the congestion loop.
 		FeedbackEvery: 4,
 		OnFrame:       func(f DecodedFrame) { run.outcomes = append(run.outcomes, f) },
 	})
-	var wire bytes.Buffer
-	cfg.PacketOut = pipe.PacketOut
-
-	s := newPCVSession(context.Background(), cfg, &wire)
-	pipe.Attach(s)
-	col := NewCollector(s)
+	clean := newCleanCopy(cfg.Options)
+	sv, v := oneViewer(t, cfg, len(frames), clean.tee(pipe.PacketOut))
+	pipe.AttachServer(sv)
 	for _, f := range frames {
-		if err := s.Submit(context.Background(), f); err != nil {
+		if err := sv.Submit(context.Background(), f); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
-	if err := s.Close(); err != nil {
+	if err := sv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	col.Wait()
 	if err := pipe.Finish(len(frames)); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
 	run.recovery = pipe.Receiver().Metrics()
-	run.sender = s.Metrics()
+	run.viewer = v.Metrics()
 	run.faults = fl.Stats()
-
-	vr, err := core.NewVideoReader(bytes.NewReader(wire.Bytes()), edgesim.NewXavier(edgesim.Mode15W))
-	if err != nil {
-		t.Fatalf("reference stream: %v", err)
-	}
-	for {
-		vc, _, err := vr.ReadFrame()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("reference decode: %v", err)
-		}
-		run.reference = append(run.reference, vc)
-	}
+	run.reference = clean.reference(t, len(frames))
 	return run
 }
 
@@ -197,17 +249,17 @@ func checkOutcomes(t *testing.T, run lossyRun, total int) (decoded int) {
 // byte-correct with no recovery traffic.
 func TestLossyStreamNoFaults(t *testing.T) {
 	frames := lossyFrames(t, 9, 0.015)
-	run := runLossy(t, frames, linksim.FaultProfile{}, Config{Options: testOptions(codec.IntraInterV1)})
+	run := runLossy(t, frames, linksim.FaultProfile{}, ServerConfig{Options: testOptions(codec.IntraInterV1)})
 	if decoded := checkOutcomes(t, run, len(frames)); decoded != len(frames) {
 		t.Fatalf("decoded %d/%d frames on a clean link", decoded, len(frames))
 	}
-	if run.recovery.NACKsSent != 0 || run.sender.Retransmits != 0 || run.recovery.RefreshRequests != 0 {
+	if run.recovery.NACKsSent != 0 || run.viewer.Retransmits != 0 || run.recovery.RefreshRequests != 0 {
 		t.Errorf("recovery traffic on a clean link: %+v", run.recovery)
 	}
 }
 
 // TestLossyStreamRecovers5PercentLoss is the recovery acceptance table:
-// GOP-3 sessions over seeded fault injection, each row held to a decoded-
+// GOP-3 streams to a one-viewer Server over seeded fault injection, each row held to a decoded-
 // ratio floor. The first row is the 60-frame loot run at 5% loss. The rest
 // are the loss sweep: redandblack at scale 0.008 with the paper's segment
 // counts scaled to it, seed 42, 0 / 1 / 5 / 10% independent drop (3%
@@ -231,17 +283,17 @@ func TestLossyStreamRecovers5PercentLoss(t *testing.T) {
 	type row struct {
 		name   string
 		frames []*geom.VoxelCloud
-		cfg    Config
+		cfg    ServerConfig
 		prof   linksim.FaultProfile
 		floor  float64
 	}
-	rows := []row{{"loot 5%", loot, Config{Options: testOptions(codec.IntraInterV1)}, iid(0.05), 0.95}}
+	rows := []row{{"loot 5%", loot, ServerConfig{Options: testOptions(codec.IntraInterV1)}, iid(0.05), 0.95}}
 	for _, fec := range []struct {
 		name  string
 		cfg   FECConfig
 		floor float64
 	}{{"FEC off", FECConfig{}, 0.95}, {"FEC group 4", FECConfig{GroupLen: 4}, 0.99}} {
-		cfg := Config{Options: scaledOptions(codec.IntraInterV1, 0.008), FEC: fec.cfg}
+		cfg := ServerConfig{Options: scaledOptions(codec.IntraInterV1, 0.008), FEC: fec.cfg}
 		for _, drop := range []float64{0, 0.01, 0.05, 0.10} {
 			floor := fec.floor
 			if drop > 0.05 {
@@ -287,7 +339,7 @@ func TestLossyStreamRecovers5PercentLoss(t *testing.T) {
 				if rs.FEC.ParityRepairs == 0 {
 					t.Errorf("losses occurred but parity repaired none: %+v", rs.FEC)
 				}
-			} else if rs.NACKsSent == 0 || run.sender.Retransmits == 0 {
+			} else if rs.NACKsSent == 0 || run.viewer.Retransmits == 0 {
 				t.Errorf("losses occurred but no NACK/retransmit traffic: %+v", rs)
 			}
 		})
@@ -307,7 +359,7 @@ func TestLossyStreamDeterministic(t *testing.T) {
 		BurstLen:    3,
 		Seed:        7,
 	}
-	cfg := Config{Options: testOptions(codec.IntraInterV1)}
+	cfg := ServerConfig{Options: testOptions(codec.IntraInterV1)}
 	a := runLossy(t, frames, prof, cfg)
 	b := runLossy(t, frames, prof, cfg)
 	if len(a.outcomes) != len(b.outcomes) {
@@ -335,43 +387,41 @@ func TestLossyStreamDeterministic(t *testing.T) {
 
 // TestLossyStreamIFrameLossForcesRefresh kills every packet of one I-frame
 // (including retransmits) with a targeted filter: the receiver must skip
-// it, request a GOP refresh, resynchronize at the next I-frame the sender
-// forces, and decode cleanly from there on.
+// it, request a GOP refresh, resynchronize at the I-frame the server
+// forces, and decode cleanly from there on. The victim is the second GOP's
+// keyframe and the stream ends before a third GOP would open, so any later
+// I-frame is a forced one. Frames go out lockstep over the congested link,
+// ~50 ms of virtual time a packet, so the receiver gives up on the victim
+// and asks for the refresh while frames are still being encoded.
 func TestLossyStreamIFrameLossForcesRefresh(t *testing.T) {
-	const total = 12
+	const gop, total = 6, 11
+	const victim = gop
 	frames := lossyFrames(t, total, 0.01)
-	const victim = 3 // with GOP 3, frame 3 is the second I-frame
+	opts := testOptions(codec.IntraInterV1)
+	opts.GOP = gop
 
-	fl := linksim.NewFaultyLink(linksim.WiFi, linksim.FaultProfile{})
-	var mu sync.Mutex
+	fl := linksim.NewFaultyLink(congested, linksim.FaultProfile{})
 	var outcomes []DecodedFrame
 	pipe := NewLossyPipe(fl, ReceiverConfig{
-		Options: testOptions(codec.IntraInterV1),
-		OnFrame: func(f DecodedFrame) {
-			mu.Lock()
-			outcomes = append(outcomes, f)
-			mu.Unlock()
-		},
+		Options: opts,
+		OnFrame: func(f DecodedFrame) { outcomes = append(outcomes, f) },
 	})
-	cfg := Config{Options: testOptions(codec.IntraInterV1)}
-	cfg.PacketOut = func(ctx context.Context, pkt []byte) error {
+	sv, v := oneViewer(t, ServerConfig{Options: opts}, total, func(ctx context.Context, pkt []byte) error {
 		if p, err := ParsePacket(pkt); err == nil && p.Header.FrameIndex == victim {
-			return nil // the void eats frame 3, first send and every retransmit
+			return nil // the void eats the victim, first send and every retransmit
 		}
 		return pipe.PacketOut(ctx, pkt)
+	})
+	pipe.AttachServer(sv)
+	for i, f := range frames {
+		sendLockstep(t, sv, v, i, f)
 	}
-	s := New(context.Background(), cfg)
-	pipe.Attach(s)
-	col := NewCollector(s)
-	for _, f := range frames {
-		if err := s.Submit(context.Background(), f); err != nil {
-			t.Fatal(err)
-		}
+	if m := sv.Metrics(); m.Refreshes == 0 {
+		t.Fatal("the refresh request never reached the encoder while it was encoding")
 	}
-	if err := s.Close(); err != nil {
+	if err := sv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	col.Wait()
 	if err := pipe.Finish(total); err != nil {
 		t.Fatal(err)
 	}
@@ -384,9 +434,6 @@ func TestLossyStreamIFrameLossForcesRefresh(t *testing.T) {
 	}
 	if pipe.Receiver().Metrics().RefreshRequests == 0 {
 		t.Fatal("no GOP refresh was requested for a lost I-frame")
-	}
-	if s.Metrics().Refreshes == 0 {
-		t.Fatal("sender never honoured the refresh request")
 	}
 	// After the refresh lands, the stream must resynchronize: once a frame
 	// past the victim decodes, every later frame decodes too.
@@ -406,8 +453,8 @@ func TestLossyStreamIFrameLossForcesRefresh(t *testing.T) {
 	if resync < 0 {
 		t.Fatal("stream never resynchronized after I-frame loss")
 	}
-	if outcomes[resync].Type != codec.IFrame {
-		t.Errorf("resync frame %d is %v, want a forced I-frame", resync, outcomes[resync].Type)
+	if outcomes[resync].Type != codec.IFrame || resync%gop == 0 {
+		t.Errorf("resync frame %d is a %v; want an I-frame the GOP of %d would not have opened", resync, outcomes[resync].Type, gop)
 	}
 	for i := resync; i < total; i++ {
 		if outcomes[i].Status != FrameDecoded {
@@ -419,6 +466,7 @@ func TestLossyStreamIFrameLossForcesRefresh(t *testing.T) {
 			t.Errorf("frame %d before the loss: %v", i, outcomes[i].Status)
 		}
 	}
+	t.Logf("victim %d, resync at forced I-frame %d; %d refreshes", victim, resync, sv.Metrics().Refreshes)
 }
 
 // TestReceiverSenderDropIsNotLoss: frames shed by the DropOldestP policy
@@ -441,7 +489,6 @@ func TestReceiverSenderDropIsNotLoss(t *testing.T) {
 		PacketOut: pipe.PacketOut,
 	}
 	s := New(context.Background(), cfg)
-	pipe.Attach(s)
 	col := NewCollector(s)
 	for _, f := range frames {
 		if err := s.Submit(context.Background(), f); err != nil {

@@ -98,7 +98,7 @@ type ReceiverConfig struct {
 	// Options selects and configures the codec (as the sender's Config).
 	Options codec.Options
 	// SendControl transmits a control message (NACK, refresh) back to the
-	// sender — typically Session.HandleControl or a socket write. Nil
+	// sender — typically Server.HandleControl or a socket write. Nil
 	// disables active recovery: losses conceal/skip on timeout alone.
 	SendControl func(Control) error
 	// OnFrame receives every frame's fate, in frame order.

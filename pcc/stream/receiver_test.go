@@ -6,7 +6,6 @@ package stream
 // that follows it resyncs the stream.
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -46,7 +45,7 @@ func frozenReceiver(outcomes *[]DecodedFrame) *Receiver {
 // decodes untouched. A jump of exactly the budget still opens a gap of
 // that many NACKable packets: the receiver's window is the sender's buffer.
 func TestReceiverDropsSequenceJump(t *testing.T) {
-	pkts, _ := capturePackets(t, 3, FECConfig{})
+	pkts := capturePackets(t, 3, FECConfig{})
 	for _, tc := range []struct {
 		name string
 		jump uint32 // sequence numbers ahead of the next expected one
@@ -112,7 +111,7 @@ func TestReceiverDropsSequenceJump(t *testing.T) {
 // answered, Tick re-NACKs with backoff and resolves frame 1 (a P-frame:
 // concealed) once its retry budget runs out.
 func TestReceiverTick(t *testing.T) {
-	pkts, _ := capturePackets(t, 3, FECConfig{})
+	pkts := capturePackets(t, 3, FECConfig{})
 	lost := -1
 	var lostSeq uint32
 	for i, raw := range pkts {
@@ -212,7 +211,7 @@ func TestReceiverTick(t *testing.T) {
 // mid-frame, with the packets either side of the wrap swapped in flight,
 // opens one gap at the wrap and heals it when the late packet lands.
 func TestReceiverSequenceWrap(t *testing.T) {
-	pkts, _ := capturePackets(t, 3, FECConfig{})
+	pkts := capturePackets(t, 3, FECConfig{})
 	base := uint32(0) - uint32(len(pkts)/2) // the wrap falls inside the stream
 	wire := make([][]byte, len(pkts))
 	for i, p := range pkts {
@@ -257,9 +256,8 @@ func TestReceiverResyncsAfterBlackout(t *testing.T) {
 		Options: opts,
 		OnFrame: func(f DecodedFrame) { outcomes = append(outcomes, f) },
 	})
-	s := New(context.Background(), Config{Options: opts, MTU: 64, PacketOut: pipe.PacketOut})
-	pipe.Attach(s)
-	results := s.Results()
+	sv, v := oneViewer(t, ServerConfig{Options: opts, MTU: 64}, total, pipe.PacketOut)
+	pipe.AttachServer(sv)
 	for i, f := range frames {
 		switch i {
 		case from:
@@ -267,14 +265,9 @@ func TestReceiverResyncsAfterBlackout(t *testing.T) {
 		case to:
 			fl.SetDropRate(0)
 		}
-		if err := s.Submit(context.Background(), f); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := <-results; !ok {
-			t.Fatalf("results closed at frame %d: %v", i, s.Err())
-		}
+		sendLockstep(t, sv, v, i, f)
 	}
-	if err := s.Close(); err != nil {
+	if err := sv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := pipe.Finish(total); err != nil {

@@ -16,8 +16,8 @@ package stream
 //
 //   - a shard channel, until the shard worker receives it;
 //   - a viewer queue entry, until it is sent or shed;
-//   - a retransmit cache (a shard's, or a Session's), until evicted — a
-//     Session's outlives Close, when its stream's tail is still NACKed;
+//   - a shard's retransmit cache, until evicted — it outlives Close, when
+//     the stream's tail is still NACKed;
 //   - the server's keyframe cache, until the next I-frame or teardown;
 //   - a NACK answer, while it rebuilds a packet.
 //
@@ -117,12 +117,11 @@ func newLiveFrame(index int, ftype codec.FrameType, wire []byte, mtu, k int) liv
 // packet budget. It holds each frame once, by reference, however many
 // senders sent it, and never its cut memo; a NACK rebuilds the requested
 // fragment from the cached payload on demand. A relay shard owns one for
-// its viewer partition, a Session one for its single receiver. All methods
-// are safe for concurrent use.
+// its viewer partition. All methods are safe for concurrent use.
 type retxCache struct {
 	budget  int                         // packets; the newest frame is kept even when wider
 	mtu     int                         // the MTU the budget is accounted at
-	resized func(frames, packets int64) // optional occupancy gauge
+	resized func(frames, packets int64) // occupancy gauge
 
 	mu     sync.Mutex
 	frames map[uint64]*sharedFrame
@@ -131,9 +130,6 @@ type retxCache struct {
 }
 
 func newRetxCache(budget, mtu int, resized func(frames, packets int64)) *retxCache {
-	if resized == nil {
-		resized = func(int64, int64) {}
-	}
 	return &retxCache{budget: budget, mtu: mtu, resized: resized, frames: make(map[uint64]*sharedFrame)}
 }
 

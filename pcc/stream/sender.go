@@ -2,16 +2,17 @@ package stream
 
 // The one send path: plan → cut → gather → frame → parity → record →
 // emit, and rebuild on NACK. A Server drives one sender per Viewer; a
-// Session wraps exactly one. A frame is an immutable payload (ring.go);
-// what a send ships of it is a viewPlan — the identity plan for
-// a whole frame, a culled and/or layer-truncated plan for a viewer that
-// drops tiles or layers — and packets and parity bodies are cut from the
-// plan's spans, whatever the plan. What does not depend on the receiver —
-// plan, payload CRCs, parity bodies — is a frameCut, built once per
-// (view, MTU) of a frame and shared by every sender of it; what does — the
-// header fields — is framed per send, every packet into one slab. Nothing
+// Session's send-only PacketOut keeps no sender and frames each frame with
+// viewPlan.packets. A frame is an immutable payload (ring.go);
+// what a send ships of it is a viewPlan — the identity plan for a whole
+// frame, a culled and/or layer-truncated plan for a viewer that drops
+// tiles or layers — and packets and parity bodies are cut from the plan's
+// spans, whatever the plan. What does not depend on the receiver — plan,
+// payload CRCs, parity bodies — is a frameCut, built once per (view, MTU)
+// of a frame and shared by every sender of it; what does — the header
+// fields — is framed per send, every packet into one slab. Nothing
 // per-packet outlives a send: a sent-record maps the frame's sequence
-// range to the payload (held once, by the owner's retransmit cache) and to
+// range to the payload (held once, by the shard's retransmit cache) and to
 // the view it was sent with, and a NACK re-frames the original packet from
 // those.
 
@@ -29,8 +30,8 @@ import (
 
 // ErrFrameTooLarge reports a frame of more fragments, at the sender's MTU,
 // than a packet header's 16-bit fragment count can number. The frame is
-// refused whole: a Session fails with it, a Viewer is marked failed like
-// any transport error.
+// refused whole: a Session's PacketOut stream fails the session with it, a
+// Viewer is marked failed like any transport error.
 var ErrFrameTooLarge = errors.New("stream: frame exceeds 65535 fragments")
 
 // clampMTU is the one MTU rule: a payload size below floor means def, and
@@ -350,10 +351,9 @@ type senderStats struct {
 	buffered    int   // packet span the sent-records cover
 }
 
-// sender is one receiver's packet stream. send runs on one goroutine (the
-// Session's transmit stage, a Viewer's send loop); handleNACK and
-// acceptFeedback are safe from any, including re-entrantly from inside
-// out — no lock is ever held across it.
+// sender is one viewer's packet stream. send runs on the viewer's send
+// loop; handleNACK and acceptFeedback are safe from any goroutine,
+// including re-entrantly from inside out — no lock is ever held across it.
 type sender struct {
 	ctx    context.Context
 	id     uint32         // stream id on every packet

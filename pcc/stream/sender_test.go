@@ -1,7 +1,8 @@
 package stream
 
-// Tests of the one send path, run against both of its owners — a Session
-// and a one-viewer Server — wherever the behaviour is the sender core's.
+// Tests of the one send path, through a one-viewer Server wherever the
+// behaviour is the sender core's, and of the Session's send-only
+// PacketOut against it.
 
 import (
 	"bytes"
@@ -96,8 +97,7 @@ func (w *wireTap) complete(idx uint32) bool {
 	return len(seqs) == int(p.Header.FragCount)
 }
 
-// sendOwner is what the table-driven tests need of a Session or a Server
-// with one viewer attached.
+// sendOwner is what the table-driven tests need of a sender's owner.
 type sendOwner struct {
 	submit  func(*geom.VoxelCloud) error
 	control func(Control) error
@@ -112,27 +112,13 @@ type ownerConfig struct {
 	mtu  int
 }
 
+// sendOwners lists the owners the send-path tests run against: a
+// one-viewer Server, whose viewer is the one sender a receiver can talk
+// back to.
 var sendOwners = []struct {
 	name string
 	make func(*testing.T, ownerConfig, PacketSendFunc) sendOwner
 }{
-	{"Session", func(t *testing.T, c ownerConfig, out PacketSendFunc) sendOwner {
-		s := New(context.Background(), Config{Options: c.opts, FEC: c.fec, MTU: c.mtu, PacketOut: out})
-		col := NewCollector(s)
-		return sendOwner{
-			submit:  func(vc *geom.VoxelCloud) error { return s.Submit(context.Background(), vc) },
-			control: s.HandleControl,
-			retx: func() (int64, int64) {
-				m := s.Metrics()
-				return m.Retransmits, m.RetxMisses
-			},
-			close: func() error {
-				err := s.Close()
-				col.Wait()
-				return err
-			},
-		}
-	}},
 	{"Server", func(t *testing.T, c ownerConfig, out PacketSendFunc) sendOwner {
 		sv := NewServer(context.Background(), ServerConfig{Options: c.opts, FEC: c.fec, MTU: c.mtu, ViewerQueue: 64})
 		v, err := sv.Attach(ViewerConfig{PacketOut: out})
@@ -155,8 +141,8 @@ var sendOwners = []struct {
 }
 
 // streamAll submits every frame and waits until the tap has seen the last
-// one whole — by which time a Session has recycled its pooled wire buffer
-// under every earlier frame.
+// one whole — by which time the shared pipeline has recycled its pooled
+// wire buffer under every earlier frame.
 func streamAll(t *testing.T, o sendOwner, tap *wireTap, frames []*geom.VoxelCloud) {
 	t.Helper()
 	for _, f := range frames {
@@ -287,6 +273,65 @@ func TestPacketOutOwnsPacket(t *testing.T) {
 	}
 }
 
+// TestSessionPacketsMatchViewer: a send-only Session's PacketOut carries
+// the very bytes a one-viewer Server's viewer sends for the same frames,
+// stream id 1 on both — so a probe built on the Session's PacketOut sees
+// the wire a viewer sends. The rows are the configurations without parity:
+// the inter and intra designs, a 256-byte MTU, 8 tiles of 3 layers, and
+// the adaptive controller with no receiver to raise its parity knob.
+func TestSessionPacketsMatchViewer(t *testing.T) {
+	frames := testFrames(t, 9)
+	for _, tc := range []struct {
+		name string
+		opts codec.Options
+		mtu  int
+	}{
+		{"intra-inter-v1", testOptions(codec.IntraInterV1), 0},
+		{"intra-only", testOptions(codec.IntraOnly), 0},
+		{"mtu-256", testOptions(codec.IntraInterV1), 256},
+		{"tiles-8-layers-3", layeredTestOptions(8), 0},
+		{"adaptive-v2", adaptOptions(codec.IntraInterV2), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sent, viewed [][]byte
+			s := New(context.Background(), Config{Options: tc.opts, MTU: tc.mtu,
+				PacketOut: func(_ context.Context, p []byte) error {
+					sent = append(sent, p)
+					return nil
+				}})
+			col := NewCollector(s)
+			sv, _ := oneViewer(t, ServerConfig{Options: tc.opts, MTU: tc.mtu}, len(frames),
+				func(_ context.Context, p []byte) error {
+					viewed = append(viewed, p)
+					return nil
+				})
+			for _, f := range frames {
+				if err := s.Submit(context.Background(), f); err != nil {
+					t.Fatal(err)
+				}
+				if err := sv.Submit(context.Background(), f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			col.Wait()
+			if err := sv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(sent) != len(viewed) {
+				t.Fatalf("the Session sent %d packets, the viewer %d", len(sent), len(viewed))
+			}
+			for i := range sent {
+				if !bytes.Equal(sent[i], viewed[i]) {
+					t.Fatalf("packet %d of %d differs between the Session and the viewer", i, len(sent))
+				}
+			}
+		})
+	}
+}
+
 // publishedTestFrame publishes one ~50 KB tiled, layered I-frame as a
 // Server would, with parity group size 4 and its identity cut at mtu.
 func publishedTestFrame(t *testing.T, mtu int) liveFrame {
@@ -396,7 +441,7 @@ func TestFrameCutMemo(t *testing.T) {
 	// alone once the memo is garbage.
 	var sent [][]byte
 	s := &sender{ctx: context.Background(), mtu: 1000, budget: retxBudget,
-		cache: newRetxCache(retxBudget, 1000, nil),
+		cache: newRetxCache(retxBudget, 1000, func(int64, int64) {}),
 		out: func(_ context.Context, pkt []byte) error {
 			if pkt[3]&FlagParity == 0 {
 				sent = append(sent, pkt)

@@ -397,8 +397,7 @@ func (sv *Server) requestIFrame() {
 		sv.coalesced.Add(1)
 		return
 	}
-	// ControlRefresh never touches PacketOut, so no error can surface.
-	_ = sv.sess.HandleControl(Control{Kind: ControlRefresh})
+	sv.sess.forceIFrame()
 }
 
 // Metrics snapshots the server, the shared pipeline, every shard, and
@@ -439,7 +438,9 @@ func (sv *Server) Err() error { return sv.sess.Err() }
 // reaches the shard channels), waits for every shard to finish relaying,
 // then drains and stops every viewer's sender. Idempotent, and safe
 // against a racing Cancel; returns the pipeline's close error. Attached
-// viewers' counters stay readable afterwards.
+// viewers' counters stay readable afterwards, and after a clean close
+// their NACKs are still answered: the receivers' requests for the
+// stream's tail arrive after it.
 func (sv *Server) Close() error {
 	sv.closing.Store(true)
 	err := sv.sess.Close()
@@ -458,7 +459,8 @@ func (sv *Server) Close() error {
 // teardown waits out the shard workers, marks the server closed, drops the
 // keyframe cache and stops every viewer. Idempotent: a Cancel racing a
 // draining Close cuts it short. The shard retransmit caches keep their
-// frames until the Server itself is garbage.
+// frames until the Server itself is garbage, and a draining teardown
+// keeps every viewer's sent-records with them.
 func (sv *Server) teardown(discard bool) {
 	for _, sh := range sv.shards {
 		<-sh.done

@@ -14,6 +14,7 @@ package stream
 //     (forced I-frame resync) while the stream stays decodable.
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -523,56 +524,61 @@ func TestServerViewerErrorIsolation(t *testing.T) {
 	}
 }
 
-// Session.HandleControl coalesces duplicate sequence numbers within one
-// NACK message: [s, s, s] answers with exactly one retransmit — here for
-// the stream's tail after Close, which the retransmit budget still keeps
-// when a 64-byte MTU makes every frame wider than it (the newest frame is
-// kept whole, and alone).
-func TestSessionNACKDuplicateSeqsCoalesce(t *testing.T) {
+// TestViewerTailNACKAfterClose: a clean Close keeps every viewer's
+// sent-records, so the NACKs a receiver sends for the stream's tail, which
+// arrive after Close, are still answered; duplicate sequence numbers in one
+// NACK message coalesce, so [s, s, s] answers with exactly one retransmit.
+// A 64-byte MTU makes every frame wider than the retransmit budget, so the
+// shard cache keeps the newest frame whole, and alone.
+func TestViewerTailNACKAfterClose(t *testing.T) {
 	frames := testFrames(t, 3)
 	opts := testOptions(codec.IntraOnly)
 
 	var mu sync.Mutex
 	var pkts [][]byte
-	s := New(context.Background(), Config{Options: opts, MTU: 64,
-		PacketOut: func(_ context.Context, p []byte) error {
+	sv, v := oneViewer(t, ServerConfig{Options: opts, MTU: 64}, len(frames),
+		func(_ context.Context, p []byte) error {
 			mu.Lock()
 			pkts = append(pkts, append([]byte(nil), p...))
 			mu.Unlock()
 			return nil
-		}})
-	col := NewCollector(s)
+		})
 	for _, f := range frames {
-		if err := s.Submit(context.Background(), f); err != nil {
+		if err := sv.Submit(context.Background(), f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Close(); err != nil {
+	if err := sv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	col.Wait()
-	if n := len(s.tx.cache.frames); n != 1 {
+	if n := len(v.shard.retx.frames); n != 1 {
 		t.Fatalf("retransmit cache keeps %d frames, want 1", n)
 	}
 
 	mu.Lock()
 	before := len(pkts)
-	tail, err := ParsePacket(pkts[before-1])
+	orig := pkts[before-1]
+	tail, err := ParsePacket(orig)
 	mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := tail.Header.Seq
-	if err := s.HandleControl(Control{Kind: ControlNACK, Seqs: []uint32{seq, seq, seq}}); err != nil {
+	if err := sv.HandleControl(Control{Kind: ControlNACK, StreamID: v.StreamID(), Seqs: []uint32{seq, seq, seq}}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	emitted := len(pkts) - before
+	emitted := pkts[before:]
 	mu.Unlock()
-	if emitted != 1 {
-		t.Fatalf("NACK [%d,%d,%d] emitted %d packets, want 1", seq, seq, seq, emitted)
+	if len(emitted) != 1 {
+		t.Fatalf("NACK [%d,%d,%d] after Close emitted %d packets, want 1", seq, seq, seq, len(emitted))
 	}
-	if m := s.Metrics(); m.Retransmits != 1 {
-		t.Fatalf("Retransmits = %d, want 1", m.Retransmits)
+	want := bytes.Clone(orig)
+	want[3] |= FlagRetransmit
+	if !bytes.Equal(emitted[0], want) {
+		t.Fatal("the tail's retransmit differs from the original packet beyond FlagRetransmit")
+	}
+	if m := v.Metrics(); m.Retransmits != 1 || m.RetxMisses != 0 {
+		t.Fatalf("Retransmits = %d, RetxMisses = %d; want 1 and 0", m.Retransmits, m.RetxMisses)
 	}
 }

@@ -52,13 +52,11 @@ func (p Policy) String() string {
 }
 
 // PacketSendFunc transmits one framed packet (packet.go layout) over a
-// datagram-style transport. It runs in the transmit stage for fresh
-// packets and on the HandleControl caller's goroutine for retransmissions;
-// returning an error aborts the session. Implementations must tolerate
-// re-entrant invocation: an in-process receiver can NACK from within the
-// delivery of an earlier packet. The callee owns pkt: the sender never
-// writes it again, so it may be kept, modified or appended to (it comes
-// with no spare capacity, so an append never reaches another packet).
+// datagram-style transport: a Session's send-only stream (Config) or a
+// Server viewer's (ViewerConfig, which says where it runs and what an
+// error does). The callee owns pkt: the sender never writes it again, so
+// it may be kept, modified or appended to (it comes with no spare
+// capacity, so an append never reaches another packet).
 type PacketSendFunc func(ctx context.Context, pkt []byte) error
 
 // FrameSendFunc receives each undropped frame's type and wire bytes (one
@@ -75,8 +73,8 @@ type FrameSendFunc func(ctx context.Context, seq int, ftype codec.FrameType, wir
 // Config configures a Session. The zero value of every field is usable:
 // paper-default codec options require only Options.Design, the link
 // defaults to Wi-Fi, queues to depth 4, packets to a 1400-byte MTU. The
-// modelled edge board runs at edgesim.Mode15W, packets carry stream id 1,
-// and the last retxBudget sent packets stay answerable for NACKs.
+// modelled edge board runs at edgesim.Mode15W and packets carry stream
+// id 1.
 type Config struct {
 	// Options selects and configures the codec (as codec.OptionsFor).
 	Options codec.Options
@@ -98,26 +96,22 @@ type Config struct {
 	// .pcv stream or send the frames over TCP). Dropped frames are
 	// skipped. A Server uses it to broadcast one encode to many viewers.
 	FrameOut FrameSendFunc
-	// PacketOut, when set, emits each undropped frame as framed packets
-	// (packet.go) with consecutive per-stream sequence numbers, retaining
-	// the frame in a bounded retransmit cache so HandleControl can answer
-	// receiver NACKs. Sequence numbers are assigned at transmit time, so
-	// frames shed by the backpressure policy leave a frame-index gap but
-	// no sequence gap — a receiver tells sender drops from network loss.
+	// PacketOut, when set, receives each undropped frame whole as framed
+	// packets (packet.go), frame index = Seq, after FrameOut. It runs on
+	// the transmit stage; returning an error aborts the session. Sequence
+	// numbers are consecutive over the frames sent, so frames shed by the
+	// backpressure policy leave a frame-index gap but no sequence gap — a
+	// receiver tells sender drops from network loss. The stream is
+	// send-only: no parity, and nothing answers a NACK, a refresh or a
+	// feedback report. A receiver that talks back is a Server's viewer's.
 	PacketOut PacketSendFunc
-	// FEC configures forward-error-correction parity emission over
-	// PacketOut (see fec.go). The zero value emits no parity unless the
-	// congestion controller's adaptive parity knob raises it; either way
-	// the frames FrameOut sees are untouched — parity exists only in the
-	// packet stream.
-	FEC FECConfig
 }
 
-// retxBudget is every sender's retransmit budget in packets: a Session's
-// and each viewer's sent-records, a Session's and each shard's retransmit
-// cache (whole frames are evicted, oldest first, and the newest frame
-// stays answerable even when it alone is wider), and the receiver's widest
-// NACKable sequence jump (maxSeqJump).
+// retxBudget is every viewer sender's retransmit budget in packets: its
+// sent-records, each shard's retransmit cache (whole frames are evicted,
+// oldest first, and the newest frame stays answerable even when it alone
+// is wider), and the receiver's widest NACKable sequence jump
+// (maxSeqJump).
 const retxBudget = 1024
 
 func (c Config) normalized() Config {
@@ -185,22 +179,11 @@ type Metrics struct {
 	RxEnergyJ float64
 	WireBytes int64
 	Packets   int64
-	// Lossy-transport counters (PacketOut sessions): packets re-sent in
-	// answer to NACKs, NACKed packets already evicted from the retransmit
-	// buffer, and receiver-requested I-frame refreshes honoured.
-	Retransmits int64
-	RetxMisses  int64
-	Refreshes   int64
-	// Congestion-feedback counters: receiver reports consumed by the
-	// controller, and reports rejected as duplicate or out of order.
-	FeedbackReports int64
-	FeedbackStale   int64
+	// Refreshes counts I-frame restarts a Server forced on the encoder.
+	Refreshes int64
 	// Adapt is the congestion controller's state (zero value when
 	// Options.Adapt is disabled).
 	Adapt codec.ControllerSnapshot
-	// FEC counts the session's parity emission (ParitySent; the receive
-	// side lives in the Receiver's RecoverySnapshot).
-	FEC metrics.FECSnapshot
 }
 
 // Session is one live streaming pipeline. Create with New, feed frames with
@@ -249,14 +232,9 @@ type Session struct {
 	packets   int64
 	refreshes int64
 
-	// tx is the session's one sender (sender.go): the PacketOut stream's
-	// sequence space, sent-records, NACK answers and stale-feedback check.
-	// Its frames' payloads live in tx.cache, budgeted at retxBudget
-	// packets. Neither is torn down at Close: a receiver's NACKs for the
-	// stream's tail arrive after the sender has closed and are still
-	// answered, so the last retxBudget packets' worth of frames stay
-	// referenced until the Session itself is garbage.
-	tx *sender
+	// pktSeq is the PacketOut stream's next sequence number; touched only
+	// by the transmit stage.
+	pktSeq uint32
 }
 
 // New starts a session's stage goroutines. Cancelling ctx aborts the
@@ -278,14 +256,6 @@ func New(ctx context.Context, cfg Config) *Session {
 		gaugeGeom: metrics.NewQueueGauge("geometry"),
 		gaugePkt:  metrics.NewQueueGauge("packetize"),
 		gaugeTx:   metrics.NewQueueGauge("transmit"),
-		tx: &sender{
-			ctx:    sctx,
-			id:     1,
-			mtu:    cfg.MTU,
-			budget: retxBudget,
-			out:    cfg.PacketOut,
-			cache:  newRetxCache(retxBudget, cfg.MTU, nil),
-		},
 	}
 	s.enc = codec.NewEncoder(s.attrDev, cfg.Options)
 	s.txq = newFrameQueue(cfg.Queue, cfg.Policy, s.gaugeTx)
@@ -405,23 +375,17 @@ func (s *Session) Options() codec.Options { return s.enc.Options() }
 
 // Metrics snapshots the session's pipeline counters and device ledgers.
 func (s *Session) Metrics() Metrics {
-	tx := s.tx.snapshot()
 	s.mu.Lock()
 	m := Metrics{
-		Submitted:       s.submitted,
-		Delivered:       s.delivered,
-		Dropped:         s.droppedN,
-		LinkTime:        s.linkTime,
-		TxEnergyJ:       s.txJ,
-		RxEnergyJ:       s.rxJ,
-		WireBytes:       s.wireBytes,
-		Packets:         s.packets,
-		Retransmits:     tx.retransmits,
-		RetxMisses:      tx.retxMisses,
-		Refreshes:       s.refreshes,
-		FeedbackReports: tx.fbReports,
-		FeedbackStale:   tx.fbStale,
-		FEC:             metrics.FECSnapshot{ParitySent: tx.parity},
+		Submitted: s.submitted,
+		Delivered: s.delivered,
+		Dropped:   s.droppedN,
+		LinkTime:  s.linkTime,
+		TxEnergyJ: s.txJ,
+		RxEnergyJ: s.rxJ,
+		WireBytes: s.wireBytes,
+		Packets:   s.packets,
+		Refreshes: s.refreshes,
 	}
 	s.mu.Unlock()
 	if ctrl := s.enc.Controller(); ctrl != nil {
@@ -619,17 +583,26 @@ func (c *Collector) Wait() []Result {
 	return c.results
 }
 
-// sendPackets publishes one transmitted frame to the session's sender:
-// the wire bytes are copied once into an immutable payload (the pooled
-// wire buffer is recycled after this returns), kept by the retransmit
-// cache so NACKs can be rebuilt from it, and sent whole — the identity
-// view — as frame index j.seq. Runs only on the transmit stage.
+// sendPackets frames one transmitted frame whole, as frame index j.seq,
+// into packets of its own (the pooled wire buffer is recycled after this
+// returns) and hands them to PacketOut. Runs only on the transmit stage.
 func (s *Session) sendPackets(j *job) error {
-	lf := newLiveFrame(j.seq, j.ftype, j.wire, s.cfg.MTU, s.cfg.FEC.groupLen(s.enc.Controller()))
-	lf.f.seq = uint64(j.seq)
-	s.tx.cache.add(lf.f)
-	_, _, err := s.tx.send(lf, uint32(j.seq), view{})
-	return err
+	pkts, err := identityPlan(j.wire).packets(PacketHeader{
+		StreamID:   1,
+		FrameIndex: uint32(j.seq),
+		FrameType:  j.ftype,
+		Seq:        s.pktSeq,
+	}, s.cfg.MTU)
+	if err != nil {
+		return err
+	}
+	s.pktSeq += uint32(len(pkts))
+	for _, pkt := range pkts {
+		if err := s.cfg.PacketOut(s.ctx, pkt); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Controller returns the session's congestion controller, nil unless
@@ -651,39 +624,11 @@ func (s *Session) observeLocal(cost linksim.Cost, shed bool) {
 	})
 }
 
-// HandleControl processes a receiver→sender control message. NACKs are
-// answered by the session's sender: each requested packet still covered
-// by the retransmit cache is rebuilt from its frame (byte-identical to the
-// original, plus FlagRetransmit) and re-sent through PacketOut; sequence
-// numbers whose frame has been evicted are counted as misses and ignored
-// — the receiver's retry budget will conceal or skip. ControlRefresh
-// forces the encoder's next frame to be an I-frame, restarting the GOP
-// for a receiver that lost its reference. ControlFeedback reports steer
-// the congestion controller (when Options.Adapt is enabled); duplicated
-// or reordered reports are dropped as stale so a replayed report can
-// never double-steer the knobs. Feedback is counted even with the
-// controller disabled, so a misconfigured pairing is visible in Metrics.
-//
-// Safe to call concurrently with a running pipeline, including
-// re-entrantly from within a PacketOut delivery chain (in-process
-// transports): no lock is ever held across PacketOut.
-func (s *Session) HandleControl(c Control) error {
-	switch c.Kind {
-	case ControlRefresh:
-		s.enc.ForceIFrame()
-		s.mu.Lock()
-		s.refreshes++
-		s.mu.Unlock()
-	case ControlFeedback:
-		fb := c.Feedback
-		if !s.tx.acceptFeedback(fb.Report) {
-			return nil
-		}
-		if ctrl := s.enc.Controller(); ctrl != nil {
-			ctrl.ObserveFeedback(fb.CongestionRate())
-		}
-	case ControlNACK:
-		return s.tx.handleNACK(c.Seqs)
-	}
-	return nil
+// forceIFrame makes the encoder's next frame an I-frame, restarting the
+// GOP: a Server's coalesced answer to its viewers' refresh requests.
+func (s *Session) forceIFrame() {
+	s.enc.ForceIFrame()
+	s.mu.Lock()
+	s.refreshes++
+	s.mu.Unlock()
 }

@@ -58,7 +58,9 @@ type ViewerConfig struct {
 	LayerAdapt codec.LayerAdapt
 	// PacketOut transmits this viewer's framed packets. It runs on the
 	// viewer's sender goroutine (fresh and cached frames) and on the
-	// HandleControl caller's goroutine (retransmissions). Nil builds and
+	// HandleControl caller's goroutine (retransmissions), re-entrantly when
+	// an in-process receiver NACKs from within the delivery of an earlier
+	// packet. Nil builds and
 	// accounts packets without sending — useful for capacity benchmarks.
 	// A PacketOut error marks the viewer failed and stops its sender; it
 	// never aborts the server or the other viewers.
@@ -129,7 +131,8 @@ type ViewerMetrics struct {
 	LayerUpswitches   int64
 	// RetxBuffered is the packet span the sent-records currently cover —
 	// how many recent sequence numbers this viewer can still answer NACKs
-	// for (0 once the viewer detaches; detach frees the records).
+	// for (0 once the viewer is detached or the server cancelled, which
+	// free the records; a clean Close keeps them).
 	RetxBuffered int
 	// Link totals over all sent frames.
 	LinkTime  time.Duration
@@ -581,9 +584,11 @@ func (v *Viewer) HandleControl(c Control) error {
 
 // shutdown stops the viewer: no further enqueues, the sender either drains
 // the queue (clean close) or abandons it (detach/cancel) after the send in
-// progress, the queue is dropped, and the sent-records are freed. Blocks
-// until the sender goroutine exits; counters remain readable through
-// Metrics afterwards. Idempotent.
+// progress, and the queue is dropped. A discarding shutdown also frees the
+// sent-records; a clean close keeps them, like the shard caches, so the
+// receiver's NACKs for the stream's tail, which arrive after Close, are
+// still answered. Blocks until the sender goroutine exits; counters remain
+// readable through Metrics afterwards. Idempotent.
 func (v *Viewer) shutdown(discard bool) {
 	v.mu.Lock()
 	v.closed = true
@@ -597,5 +602,7 @@ func (v *Viewer) shutdown(discard bool) {
 	}
 	v.queue = nil
 	v.mu.Unlock()
-	v.tx.stop()
+	if discard {
+		v.tx.stop()
+	}
 }
