@@ -15,10 +15,7 @@
 //	pccbench future            future-work ASIC projection
 //	pccbench endtoend          Fig. 1 end-to-end budget with wireless transmission
 //	pccbench lod               progressive level-of-detail decoding
-//	pccbench altcodecs         codec family incl. kd-tree and Predicting/Lifting
-//	pccbench viewport          viewport culling
 //	pccbench capture           capture-rig sweep
-//	pccbench pipeline          Sec. IV    concurrent streaming pipeline
 //	pccbench all               everything above
 //	pccbench hotpath           entropy/Morton hot-loop micros + sparse row (BENCH_8.json)
 //	pccbench fanout-scale      relay-tree viewer scaling 64 → 16k (BENCH_6.json)
@@ -67,9 +64,40 @@ var (
 	flagRatio      = flag.Float64("ratio", 0, "fanout-scale: fail when cost(largest)/cost(smallest) exceeds this")
 )
 
+// experiments is the one ordered list of experiments: the usage line, the
+// dispatch and `all` (the entries with inAll, in this order) read it. The
+// hotpath, fanout-scale and tiles gates stay out of `all`.
+var experiments = []struct {
+	name  string
+	run   func(benchConfig) error
+	inAll bool
+}{
+	{"table1", runTable1, true},
+	{"fig2", runFig2, true},
+	{"fig3a", runFig3a, true},
+	{"fig3b", runFig3b, true},
+	{"fig8", runFig8, true},
+	{"fig9", runFig9, true},
+	{"fig10b", runFig10b, true},
+	{"power", runPower, true},
+	{"decode", runDecode, true},
+	{"ablation", runAblation, true},
+	{"future", runFuture, true},
+	{"endtoend", runEndToEnd, true},
+	{"lod", runLoD, true},
+	{"capture", runCapture, true},
+	{"hotpath", runHotpath, false},
+	{"fanout-scale", runFanoutScale, false},
+	{"tiles", runTiles, false},
+}
+
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pccbench [flags] <experiment>\nexperiments: table1 fig2 fig3a fig3b fig8 fig9 fig10b power decode ablation future endtoend lod altcodecs viewport capture pipeline hotpath fanout-scale tiles all\n")
+		names := make([]string, 0, len(experiments))
+		for _, e := range experiments {
+			names = append(names, e.name)
+		}
+		fmt.Fprintf(os.Stderr, "usage: pccbench [flags] <experiment>\nexperiments: %s all\n", strings.Join(names, " "))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -94,46 +122,22 @@ func main() {
 		cfg.Frames = 1
 	}
 
-	experiments := map[string]func(benchConfig) error{
-		"table1":       runTable1,
-		"fig2":         runFig2,
-		"fig3a":        runFig3a,
-		"fig3b":        runFig3b,
-		"fig8":         runFig8,
-		"fig9":         runFig9,
-		"fig10b":       runFig10b,
-		"power":        runPower,
-		"decode":       runDecode,
-		"ablation":     runAblation,
-		"future":       runFuture,
-		"endtoend":     runEndToEnd,
-		"lod":          runLoD,
-		"altcodecs":    runAltCodecs,
-		"viewport":     runViewport,
-		"capture":      runCapture,
-		"pipeline":     runPipeline,
-		"hotpath":      runHotpath,
-		"fanout-scale": runFanoutScale,
-		"tiles":        runTiles,
-	}
-	if cmd == "all" {
-		for _, name := range []string{"table1", "fig2", "fig3a", "fig3b", "fig8", "fig9", "fig10b", "power", "decode", "ablation", "future", "endtoend", "lod", "altcodecs", "viewport", "capture", "pipeline"} {
-			fmt.Printf("\n===== %s =====\n", name)
-			if err := experiments[name](cfg); err != nil {
-				fmt.Fprintf(os.Stderr, "pccbench %s: %v\n", name, err)
+	ran := false
+	for _, e := range experiments {
+		if cmd == e.name || cmd == "all" && e.inAll {
+			if cmd == "all" {
+				fmt.Printf("\n===== %s =====\n", e.name)
+			}
+			if err := e.run(cfg); err != nil {
+				fmt.Fprintf(os.Stderr, "pccbench %s: %v\n", e.name, err)
 				os.Exit(1)
 			}
+			ran = true
 		}
-		return
 	}
-	run, ok := experiments[cmd]
-	if !ok {
+	if !ran {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if err := run(cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "pccbench %s: %v\n", cmd, err)
-		os.Exit(1)
 	}
 }
 

@@ -179,7 +179,9 @@ type LocalSignal struct {
 	// QueueFill is transmit-queue depth over capacity at observe time.
 	QueueFill float64
 	// Shed reports that this frame was sacrificed by the backpressure
-	// policy before transmission.
+	// policy before transmission. No caller outside tests sets it: a
+	// Session never sheds, and a Server sheds per viewer. The pinned
+	// controller trajectories still feed it.
 	Shed bool
 	// Latency is the frame's modelled link time (zero for a shed frame).
 	Latency time.Duration

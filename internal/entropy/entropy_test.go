@@ -80,27 +80,6 @@ func TestByteModelRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNibbleModelRoundTrip(t *testing.T) {
-	e := NewEncoder()
-	m := NewNibbleModel()
-	vals := make([]byte, 500)
-	rng := rand.New(rand.NewSource(5))
-	for i := range vals {
-		vals[i] = byte(rng.Intn(16))
-		m.Encode(e, vals[i])
-	}
-	d, err := NewDecoder(e.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := NewNibbleModel()
-	for i, want := range vals {
-		if got := m2.Decode(d); got != want {
-			t.Fatalf("nibble %d = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestUintModelRoundTrip(t *testing.T) {
 	f := func(vals []uint64) bool {
 		e := NewEncoder()

@@ -115,40 +115,6 @@ func (m *ByteModel) DecodeSlice(d *Decoder, dst []byte) {
 	d.code, d.rng, d.pos = code, rng, pos
 }
 
-// NibbleModel is a 4-bit bit-tree model (15 contexts), used where symbols
-// are small (e.g. quantized residual magnitudes).
-type NibbleModel struct {
-	probs [16]Prob
-}
-
-// NewNibbleModel returns a fresh model.
-func NewNibbleModel() *NibbleModel {
-	m := &NibbleModel{}
-	for i := range m.probs {
-		m.probs[i] = NewProb()
-	}
-	return m
-}
-
-// Encode codes the low 4 bits of v.
-func (m *NibbleModel) Encode(e *Encoder, v byte) {
-	ctx := 1
-	for i := 3; i >= 0; i-- {
-		bit := int(v >> uint(i) & 1)
-		e.EncodeBit(&m.probs[ctx], bit)
-		ctx = ctx<<1 | bit
-	}
-}
-
-// Decode decodes 4 bits.
-func (m *NibbleModel) Decode(d *Decoder) byte {
-	ctx := 1
-	for i := 0; i < 4; i++ {
-		ctx = ctx<<1 | d.DecodeBit(&m.probs[ctx])
-	}
-	return byte(ctx & 0x0F)
-}
-
 // UintModel codes unsigned integers with an adaptive Elias-gamma-like
 // scheme: a unary-coded bit-length under adaptive contexts followed by the
 // mantissa bits at fixed probability. Good for residuals/counts with

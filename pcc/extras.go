@@ -6,21 +6,16 @@ import (
 	"repro/internal/capture"
 	"repro/internal/linksim"
 	"repro/internal/render"
-	"repro/internal/viewport"
 )
 
 // Stages of the paper's Fig. 1 pipeline that sit around the codec:
-// capture (3D content generation), transmission links, viewport culling,
-// and rendering — re-exported so library users can assemble the full
-// capture → encode → transmit → decode → render chain.
+// capture (3D content generation), a transmission link and rendering —
+// re-exported so library users can assemble the full capture → encode →
+// transmit → decode → render chain.
 
-// Capture (Fig. 1 stage 1).
-type (
-	// CaptureCam is a virtual pinhole RGB-D camera.
-	CaptureCam = capture.Cam
-	// CaptureRig is a set of cameras imaging one subject.
-	CaptureRig = capture.Rig
-)
+// CaptureRig is a set of virtual RGB-D cameras imaging one subject (Fig. 1
+// stage 1).
+type CaptureRig = capture.Rig
 
 // FrontalCaptureRig arranges n cameras in a frontal arc (the MVUB setup
 // uses 4).
@@ -28,55 +23,12 @@ func FrontalCaptureRig(n int, gridSize uint32) CaptureRig {
 	return capture.FrontalRig(n, gridSize)
 }
 
-// OrbitCaptureRig arranges n cameras on a full circle (8iVFB uses 42).
-func OrbitCaptureRig(n int, gridSize uint32) CaptureRig {
-	return capture.OrbitRig(n, gridSize)
-}
+// Link5G is a mid-band 5G uplink model (Fig. 1 stage 3): bandwidth, RTT
+// and energy per byte.
+var Link5G = linksim.NR5G
 
-// Transmission (Fig. 1 stage 3).
-type (
-	// Link is a wireless-link model with bandwidth/RTT/energy figures.
-	Link = linksim.Link
-	// LinkCost is the latency/energy of one transmission.
-	LinkCost = linksim.Cost
-)
-
-// Preset links.
-var (
-	// LinkWiFi is an indoor Wi-Fi 5/6 link.
-	LinkWiFi = linksim.WiFi
-	// Link5G is a mid-band 5G uplink.
-	Link5G = linksim.NR5G
-	// LinkLTE is an LTE uplink.
-	LinkLTE = linksim.LTE
-)
-
-// Viewport culling (ViVo-style viewpoint-dependent transmission).
-type (
-	// ViewCamera is the viewer's pose and field of view.
-	ViewCamera = viewport.Camera
-	// CullResult summarizes a culling pass.
-	CullResult = viewport.Result
-)
-
-// CullViewport keeps only the Morton blocks of a sorted frame that fall in
-// the viewer's field of view.
-func CullViewport(sorted []Point, segments int, cam ViewCamera) ([]Point, []bool, CullResult) {
-	return viewport.Cull(sorted, segments, cam)
-}
-
-// Rendering (Fig. 1 stage 5).
-type (
-	// RenderOptions configures the splat renderer.
-	RenderOptions = render.Options
-)
-
-// View axes for RenderOptions.
-const (
-	ViewFront = render.FrontZ
-	ViewSide  = render.SideX
-	ViewTop   = render.TopY
-)
+// RenderOptions configures the splat renderer (Fig. 1 stage 5).
+type RenderOptions = render.Options
 
 // DefaultRenderOptions renders a 512x512 frontal view.
 func DefaultRenderOptions() RenderOptions { return render.DefaultOptions() }

@@ -26,7 +26,6 @@ func TestCaptureRenderExtras(t *testing.T) {
 	// Render.
 	o := DefaultRenderOptions()
 	o.Width, o.Height = 64, 64
-	o.View = ViewSide
 	img, err := RenderFrame(captured, o)
 	if err != nil {
 		t.Fatal(err)
@@ -35,41 +34,9 @@ func TestCaptureRenderExtras(t *testing.T) {
 		t.Fatal("render size")
 	}
 
-	// Links.
+	// Link.
 	c, err := Link5G.Transmit(1_000_000)
 	if err != nil || c.Latency <= 0 {
 		t.Fatalf("link: %v %v", c, err)
-	}
-	if LinkWiFi.BandwidthMbps <= Link5G.BandwidthMbps {
-		t.Fatal("WiFi should be the fastest preset")
-	}
-	if LinkLTE.TxNanojoulePerByte <= Link5G.TxNanojoulePerByte {
-		t.Fatal("LTE should cost the most energy per byte")
-	}
-}
-
-func TestCullViewportExtras(t *testing.T) {
-	v := testVideo(t)
-	f, _ := v.Frame(0)
-	// Use the decoded canonical order: encode/decode round trip sorts it.
-	o := DefaultOptions(IntraOnly)
-	o.IntraAttr.Segments = 200
-	enc := NewEncoderOptions(o)
-	bits, _, err := enc.Encode(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := NewDecoder(o)
-	sortedCloud, err := dec.Decode(bits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cam := ViewCamera{Pos: [3]float64{512, 512, -1024}, Dir: [3]float64{0, 0, 1}, FOVDegrees: 360}
-	kept, mask, res := CullViewport(sortedCloud.Voxels, 100, cam)
-	if len(kept) != sortedCloud.Len() || res.CulledFraction() != 0 {
-		t.Fatalf("360-degree cull dropped points: %d of %d", len(kept), sortedCloud.Len())
-	}
-	if len(mask) != res.Blocks {
-		t.Fatal("mask length mismatch")
 	}
 }

@@ -469,62 +469,36 @@ func TestLossyStreamIFrameLossForcesRefresh(t *testing.T) {
 	t.Logf("victim %d, resync at forced I-frame %d; %d refreshes", victim, resync, sv.Metrics().Refreshes)
 }
 
-// TestReceiverSenderDropIsNotLoss: frames shed by the DropOldestP policy
+// TestReceiverSenderDropIsNotLoss: frames a viewer's full queue sheds
 // leave a frame-index gap but no sequence gap — the receiver must report
-// them as sender drops without NACKing anything.
+// each as a sender drop without NACKing anything. It runs
+// slowViewerOverflow's deterministic trace, which sheds frames 1–5 and 7.
 func TestReceiverSenderDropIsNotLoss(t *testing.T) {
-	frames := lossyFrames(t, 10, 0.01)
-	fl := linksim.NewFaultyLink(congested, linksim.FaultProfile{})
-	var outcomes []DecodedFrame
-	pipe := NewLossyPipe(fl, ReceiverConfig{
-		Options: testOptions(codec.IntraInterV1),
-		OnFrame: func(f DecodedFrame) { outcomes = append(outcomes, f) },
-	})
-	cfg := Config{
-		Options:   testOptions(codec.IntraInterV1),
-		Link:      congested,
-		Policy:    DropOldestP,
-		Queue:     2,
-		Pace:      0.002, // real backpressure so the queue actually sheds
-		PacketOut: pipe.PacketOut,
-	}
-	s := New(context.Background(), cfg)
-	col := NewCollector(s)
-	for _, f := range frames {
-		if err := s.Submit(context.Background(), f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	results := col.Wait()
-	if err := pipe.Finish(len(frames)); err != nil {
-		t.Fatal(err)
-	}
-
-	senderDrops := 0
-	for _, r := range results {
-		if r.Dropped {
-			senderDrops++
-		}
-	}
-	if len(outcomes) != len(frames) {
-		t.Fatalf("got %d outcomes, want %d", len(outcomes), len(frames))
+	_, vm, outcomes, rx := slowViewerOverflow(t)
+	if len(outcomes) != 9 {
+		t.Fatalf("got %d outcomes, want 9", len(outcomes))
 	}
 	reported := 0
-	for _, f := range outcomes {
-		if errors.Is(f.Err, ErrSenderDropped) {
-			reported++
-			if f.Status != FrameSkipped {
-				t.Errorf("frame %d: sender drop reported as %v", f.Index, f.Status)
+	for i, f := range outcomes {
+		if f.Index != i {
+			t.Fatalf("outcome %d is frame %d", i, f.Index)
+		}
+		switch i {
+		case 0, 6, 8:
+			if f.Status != FrameDecoded {
+				t.Errorf("frame %d: %v (%v), want decoded", i, f.Status, f.Err)
 			}
+		default:
+			if f.Status != FrameSkipped || !errors.Is(f.Err, ErrSenderDropped) {
+				t.Errorf("frame %d: %v (%v), want skipped as a sender drop", i, f.Status, f.Err)
+			}
+			reported++
 		}
 	}
-	if reported != senderDrops {
-		t.Errorf("receiver reported %d sender drops, sender recorded %d", reported, senderDrops)
+	if int64(reported) != vm.FramesDropped {
+		t.Errorf("receiver saw %d sender drops, the viewer shed %d", reported, vm.FramesDropped)
 	}
-	if nacks := pipe.Receiver().Metrics().NACKsSent; nacks != 0 {
-		t.Errorf("lossless link but %d NACKs sent: sender drops mistaken for loss", nacks)
+	if nacks := rx.Metrics().NACKsSent; nacks != 0 {
+		t.Errorf("lossless transport but %d NACKs sent: sender drops mistaken for loss", nacks)
 	}
 }

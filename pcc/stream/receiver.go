@@ -70,8 +70,8 @@ func (s FrameStatus) String() string {
 // the NACK retry budget.
 var ErrFrameLost = errors.New("stream: frame lost in transit")
 
-// ErrSenderDropped reports a frame the sender's backpressure policy shed
-// before transmission (its sequence numbers were never used).
+// ErrSenderDropped reports a frame the sender shed before transmission
+// (a Server viewer's full queue; its sequence numbers were never used).
 var ErrSenderDropped = errors.New("stream: frame dropped by sender")
 
 // DecodedFrame is the fate of one frame at the receiver, delivered in
@@ -685,7 +685,7 @@ func (r *Receiver) deliver(now time.Time) {
 		}
 		// Frame index never seen. If no missing seq precedes the next
 		// pending frame, the gap's seqs are all accounted for: the sender
-		// never sent this index (backpressure drop — always a P-frame) or
+		// never sent this index (shed from the sender's queue) or
 		// its packets were given up on (gapLost).
 		next, ok := r.minPending()
 		if !ok || next <= r.nextFrame {

@@ -171,12 +171,11 @@ func NewServer(ctx context.Context, cfg ServerConfig) *Server {
 	for i := range sv.shards {
 		sv.shards[i] = newShard(sv, i)
 	}
+	// The shared pipeline never sheds frames; per-viewer queues are where
+	// slowness resolves, in isolation.
 	sv.sess = New(ctx, Config{
-		Options: cfg.Options,
-		MTU:     cfg.MTU,
-		// The shared pipeline never sheds frames; per-viewer queues are
-		// where slowness resolves, in isolation.
-		Policy:   Block,
+		Options:  cfg.Options,
+		MTU:      cfg.MTU,
 		FrameOut: sv.publish,
 	})
 	for _, sh := range sv.shards {

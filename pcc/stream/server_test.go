@@ -391,11 +391,16 @@ func TestServerViewerChurn(t *testing.T) {
 	}
 }
 
-// A slow viewer whose queue overflows is force-resynced: incoming
-// I-frames flush the stale backlog, P-frames shed oldest-first, and the
-// delivered subset still decodes — slow-viewer isolation in one queue.
-func TestServerSlowViewerOverflowResync(t *testing.T) {
-	frames := testFrames(t, 9) // I P P I P P I P P
+// slowViewerOverflow runs the deterministic shedding trace: a Server whose
+// one viewer has a queue of 2 and a PacketOut that blocks on its first call
+// until all 9 frames (I P P I P P I P P) are encoded. With the sender stuck
+// on frame 0 the broadcast order yields: [1 2] → I3 flushes → [3] → [3 4] →
+// P5 sheds P4 → [3 5] → I6 flushes → [6] → [6 7] → P8 sheds P7 → [6 8].
+// It returns the closed server, the viewer's metrics and its receiver's
+// per-frame outcomes, and the receiver.
+func slowViewerOverflow(t *testing.T) (*Server, ViewerMetrics, []DecodedFrame, *Receiver) {
+	t.Helper()
+	frames := testFrames(t, 9)
 	opts := testOptions(codec.IntraInterV1)
 
 	srv := NewServer(context.Background(), ServerConfig{Options: opts, ViewerQueue: 2})
@@ -434,15 +439,19 @@ func TestServerSlowViewerOverflowResync(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Queue cap 2, sender stuck on frame 0. The broadcast order I P P I P
-	// P I P P yields: [1 2] → I3 flushes → [3] → [3 4] → P5 sheds P4 →
-	// [3 5] → I6 flushes → [6] → [6 7] → P8 sheds P7 → [6 8].
 	close(release)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return srv, v.Metrics(), sink.finish(t, len(frames)), sink.recv
+}
 
-	vm := v.Metrics()
+// A slow viewer whose queue overflows is force-resynced: incoming
+// I-frames flush the stale backlog, P-frames shed oldest-first, and the
+// delivered subset still decodes — slow-viewer isolation in one queue.
+// TestReceiverSenderDropIsNotLoss reads the shed frames at the receiver.
+func TestServerSlowViewerOverflowResync(t *testing.T) {
+	srv, vm, outcomes, _ := slowViewerOverflow(t)
 	if vm.FramesSent != 3 {
 		t.Fatalf("FramesSent = %d, want 3 (frames 0, 6, 8)", vm.FramesSent)
 	}
@@ -452,13 +461,11 @@ func TestServerSlowViewerOverflowResync(t *testing.T) {
 	if vm.Resyncs != 2 {
 		t.Fatalf("Resyncs = %d, want 2 (one per I-frame hitting the full queue)", vm.Resyncs)
 	}
-	if vm.FramesEnqueued != int64(len(frames)) {
-		t.Fatalf("FramesEnqueued = %d, want %d", vm.FramesEnqueued, len(frames))
+	if vm.FramesEnqueued != 9 {
+		t.Fatalf("FramesEnqueued = %d, want 9", vm.FramesEnqueued)
 	}
 
-	// The surviving subset — I0, I6, P8 — decodes; the shed frames read as
-	// sender drops (frame-index gaps without sequence gaps), not loss.
-	outcomes := sink.finish(t, len(frames))
+	// The surviving subset — I0, I6, P8 — decodes.
 	decoded := 0
 	for _, f := range outcomes {
 		switch f.Index {

@@ -7,15 +7,16 @@
 //
 // GOP I/P dependencies are respected: the attribute stage finishes frames
 // strictly in submission order and performs the encoder's reference-frame
-// handoff, so P-frames always predict from the correct I-frame. When the
-// modelled link congests, a configurable backpressure policy keeps latency
-// bounded: Block stalls the producer, DropOldestP sacrifices the oldest
-// queued P-frame (never an I-frame) so the stream stays decodable.
+// handoff, so P-frames always predict from the correct I-frame. Every stage
+// queue holds stageQueue frames and blocks when full, so a slow transmit
+// stage stalls the producer and the pipeline never sheds a frame: a
+// Server, which wraps one Session, sheds per viewer, in each viewer's own
+// queue.
 //
 // Sessions are isolated — each owns its encoder, its per-stage edge-device
-// ledgers, and its queues — so any number of them can run in parallel
-// (multi-viewer edge serving). Per-stage queue depths and drop counters are
-// surfaced through internal/metrics queue gauges.
+// ledgers, and its queues — so any number of them can run in parallel.
+// Per-stage queue depths are surfaced through internal/metrics queue
+// gauges.
 package stream
 
 import (
@@ -31,26 +32,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// Policy selects the backpressure behaviour when the transmit queue fills.
-type Policy int
-
-const (
-	// Block stalls the pipeline (and ultimately Submit) until the link
-	// drains — lossless, unbounded latency.
-	Block Policy = iota
-	// DropOldestP marks the oldest queued P-frame as dropped to bound
-	// queueing latency. I-frames are never dropped; a queue holding only
-	// I-frames blocks instead.
-	DropOldestP
-)
-
-func (p Policy) String() string {
-	if p == DropOldestP {
-		return "drop-oldest-P"
-	}
-	return "block"
-}
-
 // PacketSendFunc transmits one framed packet (packet.go layout) over a
 // datagram-style transport: a Session's send-only stream (Config) or a
 // Server viewer's (ViewerConfig, which says where it runs and what an
@@ -59,10 +40,9 @@ func (p Policy) String() string {
 // capacity, so an append never reaches another packet).
 type PacketSendFunc func(ctx context.Context, pkt []byte) error
 
-// FrameSendFunc receives each undropped frame's type and wire bytes (one
-// .pcv frame container), in transmit order — the hook for a real
-// transport, and the one a Server uses to broadcast one encode to many
-// viewers. It runs in the transmit stage; returning an error aborts the
+// FrameSendFunc receives each frame's type and wire bytes (one .pcv frame
+// container), in transmit order — the hook for a real transport, and the
+// one a Server uses to broadcast one encode to many viewers. It runs in the transmit stage; returning an error aborts the
 // session. The context is the session's: implementations must return (with
 // any error) once it is cancelled, or Close cannot drain the pipeline. The
 // wire slice is only valid for the duration of the call (the session
@@ -71,41 +51,32 @@ type PacketSendFunc func(ctx context.Context, pkt []byte) error
 type FrameSendFunc func(ctx context.Context, seq int, ftype codec.FrameType, wire []byte) error
 
 // Config configures a Session. The zero value of every field is usable:
-// paper-default codec options require only Options.Design, the link
-// defaults to Wi-Fi, queues to depth 4, packets to a 1400-byte MTU. The
-// modelled edge board runs at edgesim.Mode15W and packets carry stream
-// id 1.
+// paper-default codec options require only Options.Design, packets default
+// to a 1400-byte MTU. The modelled edge board runs at edgesim.Mode15W, the
+// modelled link is linksim.WiFi, every stage queue holds stageQueue frames
+// and packets carry stream id 1.
 type Config struct {
 	// Options selects and configures the codec (as codec.OptionsFor).
 	Options codec.Options
-	// Link is the modelled wireless uplink (default linksim.WiFi).
-	Link linksim.Link
-	// Queue is the per-stage queue capacity (default 4).
-	Queue int
-	// Policy is the transmit-queue backpressure policy.
-	Policy Policy
 	// MTU is the packet payload size used by the packetize stage
 	// (default 1400 bytes).
 	MTU int
-	// Pace, when > 0, makes the transmit stage sleep Pace real seconds per
-	// simulated link second, so a congested link really backpressures the
-	// pipeline (0 = transmit at full speed, accounting latency only).
-	Pace float64
-	// FrameOut, when set, receives each undropped frame's encoded wire
-	// bytes in transmit order, before PacketOut emission (e.g. to write a
-	// .pcv stream or send the frames over TCP). Dropped frames are
-	// skipped. A Server uses it to broadcast one encode to many viewers.
+	// FrameOut, when set, receives each frame's encoded wire bytes in
+	// transmit order, before PacketOut emission (e.g. to write a .pcv
+	// stream or send the frames over TCP). A Server uses it to broadcast
+	// one encode to many viewers.
 	FrameOut FrameSendFunc
-	// PacketOut, when set, receives each undropped frame whole as framed
-	// packets (packet.go), frame index = Seq, after FrameOut. It runs on
-	// the transmit stage; returning an error aborts the session. Sequence
-	// numbers are consecutive over the frames sent, so frames shed by the
-	// backpressure policy leave a frame-index gap but no sequence gap — a
-	// receiver tells sender drops from network loss. The stream is
+	// PacketOut, when set, receives each frame whole as framed packets
+	// (packet.go), frame index = Seq, after FrameOut. It runs on the
+	// transmit stage; returning an error aborts the session. The stream is
 	// send-only: no parity, and nothing answers a NACK, a refresh or a
 	// feedback report. A receiver that talks back is a Server's viewer's.
 	PacketOut PacketSendFunc
 }
+
+// stageQueue is every stage queue's capacity in frames: ingest, geometry,
+// packetize and transmit.
+const stageQueue = 4
 
 // retxBudget is every viewer sender's retransmit budget in packets: its
 // sent-records, each shard's retransmit cache (whole frames are evicted,
@@ -113,17 +84,6 @@ type Config struct {
 // is wider), and the receiver's widest NACKable sequence jump
 // (maxSeqJump).
 const retxBudget = 1024
-
-func (c Config) normalized() Config {
-	if c.Queue < 1 {
-		c.Queue = 4
-	}
-	c.MTU = clampMTU(c.MTU, 64, 1400)
-	if c.Link.BandwidthMbps <= 0 {
-		c.Link = linksim.WiFi
-	}
-	return c
-}
 
 // job is one frame flowing through the pipeline; stages fill and then
 // release their fields so a queued frame holds only what later stages need.
@@ -136,10 +96,9 @@ type job struct {
 	stats codec.FrameStats
 	wire  []byte
 	// wbuf is the pooled buffer backing wire; the transmit stage recycles
-	// it once the frame has been emitted (or dropped).
+	// it once the frame has been emitted.
 	wbuf    *bytes.Buffer
 	packets int
-	dropped bool
 }
 
 // wireBufs pools the per-frame wire serialization buffers so steady-state
@@ -151,19 +110,19 @@ var wireBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 type Result struct {
 	Seq   int
 	Stats codec.FrameStats
-	// Dropped frames were encoded but sacrificed by the backpressure
-	// policy before transmission (always P-frames).
-	Dropped bool
 	// Packets and WireBytes describe the packetized frame container.
 	Packets   int
 	WireBytes int64
-	// Link is the modelled transmission cost (zero for dropped frames).
+	// Link is the modelled transmission cost over linksim.WiFi.
 	Link linksim.Cost
 }
 
 // Metrics is a point-in-time snapshot of a session's pipeline state.
 type Metrics struct {
-	Submitted, Delivered, Dropped int64
+	Submitted, Delivered int64
+	// Dropped is always 0: a Session never sheds a frame. It stays for
+	// readers of a Server's Pipeline snapshot.
+	Dropped int64
 	// Queues are the per-stage queue gauges in pipeline order:
 	// ingest, geometry, packetize, transmit.
 	Queues []metrics.QueueSnapshot
@@ -203,7 +162,7 @@ type Session struct {
 	in      chan *job
 	gq      chan *job
 	pq      chan *job
-	txq     *frameQueue
+	txq     chan *job
 	results chan Result
 
 	gaugeIn, gaugeGeom, gaugePkt, gaugeTx *metrics.QueueGauge
@@ -225,7 +184,6 @@ type Session struct {
 	mu        sync.Mutex
 	submitted int64
 	delivered int64
-	droppedN  int64
 	linkTime  time.Duration
 	txJ, rxJ  float64
 	wireBytes int64
@@ -240,7 +198,7 @@ type Session struct {
 // New starts a session's stage goroutines. Cancelling ctx aborts the
 // session (Submit and Close return the cancellation error).
 func New(ctx context.Context, cfg Config) *Session {
-	cfg = cfg.normalized()
+	cfg.MTU = clampMTU(cfg.MTU, 64, 1400)
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Session{
 		cfg:       cfg,
@@ -248,23 +206,17 @@ func New(ctx context.Context, cfg Config) *Session {
 		attrDev:   edgesim.NewXavier(edgesim.Mode15W),
 		ctx:       sctx,
 		cancel:    cancel,
-		in:        make(chan *job, cfg.Queue),
-		gq:        make(chan *job, cfg.Queue),
-		pq:        make(chan *job, cfg.Queue),
-		results:   make(chan Result, cfg.Queue),
+		in:        make(chan *job, stageQueue),
+		gq:        make(chan *job, stageQueue),
+		pq:        make(chan *job, stageQueue),
+		txq:       make(chan *job, stageQueue),
+		results:   make(chan Result, stageQueue),
 		gaugeIn:   metrics.NewQueueGauge("ingest"),
 		gaugeGeom: metrics.NewQueueGauge("geometry"),
 		gaugePkt:  metrics.NewQueueGauge("packetize"),
 		gaugeTx:   metrics.NewQueueGauge("transmit"),
 	}
 	s.enc = codec.NewEncoder(s.attrDev, cfg.Options)
-	s.txq = newFrameQueue(cfg.Queue, cfg.Policy, s.gaugeTx)
-
-	// Propagate context cancellation into the cond-based transmit queue.
-	go func() {
-		<-sctx.Done()
-		s.txq.cancelQ()
-	}()
 
 	s.wg.Add(4)
 	go s.geometryStage()
@@ -283,7 +235,8 @@ func (s *Session) fail(err error) {
 }
 
 // Submit hands the pipeline the next frame. It blocks when the ingest
-// queue is full (backpressure reaches the producer under the Block policy).
+// queue is full (backpressure from a slow transmit stage reaches the
+// producer).
 // Submit is single-producer: frames take sequence numbers in call order.
 // A Submit that Close overtakes takes no frame and returns an error
 // (context.Canceled after a clean close); Close drains every frame whose
@@ -332,10 +285,10 @@ func (s *Session) abortErr() error {
 	return s.ctx.Err()
 }
 
-// Results delivers one Result per submitted frame, in submission order,
-// including dropped frames. The channel closes once the pipeline drains
-// after Close (or aborts). Consume it concurrently with Submit: an unread
-// Results channel eventually backpressures the transmit stage.
+// Results delivers one Result per submitted frame, in submission order.
+// The channel closes once the pipeline drains after Close (or aborts).
+// Consume it concurrently with Submit: an unread Results channel
+// eventually backpressures the transmit stage.
 func (s *Session) Results() <-chan Result { return s.results }
 
 // Close stops accepting frames, drains every stage, and returns the first
@@ -379,7 +332,6 @@ func (s *Session) Metrics() Metrics {
 	m := Metrics{
 		Submitted: s.submitted,
 		Delivered: s.delivered,
-		Dropped:   s.droppedN,
 		LinkTime:  s.linkTime,
 		TxEnergyJ: s.txJ,
 		RxEnergyJ: s.rxJ,
@@ -454,12 +406,11 @@ func (s *Session) attrStage() {
 	}
 }
 
-// packetizeStage serializes each frame into its wire container, splits it
-// into MTU-sized packets, and pushes it into the policy-governed transmit
-// queue — the point where backpressure resolves into blocking or dropping.
+// packetizeStage serializes each frame into its wire container, counts its
+// MTU-sized packets, and hands it to the transmit stage.
 func (s *Session) packetizeStage() {
 	defer s.wg.Done()
-	defer s.txq.closeQ()
+	defer close(s.txq)
 	for j := range s.pq {
 		s.gaugePkt.Dequeue()
 		if s.ctx.Err() != nil {
@@ -476,78 +427,67 @@ func (s *Session) packetizeStage() {
 		j.wire = buf.Bytes()
 		j.wbuf = buf
 		j.packets = fragsAtMTU(len(j.wire), s.cfg.MTU)
-		if err := s.txq.push(j); err != nil {
-			continue // canceled
+		select {
+		case s.txq <- j:
+			s.gaugeTx.EnqueueAt(len(s.txq))
+		case <-s.ctx.Done():
 		}
 	}
 }
 
-// transmitStage drains the transmit queue in order, charging the modelled
-// link for surviving frames and reporting every frame's fate.
+// transmitStage takes frames in order, charging the modelled link for each
+// and reporting its fate. It returns once the packetize stage is drained, or
+// at once on cancellation, closing Results either way.
 func (s *Session) transmitStage() {
 	defer s.wg.Done()
 	defer close(s.results)
 	for {
-		j, ok := s.txq.pop()
-		if !ok {
+		var j *job
+		select {
+		case j = <-s.txq:
+		case <-s.ctx.Done():
+		}
+		if j == nil || s.ctx.Err() != nil {
+			return // drained, or aborted
+		}
+		s.gaugeTx.Dequeue()
+		cost, err := linksim.WiFi.Transmit(int64(len(j.wire)))
+		if err != nil {
+			s.fail(err)
 			return
+		}
+		s.observeLocal(cost)
+		s.mu.Lock()
+		s.delivered++
+		s.linkTime += cost.Latency
+		s.txJ += cost.TxEnergy
+		s.rxJ += cost.RxEnergy
+		s.wireBytes += int64(len(j.wire))
+		s.packets += int64(j.packets)
+		s.mu.Unlock()
+		if s.cfg.FrameOut != nil {
+			if err := s.cfg.FrameOut(s.ctx, j.seq, j.ftype, j.wire); err != nil {
+				s.fail(err)
+				return
+			}
+		}
+		if s.cfg.PacketOut != nil {
+			if err := s.sendPackets(j); err != nil {
+				s.fail(err)
+				return
+			}
 		}
 		res := Result{
 			Seq:       j.seq,
 			Stats:     j.stats,
-			Dropped:   j.dropped,
 			Packets:   j.packets,
 			WireBytes: int64(len(j.wire)),
+			Link:      cost,
 		}
-		if j.dropped {
-			s.mu.Lock()
-			s.droppedN++
-			s.mu.Unlock()
-			s.observeLocal(linksim.Cost{}, true)
-		} else {
-			cost, err := s.cfg.Link.Transmit(int64(len(j.wire)))
-			if err != nil {
-				s.fail(err)
-				return
-			}
-			res.Link = cost
-			s.observeLocal(cost, false)
-			s.mu.Lock()
-			s.delivered++
-			s.linkTime += cost.Latency
-			s.txJ += cost.TxEnergy
-			s.rxJ += cost.RxEnergy
-			s.wireBytes += int64(len(j.wire))
-			s.packets += int64(j.packets)
-			s.mu.Unlock()
-			if s.cfg.Pace > 0 {
-				pause := time.Duration(float64(cost.Latency) * s.cfg.Pace)
-				select {
-				case <-time.After(pause):
-				case <-s.ctx.Done():
-					return
-				}
-			}
-			if s.cfg.FrameOut != nil {
-				if err := s.cfg.FrameOut(s.ctx, j.seq, j.ftype, j.wire); err != nil {
-					s.fail(err)
-					return
-				}
-			}
-			if s.cfg.PacketOut != nil {
-				if err := s.sendPackets(j); err != nil {
-					s.fail(err)
-					return
-				}
-			}
-		}
-		if j.wbuf != nil {
-			// Packets and outputs copy the wire bytes, so the buffer is
-			// free for a later frame once emission is done.
-			j.wire = nil
-			wireBufs.Put(j.wbuf)
-			j.wbuf = nil
-		}
+		// Packets and outputs copy the wire bytes, so the buffer is free
+		// for a later frame once emission is done.
+		j.wire = nil
+		wireBufs.Put(j.wbuf)
 		select {
 		case s.results <- res:
 		case <-s.ctx.Done():
@@ -610,16 +550,15 @@ func (s *Session) sendPackets(j *job) error {
 func (s *Session) Controller() *codec.Controller { return s.enc.Controller() }
 
 // observeLocal feeds the congestion controller one per-frame observation
-// from the transmit stage: transmit-queue fill, whether the backpressure
-// policy shed the frame, and the frame's modelled link time.
-func (s *Session) observeLocal(cost linksim.Cost, shed bool) {
+// from the transmit stage: transmit-queue fill and the frame's modelled
+// link time. A Session never sheds, so LocalSignal.Shed stays false.
+func (s *Session) observeLocal(cost linksim.Cost) {
 	ctrl := s.enc.Controller()
 	if ctrl == nil {
 		return
 	}
 	ctrl.ObserveLocal(codec.LocalSignal{
-		QueueFill: float64(s.gaugeTx.Depth()) / float64(s.cfg.Queue),
-		Shed:      shed,
+		QueueFill: float64(s.gaugeTx.Depth()) / float64(stageQueue),
 		Latency:   cost.Latency,
 	})
 }

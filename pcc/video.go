@@ -11,8 +11,8 @@ import (
 // StreamWriter encodes frames into a self-describing .pcv byte stream
 // (header with the codec configuration, then one container per frame), so
 // a receiver needs nothing but the stream to decode — the transmission
-// format of the paper's end-to-end pipeline (Fig. 1). PipelinedWriter is
-// the concurrent counterpart: same bytes, stages overlapped across frames.
+// format of the paper's end-to-end pipeline (Fig. 1). A pcc/stream Session
+// encodes the same frame bytes with its stages overlapped across frames.
 type StreamWriter struct {
 	vw  *core.VideoWriter
 	dev *Device
