@@ -89,8 +89,7 @@ fec:
 # conformance table (TestLayered*, TestPartialDecode*: streams, clouds,
 # ledgers), the per-viewer subscription tests, the reference rule and the
 # progressive-decode tests under the race detector ('Layer' includes the
-# subscription sweep's wire ratios and the split-link run: clean viewer >= 0.99 decoded at full quality while the
-# lossy viewer sheds >= 1 layer, shared encoder without a rate controller);
+# subscription sweep's wire ratios and the subscription latch);
 # the decode window-count invariant, the decode allocation gate and the
 # partial and progressive pins again with four concurrent windows per untiled
 # frame (GOMAXPROCS=4, whatever the host's cores), and so the encode side:

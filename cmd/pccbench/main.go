@@ -23,9 +23,8 @@
 //
 // The loss-recovery, congestion-adaptation and layered-serving floors are
 // pcc/stream tests (TestLossyStreamRecovers5PercentLoss,
-// TestAdaptConvergesOnDropStep, TestServerLayerSubscriptionSweep,
-// TestViewerLayerAdaptSplitLink); steady-state encode throughput is the
-// BENCHMARK.json ledger's encode_fps.
+// TestAdaptConvergesOnDropStep, TestServerLayerSubscriptionSweep);
+// steady-state encode throughput is the BENCHMARK.json ledger's encode_fps.
 //
 // Flags:
 //

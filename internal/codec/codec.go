@@ -86,12 +86,11 @@ type Options struct {
 	// streams); capped at MaxLayers and at the frame depth. Baseline
 	// designs ignore it.
 	Layers int
-	// Rate optionally closes the loop on the inter-frame threshold to hit
-	// a target compressed rate (extension of the Sec. VI-E knob).
-	Rate RateControl
 	// Adapt optionally attaches the closed-loop congestion controller
-	// (ratecontrol.go): receiver feedback and local pipeline state steer
-	// the reuse threshold, attribute quantization, and GOP length.
+	// (ratecontrol.go), the one decider that moves encoder knobs: receiver
+	// feedback and local pipeline state steer the reuse threshold,
+	// attribute quantization, GOP length and FEC parity overhead. Off,
+	// every knob stays at its configured value.
 	Adapt AdaptiveRate
 }
 
@@ -194,9 +193,9 @@ type Encoder struct {
 	frameIdx int
 	// refMu guards the reference, forceI and geomFree: the reference is
 	// written by the attribute phase of I-frames and read by the attribute
-	// phase of P-frames, which may race with Reset/Threshold/ForceIFrame
-	// calls from a supervising goroutine; geometry phases take and return
-	// arenas beside them.
+	// phase of P-frames, which may race with Reset/ForceIFrame calls from a
+	// supervising goroutine; geometry phases take and return arenas beside
+	// them.
 	refMu sync.Mutex
 	// forceI requests that the next frame open a fresh GOP (set by
 	// ForceIFrame when a receiver reports reference loss).

@@ -132,6 +132,5 @@ func (e *Encoder) FinishFrame(g *GeometryIntermediate) (*EncodedFrame, FrameStat
 	}
 	e.lastInterStats = interframe.Stats{}
 	e.frameIdx++
-	e.applyRateControl(st)
 	return frame, st, nil
 }

@@ -1,32 +1,21 @@
 package codec
 
-// Rate control. The paper leaves the direct-reuse threshold as a manually
-// tuned knob ("can be adjusted based on the application preference",
-// Sec. III-B/VI-E) and evaluates fixed operating points on Fig. 10b's
-// static trade-off curve. This file closes the loop three times:
+// Congestion control. The paper leaves the direct-reuse threshold as a
+// manually tuned knob ("can be adjusted based on the application
+// preference", Sec. III-B/VI-E) and evaluates fixed operating points on
+// Fig. 10b's static trade-off curve. Controller closes the loop once: it
+// fuses receiver feedback (the reports' loss rate) with local pipeline state
+// (transmit-queue fill, backpressure sheds, modelled link time) into a
+// hysteresis state machine that actuates four knobs — the reuse threshold,
+// the attribute quantization step, the GOP length and the FEC parity
+// overhead. Sustained loss shrinks the GOP (more I-frames → faster resync
+// after a lost reference); clean links stretch it back to amortize I-frame
+// cost; congestion without loss degrades quality (bigger quantization step,
+// higher reuse threshold) instead of shedding frames.
 //
-//   - RateControl steers the inter-frame reuse threshold after every
-//     P-frame so the stream converges onto a target compressed rate — a
-//     per-frame proportional loop on ONE knob.
-//
-//   - Controller is the closed-loop congestion controller: it fuses
-//     receiver feedback (the reports' loss rate) with local pipeline state
-//     (transmit-queue fill, backpressure sheds, modelled link time) into a
-//     hysteresis state machine that actuates four knobs — the reuse
-//     threshold, the attribute quantization step, the GOP length and the
-//     FEC parity overhead. Sustained loss shrinks the GOP (more I-frames →
-//     faster resync after a lost reference); clean links stretch it back to
-//     amortize I-frame cost; congestion without loss degrades quality
-//     (bigger quantization step, higher reuse threshold) instead of
-//     shedding frames.
-//
-//   - LayerController turns one viewer's feedback into how many enhancement
-//     layers that viewer is sent.
-//
-// The two congestion deciders share one hysteresis rule (band). Their
-// tuning is fixed: the constants below are the only configuration anyone
-// runs. Every decision is pure integer/float math on explicit state — no
-// clocks, no randomness — so a seeded virtual-time harness
+// Its tuning is fixed: the constants below are the only configuration
+// anyone runs. Every decision is pure integer/float math on explicit state
+// — no clocks, no randomness — so a seeded virtual-time harness
 // (pcc/stream.LossyPipe) replays an entire adaptation trajectory
 // byte-for-byte.
 
@@ -37,103 +26,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// RateControl configures the optional per-frame threshold controller.
-type RateControl struct {
-	// TargetBitsPerPoint is the desired compressed rate for P-frames
-	// (0 disables rate control).
-	TargetBitsPerPoint float64
-	// Gain is the multiplicative step per frame (default 0.25): the
-	// threshold moves by up to this fraction of itself per correction.
-	Gain float64
-}
-
-// The rate loop clamps the threshold to [minThreshold, maxThreshold].
-const (
-	minThreshold = 1
-	maxThreshold = 4096
-)
-
-// Enabled reports whether the controller is active.
-func (rc RateControl) Enabled() bool { return rc.TargetBitsPerPoint > 0 }
-
-// update adjusts the threshold given the last P-frame's achieved rate.
-// A frame over budget raises the threshold (more direct reuse, smaller
-// frames); under budget lowers it (more delta blocks, better quality).
-func (rc RateControl) update(threshold, achievedBPP float64) float64 {
-	if achievedBPP <= 0 {
-		return threshold
-	}
-	gain := rc.Gain
-	if gain <= 0 || gain > 1 {
-		gain = 0.25
-	}
-	step := min(max(achievedBPP/rc.TargetBitsPerPoint-1, -1), 1) // >0: over budget
-	threshold *= 1 + gain*step
-	return min(max(threshold, minThreshold), maxThreshold)
-}
-
-// applyRateControl is called after each encoded frame: the per-frame rate
-// loop nudges the threshold on P-frames, and the congestion controller's
-// knob state is refreshed for the NEXT frame (applyKnobs). Frames without
-// points, and non-P frames, never move the rate loop.
-func (e *Encoder) applyRateControl(st FrameStats) {
-	rc := e.opts.Rate
-	if !rc.Enabled() || st.Type != PFrame || st.Points == 0 {
-		return
-	}
-	bpp := float64(st.SizeBytes) * 8 / float64(st.Points)
-	e.opts.Inter.Threshold = rc.update(e.opts.Inter.Threshold, bpp)
-}
-
-// Threshold returns the encoder's current direct-reuse threshold (moves
-// over time under rate control).
-func (e *Encoder) Threshold() float64 { return e.opts.Inter.Threshold }
-
-// band is the hysteresis both congestion deciders run: a high observation
-// degrades and restarts the clean count; hold consecutive clean
-// observations ease one notch; anything in between holds and restarts the
-// count, so a link flapping around a threshold does not oscillate the
-// knobs. No integrator accumulates anywhere (anti-windup): the next
-// verdict acts from the clamped knobs alone.
-type band struct {
-	hold   int // clean observations per ease
-	streak int // consecutive clean observations since the last reset
-}
-
-// bandVerdict is what one observation asks the decider to do.
-type bandVerdict int
-
-const (
-	bandHold bandVerdict = iota
-	bandDegrade
-	bandEase
-)
-
-// observe classifies one observation; high wins over clean.
-func (b *band) observe(high, clean bool) bandVerdict {
-	switch {
-	case high:
-		b.streak = 0
-		return bandDegrade
-	case clean:
-		b.streak++
-		if b.streak < b.hold {
-			return bandHold
-		}
-		b.streak = 0
-		return bandEase
-	default:
-		b.streak = 0
-		return bandHold
-	}
-}
-
 // AdaptiveRate configures the closed-loop congestion controller. The zero
 // value is disabled.
 type AdaptiveRate struct {
 	// Enabled turns the controller on. Off, the encoder's knobs never move
-	// (beyond the independent RateControl loop) and the wire output is
-	// byte-identical to a controller-free encoder.
+	// and the wire output is byte-identical to a controller-free encoder.
 	Enabled bool
 }
 
@@ -191,7 +88,7 @@ type LocalSignal struct {
 // next frame boundary.
 type Knobs struct {
 	// Threshold is the effective inter-frame reuse threshold (base x
-	// congestion boost). Ignored while RateControl owns the knob.
+	// congestion boost).
 	Threshold float64
 	// QScale multiplies the configured attribute quantization steps
 	// (1 = configured quality).
@@ -237,17 +134,12 @@ type ControllerSnapshot struct {
 	// whose feedback echo has not been judged yet.
 	Probing  bool
 	Counters metrics.AdaptSnapshot
-	// FEC carries the probe-outcome counters.
-	FEC metrics.FECSnapshot
 }
 
 // Controller is the closed-loop congestion controller. Create through
 // Options.Adapt (NewEncoder attaches one); observe signals from any
 // goroutine — the encoder consumes the knob state at frame boundaries.
 type Controller struct {
-	// rateActive: the RateControl loop owns the threshold; the congestion
-	// boost then stays inert.
-	rateActive    bool
 	baseThreshold float64
 	baseGOP       int
 	// maxGOP caps how far a clean link stretches the GOP: 4x the base.
@@ -263,7 +155,7 @@ type Controller struct {
 	queue      float64 // transmit-queue fill EWMA
 	shed       float64 // backpressure-shed EWMA
 	boost      float64 // current threshold congestion boost (>= 1)
-	band       band
+	streak     int     // consecutive clean steps since the last reset
 	congested  bool
 	localCount int
 	k          Knobs
@@ -279,19 +171,16 @@ type Controller struct {
 	probeAge       int
 
 	counters metrics.ControllerCounters
-	fec      metrics.FECCounters
 }
 
 // newController builds the controller for normalized options.
 func newController(o Options) *Controller {
 	return &Controller{
-		rateActive:     o.Rate.Enabled(),
 		baseThreshold:  o.Inter.Threshold,
 		baseGOP:        o.GOP,
 		maxGOP:         4 * o.GOP,
 		probeAfter:     defaultProbeAfter,
 		boost:          1,
-		band:           band{hold: cleanHold},
 		probeInterval:  defaultProbeAfter,
 		probeCountdown: defaultProbeAfter,
 		k: Knobs{
@@ -323,7 +212,6 @@ func (c *Controller) Snapshot() ControllerSnapshot {
 	}
 	c.mu.Unlock()
 	s.Counters = c.counters.Snapshot()
-	s.FEC = c.fec.Snapshot()
 	return s
 }
 
@@ -394,15 +282,28 @@ func (c *Controller) ObserveLocal(sig LocalSignal) {
 const probeTimeout = 4
 
 // step is the controller decision: classify the fused state as congested
-// (lossy or locally), clean, or in the hysteresis band, let the band decide,
-// actuate, then run the probing upswitch state machine. Runs under c.mu.
+// (lossy or locally), clean, or in the hysteresis band, actuate, then run
+// the probing upswitch state machine. The band: a congested step degrades
+// and restarts the clean count; cleanHold consecutive clean steps ease one
+// notch; anything in between holds and restarts the count, so a link
+// flapping around a threshold does not oscillate the knobs. No integrator
+// accumulates anywhere (anti-windup): the next verdict acts from the
+// clamped knobs alone. Runs under c.mu.
 func (c *Controller) step(fromFeedback bool) {
 	lossHigh := c.loss >= highLoss
-	localHigh := c.util >= highUtil || c.queue >= 0.9 || c.shed >= 0.25
+	high := lossHigh || c.util >= highUtil || c.queue >= 0.9 || c.shed >= 0.25
 	clean := c.loss <= lowLoss && c.util < highUtil && c.queue < 0.5 && c.shed < 0.05
 
-	v := c.band.observe(lossHigh || localHigh, clean)
-	if v == bandDegrade {
+	easeNow := false
+	switch {
+	case high || !clean:
+		c.streak = 0
+	case c.streak+1 == cleanHold:
+		c.streak, easeNow = 0, true
+	default:
+		c.streak++
+	}
+	if high {
 		if !c.congested {
 			c.congested = true
 			c.counters.CongestedEnter()
@@ -424,11 +325,11 @@ func (c *Controller) step(fromFeedback bool) {
 			// loss over highLoss: keep the notch.
 			c.probeWin(clean)
 		}
-		if v == bandEase {
+		if easeNow {
 			c.ease(false)
 		}
 	}
-	c.armProbe(lossHigh || localHigh)
+	c.armProbe(high)
 }
 
 // armProbe is the probing upswitch's idle side: while the knobs carry
@@ -460,7 +361,7 @@ func (c *Controller) armProbe(congestedNow bool) {
 	}
 	c.probing = true
 	c.probeAge = 0
-	c.fec.Probe()
+	c.counters.Probe()
 	c.ease(true)
 }
 
@@ -471,7 +372,7 @@ func (c *Controller) armProbe(congestedNow bool) {
 // cadence.
 func (c *Controller) probeWin(cleanEcho bool) {
 	c.probing = false
-	c.fec.ProbeWin()
+	c.counters.ProbeWin()
 	if cleanEcho {
 		c.ease(true)
 		c.probeInterval = 1
@@ -487,17 +388,17 @@ func (c *Controller) probeWin(cleanEcho bool) {
 // probed ever more rarely.
 func (c *Controller) probeRevert() {
 	c.probing = false
-	c.fec.ProbeRevert()
+	c.counters.ProbeRevert()
 	c.degrade(true)
 	c.probeInterval = min(2*c.probeInterval, probeBackoffMax)
 	c.probeCountdown = c.probeInterval
 }
 
 // degrade steps the knobs one notch toward survival: quality halves
-// (quantization doubles), loss-driven congestion halves the GOP for faster
-// resync and raises parity toward the observed loss, and — when the rate
-// loop is off — the reuse threshold boost doubles. Every knob saturates at
-// its clamp with no windup.
+// (quantization doubles), the reuse threshold boost doubles, and
+// loss-driven congestion halves the GOP for faster resync and raises parity
+// toward the observed loss. Every knob saturates at its clamp with no
+// windup.
 func (c *Controller) degrade(lossDriven bool) {
 	if q := c.k.QScale * 2; q <= maxQScale {
 		c.k.QScale = q
@@ -507,12 +408,10 @@ func (c *Controller) degrade(lossDriven bool) {
 		c.k.GOP /= 2
 		c.counters.GOPShrink()
 	}
-	if !c.rateActive {
-		if b := c.boost * 2; b <= maxBoost {
-			c.boost = b
-			c.k.Threshold = c.baseThreshold * c.boost
-			c.counters.ThresholdBoost()
-		}
+	if b := c.boost * 2; b <= maxBoost {
+		c.boost = b
+		c.k.Threshold = c.baseThreshold * c.boost
+		c.counters.ThresholdBoost()
 	}
 	if lossDriven {
 		c.raiseParity()
@@ -555,7 +454,7 @@ func (c *Controller) ease(probe bool) {
 		c.k.GOP = min(next, limit)
 		c.counters.GOPGrow()
 	}
-	if !c.rateActive && c.boost > 1 {
+	if c.boost > 1 {
 		c.boost /= 2
 		c.k.Threshold = c.baseThreshold * c.boost
 		c.counters.ThresholdEase()
@@ -580,64 +479,9 @@ func (e *Encoder) applyKnobs() {
 	e.opts.GOP = k.GOP
 	e.opts.IntraAttr.QStep = e.baseIntraQ * k.QScale
 	e.opts.Inter.QStep = e.baseInterQ * k.QScale
-	if !e.opts.Rate.Enabled() {
-		e.opts.Inter.Threshold = k.Threshold
-	}
+	e.opts.Inter.Threshold = k.Threshold
 }
 
 // Controller returns the encoder's congestion controller, nil when
 // Options.Adapt is disabled.
 func (e *Encoder) Controller() *Controller { return e.ctrl }
-
-// LayerAdapt configures the per-viewer layer controller (layer.go's drop
-// decision). Unlike the shared Controller above — which re-tunes the
-// ENCODER for everyone — a LayerController never touches the encoder: it
-// turns one viewer's own feedback into how many of the published layers
-// that viewer receives, so a bad link sheds its own enhancement layers
-// while every other viewer keeps the full stream.
-type LayerAdapt struct {
-	// Enabled turns the controller on.
-	Enabled bool
-}
-
-// Layer controller tuning: a congestion rate (Feedback.CongestionRate) at
-// or above layerDropRate sheds one more enhancement layer, up to all but
-// the base layer; layerRecover consecutive reports at or below
-// layerClearRate restore one. Rates in between hold.
-const (
-	layerDropRate  = 0.05
-	layerClearRate = 0.01
-	layerRecover   = 4
-)
-
-// LayerController is the band behind LayerAdapt: feed it one congestion
-// rate per feedback report, read how many layers to drop. Like every
-// controller in this file it is deterministic — no clocks, no randomness —
-// so a seeded harness replays a whole trajectory; the caller (stream.Viewer)
-// provides synchronization.
-type LayerController struct {
-	band band
-	drop int
-}
-
-// NewLayerController creates a layer controller.
-func NewLayerController(LayerAdapt) *LayerController {
-	return &LayerController{band: band{hold: layerRecover}}
-}
-
-// Observe feeds one feedback report's congestion rate.
-func (c *LayerController) Observe(congestion float64) {
-	switch c.band.observe(congestion >= layerDropRate, congestion <= layerClearRate) {
-	case bandDegrade:
-		if c.drop < MaxLayers-1 {
-			c.drop++
-		}
-	case bandEase:
-		if c.drop > 0 {
-			c.drop--
-		}
-	}
-}
-
-// Drop returns how many enhancement layers to shed right now.
-func (c *LayerController) Drop() int { return c.drop }

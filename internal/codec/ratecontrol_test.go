@@ -5,105 +5,10 @@ import (
 	"time"
 )
 
-func TestRateControlUpdateDirection(t *testing.T) {
-	rc := RateControl{TargetBitsPerPoint: 20}
-	// Over budget -> threshold must rise (more reuse).
-	if got := rc.update(100, 40); got <= 100 {
-		t.Fatalf("over budget: threshold %v did not rise", got)
-	}
-	// Under budget -> threshold must fall (better quality).
-	if got := rc.update(100, 10); got >= 100 {
-		t.Fatalf("under budget: threshold %v did not fall", got)
-	}
-	// On target -> unchanged.
-	if got := rc.update(100, 20); got != 100 {
-		t.Fatalf("on target: threshold %v changed", got)
-	}
-	// Clamps.
-	if got := rc.update(1, 1); got != minThreshold {
-		t.Fatalf("below minThreshold: %v", got)
-	}
-	if got := rc.update(4000, 1e9); got != maxThreshold {
-		t.Fatalf("above maxThreshold: %v", got)
-	}
-	// Degenerate achieved rate is a no-op.
-	if got := rc.update(100, 0); got != 100 {
-		t.Fatalf("zero rate: %v", got)
-	}
-}
-
-func TestRateControlDisabledByDefault(t *testing.T) {
-	if (RateControl{}).Enabled() {
-		t.Fatal("zero value must be disabled")
-	}
-	o := OptionsFor(IntraInterV2)
-	if o.Rate.Enabled() {
-		t.Fatal("paper defaults must not enable rate control")
-	}
-}
-
-func TestRateControlConvergesOnStream(t *testing.T) {
-	fs := frames(t, 3)
-	// Establish the open-loop rates of the two extreme thresholds, then
-	// target in between and check the controller steers the threshold.
-	openLoop := func(th float64) float64 {
-		o := scaledOpts(IntraInterV2, fs[0].Len())
-		o.Inter.Threshold = th
-		enc := NewEncoder(dev(), o)
-		var bits, pts float64
-		for gop := 0; gop < 2; gop++ {
-			for _, f := range fs {
-				_, st, err := enc.EncodeFrame(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Type == PFrame {
-					bits += float64(st.SizeBytes) * 8
-					pts += float64(st.Points)
-				}
-			}
-		}
-		return bits / pts
-	}
-	loose := openLoop(2000) // heavy reuse, low rate
-	tight := openLoop(2)    // no reuse, high rate
-	if loose >= tight {
-		t.Fatalf("rate landscape inverted: loose %v >= tight %v", loose, tight)
-	}
-	target := (loose + tight) / 2
-
-	o := scaledOpts(IntraInterV2, fs[0].Len())
-	o.Inter.Threshold = 2 // start far from the answer
-	o.Rate = RateControl{TargetBitsPerPoint: target, Gain: 0.5}
-	enc := NewEncoder(dev(), o)
-	var lastBPP float64
-	for gop := 0; gop < 8; gop++ {
-		for _, f := range fs {
-			_, st, err := enc.EncodeFrame(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Type == PFrame {
-				lastBPP = float64(st.SizeBytes) * 8 / float64(st.Points)
-			}
-		}
-	}
-	if enc.Threshold() == 2 {
-		t.Fatal("controller never moved the threshold")
-	}
-	// Converged within 25% of target.
-	if lastBPP < target*0.75 || lastBPP > target*1.25 {
-		t.Fatalf("achieved %.1f bpp, target %.1f (threshold %.1f)", lastBPP, target, enc.Threshold())
-	}
-}
-
 // adaptOpts builds normalized options with the congestion controller on.
-func adaptOpts(mut func(*Options)) Options {
+func adaptOpts() Options {
 	o := OptionsFor(IntraInterV2)
 	o.Adapt = AdaptiveRate{Enabled: true}
-	if mut != nil {
-		mut(&o)
-	}
 	return o.normalized()
 }
 
@@ -121,7 +26,7 @@ func localSignal(queue float64, shed bool, latency time.Duration) LocalSignal {
 }
 
 func TestControllerInertWithoutSignals(t *testing.T) {
-	o := adaptOpts(nil)
+	o := adaptOpts()
 	c := newController(o)
 	k := c.Knobs()
 	if k.GOP != o.GOP || k.QScale != 1 || k.Threshold != o.Inter.Threshold {
@@ -138,7 +43,7 @@ func TestControllerInertWithoutSignals(t *testing.T) {
 // the two holds everything still.
 func TestControllerStepResponse(t *testing.T) {
 	t.Run("rising loss shrinks GOP and quality", func(t *testing.T) {
-		c := newController(adaptOpts(nil))
+		c := newController(adaptOpts())
 		c.ObserveFeedback(0.5) // EWMA 0.25 >= highLoss
 		k := c.Knobs()
 		if k.GOP >= 3 {
@@ -160,7 +65,7 @@ func TestControllerStepResponse(t *testing.T) {
 	})
 
 	t.Run("falling loss eases after CleanHold", func(t *testing.T) {
-		c := newController(adaptOpts(nil))
+		c := newController(adaptOpts())
 		feedLoss(c, 0.5, 2) // deep congestion: GOP -> 1, QScale -> 4
 		degraded := c.Knobs()
 		feedLoss(c, 0, 10) // loss EWMA decays below lowLoss, then holds clean
@@ -184,7 +89,7 @@ func TestControllerStepResponse(t *testing.T) {
 		// probeAfter -1: the band-hold invariant is the NON-probing
 		// behavior — the probing upswitch deliberately breaks it (that is
 		// the feature) and has its own tests below.
-		c := newController(adaptOpts(nil))
+		c := newController(adaptOpts())
 		c.probeAfter = -1
 		c.ObserveFeedback(0.5)
 		feedLoss(c, 0, 3) // decay the loss EWMA down into the band
@@ -202,7 +107,7 @@ func TestControllerStepResponse(t *testing.T) {
 	})
 
 	t.Run("local congestion degrades quality but not GOP", func(t *testing.T) {
-		c := newController(adaptOpts(nil))
+		c := newController(adaptOpts())
 		// Saturated link, full queue: every localPeriod-th observation steps.
 		for i := 0; i < localPeriod; i++ {
 			c.ObserveLocal(localSignal(1, true, 3*frameBudget))
@@ -225,7 +130,7 @@ func TestControllerStepResponse(t *testing.T) {
 // clamp and checks (a) no knob escapes its bounds and (b) recovery begins
 // on the very first ease — saturation accumulated no hidden integrator.
 func TestControllerClampsAndAntiWindup(t *testing.T) {
-	c := newController(adaptOpts(nil))
+	c := newController(adaptOpts())
 	feedLoss(c, 1, 50) // way past saturation
 	k := c.Knobs()
 	if k.GOP != 1 {
@@ -261,48 +166,12 @@ func TestControllerClampsAndAntiWindup(t *testing.T) {
 	}
 }
 
-// TestControllerRateLoopOwnsThreshold: with RateControl enabled the
-// congestion controller must keep its hands off the threshold knob.
-func TestControllerRateLoopOwnsThreshold(t *testing.T) {
-	c := newController(adaptOpts(func(o *Options) {
-		o.Rate = RateControl{TargetBitsPerPoint: 20}
-	}))
-	feedLoss(c, 1, 10)
-	if got := c.Knobs().Threshold; got != c.baseThreshold {
-		t.Fatalf("controller moved the threshold (%v) while the rate loop owns it", got)
-	}
-	if n := c.Snapshot().Counters.ThresholdBoosts; n != 0 {
-		t.Fatalf("%d threshold boosts recorded while rate loop active", n)
-	}
-}
-
-// TestRateControlNoOpFrames: the per-frame rate loop must ignore I-frames
-// and degenerate Points==0 stats entirely.
-func TestRateControlNoOpFrames(t *testing.T) {
-	o := OptionsFor(IntraInterV2)
-	o.Rate = RateControl{TargetBitsPerPoint: 1} // tiny target: any P would move it
-	e := NewEncoder(dev(), o)
-	before := e.Threshold()
-	e.applyRateControl(FrameStats{Type: IFrame, Points: 1000, SizeBytes: 1 << 20})
-	if e.Threshold() != before {
-		t.Fatal("I-frame moved the rate loop")
-	}
-	e.applyRateControl(FrameStats{Type: PFrame, Points: 0, SizeBytes: 1 << 20})
-	if e.Threshold() != before {
-		t.Fatal("Points==0 frame moved the rate loop")
-	}
-	e.applyRateControl(FrameStats{Type: PFrame, Points: 1000, SizeBytes: 1 << 20})
-	if e.Threshold() == before {
-		t.Fatal("control P-frame did not move the rate loop (test harness broken)")
-	}
-}
-
 // TestParityKnobTracksLoss: loss-driven degradation must raise the parity
 // knob toward the observed loss (times the safety factor), easing must
 // decay it back to zero, and the group-size mapping must honour its
 // clamps.
 func TestParityKnobTracksLoss(t *testing.T) {
-	c := newController(adaptOpts(nil))
+	c := newController(adaptOpts())
 	if p := c.Knobs().Parity; p != 0 {
 		t.Fatalf("fresh parity knob %v, want 0", p)
 	}
@@ -372,12 +241,12 @@ func reportsToBaseline(t *testing.T, c *Controller) int {
 // feedback windows than the passive clean-hold decay (probeAfter -1), with
 // the probe outcome counters telling the story.
 func TestProbingUpswitchBeatsPassiveDecay(t *testing.T) {
-	passive := newController(adaptOpts(nil))
+	passive := newController(adaptOpts())
 	passive.probeAfter = -1
 	degradeDeep(passive)
 	passiveN := reportsToBaseline(t, passive)
 
-	probing := newController(adaptOpts(nil))
+	probing := newController(adaptOpts())
 	degradeDeep(probing)
 	probingN := reportsToBaseline(t, probing)
 
@@ -386,14 +255,14 @@ func TestProbingUpswitchBeatsPassiveDecay(t *testing.T) {
 		t.Fatalf("probing recovery (%d reports) not faster than passive (%d)", probingN, passiveN)
 	}
 	s := probing.Snapshot()
-	if s.FEC.Probes == 0 || s.FEC.ProbeWins == 0 {
-		t.Fatalf("probe counters missing the upswitch: %+v", s.FEC)
+	if s.Counters.Probes == 0 || s.Counters.ProbeWins == 0 {
+		t.Fatalf("probe counters missing the upswitch: %+v", s.Counters)
 	}
-	if s.FEC.ProbeReverts != 0 {
-		t.Fatalf("%d reverts on a clean recovery", s.FEC.ProbeReverts)
+	if s.Counters.ProbeReverts != 0 {
+		t.Fatalf("%d reverts on a clean recovery", s.Counters.ProbeReverts)
 	}
-	if ps := passive.Snapshot(); ps.FEC.Probes != 0 {
-		t.Fatalf("probeAfter -1 still probed %d times", ps.FEC.Probes)
+	if ps := passive.Snapshot(); ps.Counters.Probes != 0 {
+		t.Fatalf("probeAfter -1 still probed %d times", ps.Counters.Probes)
 	}
 }
 
@@ -419,7 +288,7 @@ func probeNow(t *testing.T, c *Controller) {
 // the provisional ease back and double the probe interval, capped at
 // probeBackoffMax.
 func TestProbeRevertBacksOff(t *testing.T) {
-	c := newController(adaptOpts(nil))
+	c := newController(adaptOpts())
 	degradeDeep(c)
 	probeNow(t, c)
 	preEcho := c.Knobs()
@@ -434,8 +303,8 @@ func TestProbeRevertBacksOff(t *testing.T) {
 	if s.Probing {
 		t.Fatal("still probing after a congested echo")
 	}
-	if s.FEC.ProbeReverts != 1 {
-		t.Fatalf("ProbeReverts = %d, want 1", s.FEC.ProbeReverts)
+	if s.Counters.ProbeReverts != 1 {
+		t.Fatalf("ProbeReverts = %d, want 1", s.Counters.ProbeReverts)
 	}
 	if c.probeInterval != 2*interval0 {
 		t.Fatalf("probe interval %d after revert, want %d", c.probeInterval, 2*interval0)
@@ -455,7 +324,7 @@ func TestProbeRevertBacksOff(t *testing.T) {
 // local-signal-only session) must resolve as a quiet keep after
 // probeTimeout steps instead of wedging the prober.
 func TestProbeTimeoutQuietKeep(t *testing.T) {
-	c := newController(adaptOpts(nil))
+	c := newController(adaptOpts())
 	degradeDeep(c)
 	probeNow(t, c)
 	post := c.Knobs()
@@ -470,24 +339,8 @@ func TestProbeTimeoutQuietKeep(t *testing.T) {
 	if k := c.Knobs(); k != post {
 		t.Fatalf("quiet keep moved the knobs: %+v -> %+v", post, k)
 	}
-	if s.FEC.ProbeWins != 0 || s.FEC.ProbeReverts != 0 {
-		t.Fatalf("timeout resolved as a verdict: %+v", s.FEC)
-	}
-}
-
-// TestProbeRespectsRateLoop: the probe's fast ease must leave the
-// threshold knob alone while the RateControl loop owns it.
-func TestProbeRespectsRateLoop(t *testing.T) {
-	c := newController(adaptOpts(func(o *Options) {
-		o.Rate = RateControl{TargetBitsPerPoint: 20}
-	}))
-	degradeDeep(c)
-	probeNow(t, c)
-	if got := c.Knobs().Threshold; got != c.baseThreshold {
-		t.Fatalf("probe moved the threshold (%v) while the rate loop owns it", got)
-	}
-	if n := c.Snapshot().Counters.ThresholdEases; n != 0 {
-		t.Fatalf("%d threshold eases recorded while rate loop active", n)
+	if s.Counters.ProbeWins != 0 || s.Counters.ProbeReverts != 0 {
+		t.Fatalf("timeout resolved as a verdict: %+v", s.Counters)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Trajectory pins for the rate deciders: one fixed input script each,
+// Trajectory pin for the congestion controller: one fixed input script,
 // recorded step by step. Any change to a decision rule, clamp, EWMA or
 // counter moves a line.
 
@@ -84,14 +84,14 @@ func trajectoryLine(i int, st trajStep, c *Controller) string {
 	if st.local {
 		in = fmt.Sprintf("local q=%v shed=%t lat=%v", st.queue, st.shed, st.latency)
 	}
-	a, f := s.Counters, s.FEC
+	a := s.Counters
 	return fmt.Sprintf("%d %s: gop=%d qscale=%d threshold=%v parity=%v loss=%v util=%v congested=%t probing=%t interval=%d"+
 		" | fb=%d local=%d gop-=%d gop+=%d q-=%d q+=%d th+=%d th-=%d enter=%d exit=%d probe=%d win=%d revert=%d",
 		i, in, s.Knobs.GOP, s.Knobs.QScale, s.Knobs.Threshold, s.Knobs.Parity, s.LossEWMA, s.UtilEWMA,
 		s.Congested, s.Probing, c.probeInterval,
 		a.FeedbackReports, a.LocalSignals, a.GOPShrinks, a.GOPGrows, a.QualityDrops, a.QualityRaises,
 		a.ThresholdBoosts, a.ThresholdEases, a.CongestedEnters, a.CongestedExits,
-		f.Probes, f.ProbeWins, f.ProbeReverts)
+		a.Probes, a.ProbeWins, a.ProbeReverts)
 }
 
 func runControllerScript(c *Controller, steps []trajStep) []string {
@@ -128,36 +128,10 @@ func checkTrajectory(t *testing.T, name string, got []string, want string) {
 }
 
 // TestControllerTrajectoryPinned pins the congestion controller's full
-// state after every step of controllerScript, once with the controller
-// owning the reuse threshold and once with the RateControl loop owning it.
+// state after every step of controllerScript.
 func TestControllerTrajectoryPinned(t *testing.T) {
-	c := newController(adaptOpts(nil))
+	c := newController(adaptOpts())
 	checkTrajectory(t, "controller", runControllerScript(c, controllerScript), controllerTrajectory)
-
-	r := newController(adaptOpts(func(o *Options) { o.Rate = RateControl{TargetBitsPerPoint: 20} }))
-	checkTrajectory(t, "rate-owned", runControllerScript(r, script(3, fbStep(1), 8, fbStep(0))), rateOwnedTrajectory)
-}
-
-// TestLayerControllerTrajectoryPinned pins the layer controller's drop
-// count after every report of a fixed congestion script: drops up to the
-// cap, clean runs that restore layers, band reports that restart the clean
-// count, and clean runs at zero drop.
-func TestLayerControllerTrajectoryPinned(t *testing.T) {
-	c := NewLayerController(LayerAdapt{Enabled: true})
-	rates := []float64{
-		0, 0, 0, 0, 0, 0, 0, 0, 0, // clean at zero drop
-		0.05, 0.2, 0.03, 0.01, 0.01, 0.01, 0.02, 0.01, 0.01, 0.01, 0.01, // drop 2, band restarts the count
-		0.005, 0.01, 0.01, 0.01, 0, 0, 0, 0, 0, 0, // back to zero, then clean past the hold
-		0.1, 0, 0, 0, 0, // one drop, restored after exactly the hold
-		0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, // capped at MaxLayers-1
-		0.04, 0, 0, 0, 0.049, 0, 0, 0, 0, 0, 0, 0, 0, // band at the cap, then two restores
-	}
-	var got []string
-	for i, r := range rates {
-		c.Observe(r)
-		got = append(got, fmt.Sprintf("%d congestion %v: drop=%d", i, r, c.Drop()))
-	}
-	checkTrajectory(t, "layer", got, layerTrajectory)
 }
 
 const controllerTrajectory = `
@@ -292,79 +266,4 @@ const controllerTrajectory = `
 128 local q=0 shed=false lat=10ms: gop=2 qscale=4 threshold=360 parity=0.25 loss=0.02000046730063789 util=0.3030000443060927 congested=false probing=false interval=2 | fb=113 local=128 gop-=9 gop+=20 q-=15 q+=13 th+=15 th-=13 enter=9 exit=9 probe=11 win=5 revert=5
 129 local q=0 shed=false lat=10ms: gop=2 qscale=4 threshold=360 parity=0.25 loss=0.02000046730063789 util=0.303027273741217 congested=false probing=false interval=2 | fb=113 local=136 gop-=9 gop+=20 q-=15 q+=13 th+=15 th-=13 enter=9 exit=9 probe=11 win=5 revert=5
 130 local q=0 shed=false lat=10ms: gop=3 qscale=2 threshold=180 parity=0.125 loss=0.02000046730063789 util=0.3030299997593421 congested=false probing=true interval=2 | fb=113 local=144 gop-=9 gop+=21 q-=15 q+=14 th+=15 th-=14 enter=9 exit=9 probe=12 win=5 revert=5
-`
-
-const rateOwnedTrajectory = `
-0 fb 1: gop=1 qscale=2 threshold=90 parity=0.5 loss=0.5 util=0 congested=true probing=false interval=2 | fb=1 local=0 gop-=1 gop+=0 q-=1 q+=0 th+=0 th-=0 enter=1 exit=0 probe=0 win=0 revert=0
-1 fb 1: gop=1 qscale=4 threshold=90 parity=0.5 loss=0.75 util=0 congested=true probing=false interval=2 | fb=2 local=0 gop-=1 gop+=0 q-=2 q+=0 th+=0 th-=0 enter=1 exit=0 probe=0 win=0 revert=0
-2 fb 1: gop=1 qscale=8 threshold=90 parity=0.5 loss=0.875 util=0 congested=true probing=false interval=2 | fb=3 local=0 gop-=1 gop+=0 q-=3 q+=0 th+=0 th-=0 enter=1 exit=0 probe=0 win=0 revert=0
-3 fb 0: gop=1 qscale=8 threshold=90 parity=0.5 loss=0.4375 util=0 congested=true probing=false interval=2 | fb=4 local=0 gop-=1 gop+=0 q-=3 q+=0 th+=0 th-=0 enter=1 exit=0 probe=0 win=0 revert=0
-4 fb 0: gop=1 qscale=8 threshold=90 parity=0.5 loss=0.21875 util=0 congested=true probing=false interval=2 | fb=5 local=0 gop-=1 gop+=0 q-=3 q+=0 th+=0 th-=0 enter=1 exit=0 probe=0 win=0 revert=0
-5 fb 0: gop=1 qscale=8 threshold=90 parity=0.5 loss=0.109375 util=0 congested=true probing=false interval=2 | fb=6 local=0 gop-=1 gop+=0 q-=3 q+=0 th+=0 th-=0 enter=1 exit=0 probe=0 win=0 revert=0
-6 fb 0: gop=1 qscale=8 threshold=90 parity=0.5 loss=0.0546875 util=0 congested=true probing=false interval=2 | fb=7 local=0 gop-=1 gop+=0 q-=3 q+=0 th+=0 th-=0 enter=1 exit=0 probe=0 win=0 revert=0
-7 fb 0: gop=1 qscale=8 threshold=90 parity=0.5 loss=0.02734375 util=0 congested=false probing=false interval=2 | fb=8 local=0 gop-=1 gop+=0 q-=3 q+=0 th+=0 th-=0 enter=1 exit=1 probe=0 win=0 revert=0
-8 fb 0: gop=2 qscale=4 threshold=90 parity=0.25 loss=0.013671875 util=0 congested=false probing=true interval=2 | fb=9 local=0 gop-=1 gop+=1 q-=3 q+=1 th+=0 th-=0 enter=1 exit=1 probe=1 win=0 revert=0
-9 fb 0: gop=3 qscale=1 threshold=90 parity=0.0625 loss=0.0068359375 util=0 congested=false probing=true interval=1 | fb=10 local=0 gop-=1 gop+=2 q-=3 q+=3 th+=0 th-=0 enter=1 exit=1 probe=2 win=1 revert=0
-10 fb 0: gop=4 qscale=1 threshold=90 parity=0 loss=0.00341796875 util=0 congested=false probing=false interval=1 | fb=11 local=0 gop-=1 gop+=3 q-=3 q+=3 th+=0 th-=0 enter=1 exit=1 probe=2 win=2 revert=0
-`
-
-const layerTrajectory = `
-0 congestion 0: drop=0
-1 congestion 0: drop=0
-2 congestion 0: drop=0
-3 congestion 0: drop=0
-4 congestion 0: drop=0
-5 congestion 0: drop=0
-6 congestion 0: drop=0
-7 congestion 0: drop=0
-8 congestion 0: drop=0
-9 congestion 0.05: drop=1
-10 congestion 0.2: drop=2
-11 congestion 0.03: drop=2
-12 congestion 0.01: drop=2
-13 congestion 0.01: drop=2
-14 congestion 0.01: drop=2
-15 congestion 0.02: drop=2
-16 congestion 0.01: drop=2
-17 congestion 0.01: drop=2
-18 congestion 0.01: drop=2
-19 congestion 0.01: drop=1
-20 congestion 0.005: drop=1
-21 congestion 0.01: drop=1
-22 congestion 0.01: drop=1
-23 congestion 0.01: drop=0
-24 congestion 0: drop=0
-25 congestion 0: drop=0
-26 congestion 0: drop=0
-27 congestion 0: drop=0
-28 congestion 0: drop=0
-29 congestion 0: drop=0
-30 congestion 0.1: drop=1
-31 congestion 0: drop=1
-32 congestion 0: drop=1
-33 congestion 0: drop=1
-34 congestion 0: drop=0
-35 congestion 0.5: drop=1
-36 congestion 0.5: drop=2
-37 congestion 0.5: drop=3
-38 congestion 0.5: drop=4
-39 congestion 0.5: drop=5
-40 congestion 0.5: drop=6
-41 congestion 0.5: drop=7
-42 congestion 0.5: drop=7
-43 congestion 0.5: drop=7
-44 congestion 0.5: drop=7
-45 congestion 0.04: drop=7
-46 congestion 0: drop=7
-47 congestion 0: drop=7
-48 congestion 0: drop=7
-49 congestion 0.049: drop=7
-50 congestion 0: drop=7
-51 congestion 0: drop=7
-52 congestion 0: drop=7
-53 congestion 0: drop=6
-54 congestion 0: drop=6
-55 congestion 0: drop=6
-56 congestion 0: drop=6
-57 congestion 0: drop=5
 `

@@ -25,6 +25,10 @@ type ControllerCounters struct {
 	// Congestion-state transitions.
 	congestedEnters atomic.Int64
 	congestedExits  atomic.Int64
+	// Probing upswitch outcomes.
+	probes       atomic.Int64
+	probeWins    atomic.Int64
+	probeReverts atomic.Int64
 }
 
 func (c *ControllerCounters) FeedbackReport() { c.feedbackReports.Add(1) }
@@ -38,6 +42,18 @@ func (c *ControllerCounters) ThresholdEase()  { c.thresholdEases.Add(1) }
 func (c *ControllerCounters) CongestedEnter() { c.congestedEnters.Add(1) }
 func (c *ControllerCounters) CongestedExit()  { c.congestedExits.Add(1) }
 
+// Probe records the controller launching a probing upswitch (a
+// provisional ease whose echo the next feedback report judges).
+func (c *ControllerCounters) Probe() { c.probes.Add(1) }
+
+// ProbeWin records a probe whose echo came back clean: the eased knobs
+// are kept.
+func (c *ControllerCounters) ProbeWin() { c.probeWins.Add(1) }
+
+// ProbeRevert records a probe whose echo came back congested: the
+// provisional ease is rolled back and the probe cadence backs off.
+func (c *ControllerCounters) ProbeRevert() { c.probeReverts.Add(1) }
+
 // AdaptSnapshot is a point-in-time copy of a ControllerCounters.
 type AdaptSnapshot struct {
 	FeedbackReports int64
@@ -50,6 +66,9 @@ type AdaptSnapshot struct {
 	ThresholdEases  int64
 	CongestedEnters int64
 	CongestedExits  int64
+	Probes          int64
+	ProbeWins       int64
+	ProbeReverts    int64
 }
 
 // Transitions returns the total number of knob actuations plus congestion
@@ -73,5 +92,8 @@ func (c *ControllerCounters) Snapshot() AdaptSnapshot {
 		ThresholdEases:  c.thresholdEases.Load(),
 		CongestedEnters: c.congestedEnters.Load(),
 		CongestedExits:  c.congestedExits.Load(),
+		Probes:          c.probes.Load(),
+		ProbeWins:       c.probeWins.Load(),
+		ProbeReverts:    c.probeReverts.Load(),
 	}
 }

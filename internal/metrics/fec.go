@@ -1,30 +1,20 @@
 package metrics
 
-// Forward-error-correction instrumentation, shared by every component
-// that touches parity: senders count parity packets emitted, receivers
-// count parity arrivals and what each one bought (a repair, or wasted
-// overhead), and the congestion controller counts probing-upswitch
-// outcomes. Each component holds its own FECCounters and uses the subset
-// that applies to it.
+// Forward-error-correction instrumentation for the receiver: parity
+// arrivals and what each one bought (a repair, or wasted overhead). A
+// sender counts the parity it emits in its own metrics
+// (stream.ViewerMetrics.ParitySent), and the congestion controller its
+// probe outcomes in ControllerCounters.
 
 import "sync/atomic"
 
-// FECCounters tracks parity traffic and probe outcomes. The zero value is
-// ready to use; all methods are safe for concurrent use.
+// FECCounters tracks received parity traffic. The zero value is ready to
+// use; all methods are safe for concurrent use.
 type FECCounters struct {
-	// Parity traffic.
-	paritySent     atomic.Int64
 	parityReceived atomic.Int64
 	parityRepairs  atomic.Int64
 	parityWasted   atomic.Int64
-	// Probing upswitch.
-	probes       atomic.Int64
-	probeWins    atomic.Int64
-	probeReverts atomic.Int64
 }
-
-// ParitySent records one parity packet emitted by a sender.
-func (c *FECCounters) ParitySent() { c.paritySent.Add(1) }
 
 // ParityReceived records one well-formed parity packet at the receiver.
 func (c *FECCounters) ParityReceived() { c.parityReceived.Add(1) }
@@ -38,39 +28,19 @@ func (c *FECCounters) ParityRepair() { c.parityRepairs.Add(1) }
 // repair anything.
 func (c *FECCounters) ParityWasted() { c.parityWasted.Add(1) }
 
-// Probe records the controller launching a probing upswitch (a
-// provisional ease whose echo the next feedback report judges).
-func (c *FECCounters) Probe() { c.probes.Add(1) }
-
-// ProbeWin records a probe whose echo came back clean: the eased knobs
-// are kept.
-func (c *FECCounters) ProbeWin() { c.probeWins.Add(1) }
-
-// ProbeRevert records a probe whose echo came back congested: the
-// provisional ease is rolled back and the probe cadence backs off.
-func (c *FECCounters) ProbeRevert() { c.probeReverts.Add(1) }
-
 // FECSnapshot is a point-in-time copy of an FECCounters.
 type FECSnapshot struct {
-	ParitySent     int64
 	ParityReceived int64
 	ParityRepairs  int64
 	ParityWasted   int64
-	Probes         int64
-	ProbeWins      int64
-	ProbeReverts   int64
 }
 
 // Snapshot copies the counters. Taken live, fields are individually — not
 // mutually — consistent.
 func (c *FECCounters) Snapshot() FECSnapshot {
 	return FECSnapshot{
-		ParitySent:     c.paritySent.Load(),
 		ParityReceived: c.parityReceived.Load(),
 		ParityRepairs:  c.parityRepairs.Load(),
 		ParityWasted:   c.parityWasted.Load(),
-		Probes:         c.probes.Load(),
-		ProbeWins:      c.probeWins.Load(),
-		ProbeReverts:   c.probeReverts.Load(),
 	}
 }

@@ -1,18 +1,12 @@
 // Package viewport implements viewpoint-dependent transmission in the
 // style of ViVo [24], which the paper's related-work section singles out as
 // the key volumetric-streaming optimization: "only send the 3D tiles within
-// the user's field of view". It composes naturally with the proposed
-// codecs' Morton-block structure — the same macro blocks the attribute
-// pipelines use become the visibility tiles — so a streaming sender can
-// skip encoding/transmitting blocks the viewer cannot see.
+// the user's field of view". It composes with the proposed codec's spatial
+// tiles: a streaming sender tests each tile's bounding box against the
+// viewer's camera (Camera.SeesAABB) and skips the tiles it cannot see.
 package viewport
 
-import (
-	"math"
-
-	"repro/internal/attr"
-	"repro/internal/geom"
-)
+import "math"
 
 // Camera is a simple perspective viewer: position, view direction, and a
 // conical field of view.
@@ -25,16 +19,6 @@ type Camera struct {
 	FOVDegrees float64
 	// MaxDist culls blocks beyond this distance (0 = unlimited).
 	MaxDist float64
-}
-
-// DefaultCamera looks at the lattice centre from the front with a 60° FOV.
-func DefaultCamera(gridSize uint32) Camera {
-	g := float64(gridSize)
-	return Camera{
-		Pos:        [3]float64{g / 2, g / 2, -g},
-		Dir:        [3]float64{0, 0, 1},
-		FOVDegrees: 60,
-	}
 }
 
 // sees reports whether the point is inside the camera's cone.
@@ -143,53 +127,4 @@ func (c Camera) SeesAABB(min, max [3]float64) bool {
 		return true
 	}
 	return false
-}
-
-// Result summarizes one culling pass.
-type Result struct {
-	Blocks        int
-	VisibleBlocks int
-	TotalPoints   int
-	VisiblePoints int
-}
-
-// CulledFraction is the fraction of points removed.
-func (r Result) CulledFraction() float64 {
-	if r.TotalPoints == 0 {
-		return 0
-	}
-	return 1 - float64(r.VisiblePoints)/float64(r.TotalPoints)
-}
-
-// Cull partitions a Morton-sorted frame into `segments` blocks (the same
-// partition the attribute codecs use) and keeps only blocks whose centroid
-// falls inside the camera cone. Returns the visible sub-frame (preserving
-// sorted order, so it feeds straight into the attribute codecs) and the
-// per-block visibility mask.
-func Cull(sorted []geom.Voxel, segments int, cam Camera) ([]geom.Voxel, []bool, Result) {
-	bounds := attr.SegmentBounds(len(sorted), segments)
-	nBlocks := len(bounds) - 1
-	mask := make([]bool, nBlocks)
-	res := Result{Blocks: nBlocks, TotalPoints: len(sorted)}
-	var out []geom.Voxel
-	for b := 0; b < nBlocks; b++ {
-		lo, hi := bounds[b], bounds[b+1]
-		if lo == hi {
-			continue
-		}
-		var cx, cy, cz float64
-		for _, v := range sorted[lo:hi] {
-			cx += float64(v.X)
-			cy += float64(v.Y)
-			cz += float64(v.Z)
-		}
-		n := float64(hi - lo)
-		if cam.sees(cx/n, cy/n, cz/n) {
-			mask[b] = true
-			res.VisibleBlocks++
-			res.VisiblePoints += hi - lo
-			out = append(out, sorted[lo:hi]...)
-		}
-	}
-	return out, mask, res
 }

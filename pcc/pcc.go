@@ -73,18 +73,15 @@ type Options = codec.Options
 // DefaultOptions returns the paper's configuration for a design.
 func DefaultOptions(d Design) Options { return codec.OptionsFor(d) }
 
-// RateControl closes the loop on the inter-frame direct-reuse threshold to
-// hit a target compressed rate (bits/point) — the online form of the
-// paper's Sec. VI-E tuning knob. Set TargetBitsPerPoint (and optionally
-// the per-frame Gain) on Options.Rate; the threshold stays within [1, 4096].
-type RateControl = codec.RateControl
-
 // AdaptiveRate enables the closed-loop congestion controller: receiver
 // feedback (stream.ReceiverConfig.FeedbackEvery) and local pipeline
 // pressure steer the GOP length, attribute quantization, reuse threshold
-// and FEC parity overhead. Enabled is its only field — the controller's
-// thresholds and clamps are fixed. Set it on Options.Adapt; left false,
-// the codec is byte-for-byte identical to a non-adaptive one.
+// and FEC parity overhead. It is the only thing that moves those knobs:
+// left false, each stays at its configured value (the paper's Sec. VI-E
+// threshold is a hand-tuned operating point) and the codec is
+// byte-for-byte identical to a non-adaptive one. Enabled is its only
+// field — the controller's thresholds and clamps are fixed. Set it on
+// Options.Adapt.
 type AdaptiveRate = codec.AdaptiveRate
 
 // EncodedFrame is one compressed frame.
@@ -145,10 +142,6 @@ func (e *Encoder) Device() *Device { return e.dev }
 
 // Reset restarts the GOP (the next frame will be an I-frame).
 func (e *Encoder) Reset() { e.enc.Reset() }
-
-// Threshold returns the current inter-frame direct-reuse threshold (it
-// moves over time when rate control is enabled).
-func (e *Encoder) Threshold() float64 { return e.enc.Threshold() }
 
 // Decoder reconstructs frames encoded with matching Options.
 type Decoder struct {

@@ -186,7 +186,7 @@ func TestAdaptConvergesOnDropStep(t *testing.T) {
 						break
 					}
 				}
-				probes := run.adapt.FEC.Probes
+				probes := run.adapt.Counters.Probes
 				t.Logf("GOP shrank %d frames after the step; every knob at baseline %d frames after the link cleared; %d probes",
 					shrunkAt-stepAt, recovered, probes)
 				if recovered < 0 || recovered > recovery {

@@ -5,13 +5,11 @@ package stream
 //   - wire framing: FlagLayered packets round-trip their layer id (after
 //     any tile id), unlayered packets spend no extra bytes, and
 //     ControlLayers round-trips a 1-byte subscription;
-//   - full-subscription identity: a viewer with the layer machinery
-//     attached but at full subscription emits the exact packet stream of
-//     a viewer with no layer config at all — the layered path costs
-//     nothing until a layer is actually dropped;
-//   - adaptive shed: a viewer's own congestion feedback sheds enhancement
-//     layers immediately and recovers them only at a keyframe, with no
-//     shared-encoder knob involved;
+//   - full-subscription identity: a viewer pinned to every layer emits the
+//     exact packet stream of a viewer with no layer config at all — the
+//     layered path costs nothing until a layer is actually dropped;
+//   - the latch: a narrower pin sheds enhancement layers on the very next
+//     send, and a wider one restores them only at a keyframe;
 //   - churn safety: viewers flapping layer subscriptions mid-GOP across
 //     every control path (config, SetLayers, in-band ControlLayers) while
 //     tiled layered frames stream with FEC never corrupt a decode, and
@@ -193,8 +191,8 @@ func (w *layerWatch) counts() (data, layered, parity int) {
 }
 
 // TestServerLayeredFullSubByteIdentical: with a layered encode published,
-// a viewer whose layer controller never sheds emits the exact packets of a
-// viewer with no layer machinery at all — same headers (modulo stream id),
+// a viewer pinned to all of the frame's layers emits the exact packets of
+// a viewer with no layer config at all — same headers (modulo stream id),
 // same payload bytes, no FlagLayered anywhere.
 func TestServerLayeredFullSubByteIdentical(t *testing.T) {
 	frames := testFrames(t, 6)
@@ -203,8 +201,8 @@ func TestServerLayeredFullSubByteIdentical(t *testing.T) {
 
 	watches := [2]*layerWatch{newLayerWatch(opts), newLayerWatch(opts)}
 	cfgs := [2]ViewerConfig{
-		{PacketOut: watches[0].packetOut}, // no layer config at all
-		{PacketOut: watches[1].packetOut, LayerAdapt: codec.LayerAdapt{Enabled: true}},
+		{PacketOut: watches[0].packetOut},                             // no layer config at all
+		{PacketOut: watches[1].packetOut, Layers: uint8(opts.Layers)}, // every layer
 	}
 	views := [2]*Viewer{}
 	for i, cfg := range cfgs {
@@ -255,20 +253,20 @@ func TestServerLayeredFullSubByteIdentical(t *testing.T) {
 	}
 }
 
-// TestViewerLayerAdaptSheds drives the per-viewer layer controller with
-// synthetic feedback: congestion sheds an enhancement layer on the very
-// next send, recovery restores it only at the next keyframe, and the
-// shared encoder is never involved (the server has no Controller).
-func TestViewerLayerAdaptSheds(t *testing.T) {
-	frames := testFrames(t, 9) // GOP 3: I at frames 0, 3, 6
+// TestViewerLayerLatch drives the subscription latch with explicit pins
+// over one GOP-3 stream (I-frames at 0, 3 and 6): a pin to two of the three
+// layers after frame 3 truncates the very next send, P-frame 4; clearing it
+// after frame 4 waits for the next keyframe, so P-frame 5 still ships
+// truncated and I-frame 6 ships whole.
+func TestViewerLayerLatch(t *testing.T) {
+	frames := testFrames(t, 9)
 	opts := layeredTestOptions(0)
 	srv := NewServer(context.Background(), ServerConfig{Options: opts, ViewerQueue: 32})
 	w := newLayerWatch(opts)
-	v, err := srv.Attach(ViewerConfig{PacketOut: w.packetOut, LayerAdapt: codec.LayerAdapt{Enabled: true}})
+	v, err := srv.Attach(ViewerConfig{PacketOut: w.packetOut})
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	submit := func(lo, hi int) {
 		t.Helper()
 		for _, f := range frames[lo:hi] {
@@ -278,31 +276,14 @@ func TestViewerLayerAdaptSheds(t *testing.T) {
 		}
 		waitOutcomes(t, w.sink, hi)
 	}
-	feedback := func(report, received, lost, nacks uint32) {
-		t.Helper()
-		if err := v.HandleControl(Control{Kind: ControlFeedback, StreamID: v.StreamID(),
-			Feedback: Feedback{Report: report, Received: received, Lost: lost, NACKs: nacks}}); err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	// Clean start: the full GOP ships whole.
-	submit(0, 3)
-	// One congested report (rate 20/70 ≈ 0.29 ≥ the 0.05 drop rate): the next
-	// send — an I-frame, then its GOP — is truncated immediately.
-	feedback(1, 50, 10, 10)
-	submit(3, 6)
-	if m := v.Metrics(); m.SubLayers != 2 || m.LayerDownswitches != 1 {
-		t.Fatalf("after congestion: SubLayers=%d down=%d, want 2/1", m.SubLayers, m.LayerDownswitches)
-	}
-	// Four consecutive clean reports restore the layer, but the upswitch
-	// waits for the keyframe at frame 6.
-	for r := uint32(2); r <= 5; r++ {
-		feedback(r, 100, 0, 0)
-	}
-	submit(6, 9)
-	if m := v.Metrics(); m.SubLayers != 0 || m.LayerUpswitches != 1 || m.LayerDownswitches != 1 {
-		t.Fatalf("after recovery: %+v", m)
+	submit(0, 4)
+	v.SetLayers(2)
+	submit(4, 5)
+	v.SetLayers(0)
+	submit(5, 9)
+	if m := v.Metrics(); m.SubLayers != 0 || m.LayerDownswitches != 1 || m.LayerUpswitches != 1 {
+		t.Fatalf("latch: SubLayers=%d down=%d up=%d, want 0/1/1", m.SubLayers, m.LayerDownswitches, m.LayerUpswitches)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -312,11 +293,10 @@ func TestViewerLayerAdaptSheds(t *testing.T) {
 			t.Fatalf("frame %d: %v (%v)", f.Index, f.Status, f.Err)
 		}
 	}
-	// Exactly the shed GOP's frames were layer-truncated.
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for idx := uint32(0); idx < uint32(len(frames)); idx++ {
-		want := idx >= 3 && idx < 6
+		want := idx == 4 || idx == 5
 		if w.layeredByFrame[idx] != want {
 			t.Fatalf("frame %d layered=%v, want %v", idx, w.layeredByFrame[idx], want)
 		}
@@ -389,86 +369,6 @@ func TestServerLayerSubscriptionSweep(t *testing.T) {
 		if ratio > s.maxRatio {
 			t.Errorf("sub %d: wire ratio %.3f above %.3f", s.sub, ratio, s.maxRatio)
 		}
-	}
-}
-
-// TestViewerLayerAdaptSplitLink serves the sweep's layered encode to two
-// viewers on seeded links with the shared encoder's rate controller off: a
-// clean one (seed 1) and one losing 12% of its packets (seed 7) that runs
-// its own layer controller on its own feedback. The clean viewer decodes at
-// least 0.99 of the frames and its subscription never moves; the lossy one
-// sheds at least one layer, with at least one downswitch, and still decodes
-// at least 0.734 (the measured 0.917 less 20%). Quality moves per viewer
-// only: nothing in the encode did.
-func TestViewerLayerAdaptSplitLink(t *testing.T) {
-	t.Parallel()
-	frames := videoFrames(t, "longdress", 24, 0.05)
-	opts := layeredSessionOptions()
-	if opts.Adapt != (codec.AdaptiveRate{}) {
-		t.Fatal("the shared encoder must run without a rate controller")
-	}
-	srv := NewServer(context.Background(), ServerConfig{Options: opts, ViewerQueue: len(frames) + 1})
-	if srv.Controller() != nil {
-		t.Fatal("the shared encoder has a rate controller")
-	}
-	type side struct {
-		name    string
-		prof    linksim.FaultProfile
-		cfg     ViewerConfig
-		pipe    *LossyPipe
-		view    *Viewer
-		decoded int64
-	}
-	sides := []*side{
-		{name: "clean", prof: linksim.FaultProfile{Seed: 1}},
-		{name: "lossy", prof: linksim.FaultProfile{DropRate: 0.12, Seed: 7},
-			cfg: ViewerConfig{LayerAdapt: codec.LayerAdapt{Enabled: true}}},
-	}
-	for _, sd := range sides {
-		sd.pipe = NewLossyPipe(linksim.NewFaultyLink(linksim.WiFi, sd.prof), ReceiverConfig{Options: opts, FeedbackEvery: 4})
-		sd.pipe.AttachServer(srv)
-		sd.cfg.PacketOut = sd.pipe.PacketOut
-		v, err := srv.Attach(sd.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sd.view = v
-	}
-	for _, f := range frames {
-		if err := srv.Submit(context.Background(), f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, sd := range sides {
-		if err := sd.pipe.Finish(len(frames)); err != nil {
-			t.Fatalf("%s viewer: %v", sd.name, err)
-		}
-		sd.decoded = sd.pipe.Receiver().Metrics().FramesDecoded
-		m := sd.view.Metrics()
-		t.Logf("%s viewer: decoded %d/%d (%.3f), sub %d, %d downswitches, %d wire bytes",
-			sd.name, sd.decoded, len(frames), float64(sd.decoded)/float64(len(frames)),
-			m.SubLayers, m.LayerDownswitches, m.WireBytes)
-	}
-	clean, lossy := sides[0], sides[1]
-	if r := float64(clean.decoded) / float64(len(frames)); r < 0.99 {
-		t.Errorf("clean viewer decoded %.3f of the frames, floor 0.99", r)
-	}
-	if m := clean.view.Metrics(); m.SubLayers != 0 || m.LayerDownswitches != 0 {
-		t.Errorf("clean viewer's subscription moved: sub %d, %d downswitches", m.SubLayers, m.LayerDownswitches)
-	}
-	m := lossy.view.Metrics()
-	shed := 0
-	if m.SubLayers > 0 {
-		shed = opts.Layers - int(m.SubLayers)
-	}
-	if shed < 1 || m.LayerDownswitches < 1 {
-		t.Errorf("lossy viewer shed %d layers with %d downswitches, want at least one of each", shed, m.LayerDownswitches)
-	}
-	if r := float64(lossy.decoded) / float64(len(frames)); r < 0.734 {
-		t.Errorf("lossy viewer decoded %.3f of the frames, floor 0.734", r)
 	}
 }
 

@@ -388,8 +388,8 @@ const (
 	ControlViewport ControlKind = 4
 	// ControlLayers carries the receiver's layer subscription (a 1-byte
 	// payload): ship only the first N layers of layered frames to this
-	// viewer. 0 clears the explicit subscription — the viewer receives
-	// every layer again (or whatever its adaptive controller decides).
+	// viewer. 0 clears the subscription — the viewer receives every layer
+	// again from the next keyframe.
 	ControlLayers ControlKind = 5
 )
 

@@ -254,8 +254,8 @@ func (r *Receiver) SendViewport(cam viewport.Camera) {
 
 // SendLayers asks the sender to truncate layered frames to their first sub
 // layers for this viewer from the next send on (see Viewer.SetLayers). Zero
-// clears the override: the sender's per-viewer layer controller (if any)
-// resumes, or full frames do. A no-op for unlayered streams.
+// clears the subscription: full frames resume at the next keyframe. A
+// no-op for unlayered streams.
 func (r *Receiver) SendLayers(sub uint8) {
 	r.sendControl(Control{Kind: ControlLayers, StreamID: r.streamID, Layers: sub})
 }

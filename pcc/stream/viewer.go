@@ -50,12 +50,6 @@ type ViewerConfig struct {
 	// sliced zero-copy from the published container (SetLayers updates it
 	// live; a receiver drives it remotely with ControlLayers).
 	Layers uint8
-	// LayerAdapt, when Enabled, attaches a per-viewer layer controller:
-	// this viewer's own congestion feedback sheds enhancement layers and
-	// recovers them at keyframes — per-viewer quality as a drop decision,
-	// with no shared-encoder knob involved. An explicit subscription
-	// (Layers / SetLayers / ControlLayers) overrides the controller.
-	LayerAdapt codec.LayerAdapt
 	// PacketOut transmits this viewer's framed packets. It runs on the
 	// viewer's sender goroutine (fresh and cached frames) and on the
 	// HandleControl caller's goroutine (retransmissions), re-entrantly when
@@ -185,12 +179,10 @@ type Viewer struct {
 	// cam is the viewer's viewport (nil = no culling: every tile ships).
 	// The pointer is replaced wholesale on update, never mutated.
 	cam *viewport.Camera
-	// layersWant is the explicit subscription override (0 = none), curSub
-	// the subscription the latch last applied (0 = full), lctrl the
-	// per-viewer adaptive layer controller (nil = none attached).
+	// layersWant is the explicit subscription (0 = full), curSub the
+	// subscription the latch last applied (0 = full).
 	layersWant uint8
 	curSub     uint8
-	lctrl      *codec.LayerController
 
 	framesSent    int64
 	framesDropped int64
@@ -234,9 +226,6 @@ func newViewer(sv *Server, cfg ViewerConfig, joinCache *sharedFrame) *Viewer {
 		v.cam = &cam
 	}
 	v.layersWant = cfg.Layers
-	if cfg.LayerAdapt.Enabled {
-		v.lctrl = codec.NewLayerController(cfg.LayerAdapt)
-	}
 	v.cond = sync.NewCond(&v.mu)
 	return v
 }
@@ -265,9 +254,8 @@ func (v *Viewer) ClearViewport() { v.SetViewport(viewport.Camera{}) }
 
 // SetLayers installs or replaces the viewer's explicit layer subscription:
 // subsequent layered frames ship only their first sub layers, sliced
-// zero-copy from the published container. sub == 0 clears the override,
-// returning control to the adaptive layer controller (if configured) or to
-// full quality. Shrinking the subscription applies on the very next send;
+// zero-copy from the published container. sub == 0 clears it: full
+// quality. Shrinking the subscription applies on the very next send;
 // growing it waits for the next keyframe (see subscriptionLocked). Safe to
 // call concurrently with a live stream; retransmits of frames already sent
 // keep the subscription they were sent with.
@@ -482,11 +470,11 @@ func (v *Viewer) sendFrame(qf queuedFrame) error {
 }
 
 // subscriptionLocked resolves the layer subscription for one outgoing
-// frame and advances the viewer's latch. An explicit override (Layers /
-// SetLayers / ControlLayers) wins over the adaptive controller; with
-// neither, the frame ships whole. Shrinking the subscription applies
-// immediately — dropping enhancement layers is always safe — but growing
-// it waits for a keyframe: the decoder's reference contract only lets the
+// frame and advances the viewer's latch. The subscription is the viewer's
+// explicit pin (Layers / SetLayers / ControlLayers); without one, the
+// frame ships whole. Shrinking the subscription applies immediately —
+// dropping enhancement layers is always safe — but growing it waits for a
+// keyframe: the decoder's reference contract only lets the
 // subscription widen where a full I-frame re-anchors the GOP, so a viewer
 // never receives a full P-frame against a partial I reference. Returns the
 // Sub to slice at (0 = ship all layers). Caller holds v.mu.
@@ -497,17 +485,8 @@ func (v *Viewer) subscriptionLocked(f *sharedFrame) uint8 {
 	}
 	effL := l.Layers
 	want := effL
-	switch {
-	case v.layersWant != 0:
-		want = int(v.layersWant)
-	case v.lctrl != nil:
-		want = effL - v.lctrl.Drop()
-	}
-	if want > effL {
-		want = effL
-	}
-	if want < 1 {
-		want = 1
+	if v.layersWant != 0 {
+		want = min(int(v.layersWant), effL)
 	}
 	cur := effL
 	if v.curSub != 0 && int(v.curSub) < effL {
@@ -562,14 +541,8 @@ func (v *Viewer) HandleControl(c Control) error {
 		}
 		v.mu.Lock()
 		v.lastLoss = fb.LossRate()
-		loss := fb.CongestionRate() // steering signal; lastLoss stays wire loss
-		if v.lctrl != nil {
-			// The per-viewer layer controller consumes the same congestion
-			// signal, but acts only on THIS viewer's subscription — the
-			// shared encoder never hears about it.
-			v.lctrl.Observe(loss)
-		}
 		v.mu.Unlock()
+		loss := fb.CongestionRate() // steering signal; lastLoss stays wire loss
 		// Aggregate outside v.mu: the fold takes shard.mu, the reduction
 		// every shard's mu in turn (the relay lock order).
 		if v.shard != nil {
