@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-module bench-interframe vet fmt fmt-check check-run-patterns fuzz-smoke ci experiments experiments-full fanout-scale fec layers clean
+.PHONY: all build test race scenarios bench bench-module bench-interframe vet fmt fmt-check check-run-patterns fuzz-smoke ci experiments experiments-full fanout-scale fec layers clean
 
 all: build test
 
@@ -14,6 +14,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The serving-stack scenario table (pcc/stream/scenario_test.go) at four
+# procs, whatever the host's cores: every row's pinned line holds at any
+# GOMAXPROCS. The CI build job runs this target.
+scenarios:
+	GOMAXPROCS=4 $(GO) test -count=1 ./pcc/stream
 
 vet:
 	$(GO) vet ./...
@@ -58,7 +64,7 @@ bench-interframe:
 
 # Everything the CI gate runs (see .github/workflows/ci.yml), including the
 # CI-sized relay-tree viewer-scaling gate and the experiment smoke run.
-ci: build vet fmt-check check-run-patterns test bench-module bench-interframe race fuzz-smoke fec fanout-scale layers
+ci: build vet fmt-check check-run-patterns test scenarios bench-module bench-interframe race fuzz-smoke fec fanout-scale layers
 	$(GO) run ./cmd/pccbench -scale 0.05 all
 
 # One benchmark per paper table/figure (simulated edge-board metrics).
@@ -69,12 +75,15 @@ bench:
 experiments:
 	$(GO) run ./cmd/pccbench -scale 0.1 all
 
-# Relay-tree viewer-scaling gate, CI-sized (64 -> 2048 viewers) with the
-# per-viewer CPU-cost ceiling and max/min cost-ratio budgets CI enforces.
-# The full 64 -> 16k sweep that maintains BENCH_6.json is
+# Relay-tree viewer-scaling gate, CI-sized (64 -> 2048 viewers): shard churn
+# and shutdown, teardown leaks, Submit racing Close, frame cuts and send slabs
+# under the race detector (1k viewers), then the sweep with the per-viewer
+# CPU-cost ceiling and max/min cost-ratio budgets. This is the one list: the
+# CI fanout-scale job runs this target. The full 64 -> 16k sweep that
+# maintains BENCH_6.json is
 #   go run ./cmd/pccbench -ratio 2 -ceiling 100 -benchout BENCH_6.json fanout-scale
 fanout-scale:
-	$(GO) test -race -count=1 -run 'TestServerShardChurn1k|TestServerCloseDuringChurn|TestServerDetachInFlight|TestRingFrozenBytes|TestServerShardPartition' ./pcc/stream
+	$(GO) test -race -count=1 -run 'TestServerShardChurn1k|TestServerCloseDuringChurn|TestServerTeardownNoLeak|TestSubmitRacingClose|TestServerDetachInFlight|TestRingFrozenBytes|TestServerShardPartition|TestFrameCutMemo|TestServerFECParityFanout|TestPacketOutOwnsPacket|TestSendAllocsPerFrame' ./pcc/stream
 	$(GO) run ./cmd/pccbench -maxviewers 2048 -ceiling 100 -ratio 2 fanout-scale
 
 # Zero-RTT FEC loss-repair gate: the parity/repair unit and integration

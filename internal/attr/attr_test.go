@@ -32,7 +32,7 @@ func smoothColors(seed int64, n int) []geom.Color {
 }
 
 func TestSegmentBounds(t *testing.T) {
-	b := SegmentBounds(10, 3)
+	b := SegmentBoundsIn(nil, 10, 3)
 	if len(b) != 4 || b[0] != 0 || b[3] != 10 {
 		t.Fatalf("bounds = %v", b)
 	}
@@ -42,22 +42,22 @@ func TestSegmentBounds(t *testing.T) {
 		}
 	}
 	// More segments than points: one point per block.
-	b = SegmentBounds(3, 100)
+	b = SegmentBoundsIn(nil, 3, 100)
 	if len(b) != 4 {
 		t.Fatalf("bounds = %v", b)
 	}
 	// Degenerate inputs.
-	if got := SegmentBounds(0, 5); len(got) != 1 || got[0] != 0 {
+	if got := SegmentBoundsIn(nil, 0, 5); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("empty bounds = %v", got)
 	}
-	if got := SegmentBounds(7, 0); got[len(got)-1] != 7 {
+	if got := SegmentBoundsIn(nil, 7, 0); got[len(got)-1] != 7 {
 		t.Fatalf("zero-segment bounds = %v", got)
 	}
 }
 
 func TestSegmentBoundsProperty(t *testing.T) {
 	f := func(n, s uint16) bool {
-		b := SegmentBounds(int(n), int(s)%1000+1)
+		b := SegmentBoundsIn(nil, int(n), int(s)%1000+1)
 		if b[0] != 0 || b[len(b)-1] != int(n) {
 			return false
 		}
@@ -107,7 +107,7 @@ func TestQuantize(t *testing.T) {
 func bodyRecon(colors []geom.Color, p Params) ([]geom.Color, error) {
 	var s Scratch
 	var c Columns
-	grid := SegmentBounds(len(colors), p.Segments)
+	grid := SegmentBoundsIn(nil, len(colors), p.Segments)
 	c.Reset(grid, p, 1)
 	recon := make([]geom.Color, len(colors))
 	return recon, s.EncodeWindow(&c, 0, colors, 0, len(grid)-1, recon)

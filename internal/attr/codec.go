@@ -68,7 +68,7 @@ var ErrBadStream = errors.New("attr: malformed stream")
 // not.
 type Columns struct {
 	p       Params
-	bounds  []int // the frame's SegmentBounds grid, the caller's
+	bounds  []int // the frame's SegmentBoundsIn grid, the caller's
 	bases   [3][2][]int32
 	wins    []window
 	payload []byte // the unwrapped stream, when the entropy stage follows
@@ -82,7 +82,7 @@ type window struct {
 }
 
 // Reset starts a frame of len(bounds)-1 segments over the grid bounds — the
-// frame's SegmentBounds(n, p.Segments), which must stay untouched until the
+// frame's SegmentBoundsIn(nil, n, p.Segments), which must stay untouched until the
 // frame is framed — coded by the given number of windows.
 func (c *Columns) Reset(bounds []int, p Params, windows int) {
 	c.p, c.bounds = p.normalized(), bounds

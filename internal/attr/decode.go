@@ -142,7 +142,7 @@ func Unpack(dst []int32, raw []byte, width uint, from int, base, scale int32) {
 }
 
 // BoundStep walks the grid j*n/segs for j = j0, j0+1, … — the
-// SegmentBounds(n, segs) grid when segs is the effective segment count —
+// SegmentBoundsIn(nil, n, segs) grid when segs is the effective segment count —
 // with an add and a compare per step instead of a division or a table: the
 // bound advances by n/segs and the remainders carry into it.
 type BoundStep struct{ at, rem, q, r, d int }

@@ -2,15 +2,11 @@ package attr
 
 import "slices"
 
-// SegmentBounds splits n points into at most segments equal blocks and
-// returns the block boundary offsets (len = blocks+1, first 0, last n).
-// Blocks are contiguous runs in Morton order — the "macro blocks" of
-// Sec. IV-C. When n < segments every block holds one point.
-func SegmentBounds(n, segments int) []int {
-	return SegmentBoundsIn(nil, n, segments)
-}
-
-// SegmentBoundsIn is SegmentBounds into a reusable buffer.
+// SegmentBoundsIn splits n points into at most segments equal blocks and
+// returns the block boundary offsets (len = blocks+1, first 0, last n) in
+// dst, a reusable buffer (nil allocates). Blocks are contiguous runs in
+// Morton order — the "macro blocks" of Sec. IV-C. When n < segments every
+// block holds one point.
 func SegmentBoundsIn(dst []int, n, segments int) []int {
 	if n <= 0 {
 		dst = grow(dst, 1)

@@ -69,9 +69,9 @@ func TestTileIntraDecodeExact(t *testing.T) {
 		}
 
 		p := tc.p.normalized()
-		gbounds := SegmentBounds(tc.n, p.Segments)
+		gbounds := SegmentBoundsIn(nil, tc.n, p.Segments)
 		nSeg := len(gbounds) - 1
-		cuts := SegmentBounds(nSeg, tc.tiles)
+		cuts := SegmentBoundsIn(nil, nSeg, tc.tiles)
 		var sc Scratch
 		got := make([]geom.Color, 0, tc.n)
 		for ti := 0; ti+1 < len(cuts); ti++ {
@@ -113,7 +113,7 @@ func TestTileIntraDecodeExact(t *testing.T) {
 func TestTileIntraErrors(t *testing.T) {
 	var sc Scratch
 	colors := randColors(1, 100)
-	gb := SegmentBounds(100, 10)
+	gb := SegmentBoundsIn(nil, 100, 10)
 	p := Params{Segments: 10, QStep: 4, Layers: 2}
 	if _, err := encodeIntraTile(colors[:5], p, gb, 0, 2, &sc, nil); err == nil {
 		t.Fatal("size mismatch must error")
@@ -167,7 +167,7 @@ func TestTileBodyIsUntiledBody(t *testing.T) {
 					if err := decodeOne(&ds, want, whole); err != nil {
 						t.Fatalf("%s: untiled: %v", name, err)
 					}
-					gbounds := SegmentBounds(n, p.Segments)
+					gbounds := SegmentBoundsIn(nil, n, p.Segments)
 					tile, err := encodeIntraTile(colors, p, gbounds, 0, len(gbounds)-1, &sc, nil)
 					if err != nil {
 						t.Fatal(err)
@@ -247,7 +247,7 @@ func TestDecodeWindowIsWholeSlice(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						gb := SegmentBounds(n, p.Segments)
+						gb := SegmentBoundsIn(nil, n, p.Segments)
 						nSeg := len(gb) - 1
 						for _, windows := range []int{1, 2, 3, 8, 64} {
 							for w := 0; w < windows; w++ {
@@ -308,7 +308,7 @@ func TestWindowCutInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gbounds := SegmentBounds(n, p.Segments)
+		gbounds := SegmentBoundsIn(nil, n, p.Segments)
 		nSeg := len(gbounds) - 1
 		for _, windows := range []int{1, 2, 3, 8, 64} {
 			var c Columns

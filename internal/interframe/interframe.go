@@ -144,7 +144,7 @@ func pairIndex(i, kp, ki int) int {
 // framings must not.
 type Columns struct {
 	p                Params
-	pBounds, iBounds []int // the two frames' SegmentBounds grids, the caller's
+	pBounds, iBounds []int // the two frames' SegmentBoundsIn grids, the caller's
 	refs             []int32
 	reuse            []bool
 	wins             []window
@@ -158,7 +158,7 @@ type window struct {
 }
 
 // Reset starts a P-frame of len(pBounds)-1 blocks against a reference of
-// len(iBounds)-1 — the two frames' SegmentBounds grids for p.Segments, which
+// len(iBounds)-1 — the two frames' SegmentBoundsIn grids for p.Segments, which
 // must stay untouched until the frame is framed — coded by the given number
 // of windows.
 func (c *Columns) Reset(pBounds, iBounds []int, p Params, windows int) {

@@ -335,7 +335,7 @@ func TestDecodeCountFromGeometry(t *testing.T) {
 	big := sortedFrame(62, 300)
 	pF := jitterColors(big, 63, 6)
 	p := Params{Segments: 20, Candidates: 10, Threshold: 50, QStep: 2}
-	pBounds, iBounds := attr.SegmentBounds(len(pF), p.Segments), attr.SegmentBounds(len(big), p.Segments)
+	pBounds, iBounds := attr.SegmentBoundsIn(nil, len(pF), p.Segments), attr.SegmentBoundsIn(nil, len(big), p.Segments)
 	tile, _, err := encodePTile(packColors(nil, big), packColors(nil, pF), p, pBounds, iBounds, 5, 10, new(EncodeScratch))
 	if err != nil {
 		t.Fatal(err)

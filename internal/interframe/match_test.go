@@ -116,8 +116,8 @@ func TestMatchBlockAgainstEqu2(t *testing.T) {
 		{"all colours equal, kp != ki", colorFrame(rng, 900, 1), colorFrame(rng, 1600, 1), 100, 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pBounds := attr.SegmentBounds(len(tc.pF), tc.segs)
-			iBounds := attr.SegmentBounds(len(tc.iF), tc.segs)
+			pBounds := attr.SegmentBoundsIn(nil, len(tc.pF), tc.segs)
+			iBounds := attr.SegmentBoundsIn(nil, len(tc.iF), tc.segs)
 			m := matcher{
 				ip: packColors(nil, tc.iF), pp: packColors(nil, tc.pF),
 				iBounds: iBounds, pBounds: pBounds, candidates: tc.candidates,

@@ -50,10 +50,10 @@ func TestTilePDecodeExact(t *testing.T) {
 		}
 
 		p := tc.p.normalized()
-		pBounds := attr.SegmentBounds(len(pF), p.Segments)
-		iBounds := attr.SegmentBounds(len(iF), p.Segments)
+		pBounds := attr.SegmentBoundsIn(nil, len(pF), p.Segments)
+		iBounds := attr.SegmentBoundsIn(nil, len(iF), p.Segments)
 		nBlocks := len(pBounds) - 1
-		cuts := attr.SegmentBounds(nBlocks, tc.tiles)
+		cuts := attr.SegmentBoundsIn(nil, nBlocks, tc.tiles)
 		iPack, pPack := packColors(nil, iF), packColors(nil, pF)
 		var sc EncodeScratch
 		var sum Stats
@@ -97,14 +97,14 @@ func TestTilePErrors(t *testing.T) {
 	iF := sortedFrame(21, 500)
 	pF := jitterColors(iF, 22, 5)
 	p := Params{Segments: 50, Candidates: 10, Threshold: 45, QStep: 4}.normalized()
-	pBounds := attr.SegmentBounds(len(pF), p.Segments)
-	iBounds := attr.SegmentBounds(len(iF), p.Segments)
+	pBounds := attr.SegmentBoundsIn(nil, len(pF), p.Segments)
+	iBounds := attr.SegmentBoundsIn(nil, len(iF), p.Segments)
 	iPack, pPack := packColors(nil, iF), packColors(nil, pF)
 	var sc EncodeScratch
 	if _, _, err := encodePTile(iPack, pPack, p, pBounds, iBounds, 48, 5, &sc); err == nil {
 		t.Fatal("window past end must error")
 	}
-	if _, _, err := encodePTile(nil, pPack, p, pBounds, attr.SegmentBounds(0, p.Segments), 0, 1, &sc); err == nil {
+	if _, _, err := encodePTile(nil, pPack, p, pBounds, attr.SegmentBoundsIn(nil, 0, p.Segments), 0, 1, &sc); err == nil {
 		t.Fatal("empty reference must error")
 	}
 	if _, _, _, err := DecodePTile(nil, iF); err == nil {
@@ -153,7 +153,7 @@ func TestDecodeWindowIsWholeSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb := attr.SegmentBounds(len(pF), p.Segments)
+		pb := attr.SegmentBoundsIn(nil, len(pF), p.Segments)
 		nBlocks := len(pb) - 1
 		for _, windows := range []int{1, 2, 3, 8, 64} {
 			for w := 0; w < windows; w++ {
@@ -208,7 +208,7 @@ func TestWindowCutInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pBounds, iBounds := attr.SegmentBounds(len(pF), p.Segments), attr.SegmentBounds(len(iF), p.Segments)
+		pBounds, iBounds := attr.SegmentBoundsIn(nil, len(pF), p.Segments), attr.SegmentBoundsIn(nil, len(iF), p.Segments)
 		nBlocks := len(pBounds) - 1
 		for _, windows := range []int{1, 2, 3, 8, 64} {
 			var c Columns

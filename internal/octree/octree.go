@@ -5,13 +5,8 @@
 // so the construction cannot be parallelized. Serialization then walks the
 // finished tree depth-first, emitting one occupancy byte per internal node.
 //
-// Two variants are provided:
-//
-//   - Tree: fixed-depth tree over an already-voxelized lattice. This is what
-//     the TMC13-like codec in internal/codec uses (lossless geometry).
-//   - DynamicTree: the PCL-flavoured tree whose bounding cube starts at the
-//     first point and expands by powers of two as out-of-box points arrive
-//     (the Fig. 5 worked example).
+// Tree is a fixed-depth tree over an already-voxelized lattice: what the
+// TMC13-like codec in internal/codec uses (lossless geometry).
 package octree
 
 import (

@@ -186,101 +186,6 @@ func TestOccupancy(t *testing.T) {
 	}
 }
 
-// --- DynamicTree (Fig. 5 worked example) ---
-
-func TestDynamicTreeFig5Example(t *testing.T) {
-	// P0=[0,0,0], P1=[-1,0,0], P2=[3,3,3] per Fig. 5.
-	tr := NewDynamicTree()
-	tr.Insert(0, 0, 0)
-	if tr.Side() != 2 {
-		t.Fatalf("after P0: side = %d, want 2", tr.Side())
-	}
-	tr.Insert(-1, 0, 0)
-	if tr.Side() != 4 {
-		// P1 is outside [0,2)^3, so the cube must have doubled once.
-		t.Fatalf("after P1: side = %d, want 4", tr.Side())
-	}
-	tr.Insert(3, 3, 3)
-	if tr.Side() != 8 {
-		// Fig. 5: including P2 forces the side to 8.
-		t.Fatalf("after P2: side = %d, want 8", tr.Side())
-	}
-	if tr.NumPoints() != 3 {
-		t.Fatalf("NumPoints = %d, want 3", tr.NumPoints())
-	}
-	for _, p := range [][3]int64{{0, 0, 0}, {-1, 0, 0}, {3, 3, 3}} {
-		if !tr.Contains(p[0], p[1], p[2]) {
-			t.Errorf("tree must contain %v", p)
-		}
-	}
-	if tr.Contains(1, 1, 1) {
-		t.Error("tree must not contain uninserted cell")
-	}
-	// The sequential (lossless) tree preserves all three points exactly —
-	// this is the quality edge the baseline holds over the parallel build.
-	cells := tr.Cells()
-	if len(cells) != 3 {
-		t.Fatalf("Cells = %v", cells)
-	}
-}
-
-func TestDynamicTreeRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	tr := NewDynamicTree()
-	want := map[[3]int64]bool{}
-	for i := 0; i < 2000; i++ {
-		p := [3]int64{int64(rng.Intn(2000) - 1000), int64(rng.Intn(2000) - 1000), int64(rng.Intn(2000) - 1000)}
-		tr.Insert(p[0], p[1], p[2])
-		want[p] = true
-	}
-	if tr.NumPoints() != len(want) {
-		t.Fatalf("NumPoints = %d, want %d", tr.NumPoints(), len(want))
-	}
-	for p := range want {
-		if !tr.Contains(p[0], p[1], p[2]) {
-			t.Fatalf("missing %v", p)
-		}
-	}
-	cells := tr.Cells()
-	if len(cells) != len(want) {
-		t.Fatalf("Cells len = %d, want %d", len(cells), len(want))
-	}
-	for _, c := range cells {
-		if !want[c] {
-			t.Fatalf("unexpected cell %v", c)
-		}
-	}
-	// Side must be a power of two covering the data.
-	if tr.Side()&(tr.Side()-1) != 0 {
-		t.Errorf("side %d not a power of two", tr.Side())
-	}
-	if tr.Side() < 2000 {
-		t.Errorf("side %d cannot cover 2000-wide data", tr.Side())
-	}
-}
-
-func TestDynamicTreeEmpty(t *testing.T) {
-	tr := NewDynamicTree()
-	if tr.Contains(0, 0, 0) {
-		t.Error("empty tree contains nothing")
-	}
-	if tr.Cells() != nil {
-		t.Error("empty tree has no cells")
-	}
-	if tr.Side() != 0 || tr.NumNodes() != 0 {
-		t.Error("empty tree has zero side and nodes")
-	}
-}
-
-func TestDynamicExpansionsCounted(t *testing.T) {
-	tr := NewDynamicTree()
-	tr.Insert(0, 0, 0)
-	tr.Insert(1000, 0, 0) // needs several doublings
-	if tr.Expansions() < 9 {
-		t.Errorf("Expansions = %d, want >= 9 (2 -> 1024)", tr.Expansions())
-	}
-}
-
 func BenchmarkSequentialBuild100K(b *testing.B) {
 	vc := randomCloud(1, 100000, 10)
 	b.ResetTimer()

@@ -144,7 +144,7 @@ func TestSubtreeTilesRoundTrip(t *testing.T) {
 	}
 	leaves := br.Tree.Leaves()
 	for _, tiles := range []int{2, 3, 8} {
-		bounds := attr.SegmentBounds(len(leaves), tiles)
+		bounds := attr.SegmentBoundsIn(nil, len(leaves), tiles)
 		var s TileScratch
 		var got []uint64
 		for ti := 0; ti < tiles; ti++ {

@@ -2,16 +2,6 @@ package viewport
 
 import "testing"
 
-func TestSeesEdgeCases(t *testing.T) {
-	c := Camera{Pos: [3]float64{0, 0, 0}, Dir: [3]float64{0, 0, 0}, FOVDegrees: 10}
-	if !c.sees(1, 2, 3) {
-		t.Fatal("zero view direction must degrade to seeing everything")
-	}
-	if !c.sees(0, 0, 0) {
-		t.Fatal("the eye point itself is visible")
-	}
-}
-
 func TestSeesConventions(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -22,6 +12,7 @@ func TestSeesConventions(t *testing.T) {
 		{"zero dir omnidirectional", Camera{FOVDegrees: 10}, 5, -3, 2, true},
 		{"zero dir bounded by maxdist", Camera{FOVDegrees: 10, MaxDist: 1}, 5, -3, 2, false},
 		{"zero dir maxdist inclusive", Camera{FOVDegrees: 10, MaxDist: 5}, 5, 0, 0, true},
+		{"zero dir eye point", Camera{FOVDegrees: 10}, 0, 0, 0, true},
 		{"eye point always visible", Camera{Dir: [3]float64{0, 0, 1}, FOVDegrees: 0}, 0, 0, 0, true},
 		{"fov 0 closed shutter", Camera{Dir: [3]float64{0, 0, 1}, FOVDegrees: 0}, 0, 0, 10, false},
 		{"fov 360 full sphere", Camera{Dir: [3]float64{0, 0, 1}, FOVDegrees: 360}, 0, 0, -10, true},

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/linksim"
 )
 
 // reseq returns a copy of a framed packet with its sequence number set to
@@ -25,6 +24,13 @@ func reseq(t *testing.T, raw []byte, seq uint32) []byte {
 	}
 	p.Header.Seq = seq
 	return MarshalPacket(p.Header, p.Payload)
+}
+
+// cleanPackets is the fresh packets a one-viewer Server sends for three
+// loot frames (I P P) over a clean link, in order.
+func cleanPackets(t *testing.T) [][]byte {
+	t.Helper()
+	return runScenario(t, &scenario{name: "I P P", frames: 3, scale: 0.01, opts: v1, viewers: "whole"}, 0).viewers[0].fresh
 }
 
 // frozenReceiver is a receiver on a clock that never moves, so no NACK
@@ -45,7 +51,7 @@ func frozenReceiver(outcomes *[]DecodedFrame) *Receiver {
 // decodes untouched. A jump of exactly the budget still opens a gap of
 // that many NACKable packets: the receiver's window is the sender's buffer.
 func TestReceiverDropsSequenceJump(t *testing.T) {
-	pkts := capturePackets(t, 3, FECConfig{})
+	pkts := cleanPackets(t)
 	for _, tc := range []struct {
 		name string
 		jump uint32 // sequence numbers ahead of the next expected one
@@ -111,7 +117,7 @@ func TestReceiverDropsSequenceJump(t *testing.T) {
 // answered, Tick re-NACKs with backoff and resolves frame 1 (a P-frame:
 // concealed) once its retry budget runs out.
 func TestReceiverTick(t *testing.T) {
-	pkts := capturePackets(t, 3, FECConfig{})
+	pkts := cleanPackets(t)
 	lost := -1
 	var lostSeq uint32
 	for i, raw := range pkts {
@@ -211,7 +217,7 @@ func TestReceiverTick(t *testing.T) {
 // mid-frame, with the packets either side of the wrap swapped in flight,
 // opens one gap at the wrap and heals it when the late packet lands.
 func TestReceiverSequenceWrap(t *testing.T) {
-	pkts := capturePackets(t, 3, FECConfig{})
+	pkts := cleanPackets(t)
 	base := uint32(0) - uint32(len(pkts)/2) // the wrap falls inside the stream
 	wire := make([][]byte, len(pkts))
 	for i, p := range pkts {
@@ -238,70 +244,5 @@ func TestReceiverSequenceWrap(t *testing.T) {
 	}
 	if m.PacketsCorrupt != 0 || m.PacketsDuplicate != 0 || m.NACKsSent != 0 {
 		t.Errorf("wrap cost %d corrupt, %d duplicate, %d NACKs; want none", m.PacketsCorrupt, m.PacketsDuplicate, m.NACKsSent)
-	}
-}
-
-// TestReceiverResyncsAfterBlackout: a link that drops everything for more
-// than maxSeqJump packets, then comes back. The first packet after the
-// blackout is dropped as a jump, the next one resyncs the sequence space,
-// the frames lost in the blackout are skipped, and the stream decodes
-// again from the next I-frame on.
-func TestReceiverResyncsAfterBlackout(t *testing.T) {
-	const total, from, to = 24, 6, 15 // blackout over frames [from, to)
-	frames := lossyFrames(t, total, 0.008)
-	opts := testOptions(codec.IntraInterV1)
-	fl := linksim.NewFaultyLink(linksim.WiFi, linksim.FaultProfile{Seed: 3})
-	var outcomes []DecodedFrame
-	pipe := NewLossyPipe(fl, ReceiverConfig{
-		Options: opts,
-		OnFrame: func(f DecodedFrame) { outcomes = append(outcomes, f) },
-	})
-	sv, v := oneViewer(t, ServerConfig{Options: opts, MTU: 64}, total, pipe.PacketOut)
-	pipe.AttachServer(sv)
-	for i, f := range frames {
-		switch i {
-		case from:
-			fl.SetDropRate(1)
-		case to:
-			fl.SetDropRate(0)
-		}
-		sendLockstep(t, sv, v, i, f)
-	}
-	if err := sv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe.Finish(total); err != nil {
-		t.Fatal(err)
-	}
-	rx := pipe.Receiver()
-	m := rx.Metrics()
-	t.Logf("blackout dropped %d packets; receiver: %+v", fl.Stats().Dropped, m)
-	if fl.Stats().Dropped <= maxSeqJump {
-		t.Fatalf("the blackout dropped %d packets, not more than the %d-packet window: test is vacuous", fl.Stats().Dropped, maxSeqJump)
-	}
-	if len(outcomes) != total {
-		t.Fatalf("got %d outcomes, want %d", len(outcomes), total)
-	}
-	if m.PacketsCorrupt != 1 || len(rx.missing) != 0 {
-		t.Errorf("%d corrupt, %d still missing; want 1 and 0", m.PacketsCorrupt, len(rx.missing))
-	}
-	resync := -1
-	for i, f := range outcomes {
-		switch {
-		case i < from && f.Status != FrameDecoded:
-			t.Errorf("frame %d before the blackout: %v (%v)", i, f.Status, f.Err)
-		case i >= from && i < to && f.Status == FrameDecoded:
-			t.Errorf("frame %d decoded inside the blackout", i)
-		case i >= to && resync < 0 && f.Status == FrameDecoded:
-			resync = i
-		}
-	}
-	if resync < 0 || outcomes[resync].Type != codec.IFrame {
-		t.Fatalf("no I-frame decoded after the blackout (first decode at %d)", resync)
-	}
-	for _, f := range outcomes[resync:] {
-		if f.Status != FrameDecoded {
-			t.Errorf("frame %d after the resync: %v (%v)", f.Index, f.Status, f.Err)
-		}
 	}
 }

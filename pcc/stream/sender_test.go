@@ -300,11 +300,13 @@ func TestSessionPacketsMatchViewer(t *testing.T) {
 					return nil
 				}})
 			col := NewCollector(s)
-			sv, _ := oneViewer(t, ServerConfig{Options: tc.opts, MTU: tc.mtu}, len(frames),
-				func(_ context.Context, p []byte) error {
-					viewed = append(viewed, p)
-					return nil
-				})
+			sv := NewServer(context.Background(), ServerConfig{Options: tc.opts, MTU: tc.mtu, Shards: 1, ViewerQueue: len(frames)})
+			if _, err := sv.Attach(ViewerConfig{PacketOut: func(_ context.Context, p []byte) error {
+				viewed = append(viewed, p)
+				return nil
+			}}); err != nil {
+				t.Fatal(err)
+			}
 			for _, f := range frames {
 				if err := s.Submit(context.Background(), f); err != nil {
 					t.Fatal(err)
@@ -583,7 +585,7 @@ func TestFragmentCountLimit(t *testing.T) {
 // configuration is normalized, so the packet count a Result reports is the
 // count PacketOut saw — not the count at the raw value.
 func TestMTUClampedOnce(t *testing.T) {
-	frames := lossyFrames(t, 2, 0.05)
+	frames := videoFrames(t, "loot", 2, 0.05)
 	var mu sync.Mutex
 	seen := map[uint32]int{}
 	s := New(context.Background(), Config{

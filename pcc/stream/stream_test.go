@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/edgesim"
 	"repro/internal/geom"
 	"repro/internal/linksim"
@@ -23,22 +22,8 @@ import (
 var congested = linksim.Link{Name: "congested", BandwidthMbps: 1, RTTMs: 40,
 	TxNanojoulePerByte: 1000, RxNanojoulePerByte: 500}
 
-// testFrames generates n small frames of one Table I video.
-func testFrames(t testing.TB, n int) []*geom.VoxelCloud {
-	t.Helper()
-	spec, err := dataset.SpecByName("loot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := dataset.NewGenerator(spec, 0.02)
-	out := make([]*geom.VoxelCloud, n)
-	for i := range out {
-		if out[i], err = g.Frame(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
-}
+// testFrames is the first n frames of loot at scale 0.02.
+func testFrames(t testing.TB, n int) []*geom.VoxelCloud { return videoFrames(t, "loot", n, 0.02) }
 
 // testOptions shrinks the paper's segment counts to the test scale.
 func testOptions(d codec.Design) codec.Options {
@@ -140,7 +125,7 @@ func TestPipelineMatchesSequentialStream(t *testing.T) {
 // every frame whose Submit returned nil is delivered. Run under -race in
 // CI.
 func TestSubmitRacingClose(t *testing.T) {
-	frame := lossyFrames(t, 1, 0.005)[0]
+	frame := videoFrames(t, "loot", 1, 0.005)[0]
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
