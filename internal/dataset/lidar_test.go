@@ -98,3 +98,22 @@ func TestLiDARRegimeIsSparse(t *testing.T) {
 		t.Fatalf("dense/sparse occupancy ratio %.1f, want >= 10 (dense %.1f pts/block, sparse %.1f pts/block)", ratio, do, so)
 	}
 }
+
+// BenchmarkLiDARFrame generates one kitti-sparse frame at scale 0.25, the
+// frame size the sparse-intra benchmark workload casts.
+func BenchmarkLiDARFrame(b *testing.B) {
+	spec, err := SpecByName("kitti-sparse")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := NewGenerator(spec, 0.25)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if lidarSink, err = g.Frame(7); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var lidarSink *geom.VoxelCloud
