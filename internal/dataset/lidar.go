@@ -92,45 +92,99 @@ func lidarSceneFor(seed uint32) lidarScene {
 	return sc
 }
 
-// rayBox returns the nearest positive ray parameter hitting b, or +Inf.
-// Standard slab intersection; rays are cast in open air so the origin is
-// never inside a box.
-func rayBox(o, d vec, b lidarBox) float64 {
-	tmin, tmax := 0.0, math.Inf(1)
-	for _, ax := range [3][3]float64{
-		{o.X, d.X, 0}, {o.Y, d.Y, 1}, {o.Z, d.Z, 2},
-	} {
-		oc, dc := ax[0], ax[1]
-		var lo, hi float64
-		switch ax[2] {
-		case 0:
-			lo, hi = b.min.X, b.max.X
-		case 1:
-			lo, hi = b.min.Y, b.max.Y
-		default:
-			lo, hi = b.min.Z, b.max.Z
-		}
-		if dc == 0 {
-			if oc < lo || oc > hi {
-				return math.Inf(1)
+// lidarCopy is one Z-wrapped copy of a box, shifted against the ego
+// position, with its corners taken relative to the sensor.
+type lidarCopy struct {
+	lo, hi vec
+	// bound is a lower bound on any ray parameter at which a unit ray
+	// from the sensor can enter the copy: its distance from the sensor,
+	// shrunk by a relative 1e-9 to absorb the rounding of the slab
+	// divisions, of the distance itself and of |d| around 1.
+	bound float64
+	shade uint8
+}
+
+// lidarCopies returns the box copies a ray from origin can hit within
+// lidarRange at ego position egoZ, in the scan order the caster resolves
+// ties by: box by box, each at Z wraps 0, +1024, -1024.
+//
+// Casting against this list returns the same (best, shade) for every ray
+// that yields a point as casting against all 3 x len(boxes) copies:
+//   - The copies are shifted by the same float expressions, in the same
+//     order, and (lo - origin) is the subtraction the slab test made per
+//     ray, so every surviving copy gives the same hit parameter as before.
+//   - A dropped copy's hit parameter is at least its bound, beyond
+//     lidarRange: had it been the nearest hit, best would have exceeded
+//     lidarRange and the ray yielded no point either way.
+//   - A copy the caster skips because its bound is at least the current
+//     best could not have passed the strict th < best test, and the scan
+//     order is kept, so ties resolve to the same copy as before.
+func lidarCopies(boxes []lidarBox, origin vec, egoZ float64) []lidarCopy {
+	shift := math.Mod(egoZ, 1024)
+	out := make([]lidarCopy, 0, 3*len(boxes))
+	for _, b := range boxes {
+		minZ, maxZ := b.min.Z-shift, b.max.Z-shift
+		for _, wrap := range [3]float64{0, 1024, -1024} {
+			c := lidarCopy{
+				lo:    vec{b.min.X, b.min.Y, minZ + wrap}.sub(origin),
+				hi:    vec{b.max.X, b.max.Y, maxZ + wrap}.sub(origin),
+				shade: b.shade,
 			}
-			continue
-		}
-		t0 := (lo - oc) / dc
-		t1 := (hi - oc) / dc
-		if t0 > t1 {
-			t0, t1 = t1, t0
-		}
-		tmin = math.Max(tmin, t0)
-		tmax = math.Min(tmax, t1)
-		if tmin > tmax {
-			return math.Inf(1)
+			gap := vec{slabGap(c.lo.X, c.hi.X), slabGap(c.lo.Y, c.hi.Y), slabGap(c.lo.Z, c.hi.Z)}
+			c.bound = gap.norm() * (1 - 1e-9)
+			if c.bound > lidarRange {
+				continue
+			}
+			out = append(out, c)
 		}
 	}
-	if tmin <= 0 {
+	return out
+}
+
+// slabGap is the distance from 0 to the interval [lo, hi] along one axis.
+func slabGap(lo, hi float64) float64 {
+	if lo > 0 {
+		return lo
+	}
+	if hi < 0 {
+		return -hi
+	}
+	return 0
+}
+
+// rayBox returns the nearest positive ray parameter at which the ray from
+// the sensor along d enters the box with sensor-relative corners lo and hi,
+// or +Inf. Standard slab intersection; rays are cast in open air so the
+// sensor is never inside a box.
+func rayBox(d, lo, hi vec) float64 {
+	tmin, tmax := 0.0, math.Inf(1)
+	ok := slab(&tmin, &tmax, d.X, lo.X, hi.X) &&
+		slab(&tmin, &tmax, d.Y, lo.Y, hi.Y) &&
+		slab(&tmin, &tmax, d.Z, lo.Z, hi.Z)
+	if !ok || tmin <= 0 {
 		return math.Inf(1)
 	}
 	return tmin
+}
+
+// slab narrows [tmin, tmax] to the parameters where the ray lies between
+// the planes lo and hi of one axis (dc is the ray's component along it) and
+// reports whether anything is left.
+func slab(tmin, tmax *float64, dc, lo, hi float64) bool {
+	if dc == 0 {
+		return lo <= 0 && hi >= 0
+	}
+	t0, t1 := lo/dc, hi/dc
+	if t0 > t1 {
+		t0, t1 = t1, t0
+	}
+	if t0 > *tmin {
+		*tmin = t0
+	}
+	if t1 < *tmax {
+		*tmax = t1
+	}
+	return *tmin <= *tmax
 }
 
 // lidarFrame casts one full revolution at frame t. The azimuth resolution
@@ -147,12 +201,18 @@ func (g *Generator) lidarFrame(t int) (*geom.VoxelCloud, error) {
 	egoZ := 1.7 * float64(t)
 	yaw := 0.0025 * float64(t)
 	origin := vec{512, lidarHeight, 200}
+	copies := lidarCopies(scene.boxes, origin, egoZ)
 
 	cloud := &geom.Cloud{Points: make([]geom.Point, 0, lidarRings*nAz)}
 	for ring := 0; ring < lidarRings; ring++ {
 		el := lidarMinEl + (lidarMaxEl-lidarMinEl)*float64(ring)/float64(lidarRings-1)
 		sinEl, cosEl := math.Sin(el), math.Cos(el)
 		for a := 0; a < nAz; a++ {
+			// Reflectivity dropout depends on the ray alone; a dropped
+			// ray yields nothing whatever it hits, so skip the cast.
+			if float64(hash2(salt^0x51ED, ring, a)%1024)/1024 < lidarDropout {
+				continue
+			}
 			az := yaw + 2*math.Pi*float64(a)/float64(nAz)
 			d := vec{cosEl * math.Cos(az), sinEl, cosEl * math.Sin(az)}
 
@@ -162,26 +222,18 @@ func (g *Generator) lidarFrame(t int) (*geom.VoxelCloud, error) {
 				best = -origin.Y / d.Y
 				shade = 120
 			}
-			for _, b := range scene.boxes {
-				// The scene tiles Z; shift the box against ego position.
-				sb := b
-				sb.min.Z -= math.Mod(egoZ, 1024)
-				sb.max.Z -= math.Mod(egoZ, 1024)
-				for _, wrap := range []float64{0, 1024, -1024} {
-					wb := sb
-					wb.min.Z += wrap
-					wb.max.Z += wrap
-					if th := rayBox(origin, d, wb); th < best {
-						best = th
-						shade = b.shade
-					}
+			for i := range copies {
+				c := &copies[i]
+				if c.bound >= best {
+					continue
+				}
+				if th := rayBox(d, c.lo, c.hi); th < best {
+					best = th
+					shade = c.shade
 				}
 			}
 			if math.IsInf(best, 1) || best > lidarRange {
 				continue // no return inside range
-			}
-			if float64(hash2(salt^0x51ED, ring, a)%1024)/1024 < lidarDropout {
-				continue // reflectivity dropout
 			}
 			// Range noise, deterministic per (ring, azimuth, frame).
 			n := noise(salt, ring, a) * s.SensorNoise

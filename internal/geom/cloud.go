@@ -89,11 +89,14 @@ func Voxelize(c *Cloud, depth uint) (*VoxelCloud, error) {
 		scale = (grid - 1) / float64(side)
 	}
 
+	// One accumulator per occupied voxel, in first-seen order; the map
+	// holds indexes into it, so no voxel costs a heap object of its own.
 	type accum struct {
+		key        uint64
 		r, g, b, n uint32
 	}
-	cells := make(map[uint64]*accum, c.Len())
-	order := make([]uint64, 0, c.Len())
+	cells := make(map[uint64]int32, c.Len())
+	acc := make([]accum, 0, c.Len())
 	coord := func(v, mn float32) uint32 {
 		q := int64(float64(v-mn)*scale + 0.5)
 		if q < 0 {
@@ -109,24 +112,24 @@ func Voxelize(c *Cloud, depth uint) (*VoxelCloud, error) {
 		y := coord(p.Y, b.MinY)
 		z := coord(p.Z, b.MinZ)
 		key := uint64(x)<<42 | uint64(y)<<21 | uint64(z)
-		a, ok := cells[key]
+		i, ok := cells[key]
 		if !ok {
-			a = &accum{}
-			cells[key] = a
-			order = append(order, key)
+			i = int32(len(acc))
+			cells[key] = i
+			acc = append(acc, accum{key: key})
 		}
+		a := &acc[i]
 		a.r += uint32(p.C.R)
 		a.g += uint32(p.C.G)
 		a.b += uint32(p.C.B)
 		a.n++
 	}
-	out := &VoxelCloud{Depth: depth, Voxels: make([]Voxel, 0, len(cells))}
-	for _, key := range order {
-		a := cells[key]
+	out := &VoxelCloud{Depth: depth, Voxels: make([]Voxel, 0, len(acc))}
+	for _, a := range acc {
 		out.Voxels = append(out.Voxels, Voxel{
-			X: uint32(key >> 42 & 0x1FFFFF),
-			Y: uint32(key >> 21 & 0x1FFFFF),
-			Z: uint32(key & 0x1FFFFF),
+			X: uint32(a.key >> 42 & 0x1FFFFF),
+			Y: uint32(a.key >> 21 & 0x1FFFFF),
+			Z: uint32(a.key & 0x1FFFFF),
 			C: Color{uint8(a.r / a.n), uint8(a.g / a.n), uint8(a.b / a.n)},
 		})
 	}

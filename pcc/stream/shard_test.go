@@ -246,8 +246,12 @@ func TestRingFrozenBytes(t *testing.T) {
 		}
 		live = append(live, v)
 	}
-	gate := make(chan struct{})
+	// The held viewer takes frame 0 and blocks sending it, so the other
+	// frames stay queued; entered says its sender has reached that point.
+	gate, entered := make(chan struct{}), make(chan struct{})
+	var enter sync.Once
 	held, err := sv.Attach(ViewerConfig{PacketOut: func(context.Context, []byte) error {
+		enter.Do(func() { close(entered) })
 		<-gate
 		return nil
 	}})
@@ -285,6 +289,11 @@ func TestRingFrozenBytes(t *testing.T) {
 		}
 	}
 
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("held viewer never started sending frame 0")
+	}
 	held.mu.Lock()
 	if len(held.queue) != total-1 {
 		t.Errorf("held viewer queues %d frames, want %d", len(held.queue), total-1)
