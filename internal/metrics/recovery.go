@@ -38,14 +38,16 @@ func (c *RecoveryCounters) PacketDuplicate()    { c.packetsDuplicate.Add(1) }
 func (c *RecoveryCounters) RetransmitReceived() { c.retransmitsRecv.Add(1) }
 
 // PacketLost records a sequence number observed lost on its first
-// transmission: the NACK timeout expired without it arriving (reordered
-// packets that heal before the timeout are not counted). This is the
-// receiver-side loss signal the congestion feedback reports carry.
+// transmission: the stream proved it lost (a later frame or its parity
+// group arrived without it), or its first NACK timeout expired without it
+// arriving. Reordered packets that heal before either are not counted.
+// This is the receiver-side loss signal the congestion feedback reports
+// carry.
 func (c *RecoveryCounters) PacketLost() { c.packetsLost.Add(1) }
 
 // PacketRecovered records a sequence number healed AFTER it was already
-// counted lost by PacketLost — a parity repair or a late retransmit
-// landing after the first NACK timeout. Feedback windows net these
+// counted lost by PacketLost — a parity repair or a retransmit landing
+// after its loss was counted. Feedback windows net these
 // against PacketsLost so the congestion controller does not keep seeing
 // losses that were in fact recovered.
 func (c *RecoveryCounters) PacketRecovered() { c.packetsRecovered.Add(1) }

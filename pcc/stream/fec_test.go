@@ -224,6 +224,9 @@ func FuzzParseParity(f *testing.F) {
 	f.Add(make([]byte, ParityHeaderSize+2))
 	f.Add(AppendParity(nil, ParityGroup{BaseSeq: 40, Count: 3, Stride: 2,
 		FrameFirstSeq: 38, FragCount: 9, Body: []byte{4, 0, 1, 2, 3, 4}}))
+	// A group ending one past its frame: a receiver must not open gaps to it.
+	f.Add(AppendParity(nil, ParityGroup{BaseSeq: 40, Count: 3, Stride: 2,
+		FrameFirstSeq: 38, FragCount: 6, Body: []byte{4, 0, 1, 2, 3, 4}}))
 	wire := bytes.Repeat([]byte{1, 2, 3}, 500)
 	for _, g := range parityGroups(fragsAtMTU(len(wire), 256), 4, codec.IFrame) {
 		pkt, err := ParsePacket(appendParityPacket(nil, 1, 0, codec.IFrame, 10, 6, g, identityPlan(wire).parityBody(g, 256)))

@@ -4,11 +4,19 @@ package stream
 // framed packets (packet.go) into frame containers, detects gaps via
 // sequence numbers, and applies a GOP-aware recovery policy:
 //
-//   - Missing packets are NACKed back to the sender with a timeout and
-//     exponential backoff. I-frame packets get a deep retry budget — the
-//     stream is undecodable without them. P-frame packets get a shallow
-//     one: after it is exhausted the frame is concealed (the last good
-//     frame is repeated) and the stream moves on.
+//   - Missing packets are NACKed back to the sender. The first NACK goes
+//     as soon as the stream proves the packet lost: its group's parity
+//     packet arrived without repairing it, the parity of a later group of
+//     its frame arrived, or a later frame's first fresh packet did — the
+//     sender emits a frame's data in sequence order, each parity packet
+//     right after its group, and a whole frame before the next (RFC 4585
+//     §3.5's early feedback). That NACK is outside the retry schedule:
+//     the timer NACKs every missing packet nackTimeout after its gap
+//     opened, with exponential backoff, whether or not it went early.
+//     I-frame packets get a deep retry budget — the stream is undecodable
+//     without them. P-frame packets get a shallow one: after it is
+//     exhausted the frame is concealed (the last good frame is repeated)
+//     and the stream moves on.
 //   - When an I-frame itself cannot be recovered the GOP reference is
 //     lost: the receiver sends a ControlRefresh asking the sender to force
 //     the next frame to be an I-frame, resets the decoder, and skips
@@ -29,6 +37,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -163,6 +172,19 @@ type partialFrame struct {
 type lossState struct {
 	deadline time.Time
 	attempts int
+	// early marks a seq NACKed on proof of its loss (proveLost), outside the
+	// schedule: deadline and attempts are the timer's alone.
+	early bool
+}
+
+// counted reports whether the seq was counted lost: NACKed early, or its
+// first NACK timeout expired.
+func (ls *lossState) counted() bool { return ls.early || ls.attempts >= 1 }
+
+// nackTimer is one NACK deadline set for a missing seq.
+type nackTimer struct {
+	deadline time.Time
+	seq      uint32
 }
 
 // Receiver reassembles and decodes a lossy packet stream. Create with
@@ -177,9 +199,20 @@ type Receiver struct {
 	inbox [][]byte
 	busy  bool
 
-	streamID  uint32
-	nextSeq   uint32 // next expected sequence number, modulo 2^32
-	missing   map[uint32]*lossState
+	streamID uint32
+	nextSeq  uint32 // next expected sequence number, modulo 2^32
+	missing  map[uint32]*lossState
+	// unproven[unHead:] queues the missing seqs in the order the gap
+	// detector opened them — ascending — for proveLost, which pops the ones
+	// below its bound; an entry healed, given up or NACKed since is skipped
+	// when reached.
+	unproven []uint32
+	unHead   int
+	// timers is a min-heap of NACK deadlines, one entry pushed each time a
+	// missing seq's deadline is set (schedule): checkTimeouts pops the due
+	// ones instead of walking missing on every packet. An entry whose seq
+	// healed or was rescheduled since is stale, dropped when popped.
+	timers    []nackTimer
 	frames    map[uint32]*partialFrame
 	nextFrame uint32 // next frame index to deliver
 	// prehealed marks sequence numbers repaired from parity BEFORE any
@@ -289,11 +322,12 @@ func (r *Receiver) Tick() {
 // drain processes queued packets, including ones enqueued re-entrantly by
 // retransmissions triggered from within processing.
 func (r *Receiver) drain() {
-	for len(r.inbox) > 0 {
-		raw := r.inbox[0]
-		r.inbox = r.inbox[1:]
+	for i := 0; i < len(r.inbox); i++ {
+		raw := r.inbox[i]
+		r.inbox[i] = nil
 		r.ingestOne(raw)
 	}
+	r.inbox = r.inbox[:0] // reused: no allocation per packet
 }
 
 func (r *Receiver) ingestOne(raw []byte) {
@@ -346,13 +380,7 @@ func (r *Receiver) ingestOne(raw []byte) {
 		r.resync(h.Seq - 1)
 	}
 	if ahead(h.Seq, r.nextSeq) {
-		for s := r.nextSeq; s != h.Seq; s++ {
-			if _, ok := r.prehealed[s]; ok {
-				delete(r.prehealed, s) // parity already rebuilt this one
-				continue
-			}
-			r.missing[s] = &lossState{deadline: now.Add(nackTimeout)}
-		}
+		r.reveal(h.Seq, now)
 		delete(r.prehealed, h.Seq) // a repaired original arriving late
 		r.nextSeq = h.Seq + 1
 		if r.skipLo != r.skipHi && r.nextSeq-r.skipHi > 1<<17 {
@@ -361,9 +389,9 @@ func (r *Receiver) ingestOne(raw []byte) {
 			r.skipLo = r.skipHi
 		}
 	} else if ls, open := r.missing[h.Seq]; open {
-		if ls.attempts >= 1 {
-			// Late retransmit landing after its first NACK timeout already
-			// counted it lost — net it back out of the next feedback window.
+		if ls.counted() {
+			// Retransmit (or late original) landing after its loss was
+			// counted — net it back out of the next feedback window.
 			r.counters.PacketRecovered()
 		}
 		delete(r.missing, h.Seq)
@@ -401,9 +429,70 @@ func (r *Receiver) ingestOne(raw []byte) {
 		// a single missing member — repairable now.
 		r.tryRepair(pf)
 	}
+	if h.Flags&(FlagRetransmit|FlagCached) == 0 {
+		// A fresh packet of this frame went out after every earlier frame's
+		// data and parity: what those frames still miss is lost.
+		r.proveLost(pf.firstSeq, nil)
+	}
 
 	r.advance(now)
 	r.checkTimeouts(now, false)
+}
+
+// reveal opens a missing entry, due nackTimeout from now, for every seq in
+// [nextSeq, end) that parity has not rebuilt already, and moves nextSeq to
+// end.
+func (r *Receiver) reveal(end uint32, now time.Time) {
+	for s := r.nextSeq; s != end; s++ {
+		if _, ok := r.prehealed[s]; ok {
+			delete(r.prehealed, s) // parity already rebuilt this one
+			continue
+		}
+		ls := &lossState{}
+		r.missing[s] = ls
+		r.schedule(s, ls, now.Add(nackTimeout))
+		r.unproven = append(r.unproven, s)
+	}
+	r.nextSeq = end
+}
+
+// proveLost sends the first NACK for every missing seq not yet NACKed that
+// lies below bound or is one of the members of g (ascending, at or above
+// bound): the stream has proved them lost. The NACK is outside the retry
+// schedule — attempts and deadline stay the timer's — and counts each seq
+// lost once. Each queued seq is popped once, so the cost is O(1) per seq
+// opened, not per gap per packet.
+func (r *Receiver) proveLost(bound uint32, g *ParityGroup) {
+	var nack []uint32
+	prove := func(s uint32) {
+		if ls := r.missing[s]; ls != nil && !ls.counted() {
+			ls.early = true
+			r.counters.PacketLost()
+			nack = append(nack, s)
+		}
+	}
+	for ; r.unHead < len(r.unproven); r.unHead++ {
+		s := r.unproven[r.unHead]
+		if ls := r.missing[s]; ls != nil && !ls.counted() && ahead(s, bound) {
+			break
+		}
+		prove(s)
+	}
+	if r.unHead > len(r.unproven)/2 {
+		// Reuse the popped half: copying at most what was popped keeps a pop
+		// O(1) amortized.
+		n := copy(r.unproven, r.unproven[r.unHead:])
+		r.unproven, r.unHead = r.unproven[:n], 0
+	}
+	if g != nil {
+		for i := uint32(0); i < uint32(g.Count); i++ {
+			prove(g.BaseSeq + i*uint32(g.Stride))
+		}
+	}
+	if len(nack) > 0 {
+		r.sendControl(Control{Kind: ControlNACK, StreamID: r.streamID, Seqs: nack})
+		r.counters.NACKSent(len(nack))
+	}
 }
 
 // ahead reports whether sequence number a is at or after b, modulo 2^32.
@@ -461,7 +550,14 @@ func (r *Receiver) resync(dropped uint32) {
 
 // ingestParity folds one parity packet into its frame's reassembly state
 // and repairs whatever it can. Malformed or frame-inconsistent parity
-// counts corrupt; parity for already-resolved frames counts wasted.
+// counts corrupt; parity for already-resolved frames counts wasted. Then
+// it proves losses: the sender emits a group's parity right after the
+// group's last fragment, so the group's end reveals the frame's tail up to
+// it, every member still missing is lost, and so is every missing seq
+// below the group — an earlier group's parity went out before this one.
+// A group ending more than maxSeqJump either side of the next expected seq
+// reveals and proves nothing: a data packet that far ahead would be
+// dropped, and the sender holds nothing that far behind.
 func (r *Receiver) ingestParity(pkt Packet, now time.Time) {
 	h := pkt.Header
 	pg, err := ParseParity(pkt.Payload)
@@ -499,6 +595,14 @@ func (r *Receiver) ingestParity(pkt Packet, now time.Time) {
 	pg.Body = append([]byte(nil), pg.Body...)
 	pf.parity = append(pf.parity, &pg)
 	r.tryRepair(pf)
+	// ParseParity and the check above keep the group inside its frame.
+	end := pg.BaseSeq + uint32(pg.Count-1)*uint32(pg.Stride)
+	if rel := end - r.nextSeq; rel < maxSeqJump || -rel <= maxSeqJump {
+		if rel < maxSeqJump {
+			r.reveal(end+1, now)
+		}
+		r.proveLost(pg.BaseSeq, &pg)
+	}
 	r.advance(now)
 }
 
@@ -550,7 +654,7 @@ func (r *Receiver) repairGroup(pf *partialFrame, g *ParityGroup) bool {
 	}
 	seq := pf.firstSeq + uint32(miss)
 	if ls, open := r.missing[seq]; open {
-		if ls.attempts >= 1 {
+		if ls.counted() {
 			r.counters.PacketRecovered()
 		}
 		delete(r.missing, seq)
@@ -584,22 +688,70 @@ func (r *Receiver) retryBudget(seq uint32) int {
 	return iFrameRetries
 }
 
+// schedule sets a missing seq's NACK deadline and pushes it on the timer
+// heap.
+func (r *Receiver) schedule(s uint32, ls *lossState, at time.Time) {
+	ls.deadline = at
+	h := append(r.timers, nackTimer{at, s})
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].deadline.Before(h[up].deadline) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	r.timers = h
+}
+
+// popTimer removes and returns the earliest deadline on the timer heap.
+func (r *Receiver) popTimer() nackTimer {
+	h := r.timers
+	top, n := h[0], len(h)-1
+	h[0], h = h[n], h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].deadline.Before(h[c].deadline) {
+			c++
+		}
+		if !h[c].deadline.Before(h[i].deadline) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	r.timers = h
+	return top
+}
+
 // checkTimeouts re-NACKs every missing seq whose deadline passed (force
 // treats all as due) with exponential backoff, and gives up on seqs whose
 // retry budget is exhausted.
 func (r *Receiver) checkTimeouts(now time.Time, force bool) {
 	var due []uint32
-	for s, ls := range r.missing {
-		if force || !now.Before(ls.deadline) {
+	if force {
+		for s := range r.missing {
 			due = append(due, s)
+		}
+	} else {
+		for len(r.timers) > 0 && !now.Before(r.timers[0].deadline) {
+			t := r.popTimer()
+			if ls := r.missing[t.seq]; ls != nil && ls.deadline.Equal(t.deadline) {
+				due = append(due, t.seq)
+			}
 		}
 	}
 	if len(due) == 0 {
 		return
 	}
 	// Sorted processing keeps the NACK (and so the retransmit) order
-	// deterministic across runs.
+	// deterministic across runs; a stale entry set to a live deadline
+	// again dedupes here.
 	sort.Slice(due, func(i, j int) bool { return int32(due[i]-due[j]) < 0 })
+	due = slices.Compact(due)
 	var nack []uint32
 	for _, s := range due {
 		ls := r.missing[s]
@@ -611,12 +763,12 @@ func (r *Receiver) checkTimeouts(now time.Time, force bool) {
 			continue
 		}
 		ls.attempts++
-		if ls.attempts == 1 {
+		if ls.attempts == 1 && !ls.early {
 			// First NACK timeout expired without the packet arriving: count
 			// it lost. Reorders that heal inside the timeout never get here.
 			r.counters.PacketLost()
 		}
-		ls.deadline = now.Add(nackTimeout << uint(ls.attempts))
+		r.schedule(s, ls, now.Add(nackTimeout<<uint(ls.attempts)))
 		nack = append(nack, s)
 	}
 	if len(nack) > 0 {

@@ -90,8 +90,11 @@ type scenario struct {
 	link            linksim.Link // default linksim.WiFi
 	faults          linksim.FaultProfile
 	lossy           []int // the viewers behind faults (nil: all)
-	// drop loses packets before the link: a targeted loss.
-	drop     func(PacketHeader) bool
+	// drop loses packets before the link: a targeted loss. hold keeps one
+	// packet back until the viewer's next packet has crossed the link: a
+	// targeted reorder.
+	drop     func(Packet) bool
+	hold     func(PacketHeader) bool
 	feedback int // ReceiverConfig.FeedbackEvery (default 4)
 	events   []event
 	// churn flips flipper k's subscription or camera for the n-th time:
@@ -172,9 +175,12 @@ type scenarioViewer struct {
 	outcomes  []DecodedFrame
 	reports   []Feedback
 	// Every packet sent, and the fresh data packets with the stream id
-	// zeroed; fresh holds those in order, sent by sequence number.
+	// zeroed; fresh holds those in order, sent by sequence number; sends
+	// is every packet's header in send order.
 	wire, data hash.Hash
 	fresh      [][]byte
+	sends      []PacketHeader
+	held       []byte // the packet hold keeps back
 	sent       map[uint32][]byte
 	flags      map[byte]bool
 	layered    map[uint32]bool // frames a FlagLayered data packet carried
@@ -302,7 +308,7 @@ func (r *scenarioRun) newViewer(i int, s viewerSpec) *scenarioViewer {
 		}
 		return send(c)
 	}
-	if prof != (linksim.FaultProfile{}) || r.drop != nil {
+	if prof != (linksim.FaultProfile{}) || r.drop != nil || r.hold != nil {
 		v.ref = NewReceiver(ReceiverConfig{Options: r.opts,
 			OnFrame: func(f DecodedFrame) { v.refClouds = append(v.refClouds, f.Cloud) }})
 	}
@@ -430,6 +436,7 @@ func (r *scenarioRun) packetOut(v *scenarioViewer) PacketSendFunc {
 			return err
 		}
 		v.wire.Write(pkt)
+		v.sends = append(v.sends, p.Header)
 		switch h := p.Header; {
 		case h.Flags&FlagRetransmit != 0:
 			want := bytes.Clone(v.sent[h.Seq])
@@ -468,10 +475,19 @@ func (r *scenarioRun) packetOut(v *scenarioViewer) PacketSendFunc {
 				v.ref.Ingest(bytes.Clone(pkt))
 			}
 		}
-		if r.drop != nil && r.drop(p.Header) {
+		if r.drop != nil && r.drop(p) {
 			return nil
 		}
-		return v.pipe.PacketOut(ctx, pkt)
+		if r.hold != nil && v.held == nil && r.hold(p.Header) {
+			v.held = pkt
+			return nil
+		}
+		if err := v.pipe.PacketOut(ctx, pkt); err != nil || v.held == nil {
+			return err
+		}
+		held := v.held
+		v.held = nil
+		return v.pipe.PacketOut(ctx, held)
 	}
 }
 
@@ -725,6 +741,7 @@ func TestServerControlCoalescing(t *testing.T)               { runScenarios(t) }
 func TestServerFeedbackAggregation(t *testing.T)             { runScenarios(t) }
 func TestServerViewerErrorIsolation(t *testing.T)            { runScenarios(t) }
 func TestViewerTailNACKAfterClose(t *testing.T)              { runScenarios(t) }
+func TestReceiverNACKsOnEvidence(t *testing.T)               { runScenarios(t) }
 
 // raceChurn runs a churn row with its flips racing the sends instead of
 // scripted between them (under -race in CI): from frame 0 until the Server
@@ -848,7 +865,7 @@ var scenarios = slices.Concat([]scenario{cleanRow,
 	// enough (~50 ms a packet) that the refresh request lands while frames
 	// are still being encoded: the stream resyncs at a forced I-frame.
 	{name: "I-frame void", test: "TestLossyStreamIFrameLossForcesRefresh", frames: 11, scale: 0.01, opts: gop6,
-		viewers: "whole", link: congested, drop: func(h PacketHeader) bool { return h.FrameIndex == 6 },
+		viewers: "whole", link: congested, drop: func(p Packet) bool { return p.Header.FrameIndex == 6 },
 		check: func(t *testing.T, r *scenarioRun) {
 			v := r.viewers[0]
 			expect(t, v.rx.RefreshRequests > 0 && r.m.Refreshes > 0, "%d refresh requests, %d applied", v.rx.RefreshRequests, r.m.Refreshes)
@@ -906,7 +923,7 @@ var scenarios = slices.Concat([]scenario{cleanRow,
 	// One packet lost at its first send and healed by the retransmit: the
 	// feedback windows carry the NACK round trip, never a loss.
 	{name: "one recovered loss", test: "TestFeedbackNetsRecoveredLosses", frames: 12, scale: 0.01, opts: v1, feedback: 3,
-		viewers: "whole", drop: func(h PacketHeader) bool { return h.Flags&(FlagParity|FlagRetransmit) == 0 && h.Seq == 5 },
+		viewers: "whole", drop: func(p Packet) bool { return p.Header.Flags&(FlagParity|FlagRetransmit) == 0 && p.Header.Seq == 5 },
 		check: func(t *testing.T, r *scenarioRun) {
 			allDecoded(t, r)
 			v := r.viewers[0]
@@ -916,6 +933,65 @@ var scenarios = slices.Concat([]scenario{cleanRow,
 			}
 			expect(t, v.rx.PacketsLost == 1 && v.rx.PacketsRecovered == 1 && lost == 0 && nacks > 0,
 				"%d lost, %d recovered; the reports carry %d lost and %d NACKs", v.rx.PacketsLost, v.rx.PacketsRecovered, lost, nacks)
+		}},
+	// A loss is NACKed once the stream proves it, not when the timer fires.
+	// Frame 4's last fragment and its group's parity are lost: frame 5's
+	// first packet proves the loss, its retransmit goes out right behind
+	// that packet, and the loss delays frame 4 by less than nackTimeout —
+	// under a frame interval.
+	{name: "tail and parity lost", test: "TestReceiverNACKsOnEvidence", frames: 9, scale: 0.01, opts: v1, fec: 4,
+		viewers: "whole", drop: func(p Packet) bool {
+			h := p.Header
+			if h.FrameIndex != 4 || h.Flags&FlagRetransmit != 0 {
+				return false
+			}
+			if h.Flags&FlagParity == 0 {
+				return h.Frag == h.FragCount-1
+			}
+			pg, err := ParseParity(p.Payload)
+			return err == nil && pg.BaseSeq+uint32(pg.Count-1)*uint32(pg.Stride) == pg.FrameFirstSeq+uint32(pg.FragCount)-1
+		}, check: func(t *testing.T, r *scenarioRun) {
+			allDecoded(t, r)
+			v := r.viewers[0]
+			tail := slices.IndexFunc(v.sends, func(h PacketHeader) bool {
+				return h.FrameIndex == 4 && h.Flags&FlagParity == 0 && h.Frag == h.FragCount-1
+			})
+			by, ok := answeredAfter(v)[v.sends[tail].Seq]
+			expect(t, ok && by.FrameIndex == 5 && by.Frag == 0 && by.Flags&FlagParity == 0,
+				"frame 4's tail was retransmitted %t, after %+v; want after frame 5's first packet", ok, by)
+			clean := *r.scenario
+			clean.drop = nil
+			late := v.outcomes[4].Delay - runScenario(t, &clean, 0).viewers[0].outcomes[4].Delay
+			expect(t, late > 0 && late < nackTimeout, "the loss delayed frame 4 by %v, want under %v", late, nackTimeout)
+		}},
+	// Two losses in one parity group, which cannot repair them: the group's
+	// parity proves both and NACKs them the moment it arrives.
+	{name: "two losses in a group", test: "TestReceiverNACKsOnEvidence", frames: 9, scale: 0.01, opts: v1, fec: 4,
+		viewers: "whole", drop: func(p Packet) bool {
+			h := p.Header
+			return h.FrameIndex == 4 && h.Flags&(FlagParity|FlagRetransmit) == 0 && (h.Frag == 1 || h.Frag == 2)
+		}, check: func(t *testing.T, r *scenarioRun) {
+			allDecoded(t, r)
+			v := r.viewers[0]
+			first := v.sends[slices.IndexFunc(v.sends, func(h PacketHeader) bool { return h.FrameIndex == 4 })]
+			after := answeredAfter(v)
+			for _, s := range []uint32{first.Seq + 1, first.Seq + 2} {
+				by, ok := after[s]
+				expect(t, ok && by.Flags&FlagParity != 0 && by.Seq == first.Seq, "seq %d was retransmitted %t, after %+v; want after the parity of group %d",
+					s, ok, by, first.Seq)
+			}
+		}},
+	// Frame 4's last fragment crosses behind frame 5's first packet, which
+	// proves it lost: it costs one retransmit, and the late original counts
+	// duplicate.
+	{name: "reorder across frames", test: "TestReceiverNACKsOnEvidence", frames: 9, scale: 0.01, opts: v1,
+		viewers: "whole", hold: func(h PacketHeader) bool {
+			return h.FrameIndex == 4 && h.Flags&FlagRetransmit == 0 && h.Frag == h.FragCount-1
+		}, check: func(t *testing.T, r *scenarioRun) {
+			allDecoded(t, r)
+			v := r.viewers[0]
+			expect(t, v.m.Retransmits <= 1 && v.rx.PacketsDuplicate <= 1, "%d retransmits, %d duplicates; want at most 1 each",
+				v.m.Retransmits, v.rx.PacketsDuplicate)
 		}},
 	// Reports are numbered from 1 and their windows sum to the lifetime
 	// counters.
@@ -1301,6 +1377,22 @@ func lossFloor(floor float64) func(*testing.T, *scenarioRun) {
 				"losses occurred but recovery never answered: %+v", rx)
 		}
 	}
+}
+
+// answeredAfter maps each sequence number a viewer retransmitted to the
+// header of the packet sent last before the first retransmit that was not
+// one itself: the packet whose crossing made the receiver NACK it.
+func answeredAfter(v *scenarioViewer) map[uint32]PacketHeader {
+	after := map[uint32]PacketHeader{}
+	var last PacketHeader
+	for _, h := range v.sends {
+		if h.Flags&FlagRetransmit == 0 {
+			last = h
+		} else if _, ok := after[h.Seq]; !ok {
+			after[h.Seq] = last
+		}
+	}
+	return after
 }
 
 // checkShedTrace holds the slow viewer to its shed trace.
