@@ -90,8 +90,7 @@ fanout-scale:
 # tests under the race detector, with the loss sweep's rows (decoded ratio
 # >= 0.99 at up to 5% random loss with parity armed, >= 0.95 without).
 fec:
-	$(GO) test -race -count=1 -run 'TestParity|TestParseParity|TestFEC|TestServerFEC|TestFeedbackNetsRecoveredLosses|TestAdaptiveParity|TestLossyStreamRecovers5PercentLoss' ./pcc/stream
-	$(GO) test -race -count=1 -run 'TestParityKnob|TestParityGroupLen|TestProbe' ./internal/codec
+	$(GO) test -race -count=1 -run 'TestParity|TestParseParity|TestFEC|TestServerFEC|TestFeedbackNetsRecoveredLosses|TestAdaptLeavesParityAlone|TestLossyStreamRecovers5PercentLoss' ./pcc/stream
 	$(GO) test -race -count=1 -run 'TestFaultyLink' ./internal/linksim
 
 # Layered multi-rate serving gate: the layer tests, the layered rows of the

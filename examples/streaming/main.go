@@ -21,7 +21,8 @@
 //   - viewer late attaches mid-GOP and starts instantly from the server's
 //     cached keyframe — no re-encode, no wait for the next GOP;
 //   - viewer vp announces a 60° overhead camera in-band (its receiver
-//     sends a ControlViewport packet): the frames are encoded as eight
+//     sends a ControlViewport packet, held until the first packet names
+//     the stream, so frame 0 goes whole): the frames are encoded as eight
 //     self-contained Morton-range tiles, and the server slices each
 //     published frame per viewer — visible tiles ship in full, a widened
 //     margin ships geometry only, everything else is dropped. Same
@@ -37,6 +38,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/linksim"
@@ -129,7 +131,7 @@ func main() {
 		log.Fatal(err)
 	}
 	vpRx.bind(vp) // route the receiver's control packets back to its viewer
-	vpRx.rx.SendViewport(overheadCamera(originals[0]))
+	vpRx.sendViewport(overheadCamera(originals[0]))
 
 	// Stream the first two GOPs, then attach the late joiner mid-stream.
 	for _, f := range originals[:6] {
@@ -258,12 +260,14 @@ func displayWifi(wg *sync.WaitGroup, ln net.Listener, originals []*pcc.PointClou
 
 // localReceiver is an in-process display: packets go straight from the
 // viewer's sender into a Receiver, and — once bound — control packets
-// (viewport announcements, NACKs) straight back to the viewer.
+// (viewport announcements, NACKs) straight back to the viewer. mu
+// serializes the Receiver's calls; the control uplink runs inside them, so
+// it reads the bound viewer without it.
 type localReceiver struct {
 	mu   sync.Mutex
 	name string
 	rx   *stream.Receiver
-	v    *stream.Viewer
+	v    atomic.Pointer[stream.Viewer]
 }
 
 func newLocalReceiver(name string, opts pcc.Options, originals []*pcc.PointCloud) *localReceiver {
@@ -276,20 +280,20 @@ func newLocalReceiver(name string, opts pcc.Options, originals []*pcc.PointCloud
 	return lr
 }
 
-func (lr *localReceiver) bind(v *stream.Viewer) {
-	lr.mu.Lock()
-	defer lr.mu.Unlock()
-	lr.v = v
-}
+func (lr *localReceiver) bind(v *stream.Viewer) { lr.v.Store(v) }
 
 func (lr *localReceiver) sendControl(c stream.Control) error {
-	lr.mu.Lock()
-	v := lr.v
-	lr.mu.Unlock()
+	v := lr.v.Load()
 	if v == nil {
 		return nil // unbound displays drop their control uplink
 	}
 	return v.HandleControl(c)
+}
+
+func (lr *localReceiver) sendViewport(cam viewport.Camera) {
+	lr.mu.Lock()
+	defer lr.mu.Unlock()
+	lr.rx.SendViewport(cam)
 }
 
 // overheadCamera is the vp viewer's pose: a 60° close-up hovering an

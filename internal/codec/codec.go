@@ -89,8 +89,9 @@ type Options struct {
 	// Adapt optionally attaches the closed-loop congestion controller
 	// (ratecontrol.go), the one decider that moves encoder knobs: receiver
 	// feedback and local pipeline state steer the reuse threshold,
-	// attribute quantization, GOP length and FEC parity overhead. Off,
-	// every knob stays at its configured value.
+	// attribute quantization and GOP length. Off, every knob stays at its
+	// configured value. Transport settings (the parity group size) are not
+	// knobs: they stay as the serving configuration sets them.
 	Adapt AdaptiveRate
 }
 

@@ -5,13 +5,14 @@ package codec
 // preference", Sec. III-B/VI-E) and evaluates fixed operating points on
 // Fig. 10b's static trade-off curve. Controller closes the loop once: it
 // fuses receiver feedback (the reports' loss rate) with local pipeline state
-// (transmit-queue fill, backpressure sheds, modelled link time) into a
-// hysteresis state machine that actuates four knobs — the reuse threshold,
-// the attribute quantization step, the GOP length and the FEC parity
-// overhead. Sustained loss shrinks the GOP (more I-frames → faster resync
-// after a lost reference); clean links stretch it back to amortize I-frame
-// cost; congestion without loss degrades quality (bigger quantization step,
-// higher reuse threshold) instead of shedding frames.
+// (transmit-queue fill, modelled link time) into a hysteresis state machine
+// that actuates three encoder knobs — the reuse threshold, the attribute
+// quantization step and the GOP length. Sustained loss shrinks the GOP (more
+// I-frames → faster resync after a lost reference); clean links stretch it
+// back to amortize I-frame cost; congestion without loss degrades quality
+// (bigger quantization step, higher reuse threshold) instead of shedding
+// frames. Transport settings, such as the parity group size, are the
+// serving configuration's alone.
 //
 // Its tuning is fixed: the constants below are the only configuration
 // anyone runs. Every decision is pure integer/float math on explicit state
@@ -60,8 +61,6 @@ const (
 	maxQScale = 8
 	// maxBoost clamps the congestion boost on the reuse threshold.
 	maxBoost = 8
-	// maxParity clamps the FEC parity-overhead knob; easing decays it to 0.
-	maxParity = 0.5
 	// defaultProbeAfter is how many non-congested steps the probing upswitch
 	// waits, while the knobs are degraded, before provisionally easing one
 	// notch (the probe). probeBackoffMax caps the interval's doubling after
@@ -75,12 +74,7 @@ const (
 type LocalSignal struct {
 	// QueueFill is transmit-queue depth over capacity at observe time.
 	QueueFill float64
-	// Shed reports that this frame was sacrificed by the backpressure
-	// policy before transmission. No caller outside tests sets it: a
-	// Session never sheds, and a Server sheds per viewer. The pinned
-	// controller trajectories still feed it.
-	Shed bool
-	// Latency is the frame's modelled link time (zero for a shed frame).
+	// Latency is the frame's modelled link time.
 	Latency time.Duration
 }
 
@@ -95,31 +89,6 @@ type Knobs struct {
 	QScale int
 	// GOP is the effective group-of-pictures length.
 	GOP int
-	// Parity is the FEC overhead knob: the target fraction of data packets
-	// re-sent as XOR parity (0 = no parity). The transport turns it into a
-	// parity group size via ParityGroupLen.
-	Parity float64
-}
-
-// minParityKnob is the smallest parity fraction worth a packet: below
-// 1/32 the knob reads as off.
-const minParityKnob = 1.0 / 32
-
-// ParityGroupLen converts the parity-overhead knob into an XOR group
-// size — one parity packet per K data packets — clamped to [2, 16].
-// Returns 0 when the knob is (effectively) off.
-func (k Knobs) ParityGroupLen() int {
-	if k.Parity < minParityKnob {
-		return 0
-	}
-	g := int(1/k.Parity + 0.5)
-	if g < 2 {
-		g = 2
-	}
-	if g > 16 {
-		g = 16
-	}
-	return g
 }
 
 // ControllerSnapshot is a point-in-time copy of the controller state.
@@ -128,7 +97,6 @@ type ControllerSnapshot struct {
 	LossEWMA  float64
 	UtilEWMA  float64
 	QueueEWMA float64
-	ShedEWMA  float64
 	Congested bool
 	// Probing reports an in-flight probing upswitch: a provisional ease
 	// whose feedback echo has not been judged yet.
@@ -153,7 +121,6 @@ type Controller struct {
 	loss       float64 // receiver-observed loss EWMA
 	util       float64 // local link-utilization EWMA
 	queue      float64 // transmit-queue fill EWMA
-	shed       float64 // backpressure-shed EWMA
 	boost      float64 // current threshold congestion boost (>= 1)
 	streak     int     // consecutive clean steps since the last reset
 	congested  bool
@@ -206,7 +173,6 @@ func (c *Controller) Snapshot() ControllerSnapshot {
 		LossEWMA:  c.loss,
 		UtilEWMA:  c.util,
 		QueueEWMA: c.queue,
-		ShedEWMA:  c.shed,
 		Congested: c.congested,
 		Probing:   c.probing,
 	}
@@ -227,7 +193,7 @@ func (c *Controller) AtBaseline() bool {
 
 // degradedLocked reports residual degradation on any knob. Runs under c.mu.
 func (c *Controller) degradedLocked() bool {
-	return c.k.QScale > 1 || c.k.GOP < c.baseGOP || c.boost > 1 || c.k.Parity > 0
+	return c.k.QScale > 1 || c.k.GOP < c.baseGOP || c.boost > 1
 }
 
 func mix(old, sample, gain float64) float64 {
@@ -264,11 +230,6 @@ func (c *Controller) ObserveLocal(sig LocalSignal) {
 	g := lossGain / 2
 	c.util = mix(c.util, float64(sig.Latency)/float64(frameBudget), g)
 	c.queue = mix(c.queue, sig.QueueFill, g)
-	shed := 0.0
-	if sig.Shed {
-		shed = 1
-	}
-	c.shed = mix(c.shed, shed, g)
 	c.localCount++
 	if c.localCount%localPeriod == 0 {
 		c.step(false)
@@ -291,8 +252,8 @@ const probeTimeout = 4
 // clamped knobs alone. Runs under c.mu.
 func (c *Controller) step(fromFeedback bool) {
 	lossHigh := c.loss >= highLoss
-	high := lossHigh || c.util >= highUtil || c.queue >= 0.9 || c.shed >= 0.25
-	clean := c.loss <= lowLoss && c.util < highUtil && c.queue < 0.5 && c.shed < 0.05
+	high := lossHigh || c.util >= highUtil || c.queue >= 0.9
+	clean := c.loss <= lowLoss && c.util < highUtil && c.queue < 0.5
 
 	easeNow := false
 	switch {
@@ -396,9 +357,8 @@ func (c *Controller) probeRevert() {
 
 // degrade steps the knobs one notch toward survival: quality halves
 // (quantization doubles), the reuse threshold boost doubles, and
-// loss-driven congestion halves the GOP for faster resync and raises parity
-// toward the observed loss. Every knob saturates at its clamp with no
-// windup.
+// loss-driven congestion halves the GOP for faster resync. Every knob
+// saturates at its clamp with no windup.
 func (c *Controller) degrade(lossDriven bool) {
 	if q := c.k.QScale * 2; q <= maxQScale {
 		c.k.QScale = q
@@ -413,31 +373,10 @@ func (c *Controller) degrade(lossDriven bool) {
 		c.k.Threshold = c.baseThreshold * c.boost
 		c.counters.ThresholdBoost()
 	}
-	if lossDriven {
-		c.raiseParity()
-	}
 }
 
-// parityLossGain scales the observed loss EWMA into the parity-overhead
-// knob: at 4x, a 5% lossy link gets ~20% parity (one packet per 5-packet
-// group) — enough that single losses per group repair with no round trip.
-const parityLossGain = 4
-
-// raiseParity tracks the parity knob up to the observed loss (never down:
-// ease decays it once the loss clears).
-func (c *Controller) raiseParity() {
-	p := min(parityLossGain*c.loss, maxParity)
-	if p < minParityKnob {
-		p = 0
-	}
-	if p > c.k.Parity {
-		c.k.Parity = p
-	}
-}
-
-// ease relaxes the knobs one notch: quality recovers a halving, the
-// threshold boost halves back toward 1 and the parity knob halves toward
-// off. The GOP rule is the caller's. The passive ease after a sustained
+// ease relaxes the knobs one notch: quality recovers a halving and the
+// threshold boost halves back toward 1. The GOP rule is the caller's. The passive ease after a sustained
 // clean window stretches the GOP by one frame, up to maxGOP: clean links
 // amortize I-frames further, above the configured base. A probe doubles
 // it, up to the configured base — the inverse of degrade.
@@ -458,10 +397,6 @@ func (c *Controller) ease(probe bool) {
 		c.boost /= 2
 		c.k.Threshold = c.baseThreshold * c.boost
 		c.counters.ThresholdEase()
-	}
-	c.k.Parity /= 2
-	if c.k.Parity < minParityKnob {
-		c.k.Parity = 0
 	}
 }
 

@@ -19,10 +19,10 @@ func feedLoss(c *Controller, rate float64, n int) {
 	}
 }
 
-// localSignal builds one transmit-stage observation: queue fill, shed, and
-// the frame's modelled link time.
-func localSignal(queue float64, shed bool, latency time.Duration) LocalSignal {
-	return LocalSignal{QueueFill: queue, Shed: shed, Latency: latency}
+// localSignal builds one transmit-stage observation: queue fill and the
+// frame's modelled link time.
+func localSignal(queue float64, latency time.Duration) LocalSignal {
+	return LocalSignal{QueueFill: queue, Latency: latency}
 }
 
 func TestControllerInertWithoutSignals(t *testing.T) {
@@ -110,7 +110,7 @@ func TestControllerStepResponse(t *testing.T) {
 		c := newController(adaptOpts())
 		// Saturated link, full queue: every localPeriod-th observation steps.
 		for i := 0; i < localPeriod; i++ {
-			c.ObserveLocal(localSignal(1, true, 3*frameBudget))
+			c.ObserveLocal(localSignal(1, 3*frameBudget))
 		}
 		k := c.Knobs()
 		if k.QScale <= 1 {
@@ -163,56 +163,6 @@ func TestControllerClampsAndAntiWindup(t *testing.T) {
 	}
 	if r.GOP != c.maxGOP {
 		t.Fatalf("GOP %d did not stretch to maxGOP %d on a clean link", r.GOP, c.maxGOP)
-	}
-}
-
-// TestParityKnobTracksLoss: loss-driven degradation must raise the parity
-// knob toward the observed loss (times the safety factor), easing must
-// decay it back to zero, and the group-size mapping must honour its
-// clamps.
-func TestParityKnobTracksLoss(t *testing.T) {
-	c := newController(adaptOpts())
-	if p := c.Knobs().Parity; p != 0 {
-		t.Fatalf("fresh parity knob %v, want 0", p)
-	}
-	feedLoss(c, 0.5, 2)
-	k := c.Knobs()
-	if k.Parity != maxParity {
-		t.Fatalf("deep loss: parity %v, want clamp %v", k.Parity, maxParity)
-	}
-	if g := k.ParityGroupLen(); g != 2 {
-		t.Fatalf("parity %v maps to group %d, want 2", k.Parity, g)
-	}
-	if !c.Snapshot().Congested {
-		t.Fatal("controller not congested under 50% loss")
-	}
-	feedLoss(c, 0, 200)
-	if p := c.Knobs().Parity; p != 0 {
-		t.Fatalf("parity %v did not decay to zero on a clean link", p)
-	}
-	if !c.AtBaseline() {
-		t.Fatalf("not at baseline after a long clean run: %+v", c.Knobs())
-	}
-}
-
-func TestParityGroupLenMapping(t *testing.T) {
-	cases := []struct {
-		parity float64
-		want   int
-	}{
-		{0, 0},
-		{0.01, 0},      // below the 1/32 floor: off
-		{1.0 / 32, 16}, // 1/k = 32 clamps to 16
-		{0.0625, 16},
-		{0.2, 5},
-		{0.25, 4},
-		{0.5, 2},
-		{1, 2}, // 1/k = 1 clamps to 2
-	}
-	for _, tc := range cases {
-		if got := (Knobs{Parity: tc.parity}).ParityGroupLen(); got != tc.want {
-			t.Errorf("Parity %v: group %d, want %d", tc.parity, got, tc.want)
-		}
 	}
 }
 
@@ -330,7 +280,7 @@ func TestProbeTimeoutQuietKeep(t *testing.T) {
 	post := c.Knobs()
 	// Local steps in the hysteresis band: no echo verdict, just age.
 	for i := 0; i < probeTimeout*localPeriod; i++ {
-		c.ObserveLocal(localSignal(0, false, 23*time.Millisecond))
+		c.ObserveLocal(localSignal(0, 23*time.Millisecond))
 	}
 	s := c.Snapshot()
 	if s.Probing {

@@ -75,8 +75,9 @@ func DefaultOptions(d Design) Options { return codec.OptionsFor(d) }
 
 // AdaptiveRate enables the closed-loop congestion controller: receiver
 // feedback (stream.ReceiverConfig.FeedbackEvery) and local pipeline
-// pressure steer the GOP length, attribute quantization, reuse threshold
-// and FEC parity overhead. It is the only thing that moves those knobs:
+// pressure steer the GOP length, attribute quantization and reuse
+// threshold. It is the only thing that moves those knobs, and it moves no
+// transport setting (stream.FECConfig's group size is fixed):
 // left false, each stays at its configured value (the paper's Sec. VI-E
 // threshold is a hand-tuned operating point) and the codec is
 // byte-for-byte identical to a non-adaptive one. Enabled is its only

@@ -32,25 +32,17 @@ import (
 
 // FECConfig configures sender-side parity emission.
 type FECConfig struct {
-	// GroupLen, when > 0, statically emits one parity packet per GroupLen
-	// data packets (clamped to [1, MaxParityGroup]). When ≤ 0, parity is
-	// emitted only while the adaptive controller's parity knob is raised,
-	// with the group size the knob implies — without Options.Adapt, none at
-	// all, and the packet stream is byte-identical to a pre-FEC sender.
+	// GroupLen, when > 0, emits one parity packet per GroupLen data
+	// packets (clamped to MaxParityGroup). When ≤ 0 no parity is emitted,
+	// with or without Options.Adapt, and the packet stream is
+	// byte-identical to a pre-FEC sender.
 	GroupLen int
 }
 
-// groupLen resolves the effective parity group size: the static
-// configuration and the controller's adaptive knob, with the stronger
-// (smaller group) winning. 0 means no parity.
-func (c FECConfig) groupLen(ctrl *codec.Controller) int {
-	k := min(max(c.GroupLen, 0), MaxParityGroup)
-	if ctrl != nil {
-		if a := ctrl.Knobs().ParityGroupLen(); a > 0 && (k == 0 || a < k) {
-			k = a
-		}
-	}
-	return k
+// groupLen is the parity group size every frame is published with; 0
+// means no parity.
+func (c FECConfig) groupLen() int {
+	return min(max(c.GroupLen, 0), MaxParityGroup)
 }
 
 // groupSpec is one parity group in fragment-index space.

@@ -199,6 +199,11 @@ type Receiver struct {
 	inbox [][]byte
 	busy  bool
 
+	// heldViewport and heldLayers are the latest SendViewport and
+	// SendLayers controls made before the first packet named the stream:
+	// ingestOne sends them once it adopts the stream id.
+	heldViewport, heldLayers *Control
+
 	streamID uint32
 	nextSeq  uint32 // next expected sequence number, modulo 2^32
 	missing  map[uint32]*lossState
@@ -215,11 +220,6 @@ type Receiver struct {
 	timers    []nackTimer
 	frames    map[uint32]*partialFrame
 	nextFrame uint32 // next frame index to deliver
-	// prehealed marks sequence numbers repaired from parity BEFORE any
-	// later arrival revealed their loss (a repaired tail fragment): when
-	// the gap detector later sweeps past one, it must not open a missing
-	// entry for an already-healed packet.
-	prehealed map[uint32]struct{}
 	// gapLost marks that packets of entirely-unseen frames were given up:
 	// the frames in the current index gap were lost (not sender-dropped).
 	gapLost bool
@@ -252,12 +252,11 @@ func NewReceiver(cfg ReceiverConfig) *Receiver {
 	cfg = cfg.normalized()
 	dev := edgesim.NewXavier(edgesim.Mode15W)
 	return &Receiver{
-		cfg:       cfg,
-		dev:       dev,
-		dec:       codec.NewDecoder(dev, cfg.Options),
-		missing:   make(map[uint32]*lossState),
-		frames:    make(map[uint32]*partialFrame),
-		prehealed: make(map[uint32]struct{}),
+		cfg:     cfg,
+		dev:     dev,
+		dec:     codec.NewDecoder(dev, cfg.Options),
+		missing: make(map[uint32]*lossState),
+		frames:  make(map[uint32]*partialFrame),
 	}
 }
 
@@ -279,18 +278,31 @@ func (r *Receiver) Err() error { return r.err }
 // are culled against it server-side from the next send on (tiles outside
 // the frustum dropped, near-misses sent geometry-only — see
 // Viewer.SetViewport). A camera with FOVDegrees <= 0 clears the viewport
-// and full frames resume. Like every Receiver method it runs on the
-// receiver's driving goroutine.
+// and full frames resume. Before the first packet the control is held
+// and sent once a packet names the stream. Like every Receiver method it
+// runs on the receiver's driving goroutine.
 func (r *Receiver) SendViewport(cam viewport.Camera) {
-	r.sendControl(Control{Kind: ControlViewport, StreamID: r.streamID, Camera: cam})
+	r.sendOrHold(&r.heldViewport, Control{Kind: ControlViewport, Camera: cam})
 }
 
 // SendLayers asks the sender to truncate layered frames to their first sub
 // layers for this viewer from the next send on (see Viewer.SetLayers). Zero
 // clears the subscription: full frames resume at the next keyframe. A
-// no-op for unlayered streams.
+// no-op for unlayered streams. Held before the first packet, like
+// SendViewport.
 func (r *Receiver) SendLayers(sub uint8) {
-	r.sendControl(Control{Kind: ControlLayers, StreamID: r.streamID, Layers: sub})
+	r.sendOrHold(&r.heldLayers, Control{Kind: ControlLayers, Layers: sub})
+}
+
+// sendOrHold sends c on the stream, or, while no packet has named the
+// stream yet, holds it in *held in place of any earlier one.
+func (r *Receiver) sendOrHold(held **Control, c Control) {
+	if r.streamID == 0 {
+		*held = &c
+		return
+	}
+	c.StreamID = r.streamID
+	r.sendControl(c)
 }
 
 // Ingest feeds one received packet (header + payload, as framed by the
@@ -347,8 +359,14 @@ func (r *Receiver) ingestOne(raw []byte) {
 	if h.Flags&FlagControl != 0 {
 		return // control flows sender-ward; not ours to consume
 	}
-	if r.streamID == 0 {
+	if r.streamID == 0 && h.StreamID != 0 {
 		r.streamID = h.StreamID
+		for _, held := range []**Control{&r.heldViewport, &r.heldLayers} {
+			if *held != nil {
+				r.sendOrHold(held, **held)
+				*held = nil
+			}
+		}
 	}
 	if h.StreamID != r.streamID {
 		r.counters.PacketCorrupt()
@@ -381,7 +399,6 @@ func (r *Receiver) ingestOne(raw []byte) {
 	}
 	if ahead(h.Seq, r.nextSeq) {
 		r.reveal(h.Seq, now)
-		delete(r.prehealed, h.Seq) // a repaired original arriving late
 		r.nextSeq = h.Seq + 1
 		if r.skipLo != r.skipHi && r.nextSeq-r.skipHi > 1<<17 {
 			// Past the reach of any frame (65535 fragments at most) that
@@ -440,14 +457,9 @@ func (r *Receiver) ingestOne(raw []byte) {
 }
 
 // reveal opens a missing entry, due nackTimeout from now, for every seq in
-// [nextSeq, end) that parity has not rebuilt already, and moves nextSeq to
-// end.
+// [nextSeq, end), and moves nextSeq to end.
 func (r *Receiver) reveal(end uint32, now time.Time) {
 	for s := r.nextSeq; s != end; s++ {
-		if _, ok := r.prehealed[s]; ok {
-			delete(r.prehealed, s) // parity already rebuilt this one
-			continue
-		}
 		ls := &lossState{}
 		r.missing[s] = ls
 		r.schedule(s, ls, now.Add(nackTimeout))
@@ -538,11 +550,6 @@ func (r *Receiver) resync(dropped uint32) {
 			pf.failed = true
 		}
 	}
-	for s := range r.prehealed {
-		if inSeqRange(s, r.skipLo, r.skipHi) {
-			delete(r.prehealed, s)
-		}
-	}
 	r.gapLost = true
 	r.jumped = false
 	r.nextSeq = dropped
@@ -555,9 +562,14 @@ func (r *Receiver) resync(dropped uint32) {
 // group's last fragment, so the group's end reveals the frame's tail up to
 // it, every member still missing is lost, and so is every missing seq
 // below the group — an earlier group's parity went out before this one.
-// A group ending more than maxSeqJump either side of the next expected seq
-// reveals and proves nothing: a data packet that far ahead would be
-// dropped, and the sender holds nothing that far behind.
+// The reveal runs before the repair, so a rebuilt member leaves missing
+// like any other healed seq. A group ending maxSeqJump or more ahead of
+// the next expected seq, or more than maxSeqJump behind it, reveals and
+// proves nothing: a data packet that far ahead would be dropped, and the
+// sender holds nothing that far behind. Such a group still repairs, so a
+// member it rebuilds ahead of nextSeq (once data packets complete the
+// group) is opened as missing when the gap detector sweeps past it, and
+// NACKed once.
 func (r *Receiver) ingestParity(pkt Packet, now time.Time) {
 	h := pkt.Header
 	pg, err := ParseParity(pkt.Payload)
@@ -594,13 +606,14 @@ func (r *Receiver) ingestParity(pkt Packet, now time.Time) {
 	// duplicated parity packet (same backing bytes) stays parseable.
 	pg.Body = append([]byte(nil), pg.Body...)
 	pf.parity = append(pf.parity, &pg)
-	r.tryRepair(pf)
 	// ParseParity and the check above keep the group inside its frame.
 	end := pg.BaseSeq + uint32(pg.Count-1)*uint32(pg.Stride)
-	if rel := end - r.nextSeq; rel < maxSeqJump || -rel <= maxSeqJump {
-		if rel < maxSeqJump {
-			r.reveal(end+1, now)
-		}
+	rel := end - r.nextSeq
+	if rel < maxSeqJump {
+		r.reveal(end+1, now)
+	}
+	r.tryRepair(pf)
+	if rel < maxSeqJump || -rel <= maxSeqJump {
 		r.proveLost(pg.BaseSeq, &pg)
 	}
 	r.advance(now)
@@ -658,10 +671,6 @@ func (r *Receiver) repairGroup(pf *partialFrame, g *ParityGroup) bool {
 			r.counters.PacketRecovered()
 		}
 		delete(r.missing, seq)
-	} else if ahead(seq, r.nextSeq) {
-		// Repaired before any later arrival revealed the loss: remember so
-		// the gap detector won't re-open it.
-		r.prehealed[seq] = struct{}{}
 	}
 	pf.frags[miss] = g.Body[2 : 2+plen]
 	pf.have++
@@ -979,7 +988,6 @@ func (r *Receiver) forgetFrame(pf *partialFrame) {
 	delete(r.frames, pf.index)
 	for i := range pf.frags {
 		delete(r.missing, pf.firstSeq+uint32(i))
-		delete(r.prehealed, pf.firstSeq+uint32(i))
 	}
 	for range pf.parity {
 		r.fec.ParityWasted() // still pending at resolution: bought nothing

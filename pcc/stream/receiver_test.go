@@ -406,4 +406,79 @@ func TestReceiverHostileParity(t *testing.T) {
 			}
 		})
 	}
+	// A group ending maxSeqJump ahead reveals nothing but still repairs:
+	// once a data packet completes it, parity rebuilds a member ahead of
+	// the next expected seq, and the next frame's first packet opens that
+	// member as missing and NACKs it once, though the frame holds it.
+	t.Run("rebuilds a member maxSeqJump ahead", func(t *testing.T) {
+		var nacks [][]uint32
+		rx := nackRecorder(&nacks)
+		rx.Ingest(pkts[0])
+		rx.Ingest(pkts[3])
+		data := func(idx, seq uint32, frags uint16, payload string) []byte {
+			return MarshalPacket(PacketHeader{StreamID: h0.StreamID, FrameIndex: idx, FrameType: codec.PFrame,
+				FragCount: frags, Seq: seq}, []byte(payload))
+		}
+		// Frame 3 is three fragments from x; the group is its members x
+		// and x+2, ending maxSeqJump past the next expected seq, 4.
+		x := uint32(4 + maxSeqJump - 2)
+		body := make([]byte, 3)
+		xorRecord(body, []byte("a"))
+		xorRecord(body, []byte("c"))
+		rx.Ingest(MarshalPacket(PacketHeader{Flags: FlagParity, StreamID: h0.StreamID, FrameIndex: 3,
+			FrameType: codec.PFrame, FragCount: 1, Seq: x},
+			AppendParity(nil, ParityGroup{BaseSeq: x, Count: 2, Stride: 2, FrameFirstSeq: x, FragCount: 3, Body: body})))
+		if _, open := rx.missing[x+2]; open || rx.nextSeq != 4 {
+			t.Fatalf("the far group revealed its frame: next seq %d", rx.nextSeq)
+		}
+		rx.Ingest(data(3, x, 3, "a"))
+		if pf := rx.frames[3]; pf == nil || string(pf.frags[2]) != "c" || rx.nextSeq != x+1 {
+			t.Fatalf("frame 3's last fragment was not rebuilt ahead of next seq %d", rx.nextSeq)
+		}
+		rx.Ingest(data(4, x+3, 1, "d"))
+		times := map[uint32]int{}
+		for _, n := range nacks {
+			for _, s := range n {
+				times[s]++
+			}
+		}
+		if times[x+1] != 1 || times[x+2] != 1 || rx.fec.Snapshot().ParityRepairs != 1 {
+			t.Errorf("the lost seq NACKed %d times, the rebuilt one %d, after %d repairs; want 1, 1, 1",
+				times[x+1], times[x+2], rx.fec.Snapshot().ParityRepairs)
+		}
+	})
+}
+
+// TestReceiverHoldsEarlyControls: a camera and a layer subscription sent
+// before any packet wait, the latest of each, and go out on the stream the
+// first packet names.
+func TestReceiverHoldsEarlyControls(t *testing.T) {
+	pkts := cleanPackets(t)
+	var sent []Control
+	rx := frozenReceiver(new([]DecodedFrame))
+	rx.cfg.SendControl = func(c Control) error {
+		sent = append(sent, c)
+		return nil
+	}
+	cam, other := awayCamera(), awayCamera()
+	other.MaxDist = 2
+	rx.SendLayers(2)
+	rx.SendViewport(other)
+	rx.SendViewport(cam)
+	rx.SendLayers(1)
+	if len(sent) != 0 {
+		t.Fatalf("%d controls sent before the stream was known", len(sent))
+	}
+	rx.Ingest(pkts[0])
+	p, _ := ParsePacket(pkts[0])
+	want := []Control{{Kind: ControlViewport, StreamID: p.Header.StreamID, Camera: cam},
+		{Kind: ControlLayers, StreamID: p.Header.StreamID, Layers: 1}}
+	if fmt.Sprint(sent) != fmt.Sprint(want) {
+		t.Fatalf("sent %+v, want %+v", sent, want)
+	}
+	rx.Ingest(pkts[1])
+	rx.SendLayers(0)
+	if len(sent) != 3 || sent[2].Layers != 0 || sent[2].StreamID != p.Header.StreamID {
+		t.Fatalf("controls after the first packet: %+v", sent[2:])
+	}
 }

@@ -541,7 +541,7 @@ func (r *scenarioRun) lines() map[string]string {
 		if i == 0 && len(r.snaps) > 0 {
 			knobs := sha256.New()
 			for _, s := range r.snaps {
-				fmt.Fprintf(knobs, "%d %d %g %g %t\n", s.Knobs.GOP, s.Knobs.QScale, s.Knobs.Threshold, s.Knobs.Parity, s.Probing)
+				fmt.Fprintf(knobs, "%d %d %g %t\n", s.Knobs.GOP, s.Knobs.QScale, s.Knobs.Threshold, s.Probing)
 			}
 			fs = append(fs, "knobs="+sum(knobs))
 			fs = appendFields(fs, "ctrl.", r.snaps[len(r.snaps)-1].Counters)
@@ -725,7 +725,7 @@ func TestFECReassemblyUnderFaults(t *testing.T)              { runScenarios(t) }
 func TestFECDeterministic(t *testing.T)                      { runScenarios(t) }
 func TestFeedbackNetsRecoveredLosses(t *testing.T)           { runScenarios(t) }
 func TestReceiverEmitsFeedback(t *testing.T)                 { runScenarios(t) }
-func TestAdaptiveParityEngagesUnderLoss(t *testing.T)        { runScenarios(t) }
+func TestAdaptLeavesParityAlone(t *testing.T)                { runScenarios(t) }
 func TestAdaptConvergesOnDropStep(t *testing.T)              { runScenarios(t) }
 func TestAdaptDeterministic(t *testing.T)                    { runScenarios(t) }
 func TestServerEncodeOnceFanOut(t *testing.T)                { runScenarios(t) }
@@ -1006,15 +1006,17 @@ var scenarios = slices.Concat([]scenario{cleanRow,
 			expect(t, len(v.reports) == 4 && frames == v.rx.Frames() && v.m.FeedbackReports == 4,
 				"%d reports over %d frames of %d, %d consumed; want 4 over all", len(v.reports), frames, v.rx.Frames(), v.m.FeedbackReports)
 		}},
-	// With the controller on and no parity configured, parity appears only
-	// once reported loss raises the knob.
-	{name: "adaptive parity clean", test: "TestAdaptiveParityEngagesUnderLoss", frames: 24, scale: 0.008, opts: adaptV2,
-		viewers: "whole", check: func(t *testing.T, r *scenarioRun) {
-			expect(t, r.viewers[0].m.ParitySent == 0, "a clean link sent %d parity packets", r.viewers[0].m.ParitySent)
+	// The controller moves encoder knobs only: under loss it degrades, and
+	// the parity group stays the configured one, or none.
+	{name: "adapt fec 4 20%", test: "TestAdaptLeavesParityAlone", frames: 24, scale: 0.008, opts: adaptV2, fec: 4,
+		viewers: "whole", faults: linksim.FaultProfile{DropRate: 0.2, Seed: 33}, check: func(t *testing.T, r *scenarioRun) {
+			expectDegraded(t, r)
+			checkParityGroups(t, r.viewers[0], 4, 24)
 		}},
-	{name: "adaptive parity 12%", test: "TestAdaptiveParityEngagesUnderLoss", frames: 24, scale: 0.008, opts: adaptV2,
+	{name: "adapt no fec 12%", test: "TestAdaptLeavesParityAlone", frames: 24, scale: 0.008, opts: adaptV2,
 		viewers: "whole", faults: linksim.FaultProfile{DropRate: 0.12, Seed: 33}, check: func(t *testing.T, r *scenarioRun) {
-			expect(t, r.viewers[0].m.ParitySent > 0, "sustained loss never raised the parity knob")
+			expectDegraded(t, r)
+			expect(t, r.viewers[0].m.ParitySent == 0, "a viewer with no parity configured sent %d parity packets", r.viewers[0].m.ParitySent)
 		}},
 	// The step response: a clean link, then a 15% drop step. Run with -v
 	// for the knob table.
@@ -1139,6 +1141,22 @@ var scenarios = slices.Concat([]scenario{cleanRow,
 					expect(t, v.outcomes[i].Cloud.Len() < whole.outcomes[i].Cloud.Len(), "%s frame %d: %d points, the whole view has %d",
 						v.label, i, v.outcomes[i].Cloud.Len(), whole.outcomes[i].Cloud.Len())
 				}
+			}
+		}},
+	// A camera the receiver sends before its first packet: held until a
+	// packet names the stream, it arrives while frame 0 is being sent, so
+	// frame 0 goes whole and every later frame is culled.
+	{name: "viewport before the stream", test: "TestServerViewportCulling", frames: 6, scale: 0.02, opts: tiled4,
+		viewers: "whole whole", events: []event{{0, 1, func(_ *scenarioRun, v *scenarioViewer) {
+			v.pipe.Receiver().SendViewport(awayCamera())
+		}}}, check: func(t *testing.T, r *scenarioRun) {
+			allDecoded(t, r)
+			whole, early := r.viewers[0], r.viewers[1]
+			expect(t, early.m.HasViewport && early.m.ViewportUpdates == 1 && early.m.TilesCulled > 0,
+				"the early camera never reached the viewer: %+v", early.m)
+			for i, f := range early.outcomes {
+				n, all := f.Cloud.Len(), whole.outcomes[i].Cloud.Len()
+				expect(t, (i == 0) == (n == all) && n <= all, "frame %d: %d points, the whole view has %d", i, n, all)
 			}
 		}},
 	// Cameras flipping every frame, mid-GOP: installed locally and through
@@ -1424,6 +1442,44 @@ func checkLatch(layered ...uint32) func(*testing.T, *scenarioRun) {
 	}
 }
 
+// expectDegraded holds an adaptive row's controller to having degraded
+// its knobs.
+func expectDegraded(t *testing.T, r *scenarioRun) {
+	a := r.snaps[len(r.snaps)-1].Counters
+	expect(t, a.CongestedEnters > 0 && a.QualityDrops > 0, "the controller never degraded: %+v", a)
+}
+
+// checkParityGroups holds every one of a viewer's frames to the parity
+// group size k: exactly one fresh parity packet per group of
+// parityGroups(n, k, type).
+func checkParityGroups(t *testing.T, v *scenarioViewer, k, frames int) {
+	type frame struct {
+		n, parity int
+		ftype     codec.FrameType
+	}
+	got := map[uint32]*frame{}
+	for _, h := range v.sends {
+		if h.Flags&FlagRetransmit != 0 {
+			continue
+		}
+		f := got[h.FrameIndex]
+		if f == nil {
+			f = &frame{}
+			got[h.FrameIndex] = f
+		}
+		if h.Flags&FlagParity != 0 {
+			f.parity++
+		} else {
+			f.n, f.ftype = int(h.FragCount), h.FrameType
+		}
+	}
+	expect(t, len(got) == frames, "%d frames sent, want %d", len(got), frames)
+	for i, f := range got {
+		want := len(parityGroups(f.n, k, f.ftype))
+		expect(t, f.parity == want, "frame %d (%v, %d fragments): %d parity packets, want %d", i, f.ftype, f.n, f.parity, want)
+	}
+}
+
 // stepResponse holds an adaptive row to its step response: the GOP never
 // below its base before the step and shrunk within 24 frames of it; quality
 // degraded by the end of a step that never clears, or every knob back at
@@ -1434,9 +1490,9 @@ func stepResponse(stepAt, clearAt, tail int) func(*testing.T, *scenarioRun) {
 		n := len(r.snaps)
 		for lo := 0; lo < n; lo += 4 {
 			s := r.snaps[min(lo+4, n)-1]
-			t.Logf("frames %2d-%2d: gop %2d probing %-5t qscale %d boost %4.1fx parity %.2f loss ewma %.3f; fates %s",
+			t.Logf("frames %2d-%2d: gop %2d probing %-5t qscale %d boost %4.1fx loss ewma %.3f; fates %s",
 				lo, min(lo+4, n)-1, s.Knobs.GOP, s.Probing, s.Knobs.QScale, s.Knobs.Threshold/r.opts.Inter.Threshold,
-				s.Knobs.Parity, s.LossEWMA, fates(r.viewers[0].outcomes[lo:min(lo+4, n)]))
+				s.LossEWMA, fates(r.viewers[0].outcomes[lo:min(lo+4, n)]))
 		}
 		gop := func(s codec.ControllerSnapshot) int { return s.Knobs.GOP }
 		expect(t, !slices.ContainsFunc(r.snaps[:stepAt], func(s codec.ControllerSnapshot) bool { return gop(s) < 3 }),

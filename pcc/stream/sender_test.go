@@ -251,7 +251,7 @@ func TestPacketOutOwnsPacket(t *testing.T) {
 // stream id 1 on both — so a probe built on the Session's PacketOut sees
 // the wire a viewer sends. The rows are the configurations without parity:
 // the inter and intra designs, a 256-byte MTU, 8 tiles of 3 layers, and
-// the adaptive controller with no receiver to raise its parity knob.
+// the adaptive controller.
 func TestSessionPacketsMatchViewer(t *testing.T) {
 	frames := testFrames(t, 9)
 	for _, tc := range []struct {

@@ -214,7 +214,7 @@ func (sv *Server) publish(_ context.Context, seq int, ftype codec.FrameType, wir
 	// The identity cut — CRCs and parity bodies — is built once, here on
 	// the O(1) encode path, so the O(N) viewer fan-out of the whole frame
 	// only frames it under per-viewer headers.
-	lf := newLiveFrame(seq, ftype, wire, sv.cfg.MTU, sv.cfg.FEC.groupLen(sv.sess.Controller()))
+	lf := newLiveFrame(seq, ftype, wire, sv.cfg.MTU, sv.cfg.FEC.groupLen())
 	f := lf.f
 	// Parse the tile layout against the published copy so every span a
 	// viewer slices aliases the immutable payload.

@@ -551,7 +551,7 @@ func (s *Session) Controller() *codec.Controller { return s.enc.Controller() }
 
 // observeLocal feeds the congestion controller one per-frame observation
 // from the transmit stage: transmit-queue fill and the frame's modelled
-// link time. A Session never sheds, so LocalSignal.Shed stays false.
+// link time, the controller's two local inputs.
 func (s *Session) observeLocal(cost linksim.Cost) {
 	ctrl := s.enc.Controller()
 	if ctrl == nil {
